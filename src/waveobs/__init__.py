@@ -19,8 +19,6 @@ wavesim
 observability
     Boundary observability quotients, observability-constant
     estimation, counterexample sweeps, HUM control synthesis.
-cli
-    Command-line entry point (``waveobs``).
 """
 
 __version__ = "0.1.0"
@@ -31,5 +29,4 @@ __all__ = [
     "quasimodes",
     "wavesim",
     "observability",
-    "cli",
 ]

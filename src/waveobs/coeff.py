@@ -521,11 +521,11 @@ def make_baseline(kind: str, **params) -> Coefficient:
             out[pos] = -t[pos] * np.log(t[pos])
             return c0 + c1 * out
 
-        lo = min(c0, c0 + 0.0)
+        lo = min(c0, c0 + peak)
         if lo <= 0:
             raise ValueError("log-lipschitz density loses positivity")
         return Coefficient(kind, {"base": c0, "amplitude": c1},
-                           lo, c0 + peak, _ll)
+                           lo, max(c0, c0 + peak), _ll)
 
     if kind == "weierstrass-zygmund":
         c0 = float(params.get("base", 2.0))
@@ -608,6 +608,14 @@ class CounterexampleParams:
     entries: tuple
     cond_flags: tuple
     notes: tuple = ()
+
+    @property
+    def eps_bar(self) -> float:
+        """max(0.05, 1.01 max eps_j): the ``eps_bar`` of every pair of
+        this family (it only gates the argument check; each pair verifies
+        its own alpha window against the hyperbolicity bracket)."""
+        return max(0.05, 1.01 * max((e.eps for e in self.entries),
+                                    default=0.0))
 
     def entry(self, j: int) -> SequenceEntry:
         for e in self.entries:
@@ -899,13 +907,7 @@ def make_counterexample_density(
                 f"h_{e.j} is not representable in double precision; "
                 "this sequence family cannot be materialized on a grid")
     if pairs is None:
-        # Entries from the defining relation can carry eps beyond the
-        # small-parameter ceiling; accept them here because the pair
-        # constructor independently verifies that the measured alpha
-        # window stays inside the hyperbolicity bracket.
-        eps_cap = max((e.eps for e in params.entries), default=0.0)
-        eps_bar = max(0.05, 1.01 * eps_cap)
-        pairs = {e.j: build_oscillator_pair(e.eps, eps_bar=eps_bar,
+        pairs = {e.j: build_oscillator_pair(e.eps, eps_bar=params.eps_bar,
                                             knots=knots)
                  for e in params.entries}
 
@@ -1015,7 +1017,8 @@ def travel_time(coef: Coefficient, grid: int = 1 << 16) -> float:
         for e in seqs.entries:
             if active is not None and e.j != active:
                 continue
-            pair = build_oscillator_pair(e.eps, knots=knots)
+            pair = build_oscillator_pair(e.eps, eps_bar=seqs.eps_bar,
+                                         knots=knots)
             nodes, weights = np.polynomial.legendre.leggauss(8)
             panels = 64
             edges = np.linspace(0.0, 1.0, panels + 1)

@@ -27,12 +27,15 @@ family of concentrating modes.  This module measures both sides:
 * :func:`hum_control` computes the boundary control of minimal H^{-m}
   norm by conjugate gradients on the duality operator and verifies the
   terminal state it reaches.
+
+Wave solves run on the leapfrog kernel of :mod:`wavesim` without energy
+tracking: each ensemble, Gramian basis or corrector set is one block
+march; only HUM's verification solve uses the public solvers.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -54,6 +57,10 @@ from .modulus import difference_seminorms
 from .quasimodes import ScaleOutOfReach, solve_quasimode
 from .wavesim import (
     BoundaryForcing,
+    _forcing_flags,
+    _leapfrog,
+    _space_grid,
+    _taylor_start,
     evolve,
     evolve_inhomogeneous,
     solver_time_grid,
@@ -234,6 +241,62 @@ class QuotientResult:
         }
 
 
+def _march_data(omega: Coefficient, u0: np.ndarray, u1: np.ndarray,
+                T: float, resolution: int, cfl: float):
+    """Homogeneous solves of nodal data, one per column, as one march.
+
+    ``u0``/``u1`` are node arrays or (nodes x K) blocks; the Taylor start
+    and the recurrence are the public solver's, without its energy
+    tracking.  Returns (dt, kernel run).
+    """
+    x, om = _space_grid(omega, resolution)
+    dx = x[1] - x[0]
+    dt, steps = solver_time_grid(omega, T, resolution, cfl)
+    return dt, _leapfrog(om, dx, dt, steps, *_taylor_start(u0, u1, om, dt, dx))
+
+
+def _quotient(u0n: np.ndarray, u1n: np.ndarray, trace: np.ndarray,
+              dt: float, dx: float, T: float, T_omega: float, m: int = 0,
+              beta: Optional[float] = None, cumulative: bool = False, *,
+              side: str = "left", label: str = "",
+              flags: tuple = ()) -> QuotientResult:
+    """The quotient of one nodal datum given its boundary trace.
+
+    A denominator at or below the round-off floor of the discrete normal
+    derivative makes the quotient unbounded (+inf).
+    """
+    numerator = _h10_norm_sq(u0n, dx) + _l2_norm_sq(u1n, dx)
+    if numerator == 0.0:
+        raise ValueError("zero data: the quotient is 0/0")
+    if beta is not None:
+        denominator = trace_sobolev_norm(trace, beta, dt) ** 2
+        parts = (denominator,)
+        floor_m = beta
+    else:
+        orders = range(int(m) + 1) if cumulative else (int(m),)
+        parts = tuple(_trace_derivative_energy(trace, dt, k)
+                      for k in orders)
+        denominator = float(sum(parts))
+        floor_m = m
+    data_scale = max(float(np.max(np.abs(u0n))), float(np.max(np.abs(u1n))))
+    floor = _trace_noise_floor(data_scale, dx, dt, T, floor_m)
+    flags = list(flags)
+    unbounded = denominator <= floor
+    if unbounded:
+        flags.append(
+            f"quotient unbounded at this resolution: trace energy "
+            f"{denominator:.3e} at or below the round-off floor {floor:.3e}")
+        value = math.inf
+    else:
+        value = numerator / denominator
+    return QuotientResult(
+        value=value, numerator=numerator, denominator=denominator,
+        m=int(m), beta=beta, T=T, T_omega=T_omega,
+        admissible=bool(T > 2.0 * T_omega), unbounded=unbounded,
+        side=side, resolution=len(u0n) - 1,
+        denominator_parts=parts, label=label, flags=tuple(flags))
+
+
 def observability_quotient(omega: Coefficient, u0, u1, T: float, m: int = 0,
                            *, beta: Optional[float] = None,
                            resolution: int = 2048, cfl: float = 0.9,
@@ -247,53 +310,26 @@ def observability_quotient(omega: Coefficient, u0, u1, T: float, m: int = 0,
     derivative energies of all orders k <= m are summed, which makes
     Q non-increasing in m by construction.  Zero data is rejected (the
     quotient is 0/0).  Pass ``trajectory`` to reuse an existing solve of
-    the same data.
+    the same data; otherwise the data are marched once, without energy
+    tracking.
     """
     if m < 0 or int(m) != m:
         raise ValueError("m must be a nonnegative integer")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    traj = trajectory
-    if traj is None:
-        traj = evolve(omega, u0, u1, T, resolution, k_max=0, cfl=cfl)
-    x = traj.x
-    dx = traj.dx
+    x = (np.linspace(0.0, omega.length, resolution + 1)
+         if trajectory is None else trajectory.x)
     u0n = _as_nodes(u0, x)
     u1n = _as_nodes(u1, x)
-    numerator = _h10_norm_sq(u0n, dx) + _l2_norm_sq(u1n, dx)
-    if numerator == 0.0:
-        raise ValueError("zero data: the quotient is 0/0")
-
-    trace = traj.trace_left if side == "left" else traj.trace_right
-    flags = list(traj.flags)
-    if beta is not None:
-        denominator = trace_sobolev_norm(trace, beta, traj.dt) ** 2
-        parts = (denominator,)
-        floor_m = beta
+    if trajectory is None:
+        dt, run = _march_data(omega, u0n, u1n, T, resolution, cfl)
+        flags = ()
     else:
-        orders = range(int(m) + 1) if cumulative else (int(m),)
-        parts = tuple(_trace_derivative_energy(trace, traj.dt, k)
-                      for k in orders)
-        denominator = float(sum(parts))
-        floor_m = m
-    data_scale = max(float(np.max(np.abs(u0n))), float(np.max(np.abs(u1n))))
-    floor = _trace_noise_floor(data_scale, dx, traj.dt, T, floor_m)
-
-    T_omega = travel_time(omega)
-    unbounded = denominator <= floor
-    if unbounded:
-        flags.append(
-            f"quotient unbounded at this resolution: trace energy "
-            f"{denominator:.3e} at or below the round-off floor {floor:.3e}")
-        value = math.inf
-    else:
-        value = numerator / denominator
-    return QuotientResult(
-        value=value, numerator=numerator, denominator=denominator,
-        m=int(m), beta=beta, T=T, T_omega=T_omega,
-        admissible=bool(T > 2.0 * T_omega), unbounded=unbounded,
-        side=side, resolution=len(x) - 1,
-        denominator_parts=parts, label=label, flags=tuple(flags))
+        dt, run, flags = trajectory.dt, trajectory, trajectory.flags
+    trace = run.trace_left if side == "left" else run.trace_right
+    return _quotient(u0n, u1n, trace, dt, float(x[1] - x[0]), T,
+                     travel_time(omega), m, beta, cumulative, side=side,
+                     label=label, flags=flags)
 
 
 # --------------------------------------------------------------------------
@@ -436,78 +472,69 @@ def estimate_observability_constant(
         omega: Coefficient, T: Optional[float] = None,
         cutoffs: Sequence[int] = (8, 16, 32, 64), *,
         n_random: int = 12, seed: int = 0, resolution: int = 2048,
-        m: int = 0, beta: Optional[float] = None, jobs: int = 1,
+        m: int = 0, beta: Optional[float] = None,
         adversarial: bool = True, cfl: float = 0.9,
         loss_m: Sequence[int] = (), loss_beta: Sequence[float] = (),
         cross_check: bool = False, cross_check_cutoff: int = 8,
         cross_check_resolution: int = 256) -> ObservabilityReport:
     """Max observability quotient over an ensemble, per frequency cutoff.
 
-    ``T`` defaults to twice the crossing time plus 0.5.  Each candidate
-    datum is evolved once; its trajectory is reused for the headline
-    quotient and for every entry of the optional loss scans (``loss_m``
-    derivative orders, ``loss_beta`` trace exponents), from which the
-    report's loss diagnostics pick the smallest order/exponent whose
-    quotients stay bounded on every candidate.  Results are deterministic
-    for a given seed (collection order is submission order even with
-    ``jobs`` > 1).  ``cross_check`` runs the dense Gramian constant at a
+    ``T`` defaults to twice the crossing time plus 0.5.  The candidates
+    of every cutoff are drawn first (deterministic for a given seed) and
+    then evolved together, one column each, in a single march of the
+    leapfrog kernel without energy tracking.  Each candidate's trace is
+    reused for the headline quotient and for every entry of the optional
+    loss scans (``loss_m`` derivative orders, ``loss_beta`` trace
+    exponents), from which the report's loss diagnostics pick the
+    smallest order/exponent whose quotients stay bounded on every
+    candidate.  ``cross_check`` runs the dense Gramian constant at a
     coarse cutoff/resolution and stores the comparison: the ensemble max
     is a lower bound for the Gramian constant, so the ratio belongs in
     [0, 1] up to discretization.
     """
+    T_omega = travel_time(omega)
     if T is None:
-        T = 2.0 * travel_time(omega) + 0.5
+        T = 2.0 * T_omega + 0.5
     x = np.linspace(0.0, omega.length, resolution + 1)
+    dx = x[1] - x[0]
     omega_nodes = omega(x)
     rng = np.random.default_rng(seed)
-    constants: dict = {}
-    argmax: dict = {}
-    rows = []
-    loss_bounded = {("m", k): True for k in loss_m}
-    loss_bounded.update({("beta", bt): True for bt in loss_beta})
+    cands = []
     for cutoff in cutoffs:
         if cutoff >= resolution:
             raise ValueError(
                 f"cutoff {cutoff} does not fit resolution {resolution}")
-        cands = _ensemble_data(x, omega_nodes, cutoff, rng, n_random,
-                               adversarial)
+        cands += [(cutoff,) + c for c in _ensemble_data(
+            x, omega_nodes, cutoff, rng, n_random, adversarial)]
+    dt, run = _march_data(omega, np.stack([c[2] for c in cands], axis=1),
+                          np.stack([c[3] for c in cands], axis=1),
+                          T, resolution, cfl)
+    traces = np.ascontiguousarray(run.trace_left.T)
 
-        def one(item):
-            lab, u0, u1 = item
-            traj = evolve(omega, u0, u1, T, resolution, k_max=0, cfl=cfl)
-            main = observability_quotient(
-                omega, u0, u1, T, m, beta=beta, resolution=resolution,
-                cfl=cfl, label=lab, trajectory=traj)
-            scans = {}
-            for k in loss_m:
-                scans[("m", k)] = observability_quotient(
-                    omega, u0, u1, T, k, resolution=resolution, cfl=cfl,
-                    label=lab, trajectory=traj)
-            for bt in loss_beta:
-                scans[("beta", bt)] = observability_quotient(
-                    omega, u0, u1, T, 0, beta=bt, resolution=resolution,
-                    cfl=cfl, label=lab, trajectory=traj)
-            return main, scans
-
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as ex:
-                results = list(ex.map(one, cands))
-        else:
-            results = [one(c) for c in cands]
-        best = max((q for q, _ in results), key=lambda q: q.value)
-        constants[cutoff] = best.value
-        argmax[cutoff] = best.label
-        for q, scans in results:
-            row = {
-                "cutoff": cutoff, "label": q.label, "quotient": q.value,
-                "numerator": q.numerator, "denominator": q.denominator,
-                "unbounded": q.unbounded,
-            }
-            for key, sq in scans.items():
-                row[f"Q_{key[0]}_{key[1]}"] = sq.value
-                if sq.unbounded:
-                    loss_bounded[key] = False
-            rows.append(row)
+    scans = ([("m", k, k, None) for k in loss_m]
+             + [("beta", bt, 0, bt) for bt in loss_beta])
+    loss_bounded = {(kind, val): True for kind, val, _, _ in scans}
+    constants: dict = {}
+    argmax: dict = {}
+    rows = []
+    for (cutoff, lab, u0, u1), trace in zip(cands, traces):
+        q = _quotient(u0, u1, trace, dt, dx, T, T_omega, m, beta,
+                      label=lab)
+        if cutoff not in constants or q.value > constants[cutoff]:
+            constants[cutoff] = q.value
+            argmax[cutoff] = lab
+        row = {
+            "cutoff": cutoff, "label": lab, "quotient": q.value,
+            "numerator": q.numerator, "denominator": q.denominator,
+            "unbounded": q.unbounded,
+        }
+        for kind, val, k, bt in scans:
+            sq = _quotient(u0, u1, trace, dt, dx, T, T_omega, k, bt,
+                           label=lab)
+            row[f"Q_{kind}_{val}"] = sq.value
+            if sq.unbounded:
+                loss_bounded[(kind, val)] = False
+        rows.append(row)
     factors = []
     cuts = tuple(cutoffs)
     for lo, hi in zip(cuts, cuts[1:]):
@@ -532,7 +559,7 @@ def estimate_observability_constant(
             resolution=cross_check_resolution, cfl=cfl, m=m)
         sub = estimate_observability_constant(
             omega, T, (cross_check_cutoff,), n_random=n_random, seed=seed,
-            resolution=cross_check_resolution, m=m, beta=beta, jobs=jobs,
+            resolution=cross_check_resolution, m=m, beta=beta,
             adversarial=adversarial, cfl=cfl)
         ens = sub.constants[cross_check_cutoff]
         check = {
@@ -542,11 +569,10 @@ def estimate_observability_constant(
             "ensemble_over_gramian": (
                 ens / gram["value"] if gram["value"] > 0 else math.inf),
         }
-    traj_T_omega = travel_time(omega)
     return ObservabilityReport(
         omega_kind=omega.kind, omega_descriptor=omega.to_descriptor(),
-        T=T, T_omega=traj_T_omega,
-        admissible=bool(T > 2.0 * traj_T_omega), m=m, beta=beta,
+        T=T, T_omega=T_omega,
+        admissible=bool(T > 2.0 * T_omega), m=m, beta=beta,
         cutoffs=cuts, constants=constants, argmax_labels=argmax,
         rows=tuple(rows), growth_factors=tuple(factors),
         resolution=resolution, seed=seed, n_random=n_random,
@@ -559,35 +585,25 @@ def gramian_observability_constant(omega: Coefficient, T: float,
     """Exact-over-the-span constant from the dense boundary Gramian.
 
     Solves all 2*cutoff basis data (position mode sin(k pi x), velocity
-    mode sin(k pi x)), forms D[i,j] = int d^m tr_i d^m tr_j dt and the
-    diagonal energy matrix N, and returns 1/lambda_min of the pencil
-    (D, N): the worst quotient over the whole span, not just the sampled
-    candidates.  Meant for small cutoffs (dense eigenproblem).
+    mode sin(k pi x)) in one march, forms D[i,j] = int d^m tr_i d^m tr_j
+    dt and the diagonal energy matrix N, and returns 1/lambda_min of the
+    pencil (D, N): the worst quotient over the whole span, not just the
+    sampled candidates.  Meant for small cutoffs (dense eigenproblem).
     """
     if cutoff > 64:
         raise ValueError("gramian route is for small cutoffs (<= 64)")
     x = np.linspace(0.0, omega.length, resolution + 1)
-    traces = []
-    energies = []
-    dt = None
-    for k in range(1, cutoff + 1):
-        u0 = np.sin(k * math.pi * x)
-        traj = evolve(omega, u0, np.zeros_like(x), T, resolution,
-                      k_max=0, cfl=cfl)
-        dt = traj.dt
-        d = (np.diff(traj.trace_left, n=m) / dt ** m if m
-             else traj.trace_left)
-        traces.append(d)
-        energies.append(_h10_norm_sq(u0, x[1] - x[0]))
-    for k in range(1, cutoff + 1):
-        u1 = np.sin(k * math.pi * x)
-        traj = evolve(omega, np.zeros_like(x), u1, T, resolution,
-                      k_max=0, cfl=cfl)
-        d = (np.diff(traj.trace_left, n=m) / dt ** m if m
-             else traj.trace_left)
-        traces.append(d)
-        energies.append(_l2_norm_sq(u1, x[1] - x[0]))
-    tr = np.asarray(traces)
+    dx = x[1] - x[0]
+    modes = [np.sin(k * math.pi * x) for k in range(1, cutoff + 1)]
+    energies = ([_h10_norm_sq(u, dx) for u in modes]
+                + [_l2_norm_sq(u, dx) for u in modes])
+    block = np.stack(modes, axis=1)
+    rest = np.zeros_like(block)
+    dt, run = _march_data(omega, np.hstack([block, rest]),
+                          np.hstack([rest, block]), T, resolution, cfl)
+    tr = np.ascontiguousarray(run.trace_left.T)
+    if m:
+        tr = np.diff(tr, n=m, axis=1) / dt ** m
     w = np.full(tr.shape[1], dt)
     w[0] = w[-1] = 0.5 * dt
     D = (tr * w) @ tr.T
@@ -762,27 +778,29 @@ def _corrector_traces(density: Coefficient, h: float, T: float,
     the zero-data solves forced by cos(ht)/sin(ht).  ``same_edge`` means
     both endpoints carry the same unit forcing (one solve per phase);
     otherwise left-only and right-only solves are returned separately.
+    All 2 or 4 forcings run as the columns of one march, without energy
+    tracking; each phase keeps the flags of its forcings.
     """
+    x, om = _space_grid(density, resolution)
     dt, steps = solver_time_grid(density, T, resolution, cfl)
     times = np.arange(steps + 1) * dt
-    phases = {"cos": np.cos(h * times), "sin": np.sin(h * times)}
     zero = np.zeros_like(times)
+    cols = []       # (phase, key, forcing)
+    for name, sig in (("cos", np.cos(h * times)), ("sin", np.sin(h * times))):
+        sides = ({"both": (sig, sig)} if same_edge
+                 else {"left": (sig, zero), "right": (zero, sig)})
+        cols += [(name, key, BoundaryForcing(times, f, g, "analytic"))
+                 for key, (f, g) in sides.items()]
+    rest = np.zeros((len(x), len(cols)))
+    run = _leapfrog(om, x[1] - x[0], dt, steps, rest, rest, boundary=(
+        np.stack([c[2].left for c in cols], axis=1),
+        np.stack([c[2].right for c in cols], axis=1)))
     out = {}
-    for name, sig in phases.items():
-        if same_edge:
-            forcing = BoundaryForcing(times, sig, sig, smoothness="analytic")
-            traj = evolve_inhomogeneous(density, forcing, T, resolution,
-                                        k_max=0, cfl=cfl)
-            out[name] = {"both": traj.trace_left, "flags": traj.flags}
-        else:
-            fl = BoundaryForcing(times, sig, zero, smoothness="analytic")
-            fr = BoundaryForcing(times, zero, sig, smoothness="analytic")
-            tl = evolve_inhomogeneous(density, fl, T, resolution,
-                                      k_max=0, cfl=cfl)
-            tr = evolve_inhomogeneous(density, fr, T, resolution,
-                                      k_max=0, cfl=cfl)
-            out[name] = {"left": tl.trace_left, "right": tr.trace_left,
-                         "flags": tl.flags + tr.flags}
+    for (name, key, forcing), trace in zip(
+            cols, np.ascontiguousarray(run.trace_left.T)):
+        entry = out.setdefault(name, {"flags": ()})
+        entry[key] = trace
+        entry["flags"] += _forcing_flags(forcing)
     return times, out
 
 
@@ -792,7 +810,7 @@ def run_counterexample_sweep(
         j_list: Sequence[int] = (2, 3, 4), m_list: Sequence[int] = (0, 1, 2),
         T: Optional[float] = None, resolutions: Optional[Mapping] = None,
         max_resolution: int = 1 << 17, points_per_wavelength: float = 12.0,
-        rtol: float = 1e-12, cfl: float = 0.9, jobs: int = 1,
+        rtol: float = 1e-12, cfl: float = 0.9,
         measure_seminorm: bool = True,
         sequence_kwargs: Optional[dict] = None) -> DivergenceTable:
     """Divergence of Q_m along the trapping quasimode family.
@@ -874,7 +892,7 @@ def run_counterexample_sweep(
                              cross_check=False, reverse_check=False)
         h = qm.h
         n = int(round(qm.stats["n"]))
-        pair = build_oscillator_pair(entry.eps,
+        pair = build_oscillator_pair(entry.eps, eps_bar=params.eps_bar,
                                      knots=tuple(density.params["knots"]))
         if family == "lambda":
             numer = _lambda_numerator(pair, h, n, qm.m, qm.r,
@@ -956,26 +974,13 @@ def run_counterexample_sweep(
     rows = []
     truncated_at = None
     reason = None
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            futures = [(j, ex.submit(solve_row, j)) for j in j_list]
-            for j, fut in futures:
-                if truncated_at is not None:
-                    fut.cancel()
-                    continue
-                try:
-                    rows.append(fut.result())
-                except ScaleOutOfReach as exc:
-                    truncated_at = j
-                    reason = str(exc)
-    else:
-        for j in j_list:
-            try:
-                rows.append(solve_row(j))
-            except ScaleOutOfReach as exc:
-                truncated_at = j
-                reason = str(exc)
-                break
+    for j in j_list:
+        try:
+            rows.append(solve_row(j))
+        except ScaleOutOfReach as exc:
+            truncated_at = j
+            reason = str(exc)
+            break
 
     growth = {}
     for m in m_list:
@@ -1070,41 +1075,6 @@ def unique_continuation_check(omega: Coefficient, trajectory,
 # --------------------------------------------------------------------------
 
 
-def _leapfrog_march(om: np.ndarray, dx: float, dt: float, steps: int,
-                    level0: np.ndarray, level1: np.ndarray,
-                    boundary_left: Optional[np.ndarray] = None):
-    """The solver's interior recurrence, kept local for the CG operator.
-
-    The duality pairing behind :func:`hum_control` is exact for this
-    recurrence only when it sees the raw levels and the node-1 values,
-    neither of which the trajectory API exposes (its boundary trace is a
-    wide high-order stencil -- a different functional than the scheme's
-    own summation-by-parts adjoint, and CG needs the exact one).  The
-    recurrence here is verbatim the solver's; the test suite pins the
-    two against each other to round-off.
-
-    Returns (penultimate level, last level, node-1 series / dx).
-    """
-    inv = dt * dt / (om * dx * dx)
-    u_prev = np.array(level0, dtype=float, copy=True)
-    u_cur = np.array(level1, dtype=float, copy=True)
-    if boundary_left is not None:
-        u_prev[0] = boundary_left[0]
-        u_cur[0] = boundary_left[1]
-    gamma = np.empty(steps + 1)
-    gamma[0] = u_prev[1] / dx
-    gamma[1] = u_cur[1] / dx
-    for n in range(1, steps):
-        u_next = 2.0 * u_cur - u_prev
-        u_next[1:-1] += inv[1:-1] * (u_cur[2:] - 2.0 * u_cur[1:-1]
-                                     + u_cur[:-2])
-        u_next[0] = 0.0 if boundary_left is None else boundary_left[n + 1]
-        u_next[-1] = 0.0
-        gamma[n + 1] = u_next[1] / dx
-        u_prev, u_cur = u_cur, u_next
-    return u_prev, u_cur, gamma
-
-
 @dataclass(frozen=True)
 class ControlResult:
     """Boundary control from the duality CG iteration, plus verification.
@@ -1171,13 +1141,14 @@ def hum_control(omega: Coefficient, y0, y1, T: float, m: int = 0, *,
 
     for any control f steering the first two levels (y^0, y^1) to rest
     and any adjoint e' (gamma'^n = e'^n_1 / dx is the scheme's own
-    summation-by-parts trace).  Parametrizing adjoints by their two
-    starting levels makes the left side, at f = W gamma, a bitwise
-    symmetric nonnegative form: one homogeneous march (the trace) and
-    one reversed boundary-forced march (the pairing) per application,
-    solved by conjugate gradients.  The resulting control is then
-    verified on the public solvers by superposing the homogeneous
-    evolution of the data with the zero-data forced evolution.
+    summation-by-parts trace: the kernel's node-1 series, not the wide
+    stencil of the public traces).  Parametrizing adjoints by their two
+    starting levels makes the left side, at f = W gamma, a symmetric
+    nonnegative form: one homogeneous kernel march (the trace) and one
+    reversed boundary-forced march (the pairing) per application, solved
+    by conjugate gradients.  The resulting control is then verified on
+    the public solvers by superposing the homogeneous evolution of the
+    data with the zero-data forced evolution.
     """
     x = np.linspace(0.0, omega.length, resolution + 1)
     dx = x[1] - x[0]
@@ -1223,16 +1194,19 @@ def hum_control(omega: Coefficient, y0, y1, T: float, m: int = 0, *,
     def unpack(w: np.ndarray):
         return w[:n_nodes], w[n_nodes:]
 
-    def apply_A(w: np.ndarray) -> np.ndarray:
+    rest, no_right = np.zeros(n_nodes), np.zeros(steps + 1)
+
+    def adjoint_trace(w: np.ndarray) -> np.ndarray:
         p, v = unpack(w)
-        _, _, gamma = _leapfrog_march(om_nodes, dx, dt, steps,
-                                      p, p + dt * v)
-        g = smooth(gamma)
+        run = _leapfrog(om_nodes, dx, dt, steps, p, p + dt * v)
+        return smooth(run.node1 / dx)
+
+    def apply_A(w: np.ndarray) -> np.ndarray:
+        g = adjoint_trace(w)
         # backward forced solve: march the reversed signal from rest,
         # then read the two earliest levels of the unreversed solution
-        w1, w0, _ = _leapfrog_march(
-            om_nodes, dx, dt, steps, np.zeros(n_nodes), np.zeros(n_nodes),
-            boundary_left=g[::-1])
+        w1, w0 = _leapfrog(om_nodes, dx, dt, steps, rest, rest,
+                           boundary=(g[::-1], no_right)).levels
         # functional on level pairs (f0, f1), pulled back to (p, v)
         f0 = -pair_w * w1
         f1 = pair_w * w0
@@ -1249,17 +1223,12 @@ def hum_control(omega: Coefficient, y0, y1, T: float, m: int = 0, *,
         sv = rv / (dx * om_nodes)
         return pack(sp, sv)
 
-    # the data map (y0, y1) -> first two levels matches the public
-    # solver's Taylor start, so the steered discrete state is the one
-    # the verification solve evolves
-    lap0 = np.zeros_like(y0n)
-    lap0[1:-1] = (y0n[2:] - 2.0 * y0n[1:-1] + y0n[:-2]) / dx ** 2
-    lap1 = np.zeros_like(y1n)
-    lap1[1:-1] = (y1n[2:] - 2.0 * y1n[1:-1] + y1n[:-2]) / dx ** 2
-    y_level1 = (y0n + dt * y1n + 0.5 * dt ** 2 * lap0 / om_nodes
-                + dt ** 3 / 6.0 * lap1 / om_nodes)
+    # the data map (y0, y1) -> first two levels is the public solver's
+    # Taylor start, so the steered discrete state is the one the
+    # verification solve evolves
+    y_level0, y_level1 = _taylor_start(y0n, y1n, om_nodes, dt, dx)
     b0 = -pair_w * y_level1
-    b1 = pair_w * y0n
+    b1 = pair_w * y_level0
     b = pack(b0 + b1, dt * b1)
 
     w_sol = np.zeros_like(b)
@@ -1298,10 +1267,7 @@ def hum_control(omega: Coefficient, y0, y1, T: float, m: int = 0, *,
         rho = rho_new
         d = s + beta * d
 
-    p_sol, v_sol = unpack(w_sol)
-    _, _, gamma_sol = _leapfrog_march(om_nodes, dx, dt, steps,
-                                      p_sol, p_sol + dt * v_sol)
-    control = smooth(gamma_sol)
+    control = adjoint_trace(w_sol)
 
     # independent verification: controlled solution = homogeneous part
     # from the target data + zero-data part forced by the control

@@ -145,12 +145,10 @@ def _density_structure(omega: Coefficient):
     knots = tuple(omega.params["knots"])
     active = omega.params.get("active_j")
     entries = [e for e in params.entries if active is None or e.j == active]
-    eps_cap = max(e.eps for e in params.entries)
-    eps_bar = max(0.05, 1.01 * eps_cap)
     pairs = {}
     for e in entries:
         if math.isfinite(e.h):
-            pairs[e.j] = _cached_pair(e.eps, eps_bar, knots)
+            pairs[e.j] = _cached_pair(e.eps, params.eps_bar, knots)
     return params, entries, pairs, active
 
 
@@ -913,8 +911,6 @@ def _exponents_structured(omega, x1, x2):
     """
     params, entries, pairs, _ = _density_structure(omega)
     knots = tuple(omega.params["knots"])
-    eps_cap = max(e.eps for e in params.entries)
-    eps_bar = max(0.05, 1.01 * eps_cap)
     lo_x, hi_x = min(x1, x2), max(x1, x2)
     gap_total = 0.0
     logd_total = 0.0
@@ -924,8 +920,8 @@ def _exponents_structured(omega, x1, x2):
         b = min(hi_x, ih)
         if b <= a:
             continue
-        grid, cum_gap, cum_logd = _abs_gap_tables_cached(e.eps, eps_bar,
-                                                         knots)
+        grid, cum_gap, cum_logd = _abs_gap_tables_cached(
+            e.eps, params.eps_bar, knots)
         s_a = e.h * (a - e.m)
         s_b = e.h * (b - e.m)
         gap_total += (_periodic_cumulative(s_b, grid, cum_gap)

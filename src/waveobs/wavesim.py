@@ -7,6 +7,12 @@ round-off), and because it is linear with time-independent
 coefficients, the same holds for every k-th time-difference sequence,
 which is how the higher energies E_k are tracked.
 
+One private kernel, ``_leapfrog``, marches a node array or a (nodes x K)
+block of data columns, each bitwise the single-column run; it computes
+energies, snapshots and slices only on request.  :func:`evolve` and
+:func:`evolve_inhomogeneous` are single-column runs that track energies;
+``observability`` marches its data as blocks without them.
+
 The sidewise solver re-reads the same equation as an evolution in x
 (u_xx = omega u_tt) and marches a time slice across the interval while
 shrinking the transverse window one grid point per step - a superset
@@ -220,10 +226,15 @@ class BoundaryForcing:
         return out
 
 
-def _first_level(u0, v0, om, dt, dx, inv_om=None):
-    """Taylor start: u(dt) to fourth-order local accuracy."""
-    if inv_om is None:
-        inv_om = 1.0 / om
+def _taylor_start(u0, v0, om, dt, dx):
+    """(u0 with its ends zeroed, Taylor start u(dt) to fourth-order local
+    accuracy) for node arrays or (nodes x K) blocks of data columns."""
+    u0 = np.array(u0, dtype=float)
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(u0))))
+    if np.max(np.abs(u0[0])) > tol or np.max(np.abs(u0[-1])) > tol:
+        raise ValueError("u0 must vanish at the endpoints")
+    u0[0] = u0[-1] = 0.0
+    inv_om = (1.0 / om).reshape((-1,) + (1,) * (u0.ndim - 1))
     lap0 = np.zeros_like(u0)
     lap0[1:-1] = (u0[2:] - 2 * u0[1:-1] + u0[:-2]) / dx ** 2
     lap1 = np.zeros_like(v0)
@@ -232,134 +243,159 @@ def _first_level(u0, v0, om, dt, dx, inv_om=None):
           + dt ** 3 / 6.0 * inv_om * lap1)
     u1[0] = 0.0
     u1[-1] = 0.0
-    return u1
+    return u0, u1
 
 
-def _run_leapfrog(x, om, dt, steps, u_start, u_next, k_max,
-                  boundary=None, snapshot_stride=None, slice_at=None,
-                  energy_stride=1):
-    """Advance the recurrence; return traces, energies, snapshots.
+def _forcing_flags(forcing: BoundaryForcing) -> tuple:
+    if forcing.compatible:
+        return ()
+    return ("forcing incompatible with zero initial data; "
+            "boundary jump applied at the first level",)
 
-    ``boundary``: optional (left_values, right_values) arrays of length
-    steps+1 imposed as Dirichlet values (index m = time level).  The
-    inner loop is allocation-free: k_max+2 node buffers rotate, the
-    update runs in place, and energies are evaluated every
-    ``energy_stride``-th level.
+
+# levels per batch of boundary-trace evaluation in the kernel
+_EDGE_CHUNK = 256
+
+
+@dataclass(frozen=True)
+class _March:
+    """One kernel run; series have shape (steps+1,) + columns.  ``node1``
+    is u at the first interior node (dx times the scheme's own
+    summation-by-parts trace); ``levels`` are u at T-dt and T."""
+
+    trace_left: np.ndarray
+    trace_right: np.ndarray
+    node1: np.ndarray
+    levels: tuple
+    energies: Mapping[int, np.ndarray]
+    energy_times: Mapping[int, np.ndarray]
+    snapshots: Optional[tuple] = None       # (times, u, u_t) lists
+    slice_record: Optional[tuple] = None    # (x0, u, u_x)
+
+
+def _leapfrog(om, dx, dt, steps, u_start, u_next, *, boundary=None,
+              k_max=None, energy_stride=1, snapshot_stride=None,
+              slice_at=None) -> _March:
+    """March a node array or a (nodes x K) block of first two levels.
+
+    Every column gets bitwise the single-column arithmetic,
+    (2 - 2 lam) u - u_prev + lam (u>> + u<<), in place on rotating
+    buffers.  ``boundary``: optional (left, right) Dirichlet rows of
+    shape (steps+1,) + columns for every level; without it the ends are
+    zero from the third level.  Only on request: energies of orders
+    <= ``k_max`` (one column only), snapshots, and the (u, u_x) slice.
     """
-    n = len(x) - 1
-    dx = x[1] - x[0]
-    lam = dt ** 2 / dx ** 2 / om[1:-1]
+    first = np.array(u_start, dtype=float)
+    second = np.array(u_next, dtype=float)
+    cols = first.shape[1:]
+    orders = range(0 if k_max is None else k_max + 1)
+    if orders and cols:
+        raise ValueError("energies are tracked for a single column only")
+    n = first.shape[0] - 1
+    lam = (dt ** 2 / dx ** 2 / om[1:-1]).reshape((-1,) + (1,) * len(cols))
     coef = 2.0 - 2.0 * lam
-    nbuf = max(3, k_max + 2)    # >= 3 so the write target never aliases
-    bufs = [np.array(u_start, dtype=float, copy=True)]
-    bufs.append(np.array(u_next, dtype=float, copy=True))
-    for _ in range(nbuf - 2):
-        bufs.append(np.zeros_like(bufs[0]))
+    if boundary is None:
+        left = right = np.zeros((steps + 1,) + cols)
+    else:
+        left, right = (np.asarray(b, dtype=float) for b in boundary)
+        first[0], first[-1] = left[0], right[0]
+        second[0], second[-1] = left[1], right[1]
+
+    # k_max + 2 levels feed the k-th difference energies; >= 3 buffers so
+    # the write target never aliases the two levels it is computed from
+    nbuf = max(3, len(orders) + 1)
+    bufs = [first, second] + [np.zeros_like(first) for _ in range(nbuf - 2)]
+    inner = [b[1:-1] for b in bufs]
+    ahead = [b[2:] for b in bufs]
+    behind = [b[:-2] for b in bufs]
     order = [0, 1]          # buffer indices, oldest level first
     free = list(range(2, nbuf))
-    scratch = np.empty(n - 1)
+    scratch = np.empty((n - 1,) + cols)
 
-    trace_l = np.empty(steps + 1)
-    trace_r = np.empty(steps + 1)
-    trace_l[0], trace_r[0] = _trace_left(u_start, dx), _trace_right(u_start, dx)
-    trace_l[1], trace_r[1] = _trace_left(u_next, dx), _trace_right(u_next, dx)
+    # the rows the traces (and the slice) read are gathered level by
+    # level and their stencils applied to a whole chunk of levels at once
+    rows = [0, 1, 2, 3, n - 3, n - 2, n - 1, n]
+    if slice_at is not None:
+        s = min(max(int(round(slice_at / dx)), 2), n - 2)
+        rows += range(s - 2, s + 3)
+    gathered = np.empty((_EDGE_CHUNK, len(rows)) + cols)
+    series = np.empty((5, steps + 1) + cols)
 
-    energies = {k: [] for k in range(k_max + 1)}
-    energy_t = {k: [] for k in range(k_max + 1)}
+    def flush(level):
+        a = level - level % _EDGE_CHUNK
+        g = np.moveaxis(gathered[:level + 1 - a], 1, 0)
+        out = series[:, a:level + 1]
+        out[0] = _trace_left(g[:4], dx)
+        out[1] = _trace_right(g[4:8], dx)
+        out[2] = g[1]
+        if slice_at is not None:
+            out[3] = g[10]
+            out[4] = (g[8] - 8 * g[9] + 8 * g[11] - g[12]) / (12 * dx)
+
+    rows = np.array(rows)
+    first.take(rows, 0, gathered[0], "clip")
+    second.take(rows, 0, gathered[1], "clip")
+    if steps == 1:
+        flush(1)
+
+    energies = {k: [] for k in orders}
+    energy_t = {k: [] for k in orders}
 
     def push_energies(m_new):
         held = [bufs[i] for i in order]
-        for k in range(k_max + 1):
+        for k in orders:
             if len(held) >= k + 2:
                 d_old = _diff_k(held[-(k + 2):-1], k, dt)
                 d_new = _diff_k(held[-(k + 1):], k, dt)
                 energies[k].append(_staggered_energy(om, d_new, d_old, dt, dx))
                 energy_t[k].append((m_new - (k + 1) / 2.0) * dt)
 
-    push_energies(1)
+    if orders:
+        push_energies(1)
+    snaps = None
+    if snapshot_stride is not None:
+        snaps = ([0.0], [first.copy()], [None])
 
-    if snapshot_stride is None:
-        snapshot_stride = max(1, steps // 128)
-    snaps_t, snaps_u, snaps_ut = [0.0], [u_start.copy()], [None]
-
-    slice_idx = None
-    slice_u, slice_ux = None, None
-
-    def slice_sample(u, m):
-        slice_u[m] = u[slice_idx]
-        slice_ux[m] = (u[slice_idx - 2] - 8 * u[slice_idx - 1]
-                       + 8 * u[slice_idx + 1]
-                       - u[slice_idx + 2]) / (12 * dx)
-
-    if slice_at is not None:
-        slice_idx = min(max(int(round(slice_at / dx)), 2), n - 2)
-        slice_u = np.empty(steps + 1)
-        slice_ux = np.empty(steps + 1)
-        slice_sample(bufs[0], 0)
-        slice_sample(bufs[1], 1)
-
-    u_prev, u_cur = bufs[order[-2]], bufs[order[-1]]
+    prev, cur = 0, 1
     for m in range(1, steps):
-        if free:
-            tgt_idx = free.pop()
-        else:
-            tgt_idx = order.pop(0)
-        target = bufs[tgt_idx]
-
-        snap_now = (m % snapshot_stride == 0)
-        if snap_now:
-            snap_prev = u_prev.copy()
-            snap_cur = u_cur.copy()
-
-        # target <- (2 - 2 lam) u_cur - u_prev + lam (u_cur>> + u_cur<<),
-        # in place, five memory passes
-        tg = target[1:-1]
-        np.multiply(u_cur[1:-1], coef, out=tg)
-        tg -= u_prev[1:-1]
-        np.add(u_cur[2:], u_cur[:-2], out=scratch)
+        tgt = free.pop() if free else order.pop(0)
+        target = bufs[tgt]
+        tg = inner[tgt]
+        np.multiply(inner[cur], coef, out=tg)
+        tg -= inner[prev]
+        np.add(ahead[cur], behind[cur], out=scratch)
         scratch *= lam
         tg += scratch
-        if boundary is None:
-            target[0] = 0.0
-            target[-1] = 0.0
-        else:
-            target[0] = boundary[0][m + 1]
-            target[-1] = boundary[1][m + 1]
-        order.append(tgt_idx)
-
-        trace_l[m + 1] = _trace_left(target, dx)
-        trace_r[m + 1] = _trace_right(target, dx)
-
-        if (m + 1) % energy_stride == 0 or (
-                m + 1 == steps and steps % energy_stride != 0):
+        target[0] = left[m + 1]
+        target[-1] = right[m + 1]
+        order.append(tgt)
+        i = (m + 1) % _EDGE_CHUNK
+        target.take(rows, 0, gathered[i], "clip")
+        if i == _EDGE_CHUNK - 1 or m + 1 == steps:
+            flush(m + 1)
+        if orders and ((m + 1) % energy_stride == 0 or (
+                m + 1 == steps and steps % energy_stride != 0)):
             push_energies(m + 1)
+        if snaps is not None and m % snapshot_stride == 0:
+            snaps[0].append(m * dt)
+            snaps[1].append(bufs[cur].copy())
+            snaps[2].append((target - bufs[prev]) / (2 * dt))
+        prev, cur = cur, tgt
 
-        if snap_now:
-            snaps_t.append(m * dt)
-            snaps_u.append(snap_cur)
-            snaps_ut.append((target - snap_prev) / (2 * dt))
-        if slice_idx is not None:
-            slice_sample(target, m + 1)
-        u_prev, u_cur = u_cur, target
-
-    if steps >= 2:
-        snaps_t.append(steps * dt)
-        snaps_u.append(u_cur.copy())
+    if snaps is not None and steps >= 2:
         held = [bufs[i] for i in order]
-        if len(held) >= 3:
-            ut_T = (3 * held[-1] - 4 * held[-2] + held[-3]) / (2 * dt)
-        else:
-            ut_T = (held[-1] - held[-2]) / dt
-        snaps_ut.append(ut_T)
+        snaps[0].append(steps * dt)
+        snaps[1].append(held[-1].copy())
+        snaps[2].append((3 * held[-1] - 4 * held[-2] + held[-3]) / (2 * dt))
 
-    packed_energy = {k: np.asarray(v) for k, v in energies.items()}
-    packed_times = {k: np.asarray(v) for k, v in energy_t.items()}
-    slice_rec = None
-    if slice_idx is not None:
-        slice_rec = (slice_idx * dx, slice_u, slice_ux)
-    return (trace_l, trace_r, packed_energy, packed_times,
-            snaps_t, snaps_u, snaps_ut, (u_prev.copy(), u_cur.copy()),
-            slice_rec)
+    return _March(
+        trace_left=series[0], trace_right=series[1], node1=series[2],
+        levels=(bufs[prev].copy(), bufs[cur].copy()),
+        energies={k: np.asarray(v) for k, v in energies.items()},
+        energy_times={k: np.asarray(v) for k, v in energy_t.items()},
+        snapshots=snaps,
+        slice_record=(None if slice_at is None
+                      else (s * dx, series[3], series[4])))
 
 
 def _as_samples(f: Union[Callable, np.ndarray, None], x: np.ndarray):
@@ -387,6 +423,8 @@ def evolve(omega: Coefficient, u0, u1, T: float, resolution: int,
     levels (u0/u1 must then be None) - this is how a finished run is
     continued or reversed exactly.
 
+    A single-column kernel run tracking E_0..E_{k_max} every
+    ``energy_stride``-th level; snapshots default to every steps // 128.
     ``record_slice_at`` captures (u, u_x) at the nearest interior node
     every step, packaged as a :class:`SidewiseSlice`.
     """
@@ -401,36 +439,30 @@ def evolve(omega: Coefficient, u0, u1, T: float, resolution: int,
         ua, ub = np.asarray(a, dtype=float).copy(), np.asarray(b, dtype=float).copy()
         if ua.shape != x.shape or ub.shape != x.shape:
             raise ValueError("start levels do not match the grid")
+        ut0 = (ub - ua) / dt
     else:
-        ua = _as_samples(u0, x)
-        ub_v = _as_samples(u1, x)
-        tol = 1e-12 * max(1.0, float(np.max(np.abs(ua))))
-        if abs(ua[0]) > tol or abs(ua[-1]) > tol:
-            raise ValueError("u0 must vanish at the endpoints")
-        ua[0] = ua[-1] = 0.0
-        ub = _first_level(ua, ub_v, om, dt, dx)
+        ut0 = _as_samples(u1, x)
+        ua, ub = _taylor_start(_as_samples(u0, x), ut0, om, dt, dx)
 
-    (tl, tr, en, ent, st, su, sut, last,
-     srec) = _run_leapfrog(x, om, dt, steps, ua, ub, k_max,
-                           snapshot_stride=snapshot_stride,
-                           slice_at=record_slice_at,
-                           energy_stride=energy_stride)
-    if st is not None and sut[0] is None:
-        sut[0] = (_as_samples(u1, x) if start_levels is None
-                  else (ub - ua) / dt)
+    run = _leapfrog(om, dx, dt, steps, ua, ub, k_max=k_max,
+                    energy_stride=energy_stride,
+                    snapshot_stride=snapshot_stride or max(1, steps // 128),
+                    slice_at=record_slice_at)
+    st, su, sut = run.snapshots
+    sut[0] = ut0
     slice_obj = None
-    if srec is not None:
-        x0, su_series, sux_series = srec
+    if run.slice_record is not None:
+        x0, su_series, sux_series = run.slice_record
         slice_obj = SidewiseSlice(
             x0=x0, times=np.arange(steps + 1) * dt,
             u=su_series, u_x=sux_series)
     return WaveTrajectory(
         x=x, omega_nodes=om, dt=dt, steps=steps, T=T, cfl_number=cfl,
         order=2, times=np.arange(steps + 1) * dt,
-        trace_left=tl, trace_right=tr,
-        energies=en, energy_times=ent,
+        trace_left=run.trace_left, trace_right=run.trace_right,
+        energies=run.energies, energy_times=run.energy_times,
         snapshot_times=np.asarray(st), snapshots_u=tuple(su),
-        snapshots_ut=tuple(sut), levels=last, homogeneous=True,
+        snapshots_ut=tuple(sut), levels=run.levels, homogeneous=True,
         slice_record=slice_obj)
 
 
@@ -448,7 +480,9 @@ def evolve_inhomogeneous(omega: Coefficient, forcing: BoundaryForcing,
     at the initial level, the interior starts at rest) but not
     rejected.
 
-    The trajectory's ``pz_ratios`` reports
+    A single-column kernel run tracking E_0..E_{k_max} every
+    ``energy_stride``-th level (default steps // 4096).  The
+    trajectory's ``pz_ratios`` reports
     ``interior`` = sup_t E(t) / (omega^* (||f||_{W2inf}^2 + ||g||_{W2inf}^2)),
     ``flux`` = int (|u_x(t,0)|^2 + |u_x(t,1)|^2) dt
                / (omega^* (||f||_{W3inf}^2 + ||g||_{W3inf}^2)),
@@ -462,24 +496,16 @@ def evolve_inhomogeneous(omega: Coefficient, forcing: BoundaryForcing,
         raise ValueError(
             f"forcing must be sampled on the solver grid: steps={steps}, "
             f"dt={dt!r} (see solver_time_grid)")
-    flags = []
-    if not forcing.compatible:
-        flags.append("forcing incompatible with zero initial data; "
-                     "boundary jump applied at the first level")
 
     f, g = np.asarray(forcing.left, float), np.asarray(forcing.right, float)
-    u_start = np.zeros_like(x)
-    u_start[0], u_start[-1] = f[0], g[0]
-    u_next = np.zeros_like(x)
-    u_next[0], u_next[-1] = f[1], g[1]
-
-    if energy_stride is None:
-        energy_stride = max(1, steps // 4096)
-    (tl, tr, en, ent, st, su, sut, last, _) = _run_leapfrog(
-        x, om, dt, steps, u_start, u_next, k_max,
-        boundary=(f, g), snapshot_stride=snapshot_stride,
-        energy_stride=energy_stride)
+    rest = np.zeros_like(x)
+    run = _leapfrog(om, dx, dt, steps, rest, rest, boundary=(f, g),
+                    k_max=k_max,
+                    energy_stride=energy_stride or max(1, steps // 4096),
+                    snapshot_stride=snapshot_stride or max(1, steps // 128))
+    st, su, sut = run.snapshots
     sut[0] = np.zeros_like(x)
+    tl, tr, en = run.trace_left, run.trace_right, run.energies
 
     om_star = float(om.max())
     w2 = forcing.sup_norms(2)
@@ -497,11 +523,12 @@ def evolve_inhomogeneous(omega: Coefficient, forcing: BoundaryForcing,
     return WaveTrajectory(
         x=x, omega_nodes=om, dt=dt, steps=steps, T=T, cfl_number=cfl,
         order=2, times=np.arange(steps + 1) * dt,
-        trace_left=tl, trace_right=tr, energies=en, energy_times=ent,
+        trace_left=tl, trace_right=tr, energies=en,
+        energy_times=run.energy_times,
         snapshot_times=np.asarray(st), snapshots_u=tuple(su),
-        snapshots_ut=tuple(sut), levels=last,
+        snapshots_ut=tuple(sut), levels=run.levels,
         homogeneous=bool(np.max(np.abs(f)) == 0 and np.max(np.abs(g)) == 0),
-        flags=tuple(flags), pz_ratios=pz)
+        flags=_forcing_flags(forcing), pz_ratios=pz)
 
 
 # --------------------------------------------------------------------------

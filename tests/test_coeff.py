@@ -170,6 +170,19 @@ class TestBaselines:
             coeff.make_baseline("custom", fn=lambda x: x,
                                 omega_lower=0.0, omega_upper=1.0)
 
+    def test_log_lipschitz_negative_amplitude_bounds(self):
+        # the cusp dips to 1 - 2/e at x = 1/2 +- 1/e
+        c = coeff.make_baseline("log-lipschitz", base=1.0, amplitude=-2.0)
+        assert c.omega_lower == pytest.approx(1.0 - 2.0 / math.e, abs=1e-15)
+        assert c.omega_upper == 1.0
+        v = c(np.linspace(0.0, 1.0, 20001))
+        assert c.omega_lower - 1e-12 <= v.min() < c.omega_lower + 1e-6
+        assert v.max() <= c.omega_upper
+
+    def test_log_lipschitz_positivity_guard(self):
+        with pytest.raises(ValueError, match="positivity"):
+            coeff.make_baseline("log-lipschitz", base=1.0, amplitude=-4.0)
+
     def test_sample_uses_cell_centers(self):
         c = coeff.make_baseline("lipschitz")
         n = 64
@@ -318,6 +331,18 @@ class TestCounterexampleDensity:
             mode="paper-strict", j_range=range(2, 5), N=4)
         with pytest.raises(ValueError, match="double precision"):
             coeff.make_counterexample_density(params)
+
+    def test_travel_time_wide_eps_family(self):
+        # scaled mode carries eps_j >= 0.05; every pair rebuild must use
+        # the family's own eps_bar ceiling
+        params = coeff.make_sequences("scaled", j_range=range(2, 5))
+        assert max(e.eps for e in params.entries) > 0.05
+        assert params.eps_bar == max(0.05, 1.01 * max(
+            e.eps for e in params.entries))
+        dens = coeff.make_counterexample_density(params)
+        t = coeff.travel_time(dens)
+        xs = np.linspace(0.0, 1.0, 2 ** 18 + 1)
+        assert abs(t - float(np.trapezoid(np.sqrt(dens(xs)), xs))) < 1e-6
 
     def test_travel_time_matches_quadrature(self, dens):
         t_struct = coeff.travel_time(dens)

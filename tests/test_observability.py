@@ -1,0 +1,168 @@
+"""Observability tests: the batched leapfrog kernel against a plain
+recurrence, quotients against d'Alembert, the ensemble/Gramian ordering,
+HUM reaching rest, and the package import surface."""
+
+import math
+
+import numpy as np
+import pytest
+
+from waveobs import coeff
+from waveobs import observability as ob
+from waveobs import wavesim as ws
+
+
+def reference_march(om, dx, dt, steps, u0, u1, left=None, right=None):
+    """One column of the leapfrog scheme, written out level by level."""
+    lam = dt ** 2 / dx ** 2 / om[1:-1]
+    levels = [np.array(u0, dtype=float), np.array(u1, dtype=float)]
+    if left is not None:
+        for i in (0, 1):
+            levels[i][0], levels[i][-1] = left[i], right[i]
+    for m in range(1, steps):
+        u, u_prev = levels[-1], levels[-2]
+        new = np.empty_like(u)
+        new[1:-1] = (2.0 - 2.0 * lam) * u[1:-1] - u_prev[1:-1]
+        new[1:-1] += lam * (u[2:] + u[:-2])
+        new[0] = 0.0 if left is None else left[m + 1]
+        new[-1] = 0.0 if right is None else right[m + 1]
+        levels.append(new)
+    trace_l = np.array([(-11.0 * u[0] + 18.0 * u[1] - 9.0 * u[2]
+                         + 2.0 * u[3]) / (6.0 * dx) for u in levels])
+    trace_r = np.array([(11.0 * u[-1] - 18.0 * u[-2] + 9.0 * u[-3]
+                         - 2.0 * u[-4]) / (6.0 * dx) for u in levels])
+    node1 = np.array([u[1] for u in levels])
+    return trace_l, trace_r, node1, (levels[-2], levels[-1])
+
+
+class TestKernel:
+    # 300 steps cross the kernel's 256-level trace batches
+    n, steps, K = 32, 300, 3
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        x = np.linspace(0.0, 1.0, self.n + 1)
+        om = coeff.make_baseline("lipschitz")(x)
+        dx = 1.0 / self.n
+        return om, dx, 0.9 * dx * math.sqrt(om.min())
+
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_block_equals_single_columns(self, grid, forced):
+        om, dx, dt = grid
+        rng = np.random.default_rng(1)
+        u0 = rng.standard_normal((self.n + 1, self.K))
+        u1 = u0 + dt * rng.standard_normal((self.n + 1, self.K))
+        u0[0] = u0[-1] = u1[0] = u1[-1] = 0.0
+        boundary = None
+        if forced:
+            boundary = tuple(rng.standard_normal((self.steps + 1, self.K))
+                             for _ in range(2))
+        run = ws._leapfrog(om, dx, dt, self.steps, u0, u1, boundary=boundary)
+        for c in range(self.K):
+            sides = (None, None) if boundary is None else (
+                boundary[0][:, c], boundary[1][:, c])
+            tl, tr, node1, levels = reference_march(
+                om, dx, dt, self.steps, u0[:, c], u1[:, c], *sides)
+            assert np.array_equal(run.trace_left[:, c], tl)
+            assert np.array_equal(run.trace_right[:, c], tr)
+            assert np.array_equal(run.node1[:, c], node1)
+            assert np.array_equal(run.levels[0][:, c], levels[0])
+            assert np.array_equal(run.levels[1][:, c], levels[1])
+            single = ws._leapfrog(
+                om, dx, dt, self.steps, u0[:, c], u1[:, c],
+                boundary=None if boundary is None else sides)
+            assert np.array_equal(single.trace_left, tl)
+            assert np.array_equal(single.levels[1], levels[1])
+
+    def test_records_only_on_request(self, grid):
+        om, dx, dt = grid
+        u = np.zeros((self.n + 1, 2))
+        run = ws._leapfrog(om, dx, dt, 10, u, u)
+        assert not run.energies and run.snapshots is None
+        assert run.slice_record is None
+        with pytest.raises(ValueError, match="single column"):
+            ws._leapfrog(om, dx, dt, 10, u, u, k_max=0)
+
+
+class TestQuotient:
+    @pytest.fixture(scope="class")
+    def one(self):
+        return coeff.make_baseline("constant", value=1.0)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_dalembert_closed_form(self, one, k):
+        # sin(k pi x) data on omega = 1: the flux is k pi cos(k pi t)
+        # (position) or sin(k pi t) (velocity); T = 2.5 holds whole
+        # periods of the squared trace, so Q_0 = 1/T and
+        # Q_1 = 1/((k pi)^2 T)
+        T = 2.5
+        mode = lambda x: np.sin(k * math.pi * x)
+        zero = lambda x: np.zeros_like(x)
+        for u0, u1 in ((mode, zero), (zero, mode)):
+            q0 = ob.observability_quotient(one, u0, u1, T, 0, resolution=256)
+            q1 = ob.observability_quotient(one, u0, u1, T, 1, resolution=256)
+            assert q0.value == pytest.approx(1.0 / T, rel=2e-3)
+            assert q1.value == pytest.approx(
+                1.0 / ((k * math.pi) ** 2 * T), rel=2e-3)
+            assert q0.admissible and not q0.unbounded
+
+    def test_trajectory_reuse_is_exact(self, one):
+        u0 = lambda x: x * (1.0 - x) * np.sin(3.0 * x)
+        traj = ws.evolve(one, u0, None, 2.5, 128, k_max=0)
+        zero = np.zeros_like(traj.x)
+        a = ob.observability_quotient(one, u0, zero, 2.5, resolution=128)
+        b = ob.observability_quotient(one, u0, zero, 2.5, resolution=128,
+                                      trajectory=traj)
+        assert a.to_summary() == b.to_summary()
+
+    def test_wide_eps_density(self):
+        # scaled mode (eps_j >= 0.05) used to crash in travel_time
+        dens = coeff.make_counterexample_density(
+            coeff.make_sequences("scaled", j_range=range(2, 5)))
+        T = 2.0 * coeff.travel_time(dens) + 0.5
+        q = ob.observability_quotient(
+            dens, lambda x: np.sin(math.pi * x), np.zeros_like, T,
+            resolution=128)
+        assert math.isfinite(q.value) and q.value > 0
+        assert q.admissible
+
+
+class TestConstants:
+    def test_ensemble_below_gramian(self):
+        rep = ob.estimate_observability_constant(
+            coeff.make_baseline("lipschitz"), cutoffs=(4, 8),
+            resolution=64, n_random=2, seed=3, loss_m=(0, 1),
+            cross_check=True, cross_check_cutoff=4,
+            cross_check_resolution=64)
+        ratio = rep.cross_check["ensemble_over_gramian"]
+        assert 0.0 <= ratio <= 1.0 + 1e-6
+        assert len(rep.rows) == 2 * (2 + 7)
+        assert all(math.isfinite(c) and c > 0 for c in rep.constants.values())
+        assert rep.loss["smallest_bounded_m"] == 0
+
+    def test_ensemble_row_matches_single_quotient(self):
+        # a batched candidate's quotient equals the single-datum one
+        om = coeff.make_baseline("lipschitz")
+        rep = ob.estimate_observability_constant(
+            om, cutoffs=(4,), resolution=64, n_random=0)
+        row = next(r for r in rep.rows if r["label"] == "mode-top-velocity")
+        x = np.linspace(0.0, 1.0, 65)
+        u1 = ob._sine_mixture(x, np.eye(4)[-1])
+        q = ob.observability_quotient(om, np.zeros_like(x), u1, rep.T,
+                                      resolution=64)
+        assert q.value == row["quotient"]
+
+
+def test_hum_reaches_rest():
+    om = coeff.make_baseline("lipschitz")
+    x = np.linspace(0.0, 1.0, 129)
+    y0 = np.sin(math.pi * x) + 0.5 * np.sin(2.0 * math.pi * x)
+    res = ob.hum_control(om, y0, np.zeros_like(x), T=3.0, resolution=128)
+    assert res.converged and res.controlled
+    assert res.terminal_relative <= 1e-6
+
+
+def test_star_import():
+    namespace = {}
+    exec("from waveobs import *", namespace)
+    assert {"coeff", "wavesim", "observability"} <= set(namespace)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import mpmath as mp
@@ -357,6 +358,17 @@ def build_oscillator_pair(
     return pair
 
 
+@lru_cache(maxsize=64)
+def _cached_pair(eps: float, eps_bar: float, knots: tuple) -> PeriodicPair:
+    """One shared :func:`build_oscillator_pair` per (eps, eps_bar, knots).
+
+    Pairs are immutable, so every consumer of a trapping density (its
+    assembly, travel time, quasimodes, divergence sweeps) reads the same
+    object instead of rebuilding it.
+    """
+    return build_oscillator_pair(eps, eps_bar=eps_bar, knots=knots)
+
+
 # --------------------------------------------------------------------------
 # coefficient container
 # --------------------------------------------------------------------------
@@ -398,8 +410,18 @@ class Coefficient:
 
     @staticmethod
     def from_descriptor(desc: Mapping) -> "Coefficient":
+        """Rebuild a coefficient from :meth:`to_descriptor` output.
+
+        ``custom`` densities (including every output of
+        :func:`reduce_to_normal_form`) wrap a Python callable that the
+        descriptor does not carry; they raise ``ValueError``.
+        """
         kind = desc["kind"]
         params = dict(desc.get("params", {}))
+        if kind == "custom":
+            raise ValueError(
+                "custom densities hold a Python callable and cannot be "
+                "rebuilt from a descriptor")
         if kind.startswith("counterexample"):
             seqs = CounterexampleParams.from_descriptor(params["sequences"])
             knots = tuple(params.get("knots", DEFAULT_KNOTS))
@@ -907,8 +929,7 @@ def make_counterexample_density(
                 f"h_{e.j} is not representable in double precision; "
                 "this sequence family cannot be materialized on a grid")
     if pairs is None:
-        pairs = {e.j: build_oscillator_pair(e.eps, eps_bar=params.eps_bar,
-                                            knots=knots)
+        pairs = {e.j: _cached_pair(e.eps, params.eps_bar, tuple(knots))
                  for e in params.entries}
 
     if family == "psi":
@@ -1017,8 +1038,7 @@ def travel_time(coef: Coefficient, grid: int = 1 << 16) -> float:
         for e in seqs.entries:
             if active is not None and e.j != active:
                 continue
-            pair = build_oscillator_pair(e.eps, eps_bar=seqs.eps_bar,
-                                         knots=knots)
+            pair = _cached_pair(e.eps, seqs.eps_bar, knots)
             nodes, weights = np.polynomial.legendre.leggauss(8)
             panels = 64
             edges = np.linspace(0.0, 1.0, panels + 1)

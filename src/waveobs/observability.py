@@ -48,7 +48,7 @@ from .coeff import (
     CounterexampleParams,
     FOUR_PI_SQ,
     TWO_PI,
-    build_oscillator_pair,
+    _cached_pair,
     make_counterexample_density,
     make_sequences,
     travel_time,
@@ -892,8 +892,8 @@ def run_counterexample_sweep(
                              cross_check=False, reverse_check=False)
         h = qm.h
         n = int(round(qm.stats["n"]))
-        pair = build_oscillator_pair(entry.eps, eps_bar=params.eps_bar,
-                                     knots=tuple(density.params["knots"]))
+        pair = _cached_pair(entry.eps, params.eps_bar,
+                            tuple(density.params["knots"]))
         if family == "lambda":
             numer = _lambda_numerator(pair, h, n, qm.m, qm.r,
                                       qm.interior_mass)
@@ -1271,11 +1271,13 @@ def hum_control(omega: Coefficient, y0, y1, T: float, m: int = 0, *,
 
     # independent verification: controlled solution = homogeneous part
     # from the target data + zero-data part forced by the control
-    hom = evolve(omega, y0n, y1n, T, resolution, k_max=0, cfl=cfl)
+    # only the final levels are read, so energies are taken at the ends
+    hom = evolve(omega, y0n, y1n, T, resolution, k_max=0, cfl=cfl,
+                 energy_stride=steps)
     forcing = BoundaryForcing(times, control, np.zeros_like(times),
                               smoothness="computed-control")
     forced = evolve_inhomogeneous(omega, forcing, T, resolution,
-                                  k_max=0, cfl=cfl)
+                                  k_max=0, cfl=cfl, energy_stride=steps)
     u_T = hom.final_state()[0] + forced.final_state()[0]
     ut_T = hom.final_state()[1] + forced.final_state()[1]
     u_T[0] = u_T[-1] = 0.0

@@ -10,10 +10,20 @@ solution is assembled structurally:
 * on the flat background (omega = 4 pi^2) the propagation is an exact
   rotation of the state (phi, phi'/kappa) at rate kappa = 2 pi h, applied
   in closed form;
-* across foreign oscillating intervals the state is advanced by an
-  adaptive high-order ODE solve (dense, with per-sample output) or -- when
-  the step count would be prohibitive -- by a one-period transfer matrix
-  applied period by period (samples inside such spans are left NaN).
+* across foreign oscillating intervals the state is advanced by the
+  Magnus transfer-matrix engine: the equation is linear, so a span's
+  propagator is a product of 2x2 fourth-order Magnus cell matrices,
+  built from omega at the Gauss points of all cells in one vectorized
+  call, refined by step doubling to the requested tolerance and
+  multiplied by a log-depth prefix scan that reads the state at every
+  sample point (a cell edge).  When even the initial cells would exceed
+  ``dense_budget``, the engine builds one unit-period matrix and the
+  crossing applies its n_k/2-th powers, formed by repeated squaring
+  (samples inside such spans are left NaN).
+
+Any other density is solved by the same engine from the center outward.
+scipy's DOP853 is kept only for the independent checks: the closed-form
+cross-check and the reverse (Wronskian) solves.
 
 States are carried as ``(log-magnitude, a, b)`` with the linear part
 normalized in the kappa-weighted norm ``hypot(a, b/kappa)``, so the
@@ -31,10 +41,9 @@ aliased -- increase ``n_samples`` for plots.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -46,8 +55,7 @@ from .coeff import (
     Coefficient,
     CounterexampleParams,
     PeriodicPair,
-    SequenceEntry,
-    build_oscillator_pair,
+    _cached_pair,
     make_counterexample_density,
     make_sequences,
 )
@@ -68,7 +76,9 @@ _MAX_REPRESENTABLE_H = 1e12
 # |log| ceiling for headline energies/masses; e^{+-600} stays clear of
 # the double overflow/underflow boundaries with room for squares' slack
 _MAX_LOG_SCALE = 600.0
-_MIN_DOP853_RTOL = 3e-14
+# the tightest tolerance either integrator is run at: below it the
+# round-off of a step or cell swamps the error estimate
+_MIN_RTOL = 3e-14
 
 
 class ScaleOutOfReach(ValueError):
@@ -132,11 +142,6 @@ def _scalar_alpha(pair: PeriodicPair) -> Callable[[float], float]:
                 + eps * thp * c2 - (eps * th) ** 2 * c2 * c2)
 
     return alpha
-
-
-@lru_cache(maxsize=64)
-def _cached_pair(eps: float, eps_bar: float, knots: tuple) -> PeriodicPair:
-    return build_oscillator_pair(eps, eps_bar=eps_bar, knots=knots)
 
 
 def _density_structure(omega: Coefficient):
@@ -212,97 +217,293 @@ def _fill_rotation(state: tuple, x0: float, xs: np.ndarray, h: float):
 
 
 # --------------------------------------------------------------------------
+# Magnus transfer-matrix engine
+# --------------------------------------------------------------------------
+#
+# phi'' + q(x) phi = 0 is linear, so the propagator over a span is the
+# ordered product of cell propagators.  Each cell gets the fourth-order
+# Magnus matrix built from q at its two Gauss points (exact when q is
+# constant on the cell), states are carried in the frequency-scaled
+# variables (phi, phi'/kappa) so every entry is O(1), and the products are
+# formed by a log-depth prefix scan.
+
+_GAUSS_LO = 0.5 - math.sqrt(3.0) / 6.0
+_GAUSS_HI = 0.5 + math.sqrt(3.0) / 6.0
+_COMMUTATOR = math.sqrt(3.0) / 12.0
+# halvings after which a cell is accepted whatever its error estimate: the
+# cell is then ~1e-12 of its initial width, i.e. it straddles a
+# discontinuity of q whose contribution is below any requested tolerance
+_MAX_HALVINGS = 40
+# initial cells per chunk: each chunk is refined, scanned and folded into
+# the running product on its own, which bounds the engine's memory (the
+# scaled psi sweep to j = 17 peaks at 131 MB with 4096, 266 MB with 32768,
+# and runs no slower)
+_CHUNK_CELLS = 1 << 12
+# refinement of one chunk stops with ScaleOutOfReach beyond this many
+# open cells
+_MAX_OPEN_CELLS = 1 << 21
+
+
+def _magnus_cells(q_lo, q_hi, dx, kappa: float) -> np.ndarray:
+    """Magnus-4 cell propagators, rows (m00, m01, m10, m11), scaled.
+
+    With A = [[0, 1], [-q, 0]] and Gauss samples q_lo, q_hi over a cell of
+    signed width dx, Omega = dx (A_lo + A_hi)/2 + (sqrt 3/12) dx^2
+    [A_hi, A_lo] = [[d, dx], [-dx qbar, -d]] is traceless, so
+    exp(Omega) = C I + S Omega with D = det Omega, C = cos sqrt D and
+    S = sin(sqrt D)/sqrt D (cosh/sinh when D < 0).  The result acts on
+    (phi, phi'/kappa).
+    """
+    qbar = 0.5 * (q_lo + q_hi)
+    d = _COMMUTATOR * dx * dx * (q_hi - q_lo)
+    det = dx * dx * qbar - d * d
+    root = np.sqrt(np.abs(det))
+    c = np.cos(root)
+    s = np.sinc(root / math.pi)
+    hyper = det < 0.0
+    if np.any(hyper):
+        r = root[hyper]
+        c[hyper] = np.cosh(r)
+        s[hyper] = np.sinh(r) / r
+    sdx = s * dx
+    return np.stack([c + s * d, kappa * sdx, -sdx * qbar / kappa, c - s * d])
+
+
+def _mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-stacked 2x2 products a @ b (either side may broadcast)."""
+    return np.stack([a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
+                     a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3]])
+
+
+def _scan(mats: np.ndarray) -> np.ndarray:
+    """Inclusive prefix products M_i ... M_0 in log2(n) vectorized passes."""
+    out = mats.copy()
+    shift = 1
+    while shift < out.shape[1]:
+        out[:, shift:] = _mat_mul(out[:, shift:], out[:, :-shift])
+        shift *= 2
+    return out
+
+
+def _refine(q: Callable, xa, dx, seg, kappa: float, tol: float) -> tuple:
+    """Accepted Magnus cells of one chunk, in traversal order.
+
+    Each pass evaluates q at the Gauss points of every open cell in one
+    call and compares the cell's Magnus matrix with the product of its
+    two halves; a cell is accepted, with the more accurate two-half
+    product, once no entry differs by more than ``tol``, else its halves
+    are reopened.  Returns (segment of each cell, matrices, nfev).
+    """
+    sign = 1.0 if dx[0] > 0 else -1.0
+    accepted = []
+    full = None
+    nfev = 0
+    for halvings in range(_MAX_HALVINGS + 1):
+        half = 0.5 * dx
+        xm = xa + half
+        pts = [xa + _GAUSS_LO * half, xa + _GAUSS_HI * half,
+               xm + _GAUSS_LO * half, xm + _GAUSS_HI * half]
+        if full is None:
+            pts += [xa + _GAUSS_LO * dx, xa + _GAUSS_HI * dx]
+        qv = np.asarray(q(np.concatenate(pts)), dtype=float).reshape(
+            len(pts), -1)
+        nfev += qv.size
+        left = _magnus_cells(qv[0], qv[1], half, kappa)
+        right = _magnus_cells(qv[2], qv[3], half, kappa)
+        if full is None:
+            full = _magnus_cells(qv[4], qv[5], dx, kappa)
+        fine = _mat_mul(right, left)
+        ok = np.max(np.abs(full - fine), axis=0) <= tol
+        if halvings == _MAX_HALVINGS:
+            ok[:] = True
+        accepted.append((xa[ok], seg[ok], fine[:, ok]))
+        split = ~ok
+        if not np.any(split):
+            break
+        if 2 * np.count_nonzero(split) > _MAX_OPEN_CELLS:
+            raise ScaleOutOfReach(
+                f"the quasimode ODE needs more than {_MAX_OPEN_CELLS} open "
+                f"Magnus cells at tolerance {tol:.1e}")
+        xa = np.concatenate([xa[split], xm[split]])
+        dx = np.concatenate([half[split], half[split]])
+        seg = np.concatenate([seg[split], seg[split]])
+        full = np.concatenate([left[:, split], right[:, split]], axis=1)
+
+    starts = np.concatenate([a[0] for a in accepted])
+    order = np.argsort(sign * starts, kind="stable")
+    segs = np.concatenate([a[1] for a in accepted])[order]
+    mats = np.concatenate([a[2] for a in accepted], axis=1)[:, order]
+    return segs, mats, nfev
+
+
+def _magnus_propagate(q: Callable, x0: float, x1: float, kappa: float,
+                      rtol: float, max_cell: float, at=()) -> tuple:
+    """Propagators of phi'' + q(x) phi = 0 from x0 to each of ``at``, x1.
+
+    ``q`` is vectorized; ``at`` lists points of the span where the state
+    is wanted.  The initial mesh has every point of ``at`` as a cell edge
+    and no cell wider than ``max_cell``; cells are refined (see
+    :func:`_refine`) until their error estimate in the (phi, phi'/kappa)
+    variables is at most ``rtol``, then multiplied by a prefix scan, so
+    the states at ``at`` are read exactly at cell edges.  Initial cells
+    are processed ``_CHUNK_CELLS`` at a time; each chunk's prefixes are
+    multiplied onto the renormalized product of all earlier chunks, so
+    memory stays bounded and only the growth within one chunk has to fit
+    a double.
+
+    Returns ``(logs, mats, nfev)``: ``exp(logs[i]) * mats[:, i]`` (rows
+    m00, m01, m10, m11) maps (phi, phi'/kappa) at x0 to the state at
+    ``at[i]``, the last column to x1; ``nfev`` counts evaluations of q.
+    """
+    sign = 1.0 if x1 >= x0 else -1.0
+    t_at = sign * (np.asarray(at, dtype=float) - x0)
+    knots = np.unique(np.concatenate([[0.0, sign * (x1 - x0)], t_at]))
+    gaps = np.diff(knots)
+    pieces = np.maximum(1, np.ceil(gaps / max_cell)).astype(np.int64)
+    first = np.cumsum(pieces) - pieces
+    n_cells = int(pieces.sum())
+    # knot k is reached after the first knot_cells[k] initial cells
+    knot_cells = np.append(first, n_cells)
+    want = np.append(np.searchsorted(knots, t_at), knots.size - 1)
+
+    tol = max(rtol, _MIN_RTOL)
+    out = np.empty((4, want.size))
+    out[:] = np.array([1.0, 0.0, 0.0, 1.0])[:, None]
+    logs = np.zeros(want.size)
+    carry = np.array([1.0, 0.0, 0.0, 1.0])
+    carry_log = 0.0
+    nfev = 0
+    for lo in range(0, n_cells, _CHUNK_CELLS):
+        idx = np.arange(lo, min(lo + _CHUNK_CELLS, n_cells))
+        seg = np.searchsorted(first, idx, side="right") - 1
+        k = idx - first[seg]
+        step = gaps[seg] / pieces[seg]
+        t_lo = knots[seg] + k * step
+        # the end is computed as the next cell's start, so the widths sum
+        # to the span exactly (a per-cell rounding of the width would
+        # drift the phase by kappa * ulp per cell)
+        t_hi = np.where(k + 1 == pieces[seg], knots[seg + 1],
+                        knots[seg] + (k + 1) * step)
+        segs, mats, n = _refine(q, x0 + sign * t_lo, sign * (t_hi - t_lo),
+                                seg, kappa, tol)
+        nfev += n
+        prefix = _scan(mats)
+        if not np.all(np.isfinite(prefix)):
+            raise ScaleOutOfReach(
+                "the quasimode amplitude overflows double precision within "
+                "one chunk of the transfer-matrix scan")
+        hit = (knot_cells[want] > lo) & (knot_cells[want] <= idx[-1] + 1)
+        if np.any(hit):
+            cols = np.searchsorted(segs, want[hit], side="left") - 1
+            prod = _mat_mul(prefix[:, cols], carry[:, None])
+            norm = np.max(np.abs(prod), axis=0)
+            out[:, hit] = prod / norm
+            logs[hit] = carry_log + np.log(norm)
+        total = _mat_mul(prefix[:, -1], carry)
+        norm = float(np.max(np.abs(total)))
+        carry = total / norm
+        carry_log += math.log(norm)
+    return logs, out, nfev
+
+
+def _matrix_power(mat: np.ndarray, n: int) -> tuple:
+    """(log scale, unit-max matrix) of mat^n by repeated squaring."""
+    result = np.eye(2)
+    result_log = 0.0
+    base = mat.copy()
+    base_log = 0.0
+    while n:
+        if n & 1:
+            result = base @ result
+            scale = float(np.max(np.abs(result)))
+            result /= scale
+            result_log += base_log + math.log(scale)
+        n >>= 1
+        if n:
+            base = base @ base
+            scale = float(np.max(np.abs(base)))
+            base /= scale
+            base_log = 2.0 * base_log + math.log(scale)
+    return result_log, result
+
+
+# --------------------------------------------------------------------------
 # foreign-interval crossings
 # --------------------------------------------------------------------------
 
 def _cross_dense(pair_k, entry_k, h: float, state: tuple,
                  x_from: float, x_to: float, rtol: float,
                  xs: Optional[np.ndarray]):
-    """Advance across a foreign interval with a dense adaptive solve.
+    """Advance across a foreign interval with the Magnus engine.
 
-    Returns (state, phi_samples, phip_samples, stats).  The solve runs on
-    the normalized linear state; samples are rescaled by the carried log
-    magnitude afterwards.
+    Returns (state, phi_samples, phip_samples, stats).  The engine runs
+    on the normalized linear state; samples are rescaled by the carried
+    log magnitude afterwards.
     """
     kappa = TWO_PI * h
-    alpha = _scalar_alpha(pair_k)
     hk = entry_k.h
     mk = entry_k.m
     h2 = h * h
     log_mag, a, b = state
 
-    def rhs(x, y):
-        return (y[1], -h2 * alpha(hk * (x - mk)) * y[0])
+    def q(x):
+        return h2 * pair_k.alpha(hk * (x - mk))
 
-    sol = solve_ivp(rhs, (x_from, x_to), [a, b], method="DOP853",
-                    rtol=max(rtol, _MIN_DOP853_RTOL),
-                    atol=[1e-3 * rtol, 1e-3 * rtol * kappa],
-                    max_step=1.0 / (16.0 * max(h, hk)),
-                    dense_output=xs is not None)
-    if not sol.success:                                    # pragma: no cover
-        raise RuntimeError(f"crossing of I_{entry_k.j} failed: {sol.message}")
+    at = xs if xs is not None else ()
+    logs, mats, nfev = _magnus_propagate(
+        q, x_from, x_to, kappa, rtol, 1.0 / (16.0 * max(h, hk)), at)
+    phi = mats[0] * a + mats[1] * (b / kappa)
+    dphi = kappa * (mats[2] * a + mats[3] * (b / kappa))
 
     phi_s = phip_s = None
     if xs is not None and xs.size:
-        vals = sol.sol(xs)
-        amp = math.exp(log_mag) if log_mag > -708.0 else 0.0
-        phi_s = amp * vals[0]
-        phip_s = amp * vals[1]
-    new_state = _normalized(log_mag, float(sol.y[0, -1]),
-                            float(sol.y[1, -1]), kappa)
-    return new_state, phi_s, phip_s, {"nfev": int(sol.nfev), "mode": "dense"}
+        amp = np.exp(log_mag + logs[:-1])
+        phi_s = amp * phi[:-1]
+        phip_s = amp * dphi[:-1]
+    new_state = _normalized(log_mag + float(logs[-1]), float(phi[-1]),
+                            float(dphi[-1]), kappa)
+    return new_state, phi_s, phip_s, {"nfev": nfev, "mode": "dense"}
 
 
 def _period_matrix(pair_k, ratio: float, rtol: float):
     """Transfer matrix of y'' = -ratio^2 alpha(tau) y over tau in [0, 1].
 
-    The determinant (Wronskian) is renormalized to 1 and its deviation
-    reported.  The step ceiling resolves both the solution (ratio
-    oscillations per unit) and the coefficient (one period per unit).
+    The matrix acts on (y, y'/(2 pi ratio)); its determinant is
+    renormalized to 1 and the deviation reported.  The initial cells
+    resolve both the solution (ratio oscillations per unit) and the
+    coefficient (one period per unit).
     """
-    alpha = _scalar_alpha(pair_k)
     r2 = ratio * ratio
 
-    def rhs(t, y):
-        return (y[1], -r2 * alpha(t) * y[0])
+    def q(t):
+        return r2 * pair_k.alpha(t)
 
-    cols = []
-    nfev = 0
-    for init in ((1.0, 0.0), (0.0, 1.0)):
-        sol = solve_ivp(rhs, (0.0, 1.0), init, method="DOP853",
-                        rtol=max(rtol, _MIN_DOP853_RTOL),
-                        atol=[1e-3 * rtol, 1e-3 * rtol * TWO_PI * ratio],
-                        max_step=1.0 / (16.0 * max(1.0, ratio)))
-        if not sol.success:                                # pragma: no cover
-            raise RuntimeError(f"period matrix solve failed: {sol.message}")
-        cols.append((float(sol.y[0, -1]), float(sol.y[1, -1])))
-        nfev += int(sol.nfev)
-    mat = np.array([[cols[0][0], cols[1][0]],
-                    [cols[0][1], cols[1][1]]])
+    logs, mats, nfev = _magnus_propagate(
+        q, 0.0, 1.0, TWO_PI * ratio, rtol, 1.0 / (16.0 * max(1.0, ratio)))
+    mat = math.exp(float(logs[-1])) * mats[:, -1].reshape(2, 2)
     det = float(mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0])
     mat /= math.sqrt(abs(det))
     return mat, abs(det - 1.0), nfev
 
 
-_MAX_POWERED_PERIODS = 200_000
-
-
 def _cross_powered(pair_k, entry_k, h: float, state: tuple,
                    direction: int, rtol: float):
-    """Advance across a foreign interval period by period.
+    """Advance across a foreign interval by whole-period matrix powers.
 
     The coefficient inside the interval is alpha(|tau|) with
     tau = h_k (x - m_k): 1-periodic on the right half and its MIRROR
     image on the left half (the cutoff knots are not symmetric within a
-    period).  One dense solve builds the forward unit-period matrix M;
+    period).  One engine solve builds the forward unit-period matrix M;
     the mirrored periods use R M^{-1} R with R = diag(1, -1) (time
     reversal), and leftward crossings use the exact inverses.  Each half
-    is applied n_k/2 times with renormalization; no samples are produced
+    contributes its matrix to the power n_k/2, formed by repeated
+    squaring with log-scale renormalization; no samples are produced
     inside the span.
+
+    In tau units the scaled state (phi, (dphi/dtau)/(2 pi h/h_k)) is the
+    x-space (phi, phi'/kappa), so the period matrix acts on it directly.
     """
     kappa = TWO_PI * h
-    hk = entry_k.h
-    ratio = h / hk
     if not (entry_k.n <= 2.0 ** 50):
         raise ScaleOutOfReach(
             f"crossing I_{entry_k.j} needs an exact whole-period count, "
@@ -311,11 +512,7 @@ def _cross_powered(pair_k, entry_k, h: float, state: tuple,
     n_k = int(round(entry_k.n))
     if n_k % 2 != 0:
         raise ValueError(f"n_{entry_k.j} = {n_k} is not even")
-    if n_k // 2 > _MAX_POWERED_PERIODS:
-        raise ScaleOutOfReach(
-            f"crossing I_{entry_k.j} needs {n_k} period applications, "
-            f"beyond the {_MAX_POWERED_PERIODS} budget", j=entry_k.j)
-    mat, det_dev, nfev = _period_matrix(pair_k, ratio, rtol)
+    mat, det_dev, nfev = _period_matrix(pair_k, h / entry_k.h, rtol)
     m_inv = np.array([[mat[1, 1], -mat[0, 1]],
                       [-mat[1, 0], mat[0, 0]]])
     m_mir = np.array([[m_inv[0, 0], -m_inv[0, 1]],
@@ -323,21 +520,19 @@ def _cross_powered(pair_k, entry_k, h: float, state: tuple,
     m_mir_inv = np.array([[mat[0, 0], -mat[0, 1]],
                           [-mat[1, 0], mat[1, 1]]])      # R M R
     if direction > 0:
-        plan = ((m_mir, n_k // 2), (mat, n_k // 2))
+        plan = (m_mir, mat)
     else:
-        plan = ((m_inv, n_k // 2), (m_mir_inv, n_k // 2))
+        plan = (m_inv, m_mir_inv)
 
     log_mag, a, b = state
-    # tau-space state: (phi, dphi/dtau) = (phi, phi'/h_k)
-    v = np.array([a, b / hk])
-    kap_tau = TWO_PI * ratio
-    for step_mat, count in plan:
-        for _ in range(count):
-            v = step_mat @ v
-            scale = math.hypot(v[0], v[1] / kap_tau)
-            log_mag += math.log(scale)
-            v /= scale
-    new_state = _normalized(log_mag, float(v[0]), float(v[1]) * hk, kappa)
+    v = np.array([a, b / kappa])
+    for step_mat in plan:
+        power_log, power = _matrix_power(step_mat, n_k // 2)
+        v = power @ v
+        scale = math.hypot(v[0], v[1])
+        log_mag += power_log + math.log(scale)
+        v /= scale
+    new_state = _normalized(log_mag, float(v[0]), float(v[1]) * kappa, kappa)
     stats = {"mode": "powered", "periods": n_k,
              "det_dev": det_dev, "nfev": nfev}
     return new_state, stats
@@ -425,18 +620,24 @@ def solve_quasimode(
 
     For trapping densities pass ``j`` (the marked-interval index); ``h``,
     ``m`` and ``r`` come from the stored sequence data and the solution is
-    assembled from the closed form, exact rotations and high-order ODE
+    assembled from the closed form, exact rotations and Magnus-engine
     crossings.  For any other density pass ``h`` and ``m`` (and optionally
     ``r`` to request interval-energy fields); a constant density uses the
-    trigonometric solution, everything else a DOP853 solve from the center
-    outward with step ceiling 1/(16 h) (``force_ode`` disables the
-    constant-coefficient shortcut).
+    trigonometric solution, everything else the Magnus engine from the
+    center outward (``force_ode`` disables the constant-coefficient
+    shortcut).  The engine starts from cells no wider than 1/(16 h) (and
+    1/(16 h_k) inside a foreign interval), with every sample point a cell
+    edge, and halves each cell until its step-doubling error estimate in
+    the (phi, phi'/kappa) variables is at most ``rtol``.
 
-    ``dense_budget`` caps the estimated step count of a per-sample foreign
-    crossing; beyond it the crossing switches to the one-period transfer
-    matrix and the samples in that span are NaN.  ``check_budget`` caps
-    the closed-form cross-check and the reverse (Wronskian) solve the same
-    way; skipped checks are recorded in ``stats["notes"]``.
+    ``dense_budget`` caps the initial cell count 16 max(h, h_k) r_k of a
+    per-sample foreign crossing; beyond it the crossing switches to
+    powers of the one-period transfer matrix and the samples in that span
+    are NaN.  ``check_budget`` caps the DOP853 closed-form cross-check and
+    reverse (Wronskian) solve the same way; skipped checks are recorded
+    in ``stats["notes"]``.  ``stats["nfev"]`` counts evaluations of the
+    coefficient by the engine plus right-hand-side evaluations of the
+    DOP853 checks.
 
     Raises :class:`ScaleOutOfReach` when the mode lives beyond double
     precision: h not finite or above 1e12 (the phase h(x-m) would be
@@ -651,7 +852,7 @@ def _closed_form_checks(pair, entry, rtol, budget, stats,
     """
     n = int(round(entry.n))
     eps_n = entry.eps * n
-    rtol_cc = _MIN_DOP853_RTOL
+    rtol_cc = _MIN_RTOL
     alpha = _scalar_alpha(pair)
 
     def rhs(t, y):
@@ -733,54 +934,23 @@ def _solve_constant(omega, value, h, m, r, xs, rtol):
 
 def _solve_generic(omega, h, m, r, xs, rtol, check_budget,
                    cross_check, reverse_check):
-    """Adaptive DOP853 from the center outward for an arbitrary density.
+    """Magnus engine from the center outward for an arbitrary density.
 
-    No closed-form cross-check exists here; the reverse check is still
-    run (budget permitting).  Underflowing amplitudes raise
-    :class:`ScaleOutOfReach` -- without structure there is no log-space
-    representation to fall back on.
+    No closed-form cross-check exists here; the reverse check (an
+    independent DOP853 solve back to the center) is still run, budget
+    permitting.  Underflowing amplitudes raise :class:`ScaleOutOfReach`
+    -- without structure there is no log-space representation to fall
+    back on.
     """
     kappa = TWO_PI * h * math.sqrt(float(omega.omega_upper) / FOUR_PI_SQ)
 
-    def rhs(x, y):
-        return (y[1], -h * h * float(omega(x)) * y[0])
+    def q(x):
+        return h * h * omega(x)
 
-    rt = max(rtol, _MIN_DOP853_RTOL)
-    atol = [1e-3 * rtol, 1e-3 * rtol * kappa]
     max_step = 1.0 / (16.0 * h)
     stats = {"rtol": rtol, "max_step": max_step, "path": "generic-ode",
              "nfev": 0, "notes": ["no closed-form cross-check is available "
                                   "for this density; single ODE path"]}
-
-    phi = np.empty_like(xs)
-    phip = np.empty_like(xs)
-    sols = {}
-    for direction, target in ((+1, 1.0), (-1, 0.0)):
-        sol = solve_ivp(rhs, (m, target), [1.0, 0.0], method="DOP853",
-                        rtol=rt, atol=atol, max_step=max_step,
-                        dense_output=True)
-        if not sol.success:                                # pragma: no cover
-            raise RuntimeError(f"quasimode solve failed: {sol.message}")
-        stats["nfev"] += int(sol.nfev)
-        sols[direction] = sol
-        if direction > 0:
-            sel = xs >= m
-        else:
-            sel = xs < m
-        if np.any(sel):
-            vals = sol.sol(xs[sel])
-            phi[sel] = vals[0]
-            phip[sel] = vals[1]
-
-    for name, sol in (("0", sols[-1]), ("1", sols[+1])):
-        amp = math.hypot(float(sol.y[0, -1]), float(sol.y[1, -1]) / kappa)
-        if amp < 1e-290:
-            raise ScaleOutOfReach(
-                f"the amplitude at x = {name} underflowed the generic "
-                "ODE path; no structural log representation is available")
-
-    be0 = float(sols[-1].y[0, -1] ** 2 + sols[-1].y[1, -1] ** 2)
-    be1 = float(sols[+1].y[0, -1] ** 2 + sols[+1].y[1, -1] ** 2)
 
     mass = e_ext = e_ext_log = None
     if r is not None:
@@ -792,14 +962,45 @@ def _solve_generic(omega, h, m, r, xs, rtol, check_budget,
         # per-period sample count); the cap bounds one-shot memory
         pts = min(int(256 * h * r) + 9, 2_000_001)
         mass = 0.0
-        for direction, edge in ((-1, lo), (+1, hi)):
-            gx = np.linspace(m, edge, max(pts // 2, 5))
-            gv = sols[direction].sol(gx)[0]
+
+    phi = np.empty_like(xs)
+    phip = np.empty_like(xs)
+    ends = {}
+    edge_energy = {}
+    for direction, target in ((+1, 1.0), (-1, 0.0)):
+        sel = xs >= m if direction > 0 else xs < m
+        gx = np.empty(0)
+        if r is not None:
+            gx = np.linspace(m, hi if direction > 0 else lo,
+                             max(pts // 2, 5))
+        n_sel = int(np.count_nonzero(sel))
+        logs, mats, nfev = _magnus_propagate(
+            q, m, target, kappa, rtol, max_step,
+            np.concatenate([xs[sel], gx]))
+        stats["nfev"] += nfev
+        # launched from (phi, phi'/kappa) = (1, 0): the first column
+        amp = np.exp(logs)
+        vals = amp * mats[0]
+        dvals = kappa * amp * mats[2]
+        phi[sel] = vals[:n_sel]
+        phip[sel] = dvals[:n_sel]
+        if r is not None:
+            gv = vals[n_sel:-1]
             mass += abs(float(np.trapezoid(gv * gv, gx)))
-        elo = sols[-1].sol(np.array([lo]))
-        ehi = sols[+1].sol(np.array([hi]))
-        e_lo = float(elo[0, 0] ** 2 + elo[1, 0] ** 2)
-        e_hi = float(ehi[0, 0] ** 2 + ehi[1, 0] ** 2)
+            edge_energy[direction] = float(gv[-1] ** 2
+                                           + dvals[-2] ** 2)
+        if logs[-1] + math.log(math.hypot(mats[0, -1], mats[2, -1])) \
+                < math.log(1e-290):
+            raise ScaleOutOfReach(
+                f"the amplitude at x = {target:g} underflowed the generic "
+                "ODE path; no structural log representation is available")
+        ends[direction] = (float(vals[-1]), float(dvals[-1]))
+
+    be0 = ends[-1][0] ** 2 + ends[-1][1] ** 2
+    be1 = ends[+1][0] ** 2 + ends[+1][1] ** 2
+
+    if r is not None:
+        e_lo, e_hi = edge_energy[-1], edge_energy[+1]
         e_ext = 0.5 * (e_lo + e_hi)
         e_ext_log = math.log(e_ext) if e_ext > 0 else -math.inf
         stats["extreme_energy_left"] = e_lo
@@ -808,9 +1009,13 @@ def _solve_generic(omega, h, m, r, xs, rtol, check_budget,
     if reverse_check:
         est = 16.0 * h * (1.0 - m)
         if est <= check_budget:
-            y_end = [float(sols[+1].y[0, -1]), float(sols[+1].y[1, -1])]
-            back = solve_ivp(rhs, (1.0, m), y_end, method="DOP853",
-                             rtol=rt, atol=atol, max_step=max_step)
+            def rhs(x, y):
+                return (y[1], -h * h * float(omega(x)) * y[0])
+
+            back = solve_ivp(rhs, (1.0, m), list(ends[+1]), method="DOP853",
+                             rtol=max(rtol, _MIN_RTOL),
+                             atol=[1e-3 * rtol, 1e-3 * rtol * kappa],
+                             max_step=max_step)
             stats["wronskian_dev"] = math.hypot(
                 float(back.y[0, -1]) - 1.0, float(back.y[1, -1]) / kappa)
             stats["wronskian_cond"] = 1.0
@@ -1096,7 +1301,6 @@ def boundary_smallness_sweep(
     rtol: float = 1e-12,
     n_samples: int = 1025,
     dense_budget: int = 30_000,
-    jobs: int = 1,
     checks: bool = False,
     **sequence_kwargs,
 ) -> SweepReport:
@@ -1118,8 +1322,6 @@ def boundary_smallness_sweep(
     the weighted-energy ratio Et(1)/Et(1/2), exactly 1 for these
     densities (omega is constant there and the rotation count over
     [1/2, 1] is a whole number when h is even).
-
-    Independent j solves run concurrently when ``jobs`` > 1.
     """
     if params is None:
         params = make_sequences(mode=mode, j_range=j_range, **sequence_kwargs)
@@ -1185,28 +1387,16 @@ def boundary_smallness_sweep(
     else:
         raise ValueError(f"unknown family {family!r}")
 
-    def solve_one(jj: int):
-        return solve_quasimode(densities[jj], jj, rtol=rtol,
-                               n_samples=n_samples,
-                               dense_budget=dense_budget,
-                               cross_check=checks, reverse_check=checks)
-
     results = {}
     errors = {}
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futs = {jj: pool.submit(solve_one, jj) for jj in attempt}
-            for jj, fut in futs.items():
-                try:
-                    results[jj] = fut.result()
-                except ScaleOutOfReach as exc:
-                    errors[jj] = str(exc)
-    else:
-        for jj in attempt:
-            try:
-                results[jj] = solve_one(jj)
-            except ScaleOutOfReach as exc:
-                errors[jj] = str(exc)
+    for jj in attempt:
+        try:
+            results[jj] = solve_quasimode(
+                densities[jj], jj, rtol=rtol, n_samples=n_samples,
+                dense_budget=dense_budget, cross_check=checks,
+                reverse_check=checks)
+        except ScaleOutOfReach as exc:
+            errors[jj] = str(exc)
 
     rows = []
     for jj in attempt:
@@ -1217,8 +1407,7 @@ def boundary_smallness_sweep(
             break
         res = results[jj]
         e = params.entry(jj)
-        pair = _cached_pair(e.eps, max(0.05, 1.01 * max(
-            x.eps for x in params.entries)), tuple(knots))
+        pair = _cached_pair(e.eps, params.eps_bar, tuple(knots))
         total_log = np.logaddexp(res.boundary_energy_0_log,
                                  res.boundary_energy_1_log)
         edge_bound_log = (math.log(FOUR_PI_SQ)

@@ -158,8 +158,8 @@ class WaveTrajectory:
     def final_state(self):
         """(u, u_t) at t = T, the velocity by one-sided differencing."""
         u_prev, u_last = self.levels
-        # second-order one-sided needs three levels; reconstruct the
-        # missing one from the scheme itself (interior update reversed)
+        # first-order backward difference (u_T - u_{T-dt}) / dt of the
+        # last two levels
         ut = (u_last - u_prev) / self.dt
         return u_last.copy(), ut
 

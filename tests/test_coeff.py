@@ -170,6 +170,12 @@ class TestBaselines:
             coeff.make_baseline("custom", fn=lambda x: x,
                                 omega_lower=0.0, omega_upper=1.0)
 
+    def test_custom_descriptor_not_rebuildable(self):
+        c = coeff.make_baseline("custom", fn=lambda x: 1.0 + x,
+                                omega_lower=1.0, omega_upper=2.0)
+        with pytest.raises(ValueError, match="cannot be rebuilt"):
+            coeff.Coefficient.from_descriptor(json.loads(c.to_json()))
+
     def test_log_lipschitz_negative_amplitude_bounds(self):
         # the cusp dips to 1 - 2/e at x = 1/2 +- 1/e
         c = coeff.make_baseline("log-lipschitz", base=1.0, amplitude=-2.0)
@@ -369,6 +375,13 @@ class TestNormalForm:
         om, L, diag = coeff.reduce_to_normal_form(one, four)
         assert abs(L - 0.25) < 1e-12
         assert abs(om(np.array([0.1]))[0] - 4.0) < 1e-12
+
+    def test_normal_form_descriptor_not_rebuildable(self):
+        one = coeff.make_baseline("constant", value=1.0)
+        four = coeff.make_baseline("constant", value=4.0)
+        om, _, _ = coeff.reduce_to_normal_form(one, four, grid=1 << 10)
+        with pytest.raises(ValueError, match="Python callable"):
+            coeff.Coefficient.from_descriptor(om.to_descriptor())
 
     def test_travel_time_preserved(self):
         rho = coeff.make_baseline(

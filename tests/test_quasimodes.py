@@ -9,8 +9,10 @@ Oracles in play:
   have closed forms;
 * interior mass -> direct trapezoid of the sampled profile (independent
   of the geometric-sum formula the solver uses);
-* powered transfer-matrix crossings -> the dense adaptive solve of the
-  same crossing;
+* powered transfer-matrix crossings -> the dense crossing of the same
+  interval, and the period-by-period product of the same period matrices;
+* Magnus engine -> the exact rotation (constant density) and a test-side
+  DOP853 solve at rtol 3e-14 (smooth density, foreign crossing);
 * reverse solve -> Wronskian of the forward solution, with the inward
   conditioning factor reported by the solver;
 * Gronwall bounds -> checked on random pairs; the weighted bound is
@@ -25,11 +27,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from waveobs.coeff import (
     FOUR_PI_SQ,
     TWO_PI,
     CounterexampleParams,
+    SequenceEntry,
     build_oscillator_pair,
     make_baseline,
     make_counterexample_density,
@@ -37,6 +41,12 @@ from waveobs.coeff import (
 )
 from waveobs.quasimodes import (
     ScaleOutOfReach,
+    _cross_dense,
+    _cross_powered,
+    _magnus_propagate,
+    _period_matrix,
+    _scalar_alpha,
+    _state_energy_log,
     boundary_smallness_sweep,
     energy_gronwall_check,
     solve_quasimode,
@@ -257,6 +267,142 @@ class TestPoweredCrossings:
 
 
 # --------------------------------------------------------------------------
+# Magnus transfer-matrix engine against independent oracles
+# --------------------------------------------------------------------------
+
+
+def _smooth_custom():
+    def fn(x):
+        return 4.0 + np.sin(TWO_PI * x) + 0.5 * np.cos(2 * TWO_PI * x)
+    return make_baseline("custom", fn=fn, omega_lower=2.4, omega_upper=5.6)
+
+
+def _dop853(omega_at, h, x0, x1, y0):
+    """Test-side DOP853 solve of phi'' + h^2 omega phi = 0 at rtol 3e-14;
+    ``omega_at`` is a scalar evaluator."""
+    def rhs(x, y):
+        return (y[1], -h * h * omega_at(x) * y[0])
+    sol = solve_ivp(rhs, (x0, x1), y0, method="DOP853", rtol=3e-14,
+                    atol=[1e-16, 1e-16 * h], dense_output=True)
+    assert sol.success
+    return sol
+
+
+def _powered_oracle_entry(n, eps=1e-3):
+    """A foreign interval ]7/16, 9/16] packing n coefficient periods."""
+    return SequenceEntry(j=9, r=0.125, m=0.5, h=8.0 * n, n=float(n),
+                         eps=eps, eps_h_r=eps * n)
+
+
+class TestMagnusEngine:
+    def test_constant_density_exact_rotation(self):
+        # Magnus cells are exact for constant omega: only round-off remains
+        om = make_baseline("constant", value=FOUR_PI_SQ)
+        h = 64.0
+        res = solve_quasimode(om, h=h, m=0.5, force_ode=True,
+                              reverse_check=False)
+        ph = TWO_PI * h * (res.x - 0.5)
+        assert np.max(np.abs(res.phi - np.cos(ph))) < 1e-12
+        assert np.max(np.abs(res.phi_prime / (TWO_PI * h)
+                             + np.sin(ph))) < 1e-12
+
+    def test_negative_coefficient_exact_cosh(self):
+        # q < 0 takes the hyperbolic branch of the cell exponential:
+        # phi'' = k^2 phi from (1, 0) is cosh(k x), again exact
+        k = 3.0
+        at = np.linspace(0.0, 2.0, 9)
+        logs, mats, _ = _magnus_propagate(
+            lambda x: np.full_like(x, -k * k), 0.0, 2.0, k, 1e-12, 0.1, at)
+        x = np.append(at, 2.0)
+        amp = np.exp(logs)
+        np.testing.assert_allclose(amp * mats[0], np.cosh(k * x),
+                                   rtol=1e-13)
+        np.testing.assert_allclose(amp * mats[2], np.sinh(k * x),
+                                   rtol=1e-13, atol=1e-15)
+
+    def test_smooth_custom_matches_dop853(self):
+        om = _smooth_custom()
+        h = 8.0
+        res = solve_quasimode(om, h=h, m=0.5, n_samples=1025,
+                              reverse_check=False)
+        kappa = h * math.sqrt(om.omega_upper)
+        for target, sel in ((1.0, res.x >= 0.5), (0.0, res.x < 0.5)):
+            ref = _dop853(lambda x: float(om(np.array([x]))[0]), h, 0.5,
+                          target, [1.0, 0.0]).sol(res.x[sel])
+            assert np.max(np.abs(res.phi[sel] - ref[0])) < 1e-10
+            assert np.max(np.abs(res.phi_prime[sel] - ref[1])) \
+                < 1e-10 * kappa
+
+    def test_scaled_foreign_crossing_matches_dop853(self, scaled_params,
+                                                    scaled_density):
+        # the j = 2 mode leaves its interval at x = 1/4 and crosses
+        # I_3 = ]1/8, 1/4] leftward; DOP853 restarts from the sampled
+        # state at 1/4, with omega = alpha_3(h_3 (x - m_3)) evaluated by
+        # the scalar closed form
+        res = solve_quasimode(scaled_density, 2, cross_check=False,
+                              reverse_check=False, n_samples=4097)
+        e3 = scaled_params.entry(3)
+        alpha = _scalar_alpha(build_oscillator_pair(
+            e3.eps, eps_bar=scaled_params.eps_bar))
+        i0 = int(np.argmin(np.abs(res.x - 0.25)))
+        assert res.x[i0] == 0.25
+        span = (res.x >= 0.125) & (res.x < 0.25)
+        sol = _dop853(lambda x: alpha(e3.h * (x - e3.m)), res.h, 0.25,
+                      0.125, [res.phi[i0], res.phi_prime[i0]])
+        ref = sol.sol(res.x[span])
+        assert np.max(np.abs(res.phi[span] - ref[0])) < 1e-10
+        assert np.max(np.abs(res.phi_prime[span] - ref[1])) \
+            < 1e-10 * TWO_PI * res.h
+
+    def test_powered_matches_straight_crossing(self):
+        # 4000 coefficient periods: whole-period powers against the
+        # engine run cell by cell across the whole interval in x
+        n = 4000
+        entry = _powered_oracle_entry(n, eps=1e-4)
+        pair = build_oscillator_pair(entry.eps)
+        h = 0.3 * entry.h
+        kappa = TWO_PI * h
+        state = (0.0, 0.6, 0.8 * kappa)
+        lo, hi = entry.interval
+        for direction, (near, far) in ((+1, (lo, hi)), (-1, (hi, lo))):
+            powered, info = _cross_powered(pair, entry, h, state,
+                                           direction, 1e-12)
+            straight = _cross_dense(pair, entry, h, state, near, far,
+                                    1e-12, None)[0]
+            assert info["periods"] == n
+            assert abs(_state_energy_log(powered, kappa)
+                       - _state_energy_log(straight, kappa)) < 1e-9
+
+    def test_powered_beyond_old_period_cap(self):
+        # n/2 = 200,002 periods per half: past the 200,000 applications
+        # the period-by-period crossing allowed.  Oracle: the straight
+        # period-by-period product of the same engine period matrix
+        n = 400_004
+        entry = _powered_oracle_entry(n)
+        pair = build_oscillator_pair(entry.eps)
+        h = 0.3 * entry.h
+        kappa = TWO_PI * h
+        state = (0.0, 0.6, 0.8 * kappa)
+        powered, info = _cross_powered(pair, entry, h, state, +1, 1e-12)
+        assert info["periods"] == n
+
+        mat, _, _ = _period_matrix(pair, h / entry.h, 1e-12)
+        (a, b), (c, d) = mat.tolist()
+        log_mag, v0, v1 = 0.0, 0.6, 0.8
+        # rightward: the mirrored half R M^{-1} R, then M itself
+        for m00, m01, m10, m11 in ((d, b, c, a), (a, b, c, d)):
+            for i in range(n // 2):
+                v0, v1 = m00 * v0 + m01 * v1, m10 * v0 + m11 * v1
+                if i % 64 == 63:
+                    scale = math.hypot(v0, v1)
+                    log_mag += math.log(scale)
+                    v0, v1 = v0 / scale, v1 / scale
+        straight = (log_mag, v0, v1 * kappa)
+        assert abs(_state_energy_log(powered, kappa)
+                   - _state_energy_log(straight, kappa)) < 1e-9
+
+
+# --------------------------------------------------------------------------
 # generic path (no structure assumed)
 # --------------------------------------------------------------------------
 
@@ -464,7 +610,7 @@ class TestGronwall:
 @pytest.fixture(scope="module")
 def scaled_sweep():
     return boundary_smallness_sweep(mode="scaled", family="psi",
-                                    j_range=range(2, 7), jobs=2)
+                                    j_range=range(2, 7))
 
 
 @pytest.fixture(scope="module")

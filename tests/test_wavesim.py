@@ -133,6 +133,22 @@ class TestEvolve:
             exact = -np.pi * np.sin(np.pi * tm) * np.sin(np.pi * traj.x)
             assert np.max(np.abs(ut - exact)) < 5e-4
 
+    def test_final_state_first_order_velocity(self, om1):
+        # u = cos(pi t) sin(pi x); at T = 1/4 u_tt != 0, so the backward
+        # difference (u_T - u_{T-dt})/dt has an O(dt) error that halves
+        # with the grid
+        errs = []
+        for res in (256, 512):
+            traj = ws.evolve(om1, lambda x: np.sin(np.pi * x), None,
+                             T=0.25, resolution=res)
+            u_prev, u_last = traj.levels
+            u_T, ut_T = traj.final_state()
+            assert np.array_equal(u_T, u_last)
+            assert np.array_equal(ut_T, (u_last - u_prev) / traj.dt)
+            exact = -np.pi * math.sin(np.pi * 0.25) * np.sin(np.pi * traj.x)
+            errs.append(np.max(np.abs(ut_T - exact)))
+        assert 1.8 < errs[0] / errs[1] < 2.2
+
     def test_input_validation(self, om1):
         sin0 = lambda x: np.sin(np.pi * x)
         with pytest.raises(ValueError, match="power of two"):

@@ -13,7 +13,10 @@ The module provides:
 3. ``make_sequences`` / ``make_counterexample_density`` -- nested dyadic
    intervals I_j = ]2^-j, 2^{1-j}] carrying rescaled copies
    alpha_eps_j(h_j (x - m_j)); the resulting density traps quasimodes and
-   defeats boundary observability at measurable rates.
+   defeats boundary observability at measurable rates.  Such a density
+   carries its structure (sequences, entries, oscillator pairs) as a
+   :class:`TrappingStructure` in ``Coefficient.trapping``; every consumer
+   reads that record, and the JSON descriptor is for serialization only.
 4. ``reduce_to_normal_form`` / ``travel_time`` -- change of variables
    mapping rho(x) u_tt = (a(x) u_x)_x to omega(y) u_tt = u_yy, and the
    sidewise travel time integral T = int sqrt(omega).
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -38,6 +41,7 @@ __all__ = [
     "PeriodicPair",
     "SequenceEntry",
     "CounterexampleParams",
+    "TrappingStructure",
     "DEFAULT_KNOTS",
     "FOUR_PI_SQ",
     "make_baseline",
@@ -74,29 +78,12 @@ def _sigma(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sigma_prime(t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0.0
-    out[pos] = np.exp(-1.0 / t[pos]) / t[pos] ** 2
-    return out
-
-
 def _smoothstep(t: np.ndarray) -> np.ndarray:
     """C-infinity ramp: 0 for t <= 0, 1 for t >= 1, strictly monotone."""
     t = np.asarray(t, dtype=float)
     a = _sigma(t)
     b = _sigma(1.0 - t)
     return a / (a + b)
-
-
-def _smoothstep_prime(t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    a = _sigma(t)
-    b = _sigma(1.0 - t)
-    ap = _sigma_prime(t)
-    bp = _sigma_prime(1.0 - t)
-    return (ap * b + a * bp) / (a + b) ** 2
 
 
 def _chi(u: np.ndarray, knots: Sequence[float]) -> np.ndarray:
@@ -106,14 +93,33 @@ def _chi(u: np.ndarray, knots: Sequence[float]) -> np.ndarray:
     return _smoothstep((u - a) / (b - a)) * (1.0 - _smoothstep((u - c) / (d - c)))
 
 
-def _chi_prime(u: np.ndarray, knots: Sequence[float]) -> np.ndarray:
+def _chi_and_slope(u: np.ndarray, knots: Sequence[float]) -> tuple:
+    """(chi, chi') from one sigma evaluation per side of each ramp.
+
+    sigma'(t) = sigma(t) / t^2 reuses the exponential, so the four
+    exp(-1/t) per point give both values (bitwise those of the
+    smoothstep formulas).
+    """
     a, b, c, d = knots
     u = np.mod(np.asarray(u, dtype=float), 1.0)
-    up = _smoothstep((u - a) / (b - a))
-    dn = 1.0 - _smoothstep((u - c) / (d - c))
-    up_p = _smoothstep_prime((u - a) / (b - a)) / (b - a)
-    dn_p = -_smoothstep_prime((u - c) / (d - c)) / (d - c)
-    return up_p * dn + up * dn_p
+
+    def sigma(t):
+        val = np.zeros_like(t)
+        slope = np.zeros_like(t)
+        pos = t > 0.0
+        val[pos] = np.exp(-1.0 / t[pos])
+        slope[pos] = val[pos] / t[pos] ** 2
+        return val, slope
+
+    def ramp(t):
+        p, pp = sigma(t)
+        q, qp = sigma(1.0 - t)
+        return p / (p + q), (pp * q + p * qp) / (p + q) ** 2
+
+    up, up_p = ramp((u - a) / (b - a))
+    down, down_p = ramp((u - c) / (d - c))
+    dn = 1.0 - down
+    return up * dn, up_p / (b - a) * dn + up * (-down_p / (d - c))
 
 
 def _mirror_knots(knots: Sequence[float]) -> tuple:
@@ -178,14 +184,12 @@ class PeriodicPair:
     def theta(self, u: np.ndarray) -> np.ndarray:
         return self.theta_scale * _chi(u, self.knots)
 
-    def theta_prime(self, u: np.ndarray) -> np.ndarray:
-        return self.theta_scale * _chi_prime(u, self.knots)
-
     def alpha(self, x: np.ndarray) -> np.ndarray:
         """Evaluate alpha_eps at x (1-periodic, even, vectorized)."""
         x = np.abs(np.asarray(x, dtype=float))
-        th = self.theta(x)
-        thp = self.theta_prime(x)
+        chi, chi_p = _chi_and_slope(x, self.knots)
+        th = self.theta_scale * chi
+        thp = self.theta_scale * chi_p
         c2 = np.cos(TWO_PI * x) ** 2
         s4 = np.sin(2.0 * TWO_PI * x)
         e = self.eps
@@ -284,7 +288,7 @@ def _measure_pair(eps: float, knots: Sequence[float]) -> PeriodicPair:
     decay_c = float(-np.dot(logs, n) / (eps * np.dot(n, n)))
     # period average of w via the midpoint rule (spectral for periodic-
     # times-decay integrands this smooth; refined below with Richardson)
-    w_int = _period_integral(pair)
+    w_int = _composite_gauss(pair.w)
     gamma = w_int / eps
     a, _, _, d = knots
     flat = min(a, 1.0 - d)
@@ -297,15 +301,15 @@ def _measure_pair(eps: float, knots: Sequence[float]) -> PeriodicPair:
     )
 
 
-def _period_integral(pair: PeriodicPair) -> float:
-    """int_0^1 w_eps via composite Gauss-Legendre (64 panels x 8 nodes)."""
+def _composite_gauss(fn: Callable, length: float = 1.0,
+                     panels: int = 64) -> float:
+    """int_0^length fn via composite Gauss-Legendre (8 nodes per panel)."""
     nodes, weights = np.polynomial.legendre.leggauss(8)
-    panels = 64
-    edges = np.linspace(0.0, 1.0, panels + 1)
+    edges = np.linspace(0.0, length, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 / panels
+    half = 0.5 * length / panels
     pts = mid + half * nodes[None, :]
-    vals = pair.w(pts.ravel()).reshape(pts.shape)
+    vals = fn(pts.ravel()).reshape(pts.shape)
     return float((vals @ weights).sum() * half)
 
 
@@ -362,9 +366,8 @@ def build_oscillator_pair(
 def _cached_pair(eps: float, eps_bar: float, knots: tuple) -> PeriodicPair:
     """One shared :func:`build_oscillator_pair` per (eps, eps_bar, knots).
 
-    Pairs are immutable, so every consumer of a trapping density (its
-    assembly, travel time, quasimodes, divergence sweeps) reads the same
-    object instead of rebuilding it.
+    Pairs are immutable, so densities assembled from the same sequences
+    share them; consumers read them from ``Coefficient.trapping``.
     """
     return build_oscillator_pair(eps, eps_bar=eps_bar, knots=knots)
 
@@ -379,6 +382,9 @@ class Coefficient:
 
     ``kind`` names the construction; ``params`` holds the JSON-safe
     descriptor from which the evaluator can be rebuilt bit-identically.
+    The descriptor is for serialization only: a trapping density carries
+    its structure (sequences, entries, oscillator pairs) in ``trapping``,
+    which every consumer reads; it is None for every other density.
     """
 
     kind: str
@@ -387,6 +393,7 @@ class Coefficient:
     omega_upper: float
     _eval: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     length: float = 1.0
+    trapping: Optional[TrappingStructure] = field(default=None, repr=False)
 
     def __call__(self, x) -> np.ndarray:
         return self._eval(np.asarray(x, dtype=float))
@@ -429,7 +436,7 @@ class Coefficient:
                 j = int(kind.split("(")[1].rstrip(")"))
                 coefs = make_counterexample_density(seqs, family="lambda",
                                                     knots=knots)
-                return next(c for c in coefs if c.params["active_j"] == j)
+                return next(c for c in coefs if c.trapping.active_j == j)
             return make_counterexample_density(seqs, knots=knots)
         return make_baseline(kind, **params)
 
@@ -644,6 +651,11 @@ class CounterexampleParams:
             if e.j == j:
                 return e
         raise KeyError(f"no entry for j={j}")
+
+    def restrict(self, j: int) -> "CounterexampleParams":
+        """The single-entry sub-family that carries only I_j."""
+        return replace(self, entries=(self.entry(j),), cond_flags=tuple(
+            f for f in self.cond_flags if f["j"] == j))
 
     def to_descriptor(self) -> dict:
         return {
@@ -904,9 +916,25 @@ def _lambda_functions(name: str) -> tuple:
 # trapping densities
 # --------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class TrappingStructure:
+    """What a trapping density is made of, for every consumer to read.
+
+    ``params`` is the sequence family the density was assembled from,
+    ``entries`` the :class:`SequenceEntry` objects it oscillates on (all
+    of them for the psi density, one for a lambda member), ``pairs`` maps
+    each carried j to the very :class:`PeriodicPair` its evaluator uses,
+    and ``active_j`` is the lambda member's index (None for psi).
+    """
+
+    params: CounterexampleParams
+    entries: tuple
+    pairs: Mapping[int, PeriodicPair]
+    active_j: Optional[int] = None
+
+
 def make_counterexample_density(
     params: CounterexampleParams,
-    pairs: Optional[Mapping] = None,
     family: str = "psi",
     knots: Sequence[float] = DEFAULT_KNOTS,
 ):
@@ -915,10 +943,8 @@ def make_counterexample_density(
     With ``family='psi'`` a single density carries all intervals:
     omega = alpha_eps_j(h_j (x - m_j)) on I_j, 4 pi^2 elsewhere.  With
     ``family='lambda'`` a list of densities is returned, the j-th one
-    oscillating only inside I_j.
-
-    ``pairs``, when given, maps j to a prebuilt :class:`PeriodicPair`;
-    otherwise pairs are built from each entry's eps with ``knots``.
+    oscillating only inside I_j.  Pairs are built from each entry's eps
+    with ``knots``; each density carries its structure in ``trapping``.
 
     Raises ``ValueError`` when any h_j overflows double precision (such
     sequences exist only in extended precision and cannot be sampled).
@@ -928,9 +954,8 @@ def make_counterexample_density(
             raise ValueError(
                 f"h_{e.j} is not representable in double precision; "
                 "this sequence family cannot be materialized on a grid")
-    if pairs is None:
-        pairs = {e.j: _cached_pair(e.eps, params.eps_bar, tuple(knots))
-                 for e in params.entries}
+    pairs = {e.j: _cached_pair(e.eps, params.eps_bar, tuple(knots))
+             for e in params.entries}
 
     if family == "psi":
         return _assemble_density(params, pairs, active=None)
@@ -941,14 +966,16 @@ def make_counterexample_density(
 
 
 def _assemble_density(params, pairs, active):
-    entries = [e for e in params.entries if active is None or e.j == active]
-    lo = min(pair.alpha_min for pair in pairs.values())
-    hi = max(pair.alpha_max for pair in pairs.values())
+    entries = tuple(e for e in params.entries
+                    if active is None or e.j == active)
+    own = {e.j: pairs[e.j] for e in entries}
+    lo = min(pair.alpha_min for pair in own.values())
+    hi = max(pair.alpha_max for pair in own.values())
 
-    frozen = [(e.interval[0], e.interval[1], e.h, e.m, pairs[e.j]) for e in entries]
+    frozen = tuple((e.interval[0], e.interval[1], e.h, e.m, own[e.j])
+                   for e in entries)
 
-    def evaluate(x: np.ndarray,
-                 frozen=tuple(frozen)) -> np.ndarray:
+    def evaluate(x: np.ndarray) -> np.ndarray:
         out = np.full_like(x, FOUR_PI_SQ)
         for left, right, h, m, pair in frozen:
             mask = (x > left) & (x <= right)
@@ -964,15 +991,16 @@ def _assemble_density(params, pairs, active):
     }
     if active is not None:
         param_block["active_j"] = active
-        e = next(e for e in entries)
-        pair = pairs[e.j]
+        e = entries[0]
         # sup_h |omega(x+h)-omega(x)| / (h lambda(h)) peaks at h ~ 1/h_j;
         # record the slope-scale constant for the modulus table
-        param_block["K_scale"] = pair.M_alpha_prime * e.eps * e.h
+        param_block["K_scale"] = own[e.j].M_alpha_prime * e.eps * e.h
     return Coefficient(
         kind=kind, params=param_block,
         omega_lower=min(lo, FOUR_PI_SQ), omega_upper=max(hi, FOUR_PI_SQ),
-        _eval=evaluate)
+        _eval=evaluate,
+        trapping=TrappingStructure(params=params, entries=entries,
+                                   pairs=own, active_j=active))
 
 
 # --------------------------------------------------------------------------
@@ -1029,33 +1057,14 @@ def travel_time(coef: Coefficient, grid: int = 1 << 16) -> float:
     closed form on the flat remainder); otherwise by composite
     Gauss-Legendre on the full domain.
     """
-    if coef.kind.startswith("counterexample"):
-        seqs = CounterexampleParams.from_descriptor(coef.params["sequences"])
-        knots = tuple(coef.params["knots"])
-        active = coef.params.get("active_j")
-        total = 0.0
-        covered = 0.0
-        for e in seqs.entries:
-            if active is not None and e.j != active:
-                continue
-            pair = _cached_pair(e.eps, seqs.eps_bar, knots)
-            nodes, weights = np.polynomial.legendre.leggauss(8)
-            panels = 64
-            edges = np.linspace(0.0, 1.0, panels + 1)
-            mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-            half = 0.5 / panels
-            pts = mid + half * nodes[None, :]
-            per = float((np.sqrt(pair.alpha(pts.ravel())).reshape(pts.shape)
-                         @ weights).sum() * half)
-            total += e.r * per
-            covered += e.r
-        total += (coef.length - covered) * math.sqrt(FOUR_PI_SQ)
-        return total
-    nodes, weights = np.polynomial.legendre.leggauss(8)
-    panels = max(64, grid // 512)
-    edges = np.linspace(0.0, coef.length, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * coef.length / panels
-    pts = mid + half * nodes[None, :]
-    vals = np.sqrt(coef(pts.ravel())).reshape(pts.shape)
-    return float((vals @ weights).sum() * half)
+    if coef.trapping is None:
+        return _composite_gauss(lambda x: np.sqrt(coef(x)), coef.length,
+                                max(64, grid // 512))
+    total = 0.0
+    covered = 0.0
+    for e in coef.trapping.entries:
+        pair = coef.trapping.pairs[e.j]
+        total += e.r * _composite_gauss(lambda s: np.sqrt(pair.alpha(s)))
+        covered += e.r
+    total += (coef.length - covered) * math.sqrt(FOUR_PI_SQ)
+    return total

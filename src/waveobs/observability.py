@@ -48,7 +48,6 @@ from .coeff import (
     CounterexampleParams,
     FOUR_PI_SQ,
     TWO_PI,
-    _cached_pair,
     make_counterexample_density,
     make_sequences,
     travel_time,
@@ -61,6 +60,8 @@ from .wavesim import (
     _leapfrog,
     _space_grid,
     _taylor_start,
+    _tapered_sobolev_norm,
+    _tapered_spectrum,
     evolve,
     evolve_inhomogeneous,
     solver_time_grid,
@@ -126,51 +127,16 @@ def _hminus1_norm_sq(g: np.ndarray, dx: float) -> float:
     return float(np.dot(g_int, phi) * dx)
 
 
-def _taper_window(n: int) -> np.ndarray:
-    # identical to the trace-norm taper so dual pairings line up
-    w = np.ones(n)
-    edge = max(2, int(0.10 * n))
-    ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(edge) / edge))
-    w[:edge] = ramp
-    w[-edge:] = ramp[::-1]
-    return w
-
-
-def _dual_sobolev_norm(trace: np.ndarray, m: float, dt: float) -> float:
-    """H^{-m}(0,T) norm of a boundary signal, by tapered FFT.
-
-    Same taper, padding and spectral measure as the nonnegative-exponent
-    trace norm; the weight is (1+xi^2)^{-m}.  This is the dual-side
-    convention: the control norm reported by :func:`hum_control` uses it,
-    so minimizing it is what the smoothing weight in the CG operator
-    implements.
-    """
-    s = np.asarray(trace, dtype=float)
-    n = len(s)
-    if n < 16:
-        raise ValueError("trace too short")
-    tapered = s * _taper_window(n)
-    padded = 1 << (int(math.ceil(math.log2(n))) + 2)
-    spec = np.fft.rfft(tapered, n=padded) * dt
-    xi = 2.0 * math.pi * np.fft.rfftfreq(padded, dt)
-    weight = (1.0 + xi ** 2) ** (-m)
-    dnu = 1.0 / (padded * dt)
-    mass = np.abs(spec) ** 2 * weight
-    mass[1:-1] *= 2.0
-    return float(math.sqrt(np.sum(mass) * dnu))
-
-
 def _smoothing_operator(n: int, dt: float, m: float) -> Callable:
     """g -> taper * irfft((1+xi^2)^{-m} rfft(taper * g)): symmetric PSD.
 
-    At m=0 this is the identity (the control is the raw adjoint trace).
+    Same taper, padding and weight as the H^{-m} control norm, so
+    minimizing that norm is what this operator implements.  At m=0 it is
+    the identity (the control is the raw adjoint trace).
     """
     if m == 0:
         return lambda g: g
-    w = _taper_window(n)
-    padded = 1 << (int(math.ceil(math.log2(n))) + 2)
-    xi = 2.0 * math.pi * np.fft.rfftfreq(padded, dt)
-    weight = (1.0 + xi ** 2) ** (-m)
+    w, padded, weight = _tapered_spectrum(n, dt, -m)
 
     def apply(g: np.ndarray) -> np.ndarray:
         spec = np.fft.rfft(w * g, n=padded)
@@ -627,16 +593,6 @@ def gramian_observability_constant(omega: Coefficient, T: float,
 # --------------------------------------------------------------------------
 
 
-def _single_entry_params(params: CounterexampleParams,
-                         j: int) -> CounterexampleParams:
-    e = params.entry(j)
-    return CounterexampleParams(
-        mode=params.mode, descriptor=params.descriptor, N=params.N,
-        M=params.M, entries=(e,),
-        cond_flags=tuple(f for f in params.cond_flags if f["j"] == j),
-        notes=params.notes)
-
-
 def _period_integral(fn: Callable, n: int = 1 << 16) -> float:
     """int_0^1 fn(s)^2 ds by endpoint trapezoid (fn is one-period data)."""
     s = np.linspace(0.0, 1.0, n + 1)
@@ -846,7 +802,7 @@ def run_counterexample_sweep(
     if family == "lambda":
         for j in j_list:
             densities[j] = make_counterexample_density(
-                _single_entry_params(params, j), family="lambda")[0]
+                params.restrict(j), family="lambda")[0]
     else:
         shared = make_counterexample_density(params, family="psi")
         for j in j_list:
@@ -892,11 +848,9 @@ def run_counterexample_sweep(
                              cross_check=False, reverse_check=False)
         h = qm.h
         n = int(round(qm.stats["n"]))
-        pair = _cached_pair(entry.eps, params.eps_bar,
-                            tuple(density.params["knots"]))
         if family == "lambda":
-            numer = _lambda_numerator(pair, h, n, qm.m, qm.r,
-                                      qm.interior_mass)
+            numer = _lambda_numerator(density.trapping.pairs[j], h, n, qm.m,
+                                      qm.r, qm.interior_mass)
         else:
             numer = _quadrature_numerator(qm)
 
@@ -1291,7 +1245,7 @@ def hum_control(omega: Coefficient, y0, y1, T: float, m: int = 0, *,
             f"tolerance {tolerance:.1e}")
     control_l2 = float(math.sqrt(np.trapezoid(control ** 2, dx=dt)))
     control_norm = (control_l2 if m == 0
-                    else _dual_sobolev_norm(control, m, dt))
+                    else _tapered_sobolev_norm(control, -m, dt))
     return ControlResult(
         control=control, times=times, target_y0=y0n, target_y1=y1n,
         T=T, m=int(m),

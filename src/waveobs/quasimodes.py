@@ -55,7 +55,6 @@ from .coeff import (
     Coefficient,
     CounterexampleParams,
     PeriodicPair,
-    _cached_pair,
     make_counterexample_density,
     make_sequences,
 )
@@ -142,19 +141,6 @@ def _scalar_alpha(pair: PeriodicPair) -> Callable[[float], float]:
                 + eps * thp * c2 - (eps * th) ** 2 * c2 * c2)
 
     return alpha
-
-
-def _density_structure(omega: Coefficient):
-    """Recover (params, entries-in-density, pairs) from a trapping density."""
-    params = CounterexampleParams.from_descriptor(omega.params["sequences"])
-    knots = tuple(omega.params["knots"])
-    active = omega.params.get("active_j")
-    entries = [e for e in params.entries if active is None or e.j == active]
-    pairs = {}
-    for e in entries:
-        if math.isfinite(e.h):
-            pairs[e.j] = _cached_pair(e.eps, params.eps_bar, knots)
-    return params, entries, pairs, active
 
 
 # --------------------------------------------------------------------------
@@ -650,7 +636,7 @@ def solve_quasimode(
         raise ValueError("rtol must lie in ]0, 1e-6]")
     xs = np.linspace(0.0, 1.0, n_samples)
 
-    if omega.kind.startswith("counterexample") and not force_ode:
+    if omega.trapping is not None and not force_ode:
         if h is not None or m is not None or r is not None:
             raise ValueError(
                 "for a trapping density the mode is selected by j; "
@@ -658,7 +644,7 @@ def solve_quasimode(
         return _solve_structured(omega, j, xs, rtol, dense_budget,
                                  check_budget, cross_check, reverse_check)
 
-    if j is not None and not omega.kind.startswith("counterexample"):
+    if j is not None and omega.trapping is None:
         raise ValueError("j selects a trapping-density interval; "
                          "pass h and m for other densities")
     if h is None or m is None:
@@ -701,11 +687,11 @@ def _interval_mass_exact(pair: PeriodicPair, h: float, n: int) -> float:
 
 def _solve_structured(omega, j, xs, rtol, dense_budget, check_budget,
                       cross_check, reverse_check):
-    params, entries, pairs, active = _density_structure(omega)
+    entries = omega.trapping.entries
+    pairs = omega.trapping.pairs
     if j is None:
-        if active is not None:
-            j = active
-        else:
+        j = omega.trapping.active_j
+        if j is None:
             raise ValueError(
                 "this density carries several marked intervals; pass j")
     entry = next((e for e in entries if e.j == j), None)
@@ -764,11 +750,6 @@ def _solve_structured(omega, j, xs, rtol, dense_budget, check_budget,
                      if (e.m > m if direction > 0 else e.m < m)]
         crossings.sort(key=lambda e: e.m, reverse=direction < 0)
         for ek in crossings:
-            if ek.j not in pairs:
-                raise ScaleOutOfReach(
-                    f"the mode j = {j} must cross I_{ek.j}, whose "
-                    f"h_{ek.j} is not representable in double precision",
-                    j=j)
             lo, hi = ek.interval
             near, far = (lo, hi) if direction > 0 else (hi, lo)
             if abs(near - pos) > 1e-15:
@@ -1041,9 +1022,6 @@ def _solve_generic(omega, h, m, r, xs, rtol, check_budget,
 # Gronwall energy check
 # --------------------------------------------------------------------------
 
-_DIFFERENTIABLE_KINDS = ("constant", "counterexample")
-
-
 @dataclass(frozen=True)
 class GronwallReport:
     """Per-pair Gronwall ratios for a solved quasimode.
@@ -1072,6 +1050,7 @@ class GronwallReport:
         return True
 
 
+@lru_cache(maxsize=64)
 def _abs_gap_tables(pair: PeriodicPair):
     """Cumulative one-period integrals of |4pi^2-alpha| and |alpha'|/alpha.
 
@@ -1094,11 +1073,6 @@ def _abs_gap_tables(pair: PeriodicPair):
     return s, cum_gap, cum_logd
 
 
-@lru_cache(maxsize=64)
-def _abs_gap_tables_cached(eps: float, eps_bar: float, knots: tuple):
-    return _abs_gap_tables(_cached_pair(eps, eps_bar, knots))
-
-
 def _periodic_cumulative(sigma: float, grid, cum) -> float:
     """F(sigma) = int_0^sigma f for f >= 0 even and 1-periodic (F odd)."""
     s = abs(sigma)
@@ -1114,19 +1088,17 @@ def _exponents_structured(omega, x1, x2):
     Returns (gap_integral, logderiv_integral) where the first must still
     be multiplied by h.  Free stretches contribute zero to both.
     """
-    params, entries, pairs, _ = _density_structure(omega)
-    knots = tuple(omega.params["knots"])
+    trap = omega.trapping
     lo_x, hi_x = min(x1, x2), max(x1, x2)
     gap_total = 0.0
     logd_total = 0.0
-    for e in entries:
+    for e in trap.entries:
         il, ih = e.interval
         a = max(lo_x, il)
         b = min(hi_x, ih)
         if b <= a:
             continue
-        grid, cum_gap, cum_logd = _abs_gap_tables_cached(
-            e.eps, params.eps_bar, knots)
+        grid, cum_gap, cum_logd = _abs_gap_tables(trap.pairs[e.j])
         s_a = e.h * (a - e.m)
         s_b = e.h * (b - e.m)
         gap_total += (_periodic_cumulative(s_b, grid, cum_gap)
@@ -1182,9 +1154,8 @@ def energy_gronwall_check(
     h = result.h
     finite = np.isfinite(phi) & np.isfinite(phip)
 
-    structured = omega.kind.startswith("counterexample")
-    differentiable = (any(omega.kind.startswith(k)
-                          for k in _DIFFERENTIABLE_KINDS)
+    structured = omega.trapping is not None
+    differentiable = (omega.kind == "constant" or structured
                       or assume_differentiable)
     decline_reason = None
     if not differentiable:
@@ -1362,15 +1333,10 @@ def boundary_smallness_sweep(
             if not math.isfinite(e.h):
                 bad = f"h_{jj} overflows double precision"
             else:
-                single = CounterexampleParams(
-                    mode=params.mode, descriptor=params.descriptor,
-                    N=params.N, M=params.M, entries=(e,),
-                    cond_flags=tuple(f for f in params.cond_flags
-                                     if f["j"] == jj),
-                    notes=params.notes)
                 try:
                     densities[jj] = make_counterexample_density(
-                        single, family="lambda", knots=knots)[0]
+                        params.restrict(jj), family="lambda",
+                        knots=knots)[0]
                 except ValueError as exc:
                     bad = str(exc)
             if bad is not None:
@@ -1407,7 +1373,7 @@ def boundary_smallness_sweep(
             break
         res = results[jj]
         e = params.entry(jj)
-        pair = _cached_pair(e.eps, params.eps_bar, tuple(knots))
+        pair = densities[jj].trapping.pairs[jj]
         total_log = np.logaddexp(res.boundary_energy_0_log,
                                  res.boundary_energy_1_log)
         edge_bound_log = (math.log(FOUR_PI_SQ)

@@ -713,20 +713,35 @@ def trace_sobolev_norm(trace: np.ndarray, beta: float, dt: float) -> float:
     """
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    s = np.asarray(trace, dtype=float)
-    n = len(s)
-    if n < 16:
-        raise ValueError("trace too short")
+    return _tapered_sobolev_norm(trace, beta, dt)
+
+
+def _tapered_spectrum(n: int, dt: float, exponent: float) -> tuple:
+    """(taper, padded length, (1+xi^2)^exponent) for n samples at step dt."""
     w = np.ones(n)
     edge = max(2, int(0.10 * n))
     ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(edge) / edge))
     w[:edge] = ramp
     w[-edge:] = ramp[::-1]
-    tapered = s * w
     padded = 1 << (int(math.ceil(math.log2(n))) + 2)
-    spec = np.fft.rfft(tapered, n=padded) * dt
     xi = 2.0 * math.pi * np.fft.rfftfreq(padded, dt)
-    weight = (1.0 + xi ** 2) ** beta
+    return w, padded, (1.0 + xi ** 2) ** exponent
+
+
+def _tapered_sobolev_norm(trace: np.ndarray, exponent: float,
+                          dt: float) -> float:
+    """H^exponent(0,T) norm of a signal for any real exponent.
+
+    :func:`trace_sobolev_norm` is the nonnegative side; a negative
+    exponent gives the dual norm that :func:`observability.hum_control`
+    reports for its control.
+    """
+    s = np.asarray(trace, dtype=float)
+    n = len(s)
+    if n < 16:
+        raise ValueError("trace too short")
+    w, padded, weight = _tapered_spectrum(n, dt, exponent)
+    spec = np.fft.rfft(s * w, n=padded) * dt
     dnu = 1.0 / (padded * dt)
     mass = np.abs(spec) ** 2 * weight
     # one-sided spectrum: double the interior bins

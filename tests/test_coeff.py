@@ -326,6 +326,9 @@ class TestCounterexampleDensity:
             assert c(inside).std() > 0.1
             assert np.max(np.abs(c(outside) - FOUR_PI_SQ)) == 0.0
             assert c.params["K_scale"] > 0
+            own = c.trapping.pairs[e.j]
+            assert (c.omega_lower, c.omega_upper) == (
+                min(own.alpha_min, FOUR_PI_SQ), max(own.alpha_max, FOUR_PI_SQ))
 
     def test_density_roundtrip(self, dens):
         back = coeff.Coefficient.from_descriptor(json.loads(dens.to_json()))

@@ -160,6 +160,34 @@ def test_hum_reaches_rest():
     res = ob.hum_control(om, y0, np.zeros_like(x), T=3.0, resolution=128)
     assert res.converged and res.controlled
     assert res.terminal_relative <= 1e-6
+    # duality: the control cost is bounded by the observability constant
+    gram = ob.gramian_observability_constant(om, 3.0, 8, resolution=128)
+    assert res.cost_ratio <= gram["value"]
+
+
+def test_hum_dual_norm_control():
+    # at m=1 the control minimizes the tapered H^{-1} norm, which sits
+    # below the L^2 norm of the same signal
+    om = coeff.make_baseline("lipschitz")
+    x = np.linspace(0.0, 1.0, 129)
+    y0 = np.sin(math.pi * x) + 0.5 * np.sin(2.0 * math.pi * x)
+    res = ob.hum_control(om, y0, np.zeros_like(x), T=3.0, m=1,
+                         resolution=128)
+    assert res.converged and res.controlled
+    assert res.control_norm < res.control_l2
+
+
+def test_lambda_divergence_sweep():
+    # the benchmark's divergence call: the closed-form numerators along
+    # the concentrating lambda family, Q_0 growing more than 2x per step
+    table = ob.run_counterexample_sweep(
+        family="lambda", j_list=(2, 3), points_per_wavelength=6.0,
+        sequence_kwargs={"n0": 30})
+    assert len(table.rows) == 2 and table.truncated_at is None
+    assert all(r["numerator_route"] == "closed-form" for r in table.rows)
+    q0 = [r["Q"][0] for r in table.rows]
+    assert q0[1] > 2.0 * q0[0]
+    assert table.diverging(0, factor=2.0, runs=2)
 
 
 def test_star_import():

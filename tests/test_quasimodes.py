@@ -133,7 +133,6 @@ class TestConstantDensity:
         assert res.stats["path"] == "generic-ode"
         assert np.max(np.abs(res.phi - expected)) < 1e-9
 
-    @pytest.mark.slow
     def test_forced_ode_long_horizon_invariant(self):
         # 1e4 oscillation periods at the solver floor: the relative
         # deviation from the exact rotation must stay below 1e-9

@@ -686,13 +686,6 @@ class CounterexampleParams:
             notes=tuple(desc.get("notes", ())))
 
 
-def _interval_geometry(j: int) -> tuple:
-    """(r_j, m_j): r = 2^-j, m = 3*2^-(j+1); I_j = ]2^-j, 2^(1-j)]."""
-    r = 2.0 ** (-j)
-    m = 3.0 * 2.0 ** (-(j + 1))
-    return r, m
-
-
 def _even_ceil(x: float) -> int:
     n = int(math.ceil(x))
     return n if n % 2 == 0 else n + 1

@@ -48,6 +48,7 @@ from .coeff import (
     CounterexampleParams,
     FOUR_PI_SQ,
     TWO_PI,
+    _composite_gauss,
     make_counterexample_density,
     make_sequences,
     travel_time,
@@ -593,13 +594,6 @@ def gramian_observability_constant(omega: Coefficient, T: float,
 # --------------------------------------------------------------------------
 
 
-def _period_integral(fn: Callable, n: int = 1 << 16) -> float:
-    """int_0^1 fn(s)^2 ds by endpoint trapezoid (fn is one-period data)."""
-    s = np.linspace(0.0, 1.0, n + 1)
-    v = fn(s)
-    return float(np.trapezoid(v * v, dx=1.0 / n))
-
-
 def _lambda_numerator(pair, h: float, n: int, m: float, r: float,
                       interior_mass: float) -> dict:
     """Closed-form H^1_0 and L^2 energies of (phi/h, phi) data.
@@ -611,7 +605,7 @@ def _lambda_numerator(pair, h: float, n: int, m: float, r: float,
     exactly because h is an integer and the edge distances are dyadic.
     """
     eps = pair.eps
-    j2 = _period_integral(pair.w_prime)
+    j2 = _composite_gauss(lambda s: pair.w_prime(s) ** 2)
     if eps * n > 600.0:
         raise ScaleOutOfReach("interior energy underflows double precision")
     geom = (1.0 - math.exp(-eps * n)) / (1.0 - math.exp(-2.0 * eps))

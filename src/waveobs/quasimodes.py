@@ -22,8 +22,10 @@ solution is assembled structurally:
   (samples inside such spans are left NaN).
 
 Any other density is solved by the same engine from the center outward.
-scipy's DOP853 is kept only for the independent checks: the closed-form
-cross-check and the reverse (Wronskian) solves.
+The closed-form cross-check and reverse (Wronskian) check of a trapping
+mode also run on the engine (their subject is the closed form); scipy's
+DOP853 remains only as the generic path's reverse check, whose subject is
+the engine.
 
 States are carried as ``(log-magnitude, a, b)`` with the linear part
 normalized in the kappa-weighted norm ``hypot(a, b/kappa)``, so the
@@ -55,6 +57,7 @@ from .coeff import (
     Coefficient,
     CounterexampleParams,
     PeriodicPair,
+    _composite_gauss,
     make_counterexample_density,
     make_sequences,
 )
@@ -90,57 +93,6 @@ class ScaleOutOfReach(ValueError):
     def __init__(self, message: str, j: Optional[int] = None):
         super().__init__(message)
         self.j = j
-
-
-# --------------------------------------------------------------------------
-# fast scalar coefficient evaluation (ODE right-hand sides)
-# --------------------------------------------------------------------------
-
-def _scalar_alpha(pair: PeriodicPair) -> Callable[[float], float]:
-    """Pure-scalar alpha_eps evaluator (~1.5 us/call vs ~50 us vectorized).
-
-    Replicates the numpy closed form exactly (agreement ~1e-14); used in
-    ODE callbacks where per-call overhead dominates the solve.
-    """
-    ka, kb, kc, kd = pair.knots
-    ts = pair.theta_scale
-    eps = pair.eps
-    inv_ba = 1.0 / (kb - ka)
-    inv_dc = 1.0 / (kd - kc)
-    exp = math.exp
-    cos = math.cos
-    sin = math.sin
-    four_pi_eps = 4.0 * math.pi * eps
-
-    def sig(t: float) -> float:
-        return exp(-1.0 / t) if t > 0.0 else 0.0
-
-    def sigp(t: float) -> float:
-        return exp(-1.0 / t) / (t * t) if t > 0.0 else 0.0
-
-    def alpha(x: float) -> float:
-        u = abs(x) % 1.0
-        t1 = (u - ka) * inv_ba
-        s1a = sig(t1)
-        s1b = sig(1.0 - t1)
-        den1 = s1a + s1b
-        up = s1a / den1
-        upp = (sigp(t1) * s1b + s1a * sigp(1.0 - t1)) / (den1 * den1) * inv_ba
-        t2 = (u - kc) * inv_dc
-        s2a = sig(t2)
-        s2b = sig(1.0 - t2)
-        den2 = s2a + s2b
-        dn = 1.0 - s2a / den2
-        dnp = -(sigp(t2) * s2b + s2a * sigp(1.0 - t2)) / (den2 * den2) * inv_dc
-        th = ts * up * dn
-        thp = ts * (upp * dn + up * dnp)
-        cc = cos(TWO_PI * u)
-        ss = sin(TWO_PI * u)
-        c2 = cc * cc
-        return (FOUR_PI_SQ - four_pi_eps * th * (2.0 * ss * cc)
-                + eps * thp * c2 - (eps * th) ** 2 * c2 * c2)
-
-    return alpha
 
 
 # --------------------------------------------------------------------------
@@ -619,11 +571,12 @@ def solve_quasimode(
     ``dense_budget`` caps the initial cell count 16 max(h, h_k) r_k of a
     per-sample foreign crossing; beyond it the crossing switches to
     powers of the one-period transfer matrix and the samples in that span
-    are NaN.  ``check_budget`` caps the DOP853 closed-form cross-check and
-    reverse (Wronskian) solve the same way; skipped checks are recorded
-    in ``stats["notes"]``.  ``stats["nfev"]`` counts evaluations of the
-    coefficient by the engine plus right-hand-side evaluations of the
-    DOP853 checks.
+    are NaN.  ``check_budget`` caps the initial engine cells (8 n) of the
+    closed-form cross-check and reverse (Wronskian) solve, and the
+    estimated DOP853 steps of the generic reverse check; skipped checks
+    are recorded in ``stats["notes"]``.  ``stats["nfev"]`` counts
+    evaluations of the coefficient by the engine plus right-hand-side
+    evaluations of the generic reverse check's DOP853 solve.
 
     Raises :class:`ScaleOutOfReach` when the mode lives beyond double
     precision: h not finite or above 1e12 (the phase h(x-m) would be
@@ -672,15 +625,10 @@ def _interval_mass_exact(pair: PeriodicPair, h: float, n: int) -> float:
 
     eta(i+s) = i + eta(s) turns the integral into a geometric sum:
     (2 J / h) (1 - e^{-eps n}) / (1 - e^{-2 eps}) with
-    J = int_0^1 cos^2(2 pi s) e^{-2 eps eta(s)} ds.  The integrand is not
-    periodic (the envelope drops by e^{-2 eps} over one period) so the
-    endpoint-aware trapezoid is used; its first Euler-Maclaurin correction
-    vanishes because both cos^2 and eta' are flat at integers.
+    J = int_0^1 w_eps(s)^2 ds, taken by composite Gauss-Legendre (the
+    integrand is smooth on [0, 1]).
     """
-    g = 1 << 14
-    s = np.linspace(0.0, 1.0, g + 1)
-    integrand = np.cos(TWO_PI * s) ** 2 * np.exp(-2.0 * pair.eps * pair.eta(s))
-    J = float(np.trapezoid(integrand, s))
+    J = _composite_gauss(lambda s: pair.w(s) ** 2)
     eps = pair.eps
     return (2.0 * J / h) * (-math.expm1(-eps * n)) / (-math.expm1(-2.0 * eps))
 
@@ -823,22 +771,20 @@ def _safe_exp(log_val: float) -> float:
 
 def _closed_form_checks(pair, entry, rtol, budget, stats,
                         do_cross=True, do_reverse=True):
-    """ODE cross-check and reverse (Wronskian) check in sigma units.
+    """Engine cross-check and reverse (Wronskian) check in sigma units.
 
-    Both run the stretched equation w'' = -alpha(sigma) w, which is
-    independent of h; est. step count is 8 n (ceiling 1/16 per unit).
-    The reverse solve amplifies its error by ~e^{eps n / 2} on the way
-    back to the center, so it is skipped once that factor swamps the
-    tolerance budget.
+    Both solve the stretched equation w'' = -alpha(sigma) w, which is
+    independent of h, on the Magnus engine at the floor tolerance from
+    initial cells of width 1/16, so each check starts from exactly 8 n
+    cells (n/2 periods of 16) and that count is what ``budget`` caps.
+    Their subject is the closed form w_eps, not the engine (which is
+    tested on its own).  The cross-check reads w and w' at the 4 n + 1
+    cell edges sigma = k/8.  The reverse solve amplifies its error by
+    ~e^{eps n / 2} on the way back to the center, so it is skipped once
+    that factor swamps the tolerance budget.
     """
     n = int(round(entry.n))
     eps_n = entry.eps * n
-    rtol_cc = _MIN_RTOL
-    alpha = _scalar_alpha(pair)
-
-    def rhs(t, y):
-        return (y[1], -alpha(t) * y[0])
-
     est = 8.0 * n
     if est > budget:
         stats["notes"].append(
@@ -848,37 +794,36 @@ def _closed_form_checks(pair, entry, rtol, budget, stats,
 
     if do_cross:
         sig_grid = np.linspace(0.0, 0.5 * n, 4 * n + 1)
-        sol = solve_ivp(rhs, (0.0, 0.5 * n), [1.0, 0.0], method="DOP853",
-                        rtol=rtol_cc, atol=[1e-3 * rtol_cc, 1e-3 * rtol_cc],
-                        max_step=1.0 / 16.0, dense_output=True)
-        vals = sol.sol(sig_grid)
-        w_ref = pair.w(sig_grid)
-        wp_ref = pair.w_prime(sig_grid)
-        stats["closed_form_dev"] = float(np.max(np.abs(vals[0] - w_ref)))
+        logs, mats, nfev = _magnus_propagate(
+            pair.alpha, 0.0, 0.5 * n, TWO_PI, _MIN_RTOL, 1.0 / 16.0,
+            sig_grid)
+        # launched from (w, w'/2 pi) = (1, 0): the first column
+        amp = np.exp(logs[:-1])
+        w = amp * mats[0, :-1]
+        wp = TWO_PI * amp * mats[2, :-1]
+        stats["closed_form_dev"] = float(np.max(np.abs(w - pair.w(sig_grid))))
         stats["closed_form_dev_prime"] = float(
-            np.max(np.abs(vals[1] - wp_ref)))
-        stats["ode_extreme_energy"] = float(
-            vals[0, -1] ** 2 + vals[1, -1] ** 2)
-        stats["nfev"] += int(sol.nfev)
+            np.max(np.abs(wp - pair.w_prime(sig_grid))))
+        stats["ode_extreme_energy"] = float(w[-1] ** 2 + wp[-1] ** 2)
+        stats["nfev"] += nfev
 
     if do_reverse:
-        if 0.5 * eps_n > 20.0 + math.log(rtol / rtol_cc):
+        if 0.5 * eps_n > 20.0 + math.log(rtol / _MIN_RTOL):
             stats["notes"].append(
                 "reverse check skipped: inward error amplification "
                 f"~e^{{{0.5 * eps_n:.1f}}} exceeds the tolerance budget")
             return
-        w_edge = math.exp(-0.5 * entry.eps * n)
-        sol = solve_ivp(rhs, (0.5 * n, 0.0), [w_edge, 0.0], method="DOP853",
-                        rtol=rtol_cc, atol=[1e-3 * rtol_cc, 1e-3 * rtol_cc],
-                        max_step=1.0 / 16.0)
-        w0 = float(sol.y[0, -1])
-        wp0 = float(sol.y[1, -1])
-        stats["wronskian_dev"] = math.hypot(w0 - 1.0, wp0 / TWO_PI)
+        logs, mats, nfev = _magnus_propagate(
+            pair.alpha, 0.5 * n, 0.0, TWO_PI, _MIN_RTOL, 1.0 / 16.0)
+        # launched from (e^{-eps n/2}, 0); the state is (w, w'/2 pi)
+        amp = math.exp(float(logs[-1]) - 0.5 * eps_n)
+        stats["wronskian_dev"] = math.hypot(amp * float(mats[0, -1]) - 1.0,
+                                            amp * float(mats[2, -1]))
         # marching inward against the decay amplifies the solver error by
         # the envelope ratio; that conditioning belongs to the problem,
         # not the integrator, so it is reported alongside the deviation
         stats["wronskian_cond"] = math.exp(0.5 * eps_n)
-        stats["nfev"] += int(sol.nfev)
+        stats["nfev"] += nfev
 
 
 def _solve_constant(omega, value, h, m, r, xs, rtol):

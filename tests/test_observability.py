@@ -152,6 +152,17 @@ class TestConstants:
                                       resolution=64)
         assert q.value == row["quotient"]
 
+    def test_lipschitz_constants_flat(self):
+        # exact-over-span constants on one grid: the spans are nested, so
+        # the constant can only grow with the cutoff, and for a Lipschitz
+        # density it stays flat (0.4124 .. 0.4169 measured)
+        om = coeff.make_baseline("lipschitz")
+        T = 2.0 * coeff.travel_time(om) + 0.5
+        values = [ob.gramian_observability_constant(
+            om, T, c, resolution=256)["value"] for c in (4, 8, 16, 32)]
+        assert all(b >= a for a, b in zip(values, values[1:]))
+        assert values[-1] / values[0] <= 1.05
+
 
 def test_hum_reaches_rest():
     om = coeff.make_baseline("lipschitz")

@@ -12,7 +12,11 @@ Oracles in play:
 * powered transfer-matrix crossings -> the dense crossing of the same
   interval, and the period-by-period product of the same period matrices;
 * Magnus engine -> the exact rotation (constant density) and a test-side
-  DOP853 solve at rtol 3e-14 (smooth density, foreign crossing);
+  DOP853 solve at rtol 3e-14 (smooth density; foreign crossing, with the
+  density's own alpha evaluated one point at a time);
+* closed-form w_eps -> the solver's sigma-space cross-check, an engine
+  solve of w'' = -alpha w compared with w and w' at cell edges (the
+  closed form is its subject; the engine is tested on its own above);
 * reverse solve -> Wronskian of the forward solution, with the inward
   conditioning factor reported by the solver;
 * Gronwall bounds -> checked on random pairs; the weighted bound is
@@ -45,7 +49,6 @@ from waveobs.quasimodes import (
     _cross_powered,
     _magnus_propagate,
     _period_matrix,
-    _scalar_alpha,
     _state_energy_log,
     boundary_smallness_sweep,
     energy_gronwall_check,
@@ -172,14 +175,20 @@ class TestStructuredScaled:
         ratio = scaled_j2.stats["ode_extreme_energy"] / scaled_j2.extreme_energy
         assert abs(ratio - 1.0) < 1e-6
 
-    def test_closed_form_agreement(self, scaled_density):
+    def test_closed_form_agreement(self, scaled_density, conc_params):
         # the sigma-space check runs at the solver floor (rtol 3e-14)
         # but accumulates coherently over the half interval; measured
-        # deviations across the family sit at 5e-13 .. 2.5e-11
-        for j in (2, 4):
-            res = solve_quasimode(scaled_density, j)
+        # deviations sit at 1e-12 .. 2e-11 on the scaled family and at
+        # 1.5e-11 / 9.3e-11 on the concentrating lambda(2) (n = 240)
+        lam2 = _single_lambda_density(conc_params, 2)
+        for density, j in ((scaled_density, 2), (scaled_density, 4),
+                           (lam2, 2)):
+            res = solve_quasimode(density, j)
+            assert res.stats["notes"] == []
             assert res.stats["closed_form_dev"] < 1e-10
             assert res.stats["closed_form_dev_prime"] < 5e-10
+            assert res.stats["wronskian_dev"] \
+                <= 10.0 * 1e-12 * res.stats["wronskian_cond"]
 
     def test_reverse_solve_within_conditioning(self, scaled_j2):
         dev = scaled_j2.stats["wronskian_dev"]
@@ -336,13 +345,16 @@ class TestMagnusEngine:
                                                     scaled_density):
         # the j = 2 mode leaves its interval at x = 1/4 and crosses
         # I_3 = ]1/8, 1/4] leftward; DOP853 restarts from the sampled
-        # state at 1/4, with omega = alpha_3(h_3 (x - m_3)) evaluated by
-        # the scalar closed form
+        # state at 1/4, with omega = alpha_3(h_3 (x - m_3)) evaluated one
+        # point at a time by the density's own pair
         res = solve_quasimode(scaled_density, 2, cross_check=False,
                               reverse_check=False, n_samples=4097)
         e3 = scaled_params.entry(3)
-        alpha = _scalar_alpha(build_oscillator_pair(
-            e3.eps, eps_bar=scaled_params.eps_bar))
+        pair = scaled_density.trapping.pairs[3]
+
+        def alpha(s):
+            return float(pair.alpha(np.array([s]))[0])
+
         i0 = int(np.argmin(np.abs(res.x - 0.25)))
         assert res.x[i0] == 0.25
         span = (res.x >= 0.125) & (res.x < 0.25)

@@ -22,15 +22,15 @@ family of concentrating modes.  This module measures both sides:
   family through the wave solver and tabulates the divergence of Q_m along
   the family, with closed-form numerators where the construction makes
   them exact.
-* :func:`unique_continuation_check` measures the qualitative cousin (a
-  window of the trace controls the datum) on one trajectory.
 * :func:`hum_control` computes the boundary control of minimal H^{-m}
   norm by conjugate gradients on the duality operator and verifies the
   terminal state it reaches.
 
 Wave solves run on the leapfrog kernel of :mod:`wavesim` without energy
 tracking: each ensemble, Gramian basis or corrector set is one block
-march; only HUM's verification solve uses the public solvers.
+march.  HUM's conjugate gradients march nothing: they run on the
+scheme's closed-form modal solution (one Chebyshev table), and only its
+verification solve marches, on the public solvers.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from .wavesim import (
     BoundaryForcing,
     _forcing_flags,
     _leapfrog,
+    _leapfrog_modes,
     _space_grid,
     _taylor_start,
     _tapered_sobolev_norm,
@@ -73,13 +74,11 @@ __all__ = [
     "QuotientResult",
     "ObservabilityReport",
     "DivergenceTable",
-    "UniqueContinuationResult",
     "ControlResult",
     "observability_quotient",
     "estimate_observability_constant",
     "gramian_observability_constant",
     "run_counterexample_sweep",
-    "unique_continuation_check",
     "hum_control",
 ]
 
@@ -128,20 +127,25 @@ def _hminus1_norm_sq(g: np.ndarray, dx: float) -> float:
     return float(np.dot(g_int, phi) * dx)
 
 
-def _smoothing_operator(n: int, dt: float, m: float) -> Callable:
-    """g -> taper * irfft((1+xi^2)^{-m} rfft(taper * g)): symmetric PSD.
+def _smoothing_operator(n: int, dt: float, m: int) -> Callable:
+    """W: g -> taper * irfft((1+xi^2)^{-m} rfft(taper * g)), ends masked.
 
     Same taper, padding and weight as the H^{-m} control norm, so
-    minimizing that norm is what this operator implements.  At m=0 it is
-    the identity (the control is the raw adjoint trace).
+    minimizing that norm is what this operator implements.  Masking the
+    end samples before and after keeps W symmetric PSD on the interior
+    time indices the duality pairing runs over; at m=0 it is the mask.
     """
-    if m == 0:
-        return lambda g: g
-    w, padded, weight = _tapered_spectrum(n, dt, -m)
+    if m:
+        w, padded, weight = _tapered_spectrum(n, dt, -m)
 
     def apply(g: np.ndarray) -> np.ndarray:
-        spec = np.fft.rfft(w * g, n=padded)
-        return w * np.fft.irfft(weight * spec, n=padded)[:n]
+        g = np.array(g, dtype=float)
+        g[0] = g[-1] = 0.0
+        if m:
+            spec = np.fft.rfft(w * g, n=padded)
+            g = w * np.fft.irfft(weight * spec, n=padded)[:n]
+            g[0] = g[-1] = 0.0
+        return g
 
     return apply
 
@@ -435,6 +439,15 @@ class ObservabilityReport:
         return header, rows
 
 
+def _check_cutoff(cutoff: int, resolution: int) -> None:
+    """Past half the grid's modes the constant measures the uniform-grid
+    group-velocity defect (Infante & Zuazua, M2AN 33, 1999), not omega."""
+    if cutoff > resolution // 2:
+        raise ValueError(
+            f"cutoff {cutoff} exceeds resolution {resolution} // 2, where "
+            f"uniform-grid modes lose their group velocity")
+
+
 def estimate_observability_constant(
         omega: Coefficient, T: Optional[float] = None,
         cutoffs: Sequence[int] = (8, 16, 32, 64), *,
@@ -457,8 +470,13 @@ def estimate_observability_constant(
     candidate.  ``cross_check`` runs the dense Gramian constant at a
     coarse cutoff/resolution and stores the comparison: the ensemble max
     is a lower bound for the Gramian constant, so the ratio belongs in
-    [0, 1] up to discretization.
+    [0, 1] up to discretization.  Every cutoff must be at most half its
+    resolution.
     """
+    for cutoff in cutoffs:
+        _check_cutoff(cutoff, resolution)
+    if cross_check:
+        _check_cutoff(cross_check_cutoff, cross_check_resolution)
     T_omega = travel_time(omega)
     if T is None:
         T = 2.0 * T_omega + 0.5
@@ -468,9 +486,6 @@ def estimate_observability_constant(
     rng = np.random.default_rng(seed)
     cands = []
     for cutoff in cutoffs:
-        if cutoff >= resolution:
-            raise ValueError(
-                f"cutoff {cutoff} does not fit resolution {resolution}")
         cands += [(cutoff,) + c for c in _ensemble_data(
             x, omega_nodes, cutoff, rng, n_random, adversarial)]
     dt, run = _march_data(omega, np.stack([c[2] for c in cands], axis=1),
@@ -555,10 +570,12 @@ def gramian_observability_constant(omega: Coefficient, T: float,
     mode sin(k pi x)) in one march, forms D[i,j] = int d^m tr_i d^m tr_j
     dt and the diagonal energy matrix N, and returns 1/lambda_min of the
     pencil (D, N): the worst quotient over the whole span, not just the
-    sampled candidates.  Meant for small cutoffs (dense eigenproblem).
+    sampled candidates.  Meant for small cutoffs (dense eigenproblem),
+    at most half the resolution.
     """
     if cutoff > 64:
         raise ValueError("gramian route is for small cutoffs (<= 64)")
+    _check_cutoff(cutoff, resolution)
     x = np.linspace(0.0, omega.length, resolution + 1)
     dx = x[1] - x[0]
     modes = [np.sin(k * math.pi * x) for k in range(1, cutoff + 1)]
@@ -946,79 +963,6 @@ def run_counterexample_sweep(
 
 
 # --------------------------------------------------------------------------
-# unique continuation
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class UniqueContinuationResult:
-    """Window-to-whole trace comparison on one trajectory.
-
-    ``ratio`` compares the trace energy in the window around T/2 against
-    the m-th derivative energy over all of [0, T]; ``vacuous`` marks a
-    bitwise-zero trace (nothing reached the boundary, the statement has
-    no content on this trajectory).
-    """
-
-    ratio: Optional[float]
-    numerator: float
-    denominator: float
-    window: tuple
-    m: int
-    T: float
-    vacuous: bool
-    flags: tuple = ()
-
-    def to_summary(self) -> dict:
-        return {
-            "ratio": self.ratio, "numerator": self.numerator,
-            "denominator": self.denominator, "window": list(self.window),
-            "m": self.m, "T": self.T, "vacuous": self.vacuous,
-            "flags": list(self.flags),
-        }
-
-
-def unique_continuation_check(omega: Coefficient, trajectory,
-                              m: int = 1,
-                              window: Optional[tuple] = None
-                              ) -> UniqueContinuationResult:
-    """int_window |u_x(t,0)|^2 dt  vs  int_0^T |d^m u_x(t,0)|^2 dt.
-
-    The window defaults to [T/2 - 1, T/2 + 1] clipped to [0, T].  A
-    bitwise-zero trace gives the vacuous result rather than 0/0.
-    """
-    trace = np.asarray(trajectory.trace_left, dtype=float)
-    dt = trajectory.dt
-    T = trajectory.T
-    if window is None:
-        window = (T / 2.0 - 1.0, T / 2.0 + 1.0)
-    lo = max(0.0, window[0])
-    hi = min(T, window[1])
-    if hi <= lo:
-        raise ValueError("empty unique-continuation window")
-    i0 = int(math.ceil(lo / dt - 1e-9))
-    i1 = int(math.floor(hi / dt + 1e-9))
-    if i1 - i0 < 2:
-        raise ValueError("window too short for the time grid")
-    if not np.any(trace):
-        return UniqueContinuationResult(
-            ratio=None, numerator=0.0, denominator=0.0,
-            window=(lo, hi), m=int(m), T=T, vacuous=True,
-            flags=("trace identically zero: nothing to continue",))
-    numerator = float(np.trapezoid(trace[i0:i1 + 1] ** 2, dx=dt))
-    denominator = _trace_derivative_energy(trace, dt, int(m))
-    flags = []
-    if denominator == 0.0:
-        flags.append("derivative energy vanished; ratio undefined")
-        ratio = None
-    else:
-        ratio = numerator / denominator
-    return UniqueContinuationResult(
-        ratio=ratio, numerator=numerator, denominator=denominator,
-        window=(lo, hi), m=int(m), T=T, vacuous=False, flags=tuple(flags))
-
-
-# --------------------------------------------------------------------------
 # HUM control
 # --------------------------------------------------------------------------
 
@@ -1073,6 +1017,28 @@ class ControlResult:
         }
 
 
+def _duality_operator(modes, smooth: Callable, dx: float, dt: float):
+    """(control, apply) of HUM's duality operator in modal coordinates.
+
+    The unknown stacks the modal coordinates (z_p, z_v) of an adjoint's
+    position and velocity, whose first two levels are (p, p + dt v).
+    ``control`` is W gamma with gamma^n = e^n_1 / dx the adjoint's node-1
+    trace; ``apply`` is the pairing sum_n f^n gamma'^n at f = W gamma,
+    as a functional of (z_p', z_v'): two table products and one W.
+    """
+    n = len(modes.mu)
+
+    def control(z: np.ndarray) -> np.ndarray:
+        zp = z[:n]
+        return smooth(modes.node1(zp, zp + dt * z[n:]) / dx)
+
+    def apply(z: np.ndarray) -> np.ndarray:
+        a0, a1 = modes.node1_adjoint(control(z))
+        return np.concatenate([a0 + a1, dt * a1]) / dx
+
+    return control, apply
+
+
 def hum_control(omega: Coefficient, y0, y1, T: float, m: int = 0, *,
                 tolerance: float = 1e-6, resolution: int = 512,
                 max_iter: int = 200, cg_tol: float = 1e-10,
@@ -1081,10 +1047,10 @@ def hum_control(omega: Coefficient, y0, y1, T: float, m: int = 0, *,
 
     The control is sought as f = W gamma with gamma the boundary trace
     of a homogeneous adjoint solution and W the H^{-m} smoothing weight
-    (identity at m = 0).  Summing the leapfrog recurrence against a
+    (m a nonnegative integer).  Summing the leapfrog recurrence against a
     second solution telescopes into the exact discrete identity
 
-        sum_n dt f^n gamma'^n
+        sum_n f^n gamma'^n
             = -sum_i omega_i dx/dt^2 [(y^1_i e'^0_i - y^0_i e'^1_i)]
 
     for any control f steering the first two levels (y^0, y^1) to rest
@@ -1092,12 +1058,19 @@ def hum_control(omega: Coefficient, y0, y1, T: float, m: int = 0, *,
     summation-by-parts trace: the kernel's node-1 series, not the wide
     stencil of the public traces).  Parametrizing adjoints by their two
     starting levels makes the left side, at f = W gamma, a symmetric
-    nonnegative form: one homogeneous kernel march (the trace) and one
-    reversed boundary-forced march (the pairing) per application, solved
-    by conjugate gradients.  The resulting control is then verified on
-    the public solvers by superposing the homogeneous evolution of the
-    data with the zero-data forced evolution.
+    nonnegative form S^T W S, solved by preconditioned conjugate
+    gradients on the scheme's closed-form modal solution: there the
+    trace map S is one Chebyshev table of (steps+1) x (resolution-1)
+    floats (1.7 MB at resolution 256, T = 3, Lipschitz baseline), the
+    energy preconditioner is diagonal, and no wave is marched per
+    iteration (the tests check the form against the two marches it
+    replaces).  The control is verified on the public solvers by
+    superposing the homogeneous evolution of the data with the
+    zero-data forced evolution.
     """
+    if m < 0 or int(m) != m:
+        raise ValueError(f"m must be a nonnegative integer, got {m!r}")
+    m = int(m)
     x = np.linspace(0.0, omega.length, resolution + 1)
     dx = x[1] - x[0]
     om_nodes = omega(x)
@@ -1105,83 +1078,34 @@ def hum_control(omega: Coefficient, y0, y1, T: float, m: int = 0, *,
     y1n = _as_nodes(y1, x)
     dt, steps = solver_time_grid(omega, T, resolution, cfl)
     times = np.arange(steps + 1) * dt
-    base_smooth = _smoothing_operator(steps + 1, dt, m)
-
-    def smooth(g: np.ndarray) -> np.ndarray:
-        # the pairing runs over interior time indices only; masking the
-        # ends before and after keeps W symmetric on that subspace
-        g = g.copy()
-        g[0] = g[-1] = 0.0
-        out = np.asarray(base_smooth(g), dtype=float).copy()
-        out[0] = out[-1] = 0.0
-        return out
 
     target_sq = _l2_norm_sq(y0n, dx) + _hminus1_norm_sq(y1n, dx)
     if target_sq == 0.0:
         return ControlResult(
             control=np.zeros(steps + 1), times=times,
-            target_y0=y0n, target_y1=y1n, T=T, m=int(m),
+            target_y0=y0n, target_y1=y1n, T=T, m=m,
             resolution=resolution, iterations=0, converged=True,
             controlled=True, residuals=(),
             flags=("zero target: the zero control suffices",))
 
-    n_nodes = resolution + 1
-    pair_w = om_nodes * dx / dt ** 2
+    modes = _leapfrog_modes(om_nodes, dx, dt, steps)
+    control_of, apply_A = _duality_operator(
+        modes, _smoothing_operator(steps + 1, dt, m), dx, dt)
+    # the energy metric (dx L) (+) (dx omega), diagonal in modal
+    # coordinates, collapses the O(N^2) Euclidean eigenvalue spread of
+    # the level pairing down to the ratio of the observability constants
+    inv_metric = 1.0 / (dx * np.concatenate([modes.mu,
+                                             np.ones_like(modes.mu)]))
 
-    # adjoint unknowns in position/velocity form: level pair
-    # (p, p + dt v).  CG runs preconditioned by the energy metric
-    # M = (dx L) (+) (dx omega) -- H^1_0 on positions, weighted L^2 on
-    # velocities -- which collapses the O(N^2) Euclidean eigenvalue
-    # spread of the raw level pairing down to the ratio of the
-    # observability constants
-    def pack(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-        out = np.concatenate([first, second])
-        out[0] = out[n_nodes - 1] = out[n_nodes] = out[-1] = 0.0
-        return out
-
-    def unpack(w: np.ndarray):
-        return w[:n_nodes], w[n_nodes:]
-
-    rest, no_right = np.zeros(n_nodes), np.zeros(steps + 1)
-
-    def adjoint_trace(w: np.ndarray) -> np.ndarray:
-        p, v = unpack(w)
-        run = _leapfrog(om_nodes, dx, dt, steps, p, p + dt * v)
-        return smooth(run.node1 / dx)
-
-    def apply_A(w: np.ndarray) -> np.ndarray:
-        g = adjoint_trace(w)
-        # backward forced solve: march the reversed signal from rest,
-        # then read the two earliest levels of the unreversed solution
-        w1, w0 = _leapfrog(om_nodes, dx, dt, steps, rest, rest,
-                           boundary=(g[::-1], no_right)).levels
-        # functional on level pairs (f0, f1), pulled back to (p, v)
-        f0 = -pair_w * w1
-        f1 = pair_w * w0
-        return pack(f0 + f1, dt * f1)
-
-    lap_band = np.zeros((2, n_nodes - 2))
-    lap_band[0, 1:] = -1.0 / dx ** 2
-    lap_band[1, :] = 2.0 / dx ** 2
-
-    def precondition(r: np.ndarray) -> np.ndarray:
-        rp, rv = unpack(r)
-        sp = np.zeros(n_nodes)
-        sp[1:-1] = solveh_banded(lap_band, rp[1:-1]) / dx
-        sv = rv / (dx * om_nodes)
-        return pack(sp, sv)
-
-    # the data map (y0, y1) -> first two levels is the public solver's
-    # Taylor start, so the steered discrete state is the one the
-    # verification solve evolves
-    y_level0, y_level1 = _taylor_start(y0n, y1n, om_nodes, dt, dx)
-    b0 = -pair_w * y_level1
-    b1 = pair_w * y_level0
-    b = pack(b0 + b1, dt * b1)
+    # the identity's right side at the public solver's Taylor start
+    # levels (the state the verification evolves), in modal coordinates
+    z0, z1 = (modes.to_modal(level)
+              for level in _taylor_start(y0n, y1n, om_nodes, dt, dx))
+    b = (dx / dt ** 2) * np.concatenate([z0 - z1, dt * z0])
 
     w_sol = np.zeros_like(b)
     r = b.copy()
-    s = precondition(r)
+    s = inv_metric * r
     rho = float(np.dot(r, s))
     res_ref = math.sqrt(max(rho, 1e-300))
     d = s.copy()
@@ -1204,7 +1128,7 @@ def hum_control(omega: Coefficient, y0, y1, T: float, m: int = 0, *,
         alpha = rho / curv
         w_sol = w_sol + alpha * d
         r = r - alpha * Ad
-        s = precondition(r)
+        s = inv_metric * r
         rho_new = float(np.dot(r, s))
         residuals.append(math.sqrt(max(rho_new, 0.0)) / res_ref)
         if residuals[-1] <= stop_at:
@@ -1215,7 +1139,7 @@ def hum_control(omega: Coefficient, y0, y1, T: float, m: int = 0, *,
         rho = rho_new
         d = s + beta * d
 
-    control = adjoint_trace(w_sol)
+    control = control_of(w_sol)
 
     # independent verification: controlled solution = homogeneous part
     # from the target data + zero-data part forced by the control
@@ -1242,8 +1166,7 @@ def hum_control(omega: Coefficient, y0, y1, T: float, m: int = 0, *,
                     else _tapered_sobolev_norm(control, -m, dt))
     return ControlResult(
         control=control, times=times, target_y0=y0n, target_y1=y1n,
-        T=T, m=int(m),
-        resolution=resolution, iterations=iterations,
+        T=T, m=m, resolution=resolution, iterations=iterations,
         converged=converged, controlled=controlled,
         residuals=tuple(residuals),
         terminal_u_l2=float(math.sqrt(terminal_u)),

@@ -12,6 +12,8 @@ block of data columns, each bitwise the single-column run; it computes
 energies, snapshots and slices only on request.  :func:`evolve` and
 :func:`evolve_inhomogeneous` are single-column runs that track energies;
 ``observability`` marches its data as blocks without them.
+``_leapfrog_modes`` solves the homogeneous scheme in closed form instead:
+one table of every mode's Chebyshev evolution, on which HUM's CG runs.
 
 The sidewise solver re-reads the same equation as an evolution in x
 (u_xx = omega u_tt) and marches a time slice across the interval while
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .coeff import Coefficient
 
@@ -396,6 +399,74 @@ def _leapfrog(om, dx, dt, steps, u_start, u_next, *, boundary=None,
         snapshots=snaps,
         slice_record=(None if slice_at is None
                       else (s * dx, series[3], series[4])))
+
+
+@dataclass(frozen=True)
+class _Modes:
+    """The homogeneous scheme solved in closed form on one grid and step.
+
+    With M = diag(omega) and K the Dirichlet Laplacian on the interior
+    nodes, the scheme is u^{n+1} = 2u^n - u^{n-1} - dt^2 M^{-1} K u^n, and
+    M^{-1/2} K M^{-1/2} = Q diag(mu) Q^T decouples it: z = Q^T M^{1/2} u
+    evolves as z^n = U_{n-1}(c) z^1 - U_{n-2}(c) z^0, c = 1 - dt^2 mu/2,
+    with U the Chebyshev polynomials of the second kind.  ``table[n, k]``
+    = U_{n-1}(c_k) = sin(n theta_k)/sin(theta_k), n = 0..steps; U_{n-2}
+    is the row above, with U_{-2} = -1.  Arrays may carry K columns.
+    """
+
+    mu: np.ndarray
+    vectors: np.ndarray
+    root_om: np.ndarray
+    q: np.ndarray           # node 1 reads u_1 = q . z
+    table: np.ndarray
+
+    def to_modal(self, u):
+        """z = Q^T M^{1/2} u."""
+        u = np.asarray(u, dtype=float)[1:-1]
+        return self.vectors.T @ (u.T * self.root_om).T
+
+    def node1(self, z0, z1):
+        """u^n_1, n = 0..steps (``_leapfrog``'s node1), from the modal
+        coordinates of the first two levels."""
+        b = (np.asarray(z0).T * self.q).T
+        both = np.tensordot(self.table, np.stack(
+            [(np.asarray(z1).T * self.q).T, b], axis=-1), 1)
+        out = both[..., 0]
+        out[1:] -= both[:-1, ..., 1]
+        out[0] += b.sum(axis=0)
+        return out
+
+    def node1_adjoint(self, g):
+        """(a0, a1) with sum_n g[n] node1(z0, z1)[n] = a0 . z0 + a1 . z1."""
+        g = np.asarray(g, dtype=float)
+        ahead = np.zeros_like(g)
+        ahead[:-1] = g[1:]
+        both = np.tensordot(np.stack([g, ahead]), self.table, (1, 0)).T
+        a0, a1 = g[0] - both[..., 1], both[..., 0]
+        return (a0.T * self.q).T, (a1.T * self.q).T
+
+
+def _leapfrog_modes(om, dx, dt, steps) -> _Modes:
+    """Eigenpairs of the scheme and its one (steps+1) x (nodes-2) table.
+
+    theta = 2 arcsin(dt sqrt(mu) / 2) is arccos(c) without its
+    cancellation near c = 1; the scheme is stable only while every c > -1.
+    """
+    root_om = np.sqrt(om[1:-1])
+    mu, vectors = eigh_tridiagonal(
+        2.0 / (dx ** 2 * om[1:-1]),
+        -1.0 / (dx ** 2 * root_om[:-1] * root_om[1:]))
+    half = 0.5 * dt * np.sqrt(np.maximum(mu, 0.0))
+    if half.max() >= 1.0:
+        raise ValueError("time step beyond the scheme's stability limit "
+                         "(a modal cosine 1 - dt^2 mu / 2 is <= -1)")
+    theta = 2.0 * np.arcsin(half)
+    table = np.empty((steps + 1, len(mu)))
+    np.multiply.outer(np.arange(steps + 1), theta, out=table)
+    np.sin(table, out=table)
+    table /= np.sin(theta)
+    return _Modes(mu=mu, vectors=vectors, root_om=root_om,
+                  q=vectors[0] / root_om[0], table=table)
 
 
 def _as_samples(f: Union[Callable, np.ndarray, None], x: np.ndarray):

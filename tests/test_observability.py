@@ -188,6 +188,116 @@ def test_hum_dual_norm_control():
     assert res.control_norm < res.control_l2
 
 
+@pytest.fixture
+def marches(monkeypatch):
+    """Kind of every leapfrog kernel run, wherever it is called from."""
+    calls = []
+    kernel = ws._leapfrog
+
+    def counted(*args, **kwargs):
+        forced = kwargs.get("boundary") is not None
+        calls.append("forced" if forced else "homogeneous")
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(ws, "_leapfrog", counted)
+    monkeypatch.setattr(ob, "_leapfrog", counted)
+    return calls
+
+
+class TestHumOperator:
+    """HUM's modal duality operator against the two-march construction
+    it replaced, input validation, and its march count."""
+
+    @staticmethod
+    def two_march_operator(om, dx, dt, steps, smooth):
+        """Forward leapfrog trace, then the reversed boundary-forced march
+        whose two earliest levels pair against the adjoint's levels."""
+        pair_w = om * dx / dt ** 2
+        rest, no_right = np.zeros(len(om)), np.zeros(steps + 1)
+
+        def apply(p, v):
+            g = smooth(ws._leapfrog(om, dx, dt, steps, p, p + dt * v).node1
+                       / dx)
+            w1, w0 = ws._leapfrog(om, dx, dt, steps, rest, rest,
+                                  boundary=(g[::-1], no_right)).levels
+            f0, f1 = -pair_w * w1, pair_w * w0
+            return f0 + f1, dt * f1
+
+        return apply
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_duality_identity(self, m):
+        om_c = coeff.make_baseline("lipschitz")
+        res = 64
+        x = np.linspace(0.0, 1.0, res + 1)
+        om, dx = om_c(x), x[1] - x[0]
+        dt, steps = ws.solver_time_grid(om_c, 3.0, res)
+        smooth = ob._smoothing_operator(steps + 1, dt, m)
+        marched = self.two_march_operator(om, dx, dt, steps, smooth)
+        modes = ws._leapfrog_modes(om, dx, dt, steps)
+        _, modal = ob._duality_operator(modes, smooth, dx, dt)
+        rng = np.random.default_rng(m)
+        for _ in range(3):
+            p, v = np.zeros((2, res + 1))
+            p[1:-1], v[1:-1] = rng.standard_normal((2, res - 1))
+            got = modal(np.concatenate([modes.to_modal(p),
+                                        modes.to_modal(v)]))
+            # the marched functional on nodal (p, v), pulled back by
+            # Q^T M^{-1/2} to the modal coordinates z = Q^T M^{1/2} u
+            ref = np.concatenate([
+                modes.vectors.T @ (f[1:-1] / modes.root_om)
+                for f in marched(p, v)])
+            assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("m", [0.5, -1])
+    def test_rejects_non_integer_order(self, m):
+        x = np.linspace(0.0, 1.0, 65)
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            ob.hum_control(coeff.make_baseline("lipschitz"), np.sin(
+                math.pi * x), np.zeros_like(x), T=3.0, m=m, resolution=64)
+
+    def test_numpy_integer_order(self):
+        x = np.linspace(0.0, 1.0, 65)
+        res = ob.hum_control(coeff.make_baseline("lipschitz"),
+                             np.sin(math.pi * x), np.zeros_like(x), T=3.0,
+                             m=np.int64(1), resolution=64)
+        assert res.m == 1 and type(res.m) is int
+
+    def test_no_march_inside_cg(self, marches):
+        # only the two verification solves march; the CG runs on the table
+        om = coeff.make_baseline("lipschitz")
+        x = np.linspace(0.0, 1.0, 129)
+        res = ob.hum_control(om, np.sin(math.pi * x), np.zeros_like(x),
+                             T=3.0, resolution=128)
+        assert res.converged and res.iterations > 2
+        assert sorted(marches) == ["forced", "homogeneous"]
+
+
+class TestCutoffGuard:
+    """cutoff <= resolution // 2, checked before any march."""
+
+    def test_gramian(self, marches):
+        om = coeff.make_baseline("lipschitz")
+        with pytest.raises(ValueError, match="group velocity"):
+            ob.gramian_observability_constant(om, 3.0, 33, resolution=64)
+        assert marches == []
+        out = ob.gramian_observability_constant(om, 3.0, 32, resolution=64)
+        assert out["cutoff"] == 32 and marches == ["homogeneous"]
+
+    def test_ensemble(self, marches):
+        om = coeff.make_baseline("lipschitz")
+        kw = dict(n_random=1, resolution=64)
+        with pytest.raises(ValueError, match="group velocity"):
+            ob.estimate_observability_constant(om, 3.0, (8, 33), **kw)
+        with pytest.raises(ValueError, match="group velocity"):
+            ob.estimate_observability_constant(
+                om, 3.0, (8,), cross_check=True, cross_check_cutoff=33,
+                cross_check_resolution=64, **kw)
+        assert marches == []
+        rep = ob.estimate_observability_constant(om, 3.0, (8, 32), **kw)
+        assert rep.cutoffs == (8, 32) and marches == ["homogeneous"]
+
+
 def test_lambda_divergence_sweep():
     # the benchmark's divergence call: the closed-form numerators along
     # the concentrating lambda family, Q_0 growing more than 2x per step

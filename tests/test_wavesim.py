@@ -241,6 +241,46 @@ class TestInhomogeneous:
             ws.evolve_inhomogeneous(om1, fc, 1.0, 128)
 
 
+class TestModes:
+    """The closed-form modal solution against the marching kernel."""
+
+    @staticmethod
+    def grid(kind, res, T=3.0):
+        omega = make_baseline(kind)
+        x = np.linspace(0.0, 1.0, res + 1)
+        dt, steps = ws.solver_time_grid(omega, T, res)
+        return omega(x), x[1] - x[0], dt, steps
+
+    @pytest.mark.parametrize("kind", ["lipschitz", "log-lipschitz"])
+    @pytest.mark.parametrize("res", [64, 256])
+    def test_node1_matches_leapfrog(self, kind, res):
+        om, dx, dt, steps = self.grid(kind, res)
+        rng = np.random.default_rng(res)
+        p, v = rng.standard_normal((2, res + 1, 4))
+        p[0] = p[-1] = v[0] = v[-1] = 0.0
+        ref = ws._leapfrog(om, dx, dt, steps, p, p + dt * v).node1
+        modes = ws._leapfrog_modes(om, dx, dt, steps)
+        got = modes.node1(modes.to_modal(p), modes.to_modal(p + dt * v))
+        assert got.shape == ref.shape == (steps + 1, 4)
+        assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+    def test_adjoint_pairing(self):
+        om, dx, dt, steps = self.grid("lipschitz", 64)
+        modes = ws._leapfrog_modes(om, dx, dt, steps)
+        rng = np.random.default_rng(2)
+        g = rng.standard_normal((steps + 1, 3))
+        z0, z1 = rng.standard_normal((2, 63, 3))
+        a0, a1 = modes.node1_adjoint(g)
+        lhs = np.sum(g * modes.node1(z0, z1), axis=0)
+        rhs = np.sum(a0 * z0 + a1 * z1, axis=0)
+        assert np.allclose(lhs, rhs, rtol=1e-12, atol=0)
+
+    def test_stability_limit(self):
+        om, dx, _, _ = self.grid("lipschitz", 64)
+        with pytest.raises(ValueError, match="stability"):
+            ws._leapfrog_modes(om, dx, 2.0 * dx * math.sqrt(om.max()), 10)
+
+
 class TestSidewise:
     def test_dalembert_exact(self, om1):
         T, res = 3.0, 512

@@ -27,10 +27,12 @@ family of concentrating modes.  This module measures both sides:
   terminal state it reaches.
 
 Wave solves run on the leapfrog kernel of :mod:`wavesim` without energy
-tracking: each ensemble, Gramian basis or corrector set is one block
-march.  HUM's conjugate gradients march nothing: they run on the
-scheme's closed-form modal solution (one Chebyshev table), and only its
-verification solve marches, on the public solvers.
+tracking: each ensemble or Gramian basis is one block march, and the
+divergence sweep's boundary corrector is one single-column unit-impulse
+march per edge pattern, convolved with every forcing by FFT.  HUM's
+conjugate gradients march nothing: they run on the scheme's closed-form
+modal solution (one Chebyshev table), and only its verification solve
+marches, on the public solvers.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.fft import dst
 from scipy.linalg import eigh, solveh_banded
 
 from .coeff import (
@@ -311,14 +312,12 @@ def observability_quotient(omega: Coefficient, u0, u1, T: float, m: int = 0,
 def _sine_mixture(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """sum_k coeffs[k-1] sin(k pi x) on the uniform grid, exactly.
 
-    Uses the DST-I identity dst(a, type=1)[i-1] = 2 sum_k a_k
-    sin(pi k i / N) for interior nodes of a uniform N-panel grid.
+    At the interior nodes x_i = i / N of a uniform N-panel grid the sum
+    is -Im of bin i of the length-2N DFT of (0, coeffs[0], coeffs[1], ...).
     """
     n = len(x) - 1
-    a = np.zeros(n - 1)
-    a[:len(coeffs)] = coeffs
     out = np.zeros(len(x))
-    out[1:-1] = 0.5 * dst(a, type=1)
+    out[1:-1] = -np.fft.rfft(np.append(0.0, coeffs), 2 * n)[1:n].imag
     return out
 
 
@@ -682,9 +681,10 @@ class DivergenceTable:
     """Q_m along the concentrating family, with growth bookkeeping.
 
     One row per family index j; ``growth_factors[m]`` lists the ratios of
-    consecutive quotients.  ``truncated_at`` marks the first j the sweep
-    could not reach (scale guard or unresolvable wave grid) with the
-    reason recorded.
+    consecutive quotients (see :func:`_growth_factor`: ``nan`` where the
+    earlier row is floored, so such a pair never counts as growth).
+    ``truncated_at`` marks the first j the sweep could not reach (scale
+    guard or unresolvable wave grid) with the reason recorded.
     """
 
     family: str
@@ -699,7 +699,8 @@ class DivergenceTable:
 
     def diverging(self, m: int, factor: float = 10.0,
                   runs: int = 3) -> bool:
-        """True when >= ``runs`` consecutive growth factors reach ``factor``."""
+        """True when ``runs`` consecutive rows each grow by ``factor``:
+        ``runs - 1`` consecutive growth factors all reach ``factor``."""
         fs = self.growth_factors.get(m, ())
         if len(fs) < runs - 1:
             return False
@@ -737,38 +738,80 @@ class DivergenceTable:
         return tuple(header), tuple(out)
 
 
+def _impulse_convolution(impulse_trace: np.ndarray,
+                         signals: np.ndarray) -> np.ndarray:
+    """Traces of zero-data solves forced by ``signals`` (rows) at the
+    edges of one unit-impulse march whose trace is ``impulse_trace``.
+
+    The scheme is linear and shift-invariant in its edge data, and the
+    first two levels are data, so level 0's edge value enters no stencil
+    and reaches only its own trace (discrete Duhamel principle):
+    tr[n] = sum_{k=1..n} H[n-k+1] g[k] for n >= 1 and
+    tr[0] = H[1] g[0], with H the trace of the march forced by
+    delta_{n,1}.  H[1] is the stencil's feed-through of the edge value.
+    The sums are FFT products zero-padded to a power of two >= 2 (steps+1),
+    so no term wraps around.
+    """
+    levels = len(impulse_trace)
+    size = 1 << (2 * levels - 1).bit_length()
+    later = np.array(signals, dtype=float)
+    later[:, 0] = 0.0
+    out = np.fft.irfft(np.fft.rfft(impulse_trace[1:], size)
+                       * np.fft.rfft(later, size), size)[:, :levels]
+    out[:, 0] = impulse_trace[1] * signals[:, 0]
+    return out
+
+
 def _corrector_traces(density: Coefficient, h: float, T: float,
                       resolution: int, cfl: float, same_edge: bool):
     """Unit-amplitude boundary-corrector solves for e^{iht} edge data.
 
     Returns (times, dict) with the left-end normal-derivative traces of
     the zero-data solves forced by cos(ht)/sin(ht).  ``same_edge`` means
-    both endpoints carry the same unit forcing (one solve per phase);
-    otherwise left-only and right-only solves are returned separately.
-    All 2 or 4 forcings run as the columns of one march, without energy
-    tracking; each phase keeps the flags of its forcings.
+    both endpoints carry the same unit forcing (one trace per phase);
+    otherwise left-only and right-only traces are returned separately.
+    Each phase keeps the flags of its forcings.
+
+    No forcing is marched: each edge pattern (both ends, or left and
+    right apart) gets one single-column march of a unit impulse at level
+    1, without energy tracking, and every phase's trace is its causal
+    convolution with that march's trace (:func:`_impulse_convolution`).
+    A same-edge row makes one march, a split row two.
     """
     x, om = _space_grid(density, resolution)
     dt, steps = solver_time_grid(density, T, resolution, cfl)
     times = np.arange(steps + 1) * dt
-    zero = np.zeros_like(times)
-    cols = []       # (phase, key, forcing)
-    for name, sig in (("cos", np.cos(h * times)), ("sin", np.sin(h * times))):
-        sides = ({"both": (sig, sig)} if same_edge
-                 else {"left": (sig, zero), "right": (zero, sig)})
-        cols += [(name, key, BoundaryForcing(times, f, g, "analytic"))
-                 for key, (f, g) in sides.items()]
-    rest = np.zeros((len(x), len(cols)))
-    run = _leapfrog(om, x[1] - x[0], dt, steps, rest, rest, boundary=(
-        np.stack([c[2].left for c in cols], axis=1),
-        np.stack([c[2].right for c in cols], axis=1)))
-    out = {}
-    for (name, key, forcing), trace in zip(
-            cols, np.ascontiguousarray(run.trace_left.T)):
-        entry = out.setdefault(name, {"flags": ()})
-        entry[key] = trace
-        entry["flags"] += _forcing_flags(forcing)
+    phases = {"cos": np.cos(h * times), "sin": np.sin(h * times)}
+    signals = np.stack(list(phases.values()))
+    impulse = np.zeros_like(times)
+    impulse[1] = 1.0
+    rest = np.zeros(len(x))
+    edges = ({"both": (1.0, 1.0)} if same_edge
+             else {"left": (1.0, 0.0), "right": (0.0, 1.0)})
+    out = {name: {"flags": ()} for name in phases}
+    for key, (on_left, on_right) in edges.items():
+        run = _leapfrog(om, x[1] - x[0], dt, steps, rest, rest, boundary=(
+            on_left * impulse, on_right * impulse))
+        traces = _impulse_convolution(run.trace_left, signals)
+        for (name, sig), trace in zip(phases.items(), traces):
+            out[name][key] = trace
+            out[name]["flags"] += _forcing_flags(BoundaryForcing(
+                times, on_left * sig, on_right * sig, "analytic"))
     return times, out
+
+
+def _growth_factor(a: float, b: float) -> float:
+    """Growth from quotient ``a`` to the next row's ``b``.
+
+    b / a when both are finite and a > 0; inf when a is finite and
+    positive and b is floored (inf); nan otherwise: a floored or
+    non-positive earlier row says nothing about growth.
+    """
+    if not (math.isfinite(a) and a > 0):
+        return math.nan
+    if b == math.inf:
+        return math.inf
+    return b / a if math.isfinite(b) else math.nan
 
 
 def run_counterexample_sweep(
@@ -788,7 +831,9 @@ def run_counterexample_sweep(
     -phi(edge) e^{i h t} restores them, so u = v + z is an exact-datum
     solution whose boundary flux is tiny while its energy stays of size
     ~ 1/h.  The cosine and sine phases are run as two real solutions and
-    quotients aggregate by max over the two.
+    quotients aggregate by max over the two.  The corrector's traces come
+    from one unit-impulse march per edge pattern and an FFT convolution
+    per phase (:func:`_corrector_traces`), not from marching each forcing.
 
     ``family`` 'lambda' activates one marked interval per j (closed-form
     numerators, machine-exact edge states); 'psi' uses the full density
@@ -796,6 +841,10 @@ def run_counterexample_sweep(
     resolve every tabulated interval at once — at the default resolution
     cap that reaches j in {2, 3}).  Rows that the scale guard or the
     wave grid cannot reach truncate the table with the reason recorded.
+
+    ``growth_factors`` follow :func:`_growth_factor`: a row whose
+    denominator sits under the trace noise floor has Q = inf, and the
+    factor out of it is nan, so it never counts toward ``diverging``.
     """
     if family not in ("lambda", "psi"):
         raise ValueError("family must be 'lambda' or 'psi'")
@@ -950,11 +999,7 @@ def run_counterexample_sweep(
     growth = {}
     for m in m_list:
         qs = [r["Q"][m] for r in rows]
-        fs = []
-        for a, b in zip(qs, qs[1:]):
-            fs.append(b / a if a > 0 and math.isfinite(a)
-                      and math.isfinite(b) else math.inf)
-        growth[m] = tuple(fs)
+        growth[m] = tuple(_growth_factor(a, b) for a, b in zip(qs, qs[1:]))
     return DivergenceTable(
         family=family, mode=mode, T=float(T), m_list=m_list,
         rows=tuple(rows), growth_factors=growth,

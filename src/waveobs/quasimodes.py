@@ -48,7 +48,6 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .coeff import (
     DEFAULT_KNOTS,
@@ -935,6 +934,10 @@ def _solve_generic(omega, h, m, r, xs, rtol, check_budget,
     if reverse_check:
         est = 16.0 * h * (1.0 - m)
         if est <= check_budget:
+            # imported here: with what it pulls in, scipy.integrate
+            # takes 0.3-0.4 s to import, and this check is its only use
+            from scipy.integrate import solve_ivp
+
             def rhs(x, y):
                 return (y[1], -h * h * float(omega(x)) * y[0])
 

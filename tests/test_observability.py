@@ -1,8 +1,13 @@
 """Observability tests: the batched leapfrog kernel against a plain
 recurrence, quotients against d'Alembert, the ensemble/Gramian ordering,
-HUM reaching rest, and the package import surface."""
+HUM reaching rest, the impulse-response corrector against the forced
+march, the divergence bookkeeping, and the package import surface."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,6 +314,148 @@ def test_lambda_divergence_sweep():
     q0 = [r["Q"][0] for r in table.rows]
     assert q0[1] > 2.0 * q0[0]
     assert table.diverging(0, factor=2.0, runs=2)
+
+
+def forced_corrector_traces(density, h, T, resolution, cfl, same_edge):
+    """The direct construction: every phase's forcing marched as one
+    column of a (nodes x 2 or 4) block."""
+    x, om = ws._space_grid(density, resolution)
+    dt, steps = ws.solver_time_grid(density, T, resolution, cfl)
+    times = np.arange(steps + 1) * dt
+    zero = np.zeros_like(times)
+    cols = []
+    for name, sig in (("cos", np.cos(h * times)), ("sin", np.sin(h * times))):
+        sides = ({"both": (sig, sig)} if same_edge
+                 else {"left": (sig, zero), "right": (zero, sig)})
+        cols += [(name, key, f, g) for key, (f, g) in sides.items()]
+    rest = np.zeros((len(x), len(cols)))
+    run = ws._leapfrog(om, x[1] - x[0], dt, steps, rest, rest, boundary=(
+        np.stack([c[2] for c in cols], axis=1),
+        np.stack([c[3] for c in cols], axis=1)))
+    out = {}
+    for (name, key, _, _), trace in zip(cols, run.trace_left.T):
+        out.setdefault(name, {})[key] = trace
+    return times, out
+
+
+def assert_close(got, ref, rtol=1e-12):
+    assert np.max(np.abs(got - ref)) <= rtol * np.max(np.abs(ref))
+
+
+class TestCorrector:
+    """Impulse-response corrector traces against the forced block march."""
+
+    @pytest.fixture(scope="class")
+    def lam(self):
+        params = coeff.make_sequences(mode="concentrating",
+                                      j_range=range(2, 4), n0=30)
+        dens = coeff.make_counterexample_density(params.restrict(2),
+                                                 family="lambda")[0]
+        return dens, params.entry(2).h, 2.0 * coeff.travel_time(dens) + 0.5
+
+    @pytest.mark.parametrize("resolution", [256, 1024])
+    @pytest.mark.parametrize("same_edge", [True, False])
+    def test_matches_forced_march(self, lam, resolution, same_edge):
+        dens, h, T = lam
+        times, got = ob._corrector_traces(dens, h, T, resolution, 0.9,
+                                          same_edge)
+        ref_times, ref = forced_corrector_traces(dens, h, T, resolution,
+                                                 0.9, same_edge)
+        assert np.array_equal(times, ref_times)
+        keys = ["both"] if same_edge else ["left", "right"]
+        for name in ("cos", "sin"):
+            assert sorted(k for k in got[name] if k != "flags") == keys
+            for key in keys:
+                assert_close(got[name][key], ref[name][key])
+            assert got[name]["flags"] == (
+                "forcing incompatible with zero initial data; "
+                "boundary jump applied at the first level",) * len(keys)
+
+    def test_random_edge_signal(self):
+        # nonzero g[0] and g[1] exercise the feed-through of level 0 and
+        # the first forced level
+        om_c = coeff.make_baseline("lipschitz")
+        res = 64
+        x = np.linspace(0.0, 1.0, res + 1)
+        om, dx = om_c(x), x[1] - x[0]
+        dt, steps = ws.solver_time_grid(om_c, 3.0, res)
+        rng = np.random.default_rng(7)
+        g = rng.standard_normal((2, steps + 1))
+        rest, zero = np.zeros(res + 1), np.zeros(steps + 1)
+        impulse = np.zeros(steps + 1)
+        impulse[1] = 1.0
+        # the left trace sees a left edge value at once, a right one never
+        for left, feed_through in ((True, -11.0 / (6.0 * dx)), (False, 0.0)):
+            h_run = ws._leapfrog(om, dx, dt, steps, rest, rest, boundary=(
+                impulse if left else zero, zero if left else impulse))
+            assert h_run.trace_left[1] == pytest.approx(feed_through)
+            got = ob._impulse_convolution(h_run.trace_left, g)
+            for row, sig in zip(got, g):
+                ref = ws._leapfrog(om, dx, dt, steps, rest, rest, boundary=(
+                    sig if left else zero, zero if left else sig))
+                assert_close(row, ref.trace_left)
+
+    @pytest.mark.parametrize("same_edge, count", [(True, 1), (False, 2)])
+    def test_single_column_marches(self, lam, monkeypatch, same_edge,
+                                   count):
+        shapes = []
+        kernel = ws._leapfrog
+
+        def counted(om, dx, dt, steps, u_start, u_next, **kwargs):
+            shapes.append(np.shape(u_start))
+            return kernel(om, dx, dt, steps, u_start, u_next, **kwargs)
+
+        monkeypatch.setattr(ob, "_leapfrog", counted)
+        dens, h, T = lam
+        ob._corrector_traces(dens, h, T, 256, 0.9, same_edge)
+        assert shapes == [(257,)] * count
+
+
+class TestGrowth:
+    @pytest.mark.parametrize("a, b", [(math.inf, 1.0), (0.0, 1.0)])
+    def test_floored_row_is_not_growth(self, a, b):
+        assert math.isnan(ob._growth_factor(a, b))
+
+    def test_rules(self):
+        assert ob._growth_factor(2.0, 6.0) == 3.0
+        assert ob._growth_factor(2.0, math.inf) == math.inf
+
+    def test_floored_row_does_not_diverge(self):
+        def table(factors):
+            return ob.DivergenceTable(
+                family="lambda", mode="concentrating", T=1.0, m_list=(0,),
+                rows=(), growth_factors={0: tuple(factors)})
+
+        qs = (math.inf, 1.0, 20.0)
+        floored = table(ob._growth_factor(a, b) for a, b in zip(qs, qs[1:]))
+        assert not floored.diverging(0, factor=10.0, runs=3)
+        # runs counts rows: three rows give two factors
+        assert table((12.0, 15.0)).diverging(0, factor=10.0, runs=3)
+        assert not table((12.0,)).diverging(0, factor=10.0, runs=3)
+
+
+def test_sine_mixture_explicit_sum():
+    res, cutoff = 64, 32
+    x = np.linspace(0.0, 1.0, res + 1)
+    coeffs = np.random.default_rng(5).standard_normal(cutoff)
+    ref = sum(c * np.sin((k + 1) * math.pi * x) for k, c in enumerate(coeffs))
+    got = ob._sine_mixture(x, coeffs)
+    assert got[0] == got[-1] == 0.0
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_import_leaves_out_fft_and_integrate():
+    src = str(Path(ob.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, waveobs.observability; "
+            "print(sorted(m for m in ('scipy.fft', 'scipy.integrate') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_star_import():

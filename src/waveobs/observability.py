@@ -28,11 +28,11 @@ family of concentrating modes.  This module measures both sides:
 
 Wave solves run on the leapfrog kernel of :mod:`wavesim` without energy
 tracking: each ensemble or Gramian basis is one block march, and the
-divergence sweep's boundary corrector is one single-column unit-impulse
-march per edge pattern, convolved with every forcing by FFT.  HUM's
-conjugate gradients march nothing: they run on the scheme's closed-form
-modal solution (one Chebyshev table), and only its verification solve
-marches, on the public solvers.
+divergence sweep's boundary corrector is one single-column march per row
+of a unit impulse weighted by the row's edge values, convolved with both
+phases of e^{iht} by FFT.  HUM's conjugate gradients march nothing: they
+run on the scheme's closed-form modal solution (one Chebyshev table), and
+only its verification solve marches, on the public solvers.
 """
 
 from __future__ import annotations
@@ -49,13 +49,17 @@ from .coeff import (
     CounterexampleParams,
     FOUR_PI_SQ,
     TWO_PI,
-    _composite_gauss,
-    make_counterexample_density,
     make_sequences,
     travel_time,
 )
 from .modulus import difference_seminorms
-from .quasimodes import ScaleOutOfReach, solve_quasimode
+from .quasimodes import (
+    ScaleOutOfReach,
+    _family_members,
+    _family_rows,
+    _interval_integral,
+    solve_quasimode,
+)
 from .wavesim import (
     BoundaryForcing,
     _forcing_flags,
@@ -374,6 +378,20 @@ def _ensemble_data(x: np.ndarray, omega_nodes: np.ndarray, cutoff: int,
     return out
 
 
+def _growth_factor(a: float, b: float) -> float:
+    """Growth from a quotient or constant ``a`` to the next one, ``b``.
+
+    b / a when both are finite and a > 0; inf when a is finite and
+    positive and b is floored (inf); nan otherwise: a floored or
+    non-positive earlier row says nothing about growth.
+    """
+    if not (math.isfinite(a) and a > 0):
+        return math.nan
+    if b == math.inf:
+        return math.inf
+    return b / a if math.isfinite(b) else math.nan
+
+
 @dataclass(frozen=True)
 class ObservabilityReport:
     """Ensemble estimate of the observability constant per cutoff.
@@ -381,7 +399,9 @@ class ObservabilityReport:
     ``constants`` maps each frequency cutoff to the max quotient over its
     ensemble; ``rows`` keeps every candidate.  ``growth_factors`` are the
     successive ratios of the constants (a bounded-observability density
-    shows flat factors; a trapping one grows without saturating).
+    shows flat factors; a trapping one grows without saturating), and
+    ``overall_growth`` the last over the first, both by
+    :func:`_growth_factor` (nan out of a floored constant).
     ``loss`` holds the loss diagnostics when a scan was requested: the
     smallest derivative order m (or exponent beta) whose quotients stay
     bounded across the whole ensemble.
@@ -407,11 +427,8 @@ class ObservabilityReport:
 
     @property
     def overall_growth(self) -> float:
-        first = self.constants[self.cutoffs[0]]
-        last = self.constants[self.cutoffs[-1]]
-        if not (math.isfinite(first) and math.isfinite(last)) or first == 0:
-            return math.inf
-        return last / first
+        return _growth_factor(self.constants[self.cutoffs[0]],
+                              self.constants[self.cutoffs[-1]])
 
     def to_summary(self) -> dict:
         return {
@@ -429,13 +446,6 @@ class ObservabilityReport:
             "loss": self.loss,
             "rows": [dict(r) for r in self.rows],
         }
-
-    def to_csv_rows(self):
-        header = ("cutoff", "label", "quotient", "numerator", "denominator",
-                  "unbounded")
-        rows = [(r["cutoff"], r["label"], r["quotient"], r["numerator"],
-                 r["denominator"], r["unbounded"]) for r in self.rows]
-        return header, rows
 
 
 def _check_cutoff(cutoff: int, resolution: int) -> None:
@@ -516,11 +526,9 @@ def estimate_observability_constant(
             if sq.unbounded:
                 loss_bounded[(kind, val)] = False
         rows.append(row)
-    factors = []
     cuts = tuple(cutoffs)
-    for lo, hi in zip(cuts, cuts[1:]):
-        a, b = constants[lo], constants[hi]
-        factors.append(b / a if a > 0 and math.isfinite(b) else math.inf)
+    factors = [_growth_factor(constants[lo], constants[hi])
+               for lo, hi in zip(cuts, cuts[1:])]
     loss = None
     if loss_m or loss_beta:
         bounded_m = sorted(k for k in loss_m if loss_bounded[("m", k)])
@@ -614,20 +622,17 @@ def _lambda_numerator(pair, h: float, n: int, m: float, r: float,
                       interior_mass: float) -> dict:
     """Closed-form H^1_0 and L^2 energies of (phi/h, phi) data.
 
-    Inside the marked interval phi(x) = w(h(x-m)) with w' telescoping by
-    e^{-eps} per period, so both integrals reduce to one-period integrals
-    times geometric sums.  On the flat tails phi is the exact rotation
-    launched from the edge state (+e^{-eps n/2}, 0), whose phase reduces
-    exactly because h is an integer and the edge distances are dyadic.
+    Inside the marked interval phi(x) = w(h(x-m)) and
+    (phi/h)'(x) = w'(h(x-m)), so both energies are one-period integrals
+    times a geometric sum (:func:`quasimodes._interval_integral`; the
+    L^2 one is the solve's ``interior_mass``).  On the flat tails phi is
+    the exact rotation launched from the edge state (+e^{-eps n/2}, 0),
+    whose phase reduces exactly because h is an integer and the edge
+    distances are dyadic.
     """
-    eps = pair.eps
-    j2 = _composite_gauss(lambda s: pair.w_prime(s) ** 2)
-    if eps * n > 600.0:
-        raise ScaleOutOfReach("interior energy underflows double precision")
-    geom = (1.0 - math.exp(-eps * n)) / (1.0 - math.exp(-2.0 * eps))
-    h1_interior = (2.0 * j2 / h) * geom
-
-    a_sq = math.exp(-eps * n)          # squared edge amplitude
+    h1_interior = _interval_integral(pair, h, n,
+                                     lambda s: pair.w_prime(s) ** 2)
+    a_sq = math.exp(-pair.eps * n)     # squared edge amplitude
     d_left = m - r / 2.0
     d_right = 1.0 - (m + r / 2.0)
     tails_l2 = 0.0
@@ -643,7 +648,6 @@ def _lambda_numerator(pair, h: float, n: int, m: float, r: float,
     return {
         "h1": h1_interior + tails_h1,
         "l2": interior_mass + tails_l2,
-        "j2": j2,
         "route": "closed-form",
     }
 
@@ -661,7 +665,6 @@ def _quadrature_numerator(mode_result) -> dict:
     return {
         "h1": float(np.trapezoid(dphi * dphi, dx=dx)),
         "l2": float(np.trapezoid(phi * phi, dx=dx)),
-        "j2": None,
         "route": "quadrature",
     }
 
@@ -683,8 +686,9 @@ class DivergenceTable:
     One row per family index j; ``growth_factors[m]`` lists the ratios of
     consecutive quotients (see :func:`_growth_factor`: ``nan`` where the
     earlier row is floored, so such a pair never counts as growth).
-    ``truncated_at`` marks the first j the sweep could not reach (scale
-    guard or unresolvable wave grid) with the reason recorded.
+    ``truncated_at`` marks the first j the sweep could not reach
+    (unbuildable density, scale guard or unresolvable wave grid) with
+    the reason recorded.
     """
 
     family: str
@@ -722,21 +726,6 @@ class DivergenceTable:
             "params": self.params_descriptor,
         }
 
-    def to_csv_rows(self):
-        base = ["j", "h", "eps", "n", "resolution", "T", "numerator_h1",
-                "numerator_l2", "numerator_times_h", "boundary_smallness",
-                "smallness_log", "seminorm_LL", "numerator_route"]
-        header = list(base)
-        for m in self.m_list:
-            header += [f"Q_{m}", f"den_{m}", f"den_bound_ratio_{m}"]
-        out = []
-        for r in self.rows:
-            row = [r[k] for k in base]
-            for m in self.m_list:
-                row += [r["Q"][m], r["den"][m], r["den_bound_ratio"][m]]
-            out.append(tuple(row))
-        return tuple(header), tuple(out)
-
 
 def _impulse_convolution(impulse_trace: np.ndarray,
                          signals: np.ndarray) -> np.ndarray:
@@ -763,55 +752,36 @@ def _impulse_convolution(impulse_trace: np.ndarray,
 
 
 def _corrector_traces(density: Coefficient, h: float, T: float,
-                      resolution: int, cfl: float, same_edge: bool):
-    """Unit-amplitude boundary-corrector solves for e^{iht} edge data.
+                      resolution: int, cfl: float, edges: tuple):
+    """Boundary-corrector traces for the edge data ``edges`` e^{iht}.
 
-    Returns (times, dict) with the left-end normal-derivative traces of
-    the zero-data solves forced by cos(ht)/sin(ht).  ``same_edge`` means
-    both endpoints carry the same unit forcing (one trace per phase);
-    otherwise left-only and right-only traces are returned separately.
-    Each phase keeps the flags of its forcings.
+    Returns (times, traces, flags): ``traces`` maps 'cos' and 'sin' to
+    the left-end normal-derivative trace of the zero-data solve whose
+    Dirichlet data are edges[0] (x = 0) and edges[1] (x = 1) times
+    cos(ht) or sin(ht); ``flags`` are the cosine forcing's.
 
-    No forcing is marched: each edge pattern (both ends, or left and
-    right apart) gets one single-column march of a unit impulse at level
-    1, without energy tracking, and every phase's trace is its causal
-    convolution with that march's trace (:func:`_impulse_convolution`).
-    A same-edge row makes one march, a split row two.
+    No forcing is marched.  The solve is linear in its edge data, so one
+    single-column march of a unit impulse at level 1, weighted by
+    ``edges`` and without energy tracking, serves both phases: each
+    phase's trace is its causal convolution with that march's trace
+    (:func:`_impulse_convolution`).  Every row makes one march, whatever
+    its edge values.
     """
     x, om = _space_grid(density, resolution)
     dt, steps = solver_time_grid(density, T, resolution, cfl)
     times = np.arange(steps + 1) * dt
-    phases = {"cos": np.cos(h * times), "sin": np.sin(h * times)}
-    signals = np.stack(list(phases.values()))
+    signals = np.stack([np.cos(h * times), np.sin(h * times)])
     impulse = np.zeros_like(times)
     impulse[1] = 1.0
     rest = np.zeros(len(x))
-    edges = ({"both": (1.0, 1.0)} if same_edge
-             else {"left": (1.0, 0.0), "right": (0.0, 1.0)})
-    out = {name: {"flags": ()} for name in phases}
-    for key, (on_left, on_right) in edges.items():
-        run = _leapfrog(om, x[1] - x[0], dt, steps, rest, rest, boundary=(
-            on_left * impulse, on_right * impulse))
-        traces = _impulse_convolution(run.trace_left, signals)
-        for (name, sig), trace in zip(phases.items(), traces):
-            out[name][key] = trace
-            out[name]["flags"] += _forcing_flags(BoundaryForcing(
-                times, on_left * sig, on_right * sig, "analytic"))
-    return times, out
-
-
-def _growth_factor(a: float, b: float) -> float:
-    """Growth from quotient ``a`` to the next row's ``b``.
-
-    b / a when both are finite and a > 0; inf when a is finite and
-    positive and b is floored (inf); nan otherwise: a floored or
-    non-positive earlier row says nothing about growth.
-    """
-    if not (math.isfinite(a) and a > 0):
-        return math.nan
-    if b == math.inf:
-        return math.inf
-    return b / a if math.isfinite(b) else math.nan
+    left, right = edges
+    run = _leapfrog(om, x[1] - x[0], dt, steps, rest, rest,
+                    boundary=(left * impulse, right * impulse))
+    traces = dict(zip(("cos", "sin"),
+                      _impulse_convolution(run.trace_left, signals)))
+    flags = _forcing_flags(BoundaryForcing(
+        times, left * signals[0], right * signals[0], "analytic"))
+    return times, traces, flags
 
 
 def run_counterexample_sweep(
@@ -831,23 +801,26 @@ def run_counterexample_sweep(
     -phi(edge) e^{i h t} restores them, so u = v + z is an exact-datum
     solution whose boundary flux is tiny while its energy stays of size
     ~ 1/h.  The cosine and sine phases are run as two real solutions and
-    quotients aggregate by max over the two.  The corrector's traces come
-    from one unit-impulse march per edge pattern and an FFT convolution
-    per phase (:func:`_corrector_traces`), not from marching each forcing.
+    quotients aggregate by max over the two.  The corrector is linear in
+    its edge data, so its traces come from one march per row of a unit
+    impulse weighted by (phi(0)/h, phi(1)/h) and an FFT convolution per
+    phase (:func:`_corrector_traces`), not from marching each forcing.
 
     ``family`` 'lambda' activates one marked interval per j (closed-form
     numerators, machine-exact edge states); 'psi' uses the full density
     (numerators by quadrature over the solved samples, so the grid must
     resolve every tabulated interval at once — at the default resolution
-    cap that reaches j in {2, 3}).  Rows that the scale guard or the
-    wave grid cannot reach truncate the table with the reason recorded.
+    cap that reaches j in {2, 3}).  The family's densities come from
+    :func:`quasimodes._family_members`, and rows are solved in order
+    until the first j whose density cannot be built or which the scale
+    guard or the wave grid cannot reach; that j truncates the table with
+    the reason recorded.  ``T`` defaults to the largest 2 T_omega + 0.5
+    over the members that were built (nan when none was).
 
     ``growth_factors`` follow :func:`_growth_factor`: a row whose
     denominator sits under the trace noise floor has Q = inf, and the
     factor out of it is nan, so it never counts toward ``diverging``.
     """
-    if family not in ("lambda", "psi"):
-        raise ValueError("family must be 'lambda' or 'psi'")
     j_list = tuple(j_list)
     m_list = tuple(int(m) for m in m_list)
     if params is None:
@@ -858,20 +831,12 @@ def run_counterexample_sweep(
     else:
         mode = params.mode
 
-    densities = {}
-    if family == "lambda":
-        for j in j_list:
-            densities[j] = make_counterexample_density(
-                params.restrict(j), family="lambda")[0]
-    else:
-        shared = make_counterexample_density(params, family="psi")
-        for j in j_list:
-            densities[j] = shared
+    members, bad_j, bad_reason = _family_members(params, family, j_list)
     if T is None:
-        T = max(2.0 * travel_time(om) + 0.5 for om in densities.values())
+        T = max((2.0 * travel_time(om) + 0.5 for om in members.values()),
+                default=math.nan)
 
-    def solve_row(j: int) -> dict:
-        density = densities[j]
+    def solve_row(j: int, density: Coefficient) -> dict:
         entry = params.entry(j)
         if resolutions and j in resolutions:
             res_wave = int(resolutions[j])
@@ -918,24 +883,15 @@ def run_counterexample_sweep(
         phi1 = float(qm.phi[-1])
         dphi0 = float(qm.phi_prime[0])
         dphi1 = float(qm.phi_prime[-1])
-        scale = max(abs(phi0), abs(phi1), 1e-300)
-        same_edge = abs(phi0 - phi1) <= 1e-9 * scale
-        times, correctors = _corrector_traces(
-            density, h, T, res_wave, cfl, same_edge)
+        times, corrector, flags = _corrector_traces(
+            density, h, T, res_wave, cfl, (phi0 / h, phi1 / h))
         dt = times[1] - times[0]
 
         # total left trace of u = v + z per phase; v contributes the
         # analytic (phi'(0)/h) e^{iht} (identically zero for the
         # lambda family: the edge derivative vanishes bit-exactly)
-        total = {}
-        for name, trig in (("cos", np.cos), ("sin", np.sin)):
-            tr = (dphi0 / h) * trig(h * times)
-            c = correctors[name]
-            if same_edge:
-                tr = tr - (phi0 / h) * c["both"]
-            else:
-                tr = tr - (phi0 / h) * c["left"] - (phi1 / h) * c["right"]
-            total[name] = tr
+        total = {name: (dphi0 / h) * trig(h * times) - corrector[name]
+                 for name, trig in (("cos", np.cos), ("sin", np.sin))}
 
         smallness = qm.boundary_energy_0 + qm.boundary_energy_1
         smallness_log = float(np.logaddexp(qm.boundary_energy_0_log,
@@ -982,19 +938,11 @@ def run_counterexample_sweep(
                     for m in m_list},
             "den_by_phase": dens,
             "den_bound_ratio": bound_ratio,
-            "corrector_flags": tuple(correctors["cos"].get("flags", ())),
+            "corrector_flags": flags,
         }
 
-    rows = []
-    truncated_at = None
-    reason = None
-    for j in j_list:
-        try:
-            rows.append(solve_row(j))
-        except ScaleOutOfReach as exc:
-            truncated_at = j
-            reason = str(exc)
-            break
+    rows, truncated_at, reason = _family_rows(solve_row, members, bad_j,
+                                              bad_reason)
 
     growth = {}
     for m in m_list:

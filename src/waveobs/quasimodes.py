@@ -619,15 +619,17 @@ def solve_quasimode(
                           cross_check, reverse_check)
 
 
-def _interval_mass_exact(pair: PeriodicPair, h: float, n: int) -> float:
-    """int_{I} phi^2 dx for the closed form, via one-period quadrature.
+def _interval_integral(pair: PeriodicPair, h: float, n: int,
+                       integrand: Callable) -> float:
+    """int_I integrand(h (x - m)) dx over the closed form's interval.
 
-    eta(i+s) = i + eta(s) turns the integral into a geometric sum:
-    (2 J / h) (1 - e^{-eps n}) / (1 - e^{-2 eps}) with
-    J = int_0^1 w_eps(s)^2 ds, taken by composite Gauss-Legendre (the
+    For the squares w_eps^2 and w_eps'^2, eta(i+s) = i + eta(s) scales
+    each period by e^{-2 eps}, so the integral is one period times a
+    geometric sum: (2 J / h) (1 - e^{-eps n}) / (1 - e^{-2 eps}) with
+    J = int_0^1 integrand(s) ds, taken by composite Gauss-Legendre (the
     integrand is smooth on [0, 1]).
     """
-    J = _composite_gauss(lambda s: pair.w(s) ** 2)
+    J = _composite_gauss(integrand)
     eps = pair.eps
     return (2.0 * J / h) * (-math.expm1(-eps * n)) / (-math.expm1(-2.0 * eps))
 
@@ -678,7 +680,7 @@ def _solve_structured(omega, j, xs, rtol, dense_budget, check_budget,
     phi[mask] = pair.w(sig)
     phip[mask] = h * pair.w_prime(sig)
 
-    interior_mass = _interval_mass_exact(pair, h, n)
+    interior_mass = _interval_integral(pair, h, n, lambda s: pair.w(s) ** 2)
     extreme_energy_log = -pair.decay_c * eps_n
     extreme_energy = math.exp(extreme_energy_log) \
         if extreme_energy_log > -708.0 else 0.0
@@ -1177,8 +1179,8 @@ class SweepReport:
     ``rows`` hold one dict per solved j (h, eps, n, masses, energies and
     their logs, the local slope of log(total boundary energy) against
     log h, the closed-form edge bound and the tail-energy ratio).  The
-    sweep stops at the first :class:`ScaleOutOfReach` and records where
-    and why.
+    sweep stops at the first j whose density cannot be built or whose
+    mode raises :class:`ScaleOutOfReach`, and records where and why.
     """
 
     family: str
@@ -1188,9 +1190,6 @@ class SweepReport:
     slope_magnitudes_increasing: bool
     truncated_at: Optional[int]
     truncation_reason: Optional[str]
-
-    def to_table(self) -> list:
-        return [dict(r) for r in self.rows]
 
 
 def _tilde_tail_ratio(res: QuasimodeResult) -> Optional[float]:
@@ -1210,6 +1209,50 @@ def _tilde_tail_ratio(res: QuasimodeResult) -> Optional[float]:
     return float(vals[1] / vals[0])
 
 
+def _family_members(params: CounterexampleParams, family: str,
+                    js: Sequence[int],
+                    knots: Sequence[float] = DEFAULT_KNOTS) -> tuple:
+    """Densities of the buildable prefix of ``js``, in order, then the
+    first j that cannot be built and why (None, None when every j can).
+
+    The psi family is one density carrying every interval: a mode is
+    honest only against the full density, so it serves every j or none.
+    A lambda member oscillates only in its own interval and is built from
+    its single-entry sub-family; building stops at the first entry whose
+    density cannot be assembled (h overflow, or eps so small that the
+    pair's measured period average is quadrature-noise-dominated).
+    """
+    if family not in ("lambda", "psi"):
+        raise ValueError(f"unknown family {family!r}")
+    members = {}
+    try:
+        if family == "psi":
+            shared = make_counterexample_density(params, knots=knots)
+            members = dict.fromkeys(js, shared)
+        else:
+            for j in js:
+                members[j] = make_counterexample_density(
+                    params.restrict(j), family="lambda", knots=knots)[0]
+    except ValueError as exc:
+        return members, next(j for j in js if j not in members), str(exc)
+    return members, None, None
+
+
+def _family_rows(row: Callable, members: dict,
+                 truncated_at: Optional[int],
+                 reason: Optional[str]) -> tuple:
+    """``row(j, density)`` for each member in order, stopping at the first
+    :class:`ScaleOutOfReach`.  Returns (rows, truncated_at, reason); the
+    members' own truncation stands when every row is reached."""
+    rows = []
+    for j, density in members.items():
+        try:
+            rows.append(row(j, density))
+        except ScaleOutOfReach as exc:
+            return rows, j, str(exc)
+    return rows, truncated_at, reason
+
+
 def boundary_smallness_sweep(
     params: Optional[CounterexampleParams] = None,
     *,
@@ -1225,13 +1268,14 @@ def boundary_smallness_sweep(
 ) -> SweepReport:
     """Boundary energies of the quasimode family against h_j.
 
-    Builds (or reuses) the sequence data, assembles the density (one
-    density for the psi family, one per j for the lambda family), solves
-    every reachable j and tabulates the boundary energies with their
-    local slope d log(E_total) / d log(h_j).  The sweep truncates at the
-    first mode whose scale is out of reach and reports the truncation.
-    Per-mode cross/reverse checks are off by default here (``checks``);
-    they are solve-level diagnostics.
+    Builds (or reuses) the sequence data and the family's densities (one
+    density for the psi family, one per j for the lambda family; see
+    :func:`_family_members`), then solves one row per j in order and
+    tabulates the boundary energies with their local slope
+    d log(E_total) / d log(h_j).  The sweep truncates at the first j
+    whose density cannot be built or whose mode is out of reach, and
+    reports the truncation.  Per-mode cross/reverse checks are off by
+    default here (``checks``); they are solve-level diagnostics.
 
     Each row also carries ``edge_bound_log``: the energy-comparison chain
     "boundary energy <= weighted E(0) <= weighted E(edge) * growth"
@@ -1248,87 +1292,20 @@ def boundary_smallness_sweep(
         mode = params.mode
     js = sorted(e.j for e in params.entries)
 
-    truncated_at = None
-    truncation_reason = None
-
-    if family == "psi":
-        # the psi density carries every interval at once; a mode is
-        # honest only against the full density, so an unbuildable entry
-        # truncates the whole sweep rather than shrinking the density
-        try:
-            density = make_counterexample_density(params, knots=knots)
-        except ValueError as exc:
-            bad = next((e.j for e in params.entries
-                        if not math.isfinite(e.h)), js[0])
-            return SweepReport(family=family, mode=mode, rows=(),
-                               slopes=(),
-                               slope_magnitudes_increasing=False,
-                               truncated_at=bad,
-                               truncation_reason=str(exc))
-        densities = {jj: density for jj in js}
-        attempt = js
-    elif family == "lambda":
-        # each lambda density oscillates only in its own interval, so it
-        # can be built per j from a single-entry descriptor (identical
-        # content); the sweep truncates at the first entry whose density
-        # cannot even be assembled (h overflow, or eps so small that the
-        # pair's measured period average is quadrature-noise-dominated)
-        densities = {}
-        attempt = []
-        for jj in js:
-            e = params.entry(jj)
-            bad = None
-            if not math.isfinite(e.h):
-                bad = f"h_{jj} overflows double precision"
-            else:
-                try:
-                    densities[jj] = make_counterexample_density(
-                        params.restrict(jj), family="lambda",
-                        knots=knots)[0]
-                except ValueError as exc:
-                    bad = str(exc)
-            if bad is not None:
-                truncated_at = jj
-                truncation_reason = bad
-                break
-            attempt.append(jj)
-        if not attempt:
-            return SweepReport(family=family, mode=mode, rows=(),
-                               slopes=(),
-                               slope_magnitudes_increasing=False,
-                               truncated_at=truncated_at,
-                               truncation_reason=truncation_reason)
-    else:
-        raise ValueError(f"unknown family {family!r}")
-
-    results = {}
-    errors = {}
-    for jj in attempt:
-        try:
-            results[jj] = solve_quasimode(
-                densities[jj], jj, rtol=rtol, n_samples=n_samples,
-                dense_budget=dense_budget, cross_check=checks,
-                reverse_check=checks)
-        except ScaleOutOfReach as exc:
-            errors[jj] = str(exc)
-
-    rows = []
-    for jj in attempt:
-        if jj in errors:
-            if truncated_at is None or jj < truncated_at:
-                truncated_at = jj
-                truncation_reason = errors[jj]
-            break
-        res = results[jj]
-        e = params.entry(jj)
-        pair = densities[jj].trapping.pairs[jj]
+    def row(j: int, density: Coefficient) -> dict:
+        res = solve_quasimode(
+            density, j, rtol=rtol, n_samples=n_samples,
+            dense_budget=dense_budget, cross_check=checks,
+            reverse_check=checks)
+        e = params.entry(j)
+        pair = density.trapping.pairs[j]
         total_log = np.logaddexp(res.boundary_energy_0_log,
                                  res.boundary_energy_1_log)
         edge_bound_log = (math.log(FOUR_PI_SQ)
                           - 0.8 * pair.decay_c * e.eps * e.n
                           + 2.0 * math.log(e.h))
-        rows.append({
-            "j": jj, "h": e.h, "eps": e.eps, "n": e.n,
+        return {
+            "j": j, "h": e.h, "eps": e.eps, "n": e.n,
             "interior_mass": res.interior_mass,
             "extreme_energy": res.extreme_energy,
             "extreme_energy_log": res.extreme_energy_log,
@@ -1342,7 +1319,10 @@ def boundary_smallness_sweep(
                 res.boundary_energy_0_log <= edge_bound_log
                 and res.boundary_energy_1_log <= edge_bound_log),
             "tail_ratio": _tilde_tail_ratio(res),
-        })
+        }
+
+    rows, truncated_at, truncation_reason = _family_rows(
+        row, *_family_members(params, family, js, knots))
 
     slopes = []
     for i in range(len(rows)):
@@ -1354,8 +1334,8 @@ def boundary_smallness_sweep(
         dlog_e = rows[hi]["total_boundary_log"] - rows[lo]["total_boundary_log"]
         dlog_h = math.log(rows[hi]["h"]) - math.log(rows[lo]["h"])
         slopes.append(dlog_e / dlog_h)
-    for i, row in enumerate(rows):
-        row["slope"] = slopes[i]
+    for r, slope in zip(rows, slopes):
+        r["slope"] = slope
 
     mags = [abs(s) for s in slopes if not math.isnan(s)]
     increasing = (len(mags) >= 2

@@ -1,8 +1,10 @@
 """Observability tests: the batched leapfrog kernel against a plain
 recurrence, quotients against d'Alembert, the ensemble/Gramian ordering,
-HUM reaching rest, the impulse-response corrector against the forced
-march, the divergence bookkeeping, and the package import surface."""
+HUM reaching rest, the weighted impulse-response corrector against the
+forced march, the divergence sweep's march count, truncation and growth
+bookkeeping, and the package import surface."""
 
+import importlib
 import math
 import os
 import subprocess
@@ -316,25 +318,24 @@ def test_lambda_divergence_sweep():
     assert table.diverging(0, factor=2.0, runs=2)
 
 
-def forced_corrector_traces(density, h, T, resolution, cfl, same_edge):
-    """The direct construction: every phase's forcing marched as one
-    column of a (nodes x 2 or 4) block."""
+def forced_corrector_traces(density, h, T, resolution, cfl):
+    """The direct construction: each phase's forcing marched at the left
+    and at the right edge apart, as the columns of one (nodes x 4)
+    block."""
     x, om = ws._space_grid(density, resolution)
     dt, steps = ws.solver_time_grid(density, T, resolution, cfl)
     times = np.arange(steps + 1) * dt
     zero = np.zeros_like(times)
     cols = []
     for name, sig in (("cos", np.cos(h * times)), ("sin", np.sin(h * times))):
-        sides = ({"both": (sig, sig)} if same_edge
-                 else {"left": (sig, zero), "right": (zero, sig)})
-        cols += [(name, key, f, g) for key, (f, g) in sides.items()]
+        cols += [(name, sig, zero), (name, zero, sig)]
     rest = np.zeros((len(x), len(cols)))
     run = ws._leapfrog(om, x[1] - x[0], dt, steps, rest, rest, boundary=(
-        np.stack([c[2] for c in cols], axis=1),
-        np.stack([c[3] for c in cols], axis=1)))
+        np.stack([c[1] for c in cols], axis=1),
+        np.stack([c[2] for c in cols], axis=1)))
     out = {}
-    for (name, key, _, _), trace in zip(cols, run.trace_left.T):
-        out.setdefault(name, {})[key] = trace
+    for (name, _, _), trace in zip(cols, run.trace_left.T):
+        out.setdefault(name, []).append(trace)
     return times, out
 
 
@@ -342,8 +343,13 @@ def assert_close(got, ref, rtol=1e-12):
     assert np.max(np.abs(got - ref)) <= rtol * np.max(np.abs(ref))
 
 
+INCOMPATIBLE = ("forcing incompatible with zero initial data; "
+                "boundary jump applied at the first level",)
+
+
 class TestCorrector:
-    """Impulse-response corrector traces against the forced block march."""
+    """Weighted impulse-response corrector traces against the forced
+    block march, left and right edges combined by the same weights."""
 
     @pytest.fixture(scope="class")
     def lam(self):
@@ -353,23 +359,32 @@ class TestCorrector:
                                                  family="lambda")[0]
         return dens, params.entry(2).h, 2.0 * coeff.travel_time(dens) + 0.5
 
-    @pytest.mark.parametrize("resolution", [256, 1024])
-    @pytest.mark.parametrize("same_edge", [True, False])
-    def test_matches_forced_march(self, lam, resolution, same_edge):
-        dens, h, T = lam
-        times, got = ob._corrector_traces(dens, h, T, resolution, 0.9,
-                                          same_edge)
+    @staticmethod
+    def check(dens, h, T, resolution, edges):
+        times, got, flags = ob._corrector_traces(dens, h, T, resolution,
+                                                 0.9, edges)
         ref_times, ref = forced_corrector_traces(dens, h, T, resolution,
-                                                 0.9, same_edge)
+                                                 0.9)
         assert np.array_equal(times, ref_times)
-        keys = ["both"] if same_edge else ["left", "right"]
-        for name in ("cos", "sin"):
-            assert sorted(k for k in got[name] if k != "flags") == keys
-            for key in keys:
-                assert_close(got[name][key], ref[name][key])
-            assert got[name]["flags"] == (
-                "forcing incompatible with zero initial data; "
-                "boundary jump applied at the first level",) * len(keys)
+        assert sorted(got) == ["cos", "sin"]
+        for name, (left, right) in ref.items():
+            assert_close(got[name], edges[0] * left + edges[1] * right)
+        assert flags == INCOMPATIBLE
+
+    @pytest.mark.parametrize("resolution", [256, 1024])
+    @pytest.mark.parametrize("equal", [True, False])
+    def test_matches_forced_march(self, lam, resolution, equal):
+        self.check(*lam, resolution, (0.49, 0.49) if equal else (0.7, -1.9))
+
+    def test_psi_row(self):
+        # the psi j=3 row of the n0 = 30 family: the right edge value is
+        # a fifth of the left one
+        params = coeff.make_sequences(mode="concentrating",
+                                      j_range=range(2, 4), n0=30)
+        dens = coeff.make_counterexample_density(params)
+        h = params.entry(3).h
+        T = 2.0 * coeff.travel_time(dens) + 0.5
+        self.check(dens, h, T, 1024, (0.2022 / h, 0.0435 / h))
 
     def test_random_edge_signal(self):
         # nonzero g[0] and g[1] exercise the feed-through of level 0 and
@@ -395,9 +410,10 @@ class TestCorrector:
                     sig if left else zero, zero if left else sig))
                 assert_close(row, ref.trace_left)
 
-    @pytest.mark.parametrize("same_edge, count", [(True, 1), (False, 2)])
-    def test_single_column_marches(self, lam, monkeypatch, same_edge,
-                                   count):
+    @pytest.mark.parametrize("edges", [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0),
+                                       (0.3, -2.0)],
+                             ids=["equal", "left", "right", "unequal"])
+    def test_single_column_marches(self, lam, monkeypatch, edges):
         shapes = []
         kernel = ws._leapfrog
 
@@ -407,14 +423,46 @@ class TestCorrector:
 
         monkeypatch.setattr(ob, "_leapfrog", counted)
         dens, h, T = lam
-        ob._corrector_traces(dens, h, T, 256, 0.9, same_edge)
-        assert shapes == [(257,)] * count
+        ob._corrector_traces(dens, h, T, 256, 0.9, edges)
+        assert shapes == [(257,)]
+
+
+def test_psi_sweep_marches_once_per_row(marches):
+    # both rows have two distinct edge values; one forced march each
+    table = ob.run_counterexample_sweep(
+        family="psi", j_list=(2, 3), points_per_wavelength=6.0,
+        sequence_kwargs={"n0": 30})
+    assert [r["j"] for r in table.rows] == [2, 3]
+    assert marches == ["forced", "forced"]
+    for r in table.rows:
+        assert r["edge_values"][0] != r["edge_values"][1]
+        assert r["corrector_flags"] == INCOMPATIBLE
+
+
+@pytest.mark.parametrize("family", ["lambda", "psi"])
+def test_divergence_sweep_truncates_unbuildable_family(family):
+    # paper-strict N = 2: the j = 3 pair (and so the psi density) cannot
+    # be built, and the j = 2 lambda row is beyond the wave grid's cap
+    table = ob.run_counterexample_sweep(
+        family=family, j_list=(2, 3),
+        sequence_kwargs={"mode": "paper-strict", "N": 2})
+    assert table.rows == () and table.truncated_at == 2
+    assert table.truncation_reason
+    assert math.isnan(table.T) == (family == "psi")
 
 
 class TestGrowth:
     @pytest.mark.parametrize("a, b", [(math.inf, 1.0), (0.0, 1.0)])
     def test_floored_row_is_not_growth(self, a, b):
         assert math.isnan(ob._growth_factor(a, b))
+
+    def test_floored_constant_overall_growth(self):
+        rep = ob.ObservabilityReport(
+            omega_kind="constant", omega_descriptor={}, T=3.0, T_omega=1.0,
+            admissible=True, m=0, beta=None, cutoffs=(8, 16),
+            constants={8: math.inf, 16: 1.0}, argmax_labels={}, rows=(),
+            growth_factors=(), resolution=64, seed=0, n_random=0)
+        assert math.isnan(rep.overall_growth)
 
     def test_rules(self):
         assert ob._growth_factor(2.0, 6.0) == 3.0
@@ -462,3 +510,12 @@ def test_star_import():
     namespace = {}
     exec("from waveobs import *", namespace)
     assert {"coeff", "wavesim", "observability"} <= set(namespace)
+
+
+@pytest.mark.parametrize("module", ["coeff", "modulus", "quasimodes",
+                                    "wavesim", "observability"])
+def test_all_names_resolve(module):
+    # the traced benchmark run getattr()s every name in __all__
+    mod = importlib.import_module(f"waveobs.{module}")
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []

@@ -23,9 +23,11 @@ solution is assembled structurally:
 
 Any other density is solved by the same engine from the center outward.
 The closed-form cross-check and reverse (Wronskian) check of a trapping
-mode also run on the engine (their subject is the closed form); scipy's
-DOP853 remains only as the generic path's reverse check, whose subject is
-the engine.
+mode also run on the engine (their subject is the closed form).  The
+generic path's reverse check, whose subject is the engine, marches both
+boundary states back to the center with a separate propagator: 3-stage
+Gauss-Legendre collocation, vectorized over cells like the engine but
+sharing none of its code.
 
 States are carried as ``(log-magnitude, a, b)`` with the linear part
 normalized in the kappa-weighted norm ``hypot(a, b/kappa)``, so the
@@ -571,11 +573,11 @@ def solve_quasimode(
     per-sample foreign crossing; beyond it the crossing switches to
     powers of the one-period transfer matrix and the samples in that span
     are NaN.  ``check_budget`` caps the initial engine cells (8 n) of the
-    closed-form cross-check and reverse (Wronskian) solve, and the
-    estimated DOP853 steps of the generic reverse check; skipped checks
-    are recorded in ``stats["notes"]``.  ``stats["nfev"]`` counts
-    evaluations of the coefficient by the engine plus right-hand-side
-    evaluations of the generic reverse check's DOP853 solve.
+    closed-form cross-check and reverse (Wronskian) solve, and the initial
+    cells (16 h times the span) of each half of the generic reverse
+    check; skipped checks are recorded in ``stats["notes"]``.
+    ``stats["nfev"]`` counts evaluations of the coefficient by the engine
+    plus those of the generic reverse check.
 
     Raises :class:`ScaleOutOfReach` when the mode lives beyond double
     precision: h not finite or above 1e12 (the phase h(x-m) would be
@@ -584,7 +586,7 @@ def solve_quasimode(
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
-    if rtol <= 0 or rtol > 1e-6:
+    if not (0.0 < rtol <= 1e-6):
         raise ValueError("rtol must lie in ]0, 1e-6]")
     xs = np.linspace(0.0, 1.0, n_samples)
 
@@ -605,6 +607,8 @@ def solve_quasimode(
         raise ValueError("the launch point m must lie inside ]0, 1[")
     if not math.isfinite(h) or h <= 0:
         raise ValueError("h must be positive and finite")
+    if r is not None and not (math.isfinite(r) and r > 0):
+        raise ValueError("r must be positive and finite")
     if h > _MAX_REPRESENTABLE_H:
         raise ScaleOutOfReach(
             f"h = {h:.3g} exceeds the phase-resolution ceiling "
@@ -859,13 +863,154 @@ def _solve_constant(omega, value, h, m, r, xs, rtol):
         stats=stats)
 
 
+# --------------------------------------------------------------------------
+# reverse-check propagator: Gauss-Legendre collocation
+# --------------------------------------------------------------------------
+#
+# The generic path's reverse check must not run on the engine it checks.
+# It marches y' = [[0, kappa], [-q/kappa, 0]] y, y = (phi, phi'/kappa),
+# by 3-stage Gauss-Legendre collocation (order 6; Hairer & Wanner,
+# Solving ODEs II, IV.5).  The system is linear, so the stage equations
+# of a cell are one 6x6 linear system whose two right-hand sides (the
+# columns of I) give the cell's 2x2 step matrix.
+
+_GL_R15 = math.sqrt(15.0)
+_GL_NODES = np.array([0.5 - _GL_R15 / 10, 0.5, 0.5 + _GL_R15 / 10])
+_GL_A = np.array([[5 / 36, 2 / 9 - _GL_R15 / 15, 5 / 36 - _GL_R15 / 30],
+                  [5 / 36 + _GL_R15 / 24, 2 / 9, 5 / 36 - _GL_R15 / 24],
+                  [5 / 36 + _GL_R15 / 30, 2 / 9 + _GL_R15 / 15, 5 / 36]])
+_GL_B = np.array([5 / 18, 4 / 9, 5 / 18])
+_GL_STAGE_RHS = np.tile(np.eye(2), (3, 1))
+# initial cells refined together, and the open cells one such chunk may
+# reach (64 times its initial cells) before the check is skipped: the
+# stage solve holds ~1 kB per open cell, and weierstrass-zygmund, which
+# still splits every cell after six halvings, would keep the check
+# busy for over a minute at h = 100, where the forward solve takes 25 s
+_COLLOCATION_CHUNK = 1 << 10
+_COLLOCATION_MAX_OPEN = 1 << 16
+
+
+def _collocation_steps(qv: np.ndarray, dx: np.ndarray,
+                       kappa: float) -> np.ndarray:
+    """Step matrices (n, 2, 2) of cells of signed widths ``dx``.
+
+    ``qv[k, i]`` is q at node i of cell k.  The stage values solve
+    Y_i = y + dx sum_j a_ij A_j Y_j, i.e.
+    (I - dx (a (x) I) diag(A_1, A_2, A_3)) Y = (1 (x) I) y, and the step
+    is y + dx sum_i b_i A_i Y_i.
+    """
+    n = dx.size
+    a_dx = dx[:, None, None] * _GL_A
+    system = np.zeros((n, 6, 6))
+    system[:, np.arange(6), np.arange(6)] = 1.0
+    system[:, 0::2, 1::2] = -kappa * a_dx
+    system[:, 1::2, 0::2] = a_dx * (qv[:, None, :] / kappa)
+    stages = np.linalg.solve(system, np.broadcast_to(_GL_STAGE_RHS,
+                                                     (n, 6, 2)))
+    b_dx = (dx[:, None] * _GL_B)[:, None, :]
+    step = np.empty((n, 2, 2))
+    step[:, 0] = kappa * (b_dx @ stages[:, 1::2])[:, 0]
+    step[:, 1] = -((b_dx * (qv / kappa)[:, None, :]) @ stages[:, 0::2])[:, 0]
+    step[:, 0, 0] += 1.0
+    step[:, 1, 1] += 1.0
+    return step
+
+
+def _renormalized_product(mats: np.ndarray, logs: np.ndarray) -> tuple:
+    """(log scale, unit-max matrix) of exp(sum logs) mats[-1] ... mats[0].
+
+    Neighbours are multiplied pairwise, log2(n) vectorized passes, each
+    product divided by its largest entry.
+    """
+    while mats.shape[0] > 1:
+        if mats.shape[0] % 2:
+            mats = np.concatenate([mats, np.eye(2)[None]])
+            logs = np.append(logs, 0.0)
+        prod = mats[1::2] @ mats[0::2]
+        norm = np.max(np.abs(prod), axis=(1, 2))
+        mats = prod / norm[:, None, None]
+        logs = logs[0::2] + logs[1::2] + np.log(norm)
+    return float(logs[0]), mats[0]
+
+
+def _collocation_propagate(q: Callable, x0: float, x1: float, kappa: float,
+                           tol: float, max_cell: float) -> tuple:
+    """Propagator of the reverse check from x0 to x1.
+
+    Uniform initial cells no wider than ``max_cell`` are refined
+    ``_COLLOCATION_CHUNK`` at a time: each pass evaluates q at the nodes
+    of every open cell's two halves (and, on the first pass, the whole
+    cell) in one call, and a cell is accepted with its two-half product
+    once no entry differs from the whole-cell matrix by more than
+    ``tol``; otherwise its halves are reopened.  Returns
+    ``(log_scale, mat, nfev)``: ``exp(log_scale) * mat`` maps
+    (phi, phi'/kappa) at x0 to x1, and ``nfev`` counts evaluations of q.
+    ``mat`` is None if a chunk needs more than ``_COLLOCATION_MAX_OPEN``
+    open cells.
+    """
+    sign = 1.0 if x1 >= x0 else -1.0
+    n_cells = max(1, math.ceil(abs(x1 - x0) / max_cell))
+    edges = np.linspace(x0, x1, n_cells + 1)
+    chunk_logs, chunk_mats = [], []
+    nfev = 0
+    for lo in range(0, n_cells, _COLLOCATION_CHUNK):
+        hi = min(lo + _COLLOCATION_CHUNK, n_cells)
+        xa = edges[lo:hi]
+        dx = edges[lo + 1:hi + 1] - xa
+        full = None
+        starts, accepted = [], []
+        for halvings in range(_MAX_HALVINGS + 1):
+            n = xa.size
+            half = 0.5 * dx
+            xm = xa + half
+            cx, cw = [xa, xm], [half, half]
+            if full is None:
+                cx.append(xa)
+                cw.append(dx)
+            cx = np.concatenate(cx)
+            cw = np.concatenate(cw)
+            nodes = cx[:, None] + cw[:, None] * _GL_NODES
+            qv = np.asarray(q(nodes.ravel()), dtype=float).reshape(
+                nodes.shape)
+            nfev += qv.size
+            steps = _collocation_steps(qv, cw, kappa)
+            left, right = steps[:n], steps[n:2 * n]
+            if full is None:
+                full = steps[2 * n:]
+            fine = right @ left
+            ok = np.max(np.abs(fine - full), axis=(1, 2)) <= tol
+            if halvings == _MAX_HALVINGS:
+                ok[:] = True
+            starts.append(xa[ok])
+            accepted.append(fine[ok])
+            split = ~ok
+            if not np.any(split):
+                break
+            if 2 * np.count_nonzero(split) > _COLLOCATION_MAX_OPEN:
+                return None, None, nfev
+            xa = np.concatenate([xa[split], xm[split]])
+            dx = np.concatenate([half[split], half[split]])
+            full = np.concatenate([left[split], right[split]])
+        order = np.argsort(sign * np.concatenate(starts), kind="stable")
+        mats = np.concatenate(accepted)[order]
+        chunk_log, chunk_mat = _renormalized_product(mats,
+                                                     np.zeros(mats.shape[0]))
+        chunk_logs.append(chunk_log)
+        chunk_mats.append(chunk_mat)
+    log_scale, mat = _renormalized_product(np.array(chunk_mats),
+                                           np.array(chunk_logs))
+    return log_scale, mat, nfev
+
+
 def _solve_generic(omega, h, m, r, xs, rtol, check_budget,
                    cross_check, reverse_check):
     """Magnus engine from the center outward for an arbitrary density.
 
-    No closed-form cross-check exists here; the reverse check (an
-    independent DOP853 solve back to the center) is still run, budget
-    permitting.  Underflowing amplitudes raise :class:`ScaleOutOfReach`
+    No closed-form cross-check exists here.  The reverse check marches
+    each boundary state back to the center by Gauss-Legendre collocation
+    (:func:`_collocation_propagate`, independent of the engine), budget
+    permitting, and reports the larger of the two deviations from the
+    launch state.  Underflowing amplitudes raise :class:`ScaleOutOfReach`
     -- without structure there is no log-space representation to fall
     back on.
     """
@@ -934,27 +1079,28 @@ def _solve_generic(omega, h, m, r, xs, rtol, check_budget,
         stats["extreme_energy_right"] = e_hi
 
     if reverse_check:
-        est = 16.0 * h * (1.0 - m)
-        if est <= check_budget:
-            # imported here: with what it pulls in, scipy.integrate
-            # takes 0.3-0.4 s to import, and this check is its only use
-            from scipy.integrate import solve_ivp
-
-            def rhs(x, y):
-                return (y[1], -h * h * float(omega(x)) * y[0])
-
-            back = solve_ivp(rhs, (1.0, m), list(ends[+1]), method="DOP853",
-                             rtol=max(rtol, _MIN_RTOL),
-                             atol=[1e-3 * rtol, 1e-3 * rtol * kappa],
-                             max_step=max_step)
-            stats["wronskian_dev"] = math.hypot(
-                float(back.y[0, -1]) - 1.0, float(back.y[1, -1]) / kappa)
+        devs = []
+        for direction, end in ((+1, 1.0), (-1, 0.0)):
+            est = 16.0 * h * abs(end - m)
+            if est > check_budget:
+                stats["notes"].append(
+                    f"reverse check from x = {end:g} skipped: {est:.0f} "
+                    f"initial cells exceed the budget {check_budget}")
+                continue
+            log_scale, mat, nfev = _collocation_propagate(
+                q, end, m, kappa, max(rtol, _MIN_RTOL), max_step)
+            stats["nfev"] += nfev
+            if mat is None:
+                stats["notes"].append(
+                    f"reverse check from x = {end:g} skipped: refinement "
+                    f"needs more than {_COLLOCATION_MAX_OPEN} open cells")
+                continue
+            phi_end, dphi_end = ends[direction]
+            back = math.exp(log_scale) * (mat @ [phi_end, dphi_end / kappa])
+            devs.append(math.hypot(back[0] - 1.0, back[1]))
+        if devs:
+            stats["wronskian_dev"] = max(devs)
             stats["wronskian_cond"] = 1.0
-            stats["nfev"] += int(back.nfev)
-        else:
-            stats["notes"].append(
-                f"reverse check skipped: estimated {est:.0f} steps exceed "
-                f"the budget {check_budget}")
 
     return QuasimodeResult(
         j=None, h=h, eps=None, m=m, r=r, kind=omega.kind,

@@ -497,7 +497,13 @@ def test_import_leaves_out_fft_and_integrate():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    # a generic quasimode solve runs its reverse check, which must not
+    # pull scipy.integrate in either
     code = ("import sys, waveobs.observability; "
+            "from waveobs import coeff, quasimodes; "
+            "res = quasimodes.solve_quasimode("
+            "coeff.make_baseline('log-lipschitz'), h=10.0, m=0.5); "
+            "assert 'wronskian_dev' in res.stats; "
             "print(sorted(m for m in ('scipy.fft', 'scipy.integrate') "
             "if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,

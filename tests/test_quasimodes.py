@@ -18,7 +18,9 @@ Oracles in play:
   solve of w'' = -alpha w compared with w and w' at cell edges (the
   closed form is its subject; the engine is tested on its own above);
 * reverse solve -> Wronskian of the forward solution, with the inward
-  conditioning factor reported by the solver;
+  conditioning factor reported by the solver; the generic path's
+  collocation propagator -> the exact rotation (constant density), and
+  errors planted in the engine's end states;
 * Gronwall bounds -> checked on random pairs; the weighted bound is
   equality-tight for monotone envelopes, so its sup ratio is its own
   oracle.
@@ -33,6 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from waveobs import quasimodes as qm
 from waveobs.coeff import (
     FOUR_PI_SQ,
     TWO_PI,
@@ -45,6 +48,7 @@ from waveobs.coeff import (
 )
 from waveobs.quasimodes import (
     ScaleOutOfReach,
+    _collocation_propagate,
     _cross_dense,
     _cross_powered,
     _magnus_propagate,
@@ -458,6 +462,60 @@ class TestGenericDensity:
         with pytest.raises(ScaleOutOfReach):
             solve_quasimode(om, h=1e13, m=0.5)
 
+    def test_collocation_constant_density_exact_rotation(self):
+        # the reverse check's own oracle: for q == nu^2 the exact
+        # propagator of (phi, phi'/nu) is a rotation by nu (x1 - x0)
+        nu = 8.0
+        log_scale, mat, _ = _collocation_propagate(
+            lambda x: np.full_like(x, nu * nu), 1.0, 0.0, nu, 1e-12, 1 / 64)
+        c, s = math.cos(nu), math.sin(nu)
+        np.testing.assert_allclose(math.exp(log_scale) * mat,
+                                   [[c, -s], [s, c]], atol=1e-11)
+
+    def test_reverse_check_runs_off_the_engine(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return _magnus_propagate(*args, **kwargs)
+
+        monkeypatch.setattr(qm, "_magnus_propagate", counted)
+        res = solve_quasimode(self._smooth(), h=8.0, m=0.5)
+        assert "wronskian_dev" in res.stats
+        # the forward halves only
+        assert calls == [(0.5, 1.0), (0.5, 0.0)]
+
+    @pytest.mark.parametrize("target", [1.0, 0.0], ids=["right", "left"])
+    def test_reverse_check_sees_planted_error(self, monkeypatch, target):
+        # a 1e-8 relative error in either forward end state must show
+        def planted(q, x0, x1, *args, **kwargs):
+            logs, mats, nfev = _magnus_propagate(q, x0, x1, *args, **kwargs)
+            if x1 == target:
+                mats[:, -1] *= 1.0 + 1e-8
+            return logs, mats, nfev
+
+        monkeypatch.setattr(qm, "_magnus_propagate", planted)
+        res = solve_quasimode(make_baseline("log-lipschitz"), h=100.0,
+                              m=0.5, r=0.5)
+        assert res.stats["wronskian_dev"] >= 1e-9
+
+    def test_check_budget_caps_each_half(self):
+        # 16 h (1 - m) = 32 initial cells on the right, 96 on the left
+        res = solve_quasimode(self._smooth(), h=8.0, m=0.75,
+                              check_budget=64)
+        assert res.stats["wronskian_dev"] < 1e-11
+        skipped = [n for n in res.stats["notes"] if "reverse check" in n]
+        assert len(skipped) == 1 and "x = 0" in skipped[0]
+
+    def test_reverse_check_skipped_beyond_open_cell_cap(self, monkeypatch):
+        # h = 8 on this density splits cells at rtol 1e-12, so with no
+        # open cells allowed both halves give up instead of refining
+        monkeypatch.setattr(qm, "_COLLOCATION_MAX_OPEN", 0)
+        res = solve_quasimode(self._smooth(), h=8.0, m=0.5)
+        assert "wronskian_dev" not in res.stats
+        skipped = [n for n in res.stats["notes"] if "open cells" in n]
+        assert len(skipped) == 2
+
 
 # --------------------------------------------------------------------------
 # input validation
@@ -487,6 +545,19 @@ class TestValidation:
         om = make_baseline("constant", value=1.0)
         with pytest.raises(ValueError, match="rtol"):
             solve_quasimode(om, h=1.0, m=0.5, rtol=1e-3)
+
+    @pytest.mark.parametrize("kind", ["constant", "log-lipschitz"])
+    def test_nan_rtol_rejected(self, kind):
+        with pytest.raises(ValueError, match="rtol"):
+            solve_quasimode(make_baseline(kind), h=10.0, m=0.5,
+                            rtol=math.nan)
+
+    @pytest.mark.parametrize("r", [-0.2, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("kind", ["constant", "log-lipschitz"])
+    def test_bad_interval_width_rejected(self, kind, r):
+        # r < 0 swapped the interval ends and gave a negative mass
+        with pytest.raises(ValueError, match="r must"):
+            solve_quasimode(make_baseline(kind), h=10.0, m=0.5, r=r)
 
     def test_bad_n_samples_rejected(self):
         om = make_baseline("constant", value=1.0)

@@ -1,8 +1,8 @@
 """waveobs: a numerical laboratory for boundary observability of 1-D
 waves with rough coefficients.
 
-Subpackages
------------
+Modules
+-------
 coeff
     Coefficient constructions: baseline densities with prescribed
     regularity, slowly-modulated oscillator pairs, trapping sequence
@@ -14,8 +14,9 @@ quasimodes
     Quasi-eigenfunction ODE solutions on long intervals, energy
     comparison certificates, boundary-smallness sweeps.
 wavesim
-    Forward and sidewise finite-difference evolution with discrete
-    energy tracking and boundary trace extraction.
+    Leapfrog evolution with discrete energy tracking and boundary
+    traces; the sidewise solver and the operator D_omega, which the
+    tests use as oracles for the quotient and its time derivatives.
 observability
     Boundary observability quotients, observability-constant
     estimation, counterexample sweeps, HUM control synthesis.

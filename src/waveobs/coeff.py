@@ -62,6 +62,7 @@ TWO_PI = 2.0 * math.pi
 DEFAULT_KNOTS = (0.04, 0.14, 0.62, 0.80)
 
 _ETA_GRID = 8192          # per-period grid for the antiderivative of eta'
+_SEQUENCE_DPS = 50        # mpmath digits of make_sequences
 _DENSE_CHECK = 100_000    # per-period grid for sup-norm measurements
 
 
@@ -88,9 +89,7 @@ def _smoothstep(t: np.ndarray) -> np.ndarray:
 
 def _chi(u: np.ndarray, knots: Sequence[float]) -> np.ndarray:
     """Plateau cutoff on the unit period, zero (flat) around integers."""
-    a, b, c, d = knots
-    u = np.mod(np.asarray(u, dtype=float), 1.0)
-    return _smoothstep((u - a) / (b - a)) * (1.0 - _smoothstep((u - c) / (d - c)))
+    return _chi_and_slope(u, knots)[0]
 
 
 def _chi_and_slope(u: np.ndarray, knots: Sequence[float]) -> tuple:
@@ -155,8 +154,7 @@ class PeriodicPair:
     theta_scale : float
         Normalization 1/mean(chi * cos^2) making the mean decay rate 1.
     M_alpha, M_alpha_prime, M : float
-        Measured sup|alpha - 4
-        pi^2|/eps, sup|alpha'|/eps and their max.
+        Measured sup|alpha - 4 pi^2|/eps, sup|alpha'|/eps and their max.
     decay_c : float
         Fitted decay constant from w(n) = exp(-c eps n); 1 up to round-off.
     gamma : float
@@ -286,8 +284,8 @@ def _measure_pair(eps: float, knots: Sequence[float]) -> PeriodicPair:
     n = np.arange(1, 21, dtype=float)
     logs = pair.w_log_abs(n)
     decay_c = float(-np.dot(logs, n) / (eps * np.dot(n, n)))
-    # period average of w via the midpoint rule (spectral for periodic-
-    # times-decay integrands this smooth; refined below with Richardson)
+    # period average of w by composite Gauss-Legendre (64 panels of 8
+    # nodes; no further refinement)
     w_int = _composite_gauss(pair.w)
     gamma = w_int / eps
     a, _, _, d = knots
@@ -317,7 +315,6 @@ def build_oscillator_pair(
     eps: float,
     eps_bar: float = 0.05,
     knots: Sequence[float] = DEFAULT_KNOTS,
-    sign_search: bool = True,
 ) -> PeriodicPair:
     """Construct the oscillating coefficient and its decaying solution.
 
@@ -328,11 +325,10 @@ def build_oscillator_pair(
     eps_bar : float
         Safety ceiling keeping alpha_eps well inside ]2 pi^2, 8 pi^2[.
     knots : tuple
-        Cutoff knots (a, b, c, d), 0 < a < b <= c < d < 1.
-    sign_search : bool
-        If the period average of w_eps comes out non-positive for the
-        requested knots, retry with the mirrored profile (which flips the
-        sign of the leading term of the average) and keep the better one.
+        Cutoff knots (a, b, c, d), 0 < a < b <= c < d < 1.  If the period
+        average of w_eps comes out non-positive for these knots, the
+        mirrored profile (which flips the sign of the leading term of the
+        average) is tried too and the better one kept.
 
     Raises
     ------
@@ -347,7 +343,7 @@ def build_oscillator_pair(
         raise ValueError(f"malformed cutoff knots {knots}")
 
     pair = _measure_pair(eps, knots)
-    if pair.gamma <= 0.0 and sign_search:
+    if pair.gamma <= 0.0:
         mirrored = _measure_pair(eps, _mirror_knots(knots))
         if mirrored.gamma > pair.gamma:
             pair = mirrored
@@ -703,7 +699,6 @@ def make_sequences(
     n0: int = 240,
     n_growth: float = 2.42,
     scaled_n: int = 16,
-    dps: int = 50,
 ) -> CounterexampleParams:
     """Build the interval/frequency/decay sequences for the trapping density.
 
@@ -724,10 +719,10 @@ def make_sequences(
         cannot achieve at reachable h.
 
     The three admissibility inequalities are evaluated per j with mpmath
-    at ``dps`` digits; for the infinite upper tail the sum is truncated
-    eight levels past the last requested j and closed with a doubling
-    bound on the final term (the summands decay at least geometrically
-    for every supported mode).
+    at ``_SEQUENCE_DPS`` (50) digits; for the infinite upper tail the sum
+    is truncated eight levels past the last requested j and closed with a
+    doubling bound on the final term (the summands decay at least
+    geometrically for every supported mode).
     """
     js = sorted(j_range)
     if not js:
@@ -742,7 +737,7 @@ def make_sequences(
     # any floating representation and is treated as exact
     representable = mp.mpf("1e15")
 
-    with mp.workdps(dps):
+    with mp.workdps(_SEQUENCE_DPS):
         if mode == "paper-strict":
             if N is None:
                 raise ValueError("paper-strict mode requires N")

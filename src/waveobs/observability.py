@@ -12,12 +12,12 @@ density is regular enough; trapping densities make it blow up along a
 family of concentrating modes.  This module measures both sides:
 
 * :func:`observability_quotient` evaluates Q_m (or an H^beta variant) for
-  one datum, flagging quotients that exceed what the discrete trace can
-  certify ("unbounded at this resolution").
+  one datum from its own march, flagging quotients that exceed what the
+  discrete trace can certify ("unbounded at this resolution").
 * :func:`estimate_observability_constant` takes a max over an ensemble of
-  random mode mixtures and adversarial data, per frequency cutoff, with an
-  optional cross-check against the small dense Gramian of
-  :func:`gramian_observability_constant`.
+  random mode mixtures and deterministic weak-spot data, per frequency
+  cutoff, with an optional cross-check against the small dense Gramian
+  of :func:`gramian_observability_constant`.
 * :func:`run_counterexample_sweep` drives the concentrating quasimode
   family through the wave solver and tabulates the divergence of Q_m along
   the family, with closed-form numerators where the construction makes
@@ -33,6 +33,9 @@ of a unit impulse weighted by the row's edge values, convolved with both
 phases of e^{iht} by FFT.  HUM's conjugate gradients march nothing: they
 run on the scheme's closed-form modal solution (one Chebyshev table), and
 only its verification solve marches, on the public solvers.
+
+Every entry point takes the derivative order m as a nonnegative integer
+and rejects anything else (:func:`_check_order`).
 """
 
 from __future__ import annotations
@@ -88,6 +91,20 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
+
+# run_counterexample_sweep: no wave grid finer than this many cells
+_MAX_WAVE_RESOLUTION = 1 << 17
+# hum_control: CG iteration cap and the floor of its stopping residual
+_CG_MAX_ITER = 200
+_CG_TOL = 1e-10
+
+
+def _check_order(m) -> int:
+    """The derivative order m as an int; negative or fractional m (and
+    nan or inf) is rejected rather than rounded."""
+    if not (float(m).is_integer() and m >= 0):
+        raise ValueError(f"m must be a nonnegative integer, got {m!r}")
+    return int(m)
 
 
 # --------------------------------------------------------------------------
@@ -249,7 +266,7 @@ def _quotient(u0n: np.ndarray, u1n: np.ndarray, trace: np.ndarray,
         parts = (denominator,)
         floor_m = beta
     else:
-        orders = range(int(m) + 1) if cumulative else (int(m),)
+        orders = range(m + 1) if cumulative else (m,)
         parts = tuple(_trace_derivative_energy(trace, dt, k)
                       for k in orders)
         denominator = float(sum(parts))
@@ -267,7 +284,7 @@ def _quotient(u0n: np.ndarray, u1n: np.ndarray, trace: np.ndarray,
         value = numerator / denominator
     return QuotientResult(
         value=value, numerator=numerator, denominator=denominator,
-        m=int(m), beta=beta, T=T, T_omega=T_omega,
+        m=m, beta=beta, T=T, T_omega=T_omega,
         admissible=bool(T > 2.0 * T_omega), unbounded=unbounded,
         side=side, resolution=len(u0n) - 1,
         denominator_parts=parts, label=label, flags=tuple(flags))
@@ -277,7 +294,7 @@ def observability_quotient(omega: Coefficient, u0, u1, T: float, m: int = 0,
                            *, beta: Optional[float] = None,
                            resolution: int = 2048, cfl: float = 0.9,
                            side: str = "left", cumulative: bool = False,
-                           trajectory=None, label: str = "") -> QuotientResult:
+                           label: str = "") -> QuotientResult:
     """Q = (|u0|_{H^1_0}^2 + |u1|_{L^2}^2) / int |d^m u_x(t,0)|^2 dt.
 
     ``u0``/``u1`` are callables or nodal arrays vanishing at the
@@ -285,27 +302,20 @@ def observability_quotient(omega: Coefficient, u0, u1, T: float, m: int = 0,
     norm instead of the m-fold derivative energy; with ``cumulative`` the
     derivative energies of all orders k <= m are summed, which makes
     Q non-increasing in m by construction.  Zero data is rejected (the
-    quotient is 0/0).  Pass ``trajectory`` to reuse an existing solve of
-    the same data; otherwise the data are marched once, without energy
-    tracking.
+    quotient is 0/0).  The data are marched once, on the grid given by
+    ``resolution`` and ``cfl``, without energy tracking.
     """
-    if m < 0 or int(m) != m:
-        raise ValueError("m must be a nonnegative integer")
+    m = _check_order(m)
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    x = (np.linspace(0.0, omega.length, resolution + 1)
-         if trajectory is None else trajectory.x)
+    x = np.linspace(0.0, omega.length, resolution + 1)
     u0n = _as_nodes(u0, x)
     u1n = _as_nodes(u1, x)
-    if trajectory is None:
-        dt, run = _march_data(omega, u0n, u1n, T, resolution, cfl)
-        flags = ()
-    else:
-        dt, run, flags = trajectory.dt, trajectory, trajectory.flags
+    dt, run = _march_data(omega, u0n, u1n, T, resolution, cfl)
     trace = run.trace_left if side == "left" else run.trace_right
     return _quotient(u0n, u1n, trace, dt, float(x[1] - x[0]), T,
                      travel_time(omega), m, beta, cumulative, side=side,
-                     label=label, flags=flags)
+                     label=label)
 
 
 # --------------------------------------------------------------------------
@@ -335,8 +345,7 @@ def _bump(x: np.ndarray, center: float, width: float) -> np.ndarray:
 
 
 def _ensemble_data(x: np.ndarray, omega_nodes: np.ndarray, cutoff: int,
-                   rng: np.random.Generator, n_random: int,
-                   adversarial: bool) -> list:
+                   rng: np.random.Generator, n_random: int) -> list:
     """(label, u0, u1) candidates for one frequency cutoff.
 
     Random mixtures draw iid normal coefficients on modes 1..cutoff with
@@ -355,8 +364,6 @@ def _ensemble_data(x: np.ndarray, omega_nodes: np.ndarray, cutoff: int,
         b = rng.standard_normal(cutoff)
         out.append((f"random-mixture-{i}", _sine_mixture(x, a),
                     _sine_mixture(x, b)))
-    if not adversarial:
-        return out
     top = _sine_mixture(x, np.eye(cutoff)[-1] / (cutoff * math.pi))
     out.append(("mode-top-position", top, np.zeros_like(x)))
     out.append(("mode-top-velocity", np.zeros_like(x),
@@ -461,16 +468,17 @@ def estimate_observability_constant(
         omega: Coefficient, T: Optional[float] = None,
         cutoffs: Sequence[int] = (8, 16, 32, 64), *,
         n_random: int = 12, seed: int = 0, resolution: int = 2048,
-        m: int = 0, beta: Optional[float] = None,
-        adversarial: bool = True, cfl: float = 0.9,
+        m: int = 0, beta: Optional[float] = None, cfl: float = 0.9,
         loss_m: Sequence[int] = (), loss_beta: Sequence[float] = (),
         cross_check: bool = False, cross_check_cutoff: int = 8,
         cross_check_resolution: int = 256) -> ObservabilityReport:
     """Max observability quotient over an ensemble, per frequency cutoff.
 
-    ``T`` defaults to twice the crossing time plus 0.5.  The candidates
-    of every cutoff are drawn first (deterministic for a given seed) and
-    then evolved together, one column each, in a single march of the
+    ``T`` defaults to twice the crossing time plus 0.5.  Each cutoff's
+    candidates are ``n_random`` random mixtures plus seven deterministic
+    weak-spot data (:func:`_ensemble_data`).  The candidates of every
+    cutoff are drawn first (deterministic for a given seed) and then
+    evolved together, one column each, in a single march of the
     leapfrog kernel without energy tracking.  Each candidate's trace is
     reused for the headline quotient and for every entry of the optional
     loss scans (``loss_m`` derivative orders, ``loss_beta`` trace
@@ -482,6 +490,8 @@ def estimate_observability_constant(
     [0, 1] up to discretization.  Every cutoff must be at most half its
     resolution.
     """
+    m = _check_order(m)
+    loss_m = tuple(_check_order(k) for k in loss_m)
     for cutoff in cutoffs:
         _check_cutoff(cutoff, resolution)
     if cross_check:
@@ -496,7 +506,7 @@ def estimate_observability_constant(
     cands = []
     for cutoff in cutoffs:
         cands += [(cutoff,) + c for c in _ensemble_data(
-            x, omega_nodes, cutoff, rng, n_random, adversarial)]
+            x, omega_nodes, cutoff, rng, n_random)]
     dt, run = _march_data(omega, np.stack([c[2] for c in cands], axis=1),
                           np.stack([c[3] for c in cands], axis=1),
                           T, resolution, cfl)
@@ -548,8 +558,7 @@ def estimate_observability_constant(
             resolution=cross_check_resolution, cfl=cfl, m=m)
         sub = estimate_observability_constant(
             omega, T, (cross_check_cutoff,), n_random=n_random, seed=seed,
-            resolution=cross_check_resolution, m=m, beta=beta,
-            adversarial=adversarial, cfl=cfl)
+            resolution=cross_check_resolution, m=m, beta=beta, cfl=cfl)
         ens = sub.constants[cross_check_cutoff]
         check = {
             "gramian": gram["value"], "ensemble": ens,
@@ -580,6 +589,7 @@ def gramian_observability_constant(omega: Coefficient, T: float,
     sampled candidates.  Meant for small cutoffs (dense eigenproblem),
     at most half the resolution.
     """
+    m = _check_order(m)
     if cutoff > 64:
         raise ValueError("gramian route is for small cutoffs (<= 64)")
     _check_cutoff(cutoff, resolution)
@@ -788,10 +798,8 @@ def run_counterexample_sweep(
         params: Optional[CounterexampleParams] = None, *,
         family: str = "lambda", mode: str = "concentrating",
         j_list: Sequence[int] = (2, 3, 4), m_list: Sequence[int] = (0, 1, 2),
-        T: Optional[float] = None, resolutions: Optional[Mapping] = None,
-        max_resolution: int = 1 << 17, points_per_wavelength: float = 12.0,
+        T: Optional[float] = None, points_per_wavelength: float = 12.0,
         rtol: float = 1e-12, cfl: float = 0.9,
-        measure_seminorm: bool = True,
         sequence_kwargs: Optional[dict] = None) -> DivergenceTable:
     """Divergence of Q_m along the trapping quasimode family.
 
@@ -822,7 +830,7 @@ def run_counterexample_sweep(
     factor out of it is nan, so it never counts toward ``diverging``.
     """
     j_list = tuple(j_list)
-    m_list = tuple(int(m) for m in m_list)
+    m_list = tuple(_check_order(m) for m in m_list)
     if params is None:
         kw = dict(sequence_kwargs or {})
         kw.setdefault("mode", mode)
@@ -838,20 +846,16 @@ def run_counterexample_sweep(
 
     def solve_row(j: int, density: Coefficient) -> dict:
         entry = params.entry(j)
-        if resolutions and j in resolutions:
-            res_wave = int(resolutions[j])
-        else:
-            want = points_per_wavelength * entry.h
-            if family == "psi":
-                # every interval of the shared density feeds the ODE
-                # solve (an under-resolved far interval corrupts phi and
-                # the edge values beyond it), so the grid must resolve
-                # the finest one even when this row concentrates on a
-                # coarser interval
-                for e in params.entries:
-                    want = max(want, 8.0 * e.n / e.r)
-            res_wave = 1 << max(3, int(math.ceil(math.log2(want))))
-            res_wave = min(res_wave, max_resolution)
+        want = points_per_wavelength * entry.h
+        if family == "psi":
+            # every interval of the shared density feeds the ODE solve
+            # (an under-resolved far interval corrupts phi and the edge
+            # values beyond it), so the grid must resolve the finest one
+            # even when this row concentrates on a coarser interval
+            for e in params.entries:
+                want = max(want, 8.0 * e.n / e.r)
+        res_wave = 1 << max(3, int(math.ceil(math.log2(want))))
+        res_wave = min(res_wave, _MAX_WAVE_RESOLUTION)
         if res_wave / entry.h < 4.0:
             raise ScaleOutOfReach(
                 f"wave grid cannot resolve h={entry.h:.4g} "
@@ -920,8 +924,6 @@ def run_counterexample_sweep(
             bound_ratio[m] = (max(d_cos, d_sin) / cap if cap > 0
                               else math.inf)
 
-        seminorm = (_log_lipschitz_seminorm(density, h)
-                    if measure_seminorm else math.nan)
         return {
             "j": j, "h": h, "eps": qm.eps, "n": n,
             "resolution": res_wave, "T": T,
@@ -930,7 +932,7 @@ def run_counterexample_sweep(
             "numerator_route": numer["route"],
             "boundary_smallness": smallness,
             "smallness_log": smallness_log,
-            "seminorm_LL": seminorm,
+            "seminorm_LL": _log_lipschitz_seminorm(density, h),
             "edge_values": (phi0, phi1),
             "edge_derivatives": (dphi0, dphi1),
             "Q": quots,
@@ -1034,7 +1036,6 @@ def _duality_operator(modes, smooth: Callable, dx: float, dt: float):
 
 def hum_control(omega: Coefficient, y0, y1, T: float, m: int = 0, *,
                 tolerance: float = 1e-6, resolution: int = 512,
-                max_iter: int = 200, cg_tol: float = 1e-10,
                 cfl: float = 0.9) -> ControlResult:
     """Steer (y0, y1) to rest by a Dirichlet control at x = 0.
 
@@ -1061,9 +1062,7 @@ def hum_control(omega: Coefficient, y0, y1, T: float, m: int = 0, *,
     superposing the homogeneous evolution of the data with the
     zero-data forced evolution.
     """
-    if m < 0 or int(m) != m:
-        raise ValueError(f"m must be a nonnegative integer, got {m!r}")
-    m = int(m)
+    m = _check_order(m)
     x = np.linspace(0.0, omega.length, resolution + 1)
     dx = x[1] - x[0]
     om_nodes = omega(x)
@@ -1108,9 +1107,9 @@ def hum_control(omega: Coefficient, y0, y1, T: float, m: int = 0, *,
     flags = []
     # the terminal energy defect is quadratic in the residual, so the
     # iteration may stop once the squared relative residual clears the
-    # requested tolerance with a factor-10 margin (cg_tol overrides)
-    stop_at = max(cg_tol, math.sqrt(tolerance / 10.0))
-    for iterations in range(1, max_iter + 1):
+    # requested tolerance with a factor-10 margin, never below _CG_TOL
+    stop_at = max(_CG_TOL, math.sqrt(tolerance / 10.0))
+    for iterations in range(1, _CG_MAX_ITER + 1):
         Ad = apply_A(d)
         curv = float(np.dot(d, Ad))
         if curv <= 0.0:

@@ -1409,7 +1409,6 @@ def boundary_smallness_sweep(
     rtol: float = 1e-12,
     n_samples: int = 1025,
     dense_budget: int = 30_000,
-    checks: bool = False,
     **sequence_kwargs,
 ) -> SweepReport:
     """Boundary energies of the quasimode family against h_j.
@@ -1420,8 +1419,9 @@ def boundary_smallness_sweep(
     tabulates the boundary energies with their local slope
     d log(E_total) / d log(h_j).  The sweep truncates at the first j
     whose density cannot be built or whose mode is out of reach, and
-    reports the truncation.  Per-mode cross/reverse checks are off by
-    default here (``checks``); they are solve-level diagnostics.
+    reports the truncation.  The rows are solved without the per-mode
+    cross and reverse checks: those are solve-level diagnostics of
+    :func:`solve_quasimode`, which runs them by default.
 
     Each row also carries ``edge_bound_log``: the energy-comparison chain
     "boundary energy <= weighted E(0) <= weighted E(edge) * growth"
@@ -1441,8 +1441,8 @@ def boundary_smallness_sweep(
     def row(j: int, density: Coefficient) -> dict:
         res = solve_quasimode(
             density, j, rtol=rtol, n_samples=n_samples,
-            dense_budget=dense_budget, cross_check=checks,
-            reverse_check=checks)
+            dense_budget=dense_budget, cross_check=False,
+            reverse_check=False)
         e = params.entry(j)
         pair = density.trapping.pairs[j]
         total_log = np.logaddexp(res.boundary_energy_0_log,

@@ -8,18 +8,25 @@ coefficients, the same holds for every k-th time-difference sequence,
 which is how the higher energies E_k are tracked.
 
 One private kernel, ``_leapfrog``, marches a node array or a (nodes x K)
-block of data columns, each bitwise the single-column run; it computes
-energies, snapshots and slices only on request.  :func:`evolve` and
+block of data columns, each bitwise the single-column run.  It always
+returns the boundary traces and computes energies and snapshots only on
+request; it records no interior slice.  :func:`evolve` and
 :func:`evolve_inhomogeneous` are single-column runs that track energies;
 ``observability`` marches its data as blocks without them.
 ``_leapfrog_modes`` solves the homogeneous scheme in closed form instead:
 one table of every mode's Chebyshev evolution, on which HUM's CG runs.
 
-The sidewise solver re-reads the same equation as an evolution in x
-(u_xx = omega u_tt) and marches a time slice across the interval while
-shrinking the transverse window one grid point per step - a superset
-of the true domain-of-dependence shrink rate sqrt(omega^*) dx per unit
-x at the default CFL number.
+The sidewise solver is the flux-to-energy oracle of the paper's
+argument: it re-reads the same equation as an evolution in x
+(u_xx = omega u_tt) and, started at x = 0 from the boundary Cauchy data
+(u = 0, u_x = a forward run's ``trace_left``), rebuilds the field and
+its energy across the interval from the flux alone, sharing nothing
+with the leapfrog but that trace.  It shrinks the transverse window
+one grid point per step - a superset of the true domain-of-dependence
+shrink rate sqrt(omega^*) dx per unit x at the default CFL number, so a
+full crossing needs T > 2 sqrt(omega^*) / cfl.  :func:`apply_D_omega`
+is the discrete operator whose powers the time differences of a trace
+must reproduce.
 
 Boundary traces use third-order one-sided differences.  Rough
 coefficients are sampled pointwise at the nodes; no smoothing is ever
@@ -51,6 +58,8 @@ __all__ = [
 ]
 
 _DEFAULT_CFL = 0.9
+# apply_D_omega rejects a result below this many times its noise estimate
+_SNR_FLOOR = 100.0
 
 
 # --------------------------------------------------------------------------
@@ -147,7 +156,6 @@ class WaveTrajectory:
     homogeneous: bool
     flags: tuple = ()
     pz_ratios: Optional[Mapping[str, float]] = None
-    slice_record: Optional["SidewiseSlice"] = None
 
     @property
     def dx(self) -> float:
@@ -273,12 +281,10 @@ class _March:
     energies: Mapping[int, np.ndarray]
     energy_times: Mapping[int, np.ndarray]
     snapshots: Optional[tuple] = None       # (times, u, u_t) lists
-    slice_record: Optional[tuple] = None    # (x0, u, u_x)
 
 
 def _leapfrog(om, dx, dt, steps, u_start, u_next, *, boundary=None,
-              k_max=None, energy_stride=1, snapshot_stride=None,
-              slice_at=None) -> _March:
+              k_max=None, energy_stride=1, snapshot_stride=None) -> _March:
     """March a node array or a (nodes x K) block of first two levels.
 
     Every column gets bitwise the single-column arithmetic,
@@ -286,7 +292,7 @@ def _leapfrog(om, dx, dt, steps, u_start, u_next, *, boundary=None,
     buffers.  ``boundary``: optional (left, right) Dirichlet rows of
     shape (steps+1,) + columns for every level; without it the ends are
     zero from the third level.  Only on request: energies of orders
-    <= ``k_max`` (one column only), snapshots, and the (u, u_x) slice.
+    <= ``k_max`` (one column only) and snapshots.
     """
     first = np.array(u_start, dtype=float)
     second = np.array(u_next, dtype=float)
@@ -315,14 +321,11 @@ def _leapfrog(om, dx, dt, steps, u_start, u_next, *, boundary=None,
     free = list(range(2, nbuf))
     scratch = np.empty((n - 1,) + cols)
 
-    # the rows the traces (and the slice) read are gathered level by
-    # level and their stencils applied to a whole chunk of levels at once
-    rows = [0, 1, 2, 3, n - 3, n - 2, n - 1, n]
-    if slice_at is not None:
-        s = min(max(int(round(slice_at / dx)), 2), n - 2)
-        rows += range(s - 2, s + 3)
+    # the rows the traces read are gathered level by level and their
+    # stencils applied to a whole chunk of levels at once
+    rows = np.array([0, 1, 2, 3, n - 3, n - 2, n - 1, n])
     gathered = np.empty((_EDGE_CHUNK, len(rows)) + cols)
-    series = np.empty((5, steps + 1) + cols)
+    series = np.empty((3, steps + 1) + cols)
 
     def flush(level):
         a = level - level % _EDGE_CHUNK
@@ -331,11 +334,7 @@ def _leapfrog(om, dx, dt, steps, u_start, u_next, *, boundary=None,
         out[0] = _trace_left(g[:4], dx)
         out[1] = _trace_right(g[4:8], dx)
         out[2] = g[1]
-        if slice_at is not None:
-            out[3] = g[10]
-            out[4] = (g[8] - 8 * g[9] + 8 * g[11] - g[12]) / (12 * dx)
 
-    rows = np.array(rows)
     first.take(rows, 0, gathered[0], "clip")
     second.take(rows, 0, gathered[1], "clip")
     if steps == 1:
@@ -396,9 +395,7 @@ def _leapfrog(om, dx, dt, steps, u_start, u_next, *, boundary=None,
         levels=(bufs[prev].copy(), bufs[cur].copy()),
         energies={k: np.asarray(v) for k, v in energies.items()},
         energy_times={k: np.asarray(v) for k, v in energy_t.items()},
-        snapshots=snaps,
-        slice_record=(None if slice_at is None
-                      else (s * dx, series[3], series[4])))
+        snapshots=snaps)
 
 
 @dataclass(frozen=True)
@@ -483,7 +480,6 @@ def _as_samples(f: Union[Callable, np.ndarray, None], x: np.ndarray):
 def evolve(omega: Coefficient, u0, u1, T: float, resolution: int,
            k_max: int = 2, cfl: float = _DEFAULT_CFL,
            snapshot_stride: Optional[int] = None,
-           record_slice_at: Optional[float] = None,
            start_levels: Optional[tuple] = None,
            energy_stride: int = 1) -> WaveTrajectory:
     """Evolve omega u_tt = u_xx with homogeneous Dirichlet conditions.
@@ -495,9 +491,10 @@ def evolve(omega: Coefficient, u0, u1, T: float, resolution: int,
     continued or reversed exactly.
 
     A single-column kernel run tracking E_0..E_{k_max} every
-    ``energy_stride``-th level; snapshots default to every steps // 128.
-    ``record_slice_at`` captures (u, u_x) at the nearest interior node
-    every step, packaged as a :class:`SidewiseSlice`.
+    ``energy_stride``-th level; snapshots default to every steps // 128
+    (``snapshot_stride=1`` keeps every level).  The boundary traces are
+    the whole record of the run's flux; no interior slice is recorded
+    (:func:`sidewise_evolve` rebuilds the interior from ``trace_left``).
     """
     x, om = _space_grid(omega, resolution)
     dx = x[1] - x[0]
@@ -517,24 +514,16 @@ def evolve(omega: Coefficient, u0, u1, T: float, resolution: int,
 
     run = _leapfrog(om, dx, dt, steps, ua, ub, k_max=k_max,
                     energy_stride=energy_stride,
-                    snapshot_stride=snapshot_stride or max(1, steps // 128),
-                    slice_at=record_slice_at)
+                    snapshot_stride=snapshot_stride or max(1, steps // 128))
     st, su, sut = run.snapshots
     sut[0] = ut0
-    slice_obj = None
-    if run.slice_record is not None:
-        x0, su_series, sux_series = run.slice_record
-        slice_obj = SidewiseSlice(
-            x0=x0, times=np.arange(steps + 1) * dt,
-            u=su_series, u_x=sux_series)
     return WaveTrajectory(
         x=x, omega_nodes=om, dt=dt, steps=steps, T=T, cfl_number=cfl,
         order=2, times=np.arange(steps + 1) * dt,
         trace_left=run.trace_left, trace_right=run.trace_right,
         energies=run.energies, energy_times=run.energy_times,
         snapshot_times=np.asarray(st), snapshots_u=tuple(su),
-        snapshots_ut=tuple(sut), levels=run.levels, homogeneous=True,
-        slice_record=slice_obj)
+        snapshots_ut=tuple(sut), levels=run.levels, homogeneous=True)
 
 
 def evolve_inhomogeneous(omega: Coefficient, forcing: BoundaryForcing,
@@ -623,10 +612,6 @@ class SidewiseSlice:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    @property
-    def u_t(self) -> np.ndarray:
-        return np.gradient(self.u, self.dt)
-
 
 @dataclass(frozen=True)
 class SidewiseResult:
@@ -660,10 +645,14 @@ def sidewise_evolve(omega: Coefficient, slc: SidewiseSlice, span: float,
                     cfl: float = _DEFAULT_CFL) -> SidewiseResult:
     """March u_xx = omega(x) u_tt in x from the slice at x0.
 
-    ``direction`` 'right' advances toward larger x, 'left' toward
-    smaller.  The time window shrinks by one point per side per x-step;
-    the span is rejected when the remaining window would drop below
-    eight points (the slice no longer determines the solution there).
+    From the boundary slice (x0 = 0, u = 0, u_x = a forward run's
+    ``trace_left``) and ``span=1`` this rebuilds the whole field from
+    the flux alone: the paper's sidewise energy argument, and the tests'
+    oracle for the observability quotient.  ``direction`` 'right'
+    advances toward larger x, 'left' toward smaller.  The time window
+    shrinks by one point per side per x-step; the span is rejected when
+    the remaining window would drop below eight points (the slice no
+    longer determines the solution there).
     """
     if direction not in ("right", "left"):
         raise ValueError("direction must be 'right' or 'left'")
@@ -738,14 +727,18 @@ def sidewise_evolve(omega: Coefficient, slc: SidewiseSlice, span: float,
 # the operator D_omega and trace norms
 # --------------------------------------------------------------------------
 
-def apply_D_omega(f: np.ndarray, omega: Coefficient, m: int,
-                  snr_floor: float = 100.0) -> np.ndarray:
+def apply_D_omega(f: np.ndarray, omega: Coefficient, m: int) -> np.ndarray:
     """m-fold application of (1/omega) d^2/dx^2 (discrete), m >= 0.
 
-    Endpoint values are treated as Dirichlet zeros.  Each application
-    multiplies round-off noise by about 4/(dx^2 omega_*); the result is
-    rejected when its magnitude falls below ``snr_floor`` times the
-    accumulated noise estimate (resolution too low for this power).
+    This is the leapfrog's own spatial operator: the second time
+    difference of a homogeneous run is dt^2 D_omega of its level, so the
+    2k-th time difference of a boundary trace is the trace of the run
+    started from D_omega^k of the first two levels (the tests' oracle
+    for the ``np.diff`` route of Q_m).  Endpoint values are treated as
+    Dirichlet zeros.  Each application multiplies round-off noise by
+    about 4/(dx^2 omega_*); the result is rejected when its magnitude
+    falls below ``_SNR_FLOOR`` times the accumulated noise estimate
+    (resolution too low for this power).
     """
     if m < 0:
         raise ValueError("power m must be nonnegative")
@@ -765,7 +758,7 @@ def apply_D_omega(f: np.ndarray, omega: Coefficient, m: int,
             np.max(np.abs(out)) if np.max(np.abs(out)) > 0 else 1.0)
         g = out
     scale = float(np.max(np.abs(g)))
-    if scale < snr_floor * noise:
+    if scale < _SNR_FLOOR * noise:
         raise ValueError(
             f"D_omega^{m} at this resolution is dominated by round-off "
             f"(signal {scale:.3e} vs noise floor {noise:.3e})")

@@ -120,6 +120,18 @@ class TestOscillatorPair:
         except ValueError as err:
             assert "gamma" in str(err)
 
+    @pytest.mark.parametrize("knots", [coeff.DEFAULT_KNOTS,
+                                       (0.2, 0.3, 0.5, 0.9)])
+    def test_cutoff_is_the_smoothstep_plateau(self, knots):
+        # one ramp formula: the cutoff is bitwise the plateau built from
+        # the smoothstep, smoothstep(up) * (1 - smoothstep(down))
+        a, b, c, d = knots
+        u = np.random.default_rng(5).uniform(-2.0, 3.0, 200_000)
+        w = np.mod(u, 1.0)
+        ref = (coeff._smoothstep((w - a) / (b - a))
+               * (1.0 - coeff._smoothstep((w - c) / (d - c))))
+        assert np.array_equal(coeff._chi(u, knots), ref)
+
     def test_envelope_log_matches_w_log_abs(self, pair):
         x = np.array([0.5, 1.5, 7.25, 30.75])
         la = pair.w_log_abs(x)

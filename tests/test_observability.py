@@ -86,7 +86,6 @@ class TestKernel:
         u = np.zeros((self.n + 1, 2))
         run = ws._leapfrog(om, dx, dt, 10, u, u)
         assert not run.energies and run.snapshots is None
-        assert run.slice_record is None
         with pytest.raises(ValueError, match="single column"):
             ws._leapfrog(om, dx, dt, 10, u, u, k_max=0)
 
@@ -113,14 +112,35 @@ class TestQuotient:
                 1.0 / ((k * math.pi) ** 2 * T), rel=2e-3)
             assert q0.admissible and not q0.unbounded
 
-    def test_trajectory_reuse_is_exact(self, one):
-        u0 = lambda x: x * (1.0 - x) * np.sin(3.0 * x)
-        traj = ws.evolve(one, u0, None, 2.5, 128, k_max=0)
-        zero = np.zeros_like(traj.x)
-        a = ob.observability_quotient(one, u0, zero, 2.5, resolution=128)
-        b = ob.observability_quotient(one, u0, zero, 2.5, resolution=128,
-                                      trajectory=traj)
-        assert a.to_summary() == b.to_summary()
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_right_side_matches_left(self, one, k):
+        # sin(k pi x) on omega = 1 radiates k pi cos(k pi t) through x = 0
+        # and (-1)^k times that through x = 1: the same |flux|, so the
+        # same quotient from either end
+        mode = lambda x: np.sin(k * math.pi * x)
+        for m in (0, 1):
+            left, right = (ob.observability_quotient(
+                one, mode, np.zeros_like, 2.5, m, resolution=256, side=side)
+                for side in ("left", "right"))
+            assert (left.side, right.side) == ("left", "right")
+            assert right.value == pytest.approx(left.value, rel=1e-11)
+
+    def test_cumulative_orders(self):
+        # the cumulative denominator sums the energies of orders 0..m, one
+        # part per order, each the single-order denominator; so Q cannot
+        # grow with m
+        om = coeff.make_baseline("lipschitz")
+        single = [ob.observability_quotient(om, data_mix, np.zeros_like, 3.0,
+                                            k, resolution=128).denominator
+                  for k in range(4)]
+        values = []
+        for m in range(4):
+            q = ob.observability_quotient(om, data_mix, np.zeros_like, 3.0, m,
+                                          resolution=128, cumulative=True)
+            assert q.denominator_parts == tuple(single[:m + 1])
+            assert q.denominator == sum(q.denominator_parts)
+            values.append(q.value)
+        assert all(b <= a for a, b in zip(values, values[1:]))
 
     def test_wide_eps_density(self):
         # scaled mode (eps_j >= 0.05) used to crash in travel_time
@@ -146,6 +166,19 @@ class TestConstants:
         assert len(rep.rows) == 2 * (2 + 7)
         assert all(math.isfinite(c) and c > 0 for c in rep.constants.values())
         assert rep.loss["smallest_bounded_m"] == 0
+
+    def test_loss_beta_scan(self):
+        # each row carries its H^beta quotients; the H^1 weight
+        # (1 + xi^2) >= 1 can only lower the quotient
+        rep = ob.estimate_observability_constant(
+            coeff.make_baseline("lipschitz"), cutoffs=(4,), resolution=64,
+            n_random=2, seed=3, loss_beta=(0.0, 1.0))
+        for row in rep.rows:
+            assert 0.0 < row["Q_beta_1.0"] <= row["Q_beta_0.0"]
+        assert rep.loss["scanned_beta"] == [0.0, 1.0]
+        assert rep.loss["bounded_beta"] == [0.0, 1.0]
+        assert rep.loss["smallest_bounded_beta"] == 0.0
+        assert rep.loss["bounded_m"] == []
 
     def test_ensemble_row_matches_single_quotient(self):
         # a batched candidate's quotient equals the single-datum one
@@ -303,6 +336,122 @@ class TestCutoffGuard:
         assert marches == []
         rep = ob.estimate_observability_constant(om, 3.0, (8, 32), **kw)
         assert rep.cutoffs == (8, 32) and marches == ["homogeneous"]
+
+
+def data_mix(x):
+    return np.sin(math.pi * x) + 0.5 * np.sin(2.0 * math.pi * x)
+
+
+def sidewise_energy(sw, u_x0):
+    """E = 1/2 int (u_x^2 + omega u_t^2) dx at the middle time index
+    (N-1)//2 of the window, from the sidewise levels alone: u_t centered
+    in t; u_x the slice's own at x = 0, centered in x inside, one-sided
+    at the far end."""
+    c = (len(sw.times) - 1) // 2
+    lv, dxs, last = sw.levels, abs(sw.dxs), len(sw.levels) - 1
+
+    def at(level, index):
+        # level l holds the time indices l .. N-1-l
+        return lv[level][index - level]
+
+    ut = np.array([(at(l, c + 1) - at(l, c - 1)) / (2.0 * sw.dt)
+                   for l in range(last + 1)])
+    ux = np.array([u_x0[c]] + [(at(l + 1, c) - at(l - 1, c)) / (2.0 * dxs)
+                               for l in range(1, last)]
+                  + [(at(last, c) - at(last - 1, c)) / dxs])
+    return 0.5 * np.trapezoid(ux ** 2 + sw.omega_values * ut ** 2, dx=dxs)
+
+
+class TestWavesimOracles:
+    """The sidewise solver and D_omega check the quotient's two routes:
+    the flux-to-energy ratio, and the np.diff time derivatives of Q_m."""
+
+    def test_sidewise_flux_to_energy(self):
+        # the paper's sidewise argument: marching the boundary Cauchy data
+        # (u, u_x)(t, 0) = (0, trace_left) across ]0, 1[ in x rebuilds
+        # E(T/2), and with u1 = 0 the quotient's numerator is 2E, so
+        # 2E / denominator must be Q_0.  The two routes share only the
+        # trace.  T = 3.5 clears the sidewise trim limit
+        # 2 sqrt(omega^*) / cfl = 2.72.
+        om = coeff.make_baseline("lipschitz")
+        T = 3.5
+        gaps = []
+        for res in (128, 256, 512):
+            traj = ws.evolve(om, data_mix, None, T, res, k_max=0)
+            slc = ws.SidewiseSlice(x0=0.0, times=traj.times,
+                                   u=np.zeros_like(traj.times),
+                                   u_x=traj.trace_left)
+            sw = ws.sidewise_evolve(om, slc, span=1.0)
+            assert sw.x_values[-1] == pytest.approx(1.0)
+            q = ob.observability_quotient(om, data_mix, np.zeros_like, T,
+                                          resolution=res)
+            energy = sidewise_energy(sw, slc.u_x)
+            gaps.append(abs(2.0 * energy / q.denominator / q.value - 1.0))
+        # measured 1.6e-4, 4.3e-5, 1.1e-5
+        assert gaps[0] <= 2.5e-4 and gaps[1] <= 7e-5
+        assert all(a >= 3.0 * b for a, b in zip(gaps, gaps[1:]))
+
+    @pytest.mark.parametrize("k, bound", [(1, 1e-8), (2, 1e-6)])
+    def test_D_omega_time_differences(self, k, bound):
+        # on the leapfrog u^{n+1} - 2u^n + u^{n-1} = dt^2 D_omega u^n, so
+        # the 2k-th time difference of a trace (Q_m's np.diff route) is
+        # the trace of the run started from D_omega^k of the first two
+        # levels, k levels later.  The gap is round-off, measured
+        # 1.1e-9 (k = 1) and 9.1e-8 (k = 2) in the L^2 norm that Q_m's
+        # denominator integrates.
+        om = coeff.make_baseline("lipschitz")
+        T, res = 3.0, 256
+        dt, _ = ws.solver_time_grid(om, T, res)
+        # a one-step run ends on the first two levels of the data's run
+        first = ws.evolve(om, data_mix, None, dt, res, k_max=0).levels
+        trace = ws.evolve(om, data_mix, None, T, res, k_max=0).trace_left
+        start = tuple(ws.apply_D_omega(u, om, k) for u in first)
+        moved = ws.evolve(om, None, None, T, res, k_max=0,
+                          start_levels=start).trace_left[k:-k]
+        diffs = np.diff(trace, 2 * k) / dt ** (2 * k)
+        assert np.linalg.norm(diffs - moved) <= bound * np.linalg.norm(moved)
+        # and so Q_{2k}'s denominator is the moved trace's L^2 energy
+        energy = ob._trace_derivative_energy(trace, dt, 2 * k)
+        assert energy == pytest.approx(np.trapezoid(moved ** 2, dx=dt),
+                                       rel=3.0 * bound)
+
+
+def _order_entry_points():
+    om = coeff.make_baseline("lipschitz")
+    x = np.linspace(0.0, 1.0, 65)
+    u, zero = np.sin(math.pi * x), np.zeros_like(x)
+    return {
+        "observability_quotient": lambda m: ob.observability_quotient(
+            om, u, zero, 3.0, m, resolution=64),
+        "estimate_observability_constant":
+            lambda m: ob.estimate_observability_constant(
+                om, 3.0, (4,), n_random=1, resolution=64, m=m),
+        "gramian_observability_constant":
+            lambda m: ob.gramian_observability_constant(
+                om, 3.0, 4, resolution=64, m=m),
+        "run_counterexample_sweep": lambda m: ob.run_counterexample_sweep(
+            family="lambda", j_list=(2,), m_list=(0, m),
+            points_per_wavelength=6.0, sequence_kwargs={"n0": 30}),
+        "hum_control": lambda m: ob.hum_control(
+            om, u, zero, 3.0, m, resolution=64),
+    }
+
+
+class TestOrderRule:
+    """One rule for the derivative order m at every entry point: a
+    negative or fractional order is rejected before any march, never
+    rounded to a neighbouring integer."""
+
+    @pytest.mark.parametrize("m", [-1, 0.5, 1.5, math.nan])
+    @pytest.mark.parametrize("entry", sorted(_order_entry_points()))
+    def test_rejected(self, entry, m, marches):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            _order_entry_points()[entry](m)
+        assert marches == []
+
+    def test_integral_float_accepted(self):
+        rep = _order_entry_points()["estimate_observability_constant"](1.0)
+        assert rep.m == 1 and type(rep.m) is int
 
 
 def test_lambda_divergence_sweep():

@@ -306,18 +306,18 @@ class TestSidewise:
         assert np.max(np.abs(uu - exact)) < 5e-6
 
     def test_cross_validation_with_forward(self, om_smooth):
-        # forward solve records the field along x = 1/2; the sidewise
-        # sweep reconstructs it from the left boundary trace alone
+        # the forward solve's every-level snapshots give the field along
+        # x = 1/2; the sidewise sweep reconstructs it from the left
+        # boundary trace alone
         T = 4.0
         mids, fields = {}, {}
         for res in (256, 512):
             traj = ws.evolve(om_smooth, lambda x: np.sin(np.pi * x),
-                             None, T=T, resolution=res,
-                             record_slice_at=0.5)
-            mids[res] = traj.slice_record
+                             None, T=T, resolution=res, snapshot_stride=1)
+            mids[res] = np.array([u[res // 2] for u in traj.snapshots_u])
             fields[res] = traj
-        fine = np.interp(fields[256].times, fields[512].times, mids[512].u)
-        self_err = np.max(np.abs(fine - mids[256].u))
+        fine = np.interp(fields[256].times, fields[512].times, mids[512])
+        self_err = np.max(np.abs(fine - mids[256]))
         traj = fields[512]
         slc = ws.SidewiseSlice(x0=0.0, times=traj.times,
                                u=np.zeros_like(traj.times),
@@ -325,7 +325,7 @@ class TestSidewise:
         sw = ws.sidewise_evolve(om_smooth, slc, span=0.5)
         xu, tw, uu = sw.field_at(0.5)
         i0 = int(round(tw[0] / traj.dt))
-        ref = mids[512].u[i0: i0 + len(uu)]
+        ref = mids[512][i0: i0 + len(uu)]
         agree = np.max(np.abs(uu - ref))
         assert agree < 2 * max(self_err, 1e-8)
 

@@ -27,15 +27,17 @@ family of concentrating modes.  This module measures both sides:
   terminal state it reaches.
 
 Wave solves run on the leapfrog kernel of :mod:`wavesim` without energy
-tracking: each ensemble or Gramian basis is one block march, and the
-divergence sweep's boundary corrector is one single-column march per row
-of a unit impulse weighted by the row's edge values, convolved with both
-phases of e^{iht} by FFT.  HUM's conjugate gradients march nothing: they
-run on the scheme's closed-form modal solution (one Chebyshev table), and
-only its verification solve marches, on the public solvers.
+tracking, each on one grid built once: each ensemble or Gramian basis is
+one block march, and the divergence sweep's boundary corrector is one
+single-column march per row of a unit impulse weighted by the row's edge
+values, convolved with both phases of e^{iht} by FFT.  HUM's conjugate
+gradients march nothing: they run on the scheme's closed-form modal
+solution (one Chebyshev table), and only its verification solve marches,
+on the public solvers.
 
 Every entry point takes the derivative order m as a nonnegative integer
-and rejects anything else (:func:`_check_order`).
+and rejects anything else (:func:`_check_order`), and a trace exponent
+beta as finite and nonnegative; both are checked before any march.
 """
 
 from __future__ import annotations
@@ -65,16 +67,17 @@ from .quasimodes import (
 )
 from .wavesim import (
     BoundaryForcing,
+    _as_samples,
+    _check_beta,
     _forcing_flags,
     _leapfrog,
     _leapfrog_modes,
-    _space_grid,
     _taylor_start,
     _tapered_sobolev_norm,
     _tapered_spectrum,
+    _wave_grid,
     evolve,
     evolve_inhomogeneous,
-    solver_time_grid,
     trace_sobolev_norm,
 )
 
@@ -97,6 +100,8 @@ _MAX_WAVE_RESOLUTION = 1 << 17
 # hum_control: CG iteration cap and the floor of its stopping residual
 _CG_MAX_ITER = 200
 _CG_TOL = 1e-10
+# hum_control: the largest relative terminal energy of a controlled state
+_HUM_TOLERANCE = 1e-6
 
 
 def _check_order(m) -> int:
@@ -110,16 +115,6 @@ def _check_order(m) -> int:
 # --------------------------------------------------------------------------
 # discrete norms
 # --------------------------------------------------------------------------
-
-
-def _as_nodes(data, x: np.ndarray) -> np.ndarray:
-    if callable(data):
-        return np.asarray(data(x), dtype=float)
-    arr = np.asarray(data, dtype=float)
-    if arr.shape != x.shape:
-        raise ValueError(
-            f"nodal data must match the grid: {arr.shape} vs {x.shape}")
-    return arr
 
 
 def _h10_norm_sq(u: np.ndarray, dx: float) -> float:
@@ -216,7 +211,6 @@ class QuotientResult:
     side: str
     resolution: int
     denominator_parts: tuple = ()
-    label: str = ""
     flags: tuple = ()
 
     def __float__(self) -> float:
@@ -230,29 +224,25 @@ class QuotientResult:
             "admissible": self.admissible, "unbounded": self.unbounded,
             "side": self.side, "resolution": self.resolution,
             "denominator_parts": list(self.denominator_parts),
-            "label": self.label, "flags": list(self.flags),
+            "flags": list(self.flags),
         }
 
 
-def _march_data(omega: Coefficient, u0: np.ndarray, u1: np.ndarray,
-                T: float, resolution: int, cfl: float):
+def _march_data(grid, u0: np.ndarray, u1: np.ndarray):
     """Homogeneous solves of nodal data, one per column, as one march.
 
-    ``u0``/``u1`` are node arrays or (nodes x K) blocks; the Taylor start
-    and the recurrence are the public solver's, without its energy
-    tracking.  Returns (dt, kernel run).
+    ``u0``/``u1`` are node arrays or (nodes x K) blocks on ``grid``; the
+    Taylor start and the recurrence are the public solver's, without its
+    energy tracking.  Returns the kernel run.
     """
-    x, om = _space_grid(omega, resolution)
-    dx = x[1] - x[0]
-    dt, steps = solver_time_grid(omega, T, resolution, cfl)
-    return dt, _leapfrog(om, dx, dt, steps, *_taylor_start(u0, u1, om, dt, dx))
+    _, om, dx, dt, steps = grid
+    return _leapfrog(om, dx, dt, steps, *_taylor_start(u0, u1, om, dt, dx))
 
 
 def _quotient(u0n: np.ndarray, u1n: np.ndarray, trace: np.ndarray,
               dt: float, dx: float, T: float, T_omega: float, m: int = 0,
               beta: Optional[float] = None, cumulative: bool = False, *,
-              side: str = "left", label: str = "",
-              flags: tuple = ()) -> QuotientResult:
+              side: str = "left") -> QuotientResult:
     """The quotient of one nodal datum given its boundary trace.
 
     A denominator at or below the round-off floor of the discrete normal
@@ -273,7 +263,7 @@ def _quotient(u0n: np.ndarray, u1n: np.ndarray, trace: np.ndarray,
         floor_m = m
     data_scale = max(float(np.max(np.abs(u0n))), float(np.max(np.abs(u1n))))
     floor = _trace_noise_floor(data_scale, dx, dt, T, floor_m)
-    flags = list(flags)
+    flags = []
     unbounded = denominator <= floor
     if unbounded:
         flags.append(
@@ -287,14 +277,13 @@ def _quotient(u0n: np.ndarray, u1n: np.ndarray, trace: np.ndarray,
         m=m, beta=beta, T=T, T_omega=T_omega,
         admissible=bool(T > 2.0 * T_omega), unbounded=unbounded,
         side=side, resolution=len(u0n) - 1,
-        denominator_parts=parts, label=label, flags=tuple(flags))
+        denominator_parts=parts, flags=tuple(flags))
 
 
 def observability_quotient(omega: Coefficient, u0, u1, T: float, m: int = 0,
                            *, beta: Optional[float] = None,
-                           resolution: int = 2048, cfl: float = 0.9,
-                           side: str = "left", cumulative: bool = False,
-                           label: str = "") -> QuotientResult:
+                           resolution: int = 2048, side: str = "left",
+                           cumulative: bool = False) -> QuotientResult:
     """Q = (|u0|_{H^1_0}^2 + |u1|_{L^2}^2) / int |d^m u_x(t,0)|^2 dt.
 
     ``u0``/``u1`` are callables or nodal arrays vanishing at the
@@ -302,20 +291,22 @@ def observability_quotient(omega: Coefficient, u0, u1, T: float, m: int = 0,
     norm instead of the m-fold derivative energy; with ``cumulative`` the
     derivative energies of all orders k <= m are summed, which makes
     Q non-increasing in m by construction.  Zero data is rejected (the
-    quotient is 0/0).  The data are marched once, on the grid given by
-    ``resolution`` and ``cfl``, without energy tracking.
+    quotient is 0/0).  The data are marched once, without energy
+    tracking, on the grid of ``resolution`` cells that
+    :func:`wavesim.solver_time_grid` describes.
     """
     m = _check_order(m)
+    if beta is not None:
+        _check_beta(beta)
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    x = np.linspace(0.0, omega.length, resolution + 1)
-    u0n = _as_nodes(u0, x)
-    u1n = _as_nodes(u1, x)
-    dt, run = _march_data(omega, u0n, u1n, T, resolution, cfl)
+    grid = _wave_grid(omega, T, resolution)
+    u0n = _as_samples(u0, grid.x)
+    u1n = _as_samples(u1, grid.x)
+    run = _march_data(grid, u0n, u1n)
     trace = run.trace_left if side == "left" else run.trace_right
-    return _quotient(u0n, u1n, trace, dt, float(x[1] - x[0]), T,
-                     travel_time(omega), m, beta, cumulative, side=side,
-                     label=label)
+    return _quotient(u0n, u1n, trace, grid.dt, float(grid.dx), T,
+                     travel_time(omega), m, beta, cumulative, side=side)
 
 
 # --------------------------------------------------------------------------
@@ -411,7 +402,7 @@ class ObservabilityReport:
     :func:`_growth_factor` (nan out of a floored constant).
     ``loss`` holds the loss diagnostics when a scan was requested: the
     smallest derivative order m (or exponent beta) whose quotients stay
-    bounded across the whole ensemble.
+    bounded across the whole ensemble.  ``flags``: :func:`_resolution_flags`.
     """
 
     omega_kind: str
@@ -431,6 +422,7 @@ class ObservabilityReport:
     n_random: int
     cross_check: Optional[dict] = None
     loss: Optional[dict] = None
+    flags: tuple = ()
 
     @property
     def overall_growth(self) -> float:
@@ -450,7 +442,7 @@ class ObservabilityReport:
             "overall_growth": self.overall_growth,
             "resolution": self.resolution, "seed": self.seed,
             "n_random": self.n_random, "cross_check": self.cross_check,
-            "loss": self.loss,
+            "loss": self.loss, "flags": list(self.flags),
             "rows": [dict(r) for r in self.rows],
         }
 
@@ -464,11 +456,22 @@ def _check_cutoff(cutoff: int, resolution: int) -> None:
             f"uniform-grid modes lose their group velocity")
 
 
+def _resolution_flags(density: Coefficient, resolution: int) -> tuple:
+    """One flag per interval of a trapping density that the resolution + 1
+    nodes sample fewer than 8 times per local period, (resolution + 1) r_j
+    < 8 n_j: a constant taken there measures the grid, not the density."""
+    entries = () if density.trapping is None else density.trapping.entries
+    return tuple(
+        f"resolution {resolution} does not resolve the j={e.j} interval "
+        f"({(resolution + 1) * e.r / e.n:.2f} samples per local period, "
+        f"8 needed)" for e in entries if (resolution + 1) * e.r < 8.0 * e.n)
+
+
 def estimate_observability_constant(
         omega: Coefficient, T: Optional[float] = None,
         cutoffs: Sequence[int] = (8, 16, 32, 64), *,
         n_random: int = 12, seed: int = 0, resolution: int = 2048,
-        m: int = 0, beta: Optional[float] = None, cfl: float = 0.9,
+        m: int = 0, beta: Optional[float] = None,
         loss_m: Sequence[int] = (), loss_beta: Sequence[float] = (),
         cross_check: bool = False, cross_check_cutoff: int = 8,
         cross_check_resolution: int = 256) -> ObservabilityReport:
@@ -488,10 +491,12 @@ def estimate_observability_constant(
     coarse cutoff/resolution and stores the comparison: the ensemble max
     is a lower bound for the Gramian constant, so the ratio belongs in
     [0, 1] up to discretization.  Every cutoff must be at most half its
-    resolution.
+    resolution.  An unresolved trapping density is flagged, not rejected.
     """
     m = _check_order(m)
     loss_m = tuple(_check_order(k) for k in loss_m)
+    for bt in (() if beta is None else (beta,)) + tuple(loss_beta):
+        _check_beta(bt)
     for cutoff in cutoffs:
         _check_cutoff(cutoff, resolution)
     if cross_check:
@@ -499,17 +504,15 @@ def estimate_observability_constant(
     T_omega = travel_time(omega)
     if T is None:
         T = 2.0 * T_omega + 0.5
-    x = np.linspace(0.0, omega.length, resolution + 1)
-    dx = x[1] - x[0]
-    omega_nodes = omega(x)
+    grid = _wave_grid(omega, T, resolution)
+    x, dt, dx = grid.x, grid.dt, grid.dx
     rng = np.random.default_rng(seed)
     cands = []
     for cutoff in cutoffs:
         cands += [(cutoff,) + c for c in _ensemble_data(
-            x, omega_nodes, cutoff, rng, n_random)]
-    dt, run = _march_data(omega, np.stack([c[2] for c in cands], axis=1),
-                          np.stack([c[3] for c in cands], axis=1),
-                          T, resolution, cfl)
+            x, grid.om, cutoff, rng, n_random)]
+    run = _march_data(grid, np.stack([c[2] for c in cands], axis=1),
+                      np.stack([c[3] for c in cands], axis=1))
     traces = np.ascontiguousarray(run.trace_left.T)
 
     scans = ([("m", k, k, None) for k in loss_m]
@@ -519,8 +522,7 @@ def estimate_observability_constant(
     argmax: dict = {}
     rows = []
     for (cutoff, lab, u0, u1), trace in zip(cands, traces):
-        q = _quotient(u0, u1, trace, dt, dx, T, T_omega, m, beta,
-                      label=lab)
+        q = _quotient(u0, u1, trace, dt, dx, T, T_omega, m, beta)
         if cutoff not in constants or q.value > constants[cutoff]:
             constants[cutoff] = q.value
             argmax[cutoff] = lab
@@ -530,8 +532,7 @@ def estimate_observability_constant(
             "unbounded": q.unbounded,
         }
         for kind, val, k, bt in scans:
-            sq = _quotient(u0, u1, trace, dt, dx, T, T_omega, k, bt,
-                           label=lab)
+            sq = _quotient(u0, u1, trace, dt, dx, T, T_omega, k, bt)
             row[f"Q_{kind}_{val}"] = sq.value
             if sq.unbounded:
                 loss_bounded[(kind, val)] = False
@@ -555,10 +556,10 @@ def estimate_observability_constant(
     if cross_check:
         gram = gramian_observability_constant(
             omega, T, cross_check_cutoff,
-            resolution=cross_check_resolution, cfl=cfl, m=m)
+            resolution=cross_check_resolution, m=m)
         sub = estimate_observability_constant(
             omega, T, (cross_check_cutoff,), n_random=n_random, seed=seed,
-            resolution=cross_check_resolution, m=m, beta=beta, cfl=cfl)
+            resolution=cross_check_resolution, m=m, beta=beta)
         ens = sub.constants[cross_check_cutoff]
         check = {
             "gramian": gram["value"], "ensemble": ens,
@@ -574,12 +575,13 @@ def estimate_observability_constant(
         cutoffs=cuts, constants=constants, argmax_labels=argmax,
         rows=tuple(rows), growth_factors=tuple(factors),
         resolution=resolution, seed=seed, n_random=n_random,
-        cross_check=check, loss=loss)
+        cross_check=check, loss=loss,
+        flags=_resolution_flags(omega, resolution))
 
 
 def gramian_observability_constant(omega: Coefficient, T: float,
                                    cutoff: int, *, resolution: int = 256,
-                                   m: int = 0, cfl: float = 0.9) -> dict:
+                                   m: int = 0) -> dict:
     """Exact-over-the-span constant from the dense boundary Gramian.
 
     Solves all 2*cutoff basis data (position mode sin(k pi x), velocity
@@ -587,21 +589,21 @@ def gramian_observability_constant(omega: Coefficient, T: float,
     dt and the diagonal energy matrix N, and returns 1/lambda_min of the
     pencil (D, N): the worst quotient over the whole span, not just the
     sampled candidates.  Meant for small cutoffs (dense eigenproblem),
-    at most half the resolution.
+    at most half the resolution; ``"flags"`` as in the ensemble report.
     """
     m = _check_order(m)
     if cutoff > 64:
         raise ValueError("gramian route is for small cutoffs (<= 64)")
     _check_cutoff(cutoff, resolution)
-    x = np.linspace(0.0, omega.length, resolution + 1)
-    dx = x[1] - x[0]
-    modes = [np.sin(k * math.pi * x) for k in range(1, cutoff + 1)]
+    grid = _wave_grid(omega, T, resolution)
+    dt, dx = grid.dt, grid.dx
+    modes = [np.sin(k * math.pi * grid.x) for k in range(1, cutoff + 1)]
     energies = ([_h10_norm_sq(u, dx) for u in modes]
                 + [_l2_norm_sq(u, dx) for u in modes])
     block = np.stack(modes, axis=1)
     rest = np.zeros_like(block)
-    dt, run = _march_data(omega, np.hstack([block, rest]),
-                          np.hstack([rest, block]), T, resolution, cfl)
+    run = _march_data(grid, np.hstack([block, rest]),
+                      np.hstack([rest, block]))
     tr = np.ascontiguousarray(run.trace_left.T)
     if m:
         tr = np.diff(tr, n=m, axis=1) / dt ** m
@@ -620,6 +622,7 @@ def gramian_observability_constant(omega: Coefficient, T: float,
         "lambda_min": lam_min, "lambda_max": lam_max,
         "unbounded": degenerate, "cutoff": cutoff,
         "basis_size": 2 * cutoff, "resolution": resolution, "m": m, "T": T,
+        "flags": list(_resolution_flags(omega, resolution)),
     }
 
 
@@ -762,7 +765,7 @@ def _impulse_convolution(impulse_trace: np.ndarray,
 
 
 def _corrector_traces(density: Coefficient, h: float, T: float,
-                      resolution: int, cfl: float, edges: tuple):
+                      resolution: int, edges: tuple):
     """Boundary-corrector traces for the edge data ``edges`` e^{iht}.
 
     Returns (times, traces, flags): ``traces`` maps 'cos' and 'sin' to
@@ -777,15 +780,14 @@ def _corrector_traces(density: Coefficient, h: float, T: float,
     (:func:`_impulse_convolution`).  Every row makes one march, whatever
     its edge values.
     """
-    x, om = _space_grid(density, resolution)
-    dt, steps = solver_time_grid(density, T, resolution, cfl)
-    times = np.arange(steps + 1) * dt
+    grid = _wave_grid(density, T, resolution)
+    times = np.arange(grid.steps + 1) * grid.dt
     signals = np.stack([np.cos(h * times), np.sin(h * times)])
     impulse = np.zeros_like(times)
     impulse[1] = 1.0
-    rest = np.zeros(len(x))
+    rest = np.zeros(len(grid.x))
     left, right = edges
-    run = _leapfrog(om, x[1] - x[0], dt, steps, rest, rest,
+    run = _leapfrog(grid.om, grid.dx, grid.dt, grid.steps, rest, rest,
                     boundary=(left * impulse, right * impulse))
     traces = dict(zip(("cos", "sin"),
                       _impulse_convolution(run.trace_left, signals)))
@@ -799,7 +801,7 @@ def run_counterexample_sweep(
         family: str = "lambda", mode: str = "concentrating",
         j_list: Sequence[int] = (2, 3, 4), m_list: Sequence[int] = (0, 1, 2),
         T: Optional[float] = None, points_per_wavelength: float = 12.0,
-        rtol: float = 1e-12, cfl: float = 0.9,
+        rtol: float = 1e-12,
         sequence_kwargs: Optional[dict] = None) -> DivergenceTable:
     """Divergence of Q_m along the trapping quasimode family.
 
@@ -817,8 +819,9 @@ def run_counterexample_sweep(
     ``family`` 'lambda' activates one marked interval per j (closed-form
     numerators, machine-exact edge states); 'psi' uses the full density
     (numerators by quadrature over the solved samples, so the grid must
-    resolve every tabulated interval at once — at the default resolution
-    cap that reaches j in {2, 3}).  The family's densities come from
+    resolve every tabulated interval at once by the rule of
+    :func:`_resolution_flags` — at the default resolution cap that
+    reaches j in {2, 3}).  The family's densities come from
     :func:`quasimodes._family_members`, and rows are solved in order
     until the first j whose density cannot be built or which the scale
     guard or the wave grid cannot reach; that j truncates the table with
@@ -846,32 +849,27 @@ def run_counterexample_sweep(
 
     def solve_row(j: int, density: Coefficient) -> dict:
         entry = params.entry(j)
-        want = points_per_wavelength * entry.h
+        res_wave = 1 << max(3, int(math.ceil(math.log2(
+            points_per_wavelength * entry.h))))
         if family == "psi":
             # every interval of the shared density feeds the ODE solve
             # (an under-resolved far interval corrupts phi and the edge
-            # values beyond it), so the grid must resolve the finest one
-            # even when this row concentrates on a coarser interval
-            for e in params.entries:
-                want = max(want, 8.0 * e.n / e.r)
-        res_wave = 1 << max(3, int(math.ceil(math.log2(want))))
+            # values beyond it) and the quadrature numerator, so the grid
+            # must resolve the finest one even when this row concentrates
+            # on a coarser interval
+            while (res_wave < _MAX_WAVE_RESOLUTION
+                   and _resolution_flags(density, res_wave)):
+                res_wave *= 2
         res_wave = min(res_wave, _MAX_WAVE_RESOLUTION)
         if res_wave / entry.h < 4.0:
             raise ScaleOutOfReach(
                 f"wave grid cannot resolve h={entry.h:.4g} "
                 f"({res_wave / entry.h:.2f} points per wavelength at "
                 f"the {res_wave} cap)")
-
-        if family == "psi":
-            # the quadrature numerator integrates |phi|^2 across every
-            # oscillating interval of the shared density, so the sample
-            # grid must resolve each one (8 samples per local period)
-            for e in params.entries:
-                if (res_wave + 1) * e.r < 8.0 * e.n:
-                    raise ScaleOutOfReach(
-                        f"numerator quadrature cannot resolve the j={e.j} "
-                        f"interval ({(res_wave + 1) * e.r / e.n:.2f} "
-                        f"samples per period at the {res_wave} cap)")
+        missed = family == "psi" and _resolution_flags(density, res_wave)
+        if missed:
+            raise ScaleOutOfReach(
+                f"numerator quadrature at the {res_wave} cap: {missed[0]}")
 
         qm = solve_quasimode(density, j, rtol=rtol, n_samples=res_wave + 1,
                              cross_check=False, reverse_check=False)
@@ -888,7 +886,7 @@ def run_counterexample_sweep(
         dphi0 = float(qm.phi_prime[0])
         dphi1 = float(qm.phi_prime[-1])
         times, corrector, flags = _corrector_traces(
-            density, h, T, res_wave, cfl, (phi0 / h, phi1 / h))
+            density, h, T, res_wave, (phi0 / h, phi1 / h))
         dt = times[1] - times[0]
 
         # total left trace of u = v + z per phase; v contributes the
@@ -1035,8 +1033,7 @@ def _duality_operator(modes, smooth: Callable, dx: float, dt: float):
 
 
 def hum_control(omega: Coefficient, y0, y1, T: float, m: int = 0, *,
-                tolerance: float = 1e-6, resolution: int = 512,
-                cfl: float = 0.9) -> ControlResult:
+                resolution: int = 512) -> ControlResult:
     """Steer (y0, y1) to rest by a Dirichlet control at x = 0.
 
     The control is sought as f = W gamma with gamma the boundary trace
@@ -1060,15 +1057,13 @@ def hum_control(omega: Coefficient, y0, y1, T: float, m: int = 0, *,
     iteration (the tests check the form against the two marches it
     replaces).  The control is verified on the public solvers by
     superposing the homogeneous evolution of the data with the
-    zero-data forced evolution.
+    zero-data forced evolution on the same grid; the state is controlled
+    when its terminal energy relative to the target's is at most 1e-6.
     """
     m = _check_order(m)
-    x = np.linspace(0.0, omega.length, resolution + 1)
-    dx = x[1] - x[0]
-    om_nodes = omega(x)
-    y0n = _as_nodes(y0, x)
-    y1n = _as_nodes(y1, x)
-    dt, steps = solver_time_grid(omega, T, resolution, cfl)
+    x, om_nodes, dx, dt, steps = _wave_grid(omega, T, resolution)
+    y0n = _as_samples(y0, x)
+    y1n = _as_samples(y1, x)
     times = np.arange(steps + 1) * dt
 
     target_sq = _l2_norm_sq(y0n, dx) + _hminus1_norm_sq(y1n, dx)
@@ -1107,8 +1102,8 @@ def hum_control(omega: Coefficient, y0, y1, T: float, m: int = 0, *,
     flags = []
     # the terminal energy defect is quadratic in the residual, so the
     # iteration may stop once the squared relative residual clears the
-    # requested tolerance with a factor-10 margin, never below _CG_TOL
-    stop_at = max(_CG_TOL, math.sqrt(tolerance / 10.0))
+    # controlled-state tolerance with a factor-10 margin, never below _CG_TOL
+    stop_at = max(_CG_TOL, math.sqrt(_HUM_TOLERANCE / 10.0))
     for iterations in range(1, _CG_MAX_ITER + 1):
         Ad = apply_A(d)
         curv = float(np.dot(d, Ad))
@@ -1136,23 +1131,23 @@ def hum_control(omega: Coefficient, y0, y1, T: float, m: int = 0, *,
     # independent verification: controlled solution = homogeneous part
     # from the target data + zero-data part forced by the control
     # only the final levels are read, so energies are taken at the ends
-    hom = evolve(omega, y0n, y1n, T, resolution, k_max=0, cfl=cfl,
+    hom = evolve(omega, y0n, y1n, T, resolution, k_max=0,
                  energy_stride=steps)
     forcing = BoundaryForcing(times, control, np.zeros_like(times),
                               smoothness="computed-control")
     forced = evolve_inhomogeneous(omega, forcing, T, resolution,
-                                  k_max=0, cfl=cfl, energy_stride=steps)
+                                  k_max=0, energy_stride=steps)
     u_T = hom.final_state()[0] + forced.final_state()[0]
     ut_T = hom.final_state()[1] + forced.final_state()[1]
     u_T[0] = u_T[-1] = 0.0
     terminal_u = _l2_norm_sq(u_T, dx)
     terminal_ut = _hminus1_norm_sq(ut_T, dx)
     rel = (terminal_u + terminal_ut) / target_sq
-    controlled = bool(rel <= tolerance)
+    controlled = bool(rel <= _HUM_TOLERANCE)
     if not controlled:
         flags.append(
             f"not controlled: terminal relative energy {rel:.3e} above "
-            f"tolerance {tolerance:.1e}")
+            f"tolerance {_HUM_TOLERANCE:.1e}")
     control_l2 = float(math.sqrt(np.trapezoid(control ** 2, dx=dt)))
     control_norm = (control_l2 if m == 0
                     else _tapered_sobolev_norm(control, -m, dt))

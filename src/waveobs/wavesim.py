@@ -23,10 +23,11 @@ argument: it re-reads the same equation as an evolution in x
 its energy across the interval from the flux alone, sharing nothing
 with the leapfrog but that trace.  It shrinks the transverse window
 one grid point per step - a superset of the true domain-of-dependence
-shrink rate sqrt(omega^*) dx per unit x at the default CFL number, so a
-full crossing needs T > 2 sqrt(omega^*) / cfl.  :func:`apply_D_omega`
+shrink rate sqrt(omega^*) dx per unit x at the CFL number 0.9, so a
+full crossing needs T > 2 sqrt(omega^*) / 0.9.  :func:`apply_D_omega`
 is the discrete operator whose powers the time differences of a trace
-must reproduce.
+must reproduce.  Every forward run and every wave solve of
+``observability`` builds its grid once with ``_wave_grid``.
 
 Boundary traces use third-order one-sided differences.  Rough
 coefficients are sampled pointwise at the nodes; no smoothing is ever
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -57,7 +58,8 @@ __all__ = [
     "trace_sobolev_norm",
 ]
 
-_DEFAULT_CFL = 0.9
+# the CFL number of every time step: dt <= _CFL dx sqrt(omega_*)
+_CFL = 0.9
 # apply_D_omega rejects a result below this many times its noise estimate
 _SNR_FLOOR = 100.0
 
@@ -66,33 +68,38 @@ _SNR_FLOOR = 100.0
 # grids and energies
 # --------------------------------------------------------------------------
 
-def _space_grid(omega: Coefficient, resolution: int):
+class _Grid(NamedTuple):
+    """The nodes of one wave solve, omega at them, dx, dt, step count."""
+
+    x: np.ndarray
+    om: np.ndarray
+    dx: float
+    dt: float
+    steps: int
+
+
+def _wave_grid(omega: Coefficient, T: float, resolution: int) -> _Grid:
+    """The one grid rule: ``resolution`` (a power of two >= 8) cells on
+    [0, L], omega sampled once at the nodes, dt = T/steps with steps the
+    smallest count satisfying dt <= _CFL * dx * sqrt(omega_*)."""
     if resolution < 8 or resolution & (resolution - 1):
         raise ValueError("resolution must be a power of two (>= 8)")
-    L = omega.length
-    x = np.linspace(0.0, L, resolution + 1)
+    if T <= 0:
+        raise ValueError("T must be positive")
+    x = np.linspace(0.0, omega.length, resolution + 1)
     om = omega(x)
     if om.min() <= 0 or omega.omega_lower <= 0:
         raise ValueError("density violates the hyperbolicity lower bound")
-    return x, om
-
-
-def solver_time_grid(omega: Coefficient, T: float, resolution: int,
-                     cfl: float = _DEFAULT_CFL):
-    """The (dt, steps) the solver will use for this grid.
-
-    dt = T/steps with steps the smallest count satisfying
-    dt <= cfl * dx * sqrt(omega_*); cfl may not exceed 0.9.
-    """
-    if not (0 < cfl <= 0.9):
-        raise ValueError("CFL number must lie in ]0, 0.9]")
-    if T <= 0:
-        raise ValueError("T must be positive")
-    x, om = _space_grid(omega, resolution)
     dx = x[1] - x[0]
-    dt_max = cfl * dx * math.sqrt(om.min())
-    steps = max(1, int(math.ceil(T / dt_max - 1e-12)))
-    return T / steps, steps
+    steps = max(1, int(math.ceil(T / (_CFL * dx * math.sqrt(om.min()))
+                                 - 1e-12)))
+    return _Grid(x, om, dx, T / steps, steps)
+
+
+def solver_time_grid(omega: Coefficient, T: float, resolution: int):
+    """The (dt, steps) of every wave solve on this grid: the smallest
+    step count with dt <= 0.9 * dx * sqrt(omega_*) (``_CFL`` = 0.9)."""
+    return _wave_grid(omega, T, resolution)[3:]
 
 
 def _staggered_energy(om, u_new, u_old, dt, dx):
@@ -142,7 +149,6 @@ class WaveTrajectory:
     dt: float
     steps: int
     T: float
-    cfl_number: float
     order: int
     times: np.ndarray
     trace_left: np.ndarray
@@ -180,7 +186,6 @@ class WaveTrajectory:
             "dt": self.dt,
             "steps": self.steps,
             "T": self.T,
-            "cfl": self.cfl_number,
             "order": self.order,
             "homogeneous": self.homogeneous,
             "energy_drift": {k: self.energy_drift(k) for k in self.energies},
@@ -473,13 +478,12 @@ def _as_samples(f: Union[Callable, np.ndarray, None], x: np.ndarray):
         return np.asarray(f(x), dtype=float)
     arr = np.asarray(f, dtype=float)
     if arr.shape != x.shape:
-        raise ValueError("initial data array does not match the grid")
+        raise ValueError("data array does not match the grid")
     return arr.copy()
 
 
 def evolve(omega: Coefficient, u0, u1, T: float, resolution: int,
-           k_max: int = 2, cfl: float = _DEFAULT_CFL,
-           snapshot_stride: Optional[int] = None,
+           k_max: int = 2, snapshot_stride: Optional[int] = None,
            start_levels: Optional[tuple] = None,
            energy_stride: int = 1) -> WaveTrajectory:
     """Evolve omega u_tt = u_xx with homogeneous Dirichlet conditions.
@@ -495,18 +499,14 @@ def evolve(omega: Coefficient, u0, u1, T: float, resolution: int,
     (``snapshot_stride=1`` keeps every level).  The boundary traces are
     the whole record of the run's flux; no interior slice is recorded
     (:func:`sidewise_evolve` rebuilds the interior from ``trace_left``).
+    The grid is :func:`solver_time_grid`'s.
     """
-    x, om = _space_grid(omega, resolution)
-    dx = x[1] - x[0]
-    dt, steps = solver_time_grid(omega, T, resolution, cfl)
+    x, om, dx, dt, steps = _wave_grid(omega, T, resolution)
 
     if start_levels is not None:
         if u0 is not None or u1 is not None:
             raise ValueError("start_levels replaces u0/u1")
-        a, b = start_levels
-        ua, ub = np.asarray(a, dtype=float).copy(), np.asarray(b, dtype=float).copy()
-        if ua.shape != x.shape or ub.shape != x.shape:
-            raise ValueError("start levels do not match the grid")
+        ua, ub = (_as_samples(level, x) for level in start_levels)
         ut0 = (ub - ua) / dt
     else:
         ut0 = _as_samples(u1, x)
@@ -518,7 +518,7 @@ def evolve(omega: Coefficient, u0, u1, T: float, resolution: int,
     st, su, sut = run.snapshots
     sut[0] = ut0
     return WaveTrajectory(
-        x=x, omega_nodes=om, dt=dt, steps=steps, T=T, cfl_number=cfl,
+        x=x, omega_nodes=om, dt=dt, steps=steps, T=T,
         order=2, times=np.arange(steps + 1) * dt,
         trace_left=run.trace_left, trace_right=run.trace_right,
         energies=run.energies, energy_times=run.energy_times,
@@ -528,7 +528,6 @@ def evolve(omega: Coefficient, u0, u1, T: float, resolution: int,
 
 def evolve_inhomogeneous(omega: Coefficient, forcing: BoundaryForcing,
                          T: float, resolution: int, k_max: int = 0,
-                         cfl: float = _DEFAULT_CFL,
                          snapshot_stride: Optional[int] = None,
                          energy_stride: Optional[int] = None
                          ) -> WaveTrajectory:
@@ -548,9 +547,7 @@ def evolve_inhomogeneous(omega: Coefficient, forcing: BoundaryForcing,
                / (omega^* (||f||_{W3inf}^2 + ||g||_{W3inf}^2)),
     both computed with discrete norms.
     """
-    x, om = _space_grid(omega, resolution)
-    dx = x[1] - x[0]
-    dt, steps = solver_time_grid(omega, T, resolution, cfl)
+    x, om, dx, dt, steps = _wave_grid(omega, T, resolution)
     if len(forcing.times) != steps + 1 or abs(
             forcing.times[1] - forcing.times[0] - dt) > 1e-12 * dt:
         raise ValueError(
@@ -581,7 +578,7 @@ def evolve_inhomogeneous(omega: Coefficient, forcing: BoundaryForcing,
         "forcing_w3": w3,
     }
     return WaveTrajectory(
-        x=x, omega_nodes=om, dt=dt, steps=steps, T=T, cfl_number=cfl,
+        x=x, omega_nodes=om, dt=dt, steps=steps, T=T,
         order=2, times=np.arange(steps + 1) * dt,
         trace_left=tl, trace_right=tr, energies=en,
         energy_times=run.energy_times,
@@ -641,8 +638,8 @@ class SidewiseResult:
 
 
 def sidewise_evolve(omega: Coefficient, slc: SidewiseSlice, span: float,
-                    direction: str = "right", k_max: int = 1,
-                    cfl: float = _DEFAULT_CFL) -> SidewiseResult:
+                    direction: str = "right",
+                    k_max: int = 1) -> SidewiseResult:
     """March u_xx = omega(x) u_tt in x from the slice at x0.
 
     From the boundary slice (x0 = 0, u = 0, u_x = a forward run's
@@ -652,7 +649,8 @@ def sidewise_evolve(omega: Coefficient, slc: SidewiseSlice, span: float,
     advances toward larger x, 'left' toward smaller.  The time window
     shrinks by one point per side per x-step; the span is rejected when
     the remaining window would drop below eight points (the slice no
-    longer determines the solution there).
+    longer determines the solution there).  The x-step is the largest
+    dividing the span with dx <= _CFL dt / sqrt(omega^*).
     """
     if direction not in ("right", "left"):
         raise ValueError("direction must be 'right' or 'left'")
@@ -664,7 +662,7 @@ def sidewise_evolve(omega: Coefficient, slc: SidewiseSlice, span: float,
         raise ValueError("span leaves the domain")
     dt = slc.dt
     om_sup = omega.omega_upper
-    dxs_max = cfl * dt / math.sqrt(om_sup)
+    dxs_max = _CFL * dt / math.sqrt(om_sup)
     steps = max(1, int(math.ceil(span / dxs_max - 1e-12)))
     dxs = span / steps
     N = len(slc.times)
@@ -773,11 +771,17 @@ def trace_sobolev_norm(trace: np.ndarray, beta: float, dt: float) -> float:
     two, and transformed; the norm is
     (sum (1+xi^2)^beta |F(xi)|^2 d_nu)^{1/2} with xi the angular
     frequency and F the transform approximated as dt * FFT.  At beta=0
-    this is the L^2 norm of the tapered signal (Parseval).
+    this is the L^2 norm of the tapered signal (Parseval).  A negative
+    or non-finite beta is rejected.
     """
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    return _tapered_sobolev_norm(trace, beta, dt)
+    return _tapered_sobolev_norm(trace, _check_beta(beta), dt)
+
+
+def _check_beta(beta) -> float:
+    """The trace exponent beta; negative, nan and inf are rejected."""
+    if not 0.0 <= beta < math.inf:
+        raise ValueError(f"beta must be finite and nonnegative, got {beta!r}")
+    return beta
 
 
 def _tapered_spectrum(n: int, dt: float, exponent: float) -> tuple:

@@ -454,6 +454,105 @@ class TestOrderRule:
         assert rep.m == 1 and type(rep.m) is int
 
 
+def _beta_entry_points():
+    om = coeff.make_baseline("lipschitz")
+    x = np.linspace(0.0, 1.0, 65)
+    u, zero = np.sin(math.pi * x), np.zeros_like(x)
+    kw = dict(n_random=1, resolution=64)
+    return {
+        "observability_quotient": lambda beta: ob.observability_quotient(
+            om, u, zero, 3.0, beta=beta, resolution=64),
+        "estimate_observability_constant":
+            lambda beta: ob.estimate_observability_constant(
+                om, 3.0, (4,), beta=beta, **kw),
+        "loss_beta": lambda beta: ob.estimate_observability_constant(
+            om, 3.0, (4,), loss_beta=(1.0, beta), **kw),
+        "trace_sobolev_norm": lambda beta: ws.trace_sobolev_norm(
+            np.ones(64), beta, 0.01),
+    }
+
+
+class TestBetaRule:
+    """One rule for the trace exponent beta: a negative or non-finite
+    beta is rejected before any march."""
+
+    @pytest.mark.parametrize("beta", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("entry", sorted(_beta_entry_points()))
+    def test_rejected(self, entry, beta, marches):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            _beta_entry_points()[entry](beta)
+        assert marches == []
+
+
+class TestResolutionFlags:
+    """Constants taken on a grid that misses the trapping-resolution rule
+    (resolution + 1) r_j >= 8 n_j carry a flag."""
+
+    def test_lambda_member(self):
+        # h = 120, n = 30, r = 1/4: the rule needs resolution + 1 >= 960
+        params = coeff.make_sequences("concentrating", j_range=range(2, 3),
+                                      n0=30)
+        lam = coeff.make_counterexample_density(params, family="lambda")[0]
+        assert params.entry(2).h == 120.0
+        for res, flagged in ((512, True), (1024, False)):
+            rep = ob.estimate_observability_constant(lam, 1.0, (8,),
+                                                     n_random=1,
+                                                     resolution=res)
+            gram = ob.gramian_observability_constant(lam, 1.0, 8,
+                                                     resolution=res)
+            assert len(rep.flags) == flagged
+            assert rep.to_summary()["flags"] == gram["flags"] == list(
+                rep.flags)
+
+    def test_lipschitz_never_flagged(self):
+        om = coeff.make_baseline("lipschitz")
+        for res in (16, 256):
+            rep = ob.estimate_observability_constant(om, 3.0, (8,),
+                                                     n_random=1,
+                                                     resolution=res)
+            gram = ob.gramian_observability_constant(om, 3.0, 8,
+                                                     resolution=res)
+            assert rep.flags == () and gram["flags"] == []
+
+
+def test_omega_sampled_once_per_grid():
+    # a density that counts its evaluations on the resolution + 1 nodes:
+    # each entry point samples omega once per grid it builds, and
+    # hum_control builds three (its own and its two verification solves)
+    base = coeff.make_baseline("lipschitz")
+    res = 256
+    on_grid = []
+
+    def fn(x):
+        if x.shape == (res + 1,):
+            on_grid.append(1)
+        return base(x)
+
+    om = coeff.make_baseline("custom", fn=fn, omega_lower=base.omega_lower,
+                             omega_upper=base.omega_upper)
+    x = np.linspace(0.0, 1.0, res + 1)
+    u, zero = np.sin(math.pi * x), np.zeros_like(x)
+    calls = {
+        "observability_quotient": (lambda: ob.observability_quotient(
+            om, u, zero, 3.0, resolution=res), 1),
+        "estimate_observability_constant":
+            (lambda: ob.estimate_observability_constant(
+                om, 3.0, (8,), n_random=1, resolution=res), 1),
+        "gramian_observability_constant":
+            (lambda: ob.gramian_observability_constant(
+                om, 3.0, 8, resolution=res), 1),
+        "evolve": (lambda: ws.evolve(om, u, zero, 3.0, res, k_max=0), 1),
+        "hum_control": (lambda: ob.hum_control(om, u, zero, 3.0,
+                                               resolution=res), 3),
+    }
+    counts = {}
+    for name, (call, _) in calls.items():
+        on_grid.clear()
+        call()
+        counts[name] = len(on_grid)
+    assert counts == {name: want for name, (_, want) in calls.items()}
+
+
 def test_lambda_divergence_sweep():
     # the benchmark's divergence call: the closed-form numerators along
     # the concentrating lambda family, Q_0 growing more than 2x per step
@@ -467,12 +566,13 @@ def test_lambda_divergence_sweep():
     assert table.diverging(0, factor=2.0, runs=2)
 
 
-def forced_corrector_traces(density, h, T, resolution, cfl):
+def forced_corrector_traces(density, h, T, resolution):
     """The direct construction: each phase's forcing marched at the left
     and at the right edge apart, as the columns of one (nodes x 4)
     block."""
-    x, om = ws._space_grid(density, resolution)
-    dt, steps = ws.solver_time_grid(density, T, resolution, cfl)
+    x = np.linspace(0.0, density.length, resolution + 1)
+    om = density(x)
+    dt, steps = ws.solver_time_grid(density, T, resolution)
     times = np.arange(steps + 1) * dt
     zero = np.zeros_like(times)
     cols = []
@@ -511,9 +611,8 @@ class TestCorrector:
     @staticmethod
     def check(dens, h, T, resolution, edges):
         times, got, flags = ob._corrector_traces(dens, h, T, resolution,
-                                                 0.9, edges)
-        ref_times, ref = forced_corrector_traces(dens, h, T, resolution,
-                                                 0.9)
+                                                 edges)
+        ref_times, ref = forced_corrector_traces(dens, h, T, resolution)
         assert np.array_equal(times, ref_times)
         assert sorted(got) == ["cos", "sin"]
         for name, (left, right) in ref.items():
@@ -572,7 +671,7 @@ class TestCorrector:
 
         monkeypatch.setattr(ob, "_leapfrog", counted)
         dens, h, T = lam
-        ob._corrector_traces(dens, h, T, 256, 0.9, edges)
+        ob._corrector_traces(dens, h, T, 256, edges)
         assert shapes == [(257,)]
 
 

@@ -153,8 +153,6 @@ class TestEvolve:
         sin0 = lambda x: np.sin(np.pi * x)
         with pytest.raises(ValueError, match="power of two"):
             ws.evolve(om1, sin0, None, T=1.0, resolution=300)
-        with pytest.raises(ValueError, match="CFL"):
-            ws.evolve(om1, sin0, None, T=1.0, resolution=256, cfl=1.2)
         with pytest.raises(ValueError, match="hyperbolicity"):
             # declared bound is positive but the samples dip below zero
             bad = make_baseline("custom", fn=lambda x: np.cos(7 * x),

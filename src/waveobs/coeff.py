@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -437,14 +437,34 @@ class Coefficient:
         return make_baseline(kind, **params)
 
 
-def _jsonable(obj):
+def _holds_array(obj) -> bool:
+    """True for an array, or a mapping, list or tuple that holds one."""
     if isinstance(obj, Mapping):
-        return {k: _jsonable(v) for k, v in obj.items()}
+        obj = obj.values()
+    elif not isinstance(obj, (list, tuple)):
+        return isinstance(obj, np.ndarray)
+    return any(_holds_array(v) for v in obj)
+
+
+def _jsonable(obj):
+    """The one summary rule: a copy of ``obj`` that ``json.dumps`` takes.
+
+    A dataclass instance becomes the dict of its fields, leaving out every
+    field that holds an array (itself or inside a container); mappings
+    (keys as strings), lists and tuples recurse; numpy scalars,
+    ``np.bool_`` included, become Python scalars.  Below a dataclass an
+    array becomes a list, and an mpmath number its 30-digit string.
+    """
+    if is_dataclass(obj) and not isinstance(obj, type):
+        items = ((f.name, getattr(obj, f.name)) for f in fields(obj))
+        return {k: _jsonable(v) for k, v in items if not _holds_array(v)}
+    if isinstance(obj, Mapping):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, np.generic):
         return obj.item()
     if isinstance(obj, mp.mpf):
         return mp.nstr(obj, 30)

@@ -32,8 +32,9 @@ one block march, and the divergence sweep's boundary corrector is one
 single-column march per row of a unit impulse weighted by the row's edge
 values, convolved with both phases of e^{iht} by FFT.  HUM's conjugate
 gradients march nothing: they run on the scheme's closed-form modal
-solution (one Chebyshev table), and only its verification solve marches,
-on the public solvers.
+solution (one Chebyshev table), and only its verification marches, once,
+from the data's Taylor start levels with the control as the x = 0
+boundary row.
 
 Every entry point takes the derivative order m as a nonnegative integer
 and rejects anything else (:func:`_check_order`), and a trace exponent
@@ -54,6 +55,7 @@ from .coeff import (
     CounterexampleParams,
     FOUR_PI_SQ,
     TWO_PI,
+    _jsonable,
     make_sequences,
     travel_time,
 )
@@ -76,8 +78,6 @@ from .wavesim import (
     _tapered_sobolev_norm,
     _tapered_spectrum,
     _wave_grid,
-    evolve,
-    evolve_inhomogeneous,
     trace_sobolev_norm,
 )
 
@@ -217,15 +217,7 @@ class QuotientResult:
         return self.value
 
     def to_summary(self) -> dict:
-        return {
-            "value": self.value, "numerator": self.numerator,
-            "denominator": self.denominator, "m": self.m, "beta": self.beta,
-            "T": self.T, "T_omega": self.T_omega,
-            "admissible": self.admissible, "unbounded": self.unbounded,
-            "side": self.side, "resolution": self.resolution,
-            "denominator_parts": list(self.denominator_parts),
-            "flags": list(self.flags),
-        }
+        return _jsonable(self)
 
 
 def _march_data(grid, u0: np.ndarray, u1: np.ndarray):
@@ -430,26 +422,16 @@ class ObservabilityReport:
                               self.constants[self.cutoffs[-1]])
 
     def to_summary(self) -> dict:
-        return {
-            "omega_kind": self.omega_kind,
-            "omega_descriptor": self.omega_descriptor, "T": self.T,
-            "T_omega": self.T_omega, "admissible": self.admissible,
-            "m": self.m, "beta": self.beta, "cutoffs": list(self.cutoffs),
-            "constants": {str(k): v for k, v in self.constants.items()},
-            "argmax_labels": {str(k): v
-                              for k, v in self.argmax_labels.items()},
-            "growth_factors": list(self.growth_factors),
-            "overall_growth": self.overall_growth,
-            "resolution": self.resolution, "seed": self.seed,
-            "n_random": self.n_random, "cross_check": self.cross_check,
-            "loss": self.loss, "flags": list(self.flags),
-            "rows": [dict(r) for r in self.rows],
-        }
+        return {**_jsonable(self),
+                "overall_growth": _jsonable(self.overall_growth)}
 
 
 def _check_cutoff(cutoff: int, resolution: int) -> None:
-    """Past half the grid's modes the constant measures the uniform-grid
-    group-velocity defect (Infante & Zuazua, M2AN 33, 1999), not omega."""
+    """A cutoff counts modes, so it is at least 1; past half the grid's
+    modes the constant measures the uniform-grid group-velocity defect
+    (Infante & Zuazua, M2AN 33, 1999), not omega."""
+    if cutoff < 1:
+        raise ValueError(f"cutoff {cutoff} must be at least 1")
     if cutoff > resolution // 2:
         raise ValueError(
             f"cutoff {cutoff} exceeds resolution {resolution} // 2, where "
@@ -497,8 +479,13 @@ def estimate_observability_constant(
     loss_m = tuple(_check_order(k) for k in loss_m)
     for bt in (() if beta is None else (beta,)) + tuple(loss_beta):
         _check_beta(bt)
-    for cutoff in cutoffs:
+    cuts = tuple(cutoffs)
+    if not cuts:
+        raise ValueError("cutoffs must hold at least one cutoff")
+    for cutoff in cuts:
         _check_cutoff(cutoff, resolution)
+    if n_random < 0:
+        raise ValueError(f"n_random {n_random} must be nonnegative")
     if cross_check:
         _check_cutoff(cross_check_cutoff, cross_check_resolution)
     T_omega = travel_time(omega)
@@ -508,7 +495,7 @@ def estimate_observability_constant(
     x, dt, dx = grid.x, grid.dt, grid.dx
     rng = np.random.default_rng(seed)
     cands = []
-    for cutoff in cutoffs:
+    for cutoff in cuts:
         cands += [(cutoff,) + c for c in _ensemble_data(
             x, grid.om, cutoff, rng, n_random)]
     run = _march_data(grid, np.stack([c[2] for c in cands], axis=1),
@@ -537,7 +524,6 @@ def estimate_observability_constant(
             if sq.unbounded:
                 loss_bounded[(kind, val)] = False
         rows.append(row)
-    cuts = tuple(cutoffs)
     factors = [_growth_factor(constants[lo], constants[hi])
                for lo, hi in zip(cuts, cuts[1:])]
     loss = None
@@ -672,8 +658,8 @@ def _quadrature_numerator(mode_result) -> dict:
     if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(dphi))):
         raise ScaleOutOfReach(
             "numerator quadrature needs dense samples everywhere; a "
-            "foreign span was advanced by powered transfer (raise "
-            "dense_budget or use the lambda family)")
+            "foreign span was advanced by powered transfer (use the "
+            "lambda family)")
     dx = mode_result.x[1] - mode_result.x[0]
     return {
         "h1": float(np.trapezoid(dphi * dphi, dx=dx)),
@@ -712,7 +698,7 @@ class DivergenceTable:
     growth_factors: Mapping[int, tuple]
     truncated_at: Optional[int] = None
     truncation_reason: Optional[str] = None
-    params_descriptor: Optional[dict] = None
+    params: Optional[dict] = None
 
     def diverging(self, m: int, factor: float = 10.0,
                   runs: int = 3) -> bool:
@@ -728,16 +714,7 @@ class DivergenceTable:
         return False
 
     def to_summary(self) -> dict:
-        return {
-            "family": self.family, "mode": self.mode, "T": self.T,
-            "m_list": list(self.m_list),
-            "rows": [dict(r) for r in self.rows],
-            "growth_factors": {str(k): list(v)
-                               for k, v in self.growth_factors.items()},
-            "truncated_at": self.truncated_at,
-            "truncation_reason": self.truncation_reason,
-            "params": self.params_descriptor,
-        }
+        return _jsonable(self)
 
 
 def _impulse_convolution(impulse_trace: np.ndarray,
@@ -833,6 +810,13 @@ def run_counterexample_sweep(
     factor out of it is nan, so it never counts toward ``diverging``.
     """
     j_list = tuple(j_list)
+    if not j_list:
+        raise ValueError("j_list must hold at least one family index")
+    if not (math.isfinite(points_per_wavelength)
+            and points_per_wavelength > 0):
+        raise ValueError(
+            f"points_per_wavelength {points_per_wavelength} must be "
+            f"positive and finite")
     m_list = tuple(_check_order(m) for m in m_list)
     if params is None:
         kw = dict(sequence_kwargs or {})
@@ -952,7 +936,7 @@ def run_counterexample_sweep(
         family=family, mode=mode, T=float(T), m_list=m_list,
         rows=tuple(rows), growth_factors=growth,
         truncated_at=truncated_at, truncation_reason=reason,
-        params_descriptor=params.to_descriptor())
+        params=params.to_descriptor())
 
 
 # --------------------------------------------------------------------------
@@ -995,19 +979,7 @@ class ControlResult:
     flags: tuple = ()
 
     def to_summary(self) -> dict:
-        return {
-            "T": self.T, "m": self.m, "resolution": self.resolution,
-            "iterations": self.iterations, "converged": self.converged,
-            "controlled": self.controlled,
-            "residuals": [float(r) for r in self.residuals],
-            "terminal_u_l2": self.terminal_u_l2,
-            "terminal_ut_hm1": self.terminal_ut_hm1,
-            "target_norm_sq": self.target_norm_sq,
-            "terminal_relative": self.terminal_relative,
-            "control_l2": self.control_l2,
-            "control_norm": self.control_norm,
-            "cost_ratio": self.cost_ratio, "flags": list(self.flags),
-        }
+        return _jsonable(self)
 
 
 def _duality_operator(modes, smooth: Callable, dx: float, dt: float):
@@ -1055,10 +1027,11 @@ def hum_control(omega: Coefficient, y0, y1, T: float, m: int = 0, *,
     floats (1.7 MB at resolution 256, T = 3, Lipschitz baseline), the
     energy preconditioner is diagonal, and no wave is marched per
     iteration (the tests check the form against the two marches it
-    replaces).  The control is verified on the public solvers by
-    superposing the homogeneous evolution of the data with the
-    zero-data forced evolution on the same grid; the state is controlled
-    when its terminal energy relative to the target's is at most 1e-6.
+    replaces).  The control is verified by one march of the leapfrog
+    recurrence on the same grid, from the Taylor start levels of the
+    data (those of the right-hand side) with the control as the x = 0
+    boundary row; the state is controlled when its terminal energy
+    relative to the target's is at most 1e-6.
     """
     m = _check_order(m)
     x, om_nodes, dx, dt, steps = _wave_grid(omega, T, resolution)
@@ -1084,10 +1057,10 @@ def hum_control(omega: Coefficient, y0, y1, T: float, m: int = 0, *,
     inv_metric = 1.0 / (dx * np.concatenate([modes.mu,
                                              np.ones_like(modes.mu)]))
 
-    # the identity's right side at the public solver's Taylor start
-    # levels (the state the verification evolves), in modal coordinates
-    z0, z1 = (modes.to_modal(level)
-              for level in _taylor_start(y0n, y1n, om_nodes, dt, dx))
+    # the identity's right side at the Taylor start levels (the state
+    # the verification evolves), in modal coordinates
+    start = _taylor_start(y0n, y1n, om_nodes, dt, dx)
+    z0, z1 = (modes.to_modal(level) for level in start)
     b = (dx / dt ** 2) * np.concatenate([z0 - z1, dt * z0])
 
     w_sol = np.zeros_like(b)
@@ -1128,17 +1101,11 @@ def hum_control(omega: Coefficient, y0, y1, T: float, m: int = 0, *,
 
     control = control_of(w_sol)
 
-    # independent verification: controlled solution = homogeneous part
-    # from the target data + zero-data part forced by the control
-    # only the final levels are read, so energies are taken at the ends
-    hom = evolve(omega, y0n, y1n, T, resolution, k_max=0,
-                 energy_stride=steps)
-    forcing = BoundaryForcing(times, control, np.zeros_like(times),
-                              smoothness="computed-control")
-    forced = evolve_inhomogeneous(omega, forcing, T, resolution,
-                                  k_max=0, energy_stride=steps)
-    u_T = hom.final_state()[0] + forced.final_state()[0]
-    ut_T = hom.final_state()[1] + forced.final_state()[1]
+    # independent verification: one march of the recurrence from the
+    # same start levels, the control as its x = 0 boundary row
+    u_prev, u_T = _leapfrog(om_nodes, dx, dt, steps, *start,
+                            boundary=(control, np.zeros_like(times))).levels
+    ut_T = (u_T - u_prev) / dt
     u_T[0] = u_T[-1] = 0.0
     terminal_u = _l2_norm_sq(u_T, dx)
     terminal_ut = _hminus1_norm_sq(ut_T, dx)

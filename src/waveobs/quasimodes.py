@@ -17,9 +17,9 @@ solution is assembled structurally:
   call, refined by step doubling to the requested tolerance and
   multiplied by a log-depth prefix scan that reads the state at every
   sample point (a cell edge).  When even the initial cells would exceed
-  ``dense_budget``, the engine builds one unit-period matrix and the
-  crossing applies its n_k/2-th powers, formed by repeated squaring
-  (samples inside such spans are left NaN).
+  30 000, the engine builds one unit-period matrix and the crossing
+  applies its n_k/2-th powers, formed by repeated squaring (samples
+  inside such spans are left NaN).
 
 Any other density is solved by the same engine from the center outward.
 The closed-form cross-check and reverse (Wronskian) check of a trapping
@@ -59,6 +59,7 @@ from .coeff import (
     CounterexampleParams,
     PeriodicPair,
     _composite_gauss,
+    _jsonable,
     make_counterexample_density,
     make_sequences,
 )
@@ -82,6 +83,15 @@ _MAX_LOG_SCALE = 600.0
 # the tightest tolerance either integrator is run at: below it the
 # round-off of a step or cell swamps the error estimate
 _MIN_RTOL = 3e-14
+# a foreign crossing starting from more engine cells (16 max(h, h_k) r_k)
+# than this is advanced by powers of its one-period transfer matrix
+_DENSE_BUDGET = 30_000
+# a check (closed-form cross-check and reverse solve: 8 n cells; each half
+# of the generic reverse check: 16 h times its span) starting from more
+# cells than this is skipped, with a note in ``stats["notes"]``
+_CHECK_BUDGET = 30_000
+# energy_gronwall_check: the relative slack of both energy bounds
+_GRONWALL_TOL = 1e-6
 
 
 class ScaleOutOfReach(ValueError):
@@ -510,30 +520,7 @@ class QuasimodeResult:
     stats: dict = field(repr=False)
 
     def to_summary(self) -> dict:
-        clean_stats = {}
-        for k, v in self.stats.items():
-            if isinstance(v, (list, tuple)):
-                clean_stats[k] = list(v)
-            elif isinstance(v, (np.floating, np.integer)):
-                clean_stats[k] = float(v)
-            else:
-                clean_stats[k] = v
-        return {
-            "j": self.j,
-            "h": self.h,
-            "eps": self.eps,
-            "m": self.m,
-            "r": self.r,
-            "kind": self.kind,
-            "interior_mass": self.interior_mass,
-            "extreme_energy": self.extreme_energy,
-            "extreme_energy_log": self.extreme_energy_log,
-            "boundary_energy_0": self.boundary_energy_0,
-            "boundary_energy_0_log": self.boundary_energy_0_log,
-            "boundary_energy_1": self.boundary_energy_1,
-            "boundary_energy_1_log": self.boundary_energy_1_log,
-            "stats": clean_stats,
-        }
+        return _jsonable(self)
 
 
 # --------------------------------------------------------------------------
@@ -549,11 +536,8 @@ def solve_quasimode(
     r: Optional[float] = None,
     rtol: float = 1e-12,
     n_samples: int = 4097,
-    dense_budget: int = 30_000,
-    check_budget: int = 30_000,
     cross_check: bool = True,
     reverse_check: bool = True,
-    force_ode: bool = False,
 ) -> QuasimodeResult:
     """Solve phi'' + h^2 omega phi = 0 with phi(m) = 1, phi'(m) = 0.
 
@@ -563,21 +547,19 @@ def solve_quasimode(
     crossings.  For any other density pass ``h`` and ``m`` (and optionally
     ``r`` to request interval-energy fields); a constant density uses the
     trigonometric solution, everything else the Magnus engine from the
-    center outward (``force_ode`` disables the constant-coefficient
-    shortcut).  The engine starts from cells no wider than 1/(16 h) (and
-    1/(16 h_k) inside a foreign interval), with every sample point a cell
-    edge, and halves each cell until its step-doubling error estimate in
-    the (phi, phi'/kappa) variables is at most ``rtol``.
+    center outward.  The engine starts from cells no wider than 1/(16 h)
+    (and 1/(16 h_k) inside a foreign interval), with every sample point a
+    cell edge, and halves each cell until its step-doubling error
+    estimate in the (phi, phi'/kappa) variables is at most ``rtol``.
 
-    ``dense_budget`` caps the initial cell count 16 max(h, h_k) r_k of a
-    per-sample foreign crossing; beyond it the crossing switches to
-    powers of the one-period transfer matrix and the samples in that span
-    are NaN.  ``check_budget`` caps the initial engine cells (8 n) of the
-    closed-form cross-check and reverse (Wronskian) solve, and the initial
-    cells (16 h times the span) of each half of the generic reverse
-    check; skipped checks are recorded in ``stats["notes"]``.
-    ``stats["nfev"]`` counts evaluations of the coefficient by the engine
-    plus those of the generic reverse check.
+    A foreign crossing that would start from more than 30 000 engine
+    cells (16 max(h, h_k) r_k) switches to powers of the one-period
+    transfer matrix, and the samples in that span are NaN.  A check that
+    would start from more than 30 000 cells (8 n for the closed-form
+    cross-check and reverse (Wronskian) solve, 16 h times the span for
+    each half of the generic reverse check) is skipped and recorded in
+    ``stats["notes"]``.  ``stats["nfev"]`` counts evaluations of the
+    coefficient by the engine plus those of the generic reverse check.
 
     Raises :class:`ScaleOutOfReach` when the mode lives beyond double
     precision: h not finite or above 1e12 (the phase h(x-m) would be
@@ -590,15 +572,15 @@ def solve_quasimode(
         raise ValueError("rtol must lie in ]0, 1e-6]")
     xs = np.linspace(0.0, 1.0, n_samples)
 
-    if omega.trapping is not None and not force_ode:
+    if omega.trapping is not None:
         if h is not None or m is not None or r is not None:
             raise ValueError(
                 "for a trapping density the mode is selected by j; "
                 "h, m, r are read from the stored sequences")
-        return _solve_structured(omega, j, xs, rtol, dense_budget,
-                                 check_budget, cross_check, reverse_check)
+        return _solve_structured(omega, j, xs, rtol, cross_check,
+                                 reverse_check)
 
-    if j is not None and omega.trapping is None:
+    if j is not None:
         raise ValueError("j selects a trapping-density interval; "
                          "pass h and m for other densities")
     if h is None or m is None:
@@ -617,10 +599,9 @@ def solve_quasimode(
 
     _, vals = omega.sample(4097)
     span = float(vals.max() - vals.min())
-    if span <= 1e-12 * float(abs(vals).max()) and not force_ode:
+    if span <= 1e-12 * float(abs(vals).max()):
         return _solve_constant(omega, float(vals.mean()), h, m, r, xs, rtol)
-    return _solve_generic(omega, h, m, r, xs, rtol, check_budget,
-                          cross_check, reverse_check)
+    return _solve_generic(omega, h, m, r, xs, rtol, reverse_check)
 
 
 def _interval_integral(pair: PeriodicPair, h: float, n: int,
@@ -638,8 +619,7 @@ def _interval_integral(pair: PeriodicPair, h: float, n: int,
     return (2.0 * J / h) * (-math.expm1(-eps * n)) / (-math.expm1(-2.0 * eps))
 
 
-def _solve_structured(omega, j, xs, rtol, dense_budget, check_budget,
-                      cross_check, reverse_check):
+def _solve_structured(omega, j, xs, rtol, cross_check, reverse_check):
     entries = omega.trapping.entries
     pairs = omega.trapping.pairs
     if j is None:
@@ -717,7 +697,7 @@ def _solve_structured(omega, j, xs, rtol, dense_budget, check_budget,
             # the scale-free per-period path is trustworthy
             est_steps = 16.0 * max(h, ek.h) * ek.r
             seg = _segment_mask(xs, near, far, direction)
-            if est_steps <= dense_budget and ek.h <= _MAX_REPRESENTABLE_H:
+            if est_steps <= _DENSE_BUDGET and ek.h <= _MAX_REPRESENTABLE_H:
                 state, ph_s, pp_s, info = _cross_dense(
                     pairs[ek.j], ek, h, state, near, far, rtol,
                     xs[seg] if np.any(seg) else None)
@@ -745,7 +725,7 @@ def _solve_structured(omega, j, xs, rtol, dense_budget, check_budget,
     be0_log = _state_energy_log(state_left, kappa)
 
     if cross_check or reverse_check:
-        _closed_form_checks(pair, entry, rtol, check_budget, stats,
+        _closed_form_checks(pair, entry, rtol, stats,
                             do_cross=cross_check, do_reverse=reverse_check)
 
     return QuasimodeResult(
@@ -774,16 +754,16 @@ def _safe_exp(log_val: float) -> float:
     return math.exp(log_val)
 
 
-def _closed_form_checks(pair, entry, rtol, budget, stats,
-                        do_cross=True, do_reverse=True):
+def _closed_form_checks(pair, entry, rtol, stats, do_cross=True,
+                        do_reverse=True):
     """Engine cross-check and reverse (Wronskian) check in sigma units.
 
     Both solve the stretched equation w'' = -alpha(sigma) w, which is
     independent of h, on the Magnus engine at the floor tolerance from
     initial cells of width 1/16, so each check starts from exactly 8 n
-    cells (n/2 periods of 16) and that count is what ``budget`` caps.
-    Their subject is the closed form w_eps, not the engine (which is
-    tested on its own).  The cross-check reads w and w' at the 4 n + 1
+    cells (n/2 periods of 16) and that count is what ``_CHECK_BUDGET``
+    caps.  Their subject is the closed form w_eps, not the engine (which
+    is tested on its own).  The cross-check reads w and w' at the 4 n + 1
     cell edges sigma = k/8.  The reverse solve amplifies its error by
     ~e^{eps n / 2} on the way back to the center, so it is skipped once
     that factor swamps the tolerance budget.
@@ -791,10 +771,10 @@ def _closed_form_checks(pair, entry, rtol, budget, stats,
     n = int(round(entry.n))
     eps_n = entry.eps * n
     est = 8.0 * n
-    if est > budget:
+    if est > _CHECK_BUDGET:
         stats["notes"].append(
             f"closed-form cross-check and reverse check skipped: "
-            f"estimated {est:.0f} steps exceed the budget {budget}")
+            f"estimated {est:.0f} steps exceed the budget {_CHECK_BUDGET}")
         return
 
     if do_cross:
@@ -852,7 +832,7 @@ def _solve_constant(omega, value, h, m, r, xs, rtol):
            + nu ** 2 * math.sin(nu * (1 - m)) ** 2)
     stats = {"rtol": rtol, "path": "constant-closed-form", "nfev": 0,
              "notes": ["constant density detected; trigonometric solution "
-                       "used (force_ode runs the integrator instead)"]}
+                       "used"]}
     return QuasimodeResult(
         j=None, h=h, eps=None, m=m, r=r, kind=omega.kind,
         x=xs, phi=phi, phi_prime=phip,
@@ -1002,8 +982,7 @@ def _collocation_propagate(q: Callable, x0: float, x1: float, kappa: float,
     return log_scale, mat, nfev
 
 
-def _solve_generic(omega, h, m, r, xs, rtol, check_budget,
-                   cross_check, reverse_check):
+def _solve_generic(omega, h, m, r, xs, rtol, reverse_check):
     """Magnus engine from the center outward for an arbitrary density.
 
     No closed-form cross-check exists here.  The reverse check marches
@@ -1082,10 +1061,10 @@ def _solve_generic(omega, h, m, r, xs, rtol, check_budget,
         devs = []
         for direction, end in ((+1, 1.0), (-1, 0.0)):
             est = 16.0 * h * abs(end - m)
-            if est > check_budget:
+            if est > _CHECK_BUDGET:
                 stats["notes"].append(
                     f"reverse check from x = {end:g} skipped: {est:.0f} "
-                    f"initial cells exceed the budget {check_budget}")
+                    f"initial cells exceed the budget {_CHECK_BUDGET}")
                 continue
             log_scale, mat, nfev = _collocation_propagate(
                 q, end, m, kappa, max(rtol, _MIN_RTOL), max_step)
@@ -1225,7 +1204,6 @@ def energy_gronwall_check(
     x_pairs: Optional[Sequence] = None,
     n_random: int = 100,
     seed: int = 0,
-    tol: float = 1e-6,
     assume_differentiable: bool = False,
 ) -> GronwallReport:
     """Check the two Gronwall energy bounds of the quasimode ODE.
@@ -1237,6 +1215,7 @@ def energy_gronwall_check(
         E(to)  <= E(from)  * exp(h * int |4 pi^2 - omega|) * (1 + tol)
         Et(to) <= Et(from) * exp(int |omega'| / omega)     * (1 + tol)
 
+    with tol = 1e-6 (``_GRONWALL_TOL``).
     The second bound needs omega differentiable along the path; it is
     declined (ratio None) for density kinds without that guarantee
     unless ``assume_differentiable`` forces a finite-difference omega'.
@@ -1311,7 +1290,7 @@ def energy_gronwall_check(
         ratio_sup_Et=(sup_Et if any_tilde else None),
         tilde_declined=not differentiable,
         decline_reason=decline_reason,
-        tol=tol)
+        tol=_GRONWALL_TOL)
 
 
 # --------------------------------------------------------------------------
@@ -1336,6 +1315,9 @@ class SweepReport:
     slope_magnitudes_increasing: bool
     truncated_at: Optional[int]
     truncation_reason: Optional[str]
+
+    def to_summary(self) -> dict:
+        return _jsonable(self)
 
 
 def _tilde_tail_ratio(res: QuasimodeResult) -> Optional[float]:
@@ -1408,7 +1390,6 @@ def boundary_smallness_sweep(
     knots: Sequence[float] = DEFAULT_KNOTS,
     rtol: float = 1e-12,
     n_samples: int = 1025,
-    dense_budget: int = 30_000,
     **sequence_kwargs,
 ) -> SweepReport:
     """Boundary energies of the quasimode family against h_j.
@@ -1440,8 +1421,7 @@ def boundary_smallness_sweep(
 
     def row(j: int, density: Coefficient) -> dict:
         res = solve_quasimode(
-            density, j, rtol=rtol, n_samples=n_samples,
-            dense_budget=dense_budget, cross_check=False,
+            density, j, rtol=rtol, n_samples=n_samples, cross_check=False,
             reverse_check=False)
         e = params.entry(j)
         pair = density.trapping.pairs[j]

@@ -43,7 +43,7 @@ from typing import Callable, Mapping, NamedTuple, Optional, Union
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .coeff import Coefficient
+from .coeff import Coefficient, _jsonable
 
 __all__ = [
     "WaveTrajectory",
@@ -84,8 +84,8 @@ def _wave_grid(omega: Coefficient, T: float, resolution: int) -> _Grid:
     smallest count satisfying dt <= _CFL * dx * sqrt(omega_*)."""
     if resolution < 8 or resolution & (resolution - 1):
         raise ValueError("resolution must be a power of two (>= 8)")
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not (T > 0 and math.isfinite(T)):
+        raise ValueError(f"T = {T} must be positive and finite")
     x = np.linspace(0.0, omega.length, resolution + 1)
     om = omega(x)
     if om.min() <= 0 or omega.omega_lower <= 0:
@@ -181,17 +181,9 @@ class WaveTrajectory:
         return u_last.copy(), ut
 
     def to_summary(self) -> dict:
-        return {
-            "resolution": len(self.x) - 1,
-            "dt": self.dt,
-            "steps": self.steps,
-            "T": self.T,
-            "order": self.order,
-            "homogeneous": self.homogeneous,
-            "energy_drift": {k: self.energy_drift(k) for k in self.energies},
-            "flags": list(self.flags),
-            "pz_ratios": dict(self.pz_ratios) if self.pz_ratios else None,
-        }
+        return {**_jsonable(self), "resolution": len(self.x) - 1,
+                "energy_drift": {str(k): self.energy_drift(k)
+                                 for k in self.energies}}
 
 
 @dataclass(frozen=True)

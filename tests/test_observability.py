@@ -4,7 +4,9 @@ HUM reaching rest, the weighted impulse-response corrector against the
 forced march, the divergence sweep's march count, truncation and growth
 bookkeeping, and the package import surface."""
 
+import dataclasses
 import importlib
+import json
 import math
 import os
 import subprocess
@@ -16,6 +18,7 @@ import pytest
 
 from waveobs import coeff
 from waveobs import observability as ob
+from waveobs import quasimodes as qm
 from waveobs import wavesim as ws
 
 
@@ -304,22 +307,26 @@ class TestHumOperator:
         assert res.m == 1 and type(res.m) is int
 
     def test_no_march_inside_cg(self, marches):
-        # only the two verification solves march; the CG runs on the table
+        # only the verification marches, once; the CG runs on the table
         om = coeff.make_baseline("lipschitz")
         x = np.linspace(0.0, 1.0, 129)
         res = ob.hum_control(om, np.sin(math.pi * x), np.zeros_like(x),
                              T=3.0, resolution=128)
         assert res.converged and res.iterations > 2
-        assert sorted(marches) == ["forced", "homogeneous"]
+        assert marches == ["forced"]
 
 
 class TestCutoffGuard:
-    """cutoff <= resolution // 2, checked before any march."""
+    """1 <= cutoff <= resolution // 2, checked before any march."""
 
     def test_gramian(self, marches):
         om = coeff.make_baseline("lipschitz")
-        with pytest.raises(ValueError, match="group velocity"):
-            ob.gramian_observability_constant(om, 3.0, 33, resolution=64)
+        for cutoff, match in ((33, "group velocity"),
+                              (0, "must be at least 1"),
+                              (-4, "must be at least 1")):
+            with pytest.raises(ValueError, match=match):
+                ob.gramian_observability_constant(om, 3.0, cutoff,
+                                                  resolution=64)
         assert marches == []
         out = ob.gramian_observability_constant(om, 3.0, 32, resolution=64)
         assert out["cutoff"] == 32 and marches == ["homogeneous"]
@@ -327,8 +334,13 @@ class TestCutoffGuard:
     def test_ensemble(self, marches):
         om = coeff.make_baseline("lipschitz")
         kw = dict(n_random=1, resolution=64)
-        with pytest.raises(ValueError, match="group velocity"):
-            ob.estimate_observability_constant(om, 3.0, (8, 33), **kw)
+        for cutoffs, match in (((8, 33), "group velocity"),
+                               ((), "at least one cutoff"),
+                               ((0,), "must be at least 1"),
+                               ((-4,), "must be at least 1"),
+                               ((8, -4), "must be at least 1")):
+            with pytest.raises(ValueError, match=match):
+                ob.estimate_observability_constant(om, 3.0, cutoffs, **kw)
         with pytest.raises(ValueError, match="group velocity"):
             ob.estimate_observability_constant(
                 om, 3.0, (8,), cross_check=True, cross_check_cutoff=33,
@@ -484,6 +496,55 @@ class TestBetaRule:
         assert marches == []
 
 
+def _bad_input_calls():
+    """case -> (message pattern, call) for inputs outside every domain."""
+    om = coeff.make_baseline("lipschitz")
+    x = np.linspace(0.0, 1.0, 65)
+    u, zero = np.sin(math.pi * x), np.zeros_like(x)
+    sweep = dict(family="lambda", sequence_kwargs={"n0": 30})
+    calls = {
+        "n_random=-1": ("nonnegative", lambda: (
+            ob.estimate_observability_constant(
+                om, 3.0, (4,), n_random=-1, resolution=64))),
+        "sweep-j_list=()": ("at least one", lambda: (
+            ob.run_counterexample_sweep(j_list=(), **sweep))),
+    }
+    for ppw in (0.0, -6.0, math.nan, math.inf):
+        calls[f"sweep-points_per_wavelength={ppw}"] = (
+            "positive and finite", lambda ppw=ppw: (
+                ob.run_counterexample_sweep(
+                    j_list=(2,), points_per_wavelength=ppw, **sweep)))
+    for T in (math.nan, math.inf):
+        for name, call in {
+            "observability_quotient": lambda T: ob.observability_quotient(
+                om, u, zero, T, resolution=64),
+            "estimate_observability_constant":
+                lambda T: ob.estimate_observability_constant(
+                    om, T, (4,), n_random=1, resolution=64),
+            "gramian_observability_constant":
+                lambda T: ob.gramian_observability_constant(
+                    om, T, 4, resolution=64),
+            "hum_control": lambda T: ob.hum_control(
+                om, u, zero, T, resolution=64),
+            "evolve": lambda T: ws.evolve(om, u, zero, T, 64, k_max=0),
+        }.items():
+            calls[f"{name}-T={T}"] = ("positive and finite",
+                                      lambda call=call, T=T: call(T))
+    return calls
+
+
+class TestInputRule:
+    """Out-of-domain sizes and times raise a ValueError that names the
+    input, before any march."""
+
+    @pytest.mark.parametrize("case", sorted(_bad_input_calls()))
+    def test_rejected(self, case, marches):
+        match, call = _bad_input_calls()[case]
+        with pytest.raises(ValueError, match=match):
+            call()
+        assert marches == []
+
+
 class TestResolutionFlags:
     """Constants taken on a grid that misses the trapping-resolution rule
     (resolution + 1) r_j >= 8 n_j carry a flag."""
@@ -517,8 +578,7 @@ class TestResolutionFlags:
 
 def test_omega_sampled_once_per_grid():
     # a density that counts its evaluations on the resolution + 1 nodes:
-    # each entry point samples omega once per grid it builds, and
-    # hum_control builds three (its own and its two verification solves)
+    # each entry point builds one grid and samples omega once on it
     base = coeff.make_baseline("lipschitz")
     res = 256
     on_grid = []
@@ -543,7 +603,7 @@ def test_omega_sampled_once_per_grid():
                 om, 3.0, 8, resolution=res), 1),
         "evolve": (lambda: ws.evolve(om, u, zero, 3.0, res, k_max=0), 1),
         "hum_control": (lambda: ob.hum_control(om, u, zero, 3.0,
-                                               resolution=res), 3),
+                                               resolution=res), 1),
     }
     counts = {}
     for name, (call, _) in calls.items():
@@ -728,6 +788,59 @@ class TestGrowth:
         # runs counts rows: three rows give two factors
         assert table((12.0, 15.0)).diverging(0, factor=10.0, runs=3)
         assert not table((12.0,)).diverging(0, factor=10.0, runs=3)
+
+
+def _summarized_results():
+    """result type -> a cheap call returning one."""
+    om = coeff.make_baseline("lipschitz")
+    x = np.linspace(0.0, 1.0, 65)
+    u, zero = np.sin(math.pi * x), np.zeros_like(x)
+    dt, steps = ws.solver_time_grid(om, 1.0, 64)
+    t = np.arange(steps + 1) * dt
+    forcing = ws.BoundaryForcing(t, np.sin(5.0 * t) * t ** 2,
+                                 np.zeros_like(t))
+    return {
+        "QuotientResult": lambda: ob.observability_quotient(
+            om, u, zero, 3.0, m=1, resolution=64),
+        "ObservabilityReport": lambda: ob.estimate_observability_constant(
+            om, 3.0, (4, 8), n_random=1, resolution=64, loss_m=(0, 1),
+            loss_beta=(0.0, 1.0), cross_check=True, cross_check_cutoff=4,
+            cross_check_resolution=64),
+        "DivergenceTable": lambda: ob.run_counterexample_sweep(
+            family="lambda", j_list=(2,), points_per_wavelength=6.0,
+            sequence_kwargs={"n0": 30}),
+        "ControlResult": lambda: ob.hum_control(om, u, zero, 3.0,
+                                                resolution=64),
+        "WaveTrajectory": lambda: ws.evolve(om, u, zero, 1.0, 64),
+        "WaveTrajectory-forced": lambda: ws.evolve_inhomogeneous(
+            om, forcing, 1.0, 64),
+        "SweepReport": lambda: qm.boundary_smallness_sweep(
+            mode="scaled", family="psi", j_range=range(2, 4)),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_summarized_results()))
+def test_summary_round_trips_through_json(kind):
+    # every field that holds no array is in the summary, as JSON types
+    # (plain json.dumps takes it, and loading gives the same text back);
+    # the array fields are left out
+    res = _summarized_results()[kind]()
+    assert type(res).__name__ == kind.split("-")[0]
+    summary = res.to_summary()
+    text = json.dumps(summary)
+    assert json.dumps(json.loads(text)) == text
+
+    def holds_array(v):
+        items = (v.values() if isinstance(v, dict)
+                 else v if isinstance(v, tuple) else (v,))
+        return any(isinstance(a, np.ndarray) for a in items)
+
+    arrays = {f.name for f in dataclasses.fields(res)
+              if holds_array(getattr(res, f.name))}
+    assert arrays.isdisjoint(summary)
+    assert {f.name for f in dataclasses.fields(res)} - arrays <= set(summary)
+    if kind in ("ControlResult", "WaveTrajectory"):
+        assert arrays
 
 
 def test_sine_mixture_explicit_sum():

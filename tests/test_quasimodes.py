@@ -99,6 +99,15 @@ def _single_lambda_density(params, j):
     return make_counterexample_density(single, family="lambda")[0]
 
 
+def _engine(omega, *, h, m, r=None, rtol=1e-12, n_samples=4097,
+            reverse_check=True):
+    """The generic path (Magnus engine from the center outward) on any
+    density, constant and trapping ones included, which
+    solve_quasimode sends to their closed forms instead."""
+    return qm._solve_generic(omega, h, m, r, np.linspace(0.0, 1.0, n_samples),
+                             rtol, reverse_check)
+
+
 # --------------------------------------------------------------------------
 # constant density: exact trig oracle
 # --------------------------------------------------------------------------
@@ -134,8 +143,7 @@ class TestConstantDensity:
 
     def test_forced_ode_matches_trig_short(self):
         om = make_baseline("constant", value=FOUR_PI_SQ)
-        res = solve_quasimode(om, h=100.0, m=0.5, rtol=1e-13,
-                              force_ode=True)
+        res = _engine(om, h=100.0, m=0.5, rtol=1e-13)
         expected = np.cos(TWO_PI * 100.0 * (res.x - 0.5))
         assert res.stats["path"] == "generic-ode"
         assert np.max(np.abs(res.phi - expected)) < 1e-9
@@ -144,9 +152,7 @@ class TestConstantDensity:
         # 1e4 oscillation periods at the solver floor: the relative
         # deviation from the exact rotation must stay below 1e-9
         om = make_baseline("constant", value=FOUR_PI_SQ)
-        res = solve_quasimode(om, h=1e4, m=0.5, rtol=1e-13,
-                              force_ode=True, cross_check=False,
-                              reverse_check=False)
+        res = _engine(om, h=1e4, m=0.5, rtol=1e-13, reverse_check=False)
         expected = np.cos(TWO_PI * 1e4 * (res.x - 0.5))
         dev = np.max(np.abs(res.phi - expected))
         assert dev < 1e-9, f"long-horizon deviation {dev:.3e}"
@@ -245,31 +251,35 @@ class TestStructuredScaled:
 
 class TestPoweredCrossings:
     def test_rightward_powered_matches_dense(self, scaled_density,
-                                             scaled_j6):
+                                             scaled_j6, monkeypatch):
         # force the deepest crossing (I_2 as seen from j=6) through the
         # per-period transfer matrix and compare the boundary state
         # against the default dense solve
-        forced = solve_quasimode(scaled_density, 6, dense_budget=3000,
-                                 cross_check=False, reverse_check=False)
+        monkeypatch.setattr(qm, "_DENSE_BUDGET", 3000)
+        forced = solve_quasimode(scaled_density, 6, cross_check=False,
+                                 reverse_check=False)
         assert forced.stats["powered_spans"] >= 1
         assert np.isnan(forced.phi).any()
         assert abs(forced.boundary_energy_1_log
                    - scaled_j6.boundary_energy_1_log) < 1e-8
 
     def test_leftward_powered_matches_dense(self, scaled_density,
-                                            scaled_j2):
-        forced = solve_quasimode(scaled_density, 2, dense_budget=10,
-                                 cross_check=False, reverse_check=False)
+                                            scaled_j2, monkeypatch):
+        monkeypatch.setattr(qm, "_DENSE_BUDGET", 10)
+        forced = solve_quasimode(scaled_density, 2, cross_check=False,
+                                 reverse_check=False)
         assert forced.stats["powered_spans"] >= 4
         assert abs(forced.boundary_energy_0_log
                    - scaled_j2.boundary_energy_0_log) < 1e-8
 
-    def test_nan_samples_confined_to_powered_spans(self, scaled_density):
+    def test_nan_samples_confined_to_powered_spans(self, scaled_density,
+                                                   monkeypatch):
         # at this budget only the widest foreign interval ]1/4, 1/2]
         # (rightward from the j=6 mode) goes through the matrix path:
         # its samples are NaN, everything outside it stays finite
-        forced = solve_quasimode(scaled_density, 6, dense_budget=3000,
-                                 cross_check=False, reverse_check=False)
+        monkeypatch.setattr(qm, "_DENSE_BUDGET", 3000)
+        forced = solve_quasimode(scaled_density, 6, cross_check=False,
+                                 reverse_check=False)
         bad = np.isnan(forced.phi)
         assert bad.any()
         assert np.min(forced.x[bad]) > 0.25
@@ -311,8 +321,7 @@ class TestMagnusEngine:
         # Magnus cells are exact for constant omega: only round-off remains
         om = make_baseline("constant", value=FOUR_PI_SQ)
         h = 64.0
-        res = solve_quasimode(om, h=h, m=0.5, force_ode=True,
-                              reverse_check=False)
+        res = _engine(om, h=h, m=0.5, reverse_check=False)
         ph = TWO_PI * h * (res.x - 0.5)
         assert np.max(np.abs(res.phi - np.cos(ph))) < 1e-12
         assert np.max(np.abs(res.phi_prime / (TWO_PI * h)
@@ -449,10 +458,8 @@ class TestGenericDensity:
         e = scaled_params.entry(2)
         structured = solve_quasimode(om, 2, cross_check=False,
                                      reverse_check=False, n_samples=1025)
-        generic = solve_quasimode(om, h=e.h, m=e.m, r=e.interval[1]
-                                  - e.interval[0], force_ode=True,
-                                  rtol=1e-13, n_samples=1025,
-                                  cross_check=False, reverse_check=False)
+        generic = _engine(om, h=e.h, m=e.m, r=e.interval[1] - e.interval[0],
+                          rtol=1e-13, n_samples=1025, reverse_check=False)
         assert np.max(np.abs(structured.phi - generic.phi)) < 1e-8
         assert structured.boundary_energy_0_log == pytest.approx(
             generic.boundary_energy_0_log, abs=1e-8)
@@ -499,10 +506,10 @@ class TestGenericDensity:
                               m=0.5, r=0.5)
         assert res.stats["wronskian_dev"] >= 1e-9
 
-    def test_check_budget_caps_each_half(self):
+    def test_check_budget_caps_each_half(self, monkeypatch):
         # 16 h (1 - m) = 32 initial cells on the right, 96 on the left
-        res = solve_quasimode(self._smooth(), h=8.0, m=0.75,
-                              check_budget=64)
+        monkeypatch.setattr(qm, "_CHECK_BUDGET", 64)
+        res = solve_quasimode(self._smooth(), h=8.0, m=0.75)
         assert res.stats["wronskian_dev"] < 1e-11
         skipped = [n for n in res.stats["notes"] if "reverse check" in n]
         assert len(skipped) == 1 and "x = 0" in skipped[0]

@@ -64,6 +64,13 @@ DEFAULT_KNOTS = (0.04, 0.14, 0.62, 0.80)
 _ETA_GRID = 8192          # per-period grid for the antiderivative of eta'
 _SEQUENCE_DPS = 50        # mpmath digits of make_sequences
 _DENSE_CHECK = 100_000    # per-period grid for sup-norm measurements
+_TRAVEL_TIME_PANELS = 128  # travel_time's Gauss panels off a trapping density
+# make_sequences: M of the admissibility tests, the concentrating mode's
+# eps_j = _EPS0 * _EPS_RATIO^(j - j_min) and the scaled mode's n_j
+_ADMISSIBILITY_M = 2600.0
+_EPS0 = 0.048
+_EPS_RATIO = 0.9
+_SCALED_N = 16
 
 
 # --------------------------------------------------------------------------
@@ -498,9 +505,8 @@ def make_baseline(kind: str, **params) -> Coefficient:
 
     Supported kinds: ``constant``, ``lipschitz``, ``bv-step``,
     ``hoelder`` (exponent ``beta``), ``log-lipschitz``,
-    ``weierstrass-zygmund``, ``custom`` (callable + bounds), plus the
-    counterexample kinds which delegate to :func:`make_counterexample_density`
-    with default parameters.
+    ``weierstrass-zygmund`` and ``custom`` (callable + bounds); trapping
+    densities come from :func:`make_counterexample_density`.
 
     All evaluators are exact closed forms; hyperbolicity bounds are
     analytic except where noted in the descriptor.  Unknown parameter
@@ -592,10 +598,6 @@ def make_baseline(kind: str, **params) -> Coefficient:
             raise ValueError("custom density must declare a positive lower bound")
         return Coefficient(kind, {"omega_lower": lo, "omega_upper": hi},
                            lo, hi, lambda x, fn=fn: np.asarray(fn(x), dtype=float))
-
-    if kind == "counterexample-psi":
-        seqs = make_sequences(mode=params.pop("mode", "concentrating"), **params)
-        return make_counterexample_density(seqs)
 
     raise ValueError(f"unknown baseline kind: {kind!r}")
 
@@ -713,12 +715,8 @@ def make_sequences(
     N: Optional[int] = None,
     psi: str = "identity",
     lam: str = "sqrt-log",
-    M: float = 2600.0,
-    eps0: float = 0.048,
-    eps_ratio: float = 0.9,
     n0: int = 240,
     n_growth: float = 2.42,
-    scaled_n: int = 16,
 ) -> CounterexampleParams:
     """Build the interval/frequency/decay sequences for the trapping density.
 
@@ -730,15 +728,19 @@ def make_sequences(
         The integer adjustment making h_j r_j a whole number changes h_j
         below any realizable precision and is recorded as a note.
     ``scaled``
-        Same defining relation at desk scale with h_j = scaled_n * 2^j
-        (so n_j = scaled_n for every j).
+        Same defining relation at desk scale with h_j = 16 * 2^j
+        (``_SCALED_N``: n_j = 16 for every j).
     ``concentrating``
-        eps_j = eps0 * eps_ratio^(j - j_min) and n_j even-rounded from
-        n0 * n_growth^(j - j_min); h_j = n_j 2^j.  The trapping exponent
-        eps_j n_j grows along the family, which the defining relation
-        cannot achieve at reachable h.
+        eps_j = 0.048 * 0.9^(j - j_min) (``_EPS0``, ``_EPS_RATIO``) and
+        n_j even-rounded from n0 * n_growth^(j - j_min); h_j = n_j 2^j.
+        The trapping exponent eps_j n_j grows along the family, which the
+        defining relation cannot achieve at reachable h.
+    ``lambda``
+        h_j = 1 / lambda^{-1}(2^{N j}), eps_j h_j = lambda(1/h_j) log h_j.
 
-    The three admissibility inequalities are evaluated per j with mpmath
+    ``psi`` (identity, sqrt, log) and ``lam`` (sqrt-log, log-log) choose
+    the modulus the construction defeats.  The admissibility inequalities
+    (M = 2600, ``_ADMISSIBILITY_M``) are evaluated per j with mpmath
     at ``_SEQUENCE_DPS`` (50) digits; for the infinite upper tail the sum
     is truncated eight levels past the last requested j and closed with a
     doubling bound on the final term (the summands decay at least
@@ -771,19 +773,19 @@ def make_sequences(
             descriptor = f"psi={psi} (desk scale)"
 
             def seq(j: int) -> tuple:
-                return mp.mpf(scaled_n) * mp.mpf(2) ** j, None
+                return mp.mpf(_SCALED_N) * mp.mpf(2) ** j, None
 
             notes.append(
                 "n_j = h_j r_j is constant in this mode; the strictly-"
                 "increasing n_j invariant holds only for the other modes")
         elif mode == "concentrating":
-            descriptor = (f"eps0={eps0} ratio={eps_ratio} "
+            descriptor = (f"eps0={_EPS0} ratio={_EPS_RATIO} "
                           f"n0={n0} growth={n_growth}")
 
             def seq(j: int) -> tuple:
                 n = _even_ceil(n0 * n_growth ** (j - js[0]))
                 h = mp.mpf(n) * mp.mpf(2) ** j
-                eps = mp.mpf(eps0) * mp.mpf(eps_ratio) ** (j - js[0])
+                eps = mp.mpf(_EPS0) * mp.mpf(_EPS_RATIO) ** (j - js[0])
                 return h, eps
         elif mode == "lambda":
             if N is None:
@@ -851,7 +853,7 @@ def make_sequences(
             ))
 
         flags = []
-        mM = mp.mpf(M)
+        mM = mp.mpf(_ADMISSIBILITY_M)
         for j in js:
             h_j, eps_j, r_j, _ = raw[j]
             lhs1 = eps_j
@@ -884,7 +886,7 @@ def make_sequences(
             })
 
     return CounterexampleParams(
-        mode=mode, descriptor=descriptor, N=N, M=float(M),
+        mode=mode, descriptor=descriptor, N=N, M=_ADMISSIBILITY_M,
         entries=tuple(entries), cond_flags=tuple(flags), notes=tuple(notes))
 
 
@@ -1057,17 +1059,17 @@ def reduce_to_normal_form(rho: Coefficient, a: Coefficient,
     return omega, L, diag
 
 
-def travel_time(coef: Coefficient, grid: int = 1 << 16) -> float:
+def travel_time(coef: Coefficient) -> float:
     """T = int_0^L sqrt(omega): the one-way sidewise crossing time.
 
     For trapping densities the integral is evaluated structurally
     (period-exact Gauss-Legendre inside each oscillating interval,
     closed form on the flat remainder); otherwise by composite
-    Gauss-Legendre on the full domain.
+    Gauss-Legendre, 128 panels (``_TRAVEL_TIME_PANELS``) on [0, L].
     """
     if coef.trapping is None:
         return _composite_gauss(lambda x: np.sqrt(coef(x)), coef.length,
-                                max(64, grid // 512))
+                                _TRAVEL_TIME_PANELS)
     total = 0.0
     covered = 0.0
     for e in coef.trapping.entries:

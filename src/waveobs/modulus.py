@@ -182,10 +182,6 @@ class TVEstimate:
     ratios: tuple
     bounded: bool
 
-    @property
-    def trend(self) -> str:
-        return "bounded" if self.bounded else "growing"
-
 
 def total_variation(samples: np.ndarray, levels: int = 6) -> TVEstimate:
     """Sum of |f(x_{i+1}) - f(x_i)| with a 2x-refinement trend."""
@@ -341,7 +337,8 @@ def _flatness(values: np.ndarray) -> float:
 _ACCEPT_TOL = 0.20
 
 
-def classify_modulus(report_entries, spectrum: Optional[DyadicSpectrum],
+def classify_modulus(entries: Mapping[str, SeminormEntry],
+                     spectrum: Optional[DyadicSpectrum],
                      tv: Optional[TVEstimate] = None) -> Classification:
     """Fit the measured moduli to the regularity class ladder.
 
@@ -353,16 +350,11 @@ def classify_modulus(report_entries, spectrum: Optional[DyadicSpectrum],
     stronger class).  When no candidate is accepted and the two best
     scores agree within 10 %, the verdict is ``inconclusive``.
 
-    ``report_entries`` may be a ModulusReport or a mapping of entries
-    as produced by :func:`difference_seminorms` (pointwise Lip/LL/Z/LZ
-    required).  The spectrum, when given, strengthens the Zygmund test:
-    flat 2^j ||Delta_j||_inf is accepted as Zygmund evidence.
+    ``entries`` maps names to :func:`difference_seminorms` entries
+    (pointwise Lip/LL/Z/LZ required), as a ModulusReport's ``entries``
+    do.  The spectrum, when given, strengthens the Zygmund test: flat
+    2^j ||Delta_j||_inf is accepted as Zygmund evidence.
     """
-    if isinstance(report_entries, ModulusReport):
-        tv = report_entries.tv if tv is None else tv
-        entries = report_entries.entries
-    else:
-        entries = report_entries
     need = ("Lip", "LL", "Z", "LZ")
     if any(k not in entries for k in need):
         raise ValueError(f"entries must include {need}")
@@ -433,20 +425,20 @@ def classify_modulus(report_entries, spectrum: Optional[DyadicSpectrum],
 
 
 def modulus_report(samples: np.ndarray,
-                   h_grid: Optional[Sequence[float]] = None,
                    spectrum: Optional[DyadicSpectrum] = None,
                    tv_levels: int = 6) -> ModulusReport:
     """Measure all seminorm entries, the TV trend, and classify.
 
     Assembles the pointwise and integral difference seminorms (seven
-    entries), the refinement-trend TV estimate, and the class label
-    fitted from the pointwise curves (plus the spectrum when given).
+    entries) on the dyadic offsets of :func:`default_h_grid`, the
+    refinement-trend TV estimate, and the class label fitted from the
+    pointwise curves (plus the spectrum when given).
     """
     entries: dict = {}
-    entries.update(difference_seminorms(samples, "first", "pointwise", h_grid))
-    entries.update(difference_seminorms(samples, "second", "pointwise", h_grid))
-    entries.update(difference_seminorms(samples, "second", "integral", h_grid))
-    ll_int = difference_seminorms(samples, "first", "integral", h_grid)
+    entries.update(difference_seminorms(samples, "first", "pointwise"))
+    entries.update(difference_seminorms(samples, "second", "pointwise"))
+    entries.update(difference_seminorms(samples, "second", "integral"))
+    ll_int = difference_seminorms(samples, "first", "integral")
     entries["LL_int"] = ll_int["LL_int"]
     tv = total_variation(samples, levels=tv_levels)
     cls = classify_modulus(entries, spectrum, tv)

@@ -21,7 +21,7 @@ family of concentrating modes.  This module measures both sides:
 * :func:`run_counterexample_sweep` drives the concentrating quasimode
   family through the wave solver and tabulates the divergence of Q_m along
   the family, with closed-form numerators where the construction makes
-  them exact.
+  them exact, at the default horizon.
 * :func:`hum_control` computes the boundary control of minimal H^{-m}
   norm by conjugate gradients on the duality operator and verifies the
   terminal state it reaches.
@@ -38,7 +38,8 @@ boundary row.
 
 Every entry point takes the derivative order m as a nonnegative integer
 and rejects anything else (:func:`_check_order`), and a trace exponent
-beta as finite and nonnegative; both are checked before any march.
+beta as finite and nonnegative; both are checked before any march.  The
+default horizon is :func:`_default_horizon`, its test :func:`_admissible`.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from scipy.linalg import eigh, solveh_banded
 
 from .coeff import (
     Coefficient,
-    CounterexampleParams,
     FOUR_PI_SQ,
     TWO_PI,
     _jsonable,
@@ -71,6 +71,7 @@ from .wavesim import (
     BoundaryForcing,
     _as_samples,
     _check_beta,
+    _check_resolution,
     _forcing_flags,
     _leapfrog,
     _leapfrog_modes,
@@ -102,6 +103,16 @@ _CG_MAX_ITER = 200
 _CG_TOL = 1e-10
 # hum_control: the largest relative terminal energy of a controlled state
 _HUM_TOLERANCE = 1e-6
+
+
+def _default_horizon(T_omega: float) -> float:
+    """T = 2 T_omega + 0.5, the horizon of a call not given one."""
+    return 2.0 * T_omega + 0.5
+
+
+def _admissible(T: float, T_omega: float) -> bool:
+    """T > 2 T_omega: the horizon outlasts two crossings."""
+    return bool(T > 2.0 * T_omega)
 
 
 def _check_order(m) -> int:
@@ -213,9 +224,6 @@ class QuotientResult:
     denominator_parts: tuple = ()
     flags: tuple = ()
 
-    def __float__(self) -> float:
-        return self.value
-
     def to_summary(self) -> dict:
         return _jsonable(self)
 
@@ -267,7 +275,7 @@ def _quotient(u0n: np.ndarray, u1n: np.ndarray, trace: np.ndarray,
     return QuotientResult(
         value=value, numerator=numerator, denominator=denominator,
         m=m, beta=beta, T=T, T_omega=T_omega,
-        admissible=bool(T > 2.0 * T_omega), unbounded=unbounded,
+        admissible=_admissible(T, T_omega), unbounded=unbounded,
         side=side, resolution=len(u0n) - 1,
         denominator_parts=parts, flags=tuple(flags))
 
@@ -487,10 +495,11 @@ def estimate_observability_constant(
     if n_random < 0:
         raise ValueError(f"n_random {n_random} must be nonnegative")
     if cross_check:
+        _check_resolution(cross_check_resolution)
         _check_cutoff(cross_check_cutoff, cross_check_resolution)
     T_omega = travel_time(omega)
     if T is None:
-        T = 2.0 * T_omega + 0.5
+        T = _default_horizon(T_omega)
     grid = _wave_grid(omega, T, resolution)
     x, dt, dx = grid.x, grid.dt, grid.dx
     rng = np.random.default_rng(seed)
@@ -557,7 +566,7 @@ def estimate_observability_constant(
     return ObservabilityReport(
         omega_kind=omega.kind, omega_descriptor=omega.to_descriptor(),
         T=T, T_omega=T_omega,
-        admissible=bool(T > 2.0 * T_omega), m=m, beta=beta,
+        admissible=_admissible(T, T_omega), m=m, beta=beta,
         cutoffs=cuts, constants=constants, argmax_labels=argmax,
         rows=tuple(rows), growth_factors=tuple(factors),
         resolution=resolution, seed=seed, n_random=n_random,
@@ -769,16 +778,14 @@ def _corrector_traces(density: Coefficient, h: float, T: float,
     traces = dict(zip(("cos", "sin"),
                       _impulse_convolution(run.trace_left, signals)))
     flags = _forcing_flags(BoundaryForcing(
-        times, left * signals[0], right * signals[0], "analytic"))
+        times, left * signals[0], right * signals[0]))
     return times, traces, flags
 
 
 def run_counterexample_sweep(
-        params: Optional[CounterexampleParams] = None, *,
-        family: str = "lambda", mode: str = "concentrating",
+        *, family: str = "lambda",
         j_list: Sequence[int] = (2, 3, 4), m_list: Sequence[int] = (0, 1, 2),
-        T: Optional[float] = None, points_per_wavelength: float = 12.0,
-        rtol: float = 1e-12,
+        points_per_wavelength: float = 12.0,
         sequence_kwargs: Optional[dict] = None) -> DivergenceTable:
     """Divergence of Q_m along the trapping quasimode family.
 
@@ -793,6 +800,10 @@ def run_counterexample_sweep(
     impulse weighted by (phi(0)/h, phi(1)/h) and an FFT convolution per
     phase (:func:`_corrector_traces`), not from marching each forcing.
 
+    The sequences are ``make_sequences(**sequence_kwargs)``, by default
+    ``concentrating`` on min(j_list)..max(j_list); the table's ``mode`` is
+    theirs.  Modes are solved at :func:`solve_quasimode`'s rtol (1e-12).
+
     ``family`` 'lambda' activates one marked interval per j (closed-form
     numerators, machine-exact edge states); 'psi' uses the full density
     (numerators by quadrature over the solved samples, so the grid must
@@ -802,8 +813,9 @@ def run_counterexample_sweep(
     :func:`quasimodes._family_members`, and rows are solved in order
     until the first j whose density cannot be built or which the scale
     guard or the wave grid cannot reach; that j truncates the table with
-    the reason recorded.  ``T`` defaults to the largest 2 T_omega + 0.5
-    over the members that were built (nan when none was).
+    the reason recorded.  Every row runs at one horizon, the largest
+    :func:`_default_horizon` (2 T_omega + 0.5) over the members that were
+    built (nan when none was).
 
     ``growth_factors`` follow :func:`_growth_factor`: a row whose
     denominator sits under the trace noise floor has Q = inf, and the
@@ -818,18 +830,14 @@ def run_counterexample_sweep(
             f"points_per_wavelength {points_per_wavelength} must be "
             f"positive and finite")
     m_list = tuple(_check_order(m) for m in m_list)
-    if params is None:
-        kw = dict(sequence_kwargs or {})
-        kw.setdefault("mode", mode)
-        kw.setdefault("j_range", range(min(j_list), max(j_list) + 1))
-        params = make_sequences(**kw)
-    else:
-        mode = params.mode
+    kw = dict(sequence_kwargs or {})
+    kw.setdefault("mode", "concentrating")
+    kw.setdefault("j_range", range(min(j_list), max(j_list) + 1))
+    params = make_sequences(**kw)
 
     members, bad_j, bad_reason = _family_members(params, family, j_list)
-    if T is None:
-        T = max((2.0 * travel_time(om) + 0.5 for om in members.values()),
-                default=math.nan)
+    T = max((_default_horizon(travel_time(om)) for om in members.values()),
+            default=math.nan)
 
     def solve_row(j: int, density: Coefficient) -> dict:
         entry = params.entry(j)
@@ -855,7 +863,7 @@ def run_counterexample_sweep(
             raise ScaleOutOfReach(
                 f"numerator quadrature at the {res_wave} cap: {missed[0]}")
 
-        qm = solve_quasimode(density, j, rtol=rtol, n_samples=res_wave + 1,
+        qm = solve_quasimode(density, j, n_samples=res_wave + 1,
                              cross_check=False, reverse_check=False)
         h = qm.h
         n = int(round(qm.stats["n"]))
@@ -933,7 +941,7 @@ def run_counterexample_sweep(
         qs = [r["Q"][m] for r in rows]
         growth[m] = tuple(_growth_factor(a, b) for a, b in zip(qs, qs[1:]))
     return DivergenceTable(
-        family=family, mode=mode, T=float(T), m_list=m_list,
+        family=family, mode=params.mode, T=float(T), m_list=m_list,
         rows=tuple(rows), growth_factors=growth,
         truncated_at=truncated_at, truncation_reason=reason,
         params=params.to_descriptor())

@@ -52,7 +52,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .coeff import (
-    DEFAULT_KNOTS,
     FOUR_PI_SQ,
     TWO_PI,
     Coefficient,
@@ -92,6 +91,8 @@ _DENSE_BUDGET = 30_000
 _CHECK_BUDGET = 30_000
 # energy_gronwall_check: the relative slack of both energy bounds
 _GRONWALL_TOL = 1e-6
+# boundary_smallness_sweep: samples of each row's mode on [0, 1]
+_SWEEP_SAMPLES = 1025
 
 
 class ScaleOutOfReach(ValueError):
@@ -1338,8 +1339,7 @@ def _tilde_tail_ratio(res: QuasimodeResult) -> Optional[float]:
 
 
 def _family_members(params: CounterexampleParams, family: str,
-                    js: Sequence[int],
-                    knots: Sequence[float] = DEFAULT_KNOTS) -> tuple:
+                    js: Sequence[int]) -> tuple:
     """Densities of the buildable prefix of ``js``, in order, then the
     first j that cannot be built and why (None, None when every j can).
 
@@ -1355,12 +1355,12 @@ def _family_members(params: CounterexampleParams, family: str,
     members = {}
     try:
         if family == "psi":
-            shared = make_counterexample_density(params, knots=knots)
+            shared = make_counterexample_density(params)
             members = dict.fromkeys(js, shared)
         else:
             for j in js:
                 members[j] = make_counterexample_density(
-                    params.restrict(j), family="lambda", knots=knots)[0]
+                    params.restrict(j), family="lambda")[0]
     except ValueError as exc:
         return members, next(j for j in js if j not in members), str(exc)
     return members, None, None
@@ -1382,27 +1382,23 @@ def _family_rows(row: Callable, members: dict,
 
 
 def boundary_smallness_sweep(
-    params: Optional[CounterexampleParams] = None,
     *,
     mode: str = "scaled",
     family: str = "psi",
     j_range: Sequence[int] = range(2, 7),
-    knots: Sequence[float] = DEFAULT_KNOTS,
-    rtol: float = 1e-12,
-    n_samples: int = 1025,
     **sequence_kwargs,
 ) -> SweepReport:
     """Boundary energies of the quasimode family against h_j.
 
-    Builds (or reuses) the sequence data and the family's densities (one
-    density for the psi family, one per j for the lambda family; see
+    Builds the sequences (``make_sequences``) and, at ``DEFAULT_KNOTS``,
+    the family's densities (one for psi, one per j for lambda; see
     :func:`_family_members`), then solves one row per j in order and
     tabulates the boundary energies with their local slope
     d log(E_total) / d log(h_j).  The sweep truncates at the first j
     whose density cannot be built or whose mode is out of reach, and
-    reports the truncation.  The rows are solved without the per-mode
-    cross and reverse checks: those are solve-level diagnostics of
-    :func:`solve_quasimode`, which runs them by default.
+    reports the truncation.  Rows are solved at :func:`solve_quasimode`'s
+    default rtol (1e-12) on 1025 samples (``_SWEEP_SAMPLES``), without the
+    cross and reverse checks (solve-level diagnostics it runs by default).
 
     Each row also carries ``edge_bound_log``: the energy-comparison chain
     "boundary energy <= weighted E(0) <= weighted E(edge) * growth"
@@ -1413,16 +1409,12 @@ def boundary_smallness_sweep(
     densities (omega is constant there and the rotation count over
     [1/2, 1] is a whole number when h is even).
     """
-    if params is None:
-        params = make_sequences(mode=mode, j_range=j_range, **sequence_kwargs)
-    else:
-        mode = params.mode
+    params = make_sequences(mode=mode, j_range=j_range, **sequence_kwargs)
     js = sorted(e.j for e in params.entries)
 
     def row(j: int, density: Coefficient) -> dict:
-        res = solve_quasimode(
-            density, j, rtol=rtol, n_samples=n_samples, cross_check=False,
-            reverse_check=False)
+        res = solve_quasimode(density, j, n_samples=_SWEEP_SAMPLES,
+                              cross_check=False, reverse_check=False)
         e = params.entry(j)
         pair = density.trapping.pairs[j]
         total_log = np.logaddexp(res.boundary_energy_0_log,
@@ -1448,7 +1440,7 @@ def boundary_smallness_sweep(
         }
 
     rows, truncated_at, truncation_reason = _family_rows(
-        row, *_family_members(params, family, js, knots))
+        row, *_family_members(params, family, js))
 
     slopes = []
     for i in range(len(rows)):

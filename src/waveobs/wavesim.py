@@ -10,9 +10,10 @@ which is how the higher energies E_k are tracked.
 One private kernel, ``_leapfrog``, marches a node array or a (nodes x K)
 block of data columns, each bitwise the single-column run.  It always
 returns the boundary traces and computes energies and snapshots only on
-request; it records no interior slice.  :func:`evolve` and
-:func:`evolve_inhomogeneous` are single-column runs that track energies;
-``observability`` marches its data as blocks without them.
+request; it records no interior slice.  :func:`evolve` (E_0..E_{k_max}
+at every level) and :func:`evolve_inhomogeneous` (E_0 at every
+steps // ``_FORCED_ENERGY_LEVELS``-th) are single-column runs that track
+energies; ``observability`` marches its data as blocks without them.
 ``_leapfrog_modes`` solves the homogeneous scheme in closed form instead:
 one table of every mode's Chebyshev evolution, on which HUM's CG runs.
 
@@ -20,14 +21,15 @@ The sidewise solver is the flux-to-energy oracle of the paper's
 argument: it re-reads the same equation as an evolution in x
 (u_xx = omega u_tt) and, started at x = 0 from the boundary Cauchy data
 (u = 0, u_x = a forward run's ``trace_left``), rebuilds the field and
-its energy across the interval from the flux alone, sharing nothing
-with the leapfrog but that trace.  It shrinks the transverse window
-one grid point per step - a superset of the true domain-of-dependence
-shrink rate sqrt(omega^*) dx per unit x at the CFL number 0.9, so a
-full crossing needs T > 2 sqrt(omega^*) / 0.9.  :func:`apply_D_omega`
-is the discrete operator whose powers the time differences of a trace
-must reproduce.  Every forward run and every wave solve of
-``observability`` builds its grid once with ``_wave_grid``.
+its energies F_0, F_1 (``_SIDEWISE_K_MAX``) across the interval from the
+flux alone, sharing nothing with the leapfrog but that trace.  It shrinks
+the transverse window one grid point per step - a superset of the true
+domain-of-dependence shrink rate sqrt(omega^*) dx per unit x at the CFL
+number 0.9, so a full crossing needs T > 2 sqrt(omega^*) / 0.9.
+:func:`apply_D_omega` is the discrete operator whose powers the time
+differences of a trace must reproduce.  Every forward run and every wave
+solve of ``observability`` builds its grid once with ``_wave_grid``; its
+cell-count rule is ``_check_resolution``, callable before any march.
 
 Boundary traces use third-order one-sided differences.  Rough
 coefficients are sampled pointwise at the nodes; no smoothing is ever
@@ -62,6 +64,10 @@ __all__ = [
 _CFL = 0.9
 # apply_D_omega rejects a result below this many times its noise estimate
 _SNR_FLOOR = 100.0
+# evolve_inhomogeneous: E_0 is recorded every steps // this many levels
+_FORCED_ENERGY_LEVELS = 4096
+# sidewise_evolve: the highest order k of the sidewise energies F_k
+_SIDEWISE_K_MAX = 1
 
 
 # --------------------------------------------------------------------------
@@ -78,12 +84,17 @@ class _Grid(NamedTuple):
     steps: int
 
 
-def _wave_grid(omega: Coefficient, T: float, resolution: int) -> _Grid:
-    """The one grid rule: ``resolution`` (a power of two >= 8) cells on
-    [0, L], omega sampled once at the nodes, dt = T/steps with steps the
-    smallest count satisfying dt <= _CFL * dx * sqrt(omega_*)."""
+def _check_resolution(resolution: int) -> None:
+    """A wave grid's cell count is a power of two, at least 8."""
     if resolution < 8 or resolution & (resolution - 1):
         raise ValueError("resolution must be a power of two (>= 8)")
+
+
+def _wave_grid(omega: Coefficient, T: float, resolution: int) -> _Grid:
+    """The one grid rule: ``resolution`` (:func:`_check_resolution`) cells
+    on [0, L], omega sampled once at the nodes, dt = T/steps with steps
+    the smallest count satisfying dt <= _CFL * dx * sqrt(omega_*)."""
+    _check_resolution(resolution)
     if not (T > 0 and math.isfinite(T)):
         raise ValueError(f"T = {T} must be positive and finite")
     x = np.linspace(0.0, omega.length, resolution + 1)
@@ -149,7 +160,6 @@ class WaveTrajectory:
     dt: float
     steps: int
     T: float
-    order: int
     times: np.ndarray
     trace_left: np.ndarray
     trace_right: np.ndarray
@@ -193,7 +203,6 @@ class BoundaryForcing:
     times: np.ndarray
     left: np.ndarray
     right: np.ndarray
-    smoothness: str = "unknown"
 
     def __post_init__(self):
         if not (len(self.times) == len(self.left) == len(self.right)):
@@ -476,8 +485,7 @@ def _as_samples(f: Union[Callable, np.ndarray, None], x: np.ndarray):
 
 def evolve(omega: Coefficient, u0, u1, T: float, resolution: int,
            k_max: int = 2, snapshot_stride: Optional[int] = None,
-           start_levels: Optional[tuple] = None,
-           energy_stride: int = 1) -> WaveTrajectory:
+           start_levels: Optional[tuple] = None) -> WaveTrajectory:
     """Evolve omega u_tt = u_xx with homogeneous Dirichlet conditions.
 
     ``u0``/``u1`` are callables on [0, L] or node arrays; both must
@@ -486,12 +494,12 @@ def evolve(omega: Coefficient, u0, u1, T: float, resolution: int,
     levels (u0/u1 must then be None) - this is how a finished run is
     continued or reversed exactly.
 
-    A single-column kernel run tracking E_0..E_{k_max} every
-    ``energy_stride``-th level; snapshots default to every steps // 128
-    (``snapshot_stride=1`` keeps every level).  The boundary traces are
-    the whole record of the run's flux; no interior slice is recorded
-    (:func:`sidewise_evolve` rebuilds the interior from ``trace_left``).
-    The grid is :func:`solver_time_grid`'s.
+    A single-column kernel run tracking E_0..E_{k_max} at every level;
+    snapshots default to every steps // 128 (``snapshot_stride=1`` keeps
+    every level).  The boundary traces are the whole record of the run's
+    flux; no interior slice is recorded (:func:`sidewise_evolve` rebuilds
+    the interior from ``trace_left``).  The grid is
+    :func:`solver_time_grid`'s.
     """
     x, om, dx, dt, steps = _wave_grid(omega, T, resolution)
 
@@ -505,13 +513,12 @@ def evolve(omega: Coefficient, u0, u1, T: float, resolution: int,
         ua, ub = _taylor_start(_as_samples(u0, x), ut0, om, dt, dx)
 
     run = _leapfrog(om, dx, dt, steps, ua, ub, k_max=k_max,
-                    energy_stride=energy_stride,
                     snapshot_stride=snapshot_stride or max(1, steps // 128))
     st, su, sut = run.snapshots
     sut[0] = ut0
     return WaveTrajectory(
         x=x, omega_nodes=om, dt=dt, steps=steps, T=T,
-        order=2, times=np.arange(steps + 1) * dt,
+        times=np.arange(steps + 1) * dt,
         trace_left=run.trace_left, trace_right=run.trace_right,
         energies=run.energies, energy_times=run.energy_times,
         snapshot_times=np.asarray(st), snapshots_u=tuple(su),
@@ -519,9 +526,8 @@ def evolve(omega: Coefficient, u0, u1, T: float, resolution: int,
 
 
 def evolve_inhomogeneous(omega: Coefficient, forcing: BoundaryForcing,
-                         T: float, resolution: int, k_max: int = 0,
-                         snapshot_stride: Optional[int] = None,
-                         energy_stride: Optional[int] = None
+                         T: float, resolution: int,
+                         snapshot_stride: Optional[int] = None
                          ) -> WaveTrajectory:
     """Evolve from zero data with Dirichlet values u(t,0)=f, u(t,1)=g.
 
@@ -531,8 +537,8 @@ def evolve_inhomogeneous(omega: Coefficient, forcing: BoundaryForcing,
     at the initial level, the interior starts at rest) but not
     rejected.
 
-    A single-column kernel run tracking E_0..E_{k_max} every
-    ``energy_stride``-th level (default steps // 4096).  The
+    A single-column kernel run tracking E_0 alone, every
+    max(1, steps // 4096)-th level (``_FORCED_ENERGY_LEVELS``).  The
     trajectory's ``pz_ratios`` reports
     ``interior`` = sup_t E(t) / (omega^* (||f||_{W2inf}^2 + ||g||_{W2inf}^2)),
     ``flux`` = int (|u_x(t,0)|^2 + |u_x(t,1)|^2) dt
@@ -548,9 +554,8 @@ def evolve_inhomogeneous(omega: Coefficient, forcing: BoundaryForcing,
 
     f, g = np.asarray(forcing.left, float), np.asarray(forcing.right, float)
     rest = np.zeros_like(x)
-    run = _leapfrog(om, dx, dt, steps, rest, rest, boundary=(f, g),
-                    k_max=k_max,
-                    energy_stride=energy_stride or max(1, steps // 4096),
+    run = _leapfrog(om, dx, dt, steps, rest, rest, boundary=(f, g), k_max=0,
+                    energy_stride=max(1, steps // _FORCED_ENERGY_LEVELS),
                     snapshot_stride=snapshot_stride or max(1, steps // 128))
     st, su, sut = run.snapshots
     sut[0] = np.zeros_like(x)
@@ -571,7 +576,7 @@ def evolve_inhomogeneous(omega: Coefficient, forcing: BoundaryForcing,
     }
     return WaveTrajectory(
         x=x, omega_nodes=om, dt=dt, steps=steps, T=T,
-        order=2, times=np.arange(steps + 1) * dt,
+        times=np.arange(steps + 1) * dt,
         trace_left=tl, trace_right=tr, energies=en,
         energy_times=run.energy_times,
         snapshot_times=np.asarray(st), snapshots_u=tuple(su),
@@ -630,8 +635,7 @@ class SidewiseResult:
 
 
 def sidewise_evolve(omega: Coefficient, slc: SidewiseSlice, span: float,
-                    direction: str = "right",
-                    k_max: int = 1) -> SidewiseResult:
+                    direction: str = "right") -> SidewiseResult:
     """March u_xx = omega(x) u_tt in x from the slice at x0.
 
     From the boundary slice (x0 = 0, u = 0, u_x = a forward run's
@@ -642,7 +646,8 @@ def sidewise_evolve(omega: Coefficient, slc: SidewiseSlice, span: float,
     shrinks by one point per side per x-step; the span is rejected when
     the remaining window would drop below eight points (the slice no
     longer determines the solution there).  The x-step is the largest
-    dividing the span with dx <= _CFL dt / sqrt(omega^*).
+    dividing the span with dx <= _CFL dt / sqrt(omega^*).  ``F`` holds the
+    sidewise energies F_0, F_1 (``_SIDEWISE_K_MAX``).
     """
     if direction not in ("right", "left"):
         raise ValueError("direction must be 'right' or 'left'")
@@ -686,7 +691,7 @@ def sidewise_evolve(omega: Coefficient, slc: SidewiseSlice, span: float,
         levels.append(nxt)
 
     trim = np.arange(steps + 1)
-    F = {k: np.empty(steps + 1) for k in range(k_max + 1)}
+    F = {k: np.empty(steps + 1) for k in range(_SIDEWISE_K_MAX + 1)}
     for l in range(steps + 1):
         arr = levels[l]
         if l == 0:
@@ -699,7 +704,7 @@ def sidewise_evolve(omega: Coefficient, slc: SidewiseSlice, span: float,
             uxl = sign * (arr - levels[l - 1][1:-1]) / dxs
         m = min(len(arr), len(uxl))
         arr_m, ux_m = arr[:m], uxl[:m]
-        for k in range(k_max + 1):
+        for k in range(_SIDEWISE_K_MAX + 1):
             du = np.diff(arr_m, n=k + 1) / dt ** (k + 1)
             dux = np.diff(ux_m, n=k) / dt ** k
             mlen = min(len(du), len(dux))

@@ -296,6 +296,40 @@ class TestSequences:
         assert params.entries[0].h_ln is not None
         assert not math.isfinite(params.entries[1].h)
 
+    @pytest.mark.parametrize("psi, fn", [
+        ("identity", lambda s: s),
+        ("sqrt", math.sqrt),
+        ("log", lambda s: 1.0 + math.log(s)),
+    ])
+    def test_scaled_psi_selector(self, psi, fn):
+        # the defining relation eps_j h_j = log(h_j) psi(log h_j), each
+        # psi evaluated here in plain floats
+        params = coeff.make_sequences("scaled", j_range=range(2, 5), psi=psi)
+        assert params.descriptor == f"psi={psi} (desk scale)"
+        for e in params.entries:
+            want = math.log(e.h) * fn(math.log(e.h))
+            assert abs(e.eps * e.h - want) <= 1e-12 * want
+        dens = coeff.make_counterexample_density(params)
+        assert dens.kind == "counterexample-psi"
+        assert set(dens.trapping.pairs) == {2, 3, 4}
+
+    def test_lambda_log_log_selector(self):
+        # eps_j h_j = lambda(1/h_j) log h_j with
+        # lambda(h) = 1 + log(1 + log(1/h)); h_3 overflows doubles
+        params = coeff.make_sequences(
+            mode="lambda", j_range=range(2, 4), N=1, lam="log-log")
+        assert params.descriptor == "lambda=log-log"
+        finite = [e for e in params.entries if math.isfinite(e.h)]
+        assert [e.j for e in finite] == [2]
+        for e in finite:
+            log_h = math.log(e.h)
+            want = (1.0 + math.log(1.0 + log_h)) * log_h
+            assert abs(e.eps * e.h - want) <= 1e-12 * want
+        member, = coeff.make_counterexample_density(params.restrict(2),
+                                                    family="lambda")
+        assert member.kind == "counterexample-lambda(2)"
+        assert member.trapping.active_j == 2
+
 
 # --------------------------------------------------------------------------
 # trapping densities
@@ -346,6 +380,18 @@ class TestCounterexampleDensity:
         back = coeff.Coefficient.from_descriptor(json.loads(dens.to_json()))
         xs = np.linspace(0.0, 1.0, 30001)
         assert np.array_equal(back(xs), dens(xs))
+
+    def test_lambda_member_descriptor_roundtrip(self):
+        # a lambda member rebuilt from its descriptor is the same density
+        params = coeff.make_sequences("concentrating", j_range=range(2, 5),
+                                      n0=30)
+        member = coeff.make_counterexample_density(params, family="lambda")[1]
+        assert member.kind == "counterexample-lambda(3)"
+        back = coeff.Coefficient.from_descriptor(member.to_descriptor())
+        assert back.kind == member.kind and back.trapping.active_j == 3
+        xs = np.linspace(0.0, 1.0, 100_000)
+        assert np.array_equal(back(xs), member(xs))
+        assert coeff.travel_time(back) == coeff.travel_time(member)
 
     def test_unrepresentable_scale_raises(self):
         params = coeff.make_sequences(

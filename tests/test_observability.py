@@ -206,6 +206,27 @@ class TestConstants:
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert values[-1] / values[0] <= 1.05
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_gramian_bounds_basis_quotients(self, m):
+        # the constant is the max of the quotient over the span, so it
+        # bounds the quotient of each basis datum at the same m, grid and
+        # T (0.03808 >= 0.03394 at m = 1, 0.004716 >= 0.003890 at m = 2)
+        om = coeff.make_baseline("lipschitz")
+        res, cutoff, T = 64, 4, 3.0
+        gram = ob.gramian_observability_constant(om, T, cutoff,
+                                                 resolution=res, m=m)
+        x = np.linspace(0.0, 1.0, res + 1)
+        zero = np.zeros_like(x)
+        quotients = []
+        for k in range(1, cutoff + 1):
+            mode = np.sin(k * math.pi * x)
+            for u0, u1 in ((mode, zero), (zero, mode)):
+                quotients.append(ob.observability_quotient(
+                    om, u0, u1, T, m, resolution=res).value)
+        assert gram["m"] == m and math.isfinite(gram["value"])
+        assert all(math.isfinite(q) for q in quotients)
+        assert gram["value"] >= max(quotients)
+
 
 def test_hum_reaches_rest():
     om = coeff.make_baseline("lipschitz")
@@ -508,6 +529,10 @@ def _bad_input_calls():
                 om, 3.0, (4,), n_random=-1, resolution=64))),
         "sweep-j_list=()": ("at least one", lambda: (
             ob.run_counterexample_sweep(j_list=(), **sweep))),
+        "cross_check_resolution=100": ("power of two", lambda: (
+            ob.estimate_observability_constant(
+                om, 3.0, (4,), n_random=1, resolution=64, cross_check=True,
+                cross_check_cutoff=4, cross_check_resolution=100))),
     }
     for ppw in (0.0, -6.0, math.nan, math.inf):
         calls[f"sweep-points_per_wavelength={ppw}"] = (

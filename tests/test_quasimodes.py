@@ -464,6 +464,23 @@ class TestGenericDensity:
         assert structured.boundary_energy_0_log == pytest.approx(
             generic.boundary_energy_0_log, abs=1e-8)
 
+    def test_generic_matches_structured_across_flat_gap(self):
+        # without I_3 the walks of j = 2 and j = 4 rotate across the flat
+        # gap ]1/8, 1/4] between their interval and the foreign one
+        params = make_sequences(mode="scaled", j_range=(2, 4))
+        om = make_counterexample_density(params)
+        assert params.entry(4).interval[1] < params.entry(2).interval[0]
+        for j in (2, 4):
+            e = params.entry(j)
+            structured = solve_quasimode(om, j, cross_check=False,
+                                         reverse_check=False, n_samples=1025)
+            assert structured.stats["dense_spans"] == 1
+            generic = _engine(om, h=e.h, m=e.m, r=e.r, rtol=1e-13,
+                              n_samples=1025, reverse_check=False)
+            for side in ("boundary_energy_0_log", "boundary_energy_1_log"):
+                assert getattr(structured, side) == pytest.approx(
+                    getattr(generic, side), abs=1e-8)
+
     def test_h_ceiling_out_of_reach(self):
         om = make_baseline("constant", value=FOUR_PI_SQ)
         with pytest.raises(ScaleOutOfReach):

@@ -184,7 +184,7 @@ class TestInhomogeneous:
             t = np.arange(steps + 1) * dt
             fc = ws.BoundaryForcing(
                 times=t, left=np.sin(12.0 * t) * quintic_ramp(t),
-                right=np.zeros_like(t), smoothness="W3")
+                right=np.zeros_like(t))
             assert fc.compatible
             traj = ws.evolve_inhomogeneous(om1, fc, 1.0, res)
             vals.append(traj.pz_ratios)

@@ -14,9 +14,10 @@ quasimodes
     Quasi-eigenfunction ODE solutions on long intervals, energy
     comparison certificates, boundary-smallness sweeps.
 wavesim
-    Leapfrog evolution with discrete energy tracking and boundary
-    traces; the sidewise solver and the operator D_omega, which the
-    tests use as oracles for the quotient and its time derivatives.
+    One forward solve (leapfrog, free or driven by Dirichlet rows) with
+    discrete energy tracking and boundary traces; the sidewise solver
+    and the operator D_omega, which the tests use as oracles for the
+    quotient and its time derivatives.
 observability
     Boundary observability quotients, observability-constant
     estimation, counterexample sweeps, HUM control synthesis.

@@ -676,19 +676,7 @@ class CounterexampleParams:
             f for f in self.cond_flags if f["j"] == j))
 
     def to_descriptor(self) -> dict:
-        return {
-            "mode": self.mode,
-            "descriptor": self.descriptor,
-            "N": self.N,
-            "M": self.M,
-            "entries": [
-                {"j": e.j, "r": e.r, "m": e.m, "h": e.h, "n": e.n,
-                 "eps": e.eps, "eps_h_r": e.eps_h_r, "h_ln": e.h_ln}
-                for e in self.entries
-            ],
-            "cond_flags": [dict(f) for f in self.cond_flags],
-            "notes": list(self.notes),
-        }
+        return _jsonable(self)
 
     @staticmethod
     def from_descriptor(desc: Mapping) -> "CounterexampleParams":
@@ -767,7 +755,7 @@ def make_sequences(
 
             def seq(j: int) -> tuple:
                 sigma = psi_inv(mp.mpf(2) ** (N * j))
-                return mp.e ** sigma, None
+                return mp.exp(sigma), None
 
         elif mode == "scaled":
             descriptor = f"psi={psi} (desk scale)"
@@ -905,7 +893,7 @@ def _psi_functions(name: str) -> tuple:
     if name == "sqrt":
         return (lambda s: mp.sqrt(s)), (lambda y: y * y)
     if name == "log":
-        return (lambda s: 1 + mp.log(s)), (lambda y: mp.e ** (y - 1))
+        return (lambda s: 1 + mp.log(s)), (lambda y: mp.exp(y - 1))
     raise ValueError(f"unknown psi descriptor {name!r}")
 
 
@@ -913,11 +901,11 @@ def _lambda_functions(name: str) -> tuple:
     # lambda must decrease to +inf at 0+ but stay below log(1 + 1/h)
     if name == "sqrt-log":
         fn = lambda h: mp.sqrt(1 + mp.log(1 / h))
-        inv = lambda y: 1 / (mp.e ** (y * y - 1))
+        inv = lambda y: 1 / mp.exp(y * y - 1)
         return fn, inv
     if name == "log-log":
         fn = lambda h: 1 + mp.log(1 + mp.log(1 / h))
-        inv = lambda y: 1 / (mp.e ** (mp.e ** (y - 1) - 1))
+        inv = lambda y: 1 / mp.exp(mp.exp(y - 1) - 1)
         return fn, inv
     raise ValueError(f"unknown lambda descriptor {name!r}")
 

@@ -424,22 +424,33 @@ def classify_modulus(entries: Mapping[str, SeminormEntry],
     return Classification("below-log-Lipschitz", None, dict(scores))
 
 
-def modulus_report(samples: np.ndarray,
-                   spectrum: Optional[DyadicSpectrum] = None,
-                   tv_levels: int = 6) -> ModulusReport:
+# modulus_report: refinement levels of the total-variation trend
+_REPORT_TV_LEVELS = 8
+
+
+def modulus_report(samples: np.ndarray) -> ModulusReport:
     """Measure all seminorm entries, the TV trend, and classify.
 
+    ``samples`` are f(i/2^K), i = 0..2^K (2^K + 1 values, 2^K >= 256).
     Assembles the pointwise and integral difference seminorms (seven
     entries) on the dyadic offsets of :func:`default_h_grid`, the
-    refinement-trend TV estimate, and the class label fitted from the
-    pointwise curves (plus the spectrum when given).
+    refinement-trend TV estimate over ``_REPORT_TV_LEVELS`` (8) levels,
+    the :func:`dyadic_blocks` spectrum of one period (the right endpoint
+    dropped), and the class label fitted from the pointwise curves and
+    that spectrum.
     """
+    s = np.asarray(samples, dtype=float)
+    n = len(s) - 1
+    if s.ndim != 1 or n < 2 ** _REPORT_TV_LEVELS or n & (n - 1):
+        raise ValueError(
+            f"modulus_report needs 2^K + 1 samples with 2^K >= "
+            f"{2 ** _REPORT_TV_LEVELS}, got {len(s)}")
     entries: dict = {}
-    entries.update(difference_seminorms(samples, "first", "pointwise"))
-    entries.update(difference_seminorms(samples, "second", "pointwise"))
-    entries.update(difference_seminorms(samples, "second", "integral"))
-    ll_int = difference_seminorms(samples, "first", "integral")
+    entries.update(difference_seminorms(s, "first", "pointwise"))
+    entries.update(difference_seminorms(s, "second", "pointwise"))
+    entries.update(difference_seminorms(s, "second", "integral"))
+    ll_int = difference_seminorms(s, "first", "integral")
     entries["LL_int"] = ll_int["LL_int"]
-    tv = total_variation(samples, levels=tv_levels)
-    cls = classify_modulus(entries, spectrum, tv)
+    tv = total_variation(s, levels=_REPORT_TV_LEVELS)
+    cls = classify_modulus(entries, dyadic_blocks(s[:-1]), tv)
     return ModulusReport(entries=entries, tv=tv, classification=cls)

@@ -68,7 +68,6 @@ from .quasimodes import (
     solve_quasimode,
 )
 from .wavesim import (
-    BoundaryForcing,
     _as_samples,
     _check_beta,
     _check_resolution,
@@ -480,7 +479,9 @@ def estimate_observability_constant(
     candidate.  ``cross_check`` runs the dense Gramian constant at a
     coarse cutoff/resolution and stores the comparison: the ensemble max
     is a lower bound for the Gramian constant, so the ratio belongs in
-    [0, 1] up to discretization.  Every cutoff must be at most half its
+    [0, 1] up to discretization.  The Gramian constant is the Q_m
+    constant and has no H^beta route, so ``cross_check`` with a ``beta``
+    is rejected before any march.  Every cutoff must be at most half its
     resolution.  An unresolved trapping density is flagged, not rejected.
     """
     m = _check_order(m)
@@ -495,6 +496,10 @@ def estimate_observability_constant(
     if n_random < 0:
         raise ValueError(f"n_random {n_random} must be nonnegative")
     if cross_check:
+        if beta is not None:
+            raise ValueError(
+                "cross_check compares with the Gramian's Q_m constant, "
+                "which has no beta; leave beta None")
         _check_resolution(cross_check_resolution)
         _check_cutoff(cross_check_cutoff, cross_check_resolution)
     T_omega = travel_time(omega)
@@ -554,7 +559,7 @@ def estimate_observability_constant(
             resolution=cross_check_resolution, m=m)
         sub = estimate_observability_constant(
             omega, T, (cross_check_cutoff,), n_random=n_random, seed=seed,
-            resolution=cross_check_resolution, m=m, beta=beta)
+            resolution=cross_check_resolution, m=m)
         ens = sub.constants[cross_check_cutoff]
         check = {
             "gramian": gram["value"], "ensemble": ens,
@@ -777,8 +782,7 @@ def _corrector_traces(density: Coefficient, h: float, T: float,
                     boundary=(left * impulse, right * impulse))
     traces = dict(zip(("cos", "sin"),
                       _impulse_convolution(run.trace_left, signals)))
-    flags = _forcing_flags(BoundaryForcing(
-        times, left * signals[0], right * signals[0]))
+    flags = _forcing_flags(left * signals[0], right * signals[0], grid.dt)
     return times, traces, flags
 
 

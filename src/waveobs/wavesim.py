@@ -10,10 +10,10 @@ which is how the higher energies E_k are tracked.
 One private kernel, ``_leapfrog``, marches a node array or a (nodes x K)
 block of data columns, each bitwise the single-column run.  It always
 returns the boundary traces and computes energies and snapshots only on
-request; it records no interior slice.  :func:`evolve` (E_0..E_{k_max}
-at every level) and :func:`evolve_inhomogeneous` (E_0 at every
-steps // ``_FORCED_ENERGY_LEVELS``-th) are single-column runs that track
-energies; ``observability`` marches its data as blocks without them.
+request; it records no interior slice.  :func:`evolve` is the one
+forward solve, free or driven by Dirichlet rows (``forcing=``): a
+single-column run that tracks E_0..E_{k_max} at every level;
+``observability`` marches its data as blocks without energies.
 ``_leapfrog_modes`` solves the homogeneous scheme in closed form instead:
 one table of every mode's Chebyshev evolution, on which HUM's CG runs.
 
@@ -49,12 +49,10 @@ from .coeff import Coefficient, _jsonable
 
 __all__ = [
     "WaveTrajectory",
-    "BoundaryForcing",
     "SidewiseSlice",
     "SidewiseResult",
     "solver_time_grid",
     "evolve",
-    "evolve_inhomogeneous",
     "sidewise_evolve",
     "apply_D_omega",
     "trace_sobolev_norm",
@@ -64,8 +62,6 @@ __all__ = [
 _CFL = 0.9
 # apply_D_omega rejects a result below this many times its noise estimate
 _SNR_FLOOR = 100.0
-# evolve_inhomogeneous: E_0 is recorded every steps // this many levels
-_FORCED_ENERGY_LEVELS = 4096
 # sidewise_evolve: the highest order k of the sidewise energies F_k
 _SIDEWISE_K_MAX = 1
 
@@ -153,6 +149,8 @@ class WaveTrajectory:
     ``levels`` holds the final two solution levels (u at T-dt and T),
     which restart the recurrence exactly: evolving from the swapped pair
     runs the dynamics backward (the scheme is time-symmetric).
+    ``flags`` and ``pz_ratios`` describe a forced run's Dirichlet rows
+    (empty and None for a free run).
     """
 
     x: np.ndarray
@@ -196,53 +194,6 @@ class WaveTrajectory:
                                  for k in self.energies}}
 
 
-@dataclass(frozen=True)
-class BoundaryForcing:
-    """Sampled Dirichlet data (f at x=0, g at x=1) on the solver grid."""
-
-    times: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-
-    def __post_init__(self):
-        if not (len(self.times) == len(self.left) == len(self.right)):
-            raise ValueError("forcing arrays must share one time grid")
-
-    @property
-    def compatible(self) -> bool:
-        """True when f, g and their first derivatives vanish at t = 0,
-        judged against the signals' own value and slope scales."""
-        dt = self.times[1] - self.times[0]
-        scale = max(float(np.max(np.abs(self.left))),
-                    float(np.max(np.abs(self.right))))
-        if scale == 0.0:
-            return True
-        slope = max(float(np.max(np.abs(np.diff(self.left)))),
-                    float(np.max(np.abs(np.diff(self.right))))) / dt
-        rate0 = max(abs(self.left[1] - self.left[0]),
-                    abs(self.right[1] - self.right[0])) / dt
-        return bool(
-            abs(self.left[0]) <= 1e-9 * scale
-            and abs(self.right[0]) <= 1e-9 * scale
-            and rate0 <= 1e-4 * max(slope, scale))
-
-    def sup_norms(self, k: int) -> float:
-        """max over j <= k of sup |d^j/dt^j| of both signals combined.
-
-        The j-th derivative is estimated by the j-th forward difference
-        divided by dt^j (no edge stencils, so repeated differencing
-        does not manufacture boundary artifacts)."""
-        dt = self.times[1] - self.times[0]
-        out = 0.0
-        for sig in (self.left, self.right):
-            g = np.asarray(sig, dtype=float)
-            for j in range(k + 1):
-                d = np.diff(g, n=j) if j else g
-                if len(d):
-                    out = max(out, float(np.max(np.abs(d))) / dt ** j)
-        return out
-
-
 def _taylor_start(u0, v0, om, dt, dx):
     """(u0 with its ends zeroed, Taylor start u(dt) to fourth-order local
     accuracy) for node arrays or (nodes x K) blocks of data columns."""
@@ -263,11 +214,36 @@ def _taylor_start(u0, v0, om, dt, dx):
     return u0, u1
 
 
-def _forcing_flags(forcing: BoundaryForcing) -> tuple:
-    if forcing.compatible:
+def _forcing_flags(left, right, dt: float) -> tuple:
+    """() when the Dirichlet rows f (x = 0) and g (x = 1) and their first
+    derivatives vanish at t = 0, judged against the rows' own value and
+    slope scales; otherwise the one incompatibility flag."""
+    scale = max(float(np.max(np.abs(left))), float(np.max(np.abs(right))))
+    if scale == 0.0:
+        return ()
+    slope = max(float(np.max(np.abs(np.diff(left)))),
+                float(np.max(np.abs(np.diff(right))))) / dt
+    rate0 = max(abs(left[1] - left[0]), abs(right[1] - right[0])) / dt
+    if (abs(left[0]) <= 1e-9 * scale and abs(right[0]) <= 1e-9 * scale
+            and rate0 <= 1e-4 * max(slope, scale)):
         return ()
     return ("forcing incompatible with zero initial data; "
             "boundary jump applied at the first level",)
+
+
+def _sup_norm(rows, dt: float, k: int) -> float:
+    """max over j <= k of sup |d^j/dt^j| of all ``rows`` combined.
+
+    The j-th derivative is estimated by the j-th forward difference
+    divided by dt^j (no edge stencils, so repeated differencing does not
+    manufacture boundary artifacts)."""
+    out = 0.0
+    for g in rows:
+        for j in range(k + 1):
+            d = np.diff(g, n=j) if j else g
+            if len(d):
+                out = max(out, float(np.max(np.abs(d))) / dt ** j)
+    return out
 
 
 # levels per batch of boundary-trace evaluation in the kernel
@@ -285,12 +261,11 @@ class _March:
     node1: np.ndarray
     levels: tuple
     energies: Mapping[int, np.ndarray]
-    energy_times: Mapping[int, np.ndarray]
     snapshots: Optional[tuple] = None       # (times, u, u_t) lists
 
 
 def _leapfrog(om, dx, dt, steps, u_start, u_next, *, boundary=None,
-              k_max=None, energy_stride=1, snapshot_stride=None) -> _March:
+              k_max=None, snapshot_stride=None) -> _March:
     """March a node array or a (nodes x K) block of first two levels.
 
     Every column gets bitwise the single-column arithmetic,
@@ -298,7 +273,8 @@ def _leapfrog(om, dx, dt, steps, u_start, u_next, *, boundary=None,
     buffers.  ``boundary``: optional (left, right) Dirichlet rows of
     shape (steps+1,) + columns for every level; without it the ends are
     zero from the third level.  Only on request: energies of orders
-    <= ``k_max`` (one column only) and snapshots.
+    <= ``k_max`` (one column only; order k at every level from the
+    (k+1)-th on) and snapshots.
     """
     first = np.array(u_start, dtype=float)
     second = np.array(u_next, dtype=float)
@@ -347,19 +323,17 @@ def _leapfrog(om, dx, dt, steps, u_start, u_next, *, boundary=None,
         flush(1)
 
     energies = {k: [] for k in orders}
-    energy_t = {k: [] for k in orders}
 
-    def push_energies(m_new):
+    def push_energies():
         held = [bufs[i] for i in order]
         for k in orders:
             if len(held) >= k + 2:
                 d_old = _diff_k(held[-(k + 2):-1], k, dt)
                 d_new = _diff_k(held[-(k + 1):], k, dt)
                 energies[k].append(_staggered_energy(om, d_new, d_old, dt, dx))
-                energy_t[k].append((m_new - (k + 1) / 2.0) * dt)
 
     if orders:
-        push_energies(1)
+        push_energies()
     snaps = None
     if snapshot_stride is not None:
         snaps = ([0.0], [first.copy()], [None])
@@ -381,9 +355,8 @@ def _leapfrog(om, dx, dt, steps, u_start, u_next, *, boundary=None,
         target.take(rows, 0, gathered[i], "clip")
         if i == _EDGE_CHUNK - 1 or m + 1 == steps:
             flush(m + 1)
-        if orders and ((m + 1) % energy_stride == 0 or (
-                m + 1 == steps and steps % energy_stride != 0)):
-            push_energies(m + 1)
+        if orders:
+            push_energies()
         if snaps is not None and m % snapshot_stride == 0:
             snaps[0].append(m * dt)
             snaps[1].append(bufs[cur].copy())
@@ -400,7 +373,6 @@ def _leapfrog(om, dx, dt, steps, u_start, u_next, *, boundary=None,
         trace_left=series[0], trace_right=series[1], node1=series[2],
         levels=(bufs[prev].copy(), bufs[cur].copy()),
         energies={k: np.asarray(v) for k, v in energies.items()},
-        energy_times={k: np.asarray(v) for k, v in energy_t.items()},
         snapshots=snaps)
 
 
@@ -485,23 +457,43 @@ def _as_samples(f: Union[Callable, np.ndarray, None], x: np.ndarray):
 
 def evolve(omega: Coefficient, u0, u1, T: float, resolution: int,
            k_max: int = 2, snapshot_stride: Optional[int] = None,
-           start_levels: Optional[tuple] = None) -> WaveTrajectory:
-    """Evolve omega u_tt = u_xx with homogeneous Dirichlet conditions.
+           start_levels: Optional[tuple] = None, *,
+           forcing: Optional[tuple] = None) -> WaveTrajectory:
+    """Evolve omega u_tt = u_xx under Dirichlet conditions.
 
-    ``u0``/``u1`` are callables on [0, L] or node arrays; both must
-    vanish at the endpoints.  ``start_levels``, when given, bypasses the
-    Taylor start and seeds the recurrence verbatim with two consecutive
-    levels (u0/u1 must then be None) - this is how a finished run is
-    continued or reversed exactly.
+    ``u0``/``u1`` are callables on [0, L] or node arrays (None is zero);
+    both must vanish at the endpoints.  ``start_levels``, when given,
+    bypasses the Taylor start and seeds the recurrence verbatim with two
+    consecutive levels (u0/u1 must then be None) - this is how a finished
+    run is continued or reversed exactly.
 
-    A single-column kernel run tracking E_0..E_{k_max} at every level;
-    snapshots default to every steps // 128 (``snapshot_stride=1`` keeps
-    every level).  The boundary traces are the whole record of the run's
-    flux; no interior slice is recorded (:func:`sidewise_evolve` rebuilds
-    the interior from ``trace_left``).  The grid is
-    :func:`solver_time_grid`'s.
+    ``forcing=(f, g)`` holds the Dirichlet rows u(t, 0) = f and
+    u(t, L) = g, one value per level of the solver grid
+    (:func:`solver_time_grid`); they set the end values of every level,
+    the first two included.  Without it the ends are zero.  Rows that do
+    not vanish to first order at t = 0 are flagged (the boundary node
+    jumps to f(0) at the initial level), not rejected.  A forced run's
+    ``pz_ratios`` reports
+    ``interior`` = sup_t E_0(t) / (omega^* (||f, g||_{W2inf})^2) and
+    ``flux`` = int (|u_x(t,0)|^2 + |u_x(t,1)|^2) dt
+               / (omega^* (||f, g||_{W3inf})^2),
+    both with discrete norms (:func:`_sup_norm`).
+
+    One energy rule for every run: a single-column kernel run tracks
+    E_0..E_{k_max} at every level, E_k at the staggered times
+    ``energy_times[k]`` = (n - (k+1)/2) dt, n = k+1..steps.  Snapshots
+    default to every steps // 128 (``snapshot_stride=1`` keeps every
+    level).  The boundary traces are the whole record of the run's flux;
+    no interior slice is recorded (:func:`sidewise_evolve` rebuilds the
+    interior from ``trace_left``).
     """
     x, om, dx, dt, steps = _wave_grid(omega, T, resolution)
+    if forcing is not None:
+        forcing = tuple(np.asarray(row, dtype=float) for row in forcing)
+        if any(row.shape != (steps + 1,) for row in forcing):
+            raise ValueError(
+                f"forcing must be sampled on the solver grid: "
+                f"steps={steps}, dt={dt!r} (see solver_time_grid)")
 
     if start_levels is not None:
         if u0 is not None or u1 is not None:
@@ -512,77 +504,39 @@ def evolve(omega: Coefficient, u0, u1, T: float, resolution: int,
         ut0 = _as_samples(u1, x)
         ua, ub = _taylor_start(_as_samples(u0, x), ut0, om, dt, dx)
 
-    run = _leapfrog(om, dx, dt, steps, ua, ub, k_max=k_max,
+    run = _leapfrog(om, dx, dt, steps, ua, ub, boundary=forcing, k_max=k_max,
                     snapshot_stride=snapshot_stride or max(1, steps // 128))
     st, su, sut = run.snapshots
     sut[0] = ut0
+    en = run.energies
+    flags, pz = (), None
+    if forcing is not None:
+        flags = _forcing_flags(*forcing, dt)
+        om_star = float(om.max())
+        w2 = _sup_norm(forcing, dt, 2)
+        w3 = _sup_norm(forcing, dt, 3)
+        sup_energy = float(np.max(en[0])) if len(en[0]) else 0.0
+        flux = float(np.trapezoid(run.trace_left ** 2 + run.trace_right ** 2,
+                                  dx=dt))
+        pz = {
+            "interior": sup_energy / (om_star * w2 ** 2) if w2 > 0 else 0.0,
+            "flux": flux / (om_star * w3 ** 2) if w3 > 0 else 0.0,
+            "sup_energy": sup_energy,
+            "flux_integral": flux,
+            "forcing_w2": w2,
+            "forcing_w3": w3,
+        }
     return WaveTrajectory(
         x=x, omega_nodes=om, dt=dt, steps=steps, T=T,
         times=np.arange(steps + 1) * dt,
         trace_left=run.trace_left, trace_right=run.trace_right,
-        energies=run.energies, energy_times=run.energy_times,
-        snapshot_times=np.asarray(st), snapshots_u=tuple(su),
-        snapshots_ut=tuple(sut), levels=run.levels, homogeneous=True)
-
-
-def evolve_inhomogeneous(omega: Coefficient, forcing: BoundaryForcing,
-                         T: float, resolution: int,
-                         snapshot_stride: Optional[int] = None
-                         ) -> WaveTrajectory:
-    """Evolve from zero data with Dirichlet values u(t,0)=f, u(t,1)=g.
-
-    The forcing must be sampled exactly on the solver time grid (use
-    :func:`solver_time_grid`).  A forcing that does not vanish at t=0
-    is flagged (first-step convention: the boundary node jumps to f(0)
-    at the initial level, the interior starts at rest) but not
-    rejected.
-
-    A single-column kernel run tracking E_0 alone, every
-    max(1, steps // 4096)-th level (``_FORCED_ENERGY_LEVELS``).  The
-    trajectory's ``pz_ratios`` reports
-    ``interior`` = sup_t E(t) / (omega^* (||f||_{W2inf}^2 + ||g||_{W2inf}^2)),
-    ``flux`` = int (|u_x(t,0)|^2 + |u_x(t,1)|^2) dt
-               / (omega^* (||f||_{W3inf}^2 + ||g||_{W3inf}^2)),
-    both computed with discrete norms.
-    """
-    x, om, dx, dt, steps = _wave_grid(omega, T, resolution)
-    if len(forcing.times) != steps + 1 or abs(
-            forcing.times[1] - forcing.times[0] - dt) > 1e-12 * dt:
-        raise ValueError(
-            f"forcing must be sampled on the solver grid: steps={steps}, "
-            f"dt={dt!r} (see solver_time_grid)")
-
-    f, g = np.asarray(forcing.left, float), np.asarray(forcing.right, float)
-    rest = np.zeros_like(x)
-    run = _leapfrog(om, dx, dt, steps, rest, rest, boundary=(f, g), k_max=0,
-                    energy_stride=max(1, steps // _FORCED_ENERGY_LEVELS),
-                    snapshot_stride=snapshot_stride or max(1, steps // 128))
-    st, su, sut = run.snapshots
-    sut[0] = np.zeros_like(x)
-    tl, tr, en = run.trace_left, run.trace_right, run.energies
-
-    om_star = float(om.max())
-    w2 = forcing.sup_norms(2)
-    w3 = forcing.sup_norms(3)
-    sup_energy = float(np.max(en[0])) if len(en[0]) else 0.0
-    flux = float(np.trapezoid(tl ** 2 + tr ** 2, dx=dt))
-    pz = {
-        "interior": sup_energy / (om_star * w2 ** 2) if w2 > 0 else 0.0,
-        "flux": flux / (om_star * w3 ** 2) if w3 > 0 else 0.0,
-        "sup_energy": sup_energy,
-        "flux_integral": flux,
-        "forcing_w2": w2,
-        "forcing_w3": w3,
-    }
-    return WaveTrajectory(
-        x=x, omega_nodes=om, dt=dt, steps=steps, T=T,
-        times=np.arange(steps + 1) * dt,
-        trace_left=tl, trace_right=tr, energies=en,
-        energy_times=run.energy_times,
+        energies=en, energy_times={
+            k: (np.arange(k + 1, steps + 1) - (k + 1) / 2.0) * dt
+            for k in en},
         snapshot_times=np.asarray(st), snapshots_u=tuple(su),
         snapshots_ut=tuple(sut), levels=run.levels,
-        homogeneous=bool(np.max(np.abs(f)) == 0 and np.max(np.abs(g)) == 0),
-        flags=_forcing_flags(forcing), pz_ratios=pz)
+        homogeneous=forcing is None or not any(map(np.any, forcing)),
+        flags=flags, pz_ratios=pz)
 
 
 # --------------------------------------------------------------------------

@@ -7,6 +7,7 @@ arguments, and stability of the measured constants across eps.
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -329,6 +330,14 @@ class TestSequences:
                                                     family="lambda")
         assert member.kind == "counterexample-lambda(2)"
         assert member.trapping.active_j == 2
+
+    def test_lambda_log_log_tail_is_fast(self):
+        # the admissibility tail runs eight levels past j = 5, up to
+        # h = exp(exp(2^13 - 1) - 1); e^x taken as an integer power of
+        # mp.e took over 10 s here
+        start = time.perf_counter()
+        coeff.make_sequences(mode="lambda", j_range=(5,), N=1, lam="log-log")
+        assert time.perf_counter() - start < 2.0
 
 
 # --------------------------------------------------------------------------

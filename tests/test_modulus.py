@@ -215,10 +215,8 @@ class TestDyadicBlocks:
 # classifier
 # --------------------------------------------------------------------------
 
-def _report(samples, tv_levels=8):
-    spec = modulus.dyadic_blocks(np.asarray(samples)[:-1])
-    return modulus.modulus_report(samples, spectrum=spec,
-                                  tv_levels=tv_levels)
+def _report(samples):
+    return modulus.modulus_report(samples)
 
 
 class TestClassifier:
@@ -241,6 +239,18 @@ class TestClassifier:
         r = _report(weier(grid14))
         assert r.label == "Zygmund"
         assert not r.tv.bounded
+
+    def test_default_weierstrass_reads_zygmund(self, grid14):
+        # the report takes the dyadic spectrum of its own samples, so the
+        # paper's no-loss class is read without a caller-built spectrum
+        r = modulus.modulus_report(
+            coeff.make_baseline("weierstrass-zygmund")(grid14))
+        assert r.label == "Zygmund"
+
+    @pytest.mark.parametrize("n", [2 ** 14, 2 ** 14 + 2, 2 ** 7 + 1])
+    def test_report_length_rejected(self, n):
+        with pytest.raises(ValueError, match="2\\^K \\+ 1 samples"):
+            modulus.modulus_report(np.ones(n))
 
     def test_log_lipschitz_cusp(self, grid14):
         r = _report(coeff.make_baseline("log-lipschitz")(grid14))

@@ -533,6 +533,11 @@ def _bad_input_calls():
             ob.estimate_observability_constant(
                 om, 3.0, (4,), n_random=1, resolution=64, cross_check=True,
                 cross_check_cutoff=4, cross_check_resolution=100))),
+        "cross_check-beta=0.5": ("has no beta", lambda: (
+            ob.estimate_observability_constant(
+                om, 3.0, (4,), n_random=1, resolution=64, beta=0.5,
+                cross_check=True, cross_check_cutoff=4,
+                cross_check_resolution=64))),
     }
     for ppw in (0.0, -6.0, math.nan, math.inf):
         calls[f"sweep-points_per_wavelength={ppw}"] = (
@@ -822,8 +827,7 @@ def _summarized_results():
     u, zero = np.sin(math.pi * x), np.zeros_like(x)
     dt, steps = ws.solver_time_grid(om, 1.0, 64)
     t = np.arange(steps + 1) * dt
-    forcing = ws.BoundaryForcing(t, np.sin(5.0 * t) * t ** 2,
-                                 np.zeros_like(t))
+    forcing = (np.sin(5.0 * t) * t ** 2, np.zeros_like(t))
     return {
         "QuotientResult": lambda: ob.observability_quotient(
             om, u, zero, 3.0, m=1, resolution=64),
@@ -837,8 +841,8 @@ def _summarized_results():
         "ControlResult": lambda: ob.hum_control(om, u, zero, 3.0,
                                                 resolution=64),
         "WaveTrajectory": lambda: ws.evolve(om, u, zero, 1.0, 64),
-        "WaveTrajectory-forced": lambda: ws.evolve_inhomogeneous(
-            om, forcing, 1.0, 64),
+        "WaveTrajectory-forced": lambda: ws.evolve(
+            om, None, None, 1.0, 64, forcing=forcing),
         "SweepReport": lambda: qm.boundary_smallness_sweep(
             mode="scaled", family="psi", j_range=range(2, 4)),
     }

@@ -170,9 +170,8 @@ class TestInhomogeneous:
     def test_zero_forcing_zero_field(self, om1):
         dt, steps = ws.solver_time_grid(om1, 1.0, 256)
         t = np.arange(steps + 1) * dt
-        fz = ws.BoundaryForcing(times=t, left=np.zeros_like(t),
-                                right=np.zeros_like(t))
-        traj = ws.evolve_inhomogeneous(om1, fz, 1.0, 256)
+        traj = ws.evolve(om1, None, None, 1.0, 256,
+                         forcing=(np.zeros_like(t), np.zeros_like(t)))
         assert np.max(np.abs(traj.levels[1])) == 0.0
         assert traj.flags == ()
         assert traj.homogeneous
@@ -182,11 +181,9 @@ class TestInhomogeneous:
         for res in (512, 1024):
             dt, steps = ws.solver_time_grid(om1, 1.0, res)
             t = np.arange(steps + 1) * dt
-            fc = ws.BoundaryForcing(
-                times=t, left=np.sin(12.0 * t) * quintic_ramp(t),
-                right=np.zeros_like(t))
-            assert fc.compatible
-            traj = ws.evolve_inhomogeneous(om1, fc, 1.0, res)
+            traj = ws.evolve(om1, None, None, 1.0, res, forcing=(
+                np.sin(12.0 * t) * quintic_ramp(t), np.zeros_like(t)))
+            assert traj.flags == ()
             vals.append(traj.pz_ratios)
         for key in ("interior", "flux"):
             assert abs(vals[1][key] / vals[0][key] - 1) < 0.15
@@ -200,10 +197,8 @@ class TestInhomogeneous:
         for res in (128, 256):
             dt, steps = ws.solver_time_grid(om1, 0.8, res)
             t = np.arange(steps + 1) * dt
-            fc = ws.BoundaryForcing(times=t, left=-np.cos(np.pi * t),
-                                    right=np.cos(np.pi * t))
-            traj = ws.evolve_inhomogeneous(om1, fc, 0.8, res,
-                                           snapshot_stride=1)
+            traj = ws.evolve(om1, None, None, 0.8, res, snapshot_stride=1,
+                             forcing=(-np.cos(np.pi * t), np.cos(np.pi * t)))
             x, dx = traj.x, traj.dx
             # u levels on the snapshot grid (snapshots hold raw levels)
             m = traj.steps // 2
@@ -223,20 +218,36 @@ class TestInhomogeneous:
         assert residuals[0] > 0
         assert math.log2(residuals[0] / residuals[1]) > 1.5
 
+    def test_one_energy_rule(self, om1):
+        # free and forced runs both carry E_k, k <= k_max, at every level
+        # from the (k+1)-th on, timed at the midpoint of the k+2 levels
+        # that each value reads
+        T, res = 0.5, 64
+        dt, steps = ws.solver_time_grid(om1, T, res)
+        t = np.arange(steps + 1) * dt
+        free = ws.evolve(om1, lambda x: np.sin(np.pi * x), None, T, res)
+        forced = ws.evolve(om1, None, None, T, res, forcing=(
+            np.sin(12.0 * t) * quintic_ramp(t), np.zeros_like(t)))
+        for traj in (free, forced):
+            assert sorted(traj.energies) == [0, 1, 2]
+            for k, e in traj.energies.items():
+                times = traj.energy_times[k]
+                assert len(e) == len(times) == steps - k
+                assert times[0] == pytest.approx((k + 1) / 2 * dt)
+                assert times[-1] == pytest.approx(T - (k + 1) / 2 * dt)
+
     def test_incompatible_flagged(self, om1):
         dt, steps = ws.solver_time_grid(om1, 0.5, 128)
         t = np.arange(steps + 1) * dt
-        fi = ws.BoundaryForcing(times=t, left=np.cos(3 * t),
-                                right=np.zeros_like(t))
-        assert not fi.compatible
-        traj = ws.evolve_inhomogeneous(om1, fi, 0.5, 128)
+        traj = ws.evolve(om1, None, None, 0.5, 128,
+                         forcing=(np.cos(3 * t), np.zeros_like(t)))
         assert any("incompatible" in f for f in traj.flags)
 
     def test_grid_mismatch_rejected(self, om1):
         t = np.linspace(0, 1, 100)
-        fc = ws.BoundaryForcing(times=t, left=np.sin(t), right=np.sin(t))
         with pytest.raises(ValueError, match="solver grid"):
-            ws.evolve_inhomogeneous(om1, fc, 1.0, 128)
+            ws.evolve(om1, None, None, 1.0, 128,
+                      forcing=(np.sin(t), np.sin(t)))
 
 
 class TestModes:

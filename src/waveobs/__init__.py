@@ -21,6 +21,21 @@ wavesim
 observability
     Boundary observability quotients, observability-constant
     estimation, counterexample sweeps, HUM control synthesis.
+
+Imports
+-------
+Importing the package, or any of its modules, loads numpy and nothing
+heavier: a fresh process pays only for what it calls.  scipy.linalg
+(whose import also loads numpy.f2py and numpy.testing) and mpmath are
+imported by the functions that use them, on their first call:
+
+- ``wavesim._leapfrog_modes`` (``eigh_tridiagonal``) and
+  ``observability._hminus1_norm_sq`` (``solveh_banded``), both reached
+  through ``hum_control``;
+- ``observability.gramian_observability_constant`` (``eigh``), also
+  reached through ``estimate_observability_constant(cross_check=True)``;
+- ``coeff.make_sequences`` and its helpers ``_psi_functions``,
+  ``_lambda_functions`` and ``_log10_ratio`` (mpmath).
 """
 
 __version__ = "0.1.0"

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-import mpmath as mp
 import numpy as np
 
 __all__ = [
@@ -192,14 +191,7 @@ class PeriodicPair:
     def alpha(self, x: np.ndarray) -> np.ndarray:
         """Evaluate alpha_eps at x (1-periodic, even, vectorized)."""
         x = np.abs(np.asarray(x, dtype=float))
-        chi, chi_p = _chi_and_slope(x, self.knots)
-        th = self.theta_scale * chi
-        thp = self.theta_scale * chi_p
-        c2 = np.cos(TWO_PI * x) ** 2
-        s4 = np.sin(2.0 * TWO_PI * x)
-        e = self.eps
-        return (FOUR_PI_SQ - 4.0 * math.pi * e * th * s4
-                + e * thp * c2 - (e * th) ** 2 * c2 * c2)
+        return _alpha(self.eps, _profile(x, self.knots, self.theta_scale))
 
     def eta(self, x: np.ndarray) -> np.ndarray:
         """Antiderivative of theta*cos^2 with eta(0)=0; eta(n)=n exactly."""
@@ -247,12 +239,31 @@ class PeriodicPair:
         return -self.eps * self.eta(np.abs(np.asarray(x, dtype=float)))
 
 
-def _build_eta_tables(knots: Sequence[float]) -> tuple:
-    """Periodic part of eta and its slopes on the unit period.
+def _profile(x: np.ndarray, knots: tuple, scale: float) -> tuple:
+    """The eps-free factors of alpha_eps at x >= 0:
+    (theta, theta', cos^2(2 pi x), sin(4 pi x))."""
+    chi, chi_p = _chi_and_slope(x, knots)
+    return (scale * chi, scale * chi_p, np.cos(TWO_PI * x) ** 2,
+            np.sin(2.0 * TWO_PI * x))
 
-    Returns (scale, values, slopes): theta = scale*chi has
+
+def _alpha(eps: float, profile: tuple) -> np.ndarray:
+    """alpha_eps from its eps-free factors (see :class:`PeriodicPair`)."""
+    th, thp, c2, s4 = profile
+    return (FOUR_PI_SQ - 4.0 * math.pi * eps * th * s4
+            + eps * thp * c2 - (eps * th) ** 2 * c2 * c2)
+
+
+@lru_cache(maxsize=4)
+def _knot_tables(knots: tuple) -> tuple:
+    """Everything of a pair that depends on its knots alone, built once.
+
+    Returns (scale, values, slopes, dense): theta = scale*chi has
     mean(theta cos^2) = 1; values[i] = eta(i/g) - i/g via an FFT
-    antiderivative (spectrally accurate for the smooth integrand).
+    antiderivative (spectrally accurate for the smooth integrand) and
+    slopes the exact P' at those nodes; dense is :func:`_profile` on the
+    ``_DENSE_CHECK`` cell centers of the unit period.  The arrays are
+    read-only, since every pair on these knots shares them.
     """
     g = _ETA_GRID
     u = np.arange(g) / g
@@ -270,19 +281,30 @@ def _build_eta_tables(knots: Sequence[float]) -> tuple:
     p = p - p[0]                 # P(0) = 0
     values = np.concatenate([p, p[:1]])          # include u = 1 (P(1)=0)
     slopes = np.concatenate([f, f[:1]])          # exact P' at the nodes
-    return scale, values, slopes
+    dense = _profile((np.arange(_DENSE_CHECK) + 0.5) / _DENSE_CHECK,
+                     knots, scale)
+    for arr in (values, slopes, *dense):
+        arr.flags.writeable = False
+    return scale, values, slopes, dense
 
 
 def _measure_pair(eps: float, knots: Sequence[float]) -> PeriodicPair:
-    scale, values, slopes = _build_eta_tables(knots)
+    """Build and measure the pair of one eps on one knot set.
+
+    The eta tables and the eps-free factors of alpha on the dense grid
+    come from :func:`_knot_tables`, cached per knot set, so only the
+    eps-dependent work runs here: alpha on the dense grid, its sups,
+    the decay fit and the period average of w.
+    """
+    knots = tuple(knots)
+    scale, values, slopes, dense = _knot_tables(knots)
     pair = PeriodicPair(
-        eps=eps, knots=tuple(knots), theta_scale=scale,
+        eps=eps, knots=knots, theta_scale=scale,
         M_alpha=0.0, M_alpha_prime=0.0, M=0.0, decay_c=0.0, gamma=0.0,
         flat_radius=0.0, alpha_min=0.0, alpha_max=0.0,
         _eta_values=values, _eta_slopes=slopes,
     )
-    u = (np.arange(_DENSE_CHECK) + 0.5) / _DENSE_CHECK
-    al = pair.alpha(u)
+    al = _alpha(eps, dense)
     m_alpha = float(np.max(np.abs(al - FOUR_PI_SQ)) / eps)
     # sup|alpha'| from central differences on the dense grid
     dal = (al[2:] - al[:-2]) * (_DENSE_CHECK / 2.0)
@@ -298,7 +320,7 @@ def _measure_pair(eps: float, knots: Sequence[float]) -> PeriodicPair:
     a, _, _, d = knots
     flat = min(a, 1.0 - d)
     return PeriodicPair(
-        eps=eps, knots=tuple(knots), theta_scale=scale,
+        eps=eps, knots=knots, theta_scale=scale,
         M_alpha=m_alpha, M_alpha_prime=m_alpha_p,
         M=max(m_alpha, m_alpha_p), decay_c=decay_c, gamma=gamma,
         flat_radius=flat, alpha_min=float(al.min()), alpha_max=float(al.max()),
@@ -336,6 +358,13 @@ def build_oscillator_pair(
         average of w_eps comes out non-positive for these knots, the
         mirrored profile (which flips the sign of the leading term of the
         average) is tried too and the better one kept.
+
+    The work that depends on the knots alone is done once per knot set
+    and cached (``_knot_tables``, the four most recently used): theta's
+    scale, the eta interpolation tables, and theta, theta',
+    cos^2(2 pi u) and sin(4 pi u) on the dense grid of the sup-norm
+    measurements.  Pairs on one knot set share these read-only arrays;
+    each build computes alpha_eps from them and measures it.
 
     Raises
     ------
@@ -460,7 +489,7 @@ def _jsonable(obj):
     field that holds an array (itself or inside a container); mappings
     (keys as strings), lists and tuples recurse; numpy scalars,
     ``np.bool_`` included, become Python scalars.  Below a dataclass an
-    array becomes a list, and an mpmath number its 30-digit string.
+    array becomes a list.
     """
     if is_dataclass(obj) and not isinstance(obj, type):
         items = ((f.name, getattr(obj, f.name)) for f in fields(obj))
@@ -473,8 +502,6 @@ def _jsonable(obj):
         return obj.tolist()
     if isinstance(obj, np.generic):
         return obj.item()
-    if isinstance(obj, mp.mpf):
-        return mp.nstr(obj, 30)
     return obj
 
 
@@ -734,6 +761,8 @@ def make_sequences(
     doubling bound on the final term (the summands decay at least
     geometrically for every supported mode).
     """
+    import mpmath as mp
+
     js = sorted(j_range)
     if not js:
         raise ValueError("empty j_range")
@@ -879,6 +908,8 @@ def make_sequences(
 
 
 def _log10_ratio(a, b) -> float:
+    import mpmath as mp
+
     if b == 0:
         return math.inf
     try:
@@ -888,6 +919,8 @@ def _log10_ratio(a, b) -> float:
 
 
 def _psi_functions(name: str) -> tuple:
+    import mpmath as mp
+
     if name == "identity":
         return (lambda s: s), (lambda y: y)
     if name == "sqrt":
@@ -898,6 +931,8 @@ def _psi_functions(name: str) -> tuple:
 
 
 def _lambda_functions(name: str) -> tuple:
+    import mpmath as mp
+
     # lambda must decrease to +inf at 0+ but stay below log(1 + 1/h)
     if name == "sqrt-log":
         fn = lambda h: mp.sqrt(1 + mp.log(1 / h))

@@ -49,7 +49,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import eigh, solveh_banded
 
 from .coeff import (
     Coefficient,
@@ -146,6 +145,8 @@ def _hminus1_norm_sq(g: np.ndarray, dx: float) -> float:
     g_int = np.asarray(g, dtype=float)[1:-1]
     if not g_int.size or not np.any(g_int):
         return 0.0
+    from scipy.linalg import solveh_banded
+
     n_int = len(g_int)
     ab = np.zeros((2, n_int))
     ab[0, 1:] = -1.0 / dx ** 2
@@ -591,6 +592,8 @@ def gramian_observability_constant(omega: Coefficient, T: float,
     sampled candidates.  Meant for small cutoffs (dense eigenproblem),
     at most half the resolution; ``"flags"`` as in the ensemble report.
     """
+    from scipy.linalg import eigh
+
     m = _check_order(m)
     if cutoff > 64:
         raise ValueError("gramian route is for small cutoffs (<= 64)")

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .coeff import Coefficient, _jsonable
 
@@ -427,6 +426,8 @@ def _leapfrog_modes(om, dx, dt, steps) -> _Modes:
     theta = 2 arcsin(dt sqrt(mu) / 2) is arccos(c) without its
     cancellation near c = 1; the scheme is stable only while every c > -1.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     root_om = np.sqrt(om[1:-1])
     mu, vectors = eigh_tridiagonal(
         2.0 / (dx ** 2 * om[1:-1]),

@@ -133,6 +133,39 @@ class TestOscillatorPair:
                * (1.0 - coeff._smoothstep((w - c) / (d - c))))
         assert np.array_equal(coeff._chi(u, knots), ref)
 
+    @pytest.mark.parametrize("knots", [coeff.DEFAULT_KNOTS,
+                                       (0.2, 0.3, 0.5, 0.9)])
+    @pytest.mark.parametrize("eps", [0.048, 0.0432, 0.01])
+    def test_knot_tables_match_alpha_on_dense_grid(self, eps, knots):
+        # the measured sups come from the cached eps-free factors; they
+        # are bitwise those of pair.alpha evaluated afresh on the grid
+        p = coeff.build_oscillator_pair(eps, knots=knots)
+        n = coeff._DENSE_CHECK
+        al = p.alpha((np.arange(n) + 0.5) / n)
+        dal = (al[2:] - al[:-2]) * (n / 2.0)
+        assert p.M_alpha == float(np.max(np.abs(al - FOUR_PI_SQ)) / eps)
+        assert p.M_alpha_prime == float(np.max(np.abs(dal)) / eps)
+        assert p.alpha_min == float(al.min())
+        assert p.alpha_max == float(al.max())
+
+    def test_knot_tables_built_once_per_knot_set(self, monkeypatch):
+        dense_calls = []
+        chi_and_slope = coeff._chi_and_slope
+
+        def counted(u, knots):
+            if np.size(u) == coeff._DENSE_CHECK:
+                dense_calls.append(tuple(knots))
+            return chi_and_slope(u, knots)
+
+        monkeypatch.setattr(coeff, "_chi_and_slope", counted)
+        coeff._knot_tables.cache_clear()
+        knots = (0.2, 0.3, 0.5, 0.9)
+        pairs = [coeff.build_oscillator_pair(eps, knots=knots)
+                 for eps in (0.048, 0.0432, 0.01)]
+        assert dense_calls == [knots]
+        assert pairs[0]._eta_values is pairs[2]._eta_values
+        assert not pairs[0]._eta_values.flags.writeable
+
     def test_envelope_log_matches_w_log_abs(self, pair):
         x = np.array([0.5, 1.5, 7.25, 30.75])
         la = pair.w_log_abs(x)

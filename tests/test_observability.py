@@ -902,6 +902,35 @@ def test_import_leaves_out_fft_and_integrate():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_leaves_out_scipy_and_mpmath():
+    # importing the package loads neither; the functions that need
+    # scipy.linalg or mpmath import it when called, and still run
+    src = str(Path(ob.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "\n".join([
+        "import math, sys",
+        "import numpy as np",
+        "import waveobs",
+        "from waveobs import coeff, modulus, observability, quasimodes, "
+        "wavesim",
+        "from waveobs import *",
+        "print(sorted({m.split('.')[0] for m in sys.modules}",
+        "             & {'scipy', 'mpmath'}))",
+        "x = np.linspace(0.0, 1.0, 65)",
+        "res = observability.hum_control(",
+        "    coeff.make_baseline('lipschitz'), np.sin(math.pi * x),",
+        "    np.zeros_like(x), T=3.0, resolution=64)",
+        "params = coeff.make_sequences()",
+        "print(res.converged, res.controlled, len(params.entries))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    assert proc.stdout.split("\n")[:2] == ["[]", "True True 5"]
+
+
 def test_star_import():
     namespace = {}
     exec("from waveobs import *", namespace)

@@ -32,8 +32,6 @@ imported by the functions that use them, on their first call:
 - ``wavesim._leapfrog_modes`` (``eigh_tridiagonal``) and
   ``observability._hminus1_norm_sq`` (``solveh_banded``), both reached
   through ``hum_control``;
-- ``observability.gramian_observability_constant`` (``eigh``), also
-  reached through ``estimate_observability_constant(cross_check=True)``;
 - ``coeff.make_sequences`` and its helpers ``_psi_functions``,
   ``_lambda_functions`` and ``_log10_ratio`` (mpmath).
 """

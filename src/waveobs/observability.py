@@ -96,9 +96,8 @@ _EPS = np.finfo(float).eps
 
 # run_counterexample_sweep: no wave grid finer than this many cells
 _MAX_WAVE_RESOLUTION = 1 << 17
-# hum_control: CG iteration cap and the floor of its stopping residual
+# hum_control: CG iteration cap
 _CG_MAX_ITER = 200
-_CG_TOL = 1e-10
 # hum_control: the largest relative terminal energy of a controlled state
 _HUM_TOLERANCE = 1e-6
 
@@ -400,9 +399,7 @@ class ObservabilityReport:
     shows flat factors; a trapping one grows without saturating), and
     ``overall_growth`` the last over the first, both by
     :func:`_growth_factor` (nan out of a floored constant).
-    ``loss`` holds the loss diagnostics when a scan was requested: the
-    smallest derivative order m (or exponent beta) whose quotients stay
-    bounded across the whole ensemble.  ``flags``: :func:`_resolution_flags`.
+    ``flags``: :func:`_resolution_flags`.
     """
 
     omega_kind: str
@@ -421,7 +418,6 @@ class ObservabilityReport:
     seed: int
     n_random: int
     cross_check: Optional[dict] = None
-    loss: Optional[dict] = None
     flags: tuple = ()
 
     @property
@@ -462,7 +458,6 @@ def estimate_observability_constant(
         cutoffs: Sequence[int] = (8, 16, 32, 64), *,
         n_random: int = 12, seed: int = 0, resolution: int = 2048,
         m: int = 0, beta: Optional[float] = None,
-        loss_m: Sequence[int] = (), loss_beta: Sequence[float] = (),
         cross_check: bool = False, cross_check_cutoff: int = 8,
         cross_check_resolution: int = 256) -> ObservabilityReport:
     """Max observability quotient over an ensemble, per frequency cutoff.
@@ -472,12 +467,9 @@ def estimate_observability_constant(
     weak-spot data (:func:`_ensemble_data`).  The candidates of every
     cutoff are drawn first (deterministic for a given seed) and then
     evolved together, one column each, in a single march of the
-    leapfrog kernel without energy tracking.  Each candidate's trace is
-    reused for the headline quotient and for every entry of the optional
-    loss scans (``loss_m`` derivative orders, ``loss_beta`` trace
-    exponents), from which the report's loss diagnostics pick the
-    smallest order/exponent whose quotients stay bounded on every
-    candidate.  ``cross_check`` runs the dense Gramian constant at a
+    leapfrog kernel without energy tracking, and each candidate's
+    quotient is read from its trace at order ``m`` (or trace exponent
+    ``beta``).  ``cross_check`` runs the dense Gramian constant at a
     coarse cutoff/resolution and stores the comparison: the ensemble max
     is a lower bound for the Gramian constant, so the ratio belongs in
     [0, 1] up to discretization.  The Gramian constant is the Q_m
@@ -486,9 +478,8 @@ def estimate_observability_constant(
     resolution.  An unresolved trapping density is flagged, not rejected.
     """
     m = _check_order(m)
-    loss_m = tuple(_check_order(k) for k in loss_m)
-    for bt in (() if beta is None else (beta,)) + tuple(loss_beta):
-        _check_beta(bt)
+    if beta is not None:
+        _check_beta(beta)
     cuts = tuple(cutoffs)
     if not cuts:
         raise ValueError("cutoffs must hold at least one cutoff")
@@ -517,9 +508,6 @@ def estimate_observability_constant(
                       np.stack([c[3] for c in cands], axis=1))
     traces = np.ascontiguousarray(run.trace_left.T)
 
-    scans = ([("m", k, k, None) for k in loss_m]
-             + [("beta", bt, 0, bt) for bt in loss_beta])
-    loss_bounded = {(kind, val): True for kind, val, _, _ in scans}
     constants: dict = {}
     argmax: dict = {}
     rows = []
@@ -528,31 +516,13 @@ def estimate_observability_constant(
         if cutoff not in constants or q.value > constants[cutoff]:
             constants[cutoff] = q.value
             argmax[cutoff] = lab
-        row = {
+        rows.append({
             "cutoff": cutoff, "label": lab, "quotient": q.value,
             "numerator": q.numerator, "denominator": q.denominator,
             "unbounded": q.unbounded,
-        }
-        for kind, val, k, bt in scans:
-            sq = _quotient(u0, u1, trace, dt, dx, T, T_omega, k, bt)
-            row[f"Q_{kind}_{val}"] = sq.value
-            if sq.unbounded:
-                loss_bounded[(kind, val)] = False
-        rows.append(row)
+        })
     factors = [_growth_factor(constants[lo], constants[hi])
                for lo, hi in zip(cuts, cuts[1:])]
-    loss = None
-    if loss_m or loss_beta:
-        bounded_m = sorted(k for k in loss_m if loss_bounded[("m", k)])
-        bounded_beta = sorted(bt for bt in loss_beta
-                              if loss_bounded[("beta", bt)])
-        loss = {
-            "scanned_m": list(loss_m), "scanned_beta": list(loss_beta),
-            "bounded_m": bounded_m, "bounded_beta": bounded_beta,
-            "smallest_bounded_m": bounded_m[0] if bounded_m else None,
-            "smallest_bounded_beta": (bounded_beta[0] if bounded_beta
-                                      else None),
-        }
     check = None
     if cross_check:
         gram = gramian_observability_constant(
@@ -576,7 +546,7 @@ def estimate_observability_constant(
         cutoffs=cuts, constants=constants, argmax_labels=argmax,
         rows=tuple(rows), growth_factors=tuple(factors),
         resolution=resolution, seed=seed, n_random=n_random,
-        cross_check=check, loss=loss,
+        cross_check=check,
         flags=_resolution_flags(omega, resolution))
 
 
@@ -589,11 +559,11 @@ def gramian_observability_constant(omega: Coefficient, T: float,
     mode sin(k pi x)) in one march, forms D[i,j] = int d^m tr_i d^m tr_j
     dt and the diagonal energy matrix N, and returns 1/lambda_min of the
     pencil (D, N): the worst quotient over the whole span, not just the
-    sampled candidates.  Meant for small cutoffs (dense eigenproblem),
-    at most half the resolution; ``"flags"`` as in the ensemble report.
+    sampled candidates.  N is diagonal, so the pencil is solved as the
+    symmetric matrix N^{-1/2} D N^{-1/2}.  Meant for small cutoffs (dense
+    eigenproblem), at most half the resolution; ``"flags"`` as in the
+    ensemble report.
     """
-    from scipy.linalg import eigh
-
     m = _check_order(m)
     if cutoff > 64:
         raise ValueError("gramian route is for small cutoffs (<= 64)")
@@ -613,10 +583,10 @@ def gramian_observability_constant(omega: Coefficient, T: float,
     w = np.full(tr.shape[1], dt)
     w[0] = w[-1] = 0.5 * dt
     D = (tr * w) @ tr.T
-    N = np.diag(energies)
+    scale = 1.0 / np.sqrt(energies)
     # lambda = trace energy / datum energy over the span; the constant
     # is the reciprocal of the smallest one
-    vals = eigh(D, N, eigvals_only=True)
+    vals = np.linalg.eigvalsh(scale[:, None] * D * scale[None, :])
     lam_min = float(vals[0])
     lam_max = float(vals[-1])
     degenerate = not (lam_min > 1e-12 * max(lam_max, 1e-300))
@@ -720,7 +690,10 @@ class DivergenceTable:
     def diverging(self, m: int, factor: float = 10.0,
                   runs: int = 3) -> bool:
         """True when ``runs`` consecutive rows each grow by ``factor``:
-        ``runs - 1`` consecutive growth factors all reach ``factor``."""
+        ``runs - 1`` consecutive growth factors all reach ``factor``.
+        Growth needs two rows, so ``runs`` below 2 is rejected."""
+        if runs < 2:
+            raise ValueError(f"runs {runs} must be at least 2")
         fs = self.growth_factors.get(m, ())
         if len(fs) < runs - 1:
             return False
@@ -871,7 +844,7 @@ def run_counterexample_sweep(
                 f"numerator quadrature at the {res_wave} cap: {missed[0]}")
 
         qm = solve_quasimode(density, j, n_samples=res_wave + 1,
-                             cross_check=False, reverse_check=False)
+                             checks=False)
         h = qm.h
         n = int(round(qm.stats["n"]))
         if family == "lambda":
@@ -1090,8 +1063,8 @@ def hum_control(omega: Coefficient, y0, y1, T: float, m: int = 0, *,
     flags = []
     # the terminal energy defect is quadratic in the residual, so the
     # iteration may stop once the squared relative residual clears the
-    # controlled-state tolerance with a factor-10 margin, never below _CG_TOL
-    stop_at = max(_CG_TOL, math.sqrt(_HUM_TOLERANCE / 10.0))
+    # controlled-state tolerance with a factor-10 margin
+    stop_at = math.sqrt(_HUM_TOLERANCE / 10.0)
     for iterations in range(1, _CG_MAX_ITER + 1):
         Ad = apply_A(d)
         curv = float(np.dot(d, Ad))

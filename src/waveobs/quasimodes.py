@@ -14,12 +14,13 @@ solution is assembled structurally:
   Magnus transfer-matrix engine: the equation is linear, so a span's
   propagator is a product of 2x2 fourth-order Magnus cell matrices,
   built from omega at the Gauss points of all cells in one vectorized
-  call, refined by step doubling to the requested tolerance and
-  multiplied by a log-depth prefix scan that reads the state at every
-  sample point (a cell edge).  When even the initial cells would exceed
-  30 000, the engine builds one unit-period matrix and the crossing
-  applies its n_k/2-th powers, formed by repeated squaring (samples
-  inside such spans are left NaN).
+  call, refined by step doubling to the requested tolerance, folded
+  back into one matrix per initial cell and multiplied by a log-depth
+  prefix scan that reads the state at every sample point (an initial
+  cell edge).  When even the initial cells would exceed 30 000, the
+  engine builds one unit-period matrix and the crossing applies its
+  n_k/2-th powers, formed by repeated squaring (samples inside such
+  spans are left NaN).
 
 Any other density is solved by the same engine from the center outward.
 The closed-form cross-check and reverse (Wronskian) check of a trapping
@@ -174,8 +175,8 @@ def _fill_rotation(state: tuple, x0: float, xs: np.ndarray, h: float):
 # ordered product of cell propagators.  Each cell gets the fourth-order
 # Magnus matrix built from q at its two Gauss points (exact when q is
 # constant on the cell), states are carried in the frequency-scaled
-# variables (phi, phi'/kappa) so every entry is O(1), and the products are
-# formed by a log-depth prefix scan.
+# variables (phi, phi'/kappa) so every entry is O(1), and the products of
+# the initial cells are formed by a log-depth prefix scan.
 
 _GAUSS_LO = 0.5 - math.sqrt(3.0) / 6.0
 _GAUSS_HI = 0.5 + math.sqrt(3.0) / 6.0
@@ -235,17 +236,17 @@ def _scan(mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def _refine(q: Callable, xa, dx, seg, kappa: float, tol: float) -> tuple:
-    """Accepted Magnus cells of one chunk, in traversal order.
+def _refine(q: Callable, xa, dx, kappa: float, tol: float) -> tuple:
+    """One accepted Magnus matrix per input cell, in input order.
 
-    Each pass evaluates q at the Gauss points of every open cell in one
+    Each level evaluates q at the Gauss points of every open cell in one
     call and compares the cell's Magnus matrix with the product of its
     two halves; a cell is accepted, with the more accurate two-half
     product, once no entry differs by more than ``tol``, else its halves
-    are reopened.  Returns (segment of each cell, matrices, nfev).
+    open the next level.  Deepest level first, each split cell then gets
+    the product of its halves' matrices.  Returns (matrices, nfev).
     """
-    sign = 1.0 if dx[0] > 0 else -1.0
-    accepted = []
+    levels = []
     full = None
     nfev = 0
     for halvings in range(_MAX_HALVINGS + 1):
@@ -266,24 +267,28 @@ def _refine(q: Callable, xa, dx, seg, kappa: float, tol: float) -> tuple:
         ok = np.max(np.abs(full - fine), axis=0) <= tol
         if halvings == _MAX_HALVINGS:
             ok[:] = True
-        accepted.append((xa[ok], seg[ok], fine[:, ok]))
         split = ~ok
+        levels.append((fine, split))
         if not np.any(split):
             break
         if 2 * np.count_nonzero(split) > _MAX_OPEN_CELLS:
             raise ScaleOutOfReach(
                 f"the quasimode ODE needs more than {_MAX_OPEN_CELLS} open "
                 f"Magnus cells at tolerance {tol:.1e}")
+        # first halves, then second halves; this level's arrays go before
+        # the next q call
         xa = np.concatenate([xa[split], xm[split]])
         dx = np.concatenate([half[split], half[split]])
-        seg = np.concatenate([seg[split], seg[split]])
         full = np.concatenate([left[:, split], right[:, split]], axis=1)
+        del pts, qv, half, xm, left, right
 
-    starts = np.concatenate([a[0] for a in accepted])
-    order = np.argsort(sign * starts, kind="stable")
-    segs = np.concatenate([a[1] for a in accepted])[order]
-    mats = np.concatenate([a[2] for a in accepted], axis=1)[:, order]
-    return segs, mats, nfev
+    mats = levels.pop()[0]
+    while levels:
+        fine, split = levels.pop()
+        n = mats.shape[1] // 2
+        fine[:, split] = _mat_mul(mats[:, n:], mats[:, :n])
+        mats = fine
+    return mats, nfev
 
 
 def _magnus_propagate(q: Callable, x0: float, x1: float, kappa: float,
@@ -294,12 +299,12 @@ def _magnus_propagate(q: Callable, x0: float, x1: float, kappa: float,
     is wanted.  The initial mesh has every point of ``at`` as a cell edge
     and no cell wider than ``max_cell``; cells are refined (see
     :func:`_refine`) until their error estimate in the (phi, phi'/kappa)
-    variables is at most ``rtol``, then multiplied by a prefix scan, so
-    the states at ``at`` are read exactly at cell edges.  Initial cells
-    are processed ``_CHUNK_CELLS`` at a time; each chunk's prefixes are
-    multiplied onto the renormalized product of all earlier chunks, so
-    memory stays bounded and only the growth within one chunk has to fit
-    a double.
+    variables is at most ``rtol``, folded back into one matrix per
+    initial cell and multiplied by a prefix scan, so the states at ``at``
+    are read exactly at initial-cell edges.  Initial cells are processed
+    ``_CHUNK_CELLS`` at a time; each chunk's prefixes are multiplied onto
+    the renormalized product of all earlier chunks, so memory stays
+    bounded and only the growth within one chunk has to fit a double.
 
     Returns ``(logs, mats, nfev)``: ``exp(logs[i]) * mats[:, i]`` (rows
     m00, m01, m10, m11) maps (phi, phi'/kappa) at x0 to the state at
@@ -312,9 +317,9 @@ def _magnus_propagate(q: Callable, x0: float, x1: float, kappa: float,
     pieces = np.maximum(1, np.ceil(gaps / max_cell)).astype(np.int64)
     first = np.cumsum(pieces) - pieces
     n_cells = int(pieces.sum())
-    # knot k is reached after the first knot_cells[k] initial cells
-    knot_cells = np.append(first, n_cells)
     want = np.append(np.searchsorted(knots, t_at), knots.size - 1)
+    # wanted state i is reached after the first reach[i] initial cells
+    reach = np.append(first, n_cells)[want]
 
     tol = max(rtol, _MIN_RTOL)
     out = np.empty((4, want.size))
@@ -334,17 +339,17 @@ def _magnus_propagate(q: Callable, x0: float, x1: float, kappa: float,
         # drift the phase by kappa * ulp per cell)
         t_hi = np.where(k + 1 == pieces[seg], knots[seg + 1],
                         knots[seg] + (k + 1) * step)
-        segs, mats, n = _refine(q, x0 + sign * t_lo, sign * (t_hi - t_lo),
-                                seg, kappa, tol)
+        mats, n = _refine(q, x0 + sign * t_lo, sign * (t_hi - t_lo),
+                          kappa, tol)
         nfev += n
         prefix = _scan(mats)
         if not np.all(np.isfinite(prefix)):
             raise ScaleOutOfReach(
                 "the quasimode amplitude overflows double precision within "
                 "one chunk of the transfer-matrix scan")
-        hit = (knot_cells[want] > lo) & (knot_cells[want] <= idx[-1] + 1)
+        hit = (reach > lo) & (reach <= idx[-1] + 1)
         if np.any(hit):
-            cols = np.searchsorted(segs, want[hit], side="left") - 1
+            cols = reach[hit] - lo - 1
             prod = _mat_mul(prefix[:, cols], carry[:, None])
             norm = np.max(np.abs(prod), axis=0)
             out[:, hit] = prod / norm
@@ -537,8 +542,7 @@ def solve_quasimode(
     r: Optional[float] = None,
     rtol: float = 1e-12,
     n_samples: int = 4097,
-    cross_check: bool = True,
-    reverse_check: bool = True,
+    checks: bool = True,
 ) -> QuasimodeResult:
     """Solve phi'' + h^2 omega phi = 0 with phi(m) = 1, phi'(m) = 0.
 
@@ -555,11 +559,12 @@ def solve_quasimode(
 
     A foreign crossing that would start from more than 30 000 engine
     cells (16 max(h, h_k) r_k) switches to powers of the one-period
-    transfer matrix, and the samples in that span are NaN.  A check that
-    would start from more than 30 000 cells (8 n for the closed-form
-    cross-check and reverse (Wronskian) solve, 16 h times the span for
-    each half of the generic reverse check) is skipped and recorded in
-    ``stats["notes"]``.  ``stats["nfev"]`` counts evaluations of the
+    transfer matrix, and the samples in that span are NaN.  ``checks``
+    runs the closed-form cross-check and reverse (Wronskian) solve of a
+    trapping mode, or the generic reverse check.  A check that would
+    start from more than 30 000 cells (8 n for the first two, 16 h times
+    the span for each half of the generic one) is skipped and recorded
+    in ``stats["notes"]``.  ``stats["nfev"]`` counts evaluations of the
     coefficient by the engine plus those of the generic reverse check.
 
     Raises :class:`ScaleOutOfReach` when the mode lives beyond double
@@ -578,8 +583,7 @@ def solve_quasimode(
             raise ValueError(
                 "for a trapping density the mode is selected by j; "
                 "h, m, r are read from the stored sequences")
-        return _solve_structured(omega, j, xs, rtol, cross_check,
-                                 reverse_check)
+        return _solve_structured(omega, j, xs, rtol, checks)
 
     if j is not None:
         raise ValueError("j selects a trapping-density interval; "
@@ -602,7 +606,7 @@ def solve_quasimode(
     span = float(vals.max() - vals.min())
     if span <= 1e-12 * float(abs(vals).max()):
         return _solve_constant(omega, float(vals.mean()), h, m, r, xs, rtol)
-    return _solve_generic(omega, h, m, r, xs, rtol, reverse_check)
+    return _solve_generic(omega, h, m, r, xs, rtol, checks)
 
 
 def _interval_integral(pair: PeriodicPair, h: float, n: int,
@@ -620,7 +624,7 @@ def _interval_integral(pair: PeriodicPair, h: float, n: int,
     return (2.0 * J / h) * (-math.expm1(-eps * n)) / (-math.expm1(-2.0 * eps))
 
 
-def _solve_structured(omega, j, xs, rtol, cross_check, reverse_check):
+def _solve_structured(omega, j, xs, rtol, checks):
     entries = omega.trapping.entries
     pairs = omega.trapping.pairs
     if j is None:
@@ -725,9 +729,8 @@ def _solve_structured(omega, j, xs, rtol, cross_check, reverse_check):
     be1_log = _state_energy_log(state_right, kappa)
     be0_log = _state_energy_log(state_left, kappa)
 
-    if cross_check or reverse_check:
-        _closed_form_checks(pair, entry, rtol, stats,
-                            do_cross=cross_check, do_reverse=reverse_check)
+    if checks:
+        _closed_form_checks(pair, entry, rtol, stats)
 
     return QuasimodeResult(
         j=j, h=h, eps=entry.eps, m=m, r=entry.r, kind=omega.kind,
@@ -755,8 +758,7 @@ def _safe_exp(log_val: float) -> float:
     return math.exp(log_val)
 
 
-def _closed_form_checks(pair, entry, rtol, stats, do_cross=True,
-                        do_reverse=True):
+def _closed_form_checks(pair, entry, rtol, stats):
     """Engine cross-check and reverse (Wronskian) check in sigma units.
 
     Both solve the stretched equation w'' = -alpha(sigma) w, which is
@@ -778,38 +780,35 @@ def _closed_form_checks(pair, entry, rtol, stats, do_cross=True,
             f"estimated {est:.0f} steps exceed the budget {_CHECK_BUDGET}")
         return
 
-    if do_cross:
-        sig_grid = np.linspace(0.0, 0.5 * n, 4 * n + 1)
-        logs, mats, nfev = _magnus_propagate(
-            pair.alpha, 0.0, 0.5 * n, TWO_PI, _MIN_RTOL, 1.0 / 16.0,
-            sig_grid)
-        # launched from (w, w'/2 pi) = (1, 0): the first column
-        amp = np.exp(logs[:-1])
-        w = amp * mats[0, :-1]
-        wp = TWO_PI * amp * mats[2, :-1]
-        stats["closed_form_dev"] = float(np.max(np.abs(w - pair.w(sig_grid))))
-        stats["closed_form_dev_prime"] = float(
-            np.max(np.abs(wp - pair.w_prime(sig_grid))))
-        stats["ode_extreme_energy"] = float(w[-1] ** 2 + wp[-1] ** 2)
-        stats["nfev"] += nfev
+    sig_grid = np.linspace(0.0, 0.5 * n, 4 * n + 1)
+    logs, mats, nfev = _magnus_propagate(
+        pair.alpha, 0.0, 0.5 * n, TWO_PI, _MIN_RTOL, 1.0 / 16.0, sig_grid)
+    # launched from (w, w'/2 pi) = (1, 0): the first column
+    amp = np.exp(logs[:-1])
+    w = amp * mats[0, :-1]
+    wp = TWO_PI * amp * mats[2, :-1]
+    stats["closed_form_dev"] = float(np.max(np.abs(w - pair.w(sig_grid))))
+    stats["closed_form_dev_prime"] = float(
+        np.max(np.abs(wp - pair.w_prime(sig_grid))))
+    stats["ode_extreme_energy"] = float(w[-1] ** 2 + wp[-1] ** 2)
+    stats["nfev"] += nfev
 
-    if do_reverse:
-        if 0.5 * eps_n > 20.0 + math.log(rtol / _MIN_RTOL):
-            stats["notes"].append(
-                "reverse check skipped: inward error amplification "
-                f"~e^{{{0.5 * eps_n:.1f}}} exceeds the tolerance budget")
-            return
-        logs, mats, nfev = _magnus_propagate(
-            pair.alpha, 0.5 * n, 0.0, TWO_PI, _MIN_RTOL, 1.0 / 16.0)
-        # launched from (e^{-eps n/2}, 0); the state is (w, w'/2 pi)
-        amp = math.exp(float(logs[-1]) - 0.5 * eps_n)
-        stats["wronskian_dev"] = math.hypot(amp * float(mats[0, -1]) - 1.0,
-                                            amp * float(mats[2, -1]))
-        # marching inward against the decay amplifies the solver error by
-        # the envelope ratio; that conditioning belongs to the problem,
-        # not the integrator, so it is reported alongside the deviation
-        stats["wronskian_cond"] = math.exp(0.5 * eps_n)
-        stats["nfev"] += nfev
+    if 0.5 * eps_n > 20.0 + math.log(rtol / _MIN_RTOL):
+        stats["notes"].append(
+            "reverse check skipped: inward error amplification "
+            f"~e^{{{0.5 * eps_n:.1f}}} exceeds the tolerance budget")
+        return
+    logs, mats, nfev = _magnus_propagate(
+        pair.alpha, 0.5 * n, 0.0, TWO_PI, _MIN_RTOL, 1.0 / 16.0)
+    # launched from (e^{-eps n/2}, 0); the state is (w, w'/2 pi)
+    amp = math.exp(float(logs[-1]) - 0.5 * eps_n)
+    stats["wronskian_dev"] = math.hypot(amp * float(mats[0, -1]) - 1.0,
+                                        amp * float(mats[2, -1]))
+    # marching inward against the decay amplifies the solver error by the
+    # envelope ratio; that conditioning belongs to the problem, not the
+    # integrator, so it is reported alongside the deviation
+    stats["wronskian_cond"] = math.exp(0.5 * eps_n)
+    stats["nfev"] += nfev
 
 
 def _solve_constant(omega, value, h, m, r, xs, rtol):
@@ -983,7 +982,7 @@ def _collocation_propagate(q: Callable, x0: float, x1: float, kappa: float,
     return log_scale, mat, nfev
 
 
-def _solve_generic(omega, h, m, r, xs, rtol, reverse_check):
+def _solve_generic(omega, h, m, r, xs, rtol, checks):
     """Magnus engine from the center outward for an arbitrary density.
 
     No closed-form cross-check exists here.  The reverse check marches
@@ -1058,7 +1057,7 @@ def _solve_generic(omega, h, m, r, xs, rtol, reverse_check):
         stats["extreme_energy_left"] = e_lo
         stats["extreme_energy_right"] = e_hi
 
-    if reverse_check:
+    if checks:
         devs = []
         for direction, end in ((+1, 1.0), (-1, 0.0)):
             est = 16.0 * h * abs(end - m)
@@ -1414,7 +1413,7 @@ def boundary_smallness_sweep(
 
     def row(j: int, density: Coefficient) -> dict:
         res = solve_quasimode(density, j, n_samples=_SWEEP_SAMPLES,
-                              cross_check=False, reverse_check=False)
+                              checks=False)
         e = params.entry(j)
         pair = density.trapping.pairs[j]
         total_log = np.logaddexp(res.boundary_energy_0_log,

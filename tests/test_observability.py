@@ -161,27 +161,28 @@ class TestConstants:
     def test_ensemble_below_gramian(self):
         rep = ob.estimate_observability_constant(
             coeff.make_baseline("lipschitz"), cutoffs=(4, 8),
-            resolution=64, n_random=2, seed=3, loss_m=(0, 1),
+            resolution=64, n_random=2, seed=3,
             cross_check=True, cross_check_cutoff=4,
             cross_check_resolution=64)
         ratio = rep.cross_check["ensemble_over_gramian"]
         assert 0.0 <= ratio <= 1.0 + 1e-6
         assert len(rep.rows) == 2 * (2 + 7)
         assert all(math.isfinite(c) and c > 0 for c in rep.constants.values())
-        assert rep.loss["smallest_bounded_m"] == 0
 
-    def test_loss_beta_scan(self):
-        # each row carries its H^beta quotients; the H^1 weight
-        # (1 + xi^2) >= 1 can only lower the quotient
-        rep = ob.estimate_observability_constant(
-            coeff.make_baseline("lipschitz"), cutoffs=(4,), resolution=64,
-            n_random=2, seed=3, loss_beta=(0.0, 1.0))
-        for row in rep.rows:
-            assert 0.0 < row["Q_beta_1.0"] <= row["Q_beta_0.0"]
-        assert rep.loss["scanned_beta"] == [0.0, 1.0]
-        assert rep.loss["bounded_beta"] == [0.0, 1.0]
-        assert rep.loss["smallest_bounded_beta"] == 0.0
-        assert rep.loss["bounded_m"] == []
+    def test_beta_weight_lowers_quotient(self):
+        # the H^1 weight (1 + xi^2) >= 1 can only lower the quotient; the
+        # data are the ensemble candidates of cutoff 4, res 64, seed 3
+        om = coeff.make_baseline("lipschitz")
+        T = ob._default_horizon(coeff.travel_time(om))
+        grid = ws._wave_grid(om, T, 64)
+        cands = ob._ensemble_data(grid.x, grid.om, 4,
+                                  np.random.default_rng(3), 2)
+        assert len(cands) == 2 + 7
+        for _, u0, u1 in cands:
+            q0, q1 = (ob.observability_quotient(
+                om, u0, u1, T, beta=beta, resolution=64).value
+                for beta in (0.0, 1.0))
+            assert 0.0 < q1 <= q0
 
     def test_ensemble_row_matches_single_quotient(self):
         # a batched candidate's quotient equals the single-datum one
@@ -498,8 +499,6 @@ def _beta_entry_points():
         "estimate_observability_constant":
             lambda beta: ob.estimate_observability_constant(
                 om, 3.0, (4,), beta=beta, **kw),
-        "loss_beta": lambda beta: ob.estimate_observability_constant(
-            om, 3.0, (4,), loss_beta=(1.0, beta), **kw),
         "trace_sobolev_norm": lambda beta: ws.trace_sobolev_norm(
             np.ones(64), beta, 0.01),
     }
@@ -819,6 +818,20 @@ class TestGrowth:
         assert table((12.0, 15.0)).diverging(0, factor=10.0, runs=3)
         assert not table((12.0,)).diverging(0, factor=10.0, runs=3)
 
+    @pytest.mark.parametrize("runs", [1, 0, -1])
+    @pytest.mark.parametrize("factors, m", [
+        ((0.5, 0.25), 0),     # shrinking quotients
+        ((), 0),              # a single row
+        ((12.0, 15.0), 1),    # an order the table does not hold
+    ])
+    def test_fewer_than_two_runs_rejected(self, factors, m, runs):
+        table = ob.DivergenceTable(
+            family="lambda", mode="concentrating", T=1.0, m_list=(0,),
+            rows=(), growth_factors={0: factors})
+        assert not table.diverging(m, factor=10.0, runs=2)
+        with pytest.raises(ValueError, match="at least 2"):
+            table.diverging(m, factor=10.0, runs=runs)
+
 
 def _summarized_results():
     """result type -> a cheap call returning one."""
@@ -832,9 +845,8 @@ def _summarized_results():
         "QuotientResult": lambda: ob.observability_quotient(
             om, u, zero, 3.0, m=1, resolution=64),
         "ObservabilityReport": lambda: ob.estimate_observability_constant(
-            om, 3.0, (4, 8), n_random=1, resolution=64, loss_m=(0, 1),
-            loss_beta=(0.0, 1.0), cross_check=True, cross_check_cutoff=4,
-            cross_check_resolution=64),
+            om, 3.0, (4, 8), n_random=1, resolution=64, cross_check=True,
+            cross_check_cutoff=4, cross_check_resolution=64),
         "DivergenceTable": lambda: ob.run_counterexample_sweep(
             family="lambda", j_list=(2,), points_per_wavelength=6.0,
             sequence_kwargs={"n0": 30}),
@@ -882,11 +894,19 @@ def test_sine_mixture_explicit_sum():
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_import_leaves_out_fft_and_integrate():
+def _fresh_python(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter that
+    imports the package from this checkout."""
     src = str(Path(ob.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True).stdout
+
+
+def test_import_leaves_out_fft_and_integrate():
     # a generic quasimode solve runs its reverse check, which must not
     # pull scipy.integrate in either
     code = ("import sys, waveobs.observability; "
@@ -896,19 +916,13 @@ def test_import_leaves_out_fft_and_integrate():
             "assert 'wronskian_dev' in res.stats; "
             "print(sorted(m for m in ('scipy.fft', 'scipy.integrate') "
             "if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120,
-                          check=True)
-    assert proc.stdout.strip() == "[]"
+    out = _fresh_python(code)
+    assert out.strip() == "[]"
 
 
 def test_import_leaves_out_scipy_and_mpmath():
     # importing the package loads neither; the functions that need
     # scipy.linalg or mpmath import it when called, and still run
-    src = str(Path(ob.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     code = "\n".join([
         "import math, sys",
         "import numpy as np",
@@ -925,10 +939,25 @@ def test_import_leaves_out_scipy_and_mpmath():
         "params = coeff.make_sequences()",
         "print(res.converged, res.controlled, len(params.entries))",
     ])
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120,
-                          check=True)
-    assert proc.stdout.split("\n")[:2] == ["[]", "True True 5"]
+    out = _fresh_python(code)
+    assert out.split("\n")[:2] == ["[]", "True True 5"]
+
+
+def test_constant_route_leaves_out_scipy():
+    # the ensemble constant and its Gramian cross-check solve their
+    # eigenproblem with numpy alone
+    code = "\n".join([
+        "import sys",
+        "from waveobs import coeff, observability",
+        "rep = observability.estimate_observability_constant(",
+        "    coeff.make_baseline('lipschitz'), 3.0, (4,), n_random=1,",
+        "    resolution=64, cross_check=True, cross_check_cutoff=4,",
+        "    cross_check_resolution=64)",
+        "print(rep.cross_check['gramian'] > 0,",
+        "      sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    out = _fresh_python(code)
+    assert out.strip() == "True []"
 
 
 def test_star_import():

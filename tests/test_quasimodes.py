@@ -100,12 +100,12 @@ def _single_lambda_density(params, j):
 
 
 def _engine(omega, *, h, m, r=None, rtol=1e-12, n_samples=4097,
-            reverse_check=True):
+            checks=True):
     """The generic path (Magnus engine from the center outward) on any
     density, constant and trapping ones included, which
     solve_quasimode sends to their closed forms instead."""
     return qm._solve_generic(omega, h, m, r, np.linspace(0.0, 1.0, n_samples),
-                             rtol, reverse_check)
+                             rtol, checks)
 
 
 # --------------------------------------------------------------------------
@@ -152,7 +152,7 @@ class TestConstantDensity:
         # 1e4 oscillation periods at the solver floor: the relative
         # deviation from the exact rotation must stay below 1e-9
         om = make_baseline("constant", value=FOUR_PI_SQ)
-        res = _engine(om, h=1e4, m=0.5, rtol=1e-13, reverse_check=False)
+        res = _engine(om, h=1e4, m=0.5, rtol=1e-13, checks=False)
         expected = np.cos(TWO_PI * 1e4 * (res.x - 0.5))
         dev = np.max(np.abs(res.phi - expected))
         assert dev < 1e-9, f"long-horizon deviation {dev:.3e}"
@@ -166,8 +166,8 @@ class TestConstantDensity:
 class TestStructuredScaled:
     def test_center_values_exact(self, scaled_density):
         for j in (2, 3, 4):
-            res = solve_quasimode(scaled_density, j, cross_check=False,
-                                  reverse_check=False, n_samples=4097)
+            res = solve_quasimode(scaled_density, j, checks=False,
+                                  n_samples=4097)
             i = int(np.argmin(np.abs(res.x - res.m)))
             assert res.x[i] == res.m  # m = 3*2^-(j+1) is on the 2^-12 grid
             assert res.phi[i] == 1.0
@@ -219,8 +219,7 @@ class TestStructuredScaled:
         gv = pair.w(e.h * (gx - e.m))
         direct = float(np.trapezoid(gv * gv, gx))
         res = solve_quasimode(
-            make_counterexample_density(scaled_params), 2,
-            cross_check=False, reverse_check=False)
+            make_counterexample_density(scaled_params), 2, checks=False)
         assert res.interior_mass == pytest.approx(direct, rel=1e-9)
 
     def test_own_interval_samples_match_profile(self, scaled_params,
@@ -256,8 +255,7 @@ class TestPoweredCrossings:
         # per-period transfer matrix and compare the boundary state
         # against the default dense solve
         monkeypatch.setattr(qm, "_DENSE_BUDGET", 3000)
-        forced = solve_quasimode(scaled_density, 6, cross_check=False,
-                                 reverse_check=False)
+        forced = solve_quasimode(scaled_density, 6, checks=False)
         assert forced.stats["powered_spans"] >= 1
         assert np.isnan(forced.phi).any()
         assert abs(forced.boundary_energy_1_log
@@ -266,8 +264,7 @@ class TestPoweredCrossings:
     def test_leftward_powered_matches_dense(self, scaled_density,
                                             scaled_j2, monkeypatch):
         monkeypatch.setattr(qm, "_DENSE_BUDGET", 10)
-        forced = solve_quasimode(scaled_density, 2, cross_check=False,
-                                 reverse_check=False)
+        forced = solve_quasimode(scaled_density, 2, checks=False)
         assert forced.stats["powered_spans"] >= 4
         assert abs(forced.boundary_energy_0_log
                    - scaled_j2.boundary_energy_0_log) < 1e-8
@@ -278,8 +275,7 @@ class TestPoweredCrossings:
         # (rightward from the j=6 mode) goes through the matrix path:
         # its samples are NaN, everything outside it stays finite
         monkeypatch.setattr(qm, "_DENSE_BUDGET", 3000)
-        forced = solve_quasimode(scaled_density, 6, cross_check=False,
-                                 reverse_check=False)
+        forced = solve_quasimode(scaled_density, 6, checks=False)
         bad = np.isnan(forced.phi)
         assert bad.any()
         assert np.min(forced.x[bad]) > 0.25
@@ -321,7 +317,7 @@ class TestMagnusEngine:
         # Magnus cells are exact for constant omega: only round-off remains
         om = make_baseline("constant", value=FOUR_PI_SQ)
         h = 64.0
-        res = _engine(om, h=h, m=0.5, reverse_check=False)
+        res = _engine(om, h=h, m=0.5, checks=False)
         ph = TWO_PI * h * (res.x - 0.5)
         assert np.max(np.abs(res.phi - np.cos(ph))) < 1e-12
         assert np.max(np.abs(res.phi_prime / (TWO_PI * h)
@@ -344,8 +340,7 @@ class TestMagnusEngine:
     def test_smooth_custom_matches_dop853(self):
         om = _smooth_custom()
         h = 8.0
-        res = solve_quasimode(om, h=h, m=0.5, n_samples=1025,
-                              reverse_check=False)
+        res = solve_quasimode(om, h=h, m=0.5, n_samples=1025, checks=False)
         kappa = h * math.sqrt(om.omega_upper)
         for target, sel in ((1.0, res.x >= 0.5), (0.0, res.x < 0.5)):
             ref = _dop853(lambda x: float(om(np.array([x]))[0]), h, 0.5,
@@ -360,8 +355,7 @@ class TestMagnusEngine:
         # I_3 = ]1/8, 1/4] leftward; DOP853 restarts from the sampled
         # state at 1/4, with omega = alpha_3(h_3 (x - m_3)) evaluated one
         # point at a time by the density's own pair
-        res = solve_quasimode(scaled_density, 2, cross_check=False,
-                              reverse_check=False, n_samples=4097)
+        res = solve_quasimode(scaled_density, 2, checks=False, n_samples=4097)
         e3 = scaled_params.entry(3)
         pair = scaled_density.trapping.pairs[3]
 
@@ -425,6 +419,33 @@ class TestMagnusEngine:
         assert abs(_state_energy_log(powered, kappa)
                    - _state_energy_log(straight, kappa)) < 1e-9
 
+    @pytest.mark.parametrize("chunk", [7, 8])
+    @pytest.mark.parametrize("x0, x1", [(0.0, 1.0), (1.0, 0.0)])
+    def test_states_independent_of_chunk(self, monkeypatch, chunk, x0, x1):
+        # 64 initial cells of width 1/64, each refined several times; the
+        # states at edges on both sides of every chunk boundary (and at
+        # the end) must not depend on where the chunks are cut, and the
+        # refinement decisions (hence nfev) must not move at all
+        kappa = TWO_PI * 8.0
+
+        def q(x):
+            return kappa ** 2 * (1.0 + 0.3 * np.sin(5.0 * x))
+
+        at = np.arange(1, 64) / 64.0
+
+        def states():
+            logs, mats, nfev = _magnus_propagate(q, x0, x1, kappa, 1e-12,
+                                                 1.0 / 64.0, at)
+            return np.exp(logs) * mats, nfev
+
+        ref, ref_nfev = states()
+        monkeypatch.setattr(qm, "_CHUNK_CELLS", chunk)
+        got, nfev = states()
+        assert ref_nfev > 6 * 64      # the cells were refined
+        assert nfev == ref_nfev
+        scale = np.max(np.abs(ref), axis=0)
+        assert np.max(np.abs(got - ref) / scale) <= 1e-12
+
 
 # --------------------------------------------------------------------------
 # generic path (no structure assumed)
@@ -456,10 +477,9 @@ class TestGenericDensity:
         # and launch point, must reproduce the structural assembly
         om = _single_lambda_density(scaled_params, 2)
         e = scaled_params.entry(2)
-        structured = solve_quasimode(om, 2, cross_check=False,
-                                     reverse_check=False, n_samples=1025)
+        structured = solve_quasimode(om, 2, checks=False, n_samples=1025)
         generic = _engine(om, h=e.h, m=e.m, r=e.interval[1] - e.interval[0],
-                          rtol=1e-13, n_samples=1025, reverse_check=False)
+                          rtol=1e-13, n_samples=1025, checks=False)
         assert np.max(np.abs(structured.phi - generic.phi)) < 1e-8
         assert structured.boundary_energy_0_log == pytest.approx(
             generic.boundary_energy_0_log, abs=1e-8)
@@ -472,11 +492,10 @@ class TestGenericDensity:
         assert params.entry(4).interval[1] < params.entry(2).interval[0]
         for j in (2, 4):
             e = params.entry(j)
-            structured = solve_quasimode(om, j, cross_check=False,
-                                         reverse_check=False, n_samples=1025)
+            structured = solve_quasimode(om, j, checks=False, n_samples=1025)
             assert structured.stats["dense_spans"] == 1
             generic = _engine(om, h=e.h, m=e.m, r=e.r, rtol=1e-13,
-                              n_samples=1025, reverse_check=False)
+                              n_samples=1025, checks=False)
             for side in ("boundary_energy_0_log", "boundary_energy_1_log"):
                 assert getattr(structured, side) == pytest.approx(
                     getattr(generic, side), abs=1e-8)
@@ -668,8 +687,7 @@ class TestGronwall:
         # and the full 24-term coefficient has frequency content at 2^23
         # that no honest adaptive solve can resolve in test time
         om = make_baseline("weierstrass-zygmund", n_terms=8)
-        res = solve_quasimode(om, h=6.0, m=0.5, cross_check=False,
-                              reverse_check=False)
+        res = solve_quasimode(om, h=6.0, m=0.5, checks=False)
         rep = energy_gronwall_check(res, om, n_random=50, seed=0)
         assert rep.tilde_declined
         assert rep.ratio_sup_Et is None
@@ -682,8 +700,7 @@ class TestGronwall:
             return 4.0 + np.sin(TWO_PI * x)
         om = make_baseline("custom", fn=fn, omega_lower=2.9,
                            omega_upper=5.1)
-        res = solve_quasimode(om, h=5.0, m=0.5, cross_check=False,
-                              reverse_check=False)
+        res = solve_quasimode(om, h=5.0, m=0.5, checks=False)
         rep = energy_gronwall_check(res, om, n_random=100, seed=2,
                                     assume_differentiable=True)
         assert rep.ok
@@ -700,8 +717,7 @@ class TestGronwall:
         om = make_baseline("custom", fn=fn,
                            omega_lower=4.0 - abs(a1) - abs(a2) - 0.1,
                            omega_upper=4.0 + abs(a1) + abs(a2) + 0.1)
-        res = solve_quasimode(om, h=h, m=0.5, n_samples=1025,
-                              cross_check=False, reverse_check=False)
+        res = solve_quasimode(om, h=h, m=0.5, n_samples=1025, checks=False)
         rep = energy_gronwall_check(res, om, n_random=25, seed=seed,
                                     assume_differentiable=True)
         assert rep.ratio_sup_E <= 1.0 + 1e-6
@@ -784,8 +800,7 @@ class TestBoundaryTraceValues:
         # family both equal +-e^{-eps n / 2} with phi' ~ 0 there
         om = _single_lambda_density(conc_params, 2)
         e = conc_params.entry(2)
-        res = solve_quasimode(om, 2, cross_check=False,
-                              reverse_check=False)
+        res = solve_quasimode(om, 2, checks=False)
         target = math.exp(-0.5 * e.eps * e.n)
         assert abs(res.phi[0]) == pytest.approx(target, rel=1e-9)
         assert abs(res.phi[-1]) == pytest.approx(target, rel=1e-9)
@@ -795,7 +810,7 @@ class TestBoundaryTraceValues:
 
     def test_deterministic_resolve(self, conc_params):
         om = _single_lambda_density(conc_params, 3)
-        a = solve_quasimode(om, 3, cross_check=False, reverse_check=False)
-        b = solve_quasimode(om, 3, cross_check=False, reverse_check=False)
+        a = solve_quasimode(om, 3, checks=False)
+        b = solve_quasimode(om, 3, checks=False)
         assert np.array_equal(a.phi, b.phi)
         assert a.boundary_energy_0_log == b.boundary_energy_0_log

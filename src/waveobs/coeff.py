@@ -76,21 +76,34 @@ _SCALED_N = 16
 # smooth cutoff machinery
 # --------------------------------------------------------------------------
 
-def _sigma(t: np.ndarray) -> np.ndarray:
-    """exp(-1/t) continued by 0 for t <= 0 (C-infinity at the junction)."""
+# exp(-1/t) == 0 for t < 1/746: a ramp is exactly 0 (slope 0) up to here,
+# and -1/t cannot overflow nor t**2 underflow into a 0/0 slope
+_RAMP_START = 1e-3
+
+
+def _ramp(t: np.ndarray) -> tuple:
+    """C-infinity ramp p / (p + q), p = exp(-1/t), q = exp(-1/(1-t)), and
+    its slope: 0 for t <= 0, 1 for t >= 1 (slope 0), NaN for NaN.
+
+    The exponentials run on the ramp ]0, 1[ only, where (e^{-1/t})' =
+    e^{-1/t} / t^2 reuses them; off it the formula's exact 0 or 1 is set.
+    """
     t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0.0
-    out[pos] = np.exp(-1.0 / t[pos])
-    return out
+    val = np.array(t >= 1.0, dtype=float)
+    slope = np.zeros_like(val)
+    on = ~((t <= _RAMP_START) | (t >= 1.0))   # NaN runs the formulas
+    s = t[on]
+    r = 1.0 - s
+    p = np.exp(-1.0 / s)
+    q = np.exp(-1.0 / r)
+    val[on] = p / (p + q)
+    slope[on] = (p / s**2 * q + p * (q / r**2)) / (p + q) ** 2
+    return val, slope
 
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:
-    """C-infinity ramp: 0 for t <= 0, 1 for t >= 1, strictly monotone."""
-    t = np.asarray(t, dtype=float)
-    a = _sigma(t)
-    b = _sigma(1.0 - t)
-    return a / (a + b)
+    """The value of :func:`_ramp`: 0 for t <= 0, 1 for t >= 1."""
+    return _ramp(t)[0]
 
 
 def _chi(u: np.ndarray, knots: Sequence[float]) -> np.ndarray:
@@ -99,30 +112,14 @@ def _chi(u: np.ndarray, knots: Sequence[float]) -> np.ndarray:
 
 
 def _chi_and_slope(u: np.ndarray, knots: Sequence[float]) -> tuple:
-    """(chi, chi') from one sigma evaluation per side of each ramp.
-
-    sigma'(t) = sigma(t) / t^2 reuses the exponential, so the four
-    exp(-1/t) per point give both values (bitwise those of the
-    smoothstep formulas).
-    """
+    """(chi, chi') from one :func:`_ramp` per side of the plateau, u mod 1:
+    chi = ramp((u-a)/(b-a)) * (1 - ramp((u-c)/(d-c))).  Exponentials run
+    on ]a, b[ and ]c, d[ only, 28% of a period on ``DEFAULT_KNOTS``."""
     a, b, c, d = knots
-    u = np.mod(np.asarray(u, dtype=float), 1.0)
-
-    def sigma(t):
-        val = np.zeros_like(t)
-        slope = np.zeros_like(t)
-        pos = t > 0.0
-        val[pos] = np.exp(-1.0 / t[pos])
-        slope[pos] = val[pos] / t[pos] ** 2
-        return val, slope
-
-    def ramp(t):
-        p, pp = sigma(t)
-        q, qp = sigma(1.0 - t)
-        return p / (p + q), (pp * q + p * qp) / (p + q) ** 2
-
-    up, up_p = ramp((u - a) / (b - a))
-    down, down_p = ramp((u - c) / (d - c))
+    u = np.asarray(u, dtype=float)
+    u = u - np.floor(u)          # bitwise np.mod(u, 1.0), and cheaper
+    up, up_p = _ramp((u - a) / (b - a))
+    down, down_p = _ramp((u - c) / (d - c))
     dn = 1.0 - down
     return up * dn, up_p / (b - a) * dn + up * (-down_p / (d - c))
 
@@ -364,7 +361,8 @@ def build_oscillator_pair(
     scale, the eta interpolation tables, and theta, theta',
     cos^2(2 pi u) and sin(4 pi u) on the dense grid of the sup-norm
     measurements.  Pairs on one knot set share these read-only arrays;
-    each build computes alpha_eps from them and measures it.
+    each build computes alpha_eps from them and measures it.  theta and
+    theta' take exponentials on the cutoff's ramps only (:func:`_ramp`).
 
     Raises
     ------

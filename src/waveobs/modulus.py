@@ -18,7 +18,7 @@ unless a routine states otherwise.  ``dyadic_blocks`` consumes exactly
 
 The radial partition is frozen for reproducibility: chi(t) = 1 for
 |t| <= 3/4, chi(t) = 0 for |t| >= 1, joined by the exponential
-smoothstep based on sigma(s) = exp(-1/s); phi(t) = chi(t/2) - chi(t).
+smoothstep e^{-1/s} / (e^{-1/s} + e^{-1/(1-s)}); phi(t) = chi(t/2) - chi(t).
 With this choice every dyadic block of a pure integer-frequency tone
 at bin 2^k lands entirely in block k, and block j of any input is
 band-limited to bins in [2^{j-1}, 2^{j+1}] exactly.

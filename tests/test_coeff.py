@@ -8,6 +8,7 @@ arguments, and stability of the measured constants across eps.
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,64 @@ class TestOscillatorPair:
         ref = (coeff._smoothstep((w - a) / (b - a))
                * (1.0 - coeff._smoothstep((w - c) / (d - c))))
         assert np.array_equal(coeff._chi(u, knots), ref)
+
+    @pytest.mark.parametrize("knots", [
+        coeff.DEFAULT_KNOTS, coeff._mirror_knots(coeff.DEFAULT_KNOTS),
+        (0.2, 0.3, 0.5, 0.9), (0.1, 0.2, 0.2, 0.3)])
+    def test_ramp_matches_full_array_formula(self, knots):
+        # independent oracle: exp(-1/t) on every point, np.mod for the
+        # period, and the plateau's combination; the ramp-only evaluation
+        # must reproduce it bitwise, sign bits included
+        def sigma(t):
+            val = np.zeros_like(t)
+            slope = np.zeros_like(t)
+            pos = t > 0.0
+            val[pos] = np.exp(-1.0 / t[pos])
+            slope[pos] = val[pos] / t[pos] ** 2
+            return val, slope
+
+        def ramp(t):
+            p, pp = sigma(t)
+            q, qp = sigma(1.0 - t)
+            return p / (p + q), (pp * q + p * qp) / (p + q) ** 2
+
+        def chi_and_slope(u):
+            u = np.mod(u, 1.0)
+            up, up_p = ramp((u - a) / (b - a))
+            down, down_p = ramp((u - c) / (d - c))
+            dn = 1.0 - down
+            return up * dn, up_p / (b - a) * dn + up * (-down_p / (d - c))
+
+        def same(x, y):
+            return (np.array_equal(x, y)
+                    and np.array_equal(np.signbit(x), np.signbit(y)))
+
+        a, b, c, d = knots
+        k = np.array(knots)
+        u = np.random.default_rng(11).uniform(-4.0, 5.0, 1_000_000)
+        inputs = [u, np.concatenate([k, k + 1.0]),
+                  u[:3000].reshape(50, 60), np.array([])]
+        for x in inputs:
+            got, ref = coeff._chi_and_slope(x, knots), chi_and_slope(x)
+            assert got[0].shape == x.shape
+            assert same(got[0], ref[0]) and same(got[1], ref[1])
+            assert same(coeff._smoothstep(x), ramp(x)[0])
+
+    def test_ramp_nan_and_tiny_arguments(self):
+        # NaN in gives NaN out; at 1e-300 t**2 underflows to 0 and at
+        # 5e-324 -1/t overflows, yet the slope is 0, not 0/0; none warns
+        t = np.array([np.nan, 1e-300, 5e-324])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val, slope = coeff._ramp(t)
+            step = coeff._smoothstep(t)
+            chi, chi_p = coeff._chi_and_slope(np.array([np.nan]),
+                                              coeff.DEFAULT_KNOTS)
+        assert np.isnan(val[0]) and np.isnan(slope[0]) and np.isnan(step[0])
+        assert np.array_equal(val[1:], [0.0, 0.0])
+        assert np.array_equal(slope[1:], [0.0, 0.0])
+        assert np.array_equal(step[1:], [0.0, 0.0])
+        assert np.isnan(chi[0]) and np.isnan(chi_p[0])
 
     @pytest.mark.parametrize("knots", [coeff.DEFAULT_KNOTS,
                                        (0.2, 0.3, 0.5, 0.9)])

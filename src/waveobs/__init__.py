@@ -11,16 +11,20 @@ modulus
     Empirical moduli of continuity: dyadic difference seminorms,
     Littlewood-Paley-style block norms, a modulus classifier.
 quasimodes
-    Quasi-eigenfunction ODE solutions on long intervals, energy
-    comparison certificates, boundary-smallness sweeps.
+    Quasi-eigenfunction ODE solutions on long intervals,
+    boundary-smallness sweeps.
 wavesim
     One forward solve (leapfrog, free or driven by Dirichlet rows) with
-    discrete energy tracking and boundary traces; the sidewise solver
-    and the operator D_omega, which the tests use as oracles for the
-    quotient and its time derivatives.
+    discrete energy tracking and boundary traces.
 observability
     Boundary observability quotients, observability-constant
     estimation, counterexample sweeps, HUM control synthesis.
+
+The checks of the paper's two arguments are not part of the package:
+the sidewise solver and the operator D_omega (oracles of the quotient
+and its time derivatives) and the Gronwall energy comparison that
+certifies solved quasimodes live with the tests, in
+``tests/oracles.py``, which imports only constants and types from here.
 
 Imports
 -------

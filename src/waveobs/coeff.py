@@ -621,6 +621,10 @@ def make_baseline(kind: str, **params) -> Coefficient:
         hi = float(params["omega_upper"])
         if lo <= 0:
             raise ValueError("custom density must declare a positive lower bound")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise ValueError(
+                f"custom density bounds must be finite with omega_lower <= "
+                f"omega_upper, got [{lo!r}, {hi!r}]")
         return Coefficient(kind, {"omega_lower": lo, "omega_upper": hi},
                            lo, hi, lambda x, fn=fn: np.asarray(fn(x), dtype=float))
 

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -67,10 +66,8 @@ from .coeff import (
 __all__ = [
     "ScaleOutOfReach",
     "QuasimodeResult",
-    "GronwallReport",
     "SweepReport",
     "solve_quasimode",
-    "energy_gronwall_check",
     "boundary_smallness_sweep",
 ]
 
@@ -90,8 +87,6 @@ _DENSE_BUDGET = 30_000
 # of the generic reverse check: 16 h times its span) starting from more
 # cells than this is skipped, with a note in ``stats["notes"]``
 _CHECK_BUDGET = 30_000
-# energy_gronwall_check: the relative slack of both energy bounds
-_GRONWALL_TOL = 1e-6
 # boundary_smallness_sweep: samples of each row's mode on [0, 1]
 _SWEEP_SAMPLES = 1025
 
@@ -1091,206 +1086,6 @@ def _solve_generic(omega, h, m, r, xs, rtol, checks):
         boundary_energy_1=be1,
         boundary_energy_1_log=math.log(be1) if be1 > 0 else -math.inf,
         stats=stats)
-
-
-# --------------------------------------------------------------------------
-# Gronwall energy check
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GronwallReport:
-    """Per-pair Gronwall ratios for a solved quasimode.
-
-    ``records`` holds one dict per tested pair with the measured energies,
-    the quadrature exponents and both ratios (the weighted-energy ratio
-    ``ratio_E`` always, the tilde ratio only where the density is
-    differentiable).  A ratio above ``1 + tol`` anywhere makes ``ok``
-    False.
-    """
-
-    records: tuple
-    ratio_sup_E: float
-    ratio_sup_Et: Optional[float]
-    tilde_declined: bool
-    decline_reason: Optional[str]
-    tol: float
-
-    @property
-    def ok(self) -> bool:
-        if self.ratio_sup_E > 1.0 + self.tol:
-            return False
-        if self.ratio_sup_Et is not None \
-                and self.ratio_sup_Et > 1.0 + self.tol:
-            return False
-        return True
-
-
-@lru_cache(maxsize=64)
-def _abs_gap_tables(pair: PeriodicPair):
-    """Cumulative one-period integrals of |4pi^2-alpha| and |alpha'|/alpha.
-
-    alpha is smooth and 1-periodic, so a fine trapezoid cumulative is
-    spectrally accurate; alpha' comes from a central difference (the
-    closed form's derivative chain is long and the Gronwall exponents
-    tolerate ~1e-7 relative quadrature error).
-    """
-    g = 1 << 13
-    s = np.arange(g + 1) / g
-    a_vals = pair.alpha(s)
-    gap = np.abs(FOUR_PI_SQ - a_vals)
-    delta = 1e-6
-    ap = (pair.alpha(s + delta) - pair.alpha(s - delta)) / (2.0 * delta)
-    logd = np.abs(ap) / a_vals
-    cum_gap = np.concatenate([[0.0], np.cumsum(
-        0.5 * (gap[1:] + gap[:-1]) / g)])
-    cum_logd = np.concatenate([[0.0], np.cumsum(
-        0.5 * (logd[1:] + logd[:-1]) / g)])
-    return s, cum_gap, cum_logd
-
-
-def _periodic_cumulative(sigma: float, grid, cum) -> float:
-    """F(sigma) = int_0^sigma f for f >= 0 even and 1-periodic (F odd)."""
-    s = abs(sigma)
-    whole = math.floor(s)
-    frac = s - whole
-    val = whole * cum[-1] + float(np.interp(frac, grid, cum))
-    return -val if sigma < 0 else val
-
-
-def _exponents_structured(omega, x1, x2):
-    """(h-free) quadrature pieces of both Gronwall exponents on [x1, x2].
-
-    Returns (gap_integral, logderiv_integral) where the first must still
-    be multiplied by h.  Free stretches contribute zero to both.
-    """
-    trap = omega.trapping
-    lo_x, hi_x = min(x1, x2), max(x1, x2)
-    gap_total = 0.0
-    logd_total = 0.0
-    for e in trap.entries:
-        il, ih = e.interval
-        a = max(lo_x, il)
-        b = min(hi_x, ih)
-        if b <= a:
-            continue
-        grid, cum_gap, cum_logd = _abs_gap_tables(trap.pairs[e.j])
-        s_a = e.h * (a - e.m)
-        s_b = e.h * (b - e.m)
-        gap_total += (_periodic_cumulative(s_b, grid, cum_gap)
-                      - _periodic_cumulative(s_a, grid, cum_gap)) / e.h
-        # omega' = h_k alpha', so the h_k of dx = dsigma/h_k cancels and
-        # the log-derivative integral is h-free
-        logd_total += (_periodic_cumulative(s_b, grid, cum_logd)
-                       - _periodic_cumulative(s_a, grid, cum_logd))
-    return gap_total, logd_total
-
-
-def _exponents_generic(omega, x1, x2, differentiable):
-    lo_x, hi_x = min(x1, x2), max(x1, x2)
-    g = 1 << 15
-    gx = np.linspace(lo_x, hi_x, g + 1)
-    vals = omega(gx)
-    gap = float(np.trapezoid(np.abs(FOUR_PI_SQ - vals), gx))
-    logd = None
-    if differentiable:
-        dp = np.gradient(vals, gx)
-        logd = float(np.trapezoid(np.abs(dp) / vals, gx))
-    return gap, logd
-
-
-def energy_gronwall_check(
-    result: QuasimodeResult,
-    omega: Coefficient,
-    x_pairs: Optional[Sequence] = None,
-    n_random: int = 100,
-    seed: int = 0,
-    assume_differentiable: bool = False,
-) -> GronwallReport:
-    """Check the two Gronwall energy bounds of the quasimode ODE.
-
-    With E(x) = 4 pi^2 h^2 phi^2 + phi'^2 and
-    Et(x) = h^2 omega phi^2 + phi'^2, verifies for each tested pair
-    (x_from, x_to):
-
-        E(to)  <= E(from)  * exp(h * int |4 pi^2 - omega|) * (1 + tol)
-        Et(to) <= Et(from) * exp(int |omega'| / omega)     * (1 + tol)
-
-    with tol = 1e-6 (``_GRONWALL_TOL``).
-    The second bound needs omega differentiable along the path; it is
-    declined (ratio None) for density kinds without that guarantee
-    unless ``assume_differentiable`` forces a finite-difference omega'.
-    Pairs default to ``n_random`` seeded draws from the sample grid;
-    explicit pairs are snapped to the grid.  Both bounds hold in either
-    direction, so pairs need not be ordered.
-    """
-    xs = result.x
-    phi = result.phi
-    phip = result.phi_prime
-    h = result.h
-    finite = np.isfinite(phi) & np.isfinite(phip)
-
-    structured = omega.trapping is not None
-    differentiable = (omega.kind == "constant" or structured
-                      or assume_differentiable)
-    decline_reason = None
-    if not differentiable:
-        decline_reason = (f"density kind {omega.kind!r} carries no "
-                          "differentiability guarantee; the tilde bound "
-                          "needs omega' along the path")
-
-    E = FOUR_PI_SQ * h * h * phi ** 2 + phip ** 2
-    om_vals = omega(xs)
-    Et = h * h * om_vals * phi ** 2 + phip ** 2
-
-    idx_ok = np.nonzero(finite & (E > 0.0))[0]
-    if idx_ok.size < 2:
-        raise ValueError("not enough finite samples to test energy bounds")
-
-    rng = np.random.default_rng(seed)
-    pairs_idx = []
-    if x_pairs is not None:
-        for x1, x2 in x_pairs:
-            i1 = idx_ok[int(np.argmin(np.abs(xs[idx_ok] - x1)))]
-            i2 = idx_ok[int(np.argmin(np.abs(xs[idx_ok] - x2)))]
-            if i1 != i2:
-                pairs_idx.append((i1, i2))
-    else:
-        for _ in range(n_random):
-            i1, i2 = rng.choice(idx_ok, size=2, replace=False)
-            pairs_idx.append((int(i1), int(i2)))
-
-    records = []
-    sup_E = -math.inf
-    sup_Et = -math.inf
-    any_tilde = False
-    for i1, i2 in pairs_idx:
-        x1, x2 = float(xs[i1]), float(xs[i2])
-        if structured:
-            gap, logd = _exponents_structured(omega, x1, x2)
-        else:
-            gap, logd = _exponents_generic(omega, x1, x2, differentiable)
-        exp_E = h * gap
-        ratio_E = float(E[i2] / (E[i1] * math.exp(min(exp_E, 700.0))))
-        rec = {"x_from": x1, "x_to": x2,
-               "E_from": float(E[i1]), "E_to": float(E[i2]),
-               "exponent_E": exp_E, "ratio_E": ratio_E,
-               "exponent_Et": None, "ratio_Et": None}
-        sup_E = max(sup_E, ratio_E)
-        if differentiable and logd is not None and Et[i1] > 0.0:
-            ratio_Et = float(Et[i2] / (Et[i1] * math.exp(min(logd, 700.0))))
-            rec["exponent_Et"] = logd
-            rec["ratio_Et"] = ratio_Et
-            sup_Et = max(sup_Et, ratio_Et)
-            any_tilde = True
-        records.append(rec)
-
-    return GronwallReport(
-        records=tuple(records),
-        ratio_sup_E=sup_E,
-        ratio_sup_Et=(sup_Et if any_tilde else None),
-        tilde_declined=not differentiable,
-        decline_reason=decline_reason,
-        tol=_GRONWALL_TOL)
 
 
 # --------------------------------------------------------------------------

@@ -16,20 +16,15 @@ single-column run that tracks E_0..E_{k_max} at every level;
 ``observability`` marches its data as blocks without energies.
 ``_leapfrog_modes`` solves the homogeneous scheme in closed form instead:
 one table of every mode's Chebyshev evolution, on which HUM's CG runs.
+Every forward run and every wave solve of ``observability`` builds its
+grid once with ``_wave_grid``; its cell-count rule is
+``_check_resolution``, callable before any march.
 
-The sidewise solver is the flux-to-energy oracle of the paper's
-argument: it re-reads the same equation as an evolution in x
-(u_xx = omega u_tt) and, started at x = 0 from the boundary Cauchy data
-(u = 0, u_x = a forward run's ``trace_left``), rebuilds the field and
-its energies F_0, F_1 (``_SIDEWISE_K_MAX``) across the interval from the
-flux alone, sharing nothing with the leapfrog but that trace.  It shrinks
-the transverse window one grid point per step - a superset of the true
-domain-of-dependence shrink rate sqrt(omega^*) dx per unit x at the CFL
-number 0.9, so a full crossing needs T > 2 sqrt(omega^*) / 0.9.
-:func:`apply_D_omega` is the discrete operator whose powers the time
-differences of a trace must reproduce.  Every forward run and every wave
-solve of ``observability`` builds its grid once with ``_wave_grid``; its
-cell-count rule is ``_check_resolution``, callable before any march.
+The sidewise solver (the flux-to-energy oracle of the paper's argument)
+and the operator D_omega (whose powers the time differences of a trace
+must reproduce) check this module from outside it: they live with the
+tests, in ``tests/oracles.py``, which imports from this module only the
+CFL number ``_CFL``.
 
 Boundary traces use third-order one-sided differences.  Rough
 coefficients are sampled pointwise at the nodes; no smoothing is ever
@@ -48,21 +43,13 @@ from .coeff import Coefficient, _jsonable
 
 __all__ = [
     "WaveTrajectory",
-    "SidewiseSlice",
-    "SidewiseResult",
     "solver_time_grid",
     "evolve",
-    "sidewise_evolve",
-    "apply_D_omega",
     "trace_sobolev_norm",
 ]
 
 # the CFL number of every time step: dt <= _CFL dx sqrt(omega_*)
 _CFL = 0.9
-# apply_D_omega rejects a result below this many times its noise estimate
-_SNR_FLOOR = 100.0
-# sidewise_evolve: the highest order k of the sidewise energies F_k
-_SIDEWISE_K_MAX = 1
 
 
 # --------------------------------------------------------------------------
@@ -485,8 +472,8 @@ def evolve(omega: Coefficient, u0, u1, T: float, resolution: int,
     ``energy_times[k]`` = (n - (k+1)/2) dt, n = k+1..steps.  Snapshots
     default to every steps // 128 (``snapshot_stride=1`` keeps every
     level).  The boundary traces are the whole record of the run's flux;
-    no interior slice is recorded (:func:`sidewise_evolve` rebuilds the
-    interior from ``trace_left``).
+    no interior slice is recorded (the tests' sidewise solver,
+    ``tests/oracles.py``, rebuilds the interior from ``trace_left``).
     """
     x, om, dx, dt, steps = _wave_grid(omega, T, resolution)
     if forcing is not None:
@@ -541,179 +528,8 @@ def evolve(omega: Coefficient, u0, u1, T: float, resolution: int,
 
 
 # --------------------------------------------------------------------------
-# sidewise evolution
+# trace norms
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SidewiseSlice:
-    """(u, u_x) along a vertical line x = x0, on a uniform time grid."""
-
-    x0: float
-    times: np.ndarray
-    u: np.ndarray
-    u_x: np.ndarray
-
-    def __post_init__(self):
-        if not (len(self.times) == len(self.u) == len(self.u_x)):
-            raise ValueError("slice arrays must share one time grid")
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-
-@dataclass(frozen=True)
-class SidewiseResult:
-    """Fields of the x-marched evolution on a shrinking time window.
-
-    ``levels[l]`` holds u(x_values[l], t) on times[trim[l] : N-trim[l]]
-    (one grid point is trimmed per side per step, a conservative cover
-    of the sqrt(omega^*)-speed domain of dependence).  ``F[k]`` are the
-    sidewise energies, integrated over each level's own window.
-    """
-
-    x_values: np.ndarray
-    dt: float
-    dxs: float
-    times: np.ndarray
-    trim: np.ndarray
-    levels: tuple
-    F: Mapping[int, np.ndarray]
-    omega_values: np.ndarray
-
-    def field_at(self, x: float):
-        """(x_used, t_window, u) at the level nearest to x."""
-        idx = int(np.argmin(np.abs(self.x_values - x)))
-        tr = int(self.trim[idx])
-        sl = slice(tr, len(self.times) - tr)
-        return float(self.x_values[idx]), self.times[sl], self.levels[idx]
-
-
-def sidewise_evolve(omega: Coefficient, slc: SidewiseSlice, span: float,
-                    direction: str = "right") -> SidewiseResult:
-    """March u_xx = omega(x) u_tt in x from the slice at x0.
-
-    From the boundary slice (x0 = 0, u = 0, u_x = a forward run's
-    ``trace_left``) and ``span=1`` this rebuilds the whole field from
-    the flux alone: the paper's sidewise energy argument, and the tests'
-    oracle for the observability quotient.  ``direction`` 'right'
-    advances toward larger x, 'left' toward smaller.  The time window
-    shrinks by one point per side per x-step; the span is rejected when
-    the remaining window would drop below eight points (the slice no
-    longer determines the solution there).  The x-step is the largest
-    dividing the span with dx <= _CFL dt / sqrt(omega^*).  ``F`` holds the
-    sidewise energies F_0, F_1 (``_SIDEWISE_K_MAX``).
-    """
-    if direction not in ("right", "left"):
-        raise ValueError("direction must be 'right' or 'left'")
-    if span <= 0:
-        raise ValueError("span must be positive")
-    sign = 1.0 if direction == "right" else -1.0
-    x1 = slc.x0 + sign * span
-    if not (-1e-12 <= x1 <= omega.length + 1e-12):
-        raise ValueError("span leaves the domain")
-    dt = slc.dt
-    om_sup = omega.omega_upper
-    dxs_max = _CFL * dt / math.sqrt(om_sup)
-    steps = max(1, int(math.ceil(span / dxs_max - 1e-12)))
-    dxs = span / steps
-    N = len(slc.times)
-    if N - 2 * steps < 8:
-        raise ValueError(
-            "span exceeds the domain of dependence of the slice "
-            f"(need {2 * steps + 8} time points, have {N})")
-
-    xs = slc.x0 + sign * dxs * np.arange(steps + 1)
-    om = omega(np.clip(xs, 0.0, omega.length))
-
-    u0 = np.asarray(slc.u, dtype=float).copy()
-    ux = sign * np.asarray(slc.u_x, dtype=float)
-    # Taylor start in x: u_xx = omega u_tt, u_xxx = omega (u_x)_tt
-    u0_tt = np.zeros_like(u0)
-    u0_tt[1:-1] = (u0[2:] - 2 * u0[1:-1] + u0[:-2]) / dt ** 2
-    ux_tt = np.zeros_like(ux)
-    ux_tt[1:-1] = (ux[2:] - 2 * ux[1:-1] + ux[:-2]) / dt ** 2
-    u1 = (u0 + dxs * ux + 0.5 * dxs ** 2 * om[0] * u0_tt
-          + dxs ** 3 / 6.0 * om[0] * ux_tt)
-
-    # level l lives on t-indices [l, N-1-l]: length N - 2l
-    levels = [u0, u1[1:-1]]
-    mu = dxs ** 2 / dt ** 2
-    for l in range(1, steps):
-        prev, cur = levels[l - 1], levels[l]
-        nxt = (2 * cur[1:-1] - prev[2:-2]
-               + mu * om[l] * (cur[2:] - 2 * cur[1:-1] + cur[:-2]))
-        levels.append(nxt)
-
-    trim = np.arange(steps + 1)
-    F = {k: np.empty(steps + 1) for k in range(_SIDEWISE_K_MAX + 1)}
-    for l in range(steps + 1):
-        arr = levels[l]
-        if l == 0:
-            uxl = np.asarray(slc.u_x, dtype=float)
-        elif l < steps:
-            # centered in x: neighbors trimmed to this level's window
-            uxl = sign * (np.pad(levels[l + 1], 1, mode="edge")
-                          - levels[l - 1][1:-1]) / (2 * dxs)
-        else:
-            uxl = sign * (arr - levels[l - 1][1:-1]) / dxs
-        m = min(len(arr), len(uxl))
-        arr_m, ux_m = arr[:m], uxl[:m]
-        for k in range(_SIDEWISE_K_MAX + 1):
-            du = np.diff(arr_m, n=k + 1) / dt ** (k + 1)
-            dux = np.diff(ux_m, n=k) / dt ** k
-            mlen = min(len(du), len(dux))
-            if mlen < 2:
-                F[k][l] = math.nan
-                continue
-            F[k][l] = 0.5 * float(np.trapezoid(
-                dux[:mlen] ** 2 + om[l] * du[:mlen] ** 2, dx=dt))
-    return SidewiseResult(
-        x_values=xs, dt=dt, dxs=sign * dxs, times=np.asarray(slc.times),
-        trim=trim, levels=tuple(levels), F=F, omega_values=om)
-
-
-# --------------------------------------------------------------------------
-# the operator D_omega and trace norms
-# --------------------------------------------------------------------------
-
-def apply_D_omega(f: np.ndarray, omega: Coefficient, m: int) -> np.ndarray:
-    """m-fold application of (1/omega) d^2/dx^2 (discrete), m >= 0.
-
-    This is the leapfrog's own spatial operator: the second time
-    difference of a homogeneous run is dt^2 D_omega of its level, so the
-    2k-th time difference of a boundary trace is the trace of the run
-    started from D_omega^k of the first two levels (the tests' oracle
-    for the ``np.diff`` route of Q_m).  Endpoint values are treated as
-    Dirichlet zeros.  Each application multiplies round-off noise by
-    about 4/(dx^2 omega_*); the result is rejected when its magnitude
-    falls below ``_SNR_FLOOR`` times the accumulated noise estimate
-    (resolution too low for this power).
-    """
-    if m < 0:
-        raise ValueError("power m must be nonnegative")
-    g = np.asarray(f, dtype=float).copy()
-    if m == 0:
-        return g
-    n = len(g) - 1
-    dx = omega.length / n
-    x = np.linspace(0.0, omega.length, n + 1)
-    om = omega(x)
-    noise = np.finfo(float).eps * float(np.max(np.abs(g)))
-    amp = 4.0 / (dx ** 2 * float(om.min()))
-    for _ in range(m):
-        out = np.zeros_like(g)
-        out[1:-1] = (g[2:] - 2 * g[1:-1] + g[:-2]) / dx ** 2 / om[1:-1]
-        noise = noise * amp + np.finfo(float).eps * float(
-            np.max(np.abs(out)) if np.max(np.abs(out)) > 0 else 1.0)
-        g = out
-    scale = float(np.max(np.abs(g)))
-    if scale < _SNR_FLOOR * noise:
-        raise ValueError(
-            f"D_omega^{m} at this resolution is dominated by round-off "
-            f"(signal {scale:.3e} vs noise floor {noise:.3e})")
-    return g
-
 
 def trace_sobolev_norm(trace: np.ndarray, beta: float, dt: float) -> float:
     """H^beta(0,T) norm of a boundary signal, by tapered FFT.
@@ -724,8 +540,11 @@ def trace_sobolev_norm(trace: np.ndarray, beta: float, dt: float) -> float:
     (sum (1+xi^2)^beta |F(xi)|^2 d_nu)^{1/2} with xi the angular
     frequency and F the transform approximated as dt * FFT.  At beta=0
     this is the L^2 norm of the tapered signal (Parseval).  A negative
-    or non-finite beta is rejected.
+    or non-finite beta, and a dt that is not positive and finite, are
+    rejected.
     """
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     return _tapered_sobolev_norm(trace, _check_beta(beta), dt)
 
 

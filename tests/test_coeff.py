@@ -275,6 +275,15 @@ class TestBaselines:
             coeff.make_baseline("custom", fn=lambda x: x,
                                 omega_lower=0.0, omega_upper=1.0)
 
+    @pytest.mark.parametrize("lo, hi", [(1.0, math.nan), (1.0, math.inf),
+                                        (math.nan, 2.0), (2.0, 1.0)])
+    def test_custom_rejects_invalid_bounds(self, lo, hi):
+        # a NaN upper bound would reach the quasimode engine, which
+        # refines NaN cells until its open-cell cap
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            coeff.make_baseline("custom", fn=lambda x: 1.0 + x,
+                                omega_lower=lo, omega_upper=hi)
+
     def test_custom_descriptor_not_rebuildable(self):
         c = coeff.make_baseline("custom", fn=lambda x: 1.0 + x,
                                 omega_lower=1.0, omega_upper=2.0)

@@ -6,6 +6,7 @@ bookkeeping, and the package import surface."""
 
 import dataclasses
 import importlib
+import inspect
 import json
 import math
 import os
@@ -20,6 +21,8 @@ from waveobs import coeff
 from waveobs import observability as ob
 from waveobs import quasimodes as qm
 from waveobs import wavesim as ws
+
+import oracles
 
 
 def reference_march(om, dx, dt, steps, u0, u1, left=None, right=None):
@@ -269,6 +272,18 @@ def marches(monkeypatch):
     return calls
 
 
+def test_hum_zero_target(marches):
+    # zero data need no control: the zero row, flagged, with no CG
+    # iteration and no verification march
+    om = coeff.make_baseline("lipschitz")
+    zero = np.zeros(65)
+    res = ob.hum_control(om, zero, zero, T=3.0, resolution=64)
+    assert res.converged and res.controlled and res.iterations == 0
+    assert res.control.shape == res.times.shape and not res.control.any()
+    assert res.flags == ("zero target: the zero control suffices",)
+    assert marches == []
+
+
 class TestHumOperator:
     """HUM's modal duality operator against the two-march construction
     it replaced, input validation, and its march count."""
@@ -412,10 +427,10 @@ class TestWavesimOracles:
         gaps = []
         for res in (128, 256, 512):
             traj = ws.evolve(om, data_mix, None, T, res, k_max=0)
-            slc = ws.SidewiseSlice(x0=0.0, times=traj.times,
-                                   u=np.zeros_like(traj.times),
-                                   u_x=traj.trace_left)
-            sw = ws.sidewise_evolve(om, slc, span=1.0)
+            slc = oracles.SidewiseSlice(x0=0.0, times=traj.times,
+                                        u=np.zeros_like(traj.times),
+                                        u_x=traj.trace_left)
+            sw = oracles.sidewise_evolve(om, slc, span=1.0)
             assert sw.x_values[-1] == pytest.approx(1.0)
             q = ob.observability_quotient(om, data_mix, np.zeros_like, T,
                                           resolution=res)
@@ -439,7 +454,7 @@ class TestWavesimOracles:
         # a one-step run ends on the first two levels of the data's run
         first = ws.evolve(om, data_mix, None, dt, res, k_max=0).levels
         trace = ws.evolve(om, data_mix, None, T, res, k_max=0).trace_left
-        start = tuple(ws.apply_D_omega(u, om, k) for u in first)
+        start = tuple(oracles.apply_D_omega(u, om, k) for u in first)
         moved = ws.evolve(om, None, None, T, res, k_max=0,
                           start_levels=start).trace_left[k:-k]
         diffs = np.diff(trace, 2 * k) / dt ** (2 * k)
@@ -537,6 +552,16 @@ def _bad_input_calls():
                 om, 3.0, (4,), n_random=1, resolution=64, beta=0.5,
                 cross_check=True, cross_check_cutoff=4,
                 cross_check_resolution=64))),
+        "observability_quotient-side=middle": ("side must", lambda: (
+            ob.observability_quotient(om, u, zero, 3.0, resolution=64,
+                                      side="middle"))),
+        "gramian_observability_constant-cutoff=65": ("small cutoffs", lambda: (
+            ob.gramian_observability_constant(om, 3.0, 65, resolution=256))),
+        "_quotient-zero-data": ("zero data", lambda: (
+            ob._quotient(zero, zero, np.ones(64), 0.01, 1.0 / 64, 3.0,
+                         1.0))),
+        "evolve-data-shape": ("does not match the grid", lambda: (
+            ws.evolve(om, u, zero, 3.0, 128, k_max=0))),
     }
     for ppw in (0.0, -6.0, math.nan, math.inf):
         calls[f"sweep-points_per_wavelength={ppw}"] = (
@@ -973,3 +998,15 @@ def test_all_names_resolve(module):
     mod = importlib.import_module(f"waveobs.{module}")
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("module", ["coeff", "modulus", "quasimodes",
+                                    "wavesim", "observability"])
+def test_all_functions_defined_in_module(module):
+    # the traced benchmark run wraps a function of __all__ only where its
+    # __module__ is the module that lists it
+    mod = importlib.import_module(f"waveobs.{module}")
+    foreign = [name for name in mod.__all__
+               if inspect.isfunction(getattr(mod, name))
+               and getattr(mod, name).__module__ != mod.__name__]
+    assert foreign == []

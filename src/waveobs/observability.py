@@ -120,6 +120,12 @@ def _check_order(m) -> int:
     return int(m)
 
 
+def _check_increasing(name: str, values: tuple) -> None:
+    """Growth is read from the first entry to the last."""
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError(f"{name} {values} must be strictly increasing")
+
+
 # --------------------------------------------------------------------------
 # discrete norms
 # --------------------------------------------------------------------------
@@ -133,6 +139,15 @@ def _h10_norm_sq(u: np.ndarray, dx: float) -> float:
 
 def _l2_norm_sq(u: np.ndarray, dx: float) -> float:
     return float(np.trapezoid(u * u, dx=dx))
+
+
+def _data_energy(u0n: np.ndarray, u1n: np.ndarray, dx: float) -> float:
+    """The quotient's numerator |u0|_{H^1_0}^2 + |u1|_{L^2}^2; zero data
+    is rejected (the quotient is 0/0)."""
+    energy = _h10_norm_sq(u0n, dx) + _l2_norm_sq(u1n, dx)
+    if energy == 0.0:
+        raise ValueError("zero data: the quotient is 0/0")
+    return energy
 
 
 def _hminus1_norm_sq(g: np.ndarray, dx: float) -> float:
@@ -247,9 +262,7 @@ def _quotient(u0n: np.ndarray, u1n: np.ndarray, trace: np.ndarray,
     A denominator at or below the round-off floor of the discrete normal
     derivative makes the quotient unbounded (+inf).
     """
-    numerator = _h10_norm_sq(u0n, dx) + _l2_norm_sq(u1n, dx)
-    if numerator == 0.0:
-        raise ValueError("zero data: the quotient is 0/0")
+    numerator = _data_energy(u0n, u1n, dx)
     if beta is not None:
         denominator = trace_sobolev_norm(trace, beta, dt) ** 2
         parts = (denominator,)
@@ -290,8 +303,8 @@ def observability_quotient(omega: Coefficient, u0, u1, T: float, m: int = 0,
     norm instead of the m-fold derivative energy; with ``cumulative`` the
     derivative energies of all orders k <= m are summed, which makes
     Q non-increasing in m by construction.  Zero data is rejected (the
-    quotient is 0/0).  The data are marched once, without energy
-    tracking, on the grid of ``resolution`` cells that
+    quotient is 0/0) before any march.  The data are marched once,
+    without energy tracking, on the grid of ``resolution`` cells that
     :func:`wavesim.solver_time_grid` describes.
     """
     m = _check_order(m)
@@ -302,6 +315,7 @@ def observability_quotient(omega: Coefficient, u0, u1, T: float, m: int = 0,
     grid = _wave_grid(omega, T, resolution)
     u0n = _as_samples(u0, grid.x)
     u1n = _as_samples(u1, grid.x)
+    _data_energy(u0n, u1n, float(grid.dx))
     run = _march_data(grid, u0n, u1n)
     trace = run.trace_left if side == "left" else run.trace_right
     return _quotient(u0n, u1n, trace, grid.dt, float(grid.dx), T,
@@ -475,7 +489,8 @@ def estimate_observability_constant(
     [0, 1] up to discretization.  The Gramian constant is the Q_m
     constant and has no H^beta route, so ``cross_check`` with a ``beta``
     is rejected before any march.  Every cutoff must be at most half its
-    resolution.  An unresolved trapping density is flagged, not rejected.
+    resolution, and the cutoffs strictly increasing.  An unresolved
+    trapping density is flagged, not rejected.
     """
     m = _check_order(m)
     if beta is not None:
@@ -485,6 +500,7 @@ def estimate_observability_constant(
         raise ValueError("cutoffs must hold at least one cutoff")
     for cutoff in cuts:
         _check_cutoff(cutoff, resolution)
+    _check_increasing("cutoffs", cuts)
     if n_random < 0:
         raise ValueError(f"n_random {n_random} must be nonnegative")
     if cross_check:
@@ -795,7 +811,7 @@ def run_counterexample_sweep(
     guard or the wave grid cannot reach; that j truncates the table with
     the reason recorded.  Every row runs at one horizon, the largest
     :func:`_default_horizon` (2 T_omega + 0.5) over the members that were
-    built (nan when none was).
+    built (nan when none was).  ``j_list`` must be strictly increasing.
 
     ``growth_factors`` follow :func:`_growth_factor`: a row whose
     denominator sits under the trace noise floor has Q = inf, and the
@@ -804,6 +820,7 @@ def run_counterexample_sweep(
     j_list = tuple(j_list)
     if not j_list:
         raise ValueError("j_list must hold at least one family index")
+    _check_increasing("j_list", j_list)
     if not (math.isfinite(points_per_wavelength)
             and points_per_wavelength > 0):
         raise ValueError(

@@ -23,12 +23,13 @@ solution is assembled structurally:
   spans are left NaN).
 
 Any other density is solved by the same engine from the center outward.
-The closed-form cross-check and reverse (Wronskian) check of a trapping
-mode also run on the engine (their subject is the closed form).  The
-generic path's reverse check, whose subject is the engine, marches both
+A trapping mode's check also runs on the engine (its subject is the
+closed form): one march from the exact edge state inward to the center,
+the direction in which the decaying closed form dominates.  The generic
+path's reverse check, whose subject is the engine, marches both
 boundary states back to the center with a separate propagator: 3-stage
 Gauss-Legendre collocation, vectorized over cells like the engine but
-sharing none of its code.
+sharing none of its code.  A skipped check leaves a flag.
 
 States are carried as ``(log-magnitude, a, b)`` with the linear part
 normalized in the kappa-weighted norm ``hypot(a, b/kappa)``, so the
@@ -83,9 +84,9 @@ _MIN_RTOL = 3e-14
 # a foreign crossing starting from more engine cells (16 max(h, h_k) r_k)
 # than this is advanced by powers of its one-period transfer matrix
 _DENSE_BUDGET = 30_000
-# a check (closed-form cross-check and reverse solve: 8 n cells; each half
-# of the generic reverse check: 16 h times its span) starting from more
-# cells than this is skipped, with a note in ``stats["notes"]``
+# a check (the closed-form march: 8 n cells; each half of the generic
+# reverse check: 16 h times its span) starting from more cells than this
+# is skipped, with a flag in ``QuasimodeResult.flags``
 _CHECK_BUDGET = 30_000
 # boundary_smallness_sweep: samples of each row's mode on [0, 1]
 _SWEEP_SAMPLES = 1025
@@ -500,6 +501,7 @@ class QuasimodeResult:
     powered transfer matrices carry NaN samples (the boundary states are
     still exact, see ``stats``).  Exponentially small energies are
     duplicated as logs; the linear fields underflow to 0.0 gracefully.
+    ``flags`` name each check that was skipped, and why.
     """
 
     j: Optional[int]
@@ -519,6 +521,7 @@ class QuasimodeResult:
     boundary_energy_1: float
     boundary_energy_1_log: float
     stats: dict = field(repr=False)
+    flags: tuple = ()
 
     def to_summary(self) -> dict:
         return _jsonable(self)
@@ -555,11 +558,11 @@ def solve_quasimode(
     A foreign crossing that would start from more than 30 000 engine
     cells (16 max(h, h_k) r_k) switches to powers of the one-period
     transfer matrix, and the samples in that span are NaN.  ``checks``
-    runs the closed-form cross-check and reverse (Wronskian) solve of a
-    trapping mode, or the generic reverse check.  A check that would
-    start from more than 30 000 cells (8 n for the first two, 16 h times
-    the span for each half of the generic one) is skipped and recorded
-    in ``stats["notes"]``.  ``stats["nfev"]`` counts evaluations of the
+    runs the closed-form check of a trapping mode (one inward engine
+    march from the edge state) or the generic reverse check.  A check
+    that would start from more than 30 000 cells (8 n for the first,
+    16 h times the span for each half of the second) is skipped and
+    named in ``flags``.  ``stats["nfev"]`` counts evaluations of the
     coefficient by the engine plus those of the generic reverse check.
 
     Raises :class:`ScaleOutOfReach` when the mode lives beyond double
@@ -656,7 +659,7 @@ def _solve_structured(omega, j, xs, rtol, checks):
     phip = np.full_like(xs, np.nan)
     stats = {"rtol": rtol, "max_step": 1.0 / (16.0 * h), "nfev": 0,
              "path": "structured", "n": n,
-             "dense_spans": 0, "powered_spans": 0, "notes": []}
+             "dense_spans": 0, "powered_spans": 0}
 
     # own interval: closed form
     mask = (xs >= own_l) & (xs <= own_r)
@@ -724,8 +727,7 @@ def _solve_structured(omega, j, xs, rtol, checks):
     be1_log = _state_energy_log(state_right, kappa)
     be0_log = _state_energy_log(state_left, kappa)
 
-    if checks:
-        _closed_form_checks(pair, entry, rtol, stats)
+    flags = _closed_form_checks(pair, entry, stats) if checks else ()
 
     return QuasimodeResult(
         j=j, h=h, eps=entry.eps, m=m, r=entry.r, kind=omega.kind,
@@ -736,7 +738,7 @@ def _solve_structured(omega, j, xs, rtol, checks):
         boundary_energy_0_log=be0_log,
         boundary_energy_1=_safe_exp(be1_log),
         boundary_energy_1_log=be1_log,
-        stats=stats)
+        stats=stats, flags=flags)
 
 
 def _segment_mask(xs, a, b, direction):
@@ -753,57 +755,36 @@ def _safe_exp(log_val: float) -> float:
     return math.exp(log_val)
 
 
-def _closed_form_checks(pair, entry, rtol, stats):
-    """Engine cross-check and reverse (Wronskian) check in sigma units.
+def _closed_form_checks(pair, entry, stats) -> tuple:
+    """Check w_eps by one engine march of w'' = -alpha(sigma) w inward.
 
-    Both solve the stretched equation w'' = -alpha(sigma) w, which is
-    independent of h, on the Magnus engine at the floor tolerance from
-    initial cells of width 1/16, so each check starts from exactly 8 n
-    cells (n/2 periods of 16) and that count is what ``_CHECK_BUDGET``
-    caps.  Their subject is the closed form w_eps, not the engine (which
-    is tested on its own).  The cross-check reads w and w' at the 4 n + 1
-    cell edges sigma = k/8.  The reverse solve amplifies its error by
-    ~e^{eps n / 2} on the way back to the center, so it is skipped once
-    that factor swamps the tolerance budget.
+    The march starts from the exact edge state (e^{-eps n/2}, 0) at
+    sigma = n/2, where the decaying w_eps dominates inward, and runs to
+    the center at the floor tolerance from 8 n initial cells of width
+    1/16 (the count ``_CHECK_BUDGET`` caps).  It reads w and w' at the
+    4 n + 1 cell edges sigma = k/8 and the launch state (1, 0) at the
+    center.  Its subject is the closed form; the engine is tested on its
+    own.  Returns the flags of a skipped check.
     """
     n = int(round(entry.n))
-    eps_n = entry.eps * n
-    est = 8.0 * n
-    if est > _CHECK_BUDGET:
-        stats["notes"].append(
-            f"closed-form cross-check and reverse check skipped: "
-            f"estimated {est:.0f} steps exceed the budget {_CHECK_BUDGET}")
-        return
+    if 8 * n > _CHECK_BUDGET:
+        return (f"closed-form check skipped: {8 * n} initial cells exceed "
+                f"the budget {_CHECK_BUDGET}",)
 
     sig_grid = np.linspace(0.0, 0.5 * n, 4 * n + 1)
     logs, mats, nfev = _magnus_propagate(
-        pair.alpha, 0.0, 0.5 * n, TWO_PI, _MIN_RTOL, 1.0 / 16.0, sig_grid)
-    # launched from (w, w'/2 pi) = (1, 0): the first column
-    amp = np.exp(logs[:-1])
+        pair.alpha, 0.5 * n, 0.0, TWO_PI, _MIN_RTOL, 1.0 / 16.0, sig_grid)
+    # the state is (w, w'/2 pi), launched from (e^{-eps n/2}, 0): the
+    # first column; sig_grid[0] is the center
+    amp = np.exp(logs[:-1] - 0.5 * entry.eps * n)
     w = amp * mats[0, :-1]
     wp = TWO_PI * amp * mats[2, :-1]
     stats["closed_form_dev"] = float(np.max(np.abs(w - pair.w(sig_grid))))
     stats["closed_form_dev_prime"] = float(
         np.max(np.abs(wp - pair.w_prime(sig_grid))))
-    stats["ode_extreme_energy"] = float(w[-1] ** 2 + wp[-1] ** 2)
+    stats["wronskian_dev"] = math.hypot(w[0] - 1.0, wp[0] / TWO_PI)
     stats["nfev"] += nfev
-
-    if 0.5 * eps_n > 20.0 + math.log(rtol / _MIN_RTOL):
-        stats["notes"].append(
-            "reverse check skipped: inward error amplification "
-            f"~e^{{{0.5 * eps_n:.1f}}} exceeds the tolerance budget")
-        return
-    logs, mats, nfev = _magnus_propagate(
-        pair.alpha, 0.5 * n, 0.0, TWO_PI, _MIN_RTOL, 1.0 / 16.0)
-    # launched from (e^{-eps n/2}, 0); the state is (w, w'/2 pi)
-    amp = math.exp(float(logs[-1]) - 0.5 * eps_n)
-    stats["wronskian_dev"] = math.hypot(amp * float(mats[0, -1]) - 1.0,
-                                        amp * float(mats[2, -1]))
-    # marching inward against the decay amplifies the solver error by the
-    # envelope ratio; that conditioning belongs to the problem, not the
-    # integrator, so it is reported alongside the deviation
-    stats["wronskian_cond"] = math.exp(0.5 * eps_n)
-    stats["nfev"] += nfev
+    return ()
 
 
 def _solve_constant(omega, value, h, m, r, xs, rtol):
@@ -825,9 +806,7 @@ def _solve_constant(omega, value, h, m, r, xs, rtol):
     be0 = math.cos(nu * m) ** 2 + nu ** 2 * math.sin(nu * m) ** 2
     be1 = (math.cos(nu * (1 - m)) ** 2
            + nu ** 2 * math.sin(nu * (1 - m)) ** 2)
-    stats = {"rtol": rtol, "path": "constant-closed-form", "nfev": 0,
-             "notes": ["constant density detected; trigonometric solution "
-                       "used"]}
+    stats = {"rtol": rtol, "path": "constant-closed-form", "nfev": 0}
     return QuasimodeResult(
         j=None, h=h, eps=None, m=m, r=r, kind=omega.kind,
         x=xs, phi=phi, phi_prime=phip,
@@ -980,13 +959,13 @@ def _collocation_propagate(q: Callable, x0: float, x1: float, kappa: float,
 def _solve_generic(omega, h, m, r, xs, rtol, checks):
     """Magnus engine from the center outward for an arbitrary density.
 
-    No closed-form cross-check exists here.  The reverse check marches
-    each boundary state back to the center by Gauss-Legendre collocation
+    No closed form exists here.  The reverse check marches each boundary
+    state back to the center by Gauss-Legendre collocation
     (:func:`_collocation_propagate`, independent of the engine), budget
-    permitting, and reports the larger of the two deviations from the
-    launch state.  Underflowing amplitudes raise :class:`ScaleOutOfReach`
-    -- without structure there is no log-space representation to fall
-    back on.
+    permitting (a skipped half is flagged), and reports the larger of the
+    two deviations from the launch state.  Underflowing amplitudes raise
+    :class:`ScaleOutOfReach` -- without structure there is no log-space
+    representation to fall back on.
     """
     kappa = TWO_PI * h * math.sqrt(float(omega.omega_upper) / FOUR_PI_SQ)
 
@@ -995,8 +974,7 @@ def _solve_generic(omega, h, m, r, xs, rtol, checks):
 
     max_step = 1.0 / (16.0 * h)
     stats = {"rtol": rtol, "max_step": max_step, "path": "generic-ode",
-             "nfev": 0, "notes": ["no closed-form cross-check is available "
-                                  "for this density; single ODE path"]}
+             "nfev": 0}
 
     mass = e_ext = e_ext_log = None
     if r is not None:
@@ -1052,12 +1030,13 @@ def _solve_generic(omega, h, m, r, xs, rtol, checks):
         stats["extreme_energy_left"] = e_lo
         stats["extreme_energy_right"] = e_hi
 
+    flags = []
     if checks:
         devs = []
         for direction, end in ((+1, 1.0), (-1, 0.0)):
             est = 16.0 * h * abs(end - m)
             if est > _CHECK_BUDGET:
-                stats["notes"].append(
+                flags.append(
                     f"reverse check from x = {end:g} skipped: {est:.0f} "
                     f"initial cells exceed the budget {_CHECK_BUDGET}")
                 continue
@@ -1065,7 +1044,7 @@ def _solve_generic(omega, h, m, r, xs, rtol, checks):
                 q, end, m, kappa, max(rtol, _MIN_RTOL), max_step)
             stats["nfev"] += nfev
             if mat is None:
-                stats["notes"].append(
+                flags.append(
                     f"reverse check from x = {end:g} skipped: refinement "
                     f"needs more than {_COLLOCATION_MAX_OPEN} open cells")
                 continue
@@ -1074,7 +1053,6 @@ def _solve_generic(omega, h, m, r, xs, rtol, checks):
             devs.append(math.hypot(back[0] - 1.0, back[1]))
         if devs:
             stats["wronskian_dev"] = max(devs)
-            stats["wronskian_cond"] = 1.0
 
     return QuasimodeResult(
         j=None, h=h, eps=None, m=m, r=r, kind=omega.kind,
@@ -1085,7 +1063,7 @@ def _solve_generic(omega, h, m, r, xs, rtol, checks):
         boundary_energy_0_log=math.log(be0) if be0 > 0 else -math.inf,
         boundary_energy_1=be1,
         boundary_energy_1_log=math.log(be1) if be1 > 0 else -math.inf,
-        stats=stats)
+        stats=stats, flags=tuple(flags))
 
 
 # --------------------------------------------------------------------------
@@ -1192,7 +1170,7 @@ def boundary_smallness_sweep(
     whose density cannot be built or whose mode is out of reach, and
     reports the truncation.  Rows are solved at :func:`solve_quasimode`'s
     default rtol (1e-12) on 1025 samples (``_SWEEP_SAMPLES``), without the
-    cross and reverse checks (solve-level diagnostics it runs by default).
+    closed-form check (a solve-level diagnostic it runs by default).
 
     Each row also carries ``edge_bound_log``: the energy-comparison chain
     "boundary energy <= weighted E(0) <= weighted E(edge) * growth"

@@ -375,7 +375,9 @@ class TestCutoffGuard:
                                ((), "at least one cutoff"),
                                ((0,), "must be at least 1"),
                                ((-4,), "must be at least 1"),
-                               ((8, -4), "must be at least 1")):
+                               ((8, -4), "must be at least 1"),
+                               ((8, 8), "strictly increasing"),
+                               ((16, 8), "strictly increasing")):
             with pytest.raises(ValueError, match=match):
                 ob.estimate_observability_constant(om, 3.0, cutoffs, **kw)
         with pytest.raises(ValueError, match="group velocity"):
@@ -543,6 +545,10 @@ def _bad_input_calls():
                 om, 3.0, (4,), n_random=-1, resolution=64))),
         "sweep-j_list=()": ("at least one", lambda: (
             ob.run_counterexample_sweep(j_list=(), **sweep))),
+        "sweep-j_list=(2, 2)": ("strictly increasing", lambda: (
+            ob.run_counterexample_sweep(j_list=(2, 2), **sweep))),
+        "sweep-j_list=(3, 2)": ("strictly increasing", lambda: (
+            ob.run_counterexample_sweep(j_list=(3, 2), **sweep))),
         "cross_check_resolution=100": ("power of two", lambda: (
             ob.estimate_observability_constant(
                 om, 3.0, (4,), n_random=1, resolution=64, cross_check=True,
@@ -560,6 +566,8 @@ def _bad_input_calls():
         "_quotient-zero-data": ("zero data", lambda: (
             ob._quotient(zero, zero, np.ones(64), 0.01, 1.0 / 64, 3.0,
                          1.0))),
+        "observability_quotient-zero-data": ("zero data", lambda: (
+            ob.observability_quotient(om, zero, zero, 3.0, resolution=64))),
         "evolve-data-shape": ("does not match the grid", lambda: (
             ws.evolve(om, u, zero, 3.0, 128, k_max=0))),
     }

@@ -392,16 +392,6 @@ def build_oscillator_pair(
     return pair
 
 
-@lru_cache(maxsize=64)
-def _cached_pair(eps: float, eps_bar: float, knots: tuple) -> PeriodicPair:
-    """One shared :func:`build_oscillator_pair` per (eps, eps_bar, knots).
-
-    Pairs are immutable, so densities assembled from the same sequences
-    share them; consumers read them from ``Coefficient.trapping``.
-    """
-    return build_oscillator_pair(eps, eps_bar=eps_bar, knots=knots)
-
-
 # --------------------------------------------------------------------------
 # coefficient container
 # --------------------------------------------------------------------------
@@ -759,7 +749,7 @@ def make_sequences(
     the modulus the construction defeats.  The admissibility inequalities
     (M = 2600, ``_ADMISSIBILITY_M``) are evaluated per j with mpmath
     at ``_SEQUENCE_DPS`` (50) digits; for the infinite upper tail the sum
-    is truncated eight levels past the last requested j and closed with a
+    is truncated one level past the last requested j and closed with a
     doubling bound on the final term (the summands decay at least
     geometrically for every supported mode).
     """
@@ -834,9 +824,9 @@ def make_sequences(
             return h, eps, r, n, adjusted
 
         # generate entries for all j needed by the admissibility sums:
-        # one level below the family for the k<j sum, eight above for the
+        # one level below the family for the k<j sum, one above for the
         # truncated upper tail
-        lo, hi = max(1, js[0] - 1), js[-1] + 8
+        lo, hi = max(1, js[0] - 1), js[-1] + 1
         raw = {}
         any_symbolic = False
         for j in range(lo, hi + 1):
@@ -989,7 +979,7 @@ def make_counterexample_density(
             raise ValueError(
                 f"h_{e.j} is not representable in double precision; "
                 "this sequence family cannot be materialized on a grid")
-    pairs = {e.j: _cached_pair(e.eps, params.eps_bar, tuple(knots))
+    pairs = {e.j: build_oscillator_pair(e.eps, params.eps_bar, knots)
              for e in params.entries}
 
     if family == "psi":

@@ -707,9 +707,13 @@ class DivergenceTable:
                   runs: int = 3) -> bool:
         """True when ``runs`` consecutive rows each grow by ``factor``:
         ``runs - 1`` consecutive growth factors all reach ``factor``.
-        Growth needs two rows, so ``runs`` below 2 is rejected."""
+        Growth needs two rows, so ``runs`` below 2 is rejected, and so
+        is an order ``m`` the sweep did not measure."""
         if runs < 2:
             raise ValueError(f"runs {runs} must be at least 2")
+        if m not in self.m_list:
+            raise ValueError(
+                f"order m = {m} was not measured (m_list = {self.m_list})")
         fs = self.growth_factors.get(m, ())
         if len(fs) < runs - 1:
             return False

@@ -25,11 +25,15 @@ solution is assembled structurally:
 Any other density is solved by the same engine from the center outward.
 A trapping mode's check also runs on the engine (its subject is the
 closed form): one march from the exact edge state inward to the center,
-the direction in which the decaying closed form dominates.  The generic
-path's reverse check, whose subject is the engine, marches both
-boundary states back to the center with a separate propagator: 3-stage
-Gauss-Legendre collocation, vectorized over cells like the engine but
-sharing none of its code.  A skipped check leaves a flag.
+the direction in which the decaying closed form dominates.  These
+marches -- a dense foreign crossing, the check, each generic half --
+read the engine through one function, ``_advance``, which applies its
+matrices to a carried state and returns phi and phi' at the requested
+points and the state at the end.  The generic path's reverse check,
+whose subject is the engine, marches both boundary states back to the
+center with a separate propagator: 3-stage Gauss-Legendre collocation,
+vectorized over cells like the engine but sharing none of its code.  A
+skipped check leaves a flag.
 
 States are carried as ``(log-magnitude, a, b)`` with the linear part
 normalized in the kappa-weighted norm ``hypot(a, b/kappa)``, so the
@@ -305,6 +309,8 @@ def _magnus_propagate(q: Callable, x0: float, x1: float, kappa: float,
     Returns ``(logs, mats, nfev)``: ``exp(logs[i]) * mats[:, i]`` (rows
     m00, m01, m10, m11) maps (phi, phi'/kappa) at x0 to the state at
     ``at[i]``, the last column to x1; ``nfev`` counts evaluations of q.
+    Marches read these through :func:`_advance`, which applies them to a
+    state; only the period matrix of a powered crossing reads them raw.
     """
     sign = 1.0 if x1 >= x0 else -1.0
     t_at = sign * (np.asarray(at, dtype=float) - x0)
@@ -357,6 +363,27 @@ def _magnus_propagate(q: Callable, x0: float, x1: float, kappa: float,
     return logs, out, nfev
 
 
+def _advance(q: Callable, state: tuple, x0: float, x1: float, kappa: float,
+             rtol: float, max_cell: float, at=()) -> tuple:
+    """Advance ``state`` (log magnitude, phi, phi') from x0 to x1.
+
+    The one reader of :func:`_magnus_propagate` (besides the period
+    matrix): the engine runs on the normalized linear state, and values
+    are rescaled by the carried log magnitude afterwards.  Returns
+    ``(phi, phi_prime, end_state, nfev)``: phi and phi' at each point of
+    ``at`` and, last, at x1, then the normalized state at x1.
+    """
+    log_mag, a, b = state
+    logs, mats, nfev = _magnus_propagate(q, x0, x1, kappa, rtol, max_cell,
+                                         at)
+    phi = mats[0] * a + mats[1] * (b / kappa)
+    scaled = mats[2] * a + mats[3] * (b / kappa)          # phi' / kappa
+    end = _normalized(log_mag + float(logs[-1]), float(phi[-1]),
+                      float(kappa * scaled[-1]), kappa)
+    amp = np.exp(log_mag + logs)
+    return amp * phi, (kappa * amp) * scaled, end, nfev
+
+
 def _matrix_power(mat: np.ndarray, n: int) -> tuple:
     """(log scale, unit-max matrix) of mat^n by repeated squaring."""
     result = np.eye(2)
@@ -381,40 +408,6 @@ def _matrix_power(mat: np.ndarray, n: int) -> tuple:
 # --------------------------------------------------------------------------
 # foreign-interval crossings
 # --------------------------------------------------------------------------
-
-def _cross_dense(pair_k, entry_k, h: float, state: tuple,
-                 x_from: float, x_to: float, rtol: float,
-                 xs: Optional[np.ndarray]):
-    """Advance across a foreign interval with the Magnus engine.
-
-    Returns (state, phi_samples, phip_samples, stats).  The engine runs
-    on the normalized linear state; samples are rescaled by the carried
-    log magnitude afterwards.
-    """
-    kappa = TWO_PI * h
-    hk = entry_k.h
-    mk = entry_k.m
-    h2 = h * h
-    log_mag, a, b = state
-
-    def q(x):
-        return h2 * pair_k.alpha(hk * (x - mk))
-
-    at = xs if xs is not None else ()
-    logs, mats, nfev = _magnus_propagate(
-        q, x_from, x_to, kappa, rtol, 1.0 / (16.0 * max(h, hk)), at)
-    phi = mats[0] * a + mats[1] * (b / kappa)
-    dphi = kappa * (mats[2] * a + mats[3] * (b / kappa))
-
-    phi_s = phip_s = None
-    if xs is not None and xs.size:
-        amp = np.exp(log_mag + logs[:-1])
-        phi_s = amp * phi[:-1]
-        phip_s = amp * dphi[:-1]
-    new_state = _normalized(log_mag + float(logs[-1]), float(phi[-1]),
-                            float(dphi[-1]), kappa)
-    return new_state, phi_s, phip_s, {"nfev": nfev, "mode": "dense"}
-
 
 def _period_matrix(pair_k, ratio: float, rtol: float):
     """Transfer matrix of y'' = -ratio^2 alpha(tau) y over tau in [0, 1].
@@ -484,8 +477,7 @@ def _cross_powered(pair_k, entry_k, h: float, state: tuple,
         log_mag += power_log + math.log(scale)
         v /= scale
     new_state = _normalized(log_mag, float(v[0]), float(v[1]) * kappa, kappa)
-    stats = {"mode": "powered", "periods": n_k,
-             "det_dev": det_dev, "nfev": nfev}
+    stats = {"periods": n_k, "det_dev": det_dev, "nfev": nfev}
     return new_state, stats
 
 
@@ -654,6 +646,7 @@ def _solve_structured(omega, j, xs, rtol, checks):
     m = entry.m
     n = int(round(entry.n))
     kappa = TWO_PI * h
+    h2 = h * h
     own_l, own_r = entry.interval
     phi = np.full_like(xs, np.nan)
     phip = np.full_like(xs, np.nan)
@@ -677,6 +670,13 @@ def _solve_structured(omega, j, xs, rtol, checks):
     edge_log = -0.5 * entry.eps * n          # log|phi| at sigma = +-n/2
     others = sorted((e for e in entries if e.j != j), key=lambda e: e.m)
 
+    def flat(state: tuple, x0: float, x1: float, direction: int) -> tuple:
+        """Exact rotation over a flat stretch, sampled on the way."""
+        seg = _segment_mask(xs, x0, x1, direction)
+        if np.any(seg):
+            phi[seg], phip[seg] = _fill_rotation(state, x0, xs[seg], h)
+        return _rotate(state, x1 - x0, h)
+
     def walk(direction: int) -> tuple:
         """Propagate from the interval edge to the domain boundary."""
         state = (edge_log, 1.0, 0.0)
@@ -689,37 +689,33 @@ def _solve_structured(omega, j, xs, rtol, checks):
             lo, hi = ek.interval
             near, far = (lo, hi) if direction > 0 else (hi, lo)
             if abs(near - pos) > 1e-15:
-                seg = _segment_mask(xs, pos, near, direction)
-                if np.any(seg):
-                    phi[seg], phip[seg] = _fill_rotation(
-                        state, pos, xs[seg], h)
-                state = _rotate(state, near - pos, h)
-                pos = near
+                state = flat(state, pos, near, direction)
             # the dense path integrates in x and evaluates the phase
             # h_k (x - m_k); beyond the representable-phase ceiling only
             # the scale-free per-period path is trustworthy
             est_steps = 16.0 * max(h, ek.h) * ek.r
-            seg = _segment_mask(xs, near, far, direction)
             if est_steps <= _DENSE_BUDGET and ek.h <= _MAX_REPRESENTABLE_H:
-                state, ph_s, pp_s, info = _cross_dense(
-                    pairs[ek.j], ek, h, state, near, far, rtol,
-                    xs[seg] if np.any(seg) else None)
-                if ph_s is not None:
-                    phi[seg] = ph_s
-                    phip[seg] = pp_s
+                alpha_k, hk, mk = pairs[ek.j].alpha, ek.h, ek.m
+
+                def q(x):
+                    return h2 * alpha_k(hk * (x - mk))
+
+                seg = _segment_mask(xs, near, far, direction)
+                vals, dvals, state, nfev = _advance(
+                    q, state, near, far, kappa, rtol,
+                    1.0 / (16.0 * max(h, hk)), xs[seg])
+                phi[seg] = vals[:-1]
+                phip[seg] = dvals[:-1]
                 stats["dense_spans"] += 1
             else:
                 state, info = _cross_powered(
                     pairs[ek.j], ek, h, state, direction, rtol)
+                nfev = info["nfev"]
                 stats["powered_spans"] += 1
-            stats["nfev"] += info.get("nfev", 0)
+            stats["nfev"] += nfev
             pos = far
         if abs(target - pos) > 0.0:
-            seg = _segment_mask(xs, pos, target, direction)
-            if np.any(seg):
-                phi[seg], phip[seg] = _fill_rotation(state, pos, xs[seg],
-                                                     h)
-            state = _rotate(state, target - pos, h)
+            state = flat(state, pos, target, direction)
         return state
 
     state_right = walk(+1)
@@ -772,13 +768,11 @@ def _closed_form_checks(pair, entry, stats) -> tuple:
                 f"the budget {_CHECK_BUDGET}",)
 
     sig_grid = np.linspace(0.0, 0.5 * n, 4 * n + 1)
-    logs, mats, nfev = _magnus_propagate(
-        pair.alpha, 0.5 * n, 0.0, TWO_PI, _MIN_RTOL, 1.0 / 16.0, sig_grid)
-    # the state is (w, w'/2 pi), launched from (e^{-eps n/2}, 0): the
-    # first column; sig_grid[0] is the center
-    amp = np.exp(logs[:-1] - 0.5 * entry.eps * n)
-    w = amp * mats[0, :-1]
-    wp = TWO_PI * amp * mats[2, :-1]
+    # launched from the edge state; sig_grid[0] is the center
+    w, wp, _, nfev = _advance(pair.alpha, (-0.5 * entry.eps * n, 1.0, 0.0),
+                              0.5 * n, 0.0, TWO_PI, _MIN_RTOL, 1.0 / 16.0,
+                              sig_grid)
+    w, wp = w[:-1], wp[:-1]
     stats["closed_form_dev"] = float(np.max(np.abs(w - pair.w(sig_grid))))
     stats["closed_form_dev_prime"] = float(
         np.max(np.abs(wp - pair.w_prime(sig_grid))))
@@ -989,8 +983,10 @@ def _solve_generic(omega, h, m, r, xs, rtol, checks):
 
     phi = np.empty_like(xs)
     phip = np.empty_like(xs)
-    ends = {}
+    boundary_energy = {}
     edge_energy = {}
+    flags = []
+    devs = []
     for direction, target in ((+1, 1.0), (-1, 0.0)):
         sel = xs >= m if direction > 0 else xs < m
         gx = np.empty(0)
@@ -998,61 +994,50 @@ def _solve_generic(omega, h, m, r, xs, rtol, checks):
             gx = np.linspace(m, hi if direction > 0 else lo,
                              max(pts // 2, 5))
         n_sel = int(np.count_nonzero(sel))
-        logs, mats, nfev = _magnus_propagate(
-            q, m, target, kappa, rtol, max_step,
+        vals, dvals, end, nfev = _advance(
+            q, (0.0, 1.0, 0.0), m, target, kappa, rtol, max_step,
             np.concatenate([xs[sel], gx]))
         stats["nfev"] += nfev
-        # launched from (phi, phi'/kappa) = (1, 0): the first column
-        amp = np.exp(logs)
-        vals = amp * mats[0]
-        dvals = kappa * amp * mats[2]
         phi[sel] = vals[:n_sel]
         phip[sel] = dvals[:n_sel]
         if r is not None:
             gv = vals[n_sel:-1]
             mass += abs(float(np.trapezoid(gv * gv, gx)))
-            edge_energy[direction] = float(gv[-1] ** 2
-                                           + dvals[-2] ** 2)
-        if logs[-1] + math.log(math.hypot(mats[0, -1], mats[2, -1])) \
-                < math.log(1e-290):
+            edge_energy[direction] = float(gv[-1] ** 2 + dvals[-2] ** 2)
+        if end[0] < math.log(1e-290):
             raise ScaleOutOfReach(
                 f"the amplitude at x = {target:g} underflowed the generic "
                 "ODE path; no structural log representation is available")
-        ends[direction] = (float(vals[-1]), float(dvals[-1]))
+        phi_end, dphi_end = float(vals[-1]), float(dvals[-1])
+        boundary_energy[direction] = phi_end ** 2 + dphi_end ** 2
+        if not checks:
+            continue
+        est = 16.0 * h * abs(target - m)
+        if est > _CHECK_BUDGET:
+            flags.append(
+                f"reverse check from x = {target:g} skipped: {est:.0f} "
+                f"initial cells exceed the budget {_CHECK_BUDGET}")
+            continue
+        log_scale, mat, nfev = _collocation_propagate(
+            q, target, m, kappa, max(rtol, _MIN_RTOL), max_step)
+        stats["nfev"] += nfev
+        if mat is None:
+            flags.append(
+                f"reverse check from x = {target:g} skipped: refinement "
+                f"needs more than {_COLLOCATION_MAX_OPEN} open cells")
+            continue
+        back = math.exp(log_scale) * (mat @ [phi_end, dphi_end / kappa])
+        devs.append(math.hypot(back[0] - 1.0, back[1]))
+    if devs:
+        stats["wronskian_dev"] = max(devs)
 
-    be0 = ends[-1][0] ** 2 + ends[-1][1] ** 2
-    be1 = ends[+1][0] ** 2 + ends[+1][1] ** 2
-
+    be0, be1 = boundary_energy[-1], boundary_energy[+1]
     if r is not None:
         e_lo, e_hi = edge_energy[-1], edge_energy[+1]
         e_ext = 0.5 * (e_lo + e_hi)
         e_ext_log = math.log(e_ext) if e_ext > 0 else -math.inf
         stats["extreme_energy_left"] = e_lo
         stats["extreme_energy_right"] = e_hi
-
-    flags = []
-    if checks:
-        devs = []
-        for direction, end in ((+1, 1.0), (-1, 0.0)):
-            est = 16.0 * h * abs(end - m)
-            if est > _CHECK_BUDGET:
-                flags.append(
-                    f"reverse check from x = {end:g} skipped: {est:.0f} "
-                    f"initial cells exceed the budget {_CHECK_BUDGET}")
-                continue
-            log_scale, mat, nfev = _collocation_propagate(
-                q, end, m, kappa, max(rtol, _MIN_RTOL), max_step)
-            stats["nfev"] += nfev
-            if mat is None:
-                flags.append(
-                    f"reverse check from x = {end:g} skipped: refinement "
-                    f"needs more than {_COLLOCATION_MAX_OPEN} open cells")
-                continue
-            phi_end, dphi_end = ends[direction]
-            back = math.exp(log_scale) * (mat @ [phi_end, dphi_end / kappa])
-            devs.append(math.hypot(back[0] - 1.0, back[1]))
-        if devs:
-            stats["wronskian_dev"] = max(devs)
 
     return QuasimodeResult(
         j=None, h=h, eps=None, m=m, r=r, kind=omega.kind,

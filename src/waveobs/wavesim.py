@@ -475,6 +475,9 @@ def evolve(omega: Coefficient, u0, u1, T: float, resolution: int,
     no interior slice is recorded (the tests' sidewise solver,
     ``tests/oracles.py``, rebuilds the interior from ``trace_left``).
     """
+    if not isinstance(k_max, (int, np.integer)) or k_max < 0:
+        raise ValueError(
+            f"k_max must be a nonnegative integer, got {k_max!r}")
     x, om, dx, dt, steps = _wave_grid(omega, T, resolution)
     if forcing is not None:
         forcing = tuple(np.asarray(row, dtype=float) for row in forcing)

@@ -433,12 +433,15 @@ class TestSequences:
         assert member.trapping.active_j == 2
 
     def test_lambda_log_log_tail_is_fast(self):
-        # the admissibility tail runs eight levels past j = 5, up to
-        # h = exp(exp(2^13 - 1) - 1); e^x taken as an integer power of
-        # mp.e took over 10 s here
-        start = time.perf_counter()
-        coeff.make_sequences(mode="lambda", j_range=(5,), N=1, lam="log-log")
-        assert time.perf_counter() - start < 2.0
+        # the admissibility tail runs one level past j, to
+        # h = exp(exp(2^(N (j + 1)) - 1) - 1).  At N = 1, j = 5, e^x taken
+        # as an integer power of mp.e took over 10 s; at N = 2, j = 2 the
+        # tail ran eight levels past j, to 2^20 in place of 2^6, for 47 s
+        for N, j in ((1, 5), (2, 2)):
+            start = time.perf_counter()
+            coeff.make_sequences(mode="lambda", j_range=(j,), N=N,
+                                 lam="log-log")
+            assert time.perf_counter() - start < 2.0
 
 
 # --------------------------------------------------------------------------

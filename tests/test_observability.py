@@ -4,6 +4,7 @@ HUM reaching rest, the weighted impulse-response corrector against the
 forced march, the divergence sweep's march count, truncation and growth
 bookkeeping, and the package import surface."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -242,6 +243,21 @@ def test_hum_reaches_rest():
     # duality: the control cost is bounded by the observability constant
     gram = ob.gramian_observability_constant(om, 3.0, 8, resolution=128)
     assert res.cost_ratio <= gram["value"]
+
+
+def test_hum_below_control_time_is_flagged():
+    # T = 1 lies below 2 T_omega = 2.23 on the Lipschitz baseline, so no
+    # control exists: CG runs to its cap and the verification march ends
+    # far from rest
+    om = coeff.make_baseline("lipschitz")
+    x = np.linspace(0.0, 1.0, 257)
+    res = ob.hum_control(om, np.sin(math.pi * x), np.zeros_like(x), T=1.0,
+                         resolution=256)
+    assert not res.converged and not res.controlled
+    assert res.iterations == ob._CG_MAX_ITER
+    assert res.terminal_relative > 1.0
+    assert len(res.flags) == 1
+    assert res.flags[0].startswith("not controlled")
 
 
 def test_hum_dual_norm_control():
@@ -570,7 +586,18 @@ def _bad_input_calls():
             ob.observability_quotient(om, zero, zero, 3.0, resolution=64))),
         "evolve-data-shape": ("does not match the grid", lambda: (
             ws.evolve(om, u, zero, 3.0, 128, k_max=0))),
+        "diverging-m=5": ("m_list", lambda: (
+            ob.DivergenceTable(
+                family="lambda", mode="concentrating", T=1.0, m_list=(0,),
+                rows=(), growth_factors={0: (12.0, 15.0)}).diverging(5))),
     }
+    rest = np.zeros(ws.solver_time_grid(om, 3.0, 64)[1] + 1)
+    for k_max in (None, -1, 1.0):
+        calls[f"evolve-k_max={k_max}"] = ("k_max", lambda k_max=k_max: (
+            ws.evolve(om, u, zero, 3.0, 64, k_max=k_max)))
+        calls[f"evolve-forced-k_max={k_max}"] = (
+            "k_max", lambda k_max=k_max: ws.evolve(
+                om, None, None, 3.0, 64, k_max=k_max, forcing=(rest, rest)))
     for ppw in (0.0, -6.0, math.nan, math.inf):
         calls[f"sweep-points_per_wavelength={ppw}"] = (
             "positive and finite", lambda ppw=ppw: (
@@ -861,7 +888,13 @@ class TestGrowth:
         table = ob.DivergenceTable(
             family="lambda", mode="concentrating", T=1.0, m_list=(0,),
             rows=(), growth_factors={0: factors})
-        assert not table.diverging(m, factor=10.0, runs=2)
+        if m in table.m_list:
+            assert not table.diverging(m, factor=10.0, runs=2)
+        else:
+            # an order the sweep never measured is an input error, not
+            # an absence of growth
+            with pytest.raises(ValueError, match="m_list"):
+                table.diverging(m, factor=10.0, runs=2)
         with pytest.raises(ValueError, match="at least 2"):
             table.diverging(m, factor=10.0, runs=runs)
 
@@ -1018,3 +1051,39 @@ def test_all_functions_defined_in_module(module):
                if inspect.isfunction(getattr(mod, name))
                and getattr(mod, name).__module__ != mod.__name__]
     assert foreign == []
+
+
+def test_no_orphans_in_the_package():
+    # every module-level import is used in its module, and every
+    # module-level private function is referenced from the package:
+    # a helper that lost its last caller, or the import it needed, shows
+    # here
+    pkg = Path(ob.__file__).resolve().parent
+    trees = {p.name: ast.parse(p.read_text()) for p in pkg.glob("*.py")}
+
+    def names(tree) -> set:
+        out = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+        return out
+
+    used = {name: names(tree) for name, tree in trees.items()}
+    unused, orphans = [], []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                unused += [f"{name}: {alias.name}" for alias in node.names
+                           if (alias.asname or alias.name.split(".")[0])
+                           not in used[name]]
+            elif (isinstance(node, ast.FunctionDef)
+                  and node.name.startswith("_")
+                  and not node.name.startswith("__")
+                  and not any(node.name in u for u in used.values())):
+                orphans.append(f"{name}: {node.name}")
+    assert unused == []
+    assert orphans == []

@@ -9,8 +9,9 @@ Oracles in play:
   have closed forms;
 * interior mass -> direct trapezoid of the sampled profile (independent
   of the geometric-sum formula the solver uses);
-* powered transfer-matrix crossings -> the dense crossing of the same
-  interval, and the period-by-period product of the same period matrices;
+* powered transfer-matrix crossings -> the engine's straight march
+  (``_advance``) across the same interval in x, and the period-by-period
+  product of the same period matrices;
 * Magnus engine -> the exact rotation (constant density) and a test-side
   DOP853 solve at rtol 3e-14 (smooth density; foreign crossing, with the
   density's own alpha evaluated one point at a time);
@@ -52,8 +53,8 @@ from waveobs.coeff import (
 )
 from waveobs.quasimodes import (
     ScaleOutOfReach,
+    _advance,
     _collocation_propagate,
-    _cross_dense,
     _cross_powered,
     _magnus_propagate,
     _period_matrix,
@@ -420,8 +421,10 @@ class TestMagnusEngine:
         for direction, (near, far) in ((+1, (lo, hi)), (-1, (hi, lo))):
             powered, info = _cross_powered(pair, entry, h, state,
                                            direction, 1e-12)
-            straight = _cross_dense(pair, entry, h, state, near, far,
-                                    1e-12, None)[0]
+            straight = _advance(
+                lambda x: h * h * pair.alpha(entry.h * (x - entry.m)),
+                state, near, far, kappa, 1e-12,
+                1.0 / (16.0 * max(h, entry.h)))[2]
             assert info["periods"] == n
             assert abs(_state_energy_log(powered, kappa)
                        - _state_energy_log(straight, kappa)) < 1e-9
@@ -647,6 +650,13 @@ class TestValidation:
         # r < 0 swapped the interval ends and gave a negative mass
         with pytest.raises(ValueError, match="r must"):
             solve_quasimode(make_baseline(kind), h=10.0, m=0.5, r=r)
+
+    @pytest.mark.parametrize("kind", ["constant", "log-lipschitz"])
+    def test_interval_leaving_domain_rejected(self, kind):
+        # m -+ r/2 = -0.1, 0.7: the interval energies would read the
+        # mode outside [0, 1]
+        with pytest.raises(ValueError, match="leaves"):
+            solve_quasimode(make_baseline(kind), h=10.0, m=0.3, r=0.8)
 
     def test_bad_n_samples_rejected(self):
         om = make_baseline("constant", value=1.0)

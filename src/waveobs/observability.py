@@ -480,7 +480,8 @@ def estimate_observability_constant(
     candidates are ``n_random`` random mixtures plus seven deterministic
     weak-spot data (:func:`_ensemble_data`).  The candidates of every
     cutoff are drawn first (deterministic for a given seed) and then
-    evolved together, one column each, in a single march of the
+    evolved together, one column per distinct candidate (the bumps do not
+    depend on the cutoff and are marched once), in a single march of the
     leapfrog kernel without energy tracking, and each candidate's
     quotient is read from its trace at order ``m`` (or trace exponent
     ``beta``).  ``cross_check`` runs the dense Gramian constant at a
@@ -520,9 +521,19 @@ def estimate_observability_constant(
     for cutoff in cuts:
         cands += [(cutoff,) + c for c in _ensemble_data(
             x, grid.om, cutoff, rng, n_random)]
-    run = _march_data(grid, np.stack([c[2] for c in cands], axis=1),
-                      np.stack([c[3] for c in cands], axis=1))
-    traces = np.ascontiguousarray(run.trace_left.T)
+    # the bump candidates do not depend on the cutoff: each distinct
+    # datum is one column, and every candidate reads its column's trace
+    column: dict = {}
+    distinct, slots = [], []
+    for c in cands:
+        key = c[2].tobytes() + c[3].tobytes()
+        if key not in column:
+            column[key] = len(distinct)
+            distinct.append(c)
+        slots.append(column[key])
+    run = _march_data(grid, np.stack([c[2] for c in distinct], axis=1),
+                      np.stack([c[3] for c in distinct], axis=1))
+    traces = np.ascontiguousarray(run.trace_left.T)[slots]
 
     constants: dict = {}
     argmax: dict = {}

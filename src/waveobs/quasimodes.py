@@ -493,6 +493,9 @@ class QuasimodeResult:
     powered transfer matrices carry NaN samples (the boundary states are
     still exact, see ``stats``).  Exponentially small energies are
     duplicated as logs; the linear fields underflow to 0.0 gracefully.
+    A trapping mode that crossed a span by powers also reports
+    ``stats["det_dev"]``, the largest |det - 1| of those crossings'
+    period matrices before renormalization (absent without one).
     ``flags`` name each check that was skipped, and why.
     """
 
@@ -712,6 +715,8 @@ def _solve_structured(omega, j, xs, rtol, checks):
                     pairs[ek.j], ek, h, state, direction, rtol)
                 nfev = info["nfev"]
                 stats["powered_spans"] += 1
+                stats["det_dev"] = max(stats.get("det_dev", 0.0),
+                                       info["det_dev"])
             stats["nfev"] += nfev
             pos = far
         if abs(target - pos) > 0.0:

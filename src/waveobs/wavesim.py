@@ -8,7 +8,9 @@ coefficients, the same holds for every k-th time-difference sequence,
 which is how the higher energies E_k are tracked.
 
 One private kernel, ``_leapfrog``, marches a node array or a (nodes x K)
-block of data columns, each bitwise the single-column run.  It always
+block of data columns, each bitwise the single-column run.  It marches
+C-ordered buffers with its coefficients stored per entry of a level, so a
+block's step runs at numpy's contiguous speed.  It always
 returns the boundary traces and computes energies and snapshots only on
 request; it records no interior slice.  :func:`evolve` is the one
 forward solve, free or driven by Dirichlet rows (``forcing=``): a
@@ -256,20 +258,28 @@ def _leapfrog(om, dx, dt, steps, u_start, u_next, *, boundary=None,
 
     Every column gets bitwise the single-column arithmetic,
     (2 - 2 lam) u - u_prev + lam (u>> + u<<), in place on rotating
-    buffers.  ``boundary``: optional (left, right) Dirichlet rows of
+    buffers: C-ordered copies of the two levels, whatever the inputs'
+    layout, with lam and 2 - 2 lam stored once per entry of a level (one
+    value along each row), so a block's update runs over contiguous
+    memory.  ``boundary``: optional (left, right) Dirichlet rows of
     shape (steps+1,) + columns for every level; without it the ends are
     zero from the third level.  Only on request: energies of orders
     <= ``k_max`` (one column only; order k at every level from the
     (k+1)-th on) and snapshots.
     """
-    first = np.array(u_start, dtype=float)
-    second = np.array(u_next, dtype=float)
+    first = np.array(u_start, dtype=float, order="C")
+    second = np.array(u_next, dtype=float, order="C")
     cols = first.shape[1:]
     orders = range(0 if k_max is None else k_max + 1)
     if orders and cols:
         raise ValueError("energies are tracked for a single column only")
     n = first.shape[0] - 1
-    lam = (dt ** 2 / dx ** 2 / om[1:-1]).reshape((-1,) + (1,) * len(cols))
+    # one coefficient per entry, not a (rows, 1) column broadcast over
+    # the block: numpy then runs each update as one contiguous loop
+    # instead of one K-entry loop per row
+    lam = np.ascontiguousarray(np.broadcast_to(
+        (dt ** 2 / dx ** 2 / om[1:-1]).reshape((-1,) + (1,) * len(cols)),
+        (n - 1,) + cols))
     coef = 2.0 - 2.0 * lam
     if boundary is None:
         left = right = np.zeros((steps + 1,) + cols)

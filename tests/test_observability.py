@@ -88,6 +88,30 @@ class TestKernel:
             assert np.array_equal(single.trace_left, tl)
             assert np.array_equal(single.levels[1], levels[1])
 
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_input_layout_does_not_change_bits(self, grid, layout):
+        # a Fortran-ordered block and a strided view of a wider array
+        # march to the bits of the C-ordered block, into C-ordered levels
+        om, dx, dt = grid
+        rng = np.random.default_rng(2)
+        u0 = rng.standard_normal((self.n + 1, self.K))
+        u1 = u0 + dt * rng.standard_normal((self.n + 1, self.K))
+        u0[0] = u0[-1] = u1[0] = u1[-1] = 0.0
+        if layout == "fortran":
+            v0, v1 = np.asfortranarray(u0), np.asfortranarray(u1)
+        else:
+            wide = np.zeros((2, self.n + 1, 2 * self.K))
+            wide[0][:, ::2], wide[1][:, ::2] = u0, u1
+            v0, v1 = wide[0][:, ::2], wide[1][:, ::2]
+        assert not (v0.flags.c_contiguous or v1.flags.c_contiguous)
+        ref = ws._leapfrog(om, dx, dt, self.steps, u0, u1)
+        run = ws._leapfrog(om, dx, dt, self.steps, v0, v1)
+        for name in ("trace_left", "trace_right", "node1"):
+            assert np.array_equal(getattr(run, name), getattr(ref, name))
+        for got, want in zip(run.levels, ref.levels):
+            assert np.array_equal(got, want)
+            assert got.flags.c_contiguous
+
     def test_records_only_on_request(self, grid):
         om, dx, dt = grid
         u = np.zeros((self.n + 1, 2))
@@ -199,6 +223,32 @@ class TestConstants:
         q = ob.observability_quotient(om, np.zeros_like(x), u1, rep.T,
                                       resolution=64)
         assert q.value == row["quotient"]
+
+    def test_duplicate_candidate_marched_once(self, monkeypatch):
+        # the four bumps do not depend on the cutoff: 3 x (4 + 7) = 33
+        # candidates are 25 distinct columns of one march, and each bump's
+        # row reads the same trace at every cutoff
+        shapes = []
+        kernel = ob._leapfrog
+
+        def recorded(om, dx, dt, steps, u_start, u_next, **kwargs):
+            shapes.append(np.shape(u_start))
+            return kernel(om, dx, dt, steps, u_start, u_next, **kwargs)
+
+        monkeypatch.setattr(ob, "_leapfrog", recorded)
+        rep = ob.estimate_observability_constant(
+            coeff.make_baseline("lipschitz"), cutoffs=(8, 16, 32),
+            n_random=4, resolution=256)
+        assert shapes == [(257, 25)]
+        assert len(rep.rows) == 33
+        bumps = {}
+        for row in rep.rows:
+            if row["label"].startswith("bump-"):
+                bumps.setdefault(row["label"], []).append(
+                    {k: v for k, v in row.items() if k != "cutoff"})
+        assert len(bumps) == 4
+        for same in bumps.values():
+            assert len(same) == 3 and same[0] == same[1] == same[2]
 
     def test_lipschitz_constants_flat(self):
         # exact-over-span constants on one grid: the spans are nested, so

@@ -305,6 +305,28 @@ class TestPoweredCrossings:
         assert abs(forced.boundary_energy_0_log
                    - scaled_j2.boundary_energy_0_log) < 1e-8
 
+    def test_det_dev_is_the_largest_of_the_crossings(
+            self, scaled_density, scaled_j6, monkeypatch):
+        # every foreign crossing of the j=2 mode goes by powers; stats
+        # keep the largest period-matrix determinant deviation, and a
+        # solve without a powered crossing has no det_dev at all
+        devs = []
+        cross = qm._cross_powered
+
+        def recorded(*args, **kwargs):
+            state, info = cross(*args, **kwargs)
+            devs.append(info["det_dev"])
+            return state, info
+
+        monkeypatch.setattr(qm, "_DENSE_BUDGET", 10)
+        monkeypatch.setattr(qm, "_cross_powered", recorded)
+        forced = solve_quasimode(scaled_density, 2, checks=False)
+        assert len(devs) == forced.stats["powered_spans"] >= 4
+        assert forced.stats["det_dev"] == max(devs)
+        assert 0.0 <= forced.stats["det_dev"] < 1e-12
+        assert scaled_j6.stats["powered_spans"] == 0
+        assert "det_dev" not in scaled_j6.stats
+
     def test_nan_samples_confined_to_powered_spans(self, scaled_density,
                                                    monkeypatch):
         # at this budget only the widest foreign interval ]1/4, 1/2]

@@ -15,9 +15,10 @@ family of concentrating modes.  This module measures both sides:
   one datum from its own march, flagging quotients that exceed what the
   discrete trace can certify ("unbounded at this resolution").
 * :func:`estimate_observability_constant` takes a max over an ensemble of
-  random mode mixtures and deterministic weak-spot data, per frequency
-  cutoff, with an optional cross-check against the small dense Gramian
-  of :func:`gramian_observability_constant`.
+  random mode mixtures and three top-of-window modes, per frequency
+  cutoff, all inside the cutoff's sine span, with an optional
+  cross-check against the exact constant of that span, the small dense
+  Gramian of :func:`gramian_observability_constant`.
 * :func:`run_counterexample_sweep` drives the concentrating quasimode
   family through the wave solver and tabulates the divergence of Q_m along
   the family, with closed-form numerators where the construction makes
@@ -37,9 +38,11 @@ from the data's Taylor start levels with the control as the x = 0
 boundary row.
 
 Every entry point takes the derivative order m as a nonnegative integer
-and rejects anything else (:func:`_check_order`), and a trace exponent
-beta as finite and nonnegative; both are checked before any march.  The
-default horizon is :func:`_default_horizon`, its test :func:`_admissible`.
+and rejects anything else (:func:`_check_order`), a frequency cutoff as
+an integer by the same rule (:func:`_check_cutoff`), and a trace
+exponent beta as finite and nonnegative; all are checked before any
+march.  The default horizon is :func:`_default_horizon`, its test
+:func:`_admissible`.
 """
 
 from __future__ import annotations
@@ -339,27 +342,16 @@ def _sine_mixture(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bump(x: np.ndarray, center: float, width: float) -> np.ndarray:
-    """C^infty bump exp(1 - 1/(1-s^2)), s=(x-center)/width, support inside."""
-    s = (x - center) / width
-    out = np.zeros_like(x)
-    inside = np.abs(s) < 1.0
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - s[inside] ** 2))
-    return out
-
-
-def _ensemble_data(x: np.ndarray, omega_nodes: np.ndarray, cutoff: int,
-                   rng: np.random.Generator, n_random: int) -> list:
-    """(label, u0, u1) candidates for one frequency cutoff.
+def _ensemble_data(x: np.ndarray, cutoff: int, rng: np.random.Generator,
+                   n_random: int) -> list:
+    """(label, u0, u1) candidates for one frequency cutoff, all inside the
+    span of its sine modes 1..cutoff.
 
     Random mixtures draw iid normal coefficients on modes 1..cutoff with
     the position part weighted 1/(k pi) so both energy terms have
-    comparable size.  The deterministic candidates aim at the known weak
-    spots: the top of the frequency window, data supported far from the
-    recorded end, a rightward-traveling packet, and data centered on the
-    dyadic point 3/8 (the midpoint of the first marked interval of the
-    trapping construction; for regular densities it is just another
-    bump, which keeps the protocol density-blind).
+    comparable size.  The three deterministic candidates aim at the top
+    of the frequency window: the top mode as position and as velocity,
+    and the mode at three quarters of the cutoff as position.
     """
     kk = np.arange(1, cutoff + 1)
     out = []
@@ -376,16 +368,6 @@ def _ensemble_data(x: np.ndarray, omega_nodes: np.ndarray, cutoff: int,
     out.append((f"mode-{near}-position",
                 _sine_mixture(x, np.eye(cutoff)[near - 1] / (near * math.pi)),
                 np.zeros_like(x)))
-    far = _bump(x, 0.85, 0.12)
-    out.append(("bump-far-position", far, np.zeros_like(x)))
-    dx = x[1] - x[0]
-    far_prime = np.gradient(far, dx)
-    traveling = -far_prime / np.sqrt(omega_nodes)
-    traveling[0] = traveling[-1] = 0.0
-    out.append(("bump-far-traveling", far, traveling))
-    center = _bump(x, 0.375, 0.15)
-    out.append(("bump-center-position", center, np.zeros_like(x)))
-    out.append(("bump-center-velocity", np.zeros_like(x), center))
     return out
 
 
@@ -444,16 +426,22 @@ class ObservabilityReport:
                 "overall_growth": _jsonable(self.overall_growth)}
 
 
-def _check_cutoff(cutoff: int, resolution: int) -> None:
-    """A cutoff counts modes, so it is at least 1; past half the grid's
-    modes the constant measures the uniform-grid group-velocity defect
-    (Infante & Zuazua, M2AN 33, 1999), not omega."""
+def _check_cutoff(cutoff, resolution: int) -> int:
+    """The cutoff as an int.  A cutoff counts modes, so it is an integer
+    (a fractional, nan or inf cutoff is rejected, not rounded) of at
+    least 1; past half the grid's modes the constant measures the
+    uniform-grid group-velocity defect (Infante & Zuazua, M2AN 33,
+    1999), not omega."""
+    if not float(cutoff).is_integer():
+        raise ValueError(f"cutoff {cutoff!r} must be an integer")
+    cutoff = int(cutoff)
     if cutoff < 1:
         raise ValueError(f"cutoff {cutoff} must be at least 1")
     if cutoff > resolution // 2:
         raise ValueError(
             f"cutoff {cutoff} exceeds resolution {resolution} // 2, where "
             f"uniform-grid modes lose their group velocity")
+    return cutoff
 
 
 def _resolution_flags(density: Coefficient, resolution: int) -> tuple:
@@ -477,30 +465,29 @@ def estimate_observability_constant(
     """Max observability quotient over an ensemble, per frequency cutoff.
 
     ``T`` defaults to twice the crossing time plus 0.5.  Each cutoff's
-    candidates are ``n_random`` random mixtures plus seven deterministic
-    weak-spot data (:func:`_ensemble_data`).  The candidates of every
-    cutoff are drawn first (deterministic for a given seed) and then
-    evolved together, one column per distinct candidate (the bumps do not
-    depend on the cutoff and are marched once), in a single march of the
-    leapfrog kernel without energy tracking, and each candidate's
-    quotient is read from its trace at order ``m`` (or trace exponent
-    ``beta``).  ``cross_check`` runs the dense Gramian constant at a
-    coarse cutoff/resolution and stores the comparison: the ensemble max
-    is a lower bound for the Gramian constant, so the ratio belongs in
-    [0, 1] up to discretization.  The Gramian constant is the Q_m
+    candidates are ``n_random`` random mixtures plus three deterministic
+    top-of-window modes (:func:`_ensemble_data`), all in the span of the
+    sine modes 1..cutoff.  The candidates of every cutoff are drawn first
+    (deterministic for a given seed) and then evolved together, one
+    column per candidate, in a single march of the leapfrog kernel
+    without energy tracking, and each candidate's quotient is read from
+    its trace at order ``m`` (or trace exponent ``beta``).
+    ``cross_check`` reruns the ensemble at one coarse cutoff/resolution
+    next to the dense Gramian constant of the same span and grid: the
+    Gramian constant is the max of the quotient over that span, so the
+    ensemble max is at most it and the ratio lies in [0, 1] (up to
+    rounding in the eigenvalue solve).  The Gramian constant is the Q_m
     constant and has no H^beta route, so ``cross_check`` with a ``beta``
-    is rejected before any march.  Every cutoff must be at most half its
-    resolution, and the cutoffs strictly increasing.  An unresolved
-    trapping density is flagged, not rejected.
+    is rejected before any march.  Every cutoff must be an integer of at
+    most half its resolution, and the cutoffs strictly increasing.  An
+    unresolved trapping density is flagged, not rejected.
     """
     m = _check_order(m)
     if beta is not None:
         _check_beta(beta)
-    cuts = tuple(cutoffs)
+    cuts = tuple(_check_cutoff(cutoff, resolution) for cutoff in cutoffs)
     if not cuts:
         raise ValueError("cutoffs must hold at least one cutoff")
-    for cutoff in cuts:
-        _check_cutoff(cutoff, resolution)
     _check_increasing("cutoffs", cuts)
     if n_random < 0:
         raise ValueError(f"n_random {n_random} must be nonnegative")
@@ -510,30 +497,19 @@ def estimate_observability_constant(
                 "cross_check compares with the Gramian's Q_m constant, "
                 "which has no beta; leave beta None")
         _check_resolution(cross_check_resolution)
-        _check_cutoff(cross_check_cutoff, cross_check_resolution)
+        cross_check_cutoff = _check_cutoff(cross_check_cutoff,
+                                           cross_check_resolution)
     T_omega = travel_time(omega)
     if T is None:
         T = _default_horizon(T_omega)
     grid = _wave_grid(omega, T, resolution)
     x, dt, dx = grid.x, grid.dt, grid.dx
     rng = np.random.default_rng(seed)
-    cands = []
-    for cutoff in cuts:
-        cands += [(cutoff,) + c for c in _ensemble_data(
-            x, grid.om, cutoff, rng, n_random)]
-    # the bump candidates do not depend on the cutoff: each distinct
-    # datum is one column, and every candidate reads its column's trace
-    column: dict = {}
-    distinct, slots = [], []
-    for c in cands:
-        key = c[2].tobytes() + c[3].tobytes()
-        if key not in column:
-            column[key] = len(distinct)
-            distinct.append(c)
-        slots.append(column[key])
-    run = _march_data(grid, np.stack([c[2] for c in distinct], axis=1),
-                      np.stack([c[3] for c in distinct], axis=1))
-    traces = np.ascontiguousarray(run.trace_left.T)[slots]
+    cands = [(cutoff,) + c for cutoff in cuts
+             for c in _ensemble_data(x, cutoff, rng, n_random)]
+    run = _march_data(grid, np.stack([c[2] for c in cands], axis=1),
+                      np.stack([c[3] for c in cands], axis=1))
+    traces = run.trace_left.T
 
     constants: dict = {}
     argmax: dict = {}
@@ -592,9 +568,9 @@ def gramian_observability_constant(omega: Coefficient, T: float,
     ensemble report.
     """
     m = _check_order(m)
+    cutoff = _check_cutoff(cutoff, resolution)
     if cutoff > 64:
         raise ValueError("gramian route is for small cutoffs (<= 64)")
-    _check_cutoff(cutoff, resolution)
     grid = _wave_grid(omega, T, resolution)
     dt, dx = grid.dt, grid.dx
     modes = [np.sin(k * math.pi * grid.x) for k in range(1, cutoff + 1)]
@@ -842,6 +818,8 @@ def run_counterexample_sweep(
             f"points_per_wavelength {points_per_wavelength} must be "
             f"positive and finite")
     m_list = tuple(_check_order(m) for m in m_list)
+    if not m_list:
+        raise ValueError("m_list must hold at least one order")
     kw = dict(sequence_kwargs or {})
     kw.setdefault("mode", "concentrating")
     kw.setdefault("j_range", range(min(j_list), max(j_list) + 1))
@@ -1057,6 +1035,9 @@ def hum_control(omega: Coefficient, y0, y1, T: float, m: int = 0, *,
     x, om_nodes, dx, dt, steps = _wave_grid(omega, T, resolution)
     y0n = _as_samples(y0, x)
     y1n = _as_samples(y1, x)
+    # the Taylor start levels reject a y0 that does not vanish at the
+    # ends before any norm or modal solve
+    start = _taylor_start(y0n, y1n, om_nodes, dt, dx, name="y0")
     times = np.arange(steps + 1) * dt
 
     target_sq = _l2_norm_sq(y0n, dx) + _hminus1_norm_sq(y1n, dx)
@@ -1079,7 +1060,6 @@ def hum_control(omega: Coefficient, y0, y1, T: float, m: int = 0, *,
 
     # the identity's right side at the Taylor start levels (the state
     # the verification evolves), in modal coordinates
-    start = _taylor_start(y0n, y1n, om_nodes, dt, dx)
     z0, z1 = (modes.to_modal(level) for level in start)
     b = (dx / dt ** 2) * np.concatenate([z0 - z1, dt * z0])
 

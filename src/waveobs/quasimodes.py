@@ -140,7 +140,7 @@ def _rotate(state: tuple, d: float, h: float) -> tuple:
     return _normalized(log_mag, a2, b2, kappa)
 
 
-def _state_energy_log(state: tuple, kappa: float) -> float:
+def _state_energy_log(state: tuple) -> float:
     """log(|phi|^2 + |phi'|^2) of a normalized state."""
     log_mag, a, b = state
     return 2.0 * log_mag + math.log(a * a + b * b)
@@ -725,8 +725,8 @@ def _solve_structured(omega, j, xs, rtol, checks):
 
     state_right = walk(+1)
     state_left = walk(-1)
-    be1_log = _state_energy_log(state_right, kappa)
-    be0_log = _state_energy_log(state_left, kappa)
+    be1_log = _state_energy_log(state_right)
+    be0_log = _state_energy_log(state_left)
 
     flags = _closed_form_checks(pair, entry, stats) if checks else ()
 

@@ -182,13 +182,14 @@ class WaveTrajectory:
                                  for k in self.energies}}
 
 
-def _taylor_start(u0, v0, om, dt, dx):
+def _taylor_start(u0, v0, om, dt, dx, *, name="u0"):
     """(u0 with its ends zeroed, Taylor start u(dt) to fourth-order local
-    accuracy) for node arrays or (nodes x K) blocks of data columns."""
+    accuracy) for node arrays or (nodes x K) blocks of data columns.  A
+    u0 that does not vanish at the ends is rejected under ``name``."""
     u0 = np.array(u0, dtype=float)
     tol = 1e-12 * max(1.0, float(np.max(np.abs(u0))))
     if np.max(np.abs(u0[0])) > tol or np.max(np.abs(u0[-1])) > tol:
-        raise ValueError("u0 must vanish at the endpoints")
+        raise ValueError(f"{name} must vanish at the endpoints")
     u0[0] = u0[-1] = 0.0
     inv_om = (1.0 / om).reshape((-1,) + (1,) * (u0.ndim - 1))
     lap0 = np.zeros_like(u0)
@@ -480,14 +481,21 @@ def evolve(omega: Coefficient, u0, u1, T: float, resolution: int,
     One energy rule for every run: a single-column kernel run tracks
     E_0..E_{k_max} at every level, E_k at the staggered times
     ``energy_times[k]`` = (n - (k+1)/2) dt, n = k+1..steps.  Snapshots
-    default to every steps // 128 (``snapshot_stride=1`` keeps every
-    level).  The boundary traces are the whole record of the run's flux;
-    no interior slice is recorded (the tests' sidewise solver,
+    are taken every ``snapshot_stride`` levels, a positive integer, by
+    default steps // 128 (``snapshot_stride=1`` keeps every level).  The
+    boundary traces are the whole record of the run's flux; no interior
+    slice is recorded (the tests' sidewise solver,
     ``tests/oracles.py``, rebuilds the interior from ``trace_left``).
     """
     if not isinstance(k_max, (int, np.integer)) or k_max < 0:
         raise ValueError(
             f"k_max must be a nonnegative integer, got {k_max!r}")
+    if snapshot_stride is not None and not (
+            isinstance(snapshot_stride, (int, np.integer))
+            and snapshot_stride > 0):
+        raise ValueError(
+            f"snapshot_stride must be None or a positive integer, got "
+            f"{snapshot_stride!r}")
     x, om, dx, dt, steps = _wave_grid(omega, T, resolution)
     if forcing is not None:
         forcing = tuple(np.asarray(row, dtype=float) for row in forcing)
@@ -505,8 +513,10 @@ def evolve(omega: Coefficient, u0, u1, T: float, resolution: int,
         ut0 = _as_samples(u1, x)
         ua, ub = _taylor_start(_as_samples(u0, x), ut0, om, dt, dx)
 
+    if snapshot_stride is None:
+        snapshot_stride = max(1, steps // 128)
     run = _leapfrog(om, dx, dt, steps, ua, ub, boundary=forcing, k_max=k_max,
-                    snapshot_stride=snapshot_stride or max(1, steps // 128))
+                    snapshot_stride=snapshot_stride)
     st, su, sut = run.snapshots
     sut[0] = ut0
     en = run.energies

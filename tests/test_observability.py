@@ -194,8 +194,27 @@ class TestConstants:
             cross_check_resolution=64)
         ratio = rep.cross_check["ensemble_over_gramian"]
         assert 0.0 <= ratio <= 1.0 + 1e-6
-        assert len(rep.rows) == 2 * (2 + 7)
+        assert len(rep.rows) == 2 * (2 + 3)
         assert all(math.isfinite(c) and c > 0 for c in rep.constants.values())
+
+    @pytest.mark.parametrize("kind", [
+        "lipschitz", "bv-step", "hoelder", "log-lipschitz",
+        "weierstrass-zygmund",
+    ])
+    def test_ensemble_never_above_gramian(self, kind):
+        # every candidate lies in the span of the cross-check cutoff's
+        # sine modes, whose exact constant the Gramian is; so the ratio
+        # is at most 1 (0.916 at most over these 18 runs per density)
+        om = coeff.make_baseline(kind)
+        for cc in (2, 4, 8):
+            for res in (64, 128):
+                for m in (0, 1, 2):
+                    rep = ob.estimate_observability_constant(
+                        om, cutoffs=(cc,), resolution=res, n_random=2,
+                        seed=0, m=m, cross_check=True,
+                        cross_check_cutoff=cc, cross_check_resolution=res)
+                    ratio = rep.cross_check["ensemble_over_gramian"]
+                    assert ratio <= 1.0 + 1e-9, (cc, res, m, ratio)
 
     def test_beta_weight_lowers_quotient(self):
         # the H^1 weight (1 + xi^2) >= 1 can only lower the quotient; the
@@ -203,9 +222,8 @@ class TestConstants:
         om = coeff.make_baseline("lipschitz")
         T = ob._default_horizon(coeff.travel_time(om))
         grid = ws._wave_grid(om, T, 64)
-        cands = ob._ensemble_data(grid.x, grid.om, 4,
-                                  np.random.default_rng(3), 2)
-        assert len(cands) == 2 + 7
+        cands = ob._ensemble_data(grid.x, 4, np.random.default_rng(3), 2)
+        assert len(cands) == 2 + 3
         for _, u0, u1 in cands:
             q0, q1 = (ob.observability_quotient(
                 om, u0, u1, T, beta=beta, resolution=64).value
@@ -224,10 +242,9 @@ class TestConstants:
                                       resolution=64)
         assert q.value == row["quotient"]
 
-    def test_duplicate_candidate_marched_once(self, monkeypatch):
-        # the four bumps do not depend on the cutoff: 3 x (4 + 7) = 33
-        # candidates are 25 distinct columns of one march, and each bump's
-        # row reads the same trace at every cutoff
+    def test_one_column_per_candidate(self, monkeypatch):
+        # 3 cutoffs x (4 random + 3 modes) = 21 candidates, each one
+        # column of a single march and one row
         shapes = []
         kernel = ob._leapfrog
 
@@ -239,16 +256,9 @@ class TestConstants:
         rep = ob.estimate_observability_constant(
             coeff.make_baseline("lipschitz"), cutoffs=(8, 16, 32),
             n_random=4, resolution=256)
-        assert shapes == [(257, 25)]
-        assert len(rep.rows) == 33
-        bumps = {}
-        for row in rep.rows:
-            if row["label"].startswith("bump-"):
-                bumps.setdefault(row["label"], []).append(
-                    {k: v for k, v in row.items() if k != "cutoff"})
-        assert len(bumps) == 4
-        for same in bumps.values():
-            assert len(same) == 3 and same[0] == same[1] == same[2]
+        assert shapes == [(257, 21)]
+        assert len(rep.rows) == 21
+        assert [r["cutoff"] for r in rep.rows] == [8] * 7 + [16] * 7 + [32] * 7
 
     def test_lipschitz_constants_flat(self):
         # exact-over-span constants on one grid: the spans are nested, so
@@ -324,17 +334,24 @@ def test_hum_dual_norm_control():
 
 @pytest.fixture
 def marches(monkeypatch):
-    """Kind of every leapfrog kernel run, wherever it is called from."""
+    """Kind of every leapfrog kernel run, wherever it is called from, and
+    every modal solve of HUM ("modes")."""
     calls = []
     kernel = ws._leapfrog
+    modal = ob._leapfrog_modes
 
     def counted(*args, **kwargs):
         forced = kwargs.get("boundary") is not None
         calls.append("forced" if forced else "homogeneous")
         return kernel(*args, **kwargs)
 
+    def solved(*args):
+        calls.append("modes")
+        return modal(*args)
+
     monkeypatch.setattr(ws, "_leapfrog", counted)
     monkeypatch.setattr(ob, "_leapfrog", counted)
+    monkeypatch.setattr(ob, "_leapfrog_modes", solved)
     return calls
 
 
@@ -416,7 +433,7 @@ class TestHumOperator:
         res = ob.hum_control(om, np.sin(math.pi * x), np.zeros_like(x),
                              T=3.0, resolution=128)
         assert res.converged and res.iterations > 2
-        assert marches == ["forced"]
+        assert marches == ["modes", "forced"]
 
 
 class TestCutoffGuard:
@@ -453,6 +470,23 @@ class TestCutoffGuard:
         assert marches == []
         rep = ob.estimate_observability_constant(om, 3.0, (8, 32), **kw)
         assert rep.cutoffs == (8, 32) and marches == ["homogeneous"]
+
+    def test_integral_float_accepted(self):
+        # an integral float is the integer cutoff, as m = 1.0 is m = 1
+        om = coeff.make_baseline("lipschitz")
+        kw = dict(n_random=1, resolution=64, cross_check=True,
+                  cross_check_resolution=64)
+        rep = ob.estimate_observability_constant(
+            om, 3.0, (4.0, 8.0), cross_check_cutoff=8.0, **kw)
+        ref = ob.estimate_observability_constant(
+            om, 3.0, (4, 8), cross_check_cutoff=8, **kw)
+        assert rep.cutoffs == (4, 8)
+        assert all(type(c) is int for c in rep.cutoffs)
+        assert rep.constants == ref.constants
+        assert rep.cross_check == ref.cross_check
+        gram = ob.gramian_observability_constant(om, 3.0, 8.0, resolution=64)
+        assert type(gram["cutoff"]) is int and gram["basis_size"] == 16
+        assert gram["value"] == ref.cross_check["gramian"]
 
 
 def data_mix(x):
@@ -611,6 +645,11 @@ def _bad_input_calls():
                 om, 3.0, (4,), n_random=-1, resolution=64))),
         "sweep-j_list=()": ("at least one", lambda: (
             ob.run_counterexample_sweep(j_list=(), **sweep))),
+        "sweep-m_list=()": ("m_list must hold at least one", lambda: (
+            ob.run_counterexample_sweep(j_list=(2,), m_list=(), **sweep))),
+        "hum_control-y0-ends": ("y0 must vanish", lambda: (
+            ob.hum_control(om, np.cos(math.pi * x), zero, 3.0,
+                           resolution=64))),
         "sweep-j_list=(2, 2)": ("strictly increasing", lambda: (
             ob.run_counterexample_sweep(j_list=(2, 2), **sweep))),
         "sweep-j_list=(3, 2)": ("strictly increasing", lambda: (
@@ -648,6 +687,25 @@ def _bad_input_calls():
         calls[f"evolve-forced-k_max={k_max}"] = (
             "k_max", lambda k_max=k_max: ws.evolve(
                 om, None, None, 3.0, 64, k_max=k_max, forcing=(rest, rest)))
+    for stride in (0, -3, 2.0):
+        calls[f"evolve-snapshot_stride={stride}"] = (
+            "snapshot_stride", lambda stride=stride: ws.evolve(
+                om, u, zero, 3.0, 64, k_max=0, snapshot_stride=stride))
+    for cutoff in (8.5, math.nan, math.inf):
+        for name, call in {
+            "estimate_observability_constant":
+                lambda c: ob.estimate_observability_constant(
+                    om, 3.0, (c,), n_random=1, resolution=64),
+            "cross_check_cutoff": lambda c: ob.estimate_observability_constant(
+                om, 3.0, (4,), n_random=1, resolution=64, cross_check=True,
+                cross_check_cutoff=c, cross_check_resolution=64),
+            "gramian_observability_constant":
+                lambda c: ob.gramian_observability_constant(
+                    om, 3.0, c, resolution=64),
+        }.items():
+            calls[f"{name}-cutoff={cutoff}"] = (
+                rf"cutoff {cutoff!r} must be an integer",
+                lambda call=call, cutoff=cutoff: call(cutoff))
     for ppw in (0.0, -6.0, math.nan, math.inf):
         calls[f"sweep-points_per_wavelength={ppw}"] = (
             "positive and finite", lambda ppw=ppw: (
@@ -1104,10 +1162,11 @@ def test_all_functions_defined_in_module(module):
 
 
 def test_no_orphans_in_the_package():
-    # every module-level import is used in its module, and every
-    # module-level private function is referenced from the package:
-    # a helper that lost its last caller, or the import it needed, shows
-    # here
+    # every module-level import is used in its module, every
+    # module-level private function is referenced from the package, and
+    # every parameter of a function or lambda is read in its body: a
+    # helper that lost its last caller, the import it needed, or an
+    # argument that lost its last use shows here
     pkg = Path(ob.__file__).resolve().parent
     trees = {p.name: ast.parse(p.read_text()) for p in pkg.glob("*.py")}
 
@@ -1121,7 +1180,7 @@ def test_no_orphans_in_the_package():
         return out
 
     used = {name: names(tree) for name, tree in trees.items()}
-    unused, orphans = [], []
+    unused, orphans, unread = [], [], []
     for name, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -1135,5 +1194,19 @@ def test_no_orphans_in_the_package():
                   and not node.name.startswith("__")
                   and not any(node.name in u for u in used.values())):
                 orphans.append(f"{name}: {node.name}")
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs
+                params += [a for a in (args.vararg, args.kwarg) if a]
+                body = (node.body if isinstance(node.body, list)
+                        else [node.body])
+                read = {n.id for part in body for n in ast.walk(part)
+                        if isinstance(n, ast.Name)
+                        and isinstance(n.ctx, ast.Load)}
+                unread += [f"{name}: {getattr(node, 'name', 'lambda')}"
+                           f"({a.arg})" for a in params
+                           if a.arg not in read | {"self", "cls"}]
     assert unused == []
     assert orphans == []
+    assert unread == []

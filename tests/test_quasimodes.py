@@ -448,8 +448,8 @@ class TestMagnusEngine:
                 state, near, far, kappa, 1e-12,
                 1.0 / (16.0 * max(h, entry.h)))[2]
             assert info["periods"] == n
-            assert abs(_state_energy_log(powered, kappa)
-                       - _state_energy_log(straight, kappa)) < 1e-9
+            assert abs(_state_energy_log(powered)
+                       - _state_energy_log(straight)) < 1e-9
 
     def test_powered_beyond_old_period_cap(self):
         # n/2 = 200,002 periods per half: past the 200,000 applications
@@ -476,8 +476,8 @@ class TestMagnusEngine:
                     log_mag += math.log(scale)
                     v0, v1 = v0 / scale, v1 / scale
         straight = (log_mag, v0, v1 * kappa)
-        assert abs(_state_energy_log(powered, kappa)
-                   - _state_energy_log(straight, kappa)) < 1e-9
+        assert abs(_state_energy_log(powered)
+                   - _state_energy_log(straight)) < 1e-9
 
     @pytest.mark.parametrize("chunk", [7, 8])
     @pytest.mark.parametrize("x0, x1", [(0.0, 1.0), (1.0, 0.0)])

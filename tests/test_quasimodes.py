@@ -31,14 +31,17 @@ Oracles in play:
   oracle.
 """
 
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from waveobs import quasimodes as qm
 from waveobs.coeff import (
@@ -188,20 +191,30 @@ class TestStructuredScaled:
 
     def test_closed_form_agreement(self, scaled_density, conc_params):
         # the sigma-space march runs at the solver floor (rtol 3e-14)
-        # but accumulates coherently over the half interval; measured
-        # deviations sit at 9e-13 .. 2.4e-12 on the scaled family and at
-        # 1.5e-11 / 2.9e-11 / 6.2e-11 (w) and 9.2e-11 / 1.8e-10 / 3.9e-10
-        # (w') on the concentrating lambda members j = 2, 3, 4 (n = 240,
-        # 582, 1406)
+        # with sixth-order cells and accumulates coherently over the
+        # half interval; measured deviations (w) sit at 1-2e-14 on the
+        # scaled family and at 7.5e-13 / 3.3e-12 / 7.5e-12 / 1.5e-11 on
+        # the concentrating lambda members j = 2, 3, 4, 5 (n = 240, 582,
+        # 1406, 3402), where w' reads 9.6e-11 at j = 5
         rows = [(scaled_density, 2), (scaled_density, 4)]
         rows += [(_single_lambda_density(conc_params, j), j)
-                 for j in (2, 3, 4)]
+                 for j in (2, 3, 4, 5)]
         for density, j in rows:
             res = solve_quasimode(density, j)
             assert res.flags == ()
             assert res.stats["closed_form_dev"] < 1e-10
             assert res.stats["closed_form_dev_prime"] < 5e-10
             assert res.stats["wronskian_dev"] < 1e-10
+
+    @pytest.mark.parametrize("j", [2, 3])
+    def test_tolerance_is_honest(self, scaled_density, j):
+        # the foreign crossings' tolerance holds for the whole solve: the
+        # boundary logs at rtol 1e-12 stay within 1e-10 of a solve at the
+        # floor (measured: 2.5e-11 at j = 3)
+        ref = solve_quasimode(scaled_density, j, rtol=3e-14, checks=False)
+        res = solve_quasimode(scaled_density, j, checks=False)
+        for side in ("boundary_energy_0_log", "boundary_energy_1_log"):
+            assert abs(getattr(res, side) - getattr(ref, side)) < 1e-10
 
     def test_reverse_solve_within_conditioning(self, scaled_j2):
         # marching inward, the decaying closed form dominates: the march
@@ -370,30 +383,44 @@ def _powered_oracle_entry(n, eps=1e-3):
                          eps=eps, eps_h_r=eps * n)
 
 
+# the engine's two cell rules, which its exactness and chunking tests run
+# in turn
+_RULES = (qm._MAGNUS4, qm._MAGNUS6)
+
+
+def _commutator(a, b):
+    return a @ b - b @ a
+
+
 class TestMagnusEngine:
-    def test_constant_density_exact_rotation(self):
-        # Magnus cells are exact for constant omega: only round-off remains
+    def test_constant_density_exact_rotation(self, monkeypatch):
+        # Magnus cells are exact for constant omega: only round-off
+        # remains, with either cell rule run by the generic path
         om = make_baseline("constant", value=FOUR_PI_SQ)
         h = 64.0
-        res = _engine(om, h=h, m=0.5, checks=False)
-        ph = TWO_PI * h * (res.x - 0.5)
-        assert np.max(np.abs(res.phi - np.cos(ph))) < 1e-12
-        assert np.max(np.abs(res.phi_prime / (TWO_PI * h)
-                             + np.sin(ph))) < 1e-12
+        for rule in _RULES:
+            monkeypatch.setattr(qm, "_MAGNUS4", rule)
+            res = _engine(om, h=h, m=0.5, checks=False)
+            ph = TWO_PI * h * (res.x - 0.5)
+            assert np.max(np.abs(res.phi - np.cos(ph))) < 1e-12
+            assert np.max(np.abs(res.phi_prime / (TWO_PI * h)
+                                 + np.sin(ph))) < 1e-12
 
     def test_negative_coefficient_exact_cosh(self):
         # q < 0 takes the hyperbolic branch of the cell exponential:
         # phi'' = k^2 phi from (1, 0) is cosh(k x), again exact
         k = 3.0
         at = np.linspace(0.0, 2.0, 9)
-        logs, mats, _ = _magnus_propagate(
-            lambda x: np.full_like(x, -k * k), 0.0, 2.0, k, 1e-12, 0.1, at)
         x = np.append(at, 2.0)
-        amp = np.exp(logs)
-        np.testing.assert_allclose(amp * mats[0], np.cosh(k * x),
-                                   rtol=1e-13)
-        np.testing.assert_allclose(amp * mats[2], np.sinh(k * x),
-                                   rtol=1e-13, atol=1e-15)
+        for rule in _RULES:
+            logs, mats, _ = _magnus_propagate(
+                lambda t: np.full_like(t, -k * k), 0.0, 2.0, k, 1e-12, 0.1,
+                at, rule)
+            amp = np.exp(logs)
+            np.testing.assert_allclose(amp * mats[0], np.cosh(k * x),
+                                       rtol=1e-13)
+            np.testing.assert_allclose(amp * mats[2], np.sinh(k * x),
+                                       rtol=1e-13, atol=1e-15)
 
     def test_smooth_custom_matches_dop853(self):
         om = _smooth_custom()
@@ -493,18 +520,70 @@ class TestMagnusEngine:
 
         at = np.arange(1, 64) / 64.0
 
-        def states():
+        def states(rule):
             logs, mats, nfev = _magnus_propagate(q, x0, x1, kappa, 1e-12,
-                                                 1.0 / 64.0, at)
+                                                 1.0 / 64.0, at, rule)
             return np.exp(logs) * mats, nfev
 
-        ref, ref_nfev = states()
+        refs = [states(rule) for rule in _RULES]
         monkeypatch.setattr(qm, "_CHUNK_CELLS", chunk)
-        got, nfev = states()
-        assert ref_nfev > 6 * 64      # the cells were refined
-        assert nfev == ref_nfev
-        scale = np.max(np.abs(ref), axis=0)
-        assert np.max(np.abs(got - ref) / scale) <= 1e-12
+        for rule, (ref, ref_nfev) in zip(_RULES, refs):
+            got, nfev = states(rule)
+            # the cells were refined: the first level samples each
+            # cell's two halves and the whole cell at the rule's nodes
+            assert ref_nfev > 3 * len(rule[0]) * 64
+            assert nfev == ref_nfev
+            scale = np.max(np.abs(ref), axis=0)
+            assert np.max(np.abs(got - ref) / scale) <= 1e-12
+
+    def test_magnus6_cell_matches_commutator_form(self):
+        # oracle: Blanes-Casas-Ros Omega^[6] built from plain 2x2
+        # commutators of A_i = [[0, kappa], [-q_i/kappa, 0]] and scipy's
+        # expm, on random cells with q of both signs (the hyperbolic
+        # branch runs on about half of them)
+        rng = np.random.default_rng(3)
+        r15 = math.sqrt(15.0)
+        hyperbolic = 0
+        for _ in range(400):
+            kappa = rng.uniform(1.0, 100.0)
+            dx = rng.uniform(-1.0, 1.0) / kappa
+            qv = kappa ** 2 * rng.uniform(-2.0, 2.0, 3)
+            a = [np.array([[0.0, kappa], [-q / kappa, 0.0]]) for q in qv]
+            a1 = dx * a[1]
+            a2 = (r15 * dx / 3.0) * (a[2] - a[0])
+            a3 = (10.0 * dx / 3.0) * (a[2] - 2.0 * a[1] + a[0])
+            c1 = _commutator(a1, a2)
+            c2 = -_commutator(a1, 2.0 * a3 + c1) / 60.0
+            omega = a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + c1,
+                                                 a2 + c2) / 240.0
+            hyperbolic += np.linalg.det(omega) < 0.0
+            ref = expm(omega)
+            got = qm._magnus6_cells(qv[:, None], np.array([dx]), kappa)
+            got = got[:, 0].reshape(2, 2)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert 100 < hyperbolic < 300
+
+    @pytest.mark.parametrize("rule", _RULES, ids=["magnus4", "magnus6"])
+    def test_cell_rule_order(self, rule):
+        # the product over N uniform cells of [0, 1] against N = 8192:
+        # sixth order's error falls 64x per halving, fourth order's 16x
+        kappa = 10.0
+        nodes, cells = rule
+
+        def product(n):
+            xa = np.arange(n) / n
+            dx = np.full(n, 1.0 / n)
+            qv = np.stack([kappa ** 2 * (1.0 + 0.3 * np.sin(5.0 * x))
+                           for x in (xa + t * dx for t in nodes)])
+            return qm._scan(cells(qv, dx, kappa))[:, -1]
+
+        ref = product(8192)
+        errs = [np.max(np.abs(product(n) - ref)) for n in (8, 16, 32, 64)]
+        ratios = np.array(errs[:-1]) / np.array(errs[1:])
+        if rule is qm._MAGNUS6:
+            assert np.all(ratios >= 48.0)
+        else:
+            assert np.all((ratios > 14.0) & (ratios < 20.0))
 
 
 # --------------------------------------------------------------------------
@@ -587,6 +666,38 @@ class TestGenericDensity:
         assert "wronskian_dev" in res.stats
         # the forward halves only
         assert calls == [(0.5, 1.0), (0.5, 0.0)]
+
+    def test_reverse_check_shares_nothing_with_the_engine(self):
+        # both sides sample 3-point Gauss-Legendre nodes, so the module's
+        # claim of independence is read off its source: the module-level
+        # functions and constants reachable from the engine (its entry
+        # point and the cell rules its callers pass) and from the check
+        # must not meet, integer caps such as _MAX_HALVINGS aside
+        tree = ast.parse(Path(qm.__file__).read_text())
+        defs = {}
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs[node.name] = node
+            elif isinstance(node, ast.Assign):
+                defs.update((t.id, node.value) for t in node.targets
+                            if isinstance(t, ast.Name))
+
+        def reach(*roots) -> set:
+            seen, todo = set(), list(roots)
+            while todo:
+                name = todo.pop()
+                if name in seen or name not in defs:
+                    continue
+                seen.add(name)
+                todo += [n.id for n in ast.walk(defs[name])
+                         if isinstance(n, ast.Name)]
+            return {n for n in seen if not isinstance(getattr(qm, n), int)}
+
+        engine = reach("_magnus_propagate", "_MAGNUS4", "_MAGNUS6")
+        check = reach("_collocation_propagate")
+        assert {"_refine", "_magnus6_cells", "_GAUSS6"} <= engine
+        assert {"_collocation_steps", "_GL_NODES"} <= check
+        assert engine & check == set()
 
     @pytest.mark.parametrize("target", [1.0, 0.0], ids=["right", "left"])
     def test_reverse_check_sees_planted_error(self, monkeypatch, target):

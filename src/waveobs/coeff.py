@@ -581,10 +581,11 @@ def make_baseline(kind: str, **params) -> Coefficient:
         peak = c1 / math.e
 
         def _ll(x, c0=c0, c1=c1):
+            # masked ufuncs, no gather or scatter: t = 0 and NaN give 0
             t = np.abs(x - 0.5)
-            out = np.zeros_like(t)
             pos = t > 0
-            out[pos] = -t[pos] * np.log(t[pos])
+            out = np.log(t, out=np.zeros_like(t), where=pos)
+            np.multiply(out, -t, out=out, where=pos)
             return c0 + c1 * out
 
         lo = min(c0, c0 + peak)

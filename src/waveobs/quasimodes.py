@@ -17,7 +17,8 @@ solution is assembled structurally:
   in one vectorized call, refined by step doubling to the requested
   tolerance, folded back into one matrix per initial cell and
   multiplied by a log-depth prefix scan that reads the state at every
-  sample point (an initial cell edge).  When even the initial cells
+  sample point (an initial cell edge, or inside an accepted cell when
+  the samples are denser than the cells).  When even the initial cells
   would exceed 30 000, the engine builds one unit-period matrix and the
   crossing applies its n_k/2-th powers, formed by repeated squaring
   (samples inside such spans are left NaN).
@@ -91,8 +92,12 @@ _MIN_RTOL = 3e-14
 _DENSE_BUDGET = 30_000
 # a check (the closed-form march: 8 n cells; each half of the generic
 # reverse check: 16 h times its span) starting from more cells than this
-# is skipped, with a flag in ``QuasimodeResult.flags``
-_CHECK_BUDGET = 30_000
+# is skipped, with a flag in ``QuasimodeResult.flags``.  Sized by cost
+# (2-vCPU Xeon VM): the closed-form march takes ~20 us per initial cell
+# (lambda j = 6, 65 856 cells: 1.3 s), so a check stays within ~2 s; the
+# generic reverse check is cheaper, 0.32 s for both halves of
+# log-Lipschitz at h = 12 500, m = 1/2, the largest h it admits there
+_CHECK_BUDGET = 100_000
 # boundary_smallness_sweep: samples of each row's mode on [0, 1]
 _SWEEP_SAMPLES = 1025
 
@@ -270,7 +275,8 @@ def _scan(mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def _refine(q: Callable, xa, dx, kappa: float, tol: float, rule) -> tuple:
+def _refine(q: Callable, xa, dx, kappa: float, tol: float, rule,
+            at_cell: np.ndarray, at_x: np.ndarray) -> tuple:
     """One accepted Magnus matrix per input cell, in input order.
 
     Each level evaluates q at the Gauss points of every open cell in one
@@ -282,15 +288,30 @@ def _refine(q: Callable, xa, dx, kappa: float, tol: float, rule) -> tuple:
     ``rule``: sixth order pays only where q is smooth.  ``_MAGNUS6``
     serves an oscillator pair's alpha (crossings, period matrices, the
     closed-form check): 77,184 evaluations on the psi sweep's j = 2, 3
-    rows, against 216,320.  On the generic path it would take 152,196
-    against ``_MAGNUS4``'s 101,560 (log-Lipschitz, h = 100, every cell
-    passes at level 0) and 25.2M against 8.4M (Weierstrass-Zygmund,
-    h = 10).  Returns (matrices, nfev).
+    rows, against 216,320.  On the generic path's forward halves it
+    would take 65,406 against ``_MAGNUS4``'s 67,956 (log-Lipschitz,
+    h = 100, r = 1/2: a tie) and 18.9M against 14.7M
+    (Weierstrass-Zygmund, h = 10).
+
+    ``at_x`` are points inside the cells, ``at_cell`` the input cell of
+    each; they are not cell edges.  Each point follows its cell down to
+    the accepted leaf that holds it and is read by one unchecked step of
+    the rule from that leaf's start, all points in one further q call.
+    The step stays within the leaf's accepted error: a cell's error grows
+    as its width to the power order + 1, and the step is no wider than
+    the leaf, whose whole-cell matrix passed the test against its two
+    halves.  The fold-back multiplies each point's step onto the left
+    siblings of the right halves it went down, so ``parts[:, i]`` maps
+    the state at the start of cell ``at_cell[i]`` to ``at_x[i]``.
+    Returns (matrices, parts, nfev).
     """
     nodes, cells = rule
     levels = []
     full = None
     nfev = 0
+    live = np.arange(at_x.size)          # points whose cell is still open
+    cell = at_cell                       # ... and that cell at this level
+    start = np.empty(at_x.size)          # each point's accepted leaf start
     for halvings in range(_MAX_HALVINGS + 1):
         half = 0.5 * dx
         xm = xa + half
@@ -309,7 +330,18 @@ def _refine(q: Callable, xa, dx, kappa: float, tol: float, rule) -> tuple:
         if halvings == _MAX_HALVINGS:
             ok[:] = True
         split = ~ok
-        levels.append((fine, split))
+        went_right = sibling = live[:0]
+        if live.size:
+            done = ok[cell]
+            start[live[done]] = xa[cell[done]]
+            live, cell = live[~done], cell[~done]
+            # a split cell's first half is its rank among the split
+            # cells, its second half that plus the number split
+            rank = np.cumsum(split) - 1
+            right_half = (at_x[live] - xm[cell]) * dx[cell] >= 0.0
+            went_right, sibling = live[right_half], rank[cell[right_half]]
+            cell = rank[cell] + right_half * np.count_nonzero(split)
+        levels.append((fine, split, went_right, sibling))
         if not np.any(split):
             break
         if 2 * np.count_nonzero(split) > _MAX_OPEN_CELLS:
@@ -323,13 +355,24 @@ def _refine(q: Callable, xa, dx, kappa: float, tol: float, rule) -> tuple:
         full = np.concatenate([left[:, split], right[:, split]], axis=1)
         del pts, qv, half, xm, left, right
 
+    parts = np.empty((4, 0))
+    if at_x.size:
+        width = at_x - start
+        qv = np.asarray(q(np.concatenate([start + t * width
+                                          for t in nodes])),
+                        dtype=float).reshape(len(nodes), at_x.size)
+        nfev += qv.size
+        parts = cells(qv, width, kappa)
     mats = levels.pop()[0]
     while levels:
-        fine, split = levels.pop()
+        fine, split, went_right, sibling = levels.pop()
         n = mats.shape[1] // 2
+        if went_right.size:
+            parts[:, went_right] = _mat_mul(parts[:, went_right],
+                                            mats[:, sibling])
         fine[:, split] = _mat_mul(mats[:, n:], mats[:, :n])
         mats = fine
-    return mats, nfev
+    return mats, parts, nfev
 
 
 def _magnus_propagate(q: Callable, x0: float, x1: float, kappa: float,
@@ -338,12 +381,17 @@ def _magnus_propagate(q: Callable, x0: float, x1: float, kappa: float,
     """Propagators of phi'' + q(x) phi = 0 from x0 to each of ``at``, x1.
 
     ``q`` is vectorized; ``at`` lists points of the span where the state
-    is wanted.  The initial mesh has every point of ``at`` as a cell edge
-    and no cell wider than ``max_cell``; cells are refined (see
-    :func:`_refine`) until their error estimate in the (phi, phi'/kappa)
-    variables is at most ``rtol``, folded back into one matrix per
-    initial cell and multiplied by a prefix scan, so the states at ``at``
-    are read exactly at initial-cell edges.  Initial cells are processed
+    is wanted.  A point of ``at`` whose neighbours among ``at``, x0 and
+    x1 are both at least ``max_cell`` away is a knot: the initial mesh
+    has every knot as a cell edge and no cell wider than ``max_cell``.
+    Cells are refined (see :func:`_refine`) until their error estimate in
+    the (phi, phi'/kappa) variables is at most ``rtol``, folded back into
+    one matrix per initial cell and multiplied by a prefix scan, so the
+    state at a knot is read exactly at an initial-cell edge.  Every other
+    point of ``at`` (a dense request, such as a sample grid finer than
+    the cells) is read by one unchecked cell from the start of the
+    accepted leaf that holds it, which costs one rule's nodes of q per
+    point and adds no cell.  Initial cells are processed
     ``_CHUNK_CELLS`` at a time; each chunk's prefixes are multiplied onto
     the renormalized product of all earlier chunks, so memory stays
     bounded and only the growth within one chunk has to fit a double.
@@ -356,25 +404,33 @@ def _magnus_propagate(q: Callable, x0: float, x1: float, kappa: float,
     ``rule``: the cell rule, chosen per caller (see :func:`_refine`).
     """
     sign = 1.0 if x1 >= x0 else -1.0
-    t_at = sign * (np.asarray(at, dtype=float) - x0)
-    knots = np.unique(np.concatenate([[0.0, sign * (x1 - x0)], t_at]))
+    # pts[0] is x0 (t = 0); want maps each of ``at`` and then x1 to pts
+    pts, want = np.unique(
+        np.concatenate([sign * (np.asarray(at, dtype=float) - x0),
+                        [sign * (x1 - x0), 0.0]]), return_inverse=True)
+    want = want[:-1]
+    wide = np.diff(pts) >= max_cell
+    is_knot = np.ones(pts.size, dtype=bool)
+    is_knot[1:-1] = wide[:-1] & wide[1:]
+    knot_at, dense_at = np.flatnonzero(is_knot), np.flatnonzero(~is_knot)
+    knots, dense = pts[knot_at], pts[dense_at]
     gaps = np.diff(knots)
     pieces = np.maximum(1, np.ceil(gaps / max_cell)).astype(np.int64)
     first = np.cumsum(pieces) - pieces
     n_cells = int(pieces.sum())
-    want = np.append(np.searchsorted(knots, t_at), knots.size - 1)
-    # wanted state i is reached after the first reach[i] initial cells
-    reach = np.append(first, n_cells)[want]
+    # knot i is reached after the first reach[i] initial cells
+    reach = np.append(first, n_cells)
 
     tol = max(rtol, _MIN_RTOL)
-    out = np.empty((4, want.size))
-    out[:] = np.array([1.0, 0.0, 0.0, 1.0])[:, None]
-    logs = np.zeros(want.size)
+    out = np.empty((4, pts.size))
+    out[:, 0] = (1.0, 0.0, 0.0, 1.0)
+    logs = np.zeros(pts.size)
     carry = np.array([1.0, 0.0, 0.0, 1.0])
     carry_log = 0.0
     nfev = 0
     for lo in range(0, n_cells, _CHUNK_CELLS):
-        idx = np.arange(lo, min(lo + _CHUNK_CELLS, n_cells))
+        hi = min(lo + _CHUNK_CELLS, n_cells)
+        idx = np.arange(lo, hi)
         seg = np.searchsorted(first, idx, side="right") - 1
         k = idx - first[seg]
         step = gaps[seg] / pieces[seg]
@@ -384,26 +440,38 @@ def _magnus_propagate(q: Callable, x0: float, x1: float, kappa: float,
         # drift the phase by kappa * ulp per cell)
         t_hi = np.where(k + 1 == pieces[seg], knots[seg + 1],
                         knots[seg] + (k + 1) * step)
-        mats, n = _refine(q, x0 + sign * t_lo, sign * (t_hi - t_lo),
-                          kappa, tol, rule)
+        p_lo, p_hi = np.searchsorted(dense, (t_lo[0], t_hi[-1]))
+        at_cell = np.searchsorted(t_lo, dense[p_lo:p_hi], side="right") - 1
+        mats, parts, n = _refine(q, x0 + sign * t_lo, sign * (t_hi - t_lo),
+                                 kappa, tol, rule, at_cell,
+                                 x0 + sign * dense[p_lo:p_hi])
         nfev += n
         prefix = _scan(mats)
         if not np.all(np.isfinite(prefix)):
             raise ScaleOutOfReach(
                 "the quasimode amplitude overflows double precision within "
                 "one chunk of the transfer-matrix scan")
-        hit = (reach > lo) & (reach <= idx[-1] + 1)
-        if np.any(hit):
-            cols = reach[hit] - lo - 1
-            prod = _mat_mul(prefix[:, cols], carry[:, None])
+        # the knots reached in this chunk, then its dense points through
+        # ahead[:, c], the map from x0 to the start of the chunk's cell c
+        k_lo, k_hi = np.searchsorted(reach, (lo, hi), side="right")
+        reads = [(knot_at[k_lo:k_hi],
+                  _mat_mul(prefix[:, reach[k_lo:k_hi] - lo - 1],
+                           carry[:, None]))]
+        if p_hi > p_lo:
+            ahead = _mat_mul(np.concatenate([[[1.0], [0.0], [0.0], [1.0]],
+                                             prefix[:, :-1]], axis=1),
+                             carry[:, None])
+            reads.append((dense_at[p_lo:p_hi],
+                          _mat_mul(parts, ahead[:, at_cell])))
+        for cols, prod in reads:
             norm = np.max(np.abs(prod), axis=0)
-            out[:, hit] = prod / norm
-            logs[hit] = carry_log + np.log(norm)
+            out[:, cols] = prod / norm
+            logs[cols] = carry_log + np.log(norm)
         total = _mat_mul(prefix[:, -1], carry)
         norm = float(np.max(np.abs(total)))
         carry = total / norm
         carry_log += math.log(norm)
-    return logs, out, nfev
+    return logs[want], out[:, want], nfev
 
 
 def _advance(q: Callable, state: tuple, x0: float, x1: float, kappa: float,
@@ -414,8 +482,11 @@ def _advance(q: Callable, state: tuple, x0: float, x1: float, kappa: float,
     matrix): the engine runs on the normalized linear state, and values
     are rescaled by the carried log magnitude afterwards.  Returns
     ``(phi, phi_prime, end_state, nfev)``: phi and phi' at each point of
-    ``at`` and, last, at x1, then the normalized state at x1.  Crossings
-    and the closed-form check pass ``_MAGNUS6``, generic halves ``_MAGNUS4``.
+    ``at`` and, last, at x1, then the normalized state at x1.  Points of
+    ``at`` at least ``max_cell`` from both neighbours are read at cell
+    edges, denser ones by one unchecked cell inside the accepted cell
+    that holds them (see :func:`_magnus_propagate`).  Crossings and the
+    closed-form check pass ``_MAGNUS6``, generic halves ``_MAGNUS4``.
     """
     log_mag, a, b = state
     logs, mats, nfev = _magnus_propagate(q, x0, x1, kappa, rtol, max_cell,
@@ -591,16 +662,18 @@ def solve_quasimode(
     ``r`` to request interval-energy fields); a constant density uses the
     trigonometric solution, everything else the Magnus engine from the
     center outward.  The engine starts from cells no wider than 1/(16 h)
-    (and 1/(16 h_k) inside a foreign interval), with every sample point a
-    cell edge, and halves each cell until its step-doubling error
-    estimate in the (phi, phi'/kappa) variables is at most ``rtol``.
+    (and 1/(16 h_k) inside a foreign interval), with every sample point
+    at least that far from its neighbours a cell edge, and halves each
+    cell until its step-doubling error estimate in the (phi, phi'/kappa)
+    variables is at most ``rtol``; denser samples are read inside the
+    accepted cells.
 
     A foreign crossing that would start from more than 30 000 engine
     cells (16 max(h, h_k) r_k) switches to powers of the one-period
     transfer matrix, and the samples in that span are NaN.  ``checks``
     runs the closed-form check of a trapping mode (one inward engine
     march from the edge state) or the generic reverse check.  A check
-    that would start from more than 30 000 cells (8 n for the first,
+    that would start from more than 100 000 cells (8 n for the first,
     16 h times the span for each half of the second) is skipped and
     named in ``flags``.  ``stats["nfev"]`` counts evaluations of the
     coefficient by the engine plus those of the generic reverse check.
@@ -869,8 +942,8 @@ def _solve_constant(omega, value, h, m, r, xs, rtol):
 # It marches y' = [[0, kappa], [-q/kappa, 0]] y, y = (phi, phi'/kappa),
 # by 3-stage Gauss-Legendre collocation (order 6; Hairer & Wanner,
 # Solving ODEs II, IV.5).  The system is linear, so the stage equations
-# of a cell are one 6x6 linear system whose two right-hand sides (the
-# columns of I) give the cell's 2x2 step matrix.
+# of a cell are linear too; eliminating the phi'/kappa stages leaves one
+# 3x3 system per cell, solved in closed form by cofactors.
 
 _GL_R15 = math.sqrt(15.0)
 _GL_NODES = np.array([0.5 - _GL_R15 / 10, 0.5, 0.5 + _GL_R15 / 10])
@@ -878,10 +951,19 @@ _GL_A = np.array([[5 / 36, 2 / 9 - _GL_R15 / 15, 5 / 36 - _GL_R15 / 30],
                   [5 / 36 + _GL_R15 / 24, 2 / 9, 5 / 36 - _GL_R15 / 24],
                   [5 / 36 + _GL_R15 / 30, 2 / 9 + _GL_R15 / 15, 5 / 36]])
 _GL_B = np.array([5 / 18, 4 / 9, 5 / 18])
-_GL_STAGE_RHS = np.tile(np.eye(2), (3, 1))
+_GL_AA = _GL_A @ _GL_A
+_GL_A1 = _GL_A.sum(axis=1)
+_GL_BA = _GL_B @ _GL_A
+# the cofactor of entry (i, j) of a 3x3 matrix m is
+# m[i+1, j+1] m[i+2, j+2] - m[i+1, j+2] m[i+2, j+1] (indices mod 3); the
+# rows hold the flat indices 3 row + column of these four factors
+_GL_COFACTORS = np.array(
+    [[(i + s) % 3 * 3 + (j + t) % 3 for i in range(3) for j in range(3)]
+     for s, t in ((1, 1), (2, 2), (1, 2), (2, 1))])
 # initial cells refined together, and the open cells one such chunk may
-# reach (64 times its initial cells) before the check is skipped: the
-# stage solve holds ~1 kB per open cell, and weierstrass-zygmund, which
+# reach (64 times its initial cells) before the check is skipped: a pass
+# holds ~1 kB per open cell (peak 64 MB at 65 532 open cells, traced
+# with tracemalloc on weierstrass-zygmund), and weierstrass-zygmund, which
 # still splits every cell after six halvings, would keep the check
 # busy for over a minute at h = 100, where the forward solve takes 25 s
 _COLLOCATION_CHUNK = 1 << 10
@@ -892,25 +974,28 @@ def _collocation_steps(qv: np.ndarray, dx: np.ndarray,
                        kappa: float) -> np.ndarray:
     """Step matrices (n, 2, 2) of cells of signed widths ``dx``.
 
-    ``qv[k, i]`` is q at node i of cell k.  The stage values solve
-    Y_i = y + dx sum_j a_ij A_j Y_j, i.e.
-    (I - dx (a (x) I) diag(A_1, A_2, A_3)) Y = (1 (x) I) y, and the step
-    is y + dx sum_i b_i A_i Y_i.
+    ``qv[i, k]`` is q at node i of cell k.  On y = (phi, psi), psi =
+    phi'/kappa, the stages solve Phi = phi 1 + dx kappa a Psi and
+    Psi = psi 1 - (dx/kappa) a (q Phi); eliminating Psi leaves
+    M Phi = phi 1 + dx kappa psi (a 1), M = I + dx^2 a a diag(q), solved
+    by cofactors.  The step is phi + dx kappa b.Psi (with b.1 = 1) and
+    psi - (dx/kappa) b.(q Phi).
     """
-    n = dx.size
-    a_dx = dx[:, None, None] * _GL_A
-    system = np.zeros((n, 6, 6))
-    system[:, np.arange(6), np.arange(6)] = 1.0
-    system[:, 0::2, 1::2] = -kappa * a_dx
-    system[:, 1::2, 0::2] = a_dx * (qv[:, None, :] / kappa)
-    stages = np.linalg.solve(system, np.broadcast_to(_GL_STAGE_RHS,
-                                                     (n, 6, 2)))
-    b_dx = (dx[:, None] * _GL_B)[:, None, :]
-    step = np.empty((n, 2, 2))
-    step[:, 0] = kappa * (b_dx @ stages[:, 1::2])[:, 0]
-    step[:, 1] = -((b_dx * (qv / kappa)[:, None, :]) @ stages[:, 0::2])[:, 0]
-    step[:, 0, 0] += 1.0
-    step[:, 1, 1] += 1.0
+    e = dx * dx
+    m = (_GL_AA[:, :, None] * (e * qv)).reshape(9, -1)    # M, row-major
+    m[::4] += 1.0
+    f1, f2, f3, f4 = m[_GL_COFACTORS]
+    cof = (f1 * f2 - f3 * f4).reshape(3, 3, -1)
+    det = np.sum(m[:3] * cof[0], axis=0)
+    u = np.sum(cof, axis=0) / det                         # M u = 1
+    z = np.tensordot(_GL_A1, cof, axes=1) / det           # M z = a 1
+    # Phi is u from y = (1, 0) and dx kappa z from y = (0, 1)
+    qu, qz = qv * u, qv * z
+    step = np.empty((dx.size, 2, 2))
+    step[:, 0, 0] = 1.0 - e * (_GL_BA @ qu)
+    step[:, 0, 1] = (dx * kappa) * (1.0 - e * (_GL_BA @ qz))
+    step[:, 1, 0] = -(dx / kappa) * (_GL_B @ qu)
+    step[:, 1, 1] = 1.0 - e * (_GL_B @ qz)
     return step
 
 
@@ -967,7 +1052,7 @@ def _collocation_propagate(q: Callable, x0: float, x1: float, kappa: float,
                 cw.append(dx)
             cx = np.concatenate(cx)
             cw = np.concatenate(cw)
-            nodes = cx[:, None] + cw[:, None] * _GL_NODES
+            nodes = cx + cw * _GL_NODES[:, None]
             qv = np.asarray(q(nodes.ravel()), dtype=float).reshape(
                 nodes.shape)
             nfev += qv.size

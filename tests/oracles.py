@@ -18,7 +18,10 @@ constants and types:
 * :func:`apply_D_omega`, the discrete operator whose powers the time
   differences of a trace must reproduce;
 * :func:`energy_gronwall_check`, the Gronwall energy comparison that
-  certifies a solved quasimode pair by pair.
+  certifies a solved quasimode pair by pair;
+* :func:`collocation_stage_steps`, the generic reverse check's
+  Gauss-Legendre step matrices from the full 6x6 stage system, against
+  which the check's eliminated 3x3 form is tested.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from waveobs.coeff import FOUR_PI_SQ, Coefficient, PeriodicPair
-from waveobs.quasimodes import QuasimodeResult
+from waveobs.quasimodes import _GL_A, _GL_B, QuasimodeResult
 from waveobs.wavesim import _CFL
 
 # apply_D_omega rejects a result below this many times its noise estimate
@@ -415,3 +418,37 @@ def energy_gronwall_check(
         tilde_declined=not differentiable,
         decline_reason=decline_reason,
         tol=_GRONWALL_TOL)
+
+
+# --------------------------------------------------------------------------
+# Gauss-Legendre collocation steps from the full stage system
+# --------------------------------------------------------------------------
+
+def collocation_stage_steps(qv: np.ndarray, dx: np.ndarray,
+                            kappa: float) -> np.ndarray:
+    """Step matrices (n, 2, 2) of 3-stage Gauss-Legendre collocation.
+
+    For y' = [[0, kappa], [-q/kappa, 0]] y on y = (phi, phi'/kappa) over
+    cells of signed widths ``dx``, with ``qv[i, k]`` q at node i of cell
+    k, the stage values solve Y_i = y + dx sum_j a_ij A_j Y_j, i.e.
+    (I - dx (a (x) I) diag(A_1, A_2, A_3)) Y = (1 (x) I) y: one 6x6
+    system per cell, whose two right-hand sides (the columns of I) give
+    the step y + dx sum_i b_i A_i Y_i.  Only the Butcher tables come from
+    the package.
+    """
+    n = dx.size
+    qv = qv.T
+    a_dx = dx[:, None, None] * _GL_A
+    system = np.zeros((n, 6, 6))
+    system[:, np.arange(6), np.arange(6)] = 1.0
+    system[:, 0::2, 1::2] = -kappa * a_dx
+    system[:, 1::2, 0::2] = a_dx * (qv[:, None, :] / kappa)
+    rhs = np.broadcast_to(np.tile(np.eye(2), (3, 1)), (n, 6, 2))
+    stages = np.linalg.solve(system, rhs)
+    b_dx = (dx[:, None] * _GL_B)[:, None, :]
+    step = np.empty((n, 2, 2))
+    step[:, 0] = kappa * (b_dx @ stages[:, 1::2])[:, 0]
+    step[:, 1] = -((b_dx * (qv / kappa)[:, None, :]) @ stages[:, 0::2])[:, 0]
+    step[:, 0, 0] += 1.0
+    step[:, 1, 1] += 1.0
+    return step

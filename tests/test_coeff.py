@@ -299,6 +299,26 @@ class TestBaselines:
         assert c.omega_lower - 1e-12 <= v.min() < c.omega_lower + 1e-6
         assert v.max() <= c.omega_upper
 
+    @pytest.mark.parametrize("base, amplitude", [(1.5, 0.7), (1.0, -2.0)])
+    def test_log_lipschitz_matches_masked_formula(self, base, amplitude):
+        # the evaluator's masked ufuncs against the gather/scatter form
+        # they replace: bitwise on random points, at the cusp, next to it
+        # and on NaN, which reads the base as before
+        c = coeff.make_baseline("log-lipschitz", base=base,
+                                amplitude=amplitude)
+        rng = np.random.default_rng(2)
+        x = np.concatenate([rng.uniform(-0.5, 1.5, 4000),
+                            [0.5, 0.5 + 1e-300, 0.5 - 1e-300, 0.5 - 1e-17,
+                             np.nan]])
+        t = np.abs(x - 0.5)
+        ref = np.zeros_like(t)
+        pos = t > 0
+        ref[pos] = -t[pos] * np.log(t[pos])
+        ref = base + amplitude * ref
+        got = c(x)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        assert got[-1] == base
+
     def test_log_lipschitz_positivity_guard(self):
         with pytest.raises(ValueError, match="positivity"):
             coeff.make_baseline("log-lipschitz", base=1.0, amplitude=-4.0)

@@ -61,12 +61,13 @@ from waveobs.quasimodes import (
     _cross_powered,
     _magnus_propagate,
     _period_matrix,
+    _refine,
     _state_energy_log,
     boundary_smallness_sweep,
     solve_quasimode,
 )
 
-from oracles import energy_gronwall_check
+from oracles import collocation_stage_steps, energy_gronwall_check
 
 # --------------------------------------------------------------------------
 # shared fixtures (module-scoped: the structured solves cost ~1 s each)
@@ -193,12 +194,13 @@ class TestStructuredScaled:
         # the sigma-space march runs at the solver floor (rtol 3e-14)
         # with sixth-order cells and accumulates coherently over the
         # half interval; measured deviations (w) sit at 1-2e-14 on the
-        # scaled family and at 7.5e-13 / 3.3e-12 / 7.5e-12 / 1.5e-11 on
-        # the concentrating lambda members j = 2, 3, 4, 5 (n = 240, 582,
-        # 1406, 3402), where w' reads 9.6e-11 at j = 5
+        # scaled family and at 7.5e-13 / 3.3e-12 / 7.5e-12 / 1.5e-11 /
+        # 4.2e-11 on the concentrating lambda members j = 2, ..., 6
+        # (n = 240, 582, 1406, 3402, 8232), where w' reads 9.6e-11 at
+        # j = 5 and 2.6e-10 at j = 6 (its 65 856 cells take ~1.3 s)
         rows = [(scaled_density, 2), (scaled_density, 4)]
         rows += [(_single_lambda_density(conc_params, j), j)
-                 for j in (2, 3, 4, 5)]
+                 for j in (2, 3, 4, 5, 6)]
         for density, j in rows:
             res = solve_quasimode(density, j)
             assert res.flags == ()
@@ -282,12 +284,13 @@ class TestClosedFormCheckSkips:
     """A skipped check of a trapping mode leaves a flag and no reading."""
 
     def test_check_budget_skips_both_checks(self, scaled_density,
-                                            conc_params, monkeypatch):
-        # concentrating j = 6 has n = 8232: the march would start from
-        # 8 n = 65 856 cells, past the budget of 30 000
-        res = solve_quasimode(_single_lambda_density(conc_params, 6), 6)
-        assert res.flags == ("closed-form check skipped: 65856 initial "
-                             "cells exceed the budget 30000",)
+                                            monkeypatch):
+        # concentrating j = 7 has n = 19 920: the march would start from
+        # 8 n = 159 360 cells, past the budget of 100 000
+        params = make_sequences(mode="concentrating", j_range=range(2, 8))
+        res = solve_quasimode(_single_lambda_density(params, 7), 7)
+        assert res.flags == ("closed-form check skipped: 159360 initial "
+                             "cells exceed the budget 100000",)
         # scaled j = 2 has n = 16: 8 n = 128 cells
         monkeypatch.setattr(qm, "_CHECK_BUDGET", 100)
         res = solve_quasimode(scaled_density, 2)
@@ -585,6 +588,76 @@ class TestMagnusEngine:
         else:
             assert np.all((ratios > 14.0) & (ratios < 20.0))
 
+    @pytest.mark.parametrize("rule", _RULES, ids=["magnus4", "magnus6"])
+    @pytest.mark.parametrize("x0, x1", [(0.0, 1.0), (1.0, 0.0)])
+    def test_dense_points_read_inside_cells(self, rule, x0, x1):
+        # points max_cell/16 apart are no cell edges: the run refines the
+        # no-points run's mesh and reads each interior point by one
+        # unchecked cell (one rule's nodes); on a constant q every cell
+        # is exact, so each state is the exact rotation
+        kappa = TWO_PI * 8.0
+        max_cell = 1.0 / 64.0
+        at = np.arange(1025) / 1024.0
+
+        def q(x):
+            return np.full_like(x, kappa ** 2)
+
+        logs, mats, nfev = _magnus_propagate(q, x0, x1, kappa, 1e-12,
+                                             max_cell, at, rule)
+        _, _, bare = _magnus_propagate(q, x0, x1, kappa, 1e-12, max_cell,
+                                       (), rule)
+        assert nfev == bare + len(rule[0]) * 1023
+        turn = kappa * (np.append(at, x1) - x0)
+        c, s = np.cos(turn), np.sin(turn)
+        assert np.max(np.abs(np.exp(logs) * mats - [c, s, -s, c])) <= 1e-12
+
+    @pytest.mark.parametrize("rule", _RULES, ids=["magnus4", "magnus6"])
+    @pytest.mark.parametrize("x0, x1", [(0.0, 1.0), (1.0, 0.0)])
+    def test_dense_points_match_knot_reads(self, rule, x0, x1):
+        # on a q that refines every cell several times, the points read
+        # inside accepted leaves (max_cell 1/64) meet the same points
+        # read as cell edges (max_cell 1/2048); measured 5e-15 (fourth
+        # order) and 1.4e-13 (sixth) relative
+        kappa = TWO_PI * 8.0
+
+        def q(x):
+            return kappa ** 2 * (1.0 + 0.3 * np.sin(5.0 * x))
+
+        at = np.arange(1025) / 1024.0
+        logs, mats, nfev = _magnus_propagate(q, x0, x1, kappa, 1e-12,
+                                             1.0 / 64.0, at, rule)
+        assert nfev > (3 * 64 + 1023) * len(rule[0])
+        ref_logs, ref, _ = _magnus_propagate(q, x0, x1, kappa, 1e-12,
+                                             1.0 / 2048.0, at, rule)
+        ref = np.exp(ref_logs) * ref
+        dev = np.max(np.abs(np.exp(logs) * mats - ref))
+        assert dev <= 1e-12 * np.max(np.abs(ref))
+
+    def test_sparse_requests_stay_knots(self, monkeypatch):
+        # samples two cells apart (the sweep's 1025 in a crossing, the
+        # closed-form check's sigma grid) are all cell edges: no engine
+        # run reads a point inside a cell, and the benchmark sweep keeps
+        # its evaluation counts and boundary logs
+        inside = []
+
+        def spy(q, xa, dx, kappa, tol, rule, at_cell, at_x):
+            inside.append(at_x.size)
+            return _refine(q, xa, dx, kappa, tol, rule, at_cell, at_x)
+
+        monkeypatch.setattr(qm, "_refine", spy)
+        params = make_sequences(mode="scaled", j_range=range(2, 4))
+        density = make_counterexample_density(params)
+        rows = [solve_quasimode(density, j, n_samples=qm._SWEEP_SAMPLES,
+                                checks=False) for j in (2, 3)]
+        assert [r.stats["nfev"] for r in rows] == [28224, 48960]
+        total = [np.logaddexp(r.boundary_energy_0_log,
+                              r.boundary_energy_1_log) for r in rows]
+        assert total == pytest.approx(
+            [4.788517115347978, 2.4155691021370136], rel=0.0, abs=1e-12)
+        assert "closed_form_dev" in solve_quasimode(
+            density, 2, n_samples=qm._SWEEP_SAMPLES).stats
+        assert inside and not any(inside)
+
 
 # --------------------------------------------------------------------------
 # generic path (no structure assumed)
@@ -643,6 +716,37 @@ class TestGenericDensity:
         om = make_baseline("constant", value=FOUR_PI_SQ)
         with pytest.raises(ScaleOutOfReach):
             solve_quasimode(om, h=1e13, m=0.5)
+
+    def test_collocation_steps_match_stage_solve(self):
+        # oracle: the full 6x6 stage system (tests/oracles.py) on random
+        # cells of both width signs, q in [0.5, 2] kappa^2, a tenth of
+        # them near-zero widths; the eliminated form reads within 1e-15
+        # of it, relative to each step's largest entry (measured: 6.5e-16
+        # at worst over 200 000 such cells)
+        rng = np.random.default_rng(5)
+        for kappa in (1.0, 60.0, 2.0e4):
+            dx = rng.uniform(-0.5, 0.5, 2000) / kappa
+            dx[:200] *= 1e-12
+            qv = kappa ** 2 * rng.uniform(0.5, 2.0, (3, 2000))
+            ref = collocation_stage_steps(qv, dx, kappa)
+            got = qm._collocation_steps(qv, dx, kappa)
+            dev = np.max(np.abs(got - ref), axis=(1, 2))
+            assert np.max(dev / np.max(np.abs(ref), axis=(1, 2))) <= 1e-15
+
+    def test_benchmark_solve_cost_and_tolerance(self):
+        # log-Lipschitz at h = 100, m = r = 1/2 reads its 4097 samples
+        # and its mass grid inside 800 initial cells a side (measured:
+        # 82 668 evaluations, with the reverse check), and its boundary
+        # energies at rtol 1e-12 meet a solve at the floor (measured:
+        # 1.1e-11 relative)
+        om = make_baseline("log-lipschitz")
+        res = solve_quasimode(om, h=100.0, m=0.5, r=0.5)
+        ref = solve_quasimode(om, h=100.0, m=0.5, r=0.5, rtol=3e-14)
+        assert res.stats["nfev"] <= 90_000
+        assert res.stats["wronskian_dev"] <= 1e-11
+        for side in ("boundary_energy_0", "boundary_energy_1"):
+            assert getattr(res, side) == pytest.approx(getattr(ref, side),
+                                                       rel=1e-10)
 
     def test_collocation_constant_density_exact_rotation(self):
         # the reverse check's own oracle: for q == nu^2 the exact

@@ -40,9 +40,9 @@ boundary row.
 Every entry point takes the derivative order m as a nonnegative integer
 and rejects anything else (:func:`_check_order`), a frequency cutoff as
 an integer by the same rule (:func:`_check_cutoff`), and a trace
-exponent beta as finite and nonnegative; all are checked before any
-march.  The default horizon is :func:`_default_horizon`, its test
-:func:`_admissible`.
+exponent beta as finite and nonnegative, and only with m = 0; all
+are checked before any march.  The default horizon is
+:func:`_default_horizon`, its test :func:`_admissible`.
 """
 
 from __future__ import annotations
@@ -303,7 +303,8 @@ def observability_quotient(omega: Coefficient, u0, u1, T: float, m: int = 0,
 
     ``u0``/``u1`` are callables or nodal arrays vanishing at the
     endpoints.  With ``beta`` the denominator is the squared H^beta trace
-    norm instead of the m-fold derivative energy; with ``cumulative`` the
+    norm instead of the m-fold derivative energy (so ``beta`` with m != 0
+    or ``cumulative`` is rejected); with ``cumulative`` the
     derivative energies of all orders k <= m are summed, which makes
     Q non-increasing in m by construction.  Zero data is rejected (the
     quotient is 0/0) before any march.  The data are marched once,
@@ -313,6 +314,11 @@ def observability_quotient(omega: Coefficient, u0, u1, T: float, m: int = 0,
     m = _check_order(m)
     if beta is not None:
         _check_beta(beta)
+        if m != 0 or cumulative:
+            raise ValueError(
+                f"beta = {beta!r} replaces the order-m trace energy; leave "
+                f"m = 0 and cumulative False (got m = {m}, cumulative = "
+                f"{cumulative})")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     grid = _wave_grid(omega, T, resolution)
@@ -471,7 +477,7 @@ def estimate_observability_constant(
     (deterministic for a given seed) and then evolved together, one
     column per candidate, in a single march of the leapfrog kernel
     without energy tracking, and each candidate's quotient is read from
-    its trace at order ``m`` (or trace exponent ``beta``).
+    its trace at order ``m`` (or trace exponent ``beta``, with m = 0).
     ``cross_check`` reruns the ensemble at one coarse cutoff/resolution
     next to the dense Gramian constant of the same span and grid: the
     Gramian constant is the max of the quotient over that span, so the
@@ -485,6 +491,10 @@ def estimate_observability_constant(
     m = _check_order(m)
     if beta is not None:
         _check_beta(beta)
+        if m != 0:
+            raise ValueError(
+                f"beta = {beta!r} replaces the order-m trace energy; leave "
+                f"m = 0 (got m = {m})")
     cuts = tuple(_check_cutoff(cutoff, resolution) for cutoff in cutoffs)
     if not cuts:
         raise ValueError("cutoffs must hold at least one cutoff")

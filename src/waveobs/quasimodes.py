@@ -16,12 +16,11 @@ solution is assembled structurally:
   (alpha is smooth), built from omega at the Gauss points of all cells
   in one vectorized call, refined by step doubling to the requested
   tolerance, folded back into one matrix per initial cell and
-  multiplied by a log-depth prefix scan that reads the state at every
-  sample point (an initial cell edge, or inside an accepted cell when
-  the samples are denser than the cells).  When even the initial cells
-  would exceed 30 000, the engine builds one unit-period matrix and the
-  crossing applies its n_k/2-th powers, formed by repeated squaring
-  (samples inside such spans are left NaN).
+  multiplied by a log-depth prefix scan; every sample point is read
+  from the start of the accepted cell that holds it.  When even the
+  initial cells would exceed 30 000, the engine builds one unit-period
+  matrix and the crossing applies its n_k/2-th powers, formed by
+  repeated squaring (samples inside such spans are left NaN).
 
 Any other density is solved by the same engine from the center outward,
 with fourth-order cells (a rough density gains nothing from sixth).  A
@@ -289,20 +288,21 @@ def _refine(q: Callable, xa, dx, kappa: float, tol: float, rule,
     serves an oscillator pair's alpha (crossings, period matrices, the
     closed-form check): 77,184 evaluations on the psi sweep's j = 2, 3
     rows, against 216,320.  On the generic path's forward halves it
-    would take 65,406 against ``_MAGNUS4``'s 67,956 (log-Lipschitz,
-    h = 100, r = 1/2: a tie) and 18.9M against 14.7M
-    (Weierstrass-Zygmund, h = 10).
+    would take 63,258 against ``_MAGNUS4``'s 57,276 (log-Lipschitz,
+    h = 100, r = 1/2) and 25.2M against 8.4M (Weierstrass-Zygmund,
+    h = 10).
 
-    ``at_x`` are points inside the cells, ``at_cell`` the input cell of
-    each; they are not cell edges.  Each point follows its cell down to
-    the accepted leaf that holds it and is read by one unchecked step of
-    the rule from that leaf's start, all points in one further q call.
-    The step stays within the leaf's accepted error: a cell's error grows
-    as its width to the power order + 1, and the step is no wider than
-    the leaf, whose whole-cell matrix passed the test against its two
-    halves.  The fold-back multiplies each point's step onto the left
-    siblings of the right halves it went down, so ``parts[:, i]`` maps
-    the state at the start of cell ``at_cell[i]`` to ``at_x[i]``.
+    ``at_x`` are points past the start of their input cells
+    ``at_cell``.  Each point follows its cell down to the accepted leaf
+    that holds it and is read by one unchecked step of the rule from
+    that leaf's start, all steps in one further q call; a point on its
+    leaf's start takes no step.  The step stays within the leaf's
+    accepted error: a cell's error grows as its width to the power
+    order + 1, and the step is no wider than the leaf, whose whole-cell
+    matrix passed the test against its two halves.  The fold-back
+    multiplies each point's step onto the left siblings of the right
+    halves it went down, so ``parts[:, i]`` maps the state at the start
+    of cell ``at_cell[i]`` to ``at_x[i]``.
     Returns (matrices, parts, nfev).
     """
     nodes, cells = rule
@@ -355,14 +355,15 @@ def _refine(q: Callable, xa, dx, kappa: float, tol: float, rule,
         full = np.concatenate([left[:, split], right[:, split]], axis=1)
         del pts, qv, half, xm, left, right
 
-    parts = np.empty((4, 0))
-    if at_x.size:
-        width = at_x - start
-        qv = np.asarray(q(np.concatenate([start + t * width
+    parts = np.tile([[1.0], [0.0], [0.0], [1.0]], at_x.size)
+    width = at_x - start
+    off = width != 0.0
+    if np.any(off):
+        qv = np.asarray(q(np.concatenate([start[off] + t * width[off]
                                           for t in nodes])),
-                        dtype=float).reshape(len(nodes), at_x.size)
+                        dtype=float).reshape(len(nodes), -1)
         nfev += qv.size
-        parts = cells(qv, width, kappa)
+        parts[:, off] = cells(qv, width[off], kappa)
     mats = levels.pop()[0]
     while levels:
         fine, split, went_right, sibling = levels.pop()
@@ -381,20 +382,18 @@ def _magnus_propagate(q: Callable, x0: float, x1: float, kappa: float,
     """Propagators of phi'' + q(x) phi = 0 from x0 to each of ``at``, x1.
 
     ``q`` is vectorized; ``at`` lists points of the span where the state
-    is wanted.  A point of ``at`` whose neighbours among ``at``, x0 and
-    x1 are both at least ``max_cell`` away is a knot: the initial mesh
-    has every knot as a cell edge and no cell wider than ``max_cell``.
-    Cells are refined (see :func:`_refine`) until their error estimate in
-    the (phi, phi'/kappa) variables is at most ``rtol``, folded back into
-    one matrix per initial cell and multiplied by a prefix scan, so the
-    state at a knot is read exactly at an initial-cell edge.  Every other
-    point of ``at`` (a dense request, such as a sample grid finer than
-    the cells) is read by one unchecked cell from the start of the
-    accepted leaf that holds it, which costs one rule's nodes of q per
-    point and adds no cell.  Initial cells are processed
-    ``_CHUNK_CELLS`` at a time; each chunk's prefixes are multiplied onto
-    the renormalized product of all earlier chunks, so memory stays
-    bounded and only the growth within one chunk has to fit a double.
+    is wanted.  The initial mesh is ceil(span / ``max_cell``) equal
+    cells, whatever ``at`` holds.  Cells are refined (see
+    :func:`_refine`) until their error estimate in the (phi, phi'/kappa)
+    variables is at most ``rtol``, folded back into one matrix per
+    initial cell and multiplied by a prefix scan.  Each point of ``at``
+    is read by one unchecked cell from the start of the accepted leaf
+    that holds it: one rule's nodes of q, or none when the point is that
+    start (an initial cell's start is read from the scan alone).
+    Initial cells are processed ``_CHUNK_CELLS`` at a time; each chunk's
+    prefixes are multiplied onto the renormalized product of all earlier
+    chunks, so memory stays bounded and only the growth within one chunk
+    has to fit a double.
 
     Returns ``(logs, mats, nfev)``: ``exp(logs[i]) * mats[:, i]`` (rows
     m00, m01, m10, m11) maps (phi, phi'/kappa) at x0 to the state at
@@ -404,74 +403,60 @@ def _magnus_propagate(q: Callable, x0: float, x1: float, kappa: float,
     ``rule``: the cell rule, chosen per caller (see :func:`_refine`).
     """
     sign = 1.0 if x1 >= x0 else -1.0
-    # pts[0] is x0 (t = 0); want maps each of ``at`` and then x1 to pts
-    pts, want = np.unique(
-        np.concatenate([sign * (np.asarray(at, dtype=float) - x0),
-                        [sign * (x1 - x0), 0.0]]), return_inverse=True)
-    want = want[:-1]
-    wide = np.diff(pts) >= max_cell
-    is_knot = np.ones(pts.size, dtype=bool)
-    is_knot[1:-1] = wide[:-1] & wide[1:]
-    knot_at, dense_at = np.flatnonzero(is_knot), np.flatnonzero(~is_knot)
-    knots, dense = pts[knot_at], pts[dense_at]
-    gaps = np.diff(knots)
-    pieces = np.maximum(1, np.ceil(gaps / max_cell)).astype(np.int64)
-    first = np.cumsum(pieces) - pieces
-    n_cells = int(pieces.sum())
-    # knot i is reached after the first reach[i] initial cells
-    reach = np.append(first, n_cells)
+    span = sign * (x1 - x0)
+    n_cells = max(1, math.ceil(span / max_cell))
+    step = span / n_cells
+    # the requested points and then x1, as distances from x0 in march
+    # order; a sample grid's end may lie a rounding error past the span
+    t_at = np.clip(np.append(sign * (np.asarray(at, dtype=float) - x0),
+                             span), 0.0, span)
+    order = np.argsort(t_at)
+    t_sorted = t_at[order]
 
     tol = max(rtol, _MIN_RTOL)
-    out = np.empty((4, pts.size))
-    out[:, 0] = (1.0, 0.0, 0.0, 1.0)
-    logs = np.zeros(pts.size)
+    out = np.empty((4, t_at.size))
+    logs = np.empty(t_at.size)
     carry = np.array([1.0, 0.0, 0.0, 1.0])
     carry_log = 0.0
     nfev = 0
+    p_lo = 0
     for lo in range(0, n_cells, _CHUNK_CELLS):
-        hi = min(lo + _CHUNK_CELLS, n_cells)
-        idx = np.arange(lo, hi)
-        seg = np.searchsorted(first, idx, side="right") - 1
-        k = idx - first[seg]
-        step = gaps[seg] / pieces[seg]
-        t_lo = knots[seg] + k * step
-        # the end is computed as the next cell's start, so the widths sum
-        # to the span exactly (a per-cell rounding of the width would
-        # drift the phase by kappa * ulp per cell)
-        t_hi = np.where(k + 1 == pieces[seg], knots[seg + 1],
-                        knots[seg] + (k + 1) * step)
-        p_lo, p_hi = np.searchsorted(dense, (t_lo[0], t_hi[-1]))
-        at_cell = np.searchsorted(t_lo, dense[p_lo:p_hi], side="right") - 1
-        mats, parts, n = _refine(q, x0 + sign * t_lo, sign * (t_hi - t_lo),
-                                 kappa, tol, rule, at_cell,
-                                 x0 + sign * dense[p_lo:p_hi])
+        idx = np.arange(lo, min(lo + _CHUNK_CELLS, n_cells) + 1)
+        # the chunk's cell edges; the last of the span is x1 itself, so
+        # the widths sum to the span exactly (a per-cell rounding of the
+        # width would drift the phase by kappa * ulp per cell)
+        edges = np.where(idx == n_cells, span, idx * step)
+        # the points up to the chunk's end, each in the cell c whose
+        # start edges[c] is at or before it (c is the chunk's size for
+        # a point on its end)
+        p_hi = np.searchsorted(t_sorted, edges[-1], side="right")
+        t = t_sorted[p_lo:p_hi]
+        cell = np.searchsorted(edges, t, side="right") - 1
+        inside = t != edges[cell]
+        mats, parts, n = _refine(q, x0 + sign * edges[:-1],
+                                 sign * np.diff(edges), kappa, tol, rule,
+                                 cell[inside], x0 + sign * t[inside])
         nfev += n
         prefix = _scan(mats)
         if not np.all(np.isfinite(prefix)):
             raise ScaleOutOfReach(
                 "the quasimode amplitude overflows double precision within "
                 "one chunk of the transfer-matrix scan")
-        # the knots reached in this chunk, then its dense points through
-        # ahead[:, c], the map from x0 to the start of the chunk's cell c
-        k_lo, k_hi = np.searchsorted(reach, (lo, hi), side="right")
-        reads = [(knot_at[k_lo:k_hi],
-                  _mat_mul(prefix[:, reach[k_lo:k_hi] - lo - 1],
-                           carry[:, None]))]
-        if p_hi > p_lo:
-            ahead = _mat_mul(np.concatenate([[[1.0], [0.0], [0.0], [1.0]],
-                                             prefix[:, :-1]], axis=1),
-                             carry[:, None])
-            reads.append((dense_at[p_lo:p_hi],
-                          _mat_mul(parts, ahead[:, at_cell])))
-        for cols, prod in reads:
-            norm = np.max(np.abs(prod), axis=0)
-            out[:, cols] = prod / norm
-            logs[cols] = carry_log + np.log(norm)
+        # the map from x0 to each point's cell start, then to the point
+        prod = _mat_mul(np.concatenate([[[1.0], [0.0], [0.0], [1.0]],
+                                        prefix], axis=1)[:, cell],
+                        carry[:, None])
+        prod[:, inside] = _mat_mul(parts, prod[:, inside])
+        norm = np.max(np.abs(prod), axis=0)
+        cols = order[p_lo:p_hi]
+        out[:, cols] = prod / norm
+        logs[cols] = carry_log + np.log(norm)
+        p_lo = p_hi
         total = _mat_mul(prefix[:, -1], carry)
         norm = float(np.max(np.abs(total)))
         carry = total / norm
         carry_log += math.log(norm)
-    return logs[want], out[:, want], nfev
+    return logs, out, nfev
 
 
 def _advance(q: Callable, state: tuple, x0: float, x1: float, kappa: float,
@@ -482,11 +467,9 @@ def _advance(q: Callable, state: tuple, x0: float, x1: float, kappa: float,
     matrix): the engine runs on the normalized linear state, and values
     are rescaled by the carried log magnitude afterwards.  Returns
     ``(phi, phi_prime, end_state, nfev)``: phi and phi' at each point of
-    ``at`` and, last, at x1, then the normalized state at x1.  Points of
-    ``at`` at least ``max_cell`` from both neighbours are read at cell
-    edges, denser ones by one unchecked cell inside the accepted cell
-    that holds them (see :func:`_magnus_propagate`).  Crossings and the
-    closed-form check pass ``_MAGNUS6``, generic halves ``_MAGNUS4``.
+    ``at`` and, last, at x1, then the normalized state at x1.  Crossings
+    and the closed-form check pass ``_MAGNUS6``, generic halves
+    ``_MAGNUS4``.
     """
     log_mag, a, b = state
     logs, mats, nfev = _magnus_propagate(q, x0, x1, kappa, rtol, max_cell,
@@ -661,12 +644,12 @@ def solve_quasimode(
     crossings.  For any other density pass ``h`` and ``m`` (and optionally
     ``r`` to request interval-energy fields); a constant density uses the
     trigonometric solution, everything else the Magnus engine from the
-    center outward.  The engine starts from cells no wider than 1/(16 h)
-    (and 1/(16 h_k) inside a foreign interval), with every sample point
-    at least that far from its neighbours a cell edge, and halves each
-    cell until its step-doubling error estimate in the (phi, phi'/kappa)
-    variables is at most ``rtol``; denser samples are read inside the
-    accepted cells.
+    center outward.  The engine starts from equal cells no wider than
+    1/(16 h) (1/(16 h_k) inside a foreign interval; the generic path's
+    forward marches round 1/(16 h) down to a power of two) and halves
+    each cell until its step-doubling error estimate in the
+    (phi, phi'/kappa) variables is at most ``rtol``; each sample is read
+    inside the accepted cell that holds it.
 
     A foreign crossing that would start from more than 30 000 engine
     cells (16 max(h, h_k) r_k) switches to powers of the one-period
@@ -1102,7 +1085,12 @@ def _solve_generic(omega, h, m, r, xs, rtol, checks):
         return h * h * omega(x)
 
     max_step = 1.0 / (16.0 * h)
-    stats = {"rtol": rtol, "max_step": max_step, "path": "generic-ode",
+    # the forward marches start from the largest power of two <= max_step
+    # (the reverse check keeps max_step): on weierstrass-zygmund (h = 10)
+    # a forward half takes 4.19M evaluations from widths 1/256, 1/2048
+    # or 1/4096 but 7.34M from 1/160
+    cell = math.ldexp(1.0, math.frexp(max_step)[1] - 1)
+    stats = {"rtol": rtol, "max_step": cell, "path": "generic-ode",
              "nfev": 0}
 
     mass = e_ext = e_ext_log = None
@@ -1130,7 +1118,7 @@ def _solve_generic(omega, h, m, r, xs, rtol, checks):
                              max(pts // 2, 5))
         n_sel = int(np.count_nonzero(sel))
         vals, dvals, end, nfev = _advance(
-            q, (0.0, 1.0, 0.0), m, target, kappa, rtol, max_step,
+            q, (0.0, 1.0, 0.0), m, target, kappa, rtol, cell,
             np.concatenate([xs[sel], gx]), _MAGNUS4)
         stats["nfev"] += nfev
         phi[sel] = vals[:n_sel]

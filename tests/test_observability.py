@@ -663,6 +663,18 @@ def _bad_input_calls():
                 om, 3.0, (4,), n_random=1, resolution=64, beta=0.5,
                 cross_check=True, cross_check_cutoff=4,
                 cross_check_resolution=64))),
+        "observability_quotient-beta-m=2": ("beta = 0.5 replaces", lambda: (
+            ob.observability_quotient(om, u, zero, 3.0, m=2, beta=0.5,
+                                      resolution=64))),
+        "observability_quotient-beta-cumulative": (
+            "cumulative False", lambda: (
+                ob.observability_quotient(om, u, zero, 3.0, beta=0.5,
+                                          cumulative=True, resolution=64))),
+        "estimate_observability_constant-beta-m=1": (
+            "beta = 0.5 replaces", lambda: (
+                ob.estimate_observability_constant(
+                    om, 3.0, (4,), n_random=1, resolution=64, m=1,
+                    beta=0.5))),
         "observability_quotient-side=middle": ("side must", lambda: (
             ob.observability_quotient(om, u, zero, 3.0, resolution=64,
                                       side="middle"))),
@@ -1163,9 +1175,10 @@ def test_all_functions_defined_in_module(module):
 
 def test_no_orphans_in_the_package():
     # every module-level import is used in its module, every
-    # module-level private function is referenced from the package, and
-    # every parameter of a function or lambda is read in its body: a
-    # helper that lost its last caller, the import it needed, or an
+    # module-level private function is referenced from the package, every
+    # module-level private constant is read in the package, and every
+    # parameter of a function or lambda is read in its body: a helper that
+    # lost its last caller, the import or constant it needed, or an
     # argument that lost its last use shows here
     pkg = Path(ob.__file__).resolve().parent
     trees = {p.name: ast.parse(p.read_text()) for p in pkg.glob("*.py")}
@@ -1173,7 +1186,7 @@ def test_no_orphans_in_the_package():
     def names(tree) -> set:
         out = set()
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 out.add(node.id)
             elif isinstance(node, ast.Attribute):
                 out.add(node.attr)
@@ -1194,6 +1207,14 @@ def test_no_orphans_in_the_package():
                   and not node.name.startswith("__")
                   and not any(node.name in u for u in used.values())):
                 orphans.append(f"{name}: {node.name}")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                orphans += [f"{name}: {t.id}" for t in targets
+                            if isinstance(t, ast.Name)
+                            and t.id.startswith("_")
+                            and not t.id.startswith("__")
+                            and not any(t.id in u for u in used.values())]
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.Lambda)):
                 args = node.args

@@ -218,6 +218,26 @@ class TestStructuredScaled:
         for side in ("boundary_energy_0_log", "boundary_energy_1_log"):
             assert abs(getattr(res, side) - getattr(ref, side)) < 1e-10
 
+    def test_boundary_state_independent_of_samples(self):
+        # the engine's mesh depends on the span and its cell width alone,
+        # so the samples asked for cannot move a boundary state; both
+        # logs also meet a solve at the floor (measured: 3.9e-11)
+        density = make_counterexample_density(make_sequences(
+            mode="concentrating", n0=30, j_range=range(2, 5)))
+        coarse, fine = (solve_quasimode(density, 2, n_samples=n,
+                                        checks=False) for n in (513, 8193))
+        ref = solve_quasimode(density, 2, rtol=3e-14, checks=False)
+        for side in ("boundary_energy_0_log", "boundary_energy_1_log"):
+            assert getattr(coarse, side) == getattr(fine, side)
+            assert abs(getattr(coarse, side) - getattr(ref, side)) < 1e-10
+
+    def test_samples_on_leaf_starts_cost_nothing(self, scaled_j2):
+        # the 4097 samples are twice as dense as the I_3 crossing's
+        # initial cells, whose leaves split to the samples' spacing
+        # anyway: a sample on a leaf's start is read with no evaluation
+        # (measured: 118 704 evaluations with the check)
+        assert scaled_j2.stats["nfev"] <= 118_704
+
     def test_reverse_solve_within_conditioning(self, scaled_j2):
         # marching inward, the decaying closed form dominates: the march
         # amplifies no error, so the center state meets the launch state
@@ -591,10 +611,11 @@ class TestMagnusEngine:
     @pytest.mark.parametrize("rule", _RULES, ids=["magnus4", "magnus6"])
     @pytest.mark.parametrize("x0, x1", [(0.0, 1.0), (1.0, 0.0)])
     def test_dense_points_read_inside_cells(self, rule, x0, x1):
-        # points max_cell/16 apart are no cell edges: the run refines the
-        # no-points run's mesh and reads each interior point by one
-        # unchecked cell (one rule's nodes); on a constant q every cell
-        # is exact, so each state is the exact rotation
+        # points max_cell/16 apart leave the no-points run's mesh as it
+        # is; each interior point off an initial cell's start (960 of
+        # 1023) is read by one unchecked cell (one rule's nodes), the
+        # others cost nothing; on a constant q every cell is exact, so
+        # each state is the exact rotation
         kappa = TWO_PI * 8.0
         max_cell = 1.0 / 64.0
         at = np.arange(1025) / 1024.0
@@ -606,7 +627,7 @@ class TestMagnusEngine:
                                              max_cell, at, rule)
         _, _, bare = _magnus_propagate(q, x0, x1, kappa, 1e-12, max_cell,
                                        (), rule)
-        assert nfev == bare + len(rule[0]) * 1023
+        assert nfev == bare + len(rule[0]) * 960
         turn = kappa * (np.append(at, x1) - x0)
         c, s = np.cos(turn), np.sin(turn)
         assert np.max(np.abs(np.exp(logs) * mats - [c, s, -s, c])) <= 1e-12
@@ -616,8 +637,8 @@ class TestMagnusEngine:
     def test_dense_points_match_knot_reads(self, rule, x0, x1):
         # on a q that refines every cell several times, the points read
         # inside accepted leaves (max_cell 1/64) meet the same points
-        # read as cell edges (max_cell 1/2048); measured 5e-15 (fourth
-        # order) and 1.4e-13 (sixth) relative
+        # read on initial cell starts (max_cell 1/2048); measured 5e-15
+        # (fourth order) and 1.4e-13 (sixth) relative
         kappa = TWO_PI * 8.0
 
         def q(x):
@@ -633,11 +654,11 @@ class TestMagnusEngine:
         dev = np.max(np.abs(np.exp(logs) * mats - ref))
         assert dev <= 1e-12 * np.max(np.abs(ref))
 
-    def test_sparse_requests_stay_knots(self, monkeypatch):
+    def test_points_on_cell_starts_cost_nothing(self, monkeypatch):
         # samples two cells apart (the sweep's 1025 in a crossing, the
-        # closed-form check's sigma grid) are all cell edges: no engine
-        # run reads a point inside a cell, and the benchmark sweep keeps
-        # its evaluation counts and boundary logs
+        # closed-form check's sigma grid) all sit on initial cell starts:
+        # none reaches the refinement, and the benchmark sweep keeps its
+        # evaluation counts and boundary logs
         inside = []
 
         def spy(q, xa, dx, kappa, tol, rule, at_cell, at_x):
@@ -735,18 +756,33 @@ class TestGenericDensity:
 
     def test_benchmark_solve_cost_and_tolerance(self):
         # log-Lipschitz at h = 100, m = r = 1/2 reads its 4097 samples
-        # and its mass grid inside 800 initial cells a side (measured:
-        # 82 668 evaluations, with the reverse check), and its boundary
-        # energies at rtol 1e-12 meet a solve at the floor (measured:
-        # 1.1e-11 relative)
+        # and its mass grid inside 1024 initial cells of 1/2048 a side
+        # (measured: 71 988 evaluations, with the reverse check), and its
+        # boundary energies at rtol 1e-12 meet a solve at the floor
+        # (measured: 5e-15 relative)
         om = make_baseline("log-lipschitz")
         res = solve_quasimode(om, h=100.0, m=0.5, r=0.5)
         ref = solve_quasimode(om, h=100.0, m=0.5, r=0.5, rtol=3e-14)
-        assert res.stats["nfev"] <= 90_000
+        assert res.stats["nfev"] <= 75_000
         assert res.stats["wronskian_dev"] <= 1e-11
         for side in ("boundary_energy_0", "boundary_energy_1"):
             assert getattr(res, side) == pytest.approx(getattr(ref, side),
                                                        rel=1e-10)
+
+    def test_forward_halves_start_from_dyadic_cells(self, monkeypatch):
+        # 1/(16 h) = 1/160 rounds down to 1/256 for both forward
+        # marches; the reverse check keeps 1/160
+        widths = []
+
+        def spy(q, state, x0, x1, kappa, rtol, max_cell, *args):
+            widths.append(max_cell)
+            return _advance(q, state, x0, x1, kappa, rtol, max_cell, *args)
+
+        monkeypatch.setattr(qm, "_advance", spy)
+        res = solve_quasimode(self._smooth(), h=10.0, m=0.5)
+        assert widths == [1.0 / 256.0, 1.0 / 256.0]
+        assert res.stats["max_step"] == 1.0 / 256.0
+        assert res.stats["wronskian_dev"] < 1e-11
 
     def test_collocation_constant_density_exact_rotation(self):
         # the reverse check's own oracle: for q == nu^2 the exact

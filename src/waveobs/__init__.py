@@ -33,9 +33,12 @@ heavier: a fresh process pays only for what it calls.  scipy.linalg
 (whose import also loads numpy.f2py and numpy.testing) and mpmath are
 imported by the functions that use them, on their first call:
 
-- ``wavesim._leapfrog_modes`` (``eigh_tridiagonal``) and
-  ``observability._hminus1_norm_sq`` (``solveh_banded``), both reached
-  through ``hum_control``;
+- ``wavesim._scheme_eigenpairs`` (``eigh_tridiagonal``), reached through
+  ``hum_control`` and both observability constants;
+- ``observability._mode_records`` (``eigh``, ``block_diag``), reached
+  through both observability constants;
+- ``observability._hminus1_norm_sq`` (``solveh_banded``), reached through
+  ``hum_control``;
 - ``coeff.make_sequences`` and its helpers ``_psi_functions``,
   ``_lambda_functions`` and ``_log10_ratio`` (mpmath).
 """

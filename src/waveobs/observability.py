@@ -14,11 +14,13 @@ family of concentrating modes.  This module measures both sides:
 * :func:`observability_quotient` evaluates Q_m (or an H^beta variant) for
   one datum from its own march, flagging quotients that exceed what the
   discrete trace can certify ("unbounded at this resolution").
-* :func:`estimate_observability_constant` takes a max over an ensemble of
-  random mode mixtures and three top-of-window modes, per frequency
-  cutoff, all inside the cutoff's sine span, with an optional
-  cross-check against the exact constant of that span, the small dense
-  Gramian of :func:`gramian_observability_constant`.
+* :func:`estimate_observability_constant` gives, per frequency cutoff c,
+  the exact constant over the scheme's c lowest eigenmodes as position
+  and as velocity data: 1/lambda_min of a 2c x 2c pencil whose traces
+  are closed-form (the eigenmodes behind both the Castro-Zuazua trapping
+  and the uniform-grid defect of Infante & Zuazua, M2AN 33, 1999), with
+  an optional cross-check against the same span's constant from marched
+  traces, :func:`gramian_observability_constant`.
 * :func:`run_counterexample_sweep` drives the concentrating quasimode
   family through the wave solver and tabulates the divergence of Q_m along
   the family, with closed-form numerators where the construction makes
@@ -28,20 +30,21 @@ family of concentrating modes.  This module measures both sides:
   terminal state it reaches.
 
 Wave solves run on the leapfrog kernel of :mod:`wavesim` without energy
-tracking, each on one grid built once: each ensemble or Gramian basis is
-one block march, and the divergence sweep's boundary corrector is one
+tracking, each on one grid built once: the Gramian's basis is one block
+march, and the divergence sweep's boundary corrector is one
 single-column march per row of a unit impulse weighted by the row's edge
-values, convolved with both phases of e^{iht} by FFT.  HUM's conjugate
-gradients march nothing: they run on the scheme's closed-form modal
-solution (one Chebyshev table), and only its verification marches, once,
-from the data's Taylor start levels with the control as the x = 0
-boundary row.
+values, convolved with both phases of e^{iht} by FFT.  The closed-form
+constants march nothing: one ``eigh_tridiagonal`` of the scheme's lowest
+modes serves every cutoff.  Nor do HUM's conjugate gradients: they run
+on the scheme's closed-form modal solution (one Chebyshev table), and
+only its verification marches, once, from the data's Taylor start levels
+with the control as the x = 0 boundary row.
 
 Every entry point takes the derivative order m as a nonnegative integer
 and rejects anything else (:func:`_check_order`), a frequency cutoff as
 an integer by the same rule (:func:`_check_cutoff`), and a trace
 exponent beta as finite and nonnegative, and only with m = 0; all
-are checked before any march.  The default horizon is
+are checked before any march or eigensolve.  The default horizon is
 :func:`_default_horizon`, its test :func:`_admissible`.
 """
 
@@ -76,11 +79,13 @@ from .wavesim import (
     _forcing_flags,
     _leapfrog,
     _leapfrog_modes,
+    _scheme_eigenpairs,
     _taylor_start,
+    _tapered_gram,
     _tapered_sobolev_norm,
     _tapered_spectrum,
+    _trace_left,
     _wave_grid,
-    trace_sobolev_norm,
 )
 
 __all__ = [
@@ -134,20 +139,16 @@ def _check_increasing(name: str, values: tuple) -> None:
 # --------------------------------------------------------------------------
 
 
-def _h10_norm_sq(u: np.ndarray, dx: float) -> float:
-    """Dirichlet energy sum (u_{i+1}-u_i)^2 / dx (exact for hat data)."""
-    d = np.diff(u)
-    return float(np.dot(d, d) / dx)
-
-
 def _l2_norm_sq(u: np.ndarray, dx: float) -> float:
     return float(np.trapezoid(u * u, dx=dx))
 
 
 def _data_energy(u0n: np.ndarray, u1n: np.ndarray, dx: float) -> float:
-    """The quotient's numerator |u0|_{H^1_0}^2 + |u1|_{L^2}^2; zero data
-    is rejected (the quotient is 0/0)."""
-    energy = _h10_norm_sq(u0n, dx) + _l2_norm_sq(u1n, dx)
+    """The quotient's numerator |u0|_{H^1_0}^2 + |u1|_{L^2}^2, the first
+    the Dirichlet energy sum (u_{i+1}-u_i)^2 / dx (exact for hat data);
+    zero data is rejected (the quotient is 0/0)."""
+    d = np.diff(u0n)
+    energy = float(np.dot(d, d) / dx) + _l2_norm_sq(u1n, dx)
     if energy == 0.0:
         raise ValueError("zero data: the quotient is 0/0")
     return energy
@@ -195,12 +196,20 @@ def _smoothing_operator(n: int, dt: float, m: int) -> Callable:
     return apply
 
 
-def _trace_derivative_energy(trace: np.ndarray, dt: float, m: int) -> float:
-    """int |d^m trace / dt^m|^2 dt by m-fold differencing + trapezoid."""
-    d = np.diff(trace, n=m) / dt ** m if m else np.asarray(trace, float)
+def _trace_gram(traces: np.ndarray, dt: float, m: int,
+                beta: Optional[float] = None):
+    """The trace energy of one trace, or its Gram matrix D[i, j] over the
+    columns of a (levels x K) block: int d^m tr_i d^m tr_j dt by m-fold
+    differencing and the trapezoid rule, or with ``beta`` the tapered
+    H^beta inner product (:func:`wavesim._tapered_gram`)."""
+    if beta is not None:
+        return _tapered_gram(traces, beta, dt)
+    d = np.diff(traces, n=m, axis=0) / dt ** m if m else np.asarray(traces)
     if len(d) < 2:
         raise ValueError("trace too short for this derivative order")
-    return float(np.trapezoid(d * d, dx=dt))
+    w = np.full(len(d), dt)
+    w[0] = w[-1] = 0.5 * dt
+    return (d.T * w) @ d
 
 
 def _trace_noise_floor(data_scale: float, dx: float, dt: float,
@@ -266,16 +275,10 @@ def _quotient(u0n: np.ndarray, u1n: np.ndarray, trace: np.ndarray,
     derivative makes the quotient unbounded (+inf).
     """
     numerator = _data_energy(u0n, u1n, dx)
-    if beta is not None:
-        denominator = trace_sobolev_norm(trace, beta, dt) ** 2
-        parts = (denominator,)
-        floor_m = beta
-    else:
-        orders = range(m + 1) if cumulative else (m,)
-        parts = tuple(_trace_derivative_energy(trace, dt, k)
-                      for k in orders)
-        denominator = float(sum(parts))
-        floor_m = m
+    orders = range(m + 1) if cumulative else (m,)
+    parts = tuple(float(_trace_gram(trace, dt, k, beta)) for k in orders)
+    denominator = float(sum(parts))
+    floor_m = m if beta is None else beta
     data_scale = max(float(np.max(np.abs(u0n))), float(np.max(np.abs(u1n))))
     floor = _trace_noise_floor(data_scale, dx, dt, T, floor_m)
     flags = []
@@ -332,49 +335,71 @@ def observability_quotient(omega: Coefficient, u0, u1, T: float, m: int = 0,
 
 
 # --------------------------------------------------------------------------
-# ensemble and Gramian constants
+# constants over the scheme's lowest modes
 # --------------------------------------------------------------------------
 
 
-def _sine_mixture(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k-1] sin(k pi x) on the uniform grid, exactly.
+def _mode_traces(grid, mu: np.ndarray, V: np.ndarray,
+                 theta: np.ndarray) -> np.ndarray:
+    """Left traces, (steps+1) x 2c, of the position data (V_k, 0) and
+    then the velocity data (0, V_k) of the modes V_k, in closed form.
 
-    At the interior nodes x_i = i / N of a uniform N-panel grid the sum
-    is -Im of bin i of the length-2N DFT of (0, coeffs[0], coeffs[1], ...).
+    The Taylor start (:func:`wavesim._taylor_start`) gives mode k the
+    levels V_k cos(n theta_k) as position data and
+    V_k dt (1 - dt^2 mu_k / 6) sin(n theta_k) / sin(theta_k) as velocity
+    data; each trace is that times the :func:`_trace_left` stencil of V_k.
     """
-    n = len(x) - 1
-    out = np.zeros(len(x))
-    out[1:-1] = -np.fft.rfft(np.append(0.0, coeffs), 2 * n)[1:n].imag
-    return out
+    g = _trace_left(np.vstack([np.zeros_like(V[0]), V[:3]]), grid.dx)
+    phase = np.multiply.outer(np.arange(grid.steps + 1), theta)
+    velocity = grid.dt * (1.0 - grid.dt ** 2 * mu / 6.0) / np.sin(theta)
+    return np.hstack([g * np.cos(phase), (g * velocity) * np.sin(phase)])
 
 
-def _ensemble_data(x: np.ndarray, cutoff: int, rng: np.random.Generator,
-                   n_random: int) -> list:
-    """(label, u0, u1) candidates for one frequency cutoff, all inside the
-    span of its sine modes 1..cutoff.
+def _mode_records(grid, cutoffs: tuple, m: int,
+                  beta: Optional[float] = None, marched: bool = False):
+    """(records, flags): per cutoff c, the constant of the span of the
+    scheme's c lowest modes V = M^{-1/2} Q as position and velocity data.
 
-    Random mixtures draw iid normal coefficients on modes 1..cutoff with
-    the position part weighted 1/(k pi) so both energy terms have
-    comparable size.  The three deterministic candidates aim at the top
-    of the frequency window: the top mode as position and as velocity,
-    and the mode at three quarters of the cutoff as position.
+    D is the Gram of their traces (:func:`_trace_gram`), closed-form
+    (:func:`_mode_traces`) or ``marched`` in one block; N = dx diag(mu)
+    (+) dx V^T V is their data energy (V^T K V = diag(mu)).  The constant
+    is 1/lambda_min of (D, N) restricted to the cutoff's 2c data.  One
+    rule for a pencil below round-off: at lambda_min <= 1e-12 lambda_max,
+    negative values included, the constant is inf and a flag names c.
     """
-    kk = np.arange(1, cutoff + 1)
-    out = []
-    for i in range(n_random):
-        a = rng.standard_normal(cutoff) / (kk * math.pi)
-        b = rng.standard_normal(cutoff)
-        out.append((f"random-mixture-{i}", _sine_mixture(x, a),
-                    _sine_mixture(x, b)))
-    top = _sine_mixture(x, np.eye(cutoff)[-1] / (cutoff * math.pi))
-    out.append(("mode-top-position", top, np.zeros_like(x)))
-    out.append(("mode-top-velocity", np.zeros_like(x),
-                _sine_mixture(x, np.eye(cutoff)[-1])))
-    near = max(1, int(round(0.75 * cutoff)))
-    out.append((f"mode-{near}-position",
-                _sine_mixture(x, np.eye(cutoff)[near - 1] / (near * math.pi)),
-                np.zeros_like(x)))
-    return out
+    from scipy.linalg import block_diag, eigh
+
+    mu, vectors, root_om, theta = _scheme_eigenpairs(grid.om, grid.dx,
+                                                     grid.dt, cutoffs[-1])
+    V = vectors / root_om[:, None]
+    if marched:
+        block = np.zeros((len(grid.x), len(mu)))
+        block[1:-1] = V
+        rest = np.zeros_like(block)
+        traces = _march_data(grid, np.hstack([block, rest]),
+                             np.hstack([rest, block])).trace_left
+    else:
+        traces = _mode_traces(grid, mu, V, theta)
+    D = _trace_gram(traces, grid.dt, m, beta)
+    N = grid.dx * block_diag(np.diag(mu), V.T @ V)
+    top = len(mu)
+    records, flags = [], []
+    for c in cutoffs:
+        index = np.r_[:c, top:top + c]
+        keep = np.ix_(index, index)
+        vals = eigh(D[keep], N[keep], eigvals_only=True)
+        lam_min, lam_max = float(vals[0]), float(vals[-1])
+        unbounded = not lam_min > 1e-12 * lam_max
+        records.append({
+            "cutoff": c, "value": math.inf if unbounded else 1.0 / lam_min,
+            "lambda_min": lam_min, "lambda_max": lam_max,
+            "unbounded": unbounded, "basis_size": 2 * c,
+        })
+        if unbounded:
+            flags.append(f"cutoff {c}: pencil below round-off (lambda_min "
+                         f"{lam_min:.2e}, lambda_max {lam_max:.2e}), "
+                         f"constant taken as inf")
+    return records, tuple(flags)
 
 
 def _growth_factor(a: float, b: float) -> float:
@@ -393,15 +418,17 @@ def _growth_factor(a: float, b: float) -> float:
 
 @dataclass(frozen=True)
 class ObservabilityReport:
-    """Ensemble estimate of the observability constant per cutoff.
+    """The observability constant over the scheme's lowest modes.
 
-    ``constants`` maps each frequency cutoff to the max quotient over its
-    ensemble; ``rows`` keeps every candidate.  ``growth_factors`` are the
-    successive ratios of the constants (a bounded-observability density
-    shows flat factors; a trapping one grows without saturating), and
-    ``overall_growth`` the last over the first, both by
-    :func:`_growth_factor` (nan out of a floored constant).
-    ``flags``: :func:`_resolution_flags`.
+    ``constants`` maps each frequency cutoff c to the exact constant of
+    the span of the c lowest modes (nested, so never decreasing in c);
+    ``rows`` holds each cutoff's pencil record (:func:`_mode_records`).
+    ``growth_factors`` are the successive ratios of the constants (a
+    bounded-observability density shows flat factors; a trapping one
+    grows without saturating), and ``overall_growth`` the last over the
+    first, both by :func:`_growth_factor` (nan out of an inf constant).
+    ``flags``: :func:`_resolution_flags`, then the pencils' round-off
+    flags.  No constant depends on the recorded ``seed`` or ``n_random``.
     """
 
     omega_kind: str
@@ -413,7 +440,6 @@ class ObservabilityReport:
     beta: Optional[float]
     cutoffs: tuple
     constants: dict
-    argmax_labels: dict
     rows: tuple
     growth_factors: tuple
     resolution: int
@@ -468,25 +494,25 @@ def estimate_observability_constant(
         m: int = 0, beta: Optional[float] = None,
         cross_check: bool = False, cross_check_cutoff: int = 8,
         cross_check_resolution: int = 256) -> ObservabilityReport:
-    """Max observability quotient over an ensemble, per frequency cutoff.
+    """The observability constant per frequency cutoff, in closed form.
 
-    ``T`` defaults to twice the crossing time plus 0.5.  Each cutoff's
-    candidates are ``n_random`` random mixtures plus three deterministic
-    top-of-window modes (:func:`_ensemble_data`), all in the span of the
-    sine modes 1..cutoff.  The candidates of every cutoff are drawn first
-    (deterministic for a given seed) and then evolved together, one
-    column per candidate, in a single march of the leapfrog kernel
-    without energy tracking, and each candidate's quotient is read from
-    its trace at order ``m`` (or trace exponent ``beta``, with m = 0).
-    ``cross_check`` reruns the ensemble at one coarse cutoff/resolution
-    next to the dense Gramian constant of the same span and grid: the
-    Gramian constant is the max of the quotient over that span, so the
-    ensemble max is at most it and the ratio lies in [0, 1] (up to
-    rounding in the eigenvalue solve).  The Gramian constant is the Q_m
-    constant and has no H^beta route, so ``cross_check`` with a ``beta``
-    is rejected before any march.  Every cutoff must be an integer of at
-    most half its resolution, and the cutoffs strictly increasing.  An
-    unresolved trapping density is flagged, not rejected.
+    ``T`` defaults to twice the crossing time plus 0.5.  For each cutoff c
+    the constant is the largest quotient Q_m (with ``beta`` and m = 0,
+    the H^beta one) over the span of the scheme's c lowest eigenmodes as
+    position and as velocity data, on the grid of ``resolution`` cells:
+    1/lambda_min of a 2c x 2c pencil (:func:`_mode_records`), inf and
+    flagged below round-off.  One ``eigh_tridiagonal`` serves every
+    cutoff, and the modes' traces are closed-form: nothing is marched.
+    ``cross_check`` holds the closed-form and the marched
+    (:func:`gramian_observability_constant`) constant of one coarse
+    cutoff and resolution, and in ``"ensemble_over_gramian"`` the first
+    over the second (1 up to round-off); the marched route has no
+    H^beta, so ``cross_check`` with a ``beta`` is rejected before any
+    eigensolve.  ``n_random`` (nonnegative) and ``seed`` (a nonnegative
+    integer) are checked and recorded; no constant depends on them.
+    Every cutoff must be an integer of at most half its resolution, and
+    the cutoffs strictly increasing.  An unresolved trapping density is
+    flagged, not rejected.
     """
     m = _check_order(m)
     if beta is not None:
@@ -501,6 +527,8 @@ def estimate_observability_constant(
     _check_increasing("cutoffs", cuts)
     if n_random < 0:
         raise ValueError(f"n_random {n_random} must be nonnegative")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed {seed!r} must be a nonnegative integer")
     if cross_check:
         if beta is not None:
             raise ValueError(
@@ -512,104 +540,55 @@ def estimate_observability_constant(
     T_omega = travel_time(omega)
     if T is None:
         T = _default_horizon(T_omega)
-    grid = _wave_grid(omega, T, resolution)
-    x, dt, dx = grid.x, grid.dt, grid.dx
-    rng = np.random.default_rng(seed)
-    cands = [(cutoff,) + c for cutoff in cuts
-             for c in _ensemble_data(x, cutoff, rng, n_random)]
-    run = _march_data(grid, np.stack([c[2] for c in cands], axis=1),
-                      np.stack([c[3] for c in cands], axis=1))
-    traces = run.trace_left.T
-
-    constants: dict = {}
-    argmax: dict = {}
-    rows = []
-    for (cutoff, lab, u0, u1), trace in zip(cands, traces):
-        q = _quotient(u0, u1, trace, dt, dx, T, T_omega, m, beta)
-        if cutoff not in constants or q.value > constants[cutoff]:
-            constants[cutoff] = q.value
-            argmax[cutoff] = lab
-        rows.append({
-            "cutoff": cutoff, "label": lab, "quotient": q.value,
-            "numerator": q.numerator, "denominator": q.denominator,
-            "unbounded": q.unbounded,
-        })
+    records, round_off = _mode_records(_wave_grid(omega, T, resolution),
+                                       cuts, m, beta)
+    constants = {r["cutoff"]: r["value"] for r in records}
     factors = [_growth_factor(constants[lo], constants[hi])
                for lo, hi in zip(cuts, cuts[1:])]
     check = None
     if cross_check:
         gram = gramian_observability_constant(
             omega, T, cross_check_cutoff,
-            resolution=cross_check_resolution, m=m)
-        sub = estimate_observability_constant(
-            omega, T, (cross_check_cutoff,), n_random=n_random, seed=seed,
-            resolution=cross_check_resolution, m=m)
-        ens = sub.constants[cross_check_cutoff]
+            resolution=cross_check_resolution, m=m)["value"]
+        closed = _mode_records(_wave_grid(omega, T, cross_check_resolution),
+                               (cross_check_cutoff,), m)[0][0]["value"]
         check = {
-            "gramian": gram["value"], "ensemble": ens,
+            "gramian": gram, "closed_form": closed,
             "cutoff": cross_check_cutoff,
             "resolution": cross_check_resolution,
-            "ensemble_over_gramian": (
-                ens / gram["value"] if gram["value"] > 0 else math.inf),
+            "ensemble_over_gramian": closed / gram,
         }
     return ObservabilityReport(
         omega_kind=omega.kind, omega_descriptor=omega.to_descriptor(),
         T=T, T_omega=T_omega,
         admissible=_admissible(T, T_omega), m=m, beta=beta,
-        cutoffs=cuts, constants=constants, argmax_labels=argmax,
-        rows=tuple(rows), growth_factors=tuple(factors),
-        resolution=resolution, seed=seed, n_random=n_random,
+        cutoffs=cuts, constants=constants, rows=tuple(records),
+        growth_factors=tuple(factors),
+        resolution=resolution, seed=int(seed), n_random=n_random,
         cross_check=check,
-        flags=_resolution_flags(omega, resolution))
+        flags=_resolution_flags(omega, resolution) + round_off)
 
 
 def gramian_observability_constant(omega: Coefficient, T: float,
                                    cutoff: int, *, resolution: int = 256,
                                    m: int = 0) -> dict:
-    """Exact-over-the-span constant from the dense boundary Gramian.
+    """The constant of the span of the scheme's ``cutoff`` lowest modes,
+    from marched traces: the reference for the closed form.
 
-    Solves all 2*cutoff basis data (position mode sin(k pi x), velocity
-    mode sin(k pi x)) in one march, forms D[i,j] = int d^m tr_i d^m tr_j
-    dt and the diagonal energy matrix N, and returns 1/lambda_min of the
-    pencil (D, N): the worst quotient over the whole span, not just the
-    sampled candidates.  N is diagonal, so the pencil is solved as the
-    symmetric matrix N^{-1/2} D N^{-1/2}.  Meant for small cutoffs (dense
-    eigenproblem), at most half the resolution; ``"flags"`` as in the
-    ensemble report.
+    The 2*cutoff basis data (each mode as position data, then as
+    velocity data) are marched in one block, and D is the trapezoid Gram
+    of their traces' m-th time differences.  Returns the pencil record
+    of :func:`_mode_records`: ``"value"`` is 1/lambda_min, the worst
+    quotient over the whole span, inf when the pencil is below
+    round-off.  The cutoff is at most half the resolution; ``"flags"``
+    as in the closed-form report.
     """
     m = _check_order(m)
     cutoff = _check_cutoff(cutoff, resolution)
-    if cutoff > 64:
-        raise ValueError("gramian route is for small cutoffs (<= 64)")
-    grid = _wave_grid(omega, T, resolution)
-    dt, dx = grid.dt, grid.dx
-    modes = [np.sin(k * math.pi * grid.x) for k in range(1, cutoff + 1)]
-    energies = ([_h10_norm_sq(u, dx) for u in modes]
-                + [_l2_norm_sq(u, dx) for u in modes])
-    block = np.stack(modes, axis=1)
-    rest = np.zeros_like(block)
-    run = _march_data(grid, np.hstack([block, rest]),
-                      np.hstack([rest, block]))
-    tr = np.ascontiguousarray(run.trace_left.T)
-    if m:
-        tr = np.diff(tr, n=m, axis=1) / dt ** m
-    w = np.full(tr.shape[1], dt)
-    w[0] = w[-1] = 0.5 * dt
-    D = (tr * w) @ tr.T
-    scale = 1.0 / np.sqrt(energies)
-    # lambda = trace energy / datum energy over the span; the constant
-    # is the reciprocal of the smallest one
-    vals = np.linalg.eigvalsh(scale[:, None] * D * scale[None, :])
-    lam_min = float(vals[0])
-    lam_max = float(vals[-1])
-    degenerate = not (lam_min > 1e-12 * max(lam_max, 1e-300))
-    return {
-        "value": math.inf if degenerate else 1.0 / lam_min,
-        "lambda_min": lam_min, "lambda_max": lam_max,
-        "unbounded": degenerate, "cutoff": cutoff,
-        "basis_size": 2 * cutoff, "resolution": resolution, "m": m, "T": T,
-        "flags": list(_resolution_flags(omega, resolution)),
-    }
+    (record,), round_off = _mode_records(_wave_grid(omega, T, resolution),
+                                         (cutoff,), m, marched=True)
+    return {**record, "resolution": resolution, "m": m, "T": T,
+            "flags": list(_resolution_flags(omega, resolution) + round_off)}
 
 
 # --------------------------------------------------------------------------
@@ -898,8 +877,8 @@ def run_counterexample_sweep(
         dx_wave = density.length / res_wave
         for m in m_list:
             floor = _trace_noise_floor(floor_scale, dx_wave, dt, T, m)
-            d_cos = _trace_derivative_energy(total["cos"], dt, m)
-            d_sin = _trace_derivative_energy(total["sin"], dt, m)
+            d_cos = float(_trace_gram(total["cos"], dt, m))
+            d_sin = float(_trace_gram(total["sin"], dt, m))
             dens[m] = {"cos": d_cos, "sin": d_sin}
             q_cos = (math.inf if d_cos <= floor
                      else numerator["cos"] / d_cos)
@@ -1045,9 +1024,9 @@ def hum_control(omega: Coefficient, y0, y1, T: float, m: int = 0, *,
     x, om_nodes, dx, dt, steps = _wave_grid(omega, T, resolution)
     y0n = _as_samples(y0, x)
     y1n = _as_samples(y1, x)
-    # the Taylor start levels reject a y0 that does not vanish at the
-    # ends before any norm or modal solve
-    start = _taylor_start(y0n, y1n, om_nodes, dt, dx, name="y0")
+    # the Taylor start levels reject a y0 or y1 that does not vanish at
+    # the ends before any norm or modal solve
+    start = _taylor_start(y0n, y1n, om_nodes, dt, dx, names=("y0", "y1"))
     times = np.arange(steps + 1) * dt
 
     target_sq = _l2_norm_sq(y0n, dx) + _hminus1_norm_sq(y1n, dx)

@@ -18,6 +18,8 @@ single-column run that tracks E_0..E_{k_max} at every level;
 ``observability`` marches its data as blocks without energies.
 ``_leapfrog_modes`` solves the homogeneous scheme in closed form instead:
 one table of every mode's Chebyshev evolution, on which HUM's CG runs.
+Its eigenproblem, ``_scheme_eigenpairs``, also gives ``observability``'s
+constants the scheme's lowest modes.
 Every forward run and every wave solve of ``observability`` builds its
 grid once with ``_wave_grid``; its cell-count rule is
 ``_check_resolution``, callable before any march.
@@ -182,14 +184,16 @@ class WaveTrajectory:
                                  for k in self.energies}}
 
 
-def _taylor_start(u0, v0, om, dt, dx, *, name="u0"):
+def _taylor_start(u0, v0, om, dt, dx, *, names=("u0", "u1")):
     """(u0 with its ends zeroed, Taylor start u(dt) to fourth-order local
     accuracy) for node arrays or (nodes x K) blocks of data columns.  A
-    u0 that does not vanish at the ends is rejected under ``name``."""
+    u0 or v0 that does not vanish at the ends is rejected under its name
+    in ``names`` (the first level would half use a velocity's ends)."""
     u0 = np.array(u0, dtype=float)
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(u0))))
-    if np.max(np.abs(u0[0])) > tol or np.max(np.abs(u0[-1])) > tol:
-        raise ValueError(f"{name} must vanish at the endpoints")
+    for data, name in zip((u0, v0), names):
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(data))))
+        if np.max(np.abs(data[0])) > tol or np.max(np.abs(data[-1])) > tol:
+            raise ValueError(f"{name} must vanish at the endpoints")
     u0[0] = u0[-1] = 0.0
     inv_om = (1.0 / om).reshape((-1,) + (1,) * (u0.ndim - 1))
     lap0 = np.zeros_like(u0)
@@ -418,23 +422,32 @@ class _Modes:
         return (a0.T * self.q).T, (a1.T * self.q).T
 
 
-def _leapfrog_modes(om, dx, dt, steps) -> _Modes:
-    """Eigenpairs of the scheme and its one (steps+1) x (nodes-2) table.
-
-    theta = 2 arcsin(dt sqrt(mu) / 2) is arccos(c) without its
-    cancellation near c = 1; the scheme is stable only while every c > -1.
+def _scheme_eigenpairs(om, dx, dt, count=None):
+    """(mu, Q, sqrt(omega), theta): every eigenpair of the scheme's
+    tridiagonal M^{-1/2} K M^{-1/2} (:class:`_Modes`), or the ``count``
+    lowest.  theta = 2 arcsin(dt sqrt(mu) / 2) is arccos(1 - dt^2 mu / 2)
+    without its cancellation near 0; the scheme is stable only while
+    every 1 - dt^2 mu / 2 > -1.
     """
     from scipy.linalg import eigh_tridiagonal
 
     root_om = np.sqrt(om[1:-1])
+    select = ({} if count is None
+              else {"select": "i", "select_range": (0, count - 1)})
     mu, vectors = eigh_tridiagonal(
         2.0 / (dx ** 2 * om[1:-1]),
-        -1.0 / (dx ** 2 * root_om[:-1] * root_om[1:]))
+        -1.0 / (dx ** 2 * root_om[:-1] * root_om[1:]), **select)
     half = 0.5 * dt * np.sqrt(np.maximum(mu, 0.0))
     if half.max() >= 1.0:
         raise ValueError("time step beyond the scheme's stability limit "
                          "(a modal cosine 1 - dt^2 mu / 2 is <= -1)")
-    theta = 2.0 * np.arcsin(half)
+    return mu, vectors, root_om, 2.0 * np.arcsin(half)
+
+
+def _leapfrog_modes(om, dx, dt, steps) -> _Modes:
+    """Every eigenpair of the scheme and its one (steps+1) x (nodes-2)
+    table."""
+    mu, vectors, root_om, theta = _scheme_eigenpairs(om, dx, dt)
     table = np.empty((steps + 1, len(mu)))
     np.multiply.outer(np.arange(steps + 1), theta, out=table)
     np.sin(table, out=table)
@@ -590,22 +603,26 @@ def _tapered_spectrum(n: int, dt: float, exponent: float) -> tuple:
     return w, padded, (1.0 + xi ** 2) ** exponent
 
 
-def _tapered_sobolev_norm(trace: np.ndarray, exponent: float,
-                          dt: float) -> float:
-    """H^exponent(0,T) norm of a signal for any real exponent.
-
-    :func:`trace_sobolev_norm` is the nonnegative side; a negative
-    exponent gives the dual norm that :func:`observability.hum_control`
-    reports for its control.
-    """
-    s = np.asarray(trace, dtype=float)
+def _tapered_gram(traces: np.ndarray, exponent: float, dt: float):
+    """H^exponent(0,T) inner products, for any real exponent, of one
+    signal (its squared norm) or of the columns of an (n x K) block:
+    sum (1+xi^2)^exponent Re(F_i conj(F_j)) d_nu over the one-sided
+    tapered spectrum (:func:`_tapered_spectrum`), F = dt * FFT."""
+    s = np.asarray(traces, dtype=float)
     n = len(s)
     if n < 16:
         raise ValueError("trace too short")
     w, padded, weight = _tapered_spectrum(n, dt, exponent)
-    spec = np.fft.rfft(s * w, n=padded) * dt
-    dnu = 1.0 / (padded * dt)
-    mass = np.abs(spec) ** 2 * weight
+    spec = np.fft.rfft(s.T * w, n=padded) * dt
+    mass = weight / (padded * dt)
     # one-sided spectrum: double the interior bins
     mass[1:-1] *= 2.0
-    return float(math.sqrt(np.sum(mass) * dnu))
+    return ((spec.real * mass) @ spec.real.T
+            + (spec.imag * mass) @ spec.imag.T)
+
+
+def _tapered_sobolev_norm(trace: np.ndarray, exponent: float,
+                          dt: float) -> float:
+    """The one-column :func:`_tapered_gram`, as a norm: nonnegative in
+    :func:`trace_sobolev_norm`, negative for HUM's control norm."""
+    return math.sqrt(float(_tapered_gram(trace, exponent, dt)))

@@ -1,5 +1,6 @@
 """Observability tests: the batched leapfrog kernel against a plain
-recurrence, quotients against d'Alembert, the ensemble/Gramian ordering,
+recurrence, quotients against d'Alembert, the closed-form constant
+against the marched Gramian and the datum that attains it,
 HUM reaching rest, the weighted impulse-response corrector against the
 forced march, the divergence sweep's march count, truncation and growth
 bookkeeping, and the package import surface."""
@@ -185,16 +186,44 @@ class TestQuotient:
         assert q.admissible
 
 
+def lowest_modes(grid, c):
+    """(mu, V, theta) of the c lowest modes, V the nodal eigenvectors."""
+    mu, vectors, root_om, theta = ws._scheme_eigenpairs(grid.om, grid.dx,
+                                                        grid.dt, c)
+    return mu, vectors / root_om[:, None], theta
+
+
+def lowest_mode_pencil(om, T, res, c, m=0, beta=None):
+    """(D, N, V) of the c lowest modes on the grid, D from the closed-form
+    traces, N = dx diag(mu) (+) dx V^T V the data energy."""
+    from scipy.linalg import block_diag
+
+    grid = ws._wave_grid(om, T, res)
+    mu, V, theta = lowest_modes(grid, c)
+    D = ob._trace_gram(ob._mode_traces(grid, mu, V, theta), grid.dt, m, beta)
+    return D, grid.dx * block_diag(np.diag(mu), V.T @ V), V
+
+
+def nodal(V, coefficients):
+    """The node array of sum_k coefficients[k] V_k, zero at the ends."""
+    u = np.zeros(len(V) + 2)
+    u[1:-1] = V @ coefficients
+    return u
+
+
 class TestConstants:
     def test_ensemble_below_gramian(self):
+        # the closed-form constant and the marched one of the same span
+        # agree; one pencil record per cutoff
         rep = ob.estimate_observability_constant(
             coeff.make_baseline("lipschitz"), cutoffs=(4, 8),
             resolution=64, n_random=2, seed=3,
             cross_check=True, cross_check_cutoff=4,
             cross_check_resolution=64)
         ratio = rep.cross_check["ensemble_over_gramian"]
-        assert 0.0 <= ratio <= 1.0 + 1e-6
-        assert len(rep.rows) == 2 * (2 + 3)
+        assert abs(ratio - 1.0) <= 1e-9
+        assert [(r["cutoff"], r["basis_size"]) for r in rep.rows] == [
+            (4, 8), (8, 16)]
         assert all(math.isfinite(c) and c > 0 for c in rep.constants.values())
 
     @pytest.mark.parametrize("kind", [
@@ -202,9 +231,8 @@ class TestConstants:
         "weierstrass-zygmund",
     ])
     def test_ensemble_never_above_gramian(self, kind):
-        # every candidate lies in the span of the cross-check cutoff's
-        # sine modes, whose exact constant the Gramian is; so the ratio
-        # is at most 1 (0.916 at most over these 18 runs per density)
+        # the closed form is the marched Gramian of the same span, up to
+        # round-off (2.0e-12 at most over these 18 runs per density)
         om = coeff.make_baseline(kind)
         for cc in (2, 4, 8):
             for res in (64, 128):
@@ -214,56 +242,78 @@ class TestConstants:
                         seed=0, m=m, cross_check=True,
                         cross_check_cutoff=cc, cross_check_resolution=res)
                     ratio = rep.cross_check["ensemble_over_gramian"]
-                    assert ratio <= 1.0 + 1e-9, (cc, res, m, ratio)
+                    assert abs(ratio - 1.0) <= 1e-9, (cc, res, m, ratio)
 
     def test_beta_weight_lowers_quotient(self):
-        # the H^1 weight (1 + xi^2) >= 1 can only lower the quotient; the
-        # data are the ensemble candidates of cutoff 4, res 64, seed 3
+        # the H^1 weight (1 + xi^2) >= 1 lowers every quotient of a span,
+        # so its largest one too
         om = coeff.make_baseline("lipschitz")
-        T = ob._default_horizon(coeff.travel_time(om))
-        grid = ws._wave_grid(om, T, 64)
-        cands = ob._ensemble_data(grid.x, 4, np.random.default_rng(3), 2)
-        assert len(cands) == 2 + 3
-        for _, u0, u1 in cands:
-            q0, q1 = (ob.observability_quotient(
-                om, u0, u1, T, beta=beta, resolution=64).value
-                for beta in (0.0, 1.0))
-            assert 0.0 < q1 <= q0
+        c0, c1 = (ob.estimate_observability_constant(
+            om, cutoffs=(2, 4), resolution=64, beta=beta).constants
+            for beta in (0.0, 1.0))
+        assert all(0.0 < c1[c] <= c0[c] for c in (2, 4))
 
-    def test_ensemble_row_matches_single_quotient(self):
-        # a batched candidate's quotient equals the single-datum one
+    @pytest.mark.parametrize("m, beta", [(0, None), (1, None), (2, None),
+                                         (0, 0.5)])
+    def test_constant_attained_by_its_datum(self, m, beta):
+        # the pencil's lambda_min eigenvector, as nodal data marched by
+        # the single-datum quotient (which shares no trace code with the
+        # closed form), has the constant as its quotient
+        from scipy.linalg import eigh
+
         om = coeff.make_baseline("lipschitz")
+        res, c = 64, 8
         rep = ob.estimate_observability_constant(
-            om, cutoffs=(4,), resolution=64, n_random=0)
-        row = next(r for r in rep.rows if r["label"] == "mode-top-velocity")
-        x = np.linspace(0.0, 1.0, 65)
-        u1 = ob._sine_mixture(x, np.eye(4)[-1])
-        q = ob.observability_quotient(om, np.zeros_like(x), u1, rep.T,
-                                      resolution=64)
-        assert q.value == row["quotient"]
+            om, cutoffs=(4, c), resolution=res, m=m, beta=beta)
+        D, N, V = lowest_mode_pencil(om, rep.T, res, c, m, beta)
+        x = eigh(D, N)[1][:, 0]
+        q = ob.observability_quotient(om, nodal(V, x[:c]), nodal(V, x[c:]),
+                                      rep.T, m, beta=beta, resolution=res)
+        assert q.value == pytest.approx(rep.constants[c], rel=1e-9)
 
-    def test_one_column_per_candidate(self, monkeypatch):
-        # 3 cutoffs x (4 random + 3 modes) = 21 candidates, each one
-        # column of a single march and one row
-        shapes = []
-        kernel = ob._leapfrog
+    def test_constant_marches_nothing(self, marches):
+        # one eigensolve serves every cutoff; only the cross-check's
+        # Gramian marches
+        om = coeff.make_baseline("lipschitz")
+        ob.estimate_observability_constant(om, 3.0, (4, 8, 16),
+                                           resolution=64)
+        assert marches == ["window"]
+        marches.clear()
+        ob.estimate_observability_constant(
+            om, 3.0, (4, 8), resolution=64, cross_check=True,
+            cross_check_cutoff=4, cross_check_resolution=64)
+        assert marches == ["window", "window", "homogeneous", "window"]
 
-        def recorded(om, dx, dt, steps, u_start, u_next, **kwargs):
-            shapes.append(np.shape(u_start))
-            return kernel(om, dx, dt, steps, u_start, u_next, **kwargs)
+    def test_constants_nested(self):
+        # the spans are nested, so the constants cannot decrease with the
+        # cutoff; the Lipschitz constant is flat
+        om = coeff.make_baseline("lipschitz")
+        for res, cuts in ((256, (8, 16, 32)), (1024, (8, 16, 32, 64))):
+            rep = ob.estimate_observability_constant(om, cutoffs=cuts,
+                                                     resolution=res)
+            values = [rep.constants[c] for c in cuts]
+            assert all(b >= a for a, b in zip(values, values[1:]))
+            assert rep.flags == ()
+        # [0.4148, 0.4173] to four digits (0.41479 .. 0.41730 measured)
+        assert all(0.41475 <= v < 0.41735 for v in values)
 
-        monkeypatch.setattr(ob, "_leapfrog", recorded)
-        rep = ob.estimate_observability_constant(
-            coeff.make_baseline("lipschitz"), cutoffs=(8, 16, 32),
-            n_random=4, resolution=256)
-        assert shapes == [(257, 21)]
-        assert len(rep.rows) == 21
-        assert [r["cutoff"] for r in rep.rows] == [8] * 7 + [16] * 7 + [32] * 7
+    def test_below_control_time_is_flagged(self):
+        # at half the control time the c = 16 pencil is below round-off
+        # (lambda_min / lambda_max = -4e-16): inf and flagged, never a
+        # negative or finite constant; c = 8 (5.3e-10) stays finite
+        om = coeff.make_baseline("lipschitz")
+        T = 0.5 * 2.0 * coeff.travel_time(om)
+        rep = ob.estimate_observability_constant(om, T, (8, 16),
+                                                 resolution=128)
+        assert rep.constants[16] == math.inf
+        assert math.isfinite(rep.constants[8]) and rep.constants[8] > 0
+        assert [r["unbounded"] for r in rep.rows] == [False, True]
+        assert len(rep.flags) == 1 and rep.flags[0].startswith("cutoff 16:")
 
     def test_lipschitz_constants_flat(self):
         # exact-over-span constants on one grid: the spans are nested, so
         # the constant can only grow with the cutoff, and for a Lipschitz
-        # density it stays flat (0.4124 .. 0.4169 measured)
+        # density it stays flat (0.4147 .. 0.4169 measured)
         om = coeff.make_baseline("lipschitz")
         T = 2.0 * coeff.travel_time(om) + 0.5
         values = [ob.gramian_observability_constant(
@@ -275,16 +325,16 @@ class TestConstants:
     def test_gramian_bounds_basis_quotients(self, m):
         # the constant is the max of the quotient over the span, so it
         # bounds the quotient of each basis datum at the same m, grid and
-        # T (0.03808 >= 0.03394 at m = 1, 0.004716 >= 0.003890 at m = 2)
+        # T (0.03807 >= 0.03394 at m = 1, 0.004708 >= 0.003889 at m = 2)
         om = coeff.make_baseline("lipschitz")
         res, cutoff, T = 64, 4, 3.0
         gram = ob.gramian_observability_constant(om, T, cutoff,
                                                  resolution=res, m=m)
-        x = np.linspace(0.0, 1.0, res + 1)
-        zero = np.zeros_like(x)
+        _, V, _ = lowest_modes(ws._wave_grid(om, T, res), cutoff)
+        zero = np.zeros(res + 1)
         quotients = []
-        for k in range(1, cutoff + 1):
-            mode = np.sin(k * math.pi * x)
+        for k in range(cutoff):
+            mode = nodal(V, np.eye(cutoff)[k])
             for u0, u1 in ((mode, zero), (zero, mode)):
                 quotients.append(ob.observability_quotient(
                     om, u0, u1, T, m, resolution=res).value)
@@ -334,11 +384,13 @@ def test_hum_dual_norm_control():
 
 @pytest.fixture
 def marches(monkeypatch):
-    """Kind of every leapfrog kernel run, wherever it is called from, and
-    every modal solve of HUM ("modes")."""
+    """Kind of every leapfrog kernel run, wherever it is called from,
+    every modal solve of HUM ("modes") and every eigensolve of the
+    constants' lowest modes ("window")."""
     calls = []
     kernel = ws._leapfrog
     modal = ob._leapfrog_modes
+    window = ob._scheme_eigenpairs
 
     def counted(*args, **kwargs):
         forced = kwargs.get("boundary") is not None
@@ -349,7 +401,12 @@ def marches(monkeypatch):
         calls.append("modes")
         return modal(*args)
 
+    def eigensolved(*args):
+        calls.append("window")
+        return window(*args)
+
     monkeypatch.setattr(ws, "_leapfrog", counted)
+    monkeypatch.setattr(ob, "_scheme_eigenpairs", eigensolved)
     monkeypatch.setattr(ob, "_leapfrog", counted)
     monkeypatch.setattr(ob, "_leapfrog_modes", solved)
     return calls
@@ -449,7 +506,7 @@ class TestCutoffGuard:
                                                   resolution=64)
         assert marches == []
         out = ob.gramian_observability_constant(om, 3.0, 32, resolution=64)
-        assert out["cutoff"] == 32 and marches == ["homogeneous"]
+        assert out["cutoff"] == 32 and marches == ["window", "homogeneous"]
 
     def test_ensemble(self, marches):
         om = coeff.make_baseline("lipschitz")
@@ -469,7 +526,7 @@ class TestCutoffGuard:
                 cross_check_resolution=64, **kw)
         assert marches == []
         rep = ob.estimate_observability_constant(om, 3.0, (8, 32), **kw)
-        assert rep.cutoffs == (8, 32) and marches == ["homogeneous"]
+        assert rep.cutoffs == (8, 32) and marches == ["window"]
 
     def test_integral_float_accepted(self):
         # an integral float is the integer cutoff, as m = 1.0 is m = 1
@@ -562,7 +619,7 @@ class TestWavesimOracles:
         diffs = np.diff(trace, 2 * k) / dt ** (2 * k)
         assert np.linalg.norm(diffs - moved) <= bound * np.linalg.norm(moved)
         # and so Q_{2k}'s denominator is the moved trace's L^2 energy
-        energy = ob._trace_derivative_energy(trace, dt, 2 * k)
+        energy = ob._trace_gram(trace, dt, 2 * k)
         assert energy == pytest.approx(np.trapezoid(moved ** 2, dx=dt),
                                        rel=3.0 * bound)
 
@@ -678,8 +735,19 @@ def _bad_input_calls():
         "observability_quotient-side=middle": ("side must", lambda: (
             ob.observability_quotient(om, u, zero, 3.0, resolution=64,
                                       side="middle"))),
-        "gramian_observability_constant-cutoff=65": ("small cutoffs", lambda: (
-            ob.gramian_observability_constant(om, 3.0, 65, resolution=256))),
+        "gramian_observability_constant-cutoff=65": ("group velocity", lambda: (
+            ob.gramian_observability_constant(om, 3.0, 65, resolution=128))),
+        "seed=-1": ("nonnegative integer", lambda: (
+            ob.estimate_observability_constant(
+                om, 3.0, (4,), seed=-1, resolution=64))),
+        "evolve-u1-ends": ("u1 must vanish", lambda: (
+            ws.evolve(om, u, np.cos(math.pi * x), 3.0, 64, k_max=0))),
+        "observability_quotient-u1-ends": ("u1 must vanish", lambda: (
+            ob.observability_quotient(om, u, np.cos(math.pi * x), 3.0,
+                                      resolution=64))),
+        "hum_control-y1-ends": ("y1 must vanish", lambda: (
+            ob.hum_control(om, u, np.cos(math.pi * x), 3.0,
+                           resolution=64))),
         "_quotient-zero-data": ("zero data", lambda: (
             ob._quotient(zero, zero, np.ones(64), 0.01, 1.0 / 64, 3.0,
                          1.0))),
@@ -764,11 +832,13 @@ class TestResolutionFlags:
                                       n0=30)
         lam = coeff.make_counterexample_density(params, family="lambda")[0]
         assert params.entry(2).h == 120.0
+        # past the control time, so that no pencil is below round-off
+        T = ob._default_horizon(coeff.travel_time(lam))
         for res, flagged in ((512, True), (1024, False)):
-            rep = ob.estimate_observability_constant(lam, 1.0, (8,),
+            rep = ob.estimate_observability_constant(lam, T, (8,),
                                                      n_random=1,
                                                      resolution=res)
-            gram = ob.gramian_observability_constant(lam, 1.0, 8,
+            gram = ob.gramian_observability_constant(lam, T, 8,
                                                      resolution=res)
             assert len(rep.flags) == flagged
             assert rep.to_summary()["flags"] == gram["flags"] == list(
@@ -977,7 +1047,7 @@ class TestGrowth:
         rep = ob.ObservabilityReport(
             omega_kind="constant", omega_descriptor={}, T=3.0, T_omega=1.0,
             admissible=True, m=0, beta=None, cutoffs=(8, 16),
-            constants={8: math.inf, 16: 1.0}, argmax_labels={}, rows=(),
+            constants={8: math.inf, 16: 1.0}, rows=(),
             growth_factors=(), resolution=64, seed=0, n_random=0)
         assert math.isnan(rep.overall_growth)
 
@@ -1070,16 +1140,6 @@ def test_summary_round_trips_through_json(kind):
         assert arrays
 
 
-def test_sine_mixture_explicit_sum():
-    res, cutoff = 64, 32
-    x = np.linspace(0.0, 1.0, res + 1)
-    coeffs = np.random.default_rng(5).standard_normal(cutoff)
-    ref = sum(c * np.sin((k + 1) * math.pi * x) for k, c in enumerate(coeffs))
-    got = ob._sine_mixture(x, coeffs)
-    assert got[0] == got[-1] == 0.0
-    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-
-
 def _fresh_python(code: str) -> str:
     """Standard output of ``code`` run in a fresh interpreter that
     imports the package from this checkout."""
@@ -1127,23 +1187,6 @@ def test_import_leaves_out_scipy_and_mpmath():
     ])
     out = _fresh_python(code)
     assert out.split("\n")[:2] == ["[]", "True True 5"]
-
-
-def test_constant_route_leaves_out_scipy():
-    # the ensemble constant and its Gramian cross-check solve their
-    # eigenproblem with numpy alone
-    code = "\n".join([
-        "import sys",
-        "from waveobs import coeff, observability",
-        "rep = observability.estimate_observability_constant(",
-        "    coeff.make_baseline('lipschitz'), 3.0, (4,), n_random=1,",
-        "    resolution=64, cross_check=True, cross_check_cutoff=4,",
-        "    cross_check_resolution=64)",
-        "print(rep.cross_check['gramian'] > 0,",
-        "      sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
-    ])
-    out = _fresh_python(code)
-    assert out.strip() == "True []"
 
 
 def test_star_import():

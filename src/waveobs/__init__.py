@@ -35,8 +35,6 @@ imported by the functions that use them, on their first call:
 
 - ``wavesim._scheme_eigenpairs`` (``eigh_tridiagonal``), reached through
   ``hum_control`` and both observability constants;
-- ``observability._mode_records`` (``eigh``, ``block_diag``), reached
-  through both observability constants;
 - ``observability._hminus1_norm_sq`` (``solveh_banded``), reached through
   ``hum_control``;
 - ``coeff.make_sequences`` and its helpers ``_psi_functions``,

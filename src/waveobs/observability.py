@@ -3,8 +3,12 @@
 The quotient under study compares the energy of initial data against the
 boundary flux it radiates through an endpoint of ]0, L[:
 
-    Q_m(u0, u1; T)  =  (|u0|_{H^1_0}^2 + |u1|_{L^2}^2)
-                       / int_0^T |d^m/dt^m  u_x(t, 0)|^2 dt .
+    Q_m(u0, u1; T)  =  (|u0|_{H^1_0}^2 + int omega |u1|^2)
+                       / int_0^T |d^m/dt^m  u_x(t, 0)|^2 dt ,
+
+twice the paper's energy over the flux.  Every quotient, constant and
+divergence row reads the energy the scheme conserves and its
+summation-by-parts trace u_1/dx, the trace HUM's duality reads.
 
 For densities bounded between positive constants and T larger than twice
 the crossing time the quotient is bounded over all data exactly when the
@@ -16,7 +20,7 @@ family of concentrating modes.  This module measures both sides:
   discrete trace can certify ("unbounded at this resolution").
 * :func:`estimate_observability_constant` gives, per frequency cutoff c,
   the exact constant over the scheme's c lowest eigenmodes as position
-  and as velocity data: 1/lambda_min of a 2c x 2c pencil whose traces
+  and as velocity data: 1/lambda_min of a 2c x 2c matrix whose traces
   are closed-form (the eigenmodes behind both the Castro-Zuazua trapping
   and the uniform-grid defect of Infante & Zuazua, M2AN 33, 1999), with
   an optional cross-check against the same span's constant from marched
@@ -84,7 +88,6 @@ from .wavesim import (
     _tapered_gram,
     _tapered_sobolev_norm,
     _tapered_spectrum,
-    _trace_left,
     _wave_grid,
 )
 
@@ -143,12 +146,13 @@ def _l2_norm_sq(u: np.ndarray, dx: float) -> float:
     return float(np.trapezoid(u * u, dx=dx))
 
 
-def _data_energy(u0n: np.ndarray, u1n: np.ndarray, dx: float) -> float:
-    """The quotient's numerator |u0|_{H^1_0}^2 + |u1|_{L^2}^2, the first
-    the Dirichlet energy sum (u_{i+1}-u_i)^2 / dx (exact for hat data);
-    zero data is rejected (the quotient is 0/0)."""
+def _data_energy(u0n: np.ndarray, u1n: np.ndarray, om: np.ndarray,
+                 dx: float) -> float:
+    """The quotient's numerator |u0|_{H^1_0}^2 + int omega |u1|^2, twice
+    the energy the leapfrog conserves: sums of (u_{i+1}-u_i)^2 / dx and
+    of dx omega_i u1_i^2; zero data is rejected (the quotient is 0/0)."""
     d = np.diff(u0n)
-    energy = float(np.dot(d, d) / dx) + _l2_norm_sq(u1n, dx)
+    energy = float(np.dot(d, d) / dx + np.trapezoid(om * u1n * u1n, dx=dx))
     if energy == 0.0:
         raise ValueError("zero data: the quotient is 0/0")
     return energy
@@ -214,9 +218,9 @@ def _trace_gram(traces: np.ndarray, dt: float, m: int,
 
 def _trace_noise_floor(data_scale: float, dx: float, dt: float,
                        T: float, m: float) -> float:
-    # third-order one-sided stencil: |coeffs|_1/6 = 40/6 rounding units,
+    # the two-point trace (u_1 - u_0)/dx: |coeffs|_1 = 2 rounding units,
     # each m-fold difference contributes at worst a factor 2/dt
-    base = (40.0 / 6.0) * _EPS * data_scale / dx
+    base = 2.0 * _EPS * data_scale / dx
     return T * (10.0 * base * (2.0 / dt) ** m) ** 2
 
 
@@ -265,54 +269,25 @@ def _march_data(grid, u0: np.ndarray, u1: np.ndarray):
     return _leapfrog(om, dx, dt, steps, *_taylor_start(u0, u1, om, dt, dx))
 
 
-def _quotient(u0n: np.ndarray, u1n: np.ndarray, trace: np.ndarray,
-              dt: float, dx: float, T: float, T_omega: float, m: int = 0,
-              beta: Optional[float] = None, cumulative: bool = False, *,
-              side: str = "left") -> QuotientResult:
-    """The quotient of one nodal datum given its boundary trace.
-
-    A denominator at or below the round-off floor of the discrete normal
-    derivative makes the quotient unbounded (+inf).
-    """
-    numerator = _data_energy(u0n, u1n, dx)
-    orders = range(m + 1) if cumulative else (m,)
-    parts = tuple(float(_trace_gram(trace, dt, k, beta)) for k in orders)
-    denominator = float(sum(parts))
-    floor_m = m if beta is None else beta
-    data_scale = max(float(np.max(np.abs(u0n))), float(np.max(np.abs(u1n))))
-    floor = _trace_noise_floor(data_scale, dx, dt, T, floor_m)
-    flags = []
-    unbounded = denominator <= floor
-    if unbounded:
-        flags.append(
-            f"quotient unbounded at this resolution: trace energy "
-            f"{denominator:.3e} at or below the round-off floor {floor:.3e}")
-        value = math.inf
-    else:
-        value = numerator / denominator
-    return QuotientResult(
-        value=value, numerator=numerator, denominator=denominator,
-        m=m, beta=beta, T=T, T_omega=T_omega,
-        admissible=_admissible(T, T_omega), unbounded=unbounded,
-        side=side, resolution=len(u0n) - 1,
-        denominator_parts=parts, flags=tuple(flags))
-
-
 def observability_quotient(omega: Coefficient, u0, u1, T: float, m: int = 0,
                            *, beta: Optional[float] = None,
                            resolution: int = 2048, side: str = "left",
                            cumulative: bool = False) -> QuotientResult:
-    """Q = (|u0|_{H^1_0}^2 + |u1|_{L^2}^2) / int |d^m u_x(t,0)|^2 dt.
+    """Q = (|u0|_{H^1_0}^2 + int omega |u1|^2) / int |d^m u_x(t,0)|^2 dt.
 
     ``u0``/``u1`` are callables or nodal arrays vanishing at the
-    endpoints.  With ``beta`` the denominator is the squared H^beta trace
+    endpoints.  The numerator is :func:`_data_energy`; u_x(t, 0) is the
+    trace (u_1 - u_0)/dx, or (u_n - u_{n-1})/dx with ``side="right"``.
+    With ``beta`` the denominator is the squared H^beta trace
     norm instead of the m-fold derivative energy (so ``beta`` with m != 0
     or ``cumulative`` is rejected); with ``cumulative`` the
     derivative energies of all orders k <= m are summed, which makes
     Q non-increasing in m by construction.  Zero data is rejected (the
     quotient is 0/0) before any march.  The data are marched once,
     without energy tracking, on the grid of ``resolution`` cells that
-    :func:`wavesim.solver_time_grid` describes.
+    :func:`wavesim.solver_time_grid` describes.  A denominator at or
+    below the round-off floor of the discrete trace makes the quotient
+    unbounded (+inf).
     """
     m = _check_order(m)
     if beta is not None:
@@ -327,11 +302,30 @@ def observability_quotient(omega: Coefficient, u0, u1, T: float, m: int = 0,
     grid = _wave_grid(omega, T, resolution)
     u0n = _as_samples(u0, grid.x)
     u1n = _as_samples(u1, grid.x)
-    _data_energy(u0n, u1n, float(grid.dx))
+    numerator = _data_energy(u0n, u1n, grid.om, grid.dx)
     run = _march_data(grid, u0n, u1n)
-    trace = run.trace_left if side == "left" else run.trace_right
-    return _quotient(u0n, u1n, trace, grid.dt, float(grid.dx), T,
-                     travel_time(omega), m, beta, cumulative, side=side)
+    trace = run.sbp_left if side == "left" else run.sbp_right
+    orders = range(m + 1) if cumulative else (m,)
+    parts = tuple(float(_trace_gram(trace, grid.dt, k, beta))
+                  for k in orders)
+    denominator = float(sum(parts))
+    data_scale = max(float(np.max(np.abs(u0n))), float(np.max(np.abs(u1n))))
+    floor = _trace_noise_floor(data_scale, grid.dx, grid.dt, T,
+                               m if beta is None else beta)
+    flags = []
+    unbounded = denominator <= floor
+    if unbounded:
+        flags.append(
+            f"quotient unbounded at this resolution: trace energy "
+            f"{denominator:.3e} at or below the round-off floor {floor:.3e}")
+    T_omega = travel_time(omega)
+    return QuotientResult(
+        value=math.inf if unbounded else numerator / denominator,
+        numerator=numerator, denominator=denominator,
+        m=m, beta=beta, T=T, T_omega=T_omega,
+        admissible=_admissible(T, T_omega), unbounded=unbounded,
+        side=side, resolution=resolution,
+        denominator_parts=parts, flags=tuple(flags))
 
 
 # --------------------------------------------------------------------------
@@ -347,9 +341,9 @@ def _mode_traces(grid, mu: np.ndarray, V: np.ndarray,
     The Taylor start (:func:`wavesim._taylor_start`) gives mode k the
     levels V_k cos(n theta_k) as position data and
     V_k dt (1 - dt^2 mu_k / 6) sin(n theta_k) / sin(theta_k) as velocity
-    data; each trace is that times the :func:`_trace_left` stencil of V_k.
+    data; each trace is that times V_k's trace g_k = V_{0k} / dx.
     """
-    g = _trace_left(np.vstack([np.zeros_like(V[0]), V[:3]]), grid.dx)
+    g = V[0] / grid.dx
     phase = np.multiply.outer(np.arange(grid.steps + 1), theta)
     velocity = grid.dt * (1.0 - grid.dt ** 2 * mu / 6.0) / np.sin(theta)
     return np.hstack([g * np.cos(phase), (g * velocity) * np.sin(phase)])
@@ -361,14 +355,13 @@ def _mode_records(grid, cutoffs: tuple, m: int,
     scheme's c lowest modes V = M^{-1/2} Q as position and velocity data.
 
     D is the Gram of their traces (:func:`_trace_gram`), closed-form
-    (:func:`_mode_traces`) or ``marched`` in one block; N = dx diag(mu)
-    (+) dx V^T V is their data energy (V^T K V = diag(mu)).  The constant
-    is 1/lambda_min of (D, N) restricted to the cutoff's 2c data.  One
-    rule for a pencil below round-off: at lambda_min <= 1e-12 lambda_max,
-    negative values included, the constant is inf and a flag names c.
+    (:func:`_mode_traces`) or ``marched`` in one block; their data energy
+    N = dx diag(mu) (+) dx I is diagonal (V^T K V = diag(mu), V^T M V =
+    I).  The constant is 1/lambda_min of N^{-1/2} D N^{-1/2} restricted
+    to the cutoff's 2c data, by ``eigvalsh``.  One rule below round-off:
+    at lambda_min <= 1e-12 lambda_max, negative values included, the
+    constant is inf and a flag names c.
     """
-    from scipy.linalg import block_diag, eigh
-
     mu, vectors, root_om, theta = _scheme_eigenpairs(grid.om, grid.dx,
                                                      grid.dt, cutoffs[-1])
     V = vectors / root_om[:, None]
@@ -377,17 +370,16 @@ def _mode_records(grid, cutoffs: tuple, m: int,
         block[1:-1] = V
         rest = np.zeros_like(block)
         traces = _march_data(grid, np.hstack([block, rest]),
-                             np.hstack([rest, block])).trace_left
+                             np.hstack([rest, block])).sbp_left
     else:
         traces = _mode_traces(grid, mu, V, theta)
-    D = _trace_gram(traces, grid.dt, m, beta)
-    N = grid.dx * block_diag(np.diag(mu), V.T @ V)
+    scale = 1.0 / np.sqrt(grid.dx * np.concatenate([mu, np.ones_like(mu)]))
+    D = _trace_gram(traces, grid.dt, m, beta) * np.outer(scale, scale)
     top = len(mu)
     records, flags = [], []
     for c in cutoffs:
         index = np.r_[:c, top:top + c]
-        keep = np.ix_(index, index)
-        vals = eigh(D[keep], N[keep], eigvals_only=True)
+        vals = np.linalg.eigvalsh(D[np.ix_(index, index)])
         lam_min, lam_max = float(vals[0]), float(vals[-1])
         unbounded = not lam_min > 1e-12 * lam_max
         records.append({
@@ -500,7 +492,7 @@ def estimate_observability_constant(
     the constant is the largest quotient Q_m (with ``beta`` and m = 0,
     the H^beta one) over the span of the scheme's c lowest eigenmodes as
     position and as velocity data, on the grid of ``resolution`` cells:
-    1/lambda_min of a 2c x 2c pencil (:func:`_mode_records`), inf and
+    1/lambda_min of a 2c x 2c matrix (:func:`_mode_records`), inf and
     flagged below round-off.  One ``eigh_tridiagonal`` serves every
     cutoff, and the modes' traces are closed-form: nothing is marched.
     ``cross_check`` holds the closed-form and the marched
@@ -596,21 +588,22 @@ def gramian_observability_constant(omega: Coefficient, T: float,
 # --------------------------------------------------------------------------
 
 
-def _lambda_numerator(pair, h: float, n: int, m: float, r: float,
-                      interior_mass: float) -> dict:
-    """Closed-form H^1_0 and L^2 energies of (phi/h, phi) data.
+def _lambda_numerator(pair, h: float, n: int, m: float, r: float) -> dict:
+    """Closed-form energies |phi/h|_{H^1_0}^2 and int omega phi^2.
 
-    Inside the marked interval phi(x) = w(h(x-m)) and
-    (phi/h)'(x) = w'(h(x-m)), so both energies are one-period integrals
-    times a geometric sum (:func:`quasimodes._interval_integral`; the
-    L^2 one is the solve's ``interior_mass``).  On the flat tails phi is
-    the exact rotation launched from the edge state (+e^{-eps n/2}, 0),
-    whose phase reduces exactly because h is an integer and the edge
-    distances are dyadic.
+    Inside the marked interval phi(x) = w(h(x-m)), (phi/h)'(x) =
+    w'(h(x-m)) and omega(x) = alpha(h(x-m)), so both energies are
+    one-period integrals times a geometric sum
+    (:func:`quasimodes._interval_integral`).  On the flat tails (omega
+    = 4 pi^2) phi is the exact rotation launched from the edge state
+    (+e^{-eps n/2}, 0), whose phase reduces exactly because h is an
+    integer and the edge distances are dyadic.
     """
     h1_interior = _interval_integral(pair, h, n,
                                      lambda s: pair.w_prime(s) ** 2)
-    a_sq = math.exp(-pair.eps * n)     # squared edge amplitude
+    l2_interior = _interval_integral(
+        pair, h, n, lambda s: pair.alpha(s) * pair.w(s) ** 2)
+    a_sq = FOUR_PI_SQ * math.exp(-pair.eps * n)
     d_left = m - r / 2.0
     d_right = 1.0 - (m + r / 2.0)
     tails_l2 = 0.0
@@ -622,16 +615,16 @@ def _lambda_numerator(pair, h: float, n: int, m: float, r: float,
         wiggle = math.sin(TWO_PI * math.remainder(2.0 * h * d, 1.0))
         wiggle /= 4.0 * TWO_PI * h
         tails_l2 += a_sq * (0.5 * d + wiggle)
-        tails_h1 += a_sq * FOUR_PI_SQ * (0.5 * d - wiggle)
+        tails_h1 += a_sq * (0.5 * d - wiggle)
     return {
         "h1": h1_interior + tails_h1,
-        "l2": interior_mass + tails_l2,
+        "l2": l2_interior + tails_l2,
         "route": "closed-form",
     }
 
 
-def _quadrature_numerator(mode_result) -> dict:
-    """Trapezoid energies from the solved samples (needs finite samples)."""
+def _quadrature_numerator(mode_result, density: Coefficient) -> dict:
+    """The same energies by the trapezoid rule (needs finite samples)."""
     phi = mode_result.phi
     dphi = mode_result.phi_prime / mode_result.h
     if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(dphi))):
@@ -642,7 +635,7 @@ def _quadrature_numerator(mode_result) -> dict:
     dx = mode_result.x[1] - mode_result.x[0]
     return {
         "h1": float(np.trapezoid(dphi * dphi, dx=dx)),
-        "l2": float(np.trapezoid(phi * phi, dx=dx)),
+        "l2": float(np.trapezoid(density(mode_result.x) * phi ** 2, dx=dx)),
         "route": "quadrature",
     }
 
@@ -713,9 +706,9 @@ def _impulse_convolution(impulse_trace: np.ndarray,
     and reaches only its own trace (discrete Duhamel principle):
     tr[n] = sum_{k=1..n} H[n-k+1] g[k] for n >= 1 and
     tr[0] = H[1] g[0], with H the trace of the march forced by
-    delta_{n,1}.  H[1] is the stencil's feed-through of the edge value.
-    The sums are FFT products zero-padded to a power of two >= 2 (steps+1),
-    so no term wraps around.
+    delta_{n,1}; H[1] = -1/dx times the left edge weight is the trace's
+    feed-through of the edge value.  The sums are FFT products zero-padded
+    to a power of two >= 2 (steps+1), so no term wraps around.
     """
     levels = len(impulse_trace)
     size = 1 << (2 * levels - 1).bit_length()
@@ -732,7 +725,7 @@ def _corrector_traces(density: Coefficient, h: float, T: float,
     """Boundary-corrector traces for the edge data ``edges`` e^{iht}.
 
     Returns (times, traces, flags): ``traces`` maps 'cos' and 'sin' to
-    the left-end normal-derivative trace of the zero-data solve whose
+    the left-end summation-by-parts trace of the zero-data solve whose
     Dirichlet data are edges[0] (x = 0) and edges[1] (x = 1) times
     cos(ht) or sin(ht); ``flags`` are the cosine forcing's.
 
@@ -753,7 +746,7 @@ def _corrector_traces(density: Coefficient, h: float, T: float,
     run = _leapfrog(grid.om, grid.dx, grid.dt, grid.steps, rest, rest,
                     boundary=(left * impulse, right * impulse))
     traces = dict(zip(("cos", "sin"),
-                      _impulse_convolution(run.trace_left, signals)))
+                      _impulse_convolution(run.sbp_left, signals)))
     flags = _forcing_flags(left * signals[0], right * signals[0], grid.dt)
     return times, traces, flags
 
@@ -848,9 +841,9 @@ def run_counterexample_sweep(
         n = int(round(qm.stats["n"]))
         if family == "lambda":
             numer = _lambda_numerator(density.trapping.pairs[j], h, n, qm.m,
-                                      qm.r, qm.interior_mass)
+                                      qm.r)
         else:
-            numer = _quadrature_numerator(qm)
+            numer = _quadrature_numerator(qm, density)
 
         phi0 = float(qm.phi[0])
         phi1 = float(qm.phi[-1])
@@ -877,20 +870,16 @@ def run_counterexample_sweep(
         dx_wave = density.length / res_wave
         for m in m_list:
             floor = _trace_noise_floor(floor_scale, dx_wave, dt, T, m)
-            d_cos = float(_trace_gram(total["cos"], dt, m))
-            d_sin = float(_trace_gram(total["sin"], dt, m))
-            dens[m] = {"cos": d_cos, "sin": d_sin}
-            q_cos = (math.inf if d_cos <= floor
-                     else numerator["cos"] / d_cos)
-            q_sin = (math.inf if d_sin <= floor
-                     else numerator["sin"] / d_sin)
-            quots[m] = max(q_cos, q_sin)
+            dens[m] = {name: float(_trace_gram(total[name], dt, m))
+                       for name in ("cos", "sin")}
+            quots[m] = max(math.inf if d <= floor else numerator[name] / d
+                           for name, d in dens[m].items())
             # transparency column for the proof's denominator bound
             # den <= C(T, omega^*) h^{2(m+3)} (boundary smallness):
             # the tabulated ratio is den / (h^{2(m+3)} smallness), whose
             # boundedness in j is the measured form of the bound
             cap = h ** (2 * (m + 3)) * smallness
-            bound_ratio[m] = (max(d_cos, d_sin) / cap if cap > 0
+            bound_ratio[m] = (max(dens[m].values()) / cap if cap > 0
                               else math.inf)
 
         return {
@@ -905,8 +894,7 @@ def run_counterexample_sweep(
             "edge_values": (phi0, phi1),
             "edge_derivatives": (dphi0, dphi1),
             "Q": quots,
-            "den": {m: max(dens[m]["cos"], dens[m]["sin"])
-                    for m in m_list},
+            "den": {m: max(dens[m].values()) for m in m_list},
             "den_by_phase": dens,
             "den_bound_ratio": bound_ratio,
             "corrector_flags": flags,
@@ -1003,20 +991,19 @@ def hum_control(omega: Coefficient, y0, y1, T: float, m: int = 0, *,
         sum_n f^n gamma'^n
             = -sum_i omega_i dx/dt^2 [(y^1_i e'^0_i - y^0_i e'^1_i)]
 
-    for any control f steering the first two levels (y^0, y^1) to rest
-    and any adjoint e' (gamma'^n = e'^n_1 / dx is the scheme's own
-    summation-by-parts trace: the kernel's node-1 series, not the wide
-    stencil of the public traces).  Parametrizing adjoints by their two
-    starting levels makes the left side, at f = W gamma, a symmetric
-    nonnegative form S^T W S, solved by preconditioned conjugate
-    gradients on the scheme's closed-form modal solution: there the
-    trace map S is one Chebyshev table of (steps+1) x (resolution-1)
-    floats (1.7 MB at resolution 256, T = 3, Lipschitz baseline), the
-    energy preconditioner is diagonal, and no wave is marched per
-    iteration (the tests check the form against the two marches it
-    replaces).  The control is verified by one march of the leapfrog
-    recurrence on the same grid, from the Taylor start levels of the
-    data (those of the right-hand side) with the control as the x = 0
+    for any control f steering the first two levels (y^0, y^1) to rest and
+    any adjoint e' (gamma'^n = e'^n_1 / dx is the scheme's own
+    summation-by-parts trace, which every quotient also reads).
+    Parametrizing adjoints by their two starting levels makes the left
+    side, at f = W gamma, a symmetric nonnegative form S^T W S, solved by
+    preconditioned conjugate gradients on the scheme's closed-form modal
+    solution: there the trace map S is one Chebyshev table of (steps+1) x
+    (resolution-1) floats (1.7 MB at resolution 256, T = 3, Lipschitz
+    baseline), the energy preconditioner is diagonal, and no wave is
+    marched per iteration (the tests check the form against the two
+    marches it replaces).  The control is verified by one march of the
+    leapfrog recurrence on the same grid, from the Taylor start levels of
+    the data (those of the right-hand side) with the control as the x = 0
     boundary row; the state is controlled when its terminal energy
     relative to the target's is at most 1e-6.
     """

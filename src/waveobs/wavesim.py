@@ -30,7 +30,11 @@ must reproduce) check this module from outside it: they live with the
 tests, in ``tests/oracles.py``, which imports from this module only the
 CFL number ``_CFL``.
 
-Boundary traces use third-order one-sided differences.  Rough
+The public traces of :func:`evolve` are third-order one-sided
+differences, close enough to u_x for the tests' sidewise oracle to
+rebuild the energy; ``observability`` reads the scheme's own
+summation-by-parts traces (u_1 - u_0)/dx and (u_n - u_{n-1})/dx, which
+its conserved energy and HUM's duality identity pair with.  Rough
 coefficients are sampled pointwise at the nodes; no smoothing is ever
 applied.
 """
@@ -245,13 +249,15 @@ _EDGE_CHUNK = 256
 
 @dataclass(frozen=True)
 class _March:
-    """One kernel run; series have shape (steps+1,) + columns.  ``node1``
-    is u at the first interior node (dx times the scheme's own
-    summation-by-parts trace); ``levels`` are u at T-dt and T."""
+    """One kernel run; series have shape (steps+1,) + columns.  Beside
+    the public stencil traces, ``sbp_left``/``sbp_right`` are the
+    summation-by-parts traces (u_1 - u_0)/dx and (u_n - u_{n-1})/dx;
+    ``levels`` are u at T-dt and T."""
 
     trace_left: np.ndarray
     trace_right: np.ndarray
-    node1: np.ndarray
+    sbp_left: np.ndarray
+    sbp_right: np.ndarray
     levels: tuple
     energies: Mapping[int, np.ndarray]
     snapshots: Optional[tuple] = None       # (times, u, u_t) lists
@@ -308,7 +314,7 @@ def _leapfrog(om, dx, dt, steps, u_start, u_next, *, boundary=None,
     # stencils applied to a whole chunk of levels at once
     rows = np.array([0, 1, 2, 3, n - 3, n - 2, n - 1, n])
     gathered = np.empty((_EDGE_CHUNK, len(rows)) + cols)
-    series = np.empty((3, steps + 1) + cols)
+    series = np.empty((4, steps + 1) + cols)
 
     def flush(level):
         a = level - level % _EDGE_CHUNK
@@ -316,7 +322,8 @@ def _leapfrog(om, dx, dt, steps, u_start, u_next, *, boundary=None,
         out = series[:, a:level + 1]
         out[0] = _trace_left(g[:4], dx)
         out[1] = _trace_right(g[4:8], dx)
-        out[2] = g[1]
+        out[2] = (g[1] - g[0]) / dx
+        out[3] = (g[7] - g[6]) / dx
 
     first.take(rows, 0, gathered[0], "clip")
     second.take(rows, 0, gathered[1], "clip")
@@ -371,7 +378,8 @@ def _leapfrog(om, dx, dt, steps, u_start, u_next, *, boundary=None,
         snaps[2].append((3 * held[-1] - 4 * held[-2] + held[-3]) / (2 * dt))
 
     return _March(
-        trace_left=series[0], trace_right=series[1], node1=series[2],
+        trace_left=series[0], trace_right=series[1],
+        sbp_left=series[2], sbp_right=series[3],
         levels=(bufs[prev].copy(), bufs[cur].copy()),
         energies={k: np.asarray(v) for k, v in energies.items()},
         snapshots=snaps)
@@ -402,8 +410,8 @@ class _Modes:
         return self.vectors.T @ (u.T * self.root_om).T
 
     def node1(self, z0, z1):
-        """u^n_1, n = 0..steps (``_leapfrog``'s node1), from the modal
-        coordinates of the first two levels."""
+        """u^n_1, n = 0..steps (dx times ``_leapfrog``'s ``sbp_left``),
+        from the modal coordinates of the first two levels."""
         b = (np.asarray(z0).T * self.q).T
         both = np.tensordot(self.table, np.stack(
             [(np.asarray(z1).T * self.q).T, b], axis=-1), 1)

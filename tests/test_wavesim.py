@@ -269,9 +269,10 @@ class TestModes:
         rng = np.random.default_rng(res)
         p, v = rng.standard_normal((2, res + 1, 4))
         p[0] = p[-1] = v[0] = v[-1] = 0.0
-        ref = ws._leapfrog(om, dx, dt, steps, p, p + dt * v).node1
+        # the kernel's summation-by-parts trace (u_1 - u_0)/dx, u_0 = 0
+        ref = ws._leapfrog(om, dx, dt, steps, p, p + dt * v).sbp_left
         modes = ws._leapfrog_modes(om, dx, dt, steps)
-        got = modes.node1(modes.to_modal(p), modes.to_modal(p + dt * v))
+        got = modes.node1(modes.to_modal(p), modes.to_modal(p + dt * v)) / dx
         assert got.shape == ref.shape == (steps + 1, 4)
         assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
 

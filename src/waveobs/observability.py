@@ -30,8 +30,8 @@ family of concentrating modes.  This module measures both sides:
   the family, with closed-form numerators where the construction makes
   them exact, at the default horizon.
 * :func:`hum_control` computes the boundary control of minimal H^{-m}
-  norm by conjugate gradients on the duality operator and verifies the
-  terminal state it reaches.
+  norm by conjugate residuals on the duality operator, which minimize the
+  residual its stopping rule reads, and verifies the terminal state.
 
 Wave solves run on the leapfrog kernel of :mod:`wavesim` without energy
 tracking, each on one grid built once: the Gramian's basis is one block
@@ -39,7 +39,7 @@ march, and the divergence sweep's boundary corrector is one
 single-column march per row of a unit impulse weighted by the row's edge
 values, convolved with both phases of e^{iht} by FFT.  The closed-form
 constants march nothing: one ``eigh_tridiagonal`` of the scheme's lowest
-modes serves every cutoff.  Nor do HUM's conjugate gradients: they run
+modes serves every cutoff.  Nor do HUM's conjugate residuals: they run
 on the scheme's closed-form modal solution (one Chebyshev table), and
 only its verification marches, once, from the data's Taylor start levels
 with the control as the x = 0 boundary row.
@@ -107,8 +107,8 @@ _EPS = np.finfo(float).eps
 
 # run_counterexample_sweep: no wave grid finer than this many cells
 _MAX_WAVE_RESOLUTION = 1 << 17
-# hum_control: CG iteration cap
-_CG_MAX_ITER = 200
+# hum_control: conjugate-residual iteration cap
+_HUM_MAX_ITER = 200
 # hum_control: the largest relative terminal energy of a controlled state
 _HUM_TOLERANCE = 1e-6
 
@@ -921,16 +921,17 @@ def run_counterexample_sweep(
 
 @dataclass(frozen=True)
 class ControlResult:
-    """Boundary control from the duality CG iteration, plus verification.
+    """Boundary control from the duality iteration, plus verification.
 
     ``control`` acts at x = 0 on the solver time grid ``times``.  The
     terminal state of the controlled evolution is measured in L^2 (for
     the position) and discrete H^{-1} (for the velocity); ``controlled``
     requires their energy, relative to the target's, to be at most the
-    tolerance.  ``cost_ratio`` compares the control's squared L^2 norm
-    against the target energy |y0|_{L^2}^2 + |y1|_{H^{-1}}^2 -- duality
-    bounds it by (a discretization-stable multiple of) the observability
-    constant.
+    tolerance.  ``residuals``, the relative residual in the energy metric
+    at each step, never increases: conjugate residuals minimize it.
+    ``cost_ratio`` compares the control's squared L^2 norm against the
+    target energy |y0|_{L^2}^2 + |y1|_{H^{-1}}^2 -- duality bounds it by
+    (a discretization-stable multiple of) the observability constant.
     """
 
     control: np.ndarray = field(repr=False)
@@ -996,15 +997,17 @@ def hum_control(omega: Coefficient, y0, y1, T: float, m: int = 0, *,
     summation-by-parts trace, which every quotient also reads).
     Parametrizing adjoints by their two starting levels makes the left
     side, at f = W gamma, a symmetric nonnegative form S^T W S, solved by
-    preconditioned conjugate gradients on the scheme's closed-form modal
-    solution: there the trace map S is one Chebyshev table of (steps+1) x
-    (resolution-1) floats (1.7 MB at resolution 256, T = 3, Lipschitz
-    baseline), the energy preconditioner is diagonal, and no wave is
-    marched per iteration (the tests check the form against the two
-    marches it replaces).  The control is verified by one march of the
-    leapfrog recurrence on the same grid, from the Taylor start levels of
-    the data (those of the right-hand side) with the control as the x = 0
-    boundary row; the state is controlled when its terminal energy
+    preconditioned conjugate residuals, which minimize the energy-metric
+    residual the stopping rule reads (its square bounds the terminal energy;
+    conjugate gradients let it wander above the stopping level), on the
+    scheme's closed-form modal solution: there the trace map S is one
+    Chebyshev table of (steps+1) x (resolution-1) floats (1.7 MB at
+    resolution 256, T = 3, Lipschitz baseline), the energy preconditioner is
+    diagonal, and no wave is marched per iteration (the tests check the form
+    against the two marches it replaces).  The control is verified by one
+    march of the leapfrog recurrence on the same grid, from the Taylor start
+    levels of the data (those of the right-hand side) with the control as
+    the x = 0 boundary row; the state is controlled when its terminal energy
     relative to the target's is at most 1e-6.
     """
     m = _check_order(m)
@@ -1042,9 +1045,9 @@ def hum_control(omega: Coefficient, y0, y1, T: float, m: int = 0, *,
     w_sol = np.zeros_like(b)
     r = b.copy()
     s = inv_metric * r
-    rho = float(np.dot(r, s))
-    res_ref = math.sqrt(max(rho, 1e-300))
-    d = s.copy()
+    res_ref = math.sqrt(max(float(np.dot(r, s)), 1e-300))
+    d, Ad = s, apply_A(s)
+    rho = float(np.dot(s, Ad))
     residuals = [1.0]
     iterations = 0
     converged = False
@@ -1053,27 +1056,27 @@ def hum_control(omega: Coefficient, y0, y1, T: float, m: int = 0, *,
     # iteration may stop once the squared relative residual clears the
     # controlled-state tolerance with a factor-10 margin
     stop_at = math.sqrt(_HUM_TOLERANCE / 10.0)
-    for iterations in range(1, _CG_MAX_ITER + 1):
-        Ad = apply_A(d)
-        curv = float(np.dot(d, Ad))
-        if curv <= 0.0:
+    for iterations in range(1, _HUM_MAX_ITER + 1):
+        curv = float(np.dot(Ad, inv_metric * Ad))
+        if rho <= 0.0 or curv <= 0.0:
             flags.append(
-                f"CG stopped on nonpositive curvature at step {iterations} "
+                f"stopped on nonpositive curvature at step {iterations} "
                 f"(discrete form lost definiteness)")
             break
         alpha = rho / curv
         w_sol = w_sol + alpha * d
         r = r - alpha * Ad
         s = inv_metric * r
-        rho_new = float(np.dot(r, s))
-        residuals.append(math.sqrt(max(rho_new, 0.0)) / res_ref)
+        residuals.append(math.sqrt(max(float(np.dot(r, s)), 0.0)) / res_ref)
         if residuals[-1] <= stop_at:
             converged = True
-            rho = rho_new
             break
+        As = apply_A(s)
+        rho_new = float(np.dot(s, As))
         beta = rho_new / rho
         rho = rho_new
         d = s + beta * d
+        Ad = As + beta * Ad
 
     control = control_of(w_sol)
 

@@ -17,7 +17,8 @@ forward solve, free or driven by Dirichlet rows (``forcing=``): a
 single-column run that tracks E_0..E_{k_max} at every level;
 ``observability`` marches its data as blocks without energies.
 ``_leapfrog_modes`` solves the homogeneous scheme in closed form instead:
-one table of every mode's Chebyshev evolution, on which HUM's CG runs.
+one table of every mode's Chebyshev evolution, on which HUM's conjugate
+residuals run (they minimize the residual HUM's stopping rule reads).
 Its eigenproblem, ``_scheme_eigenpairs``, also gives ``observability``'s
 constants the scheme's lowest modes.
 Every forward run and every wave solve of ``observability`` builds its

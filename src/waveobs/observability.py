@@ -36,8 +36,9 @@ family of concentrating modes.  This module measures both sides:
 Wave solves run on the leapfrog kernel of :mod:`wavesim` without energy
 tracking, each on one grid built once: the Gramian's basis is one block
 march, and the divergence sweep's boundary corrector is one
-single-column march per row of a unit impulse weighted by the row's edge
-values, convolved with both phases of e^{iht} by FFT.  The closed-form
+single-column march per row of a left-edge impulse, its two edge traces
+(by reciprocity) weighted by the row's edge values and convolved with
+both phases of e^{iht} by FFT.  The closed-form
 constants march nothing: one ``eigh_tridiagonal`` of the scheme's lowest
 modes serves every cutoff.  Nor do HUM's conjugate residuals: they run
 on the scheme's closed-form modal solution (one Chebyshev table), and
@@ -729,24 +730,26 @@ def _corrector_traces(density: Coefficient, h: float, T: float,
     Dirichlet data are edges[0] (x = 0) and edges[1] (x = 1) times
     cos(ht) or sin(ht); ``flags`` are the cosine forcing's.
 
-    No forcing is marched.  The solve is linear in its edge data, so one
-    single-column march of a unit impulse at level 1, weighted by
-    ``edges`` and without energy tracking, serves both phases: each
-    phase's trace is its causal convolution with that march's trace
-    (:func:`_impulse_convolution`).  Every row makes one march, whatever
-    its edge values.
+    No forcing is marched.  The solve is linear in its edge data and the
+    scheme reciprocal (lam_i omega_i = dt^2/dx^2 at every node), so one
+    single-column march of a left-edge impulse, without energy tracking,
+    serves both edges and phases: the response edges[0] * sbp_left -
+    edges[1] * sbp_right (a right impulse reaches node 1 as a left one
+    reaches node n-1) is convolved causally with each phase
+    (:func:`_impulse_convolution`).  The impulse, 2^600 at level 1, scales
+    exactly and keeps the march's vanishing front out of slow subnormals.
     """
     grid = _wave_grid(density, T, resolution)
     times = np.arange(grid.steps + 1) * grid.dt
     signals = np.stack([np.cos(h * times), np.sin(h * times)])
     impulse = np.zeros_like(times)
-    impulse[1] = 1.0
+    impulse[1] = scale = 2.0 ** 600
     rest = np.zeros(len(grid.x))
     left, right = edges
     run = _leapfrog(grid.om, grid.dx, grid.dt, grid.steps, rest, rest,
-                    boundary=(left * impulse, right * impulse))
-    traces = dict(zip(("cos", "sin"),
-                      _impulse_convolution(run.sbp_left, signals)))
+                    boundary=(impulse, np.zeros_like(times)))
+    traces = dict(zip(("cos", "sin"), _impulse_convolution(
+        (left * run.sbp_left - right * run.sbp_right) / scale, signals)))
     flags = _forcing_flags(left * signals[0], right * signals[0], grid.dt)
     return times, traces, flags
 
@@ -765,9 +768,9 @@ def run_counterexample_sweep(
     solution whose boundary flux is tiny while its energy stays of size
     ~ 1/h.  The cosine and sine phases are run as two real solutions and
     quotients aggregate by max over the two.  The corrector is linear in
-    its edge data, so its traces come from one march per row of a unit
-    impulse weighted by (phi(0)/h, phi(1)/h) and an FFT convolution per
-    phase (:func:`_corrector_traces`), not from marching each forcing.
+    its edge data and the scheme reciprocal, so one left-edge impulse
+    march per row, weighted at both edges by (phi(0)/h, phi(1)/h), and an
+    FFT convolution per phase give its traces (:func:`_corrector_traces`).
 
     The sequences are ``make_sequences(**sequence_kwargs)``, by default
     ``concentrating`` on min(j_list)..max(j_list); the table's ``mode`` is

@@ -10,12 +10,13 @@ which is how the higher energies E_k are tracked.
 One private kernel, ``_leapfrog``, marches a node array or a (nodes x K)
 block of data columns, each bitwise the single-column run.  It marches
 C-ordered buffers with its coefficients stored per entry of a level, so a
-block's step runs at numpy's contiguous speed.  It always
-returns the boundary traces and computes energies and snapshots only on
-request; it records no interior slice.  :func:`evolve` is the one
-forward solve, free or driven by Dirichlet rows (``forcing=``): a
-single-column run that tracks E_0..E_{k_max} at every level;
-``observability`` marches its data as blocks without energies.
+block's step runs at numpy's contiguous speed, and it updates only the
+rows that the data or a forced edge can have reached (a hull widened a
+row a level).  It always returns the boundary traces and computes
+energies and snapshots only on request; it records no interior slice.
+:func:`evolve` is the one forward solve, free or driven by Dirichlet rows
+(``forcing=``): a single-column run that tracks E_0..E_{k_max} at every
+level; ``observability`` marches its data as blocks without energies.
 ``_leapfrog_modes`` solves the homogeneous scheme in closed form instead:
 one table of every mode's Chebyshev evolution, on which HUM's conjugate
 residuals run (they minimize the residual HUM's stopping rule reads).
@@ -90,8 +91,10 @@ def _wave_grid(omega: Coefficient, T: float, resolution: int) -> _Grid:
         raise ValueError(f"T = {T} must be positive and finite")
     x = np.linspace(0.0, omega.length, resolution + 1)
     om = omega(x)
-    if om.min() <= 0 or omega.omega_lower <= 0:
-        raise ValueError("density violates the hyperbolicity lower bound")
+    bad = np.flatnonzero(~(np.isfinite(om) & (om > 0)))
+    if bad.size or omega.omega_lower <= 0:
+        at = f": omega = {om[bad[0]]:g} at node {bad[0]}" if bad.size else ""
+        raise ValueError(f"density violates the hyperbolicity lower bound{at}")
     dx = x[1] - x[0]
     steps = max(1, int(math.ceil(T / (_CFL * dx * math.sqrt(om.min()))
                                  - 1e-12)))
@@ -246,6 +249,7 @@ def _sup_norm(rows, dt: float, k: int) -> float:
 
 # levels per batch of boundary-trace evaluation in the kernel
 _EDGE_CHUNK = 256
+_HULL_CHUNK = 64        # levels per recomputation of the updated rows
 
 
 @dataclass(frozen=True)
@@ -261,6 +265,7 @@ class _March:
     sbp_right: np.ndarray
     levels: tuple
     energies: Mapping[int, np.ndarray]
+    node_steps: int         # interior entries updated, levels x columns
     snapshots: Optional[tuple] = None       # (times, u, u_t) lists
 
 
@@ -278,6 +283,13 @@ def _leapfrog(om, dx, dt, steps, u_start, u_next, *, boundary=None,
     zero from the third level.  Only on request: energies of orders
     <= ``k_max`` (one column only; order k at every level from the
     (k+1)-th on) and snapshots.
+
+    Only rows the data can have reached are updated: the hull spans the
+    rows with bits other than +0.0's (-0.0 counts) in either first level
+    and any column, and each edge whose boundary row is ever nonzero;
+    level m+1 is +0.0 outside it widened by m rows, so no bit changes.
+    The edges are written until every buffer holds the zeros after the
+    last nonzero boundary level.
     """
     first = np.array(u_start, dtype=float, order="C")
     second = np.array(u_next, dtype=float, order="C")
@@ -299,14 +311,17 @@ def _leapfrog(om, dx, dt, steps, u_start, u_next, *, boundary=None,
         left, right = (np.asarray(b, dtype=float) for b in boundary)
         first[0], first[-1] = left[0], right[0]
         second[0], second[-1] = left[1], right[1]
+    lit = [a.view(np.uint64).reshape(len(a), -1).any(axis=1)  # not +0.0
+           for a in (left, right, first, second)]
+    reached = lit[2] | lit[3]
+    reached[[0, -1]] |= [lit[0].any(), lit[1].any()]
+    hull = np.flatnonzero(reached)
 
     # k_max + 2 levels feed the k-th difference energies; >= 3 buffers so
     # the write target never aliases the two levels it is computed from
     nbuf = max(3, len(orders) + 1)
+    edge_until = int(max([1, *np.flatnonzero(lit[0] | lit[1])[-1:]])) + nbuf
     bufs = [first, second] + [np.zeros_like(first) for _ in range(nbuf - 2)]
-    inner = [b[1:-1] for b in bufs]
-    ahead = [b[2:] for b in bufs]
-    behind = [b[:-2] for b in bufs]
     order = [0, 1]          # buffer indices, oldest level first
     free = list(range(2, nbuf))
     scratch = np.empty((n - 1,) + cols)
@@ -348,17 +363,29 @@ def _leapfrog(om, dx, dt, steps, u_start, u_next, *, boundary=None,
         snaps = ([0.0], [first.copy()], [None])
 
     prev, cur = 0, 1
+    span, full, updated = None, slice(0, n - 1), 0
     for m in range(1, steps):
+        if (m - 1) % _HULL_CHUNK == 0 and span != full:
+            reach = min(m + _HULL_CHUNK, steps) - 1     # the chunk's last m
+            span = (slice(max(0, int(hull[0]) - reach - 1),
+                          min(n - 1, int(hull[-1]) + reach))
+                    if hull.size else slice(0, 0))
+            # interior rows, their right and their left neighbours
+            ins, aheads, behinds = ([b[1 + k:n + k][span] for b in bufs]
+                                    for k in (0, 1, -1))
+            lam_s, coef_s, scratch_s = lam[span], coef[span], scratch[span]
         tgt = free.pop() if free else order.pop(0)
         target = bufs[tgt]
-        tg = inner[tgt]
-        np.multiply(inner[cur], coef, out=tg)
-        tg -= inner[prev]
-        np.add(ahead[cur], behind[cur], out=scratch)
-        scratch *= lam
-        tg += scratch
-        target[0] = left[m + 1]
-        target[-1] = right[m + 1]
+        tg = ins[tgt]
+        np.multiply(ins[cur], coef_s, out=tg)
+        tg -= ins[prev]
+        np.add(aheads[cur], behinds[cur], out=scratch_s)
+        scratch_s *= lam_s
+        tg += scratch_s
+        updated += span.stop - span.start
+        if m < edge_until:
+            target[0] = left[m + 1]
+            target[-1] = right[m + 1]
         order.append(tgt)
         i = (m + 1) % _EDGE_CHUNK
         target.take(rows, 0, gathered[i], "clip")
@@ -383,7 +410,7 @@ def _leapfrog(om, dx, dt, steps, u_start, u_next, *, boundary=None,
         sbp_left=series[2], sbp_right=series[3],
         levels=(bufs[prev].copy(), bufs[cur].copy()),
         energies={k: np.asarray(v) for k, v in energies.items()},
-        snapshots=snaps)
+        node_steps=updated * math.prod(cols), snapshots=snaps)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
-"""Observability tests: the batched leapfrog kernel against a plain
-recurrence, quotients against d'Alembert, the closed-form constant
-against the marched Gramian and the datum that attains it,
-HUM reaching rest, the weighted impulse-response corrector against the
-forced march, the divergence sweep's march count, truncation and growth
-bookkeeping, and the package import surface."""
+"""Observability tests: the batched leapfrog kernel and the rows it
+skips against a plain recurrence, quotients against d'Alembert, the
+closed-form constant against the marched Gramian and the datum that
+attains it, HUM reaching rest, the one-sided impulse-response corrector
+and the reciprocity it rests on against the forced march, the divergence
+sweep's march count, truncation and growth bookkeeping, and the package
+import surface."""
 
 import ast
 import dataclasses
@@ -27,8 +28,9 @@ from waveobs import wavesim as ws
 import oracles
 
 
-def reference_march(om, dx, dt, steps, u0, u1, left=None, right=None):
-    """One column of the leapfrog scheme, written out level by level."""
+def reference_levels(om, dx, dt, steps, u0, u1, left=None, right=None):
+    """Every level of one column of the leapfrog scheme, written out
+    level by level."""
     lam = dt ** 2 / dx ** 2 / om[1:-1]
     levels = [np.array(u0, dtype=float), np.array(u1, dtype=float)]
     if left is not None:
@@ -42,6 +44,12 @@ def reference_march(om, dx, dt, steps, u0, u1, left=None, right=None):
         new[0] = 0.0 if left is None else left[m + 1]
         new[-1] = 0.0 if right is None else right[m + 1]
         levels.append(new)
+    return levels
+
+
+def reference_march(om, dx, dt, steps, u0, u1, left=None, right=None):
+    """One column of the leapfrog scheme: traces and last two levels."""
+    levels = reference_levels(om, dx, dt, steps, u0, u1, left, right)
     trace_l = np.array([(-11.0 * u[0] + 18.0 * u[1] - 9.0 * u[2]
                          + 2.0 * u[3]) / (6.0 * dx) for u in levels])
     trace_r = np.array([(11.0 * u[-1] - 18.0 * u[-2] + 9.0 * u[-3]
@@ -115,6 +123,13 @@ class TestKernel:
             assert np.array_equal(got, want)
             assert got.flags.c_contiguous
 
+    def test_full_support_updates_every_row(self, grid):
+        om, dx, dt = grid
+        u = np.random.default_rng(3).standard_normal((self.n + 1, self.K))
+        u[0] = u[-1] = 0.0
+        run = ws._leapfrog(om, dx, dt, self.steps, u, u)
+        assert run.node_steps == (self.steps - 1) * (self.n - 1) * self.K
+
     def test_records_only_on_request(self, grid):
         om, dx, dt = grid
         u = np.zeros((self.n + 1, 2))
@@ -122,6 +137,129 @@ class TestKernel:
         assert not run.energies and run.snapshots is None
         with pytest.raises(ValueError, match="single column"):
             ws._leapfrog(om, dx, dt, 10, u, u, k_max=0)
+
+
+def assert_bits(got, want):
+    """Equal bit patterns, the sign bits of zeros included."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _hull_case(name, n, steps):
+    """(u0, u1, boundary) of one support pattern on n cells."""
+    rest, zero = np.zeros(n + 1), np.zeros(steps + 1)
+    impulse = zero.copy()
+    impulse[1] = 1.0
+    x = np.arange(n + 1)
+
+    def bump(lo, hi):
+        return np.where((x >= lo) & (x <= hi), np.sin(x - lo + 1.0), 0.0)
+
+    if name == "middle":
+        return bump(250, 262), 0.9 * bump(250, 262), None
+    if name == "left-impulse":
+        return rest, rest, (impulse, zero)
+    if name == "right-impulse":
+        return rest, rest, (zero, -impulse)
+    if name == "unequal-columns":
+        u = np.stack([bump(10, 14), bump(300, 305), bump(500, n - 1)], 1)
+        return u, 0.5 * u, None
+    if name == "negative-zero":
+        u1 = bump(100, 104)
+        u1[400] = -0.0
+        return bump(100, 104), u1, None
+    if name == "late-edge-values":
+        left = zero.copy()
+        left[steps // 2], left[steps] = 1.0, -0.0
+        return bump(100, 104), bump(100, 104), (left, zero)
+    if name == "ends-without-boundary":
+        u0 = bump(100, 104)
+        u0[0], u0[-1] = 1.0, -2.0
+        return u0, u0, None
+    if name == "zero-start":
+        return rest, rest, None
+    return rest, rest, (zero, zero)     # zero boundary rows
+
+
+class TestHull:
+    """The kernel updates only the rows the data can have reached, and
+    the rows it skips change no bit: each case against the plain
+    recurrence, sign bits of zeros included."""
+
+    # wider than two chunks of levels on each side of the data, so the
+    # updated rows grow over several chunks before they span the interior
+    n = 512
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        x = np.linspace(0.0, 1.0, self.n + 1)
+        om = coeff.make_baseline("lipschitz")(x)
+        dx = 1.0 / self.n
+        return om, dx, 0.9 * dx * math.sqrt(om.min())
+
+    @pytest.mark.parametrize("steps", [4, 300])
+    @pytest.mark.parametrize("name", [
+        "middle", "left-impulse", "right-impulse", "unequal-columns",
+        "negative-zero", "late-edge-values", "ends-without-boundary",
+        "zero-start", "zero-boundary"])
+    def test_bits_match_reference(self, grid, name, steps):
+        om, dx, dt = grid
+        u0, u1, boundary = _hull_case(name, self.n, steps)
+        run = ws._leapfrog(om, dx, dt, steps, u0, u1, boundary=boundary)
+        block = u0.ndim == 2
+        for c in range(u0.shape[1] if block else 1):
+            col = (lambda a: a[:, c]) if block else (lambda a: a)
+            sides = () if boundary is None else boundary
+            tl, tr, sbp, levels = reference_march(
+                om, dx, dt, steps, col(u0), col(u1), *sides)
+            for got, want in ((run.trace_left, tl), (run.trace_right, tr),
+                              (run.sbp_left, sbp[0]),
+                              (run.sbp_right, sbp[1]),
+                              (run.levels[0], levels[0]),
+                              (run.levels[1], levels[1])):
+                assert_bits(col(got), want)
+        if name.startswith("zero"):
+            assert run.node_steps == 0
+
+    @pytest.mark.parametrize("name", ["middle", "negative-zero"])
+    def test_energies_and_snapshots(self, grid, name):
+        om, dx, dt = grid
+        steps, k_max = 300, 2
+        u0, u1, _ = _hull_case(name, self.n, steps)
+        levels = reference_levels(om, dx, dt, steps, u0, u1)
+        for stride in (1, 7):
+            run = ws._leapfrog(om, dx, dt, steps, u0, u1, k_max=k_max,
+                               snapshot_stride=stride)
+            for k in range(k_max + 1):
+                assert_bits(run.energies[k], [ws._staggered_energy(
+                    om, ws._diff_k(levels[i - k:i + 1], k, dt),
+                    ws._diff_k(levels[i - k - 1:i], k, dt), dt, dx)
+                    for i in range(k + 1, steps + 1)])
+            times, snap_u, snap_ut = run.snapshots
+            kept = list(range(0, steps, stride)) + [steps]
+            assert_bits(times, [i * dt for i in kept])
+            for got, i in zip(snap_u, kept):
+                assert_bits(got, levels[i])
+            for got, i in zip(snap_ut[1:-1], kept[1:-1]):
+                assert_bits(got, (levels[i + 1] - levels[i - 1]) / (2 * dt))
+            assert_bits(snap_ut[-1], (3 * levels[-1] - 4 * levels[-2]
+                                      + levels[-3]) / (2 * dt))
+
+    def test_node_steps_union_hull(self, grid):
+        # a block updates the rows between its columns' outermost data:
+        # K times the count of one column spanning both supports
+        om, dx, dt = grid
+        u, _, _ = _hull_case("unequal-columns", self.n, 300)
+        block = ws._leapfrog(om, dx, dt, 300, u[:, :2], u[:, :2])
+        ends = np.zeros(self.n + 1)
+        ends[[10, 305]] = 1.0
+        single = ws._leapfrog(om, dx, dt, 300, ends, ends)
+        assert block.node_steps == 2 * single.node_steps
+        assert single.node_steps < 299 * (self.n - 1)
+        widths = [min(305 + m, self.n - 1) - max(10 - m, 1) + 1
+                  for m in range(1, 300)]
+        assert sum(widths) <= single.node_steps
 
 
 class TestQuotient:
@@ -800,6 +938,15 @@ def _bad_input_calls():
                 family="lambda", mode="concentrating", T=1.0, m_list=(0,),
                 rows=(), growth_factors={0: (12.0, 15.0)}).diverging(5))),
     }
+    for value in (math.nan, math.inf):
+        # a density whose node 16 sample (x = 0.25) is not finite
+        sick = coeff.make_baseline(
+            "custom", fn=lambda y, v=value: np.where(y == 0.25, v, 1.0),
+            omega_lower=1.0, omega_upper=1.0)
+        calls[f"observability_quotient-omega={value}"] = (
+            rf"omega = {value!r} at node 16", lambda sick=sick: (
+                ob.observability_quotient(sick, u, zero, 3.0,
+                                          resolution=64)))
     rest = np.zeros(ws.solver_time_grid(om, 3.0, 64)[1] + 1)
     for k_max in (None, -1, 1.0):
         calls[f"evolve-k_max={k_max}"] = ("k_max", lambda k_max=k_max: (
@@ -1068,6 +1215,53 @@ class TestCorrector:
         dens, h, T = lam
         ob._corrector_traces(dens, h, T, 256, edges)
         assert shapes == [(257,)]
+
+
+@pytest.mark.parametrize("resolution", [256, 1024])
+@pytest.mark.parametrize("density", ["lambda", "bv-step"])
+def test_edge_impulse_reciprocity(density, resolution):
+    # the corrector's one left impulse stands in for a right one: the
+    # node n-1 trace of a unit left impulse is the node 1 trace of a unit
+    # right impulse
+    if density == "lambda":
+        params = coeff.make_sequences(mode="concentrating",
+                                      j_range=range(2, 4), n0=30)
+        dens = coeff.make_counterexample_density(params.restrict(2),
+                                                 family="lambda")[0]
+    else:
+        dens = coeff.make_baseline("bv-step")
+    grid = ws._wave_grid(dens, 2.0 * coeff.travel_time(dens) + 0.5,
+                         resolution)
+    rest, zero = np.zeros(resolution + 1), np.zeros(grid.steps + 1)
+    impulse = zero.copy()
+    impulse[1] = 1.0
+    runs = [ws._leapfrog(grid.om, grid.dx, grid.dt, grid.steps, rest, rest,
+                         boundary=sides)
+            for sides in ((impulse, zero), (zero, impulse))]
+    far = -runs[0].sbp_right            # u_{n-1}/dx, the right end at rest
+    near = runs[1].sbp_left             # u_1/dx, the left end at rest
+    assert np.max(np.abs(near)) > 0
+    assert_close(far, near, rtol=1e-13)
+
+
+def test_corrector_march_skips_unreached_rows(monkeypatch):
+    # the lambda j = 3 row at ppw 6: the left impulse reaches the right
+    # end after about n of its steps, so about n/2 rows a step are skipped
+    runs = []
+    kernel = ws._leapfrog
+
+    def kept(om, dx, dt, steps, *args, **kwargs):
+        runs.append((len(om) - 1, steps,
+                     kernel(om, dx, dt, steps, *args, **kwargs)))
+        return runs[-1][-1]
+
+    monkeypatch.setattr(ob, "_leapfrog", kept)
+    ob.run_counterexample_sweep(
+        family="lambda", j_list=(2, 3), points_per_wavelength=6.0,
+        sequence_kwargs={"n0": 30})
+    n, steps, run = runs[-1]
+    assert n == 4096
+    assert run.node_steps <= 0.80 * (steps - 1) * (n - 1)
 
 
 def test_psi_sweep_marches_once_per_row(marches):

@@ -25,25 +25,24 @@ family of concentrating modes.  This module measures both sides:
   and the uniform-grid defect of Infante & Zuazua, M2AN 33, 1999), with
   an optional cross-check against the same span's constant from marched
   traces, :func:`gramian_observability_constant`.
-* :func:`run_counterexample_sweep` drives the concentrating quasimode
-  family through the wave solver and tabulates the divergence of Q_m along
-  the family, with closed-form numerators where the construction makes
-  them exact, at the default horizon.
+* :func:`run_counterexample_sweep` tabulates Q_m along the concentrating
+  quasimode family: the continuous quasimode gives each row's h,
+  numerators and boundary smallness, and Q_m is read from the scheme's
+  trapped eigenmode (the mode Castro & Zuazua, ARMA 164, 2002, build the
+  counterexample from).
 * :func:`hum_control` computes the boundary control of minimal H^{-m}
   norm by conjugate residuals on the duality operator, which minimize the
   residual its stopping rule reads, and verifies the terminal state.
 
 Wave solves run on the leapfrog kernel of :mod:`wavesim` without energy
 tracking, each on one grid built once: the Gramian's basis is one block
-march, and the divergence sweep's boundary corrector is one
-single-column march per row of a left-edge impulse, its two edge traces
-(by reciprocity) weighted by the row's edge values and convolved with
-both phases of e^{iht} by FFT.  The closed-form
-constants march nothing: one ``eigh_tridiagonal`` of the scheme's lowest
-modes serves every cutoff.  Nor do HUM's conjugate residuals: they run
-on the scheme's closed-form modal solution (one Chebyshev table), and
-only its verification marches, once, from the data's Taylor start levels
-with the control as the x = 0 boundary row.
+march.  The closed-form constants and the divergence rows march nothing:
+one ``eigh_tridiagonal`` of the scheme's lowest modes serves every
+cutoff, one of a frequency window serves a row, and both read the modes'
+closed-form traces (:func:`_mode_traces`).  Nor do HUM's conjugate
+residuals: they run on the scheme's closed-form modal solution (one
+Chebyshev table), and only its verification marches, once, from the
+data's Taylor start levels with the control as the x = 0 boundary row.
 
 Every entry point takes the derivative order m as a nonnegative integer
 and rejects anything else (:func:`_check_order`), a frequency cutoff as
@@ -81,7 +80,6 @@ from .wavesim import (
     _as_samples,
     _check_beta,
     _check_resolution,
-    _forcing_flags,
     _leapfrog,
     _leapfrog_modes,
     _scheme_eigenpairs,
@@ -108,6 +106,10 @@ _EPS = np.finfo(float).eps
 
 # run_counterexample_sweep: no wave grid finer than this many cells
 _MAX_WAVE_RESOLUTION = 1 << 17
+# run_counterexample_sweep: the sqrt(mu) window of the trapped eigenmode,
+# in units of the leapfrog-dispersed h (:func:`_window_quotients`)
+_WINDOW_LO = 0.99
+_WINDOW_HI = 1.015
 # hum_control: conjugate-residual iteration cap
 _HUM_MAX_ITER = 200
 # hum_control: the largest relative terminal energy of a controlled state
@@ -350,6 +352,12 @@ def _mode_traces(grid, mu: np.ndarray, V: np.ndarray,
     return np.hstack([g * np.cos(phase), (g * velocity) * np.sin(phase)])
 
 
+def _mode_energies(dx: float, mu: np.ndarray) -> np.ndarray:
+    """Data energies N: dx mu_k of the modes V_k as position data, then dx
+    as velocity data (V^T K V = diag(mu), V^T M V = I)."""
+    return dx * np.concatenate([mu, np.ones_like(mu)])
+
+
 def _mode_records(grid, cutoffs: tuple, m: int,
                   beta: Optional[float] = None, marched: bool = False):
     """(records, flags): per cutoff c, the constant of the span of the
@@ -357,9 +365,9 @@ def _mode_records(grid, cutoffs: tuple, m: int,
 
     D is the Gram of their traces (:func:`_trace_gram`), closed-form
     (:func:`_mode_traces`) or ``marched`` in one block; their data energy
-    N = dx diag(mu) (+) dx I is diagonal (V^T K V = diag(mu), V^T M V =
-    I).  The constant is 1/lambda_min of N^{-1/2} D N^{-1/2} restricted
-    to the cutoff's 2c data, by ``eigvalsh``.  One rule below round-off:
+    N (:func:`_mode_energies`) is diagonal.  The constant is 1/lambda_min
+    of N^{-1/2} D N^{-1/2} restricted to the cutoff's 2c data, by
+    ``eigvalsh``.  One rule below round-off:
     at lambda_min <= 1e-12 lambda_max, negative values included, the
     constant is inf and a flag names c.
     """
@@ -374,7 +382,7 @@ def _mode_records(grid, cutoffs: tuple, m: int,
                              np.hstack([rest, block])).sbp_left
     else:
         traces = _mode_traces(grid, mu, V, theta)
-    scale = 1.0 / np.sqrt(grid.dx * np.concatenate([mu, np.ones_like(mu)]))
+    scale = 1.0 / np.sqrt(_mode_energies(grid.dx, mu))
     D = _trace_gram(traces, grid.dt, m, beta) * np.outer(scale, scale)
     top = len(mu)
     records, flags = [], []
@@ -659,8 +667,8 @@ class DivergenceTable:
     consecutive quotients (see :func:`_growth_factor`: ``nan`` where the
     earlier row is floored, so such a pair never counts as growth).
     ``truncated_at`` marks the first j the sweep could not reach
-    (unbuildable density, scale guard or unresolvable wave grid) with
-    the reason recorded.
+    (unbuildable density, scale guard, unresolvable wave grid or empty
+    eigenmode window) with the reason recorded.
     """
 
     family: str
@@ -697,61 +705,58 @@ class DivergenceTable:
         return _jsonable(self)
 
 
-def _impulse_convolution(impulse_trace: np.ndarray,
-                         signals: np.ndarray) -> np.ndarray:
-    """Traces of zero-data solves forced by ``signals`` (rows) at the
-    edges of one unit-impulse march whose trace is ``impulse_trace``.
+def _window_quotients(grid, h: float, m_list: tuple) -> dict:
+    """A divergence row's Q_m from the scheme's eigenmodes near h.
 
-    The scheme is linear and shift-invariant in its edge data, and the
-    first two levels are data, so level 0's edge value enters no stencil
-    and reaches only its own trace (discrete Duhamel principle):
-    tr[n] = sum_{k=1..n} H[n-k+1] g[k] for n >= 1 and
-    tr[0] = H[1] g[0], with H the trace of the march forced by
-    delta_{n,1}; H[1] = -1/dx times the left edge weight is the trace's
-    feed-through of the edge value.  The sums are FFT products zero-padded
-    to a power of two >= 2 (steps+1), so no term wraps around.
+    The window holds sqrt(mu) in ]_WINDOW_LO c, _WINDOW_HI c], with
+    c = h sin(pi h dx) / (pi h dx) the leapfrog-dispersed h at the
+    families' flat density 4 pi^2.  Each mode is a position and a velocity
+    datum: Q_m = max N / D_m, N from :func:`_mode_energies` and D_m the
+    diagonal of :func:`_trace_gram` of :func:`_mode_traces`; a D_m at or
+    below its data's noise floor reads inf (as in
+    :func:`observability_quotient`).  ``den`` is the D_m behind Q_m,
+    ``trapped_frequency`` sqrt(mu) of the Q_0 maximizer and
+    ``trapped_datum`` its kind, flagged at the window's lowest or highest
+    mode.  An empty window raises :class:`quasimodes.ScaleOutOfReach`.
     """
-    levels = len(impulse_trace)
-    size = 1 << (2 * levels - 1).bit_length()
-    later = np.array(signals, dtype=float)
-    later[:, 0] = 0.0
-    out = np.fft.irfft(np.fft.rfft(impulse_trace[1:], size)
-                       * np.fft.rfft(later, size), size)[:, :levels]
-    out[:, 0] = impulse_trace[1] * signals[:, 0]
-    return out
-
-
-def _corrector_traces(density: Coefficient, h: float, T: float,
-                      resolution: int, edges: tuple):
-    """Boundary-corrector traces for the edge data ``edges`` e^{iht}.
-
-    Returns (times, traces, flags): ``traces`` maps 'cos' and 'sin' to
-    the left-end summation-by-parts trace of the zero-data solve whose
-    Dirichlet data are edges[0] (x = 0) and edges[1] (x = 1) times
-    cos(ht) or sin(ht); ``flags`` are the cosine forcing's.
-
-    No forcing is marched.  The solve is linear in its edge data and the
-    scheme reciprocal (lam_i omega_i = dt^2/dx^2 at every node), so one
-    single-column march of a left-edge impulse, without energy tracking,
-    serves both edges and phases: the response edges[0] * sbp_left -
-    edges[1] * sbp_right (a right impulse reaches node 1 as a left one
-    reaches node n-1) is convolved causally with each phase
-    (:func:`_impulse_convolution`).  The impulse, 2^600 at level 1, scales
-    exactly and keeps the march's vanishing front out of slow subnormals.
-    """
-    grid = _wave_grid(density, T, resolution)
-    times = np.arange(grid.steps + 1) * grid.dt
-    signals = np.stack([np.cos(h * times), np.sin(h * times)])
-    impulse = np.zeros_like(times)
-    impulse[1] = scale = 2.0 ** 600
-    rest = np.zeros(len(grid.x))
-    left, right = edges
-    run = _leapfrog(grid.om, grid.dx, grid.dt, grid.steps, rest, rest,
-                    boundary=(impulse, np.zeros_like(times)))
-    traces = dict(zip(("cos", "sin"), _impulse_convolution(
-        (left * run.sbp_left - right * run.sbp_right) / scale, signals)))
-    flags = _forcing_flags(left * signals[0], right * signals[0], grid.dt)
-    return times, traces, flags
+    c = h * float(np.sinc(h * grid.dx))
+    lo, hi = _WINDOW_LO * c, _WINDOW_HI * c
+    mu, vectors, root_om, theta = _scheme_eigenpairs(
+        grid.om, grid.dx, grid.dt, window=(lo, hi))
+    count = len(mu)
+    if not count:
+        raise ScaleOutOfReach(
+            f"no eigenmode of the scheme with sqrt(mu) in ]{lo:.6g}, "
+            f"{hi:.6g}] around h = {h:.6g}")
+    V = vectors / root_om[:, None]
+    N = _mode_energies(grid.dx, mu)
+    data_scale = np.tile(np.max(np.abs(V), axis=0), 2)
+    orders = sorted({0, *m_list})
+    # one mode's two traces at a time: the window's whole block of traces
+    # and its differences would be the sweep's largest arrays
+    energy = np.empty((len(orders), 2, count))
+    for i in range(count):
+        traces = _mode_traces(grid, mu[[i]], V[:, [i]], theta[[i]])
+        energy[:, :, i] = [np.diag(_trace_gram(traces, grid.dt, m))
+                           for m in orders]
+    Q, den = {}, {}
+    for m, D in zip(orders, energy.reshape(len(orders), -1)):
+        floor = _trace_noise_floor(data_scale, grid.dx, grid.dt,
+                                   grid.dt * grid.steps, m)
+        q = np.divide(N, D, out=np.full_like(N, math.inf), where=D > floor)
+        k = int(np.argmax(q))
+        if m == 0:
+            best = k
+        if m in m_list:
+            Q[m], den[m] = float(q[k]), float(D[k])
+    edge = best % count in (0, count - 1)
+    return {
+        "Q": Q, "den": den,
+        "trapped_frequency": float(np.sqrt(mu[best % count])),
+        "trapped_datum": "position" if best < count else "velocity",
+        "window": {"lo": lo, "hi": hi, "modes": count},
+        "flags": ("trapped mode may lie outside the window",) if edge else (),
+    }
 
 
 def run_counterexample_sweep(
@@ -761,16 +766,13 @@ def run_counterexample_sweep(
         sequence_kwargs: Optional[dict] = None) -> DivergenceTable:
     """Divergence of Q_m along the trapping quasimode family.
 
-    For each j the mode phi_j(x) e^{i h_j t} solves the wave equation
-    exactly but violates the Dirichlet condition by the (exponentially
-    small) edge values; a zero-data corrector z with boundary forcing
-    -phi(edge) e^{i h t} restores them, so u = v + z is an exact-datum
-    solution whose boundary flux is tiny while its energy stays of size
-    ~ 1/h.  The cosine and sine phases are run as two real solutions and
-    quotients aggregate by max over the two.  The corrector is linear in
-    its edge data and the scheme reciprocal, so one left-edge impulse
-    march per row, weighted at both edges by (phi(0)/h, phi(1)/h), and an
-    FFT convolution per phase give its traces (:func:`_corrector_traces`).
+    For each j the continuous mode phi_j(x) e^{i h_j t} solves the wave
+    equation exactly but misses the Dirichlet condition by its
+    (exponentially small) edge values: the paper's construction, which
+    gives the row's h, numerators, boundary smallness and edge values.
+    Q_m is read from the scheme's own trapped eigenmode, whose Dirichlet
+    values are exact, by one eigensolve per row on its wave grid and no
+    march (:func:`_window_quotients`).
 
     The sequences are ``make_sequences(**sequence_kwargs)``, by default
     ``concentrating`` on min(j_list)..max(j_list); the table's ``mode`` is
@@ -783,14 +785,15 @@ def run_counterexample_sweep(
     :func:`_resolution_flags` — at the default resolution cap that
     reaches j in {2, 3}).  The family's densities come from
     :func:`quasimodes._family_members`, and rows are solved in order
-    until the first j whose density cannot be built or which the scale
-    guard or the wave grid cannot reach; that j truncates the table with
-    the reason recorded.  Every row runs at one horizon, the largest
-    :func:`_default_horizon` (2 T_omega + 0.5) over the members that were
-    built (nan when none was).  ``j_list`` must be strictly increasing.
+    until the first j whose density cannot be built, which the scale
+    guard or the wave grid cannot reach, or whose window holds no
+    eigenmode; that j truncates the table with the reason recorded.
+    Every row runs at one horizon, the largest :func:`_default_horizon`
+    (2 T_omega + 0.5) over the members built (nan when none was).
+    ``j_list`` must be strictly increasing.
 
     ``growth_factors`` follow :func:`_growth_factor`: a row whose
-    denominator sits under the trace noise floor has Q = inf, and the
+    maximizing datum sits under the trace noise floor has Q = inf, and the
     factor out of it is nan, so it never counts toward ``diverging``.
     """
     j_list = tuple(j_list)
@@ -815,9 +818,9 @@ def run_counterexample_sweep(
             default=math.nan)
 
     def solve_row(j: int, density: Coefficient) -> dict:
-        entry = params.entry(j)
+        h = params.entry(j).h
         res_wave = 1 << max(3, int(math.ceil(math.log2(
-            points_per_wavelength * entry.h))))
+            points_per_wavelength * h))))
         if family == "psi":
             # every interval of the shared density feeds the ODE solve
             # (an under-resolved far interval corrupts phi and the edge
@@ -828,11 +831,10 @@ def run_counterexample_sweep(
                    and _resolution_flags(density, res_wave)):
                 res_wave *= 2
         res_wave = min(res_wave, _MAX_WAVE_RESOLUTION)
-        if res_wave / entry.h < 4.0:
+        if res_wave / h < 4.0:
             raise ScaleOutOfReach(
-                f"wave grid cannot resolve h={entry.h:.4g} "
-                f"({res_wave / entry.h:.2f} points per wavelength at "
-                f"the {res_wave} cap)")
+                f"wave grid cannot resolve h={h:.4g} ({res_wave / h:.2f} "
+                f"points per wavelength at the {res_wave} cap)")
         missed = family == "psi" and _resolution_flags(density, res_wave)
         if missed:
             raise ScaleOutOfReach(
@@ -840,67 +842,26 @@ def run_counterexample_sweep(
 
         qm = solve_quasimode(density, j, n_samples=res_wave + 1,
                              checks=False)
-        h = qm.h
         n = int(round(qm.stats["n"]))
         if family == "lambda":
             numer = _lambda_numerator(density.trapping.pairs[j], h, n, qm.m,
                                       qm.r)
         else:
             numer = _quadrature_numerator(qm, density)
-
-        phi0 = float(qm.phi[0])
-        phi1 = float(qm.phi[-1])
-        dphi0 = float(qm.phi_prime[0])
-        dphi1 = float(qm.phi_prime[-1])
-        times, corrector, flags = _corrector_traces(
-            density, h, T, res_wave, (phi0 / h, phi1 / h))
-        dt = times[1] - times[0]
-
-        # total left trace of u = v + z per phase; v contributes the
-        # analytic (phi'(0)/h) e^{iht} (identically zero for the
-        # lambda family: the edge derivative vanishes bit-exactly)
-        total = {name: (dphi0 / h) * trig(h * times) - corrector[name]
-                 for name, trig in (("cos", np.cos), ("sin", np.sin))}
-
-        smallness = qm.boundary_energy_0 + qm.boundary_energy_1
-        smallness_log = float(np.logaddexp(qm.boundary_energy_0_log,
-                                           qm.boundary_energy_1_log))
-        numerator = {"cos": numer["h1"], "sin": numer["l2"]}
-        dens = {}
-        quots = {}
-        bound_ratio = {}
-        floor_scale = (abs(phi0) + abs(phi1)) / h + abs(dphi0) / h
-        dx_wave = density.length / res_wave
-        for m in m_list:
-            floor = _trace_noise_floor(floor_scale, dx_wave, dt, T, m)
-            dens[m] = {name: float(_trace_gram(total[name], dt, m))
-                       for name in ("cos", "sin")}
-            quots[m] = max(math.inf if d <= floor else numerator[name] / d
-                           for name, d in dens[m].items())
-            # transparency column for the proof's denominator bound
-            # den <= C(T, omega^*) h^{2(m+3)} (boundary smallness):
-            # the tabulated ratio is den / (h^{2(m+3)} smallness), whose
-            # boundedness in j is the measured form of the bound
-            cap = h ** (2 * (m + 3)) * smallness
-            bound_ratio[m] = (max(dens[m].values()) / cap if cap > 0
-                              else math.inf)
-
         return {
             "j": j, "h": h, "eps": qm.eps, "n": n,
             "resolution": res_wave, "T": T,
             "numerator_h1": numer["h1"], "numerator_l2": numer["l2"],
             "numerator_times_h": (numer["h1"] + numer["l2"]) * h,
             "numerator_route": numer["route"],
-            "boundary_smallness": smallness,
-            "smallness_log": smallness_log,
+            "boundary_smallness": qm.boundary_energy_0 + qm.boundary_energy_1,
+            "smallness_log": float(np.logaddexp(qm.boundary_energy_0_log,
+                                                qm.boundary_energy_1_log)),
             "seminorm_LL": _log_lipschitz_seminorm(density, h),
-            "edge_values": (phi0, phi1),
-            "edge_derivatives": (dphi0, dphi1),
-            "Q": quots,
-            "den": {m: max(dens[m].values()) for m in m_list},
-            "den_by_phase": dens,
-            "den_bound_ratio": bound_ratio,
-            "corrector_flags": flags,
+            "edge_values": (float(qm.phi[0]), float(qm.phi[-1])),
+            "edge_derivatives": (float(qm.phi_prime[0]),
+                                 float(qm.phi_prime[-1])),
+            **_window_quotients(_wave_grid(density, T, res_wave), h, m_list),
         }
 
     rows, truncated_at, reason = _family_rows(solve_row, members, bad_j,

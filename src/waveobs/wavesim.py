@@ -10,10 +10,9 @@ which is how the higher energies E_k are tracked.
 One private kernel, ``_leapfrog``, marches a node array or a (nodes x K)
 block of data columns, each bitwise the single-column run.  It marches
 C-ordered buffers with its coefficients stored per entry of a level, so a
-block's step runs at numpy's contiguous speed, and it updates only the
-rows that the data or a forced edge can have reached (a hull widened a
-row a level).  It always returns the boundary traces and computes
-energies and snapshots only on request; it records no interior slice.
+block's step runs at numpy's contiguous speed.  It always returns the
+boundary traces and computes energies and snapshots only on request; it
+records no interior slice.
 :func:`evolve` is the one forward solve, free or driven by Dirichlet rows
 (``forcing=``): a single-column run that tracks E_0..E_{k_max} at every
 level; ``observability`` marches its data as blocks without energies.
@@ -21,7 +20,8 @@ level; ``observability`` marches its data as blocks without energies.
 one table of every mode's Chebyshev evolution, on which HUM's conjugate
 residuals run (they minimize the residual HUM's stopping rule reads).
 Its eigenproblem, ``_scheme_eigenpairs``, also gives ``observability``'s
-constants the scheme's lowest modes.
+constants the scheme's lowest modes and its divergence rows the modes in
+a frequency window.
 Every forward run and every wave solve of ``observability`` builds its
 grid once with ``_wave_grid``; its cell-count rule is
 ``_check_resolution``, callable before any march.
@@ -249,7 +249,6 @@ def _sup_norm(rows, dt: float, k: int) -> float:
 
 # levels per batch of boundary-trace evaluation in the kernel
 _EDGE_CHUNK = 256
-_HULL_CHUNK = 64        # levels per recomputation of the updated rows
 
 
 @dataclass(frozen=True)
@@ -265,7 +264,6 @@ class _March:
     sbp_right: np.ndarray
     levels: tuple
     energies: Mapping[int, np.ndarray]
-    node_steps: int         # interior entries updated, levels x columns
     snapshots: Optional[tuple] = None       # (times, u, u_t) lists
 
 
@@ -283,13 +281,6 @@ def _leapfrog(om, dx, dt, steps, u_start, u_next, *, boundary=None,
     zero from the third level.  Only on request: energies of orders
     <= ``k_max`` (one column only; order k at every level from the
     (k+1)-th on) and snapshots.
-
-    Only rows the data can have reached are updated: the hull spans the
-    rows with bits other than +0.0's (-0.0 counts) in either first level
-    and any column, and each edge whose boundary row is ever nonzero;
-    level m+1 is +0.0 outside it widened by m rows, so no bit changes.
-    The edges are written until every buffer holds the zeros after the
-    last nonzero boundary level.
     """
     first = np.array(u_start, dtype=float, order="C")
     second = np.array(u_next, dtype=float, order="C")
@@ -311,17 +302,13 @@ def _leapfrog(om, dx, dt, steps, u_start, u_next, *, boundary=None,
         left, right = (np.asarray(b, dtype=float) for b in boundary)
         first[0], first[-1] = left[0], right[0]
         second[0], second[-1] = left[1], right[1]
-    lit = [a.view(np.uint64).reshape(len(a), -1).any(axis=1)  # not +0.0
-           for a in (left, right, first, second)]
-    reached = lit[2] | lit[3]
-    reached[[0, -1]] |= [lit[0].any(), lit[1].any()]
-    hull = np.flatnonzero(reached)
 
     # k_max + 2 levels feed the k-th difference energies; >= 3 buffers so
     # the write target never aliases the two levels it is computed from
     nbuf = max(3, len(orders) + 1)
-    edge_until = int(max([1, *np.flatnonzero(lit[0] | lit[1])[-1:]])) + nbuf
     bufs = [first, second] + [np.zeros_like(first) for _ in range(nbuf - 2)]
+    # interior rows, their right and their left neighbours
+    ins, aheads, behinds = ([b[1 + k:n + k] for b in bufs] for k in (0, 1, -1))
     order = [0, 1]          # buffer indices, oldest level first
     free = list(range(2, nbuf))
     scratch = np.empty((n - 1,) + cols)
@@ -363,29 +350,17 @@ def _leapfrog(om, dx, dt, steps, u_start, u_next, *, boundary=None,
         snaps = ([0.0], [first.copy()], [None])
 
     prev, cur = 0, 1
-    span, full, updated = None, slice(0, n - 1), 0
     for m in range(1, steps):
-        if (m - 1) % _HULL_CHUNK == 0 and span != full:
-            reach = min(m + _HULL_CHUNK, steps) - 1     # the chunk's last m
-            span = (slice(max(0, int(hull[0]) - reach - 1),
-                          min(n - 1, int(hull[-1]) + reach))
-                    if hull.size else slice(0, 0))
-            # interior rows, their right and their left neighbours
-            ins, aheads, behinds = ([b[1 + k:n + k][span] for b in bufs]
-                                    for k in (0, 1, -1))
-            lam_s, coef_s, scratch_s = lam[span], coef[span], scratch[span]
         tgt = free.pop() if free else order.pop(0)
         target = bufs[tgt]
         tg = ins[tgt]
-        np.multiply(ins[cur], coef_s, out=tg)
+        np.multiply(ins[cur], coef, out=tg)
         tg -= ins[prev]
-        np.add(aheads[cur], behinds[cur], out=scratch_s)
-        scratch_s *= lam_s
-        tg += scratch_s
-        updated += span.stop - span.start
-        if m < edge_until:
-            target[0] = left[m + 1]
-            target[-1] = right[m + 1]
+        np.add(aheads[cur], behinds[cur], out=scratch)
+        scratch *= lam
+        tg += scratch
+        target[0] = left[m + 1]
+        target[-1] = right[m + 1]
         order.append(tgt)
         i = (m + 1) % _EDGE_CHUNK
         target.take(rows, 0, gathered[i], "clip")
@@ -410,7 +385,7 @@ def _leapfrog(om, dx, dt, steps, u_start, u_next, *, boundary=None,
         sbp_left=series[2], sbp_right=series[3],
         levels=(bufs[prev].copy(), bufs[cur].copy()),
         energies={k: np.asarray(v) for k, v in energies.items()},
-        node_steps=updated * math.prod(cols), snapshots=snaps)
+        snapshots=snaps)
 
 
 @dataclass(frozen=True)
@@ -458,23 +433,27 @@ class _Modes:
         return (a0.T * self.q).T, (a1.T * self.q).T
 
 
-def _scheme_eigenpairs(om, dx, dt, count=None):
+def _scheme_eigenpairs(om, dx, dt, count=None, *, window=None):
     """(mu, Q, sqrt(omega), theta): every eigenpair of the scheme's
-    tridiagonal M^{-1/2} K M^{-1/2} (:class:`_Modes`), or the ``count``
-    lowest.  theta = 2 arcsin(dt sqrt(mu) / 2) is arccos(1 - dt^2 mu / 2)
-    without its cancellation near 0; the scheme is stable only while
-    every 1 - dt^2 mu / 2 > -1.
+    tridiagonal M^{-1/2} K M^{-1/2} (:class:`_Modes`), the ``count``
+    lowest, or those with sqrt(mu) in the ``window`` ]lo, hi] (none, when
+    it holds no eigenvalue).  theta = 2 arcsin(dt sqrt(mu) / 2) is
+    arccos(1 - dt^2 mu / 2) without its cancellation near 0; the scheme
+    is stable only while every 1 - dt^2 mu / 2 > -1.
     """
     from scipy.linalg import eigh_tridiagonal
 
     root_om = np.sqrt(om[1:-1])
-    select = ({} if count is None
-              else {"select": "i", "select_range": (0, count - 1)})
+    select = {}
+    if window is not None:
+        select = {"select": "v", "select_range": tuple(np.square(window))}
+    elif count is not None:
+        select = {"select": "i", "select_range": (0, count - 1)}
     mu, vectors = eigh_tridiagonal(
         2.0 / (dx ** 2 * om[1:-1]),
         -1.0 / (dx ** 2 * root_om[:-1] * root_om[1:]), **select)
     half = 0.5 * dt * np.sqrt(np.maximum(mu, 0.0))
-    if half.max() >= 1.0:
+    if np.any(half >= 1.0):
         raise ValueError("time step beyond the scheme's stability limit "
                          "(a modal cosine 1 - dt^2 mu / 2 is <= -1)")
     return mu, vectors, root_om, 2.0 * np.arcsin(half)

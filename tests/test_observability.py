@@ -1,10 +1,10 @@
-"""Observability tests: the batched leapfrog kernel and the rows it
-skips against a plain recurrence, quotients against d'Alembert, the
-closed-form constant against the marched Gramian and the datum that
-attains it, HUM reaching rest, the one-sided impulse-response corrector
-and the reciprocity it rests on against the forced march, the divergence
-sweep's march count, truncation and growth bookkeeping, and the package
-import surface."""
+"""Observability tests: the batched leapfrog kernel against a plain
+recurrence, and its edge-impulse reciprocity, quotients against
+d'Alembert, the closed-form constant against the marched Gramian and the
+datum that attains it, HUM reaching rest, the divergence rows' trapped
+eigenmode against a marched quotient and across grids, its window guard,
+the sweep's eigensolve count, truncation and growth bookkeeping, and the
+package import surface and docstring cross-references."""
 
 import ast
 import dataclasses
@@ -13,6 +13,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -123,13 +124,6 @@ class TestKernel:
             assert np.array_equal(got, want)
             assert got.flags.c_contiguous
 
-    def test_full_support_updates_every_row(self, grid):
-        om, dx, dt = grid
-        u = np.random.default_rng(3).standard_normal((self.n + 1, self.K))
-        u[0] = u[-1] = 0.0
-        run = ws._leapfrog(om, dx, dt, self.steps, u, u)
-        assert run.node_steps == (self.steps - 1) * (self.n - 1) * self.K
-
     def test_records_only_on_request(self, grid):
         om, dx, dt = grid
         u = np.zeros((self.n + 1, 2))
@@ -183,12 +177,10 @@ def _hull_case(name, n, steps):
 
 
 class TestHull:
-    """The kernel updates only the rows the data can have reached, and
-    the rows it skips change no bit: each case against the plain
+    """Data of every support pattern (compact, an impulse at either
+    edge, -0.0, late edge values, zero) march to the bits of the plain
     recurrence, sign bits of zeros included."""
 
-    # wider than two chunks of levels on each side of the data, so the
-    # updated rows grow over several chunks before they span the interior
     n = 512
 
     @pytest.fixture(scope="class")
@@ -219,8 +211,6 @@ class TestHull:
                               (run.levels[0], levels[0]),
                               (run.levels[1], levels[1])):
                 assert_bits(col(got), want)
-        if name.startswith("zero"):
-            assert run.node_steps == 0
 
     @pytest.mark.parametrize("name", ["middle", "negative-zero"])
     def test_energies_and_snapshots(self, grid, name):
@@ -245,21 +235,6 @@ class TestHull:
                 assert_bits(got, (levels[i + 1] - levels[i - 1]) / (2 * dt))
             assert_bits(snap_ut[-1], (3 * levels[-1] - 4 * levels[-2]
                                       + levels[-3]) / (2 * dt))
-
-    def test_node_steps_union_hull(self, grid):
-        # a block updates the rows between its columns' outermost data:
-        # K times the count of one column spanning both supports
-        om, dx, dt = grid
-        u, _, _ = _hull_case("unequal-columns", self.n, 300)
-        block = ws._leapfrog(om, dx, dt, 300, u[:, :2], u[:, :2])
-        ends = np.zeros(self.n + 1)
-        ends[[10, 305]] = 1.0
-        single = ws._leapfrog(om, dx, dt, 300, ends, ends)
-        assert block.node_steps == 2 * single.node_steps
-        assert single.node_steps < 299 * (self.n - 1)
-        widths = [min(305 + m, self.n - 1) - max(10 - m, 1) + 1
-                  for m in range(1, 300)]
-        assert sum(widths) <= single.node_steps
 
 
 class TestQuotient:
@@ -548,7 +523,7 @@ def test_hum_residuals_never_increase(seed):
 def marches(monkeypatch):
     """Kind of every leapfrog kernel run, wherever it is called from,
     every modal solve of HUM ("modes") and every eigensolve of the
-    constants' lowest modes ("window")."""
+    constants' lowest modes or of a divergence row's window ("window")."""
     calls = []
     kernel = ws._leapfrog
     modal = ob._leapfrog_modes
@@ -563,9 +538,9 @@ def marches(monkeypatch):
         calls.append("modes")
         return modal(*args)
 
-    def eigensolved(*args):
+    def eigensolved(*args, **kwargs):
         calls.append("window")
-        return window(*args)
+        return window(*args, **kwargs)
 
     monkeypatch.setattr(ws, "_leapfrog", counted)
     monkeypatch.setattr(ob, "_scheme_eigenpairs", eigensolved)
@@ -1108,121 +1083,16 @@ def test_numerator_equipartition(family, bound):
         assert abs(r["numerator_h1"] / r["numerator_l2"] - 1.0) <= bound
 
 
-def forced_corrector_traces(density, h, T, resolution):
-    """The direct construction: each phase's forcing marched at the left
-    and at the right edge apart, as the columns of one (nodes x 4)
-    block."""
-    x = np.linspace(0.0, density.length, resolution + 1)
-    om = density(x)
-    dt, steps = ws.solver_time_grid(density, T, resolution)
-    times = np.arange(steps + 1) * dt
-    zero = np.zeros_like(times)
-    cols = []
-    for name, sig in (("cos", np.cos(h * times)), ("sin", np.sin(h * times))):
-        cols += [(name, sig, zero), (name, zero, sig)]
-    rest = np.zeros((len(x), len(cols)))
-    run = ws._leapfrog(om, x[1] - x[0], dt, steps, rest, rest, boundary=(
-        np.stack([c[1] for c in cols], axis=1),
-        np.stack([c[2] for c in cols], axis=1)))
-    out = {}
-    for (name, _, _), trace in zip(cols, run.sbp_left.T):
-        out.setdefault(name, []).append(trace)
-    return times, out
-
-
 def assert_close(got, ref, rtol=1e-12):
     assert np.max(np.abs(got - ref)) <= rtol * np.max(np.abs(ref))
-
-
-INCOMPATIBLE = ("forcing incompatible with zero initial data; "
-                "boundary jump applied at the first level",)
-
-
-class TestCorrector:
-    """Weighted impulse-response corrector traces against the forced
-    block march, left and right edges combined by the same weights."""
-
-    @pytest.fixture(scope="class")
-    def lam(self):
-        params = coeff.make_sequences(mode="concentrating",
-                                      j_range=range(2, 4), n0=30)
-        dens = coeff.make_counterexample_density(params.restrict(2),
-                                                 family="lambda")[0]
-        return dens, params.entry(2).h, 2.0 * coeff.travel_time(dens) + 0.5
-
-    @staticmethod
-    def check(dens, h, T, resolution, edges):
-        times, got, flags = ob._corrector_traces(dens, h, T, resolution,
-                                                 edges)
-        ref_times, ref = forced_corrector_traces(dens, h, T, resolution)
-        assert np.array_equal(times, ref_times)
-        assert sorted(got) == ["cos", "sin"]
-        for name, (left, right) in ref.items():
-            assert_close(got[name], edges[0] * left + edges[1] * right)
-        assert flags == INCOMPATIBLE
-
-    @pytest.mark.parametrize("resolution", [256, 1024])
-    @pytest.mark.parametrize("equal", [True, False])
-    def test_matches_forced_march(self, lam, resolution, equal):
-        self.check(*lam, resolution, (0.49, 0.49) if equal else (0.7, -1.9))
-
-    def test_psi_row(self):
-        # the psi j=3 row of the n0 = 30 family: the right edge value is
-        # a fifth of the left one
-        params = coeff.make_sequences(mode="concentrating",
-                                      j_range=range(2, 4), n0=30)
-        dens = coeff.make_counterexample_density(params)
-        h = params.entry(3).h
-        T = 2.0 * coeff.travel_time(dens) + 0.5
-        self.check(dens, h, T, 1024, (0.2022 / h, 0.0435 / h))
-
-    def test_random_edge_signal(self):
-        # nonzero g[0] and g[1] exercise the feed-through of level 0 and
-        # the first forced level
-        om_c = coeff.make_baseline("lipschitz")
-        res = 64
-        x = np.linspace(0.0, 1.0, res + 1)
-        om, dx = om_c(x), x[1] - x[0]
-        dt, steps = ws.solver_time_grid(om_c, 3.0, res)
-        rng = np.random.default_rng(7)
-        g = rng.standard_normal((2, steps + 1))
-        rest, zero = np.zeros(res + 1), np.zeros(steps + 1)
-        impulse = np.zeros(steps + 1)
-        impulse[1] = 1.0
-        # the left trace sees a left edge value at once, a right one never
-        for left, feed_through in ((True, -1.0 / dx), (False, 0.0)):
-            h_run = ws._leapfrog(om, dx, dt, steps, rest, rest, boundary=(
-                impulse if left else zero, zero if left else impulse))
-            assert h_run.sbp_left[1] == pytest.approx(feed_through)
-            got = ob._impulse_convolution(h_run.sbp_left, g)
-            for row, sig in zip(got, g):
-                ref = ws._leapfrog(om, dx, dt, steps, rest, rest, boundary=(
-                    sig if left else zero, zero if left else sig))
-                assert_close(row, ref.sbp_left)
-
-    @pytest.mark.parametrize("edges", [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0),
-                                       (0.3, -2.0)],
-                             ids=["equal", "left", "right", "unequal"])
-    def test_single_column_marches(self, lam, monkeypatch, edges):
-        shapes = []
-        kernel = ws._leapfrog
-
-        def counted(om, dx, dt, steps, u_start, u_next, **kwargs):
-            shapes.append(np.shape(u_start))
-            return kernel(om, dx, dt, steps, u_start, u_next, **kwargs)
-
-        monkeypatch.setattr(ob, "_leapfrog", counted)
-        dens, h, T = lam
-        ob._corrector_traces(dens, h, T, 256, edges)
-        assert shapes == [(257,)]
 
 
 @pytest.mark.parametrize("resolution", [256, 1024])
 @pytest.mark.parametrize("density", ["lambda", "bv-step"])
 def test_edge_impulse_reciprocity(density, resolution):
-    # the corrector's one left impulse stands in for a right one: the
-    # node n-1 trace of a unit left impulse is the node 1 trace of a unit
-    # right impulse
+    # a law of the kernel: the scheme is reciprocal (lam_i omega_i =
+    # dt^2/dx^2 at every node), so the node n-1 trace of a unit left
+    # impulse is the node 1 trace of a unit right impulse
     if density == "lambda":
         params = coeff.make_sequences(mode="concentrating",
                                       j_range=range(2, 4), n0=30)
@@ -1244,36 +1114,93 @@ def test_edge_impulse_reciprocity(density, resolution):
     assert_close(far, near, rtol=1e-13)
 
 
-def test_corrector_march_skips_unreached_rows(monkeypatch):
-    # the lambda j = 3 row at ppw 6: the left impulse reaches the right
-    # end after about n of its steps, so about n/2 rows a step are skipped
-    runs = []
-    kernel = ws._leapfrog
-
-    def kept(om, dx, dt, steps, *args, **kwargs):
-        runs.append((len(om) - 1, steps,
-                     kernel(om, dx, dt, steps, *args, **kwargs)))
-        return runs[-1][-1]
-
-    monkeypatch.setattr(ob, "_leapfrog", kept)
-    ob.run_counterexample_sweep(
-        family="lambda", j_list=(2, 3), points_per_wavelength=6.0,
-        sequence_kwargs={"n0": 30})
-    n, steps, run = runs[-1]
-    assert n == 4096
-    assert run.node_steps <= 0.80 * (steps - 1) * (n - 1)
+def lambda_sweep(ppw, j_list=(2, 3), m_list=(0,)):
+    """The lambda rows of the n0 = 30 concentrating family."""
+    return ob.run_counterexample_sweep(
+        family="lambda", j_list=j_list, m_list=m_list,
+        points_per_wavelength=ppw, sequence_kwargs={"n0": 30})
 
 
 def test_psi_sweep_marches_once_per_row(marches):
-    # both rows have two distinct edge values; one forced march each
+    # one eigensolve of the row's window per row, and no march
     table = ob.run_counterexample_sweep(
         family="psi", j_list=(2, 3), points_per_wavelength=6.0,
         sequence_kwargs={"n0": 30})
     assert [r["j"] for r in table.rows] == [2, 3]
-    assert marches == ["forced", "forced"]
+    assert marches == ["window", "window"]
     for r in table.rows:
         assert r["edge_values"][0] != r["edge_values"][1]
-        assert r["corrector_flags"] == INCOMPATIBLE
+        assert r["flags"] == ()
+
+
+def test_lambda_sweep_marches_once_per_row(marches, monkeypatch):
+    # the benchmark's call: one eigensolve per row, no march, no FFT
+    def transformed(*args, **kwargs):
+        raise AssertionError("the sweep transformed a trace")
+
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, transformed)
+    table = lambda_sweep(6.0, m_list=(0, 1, 2))
+    assert [r["j"] for r in table.rows] == [2, 3]
+    assert marches == ["window", "window"]
+    assert all(r["flags"] == () for r in table.rows)
+
+
+def test_trapped_rows_converge():
+    # ppw 24 and 48 (res 4096 / 8192 at j = 2, 16384 / 32768 at j = 3):
+    # Q_0 read 0.4111 -> 0.4077 and 7.418 -> 7.131 (0.8% and 3.9%), the
+    # j=3 / j=2 ratio 18.0 and 17.5, and the trapped sqrt(mu) sits
+    # +0.12% / +0.28% off h at j = 3 and +0.70% / +0.81% at j = 2, whose
+    # quasimode is barely trapped (boundary log -1.44)
+    coarse, fine = (lambda_sweep(ppw).rows for ppw in (24.0, 48.0))
+    for a, b in zip(coarse, fine):
+        assert b["resolution"] == 2 * a["resolution"]
+        assert abs(b["Q"][0] / a["Q"][0] - 1.0) <= 0.05
+    for j2, j3 in (coarse, fine):
+        assert j3["Q"][0] >= 10.0 * j2["Q"][0]
+        assert abs(j2["trapped_frequency"] / j2["h"] - 1.0) <= 0.01
+        assert abs(j3["trapped_frequency"] / j3["h"] - 1.0) <= 0.005
+
+
+def test_trapped_row_matches_marched_quotient():
+    # an oracle that shares no engine with the row: the maximizing mode's
+    # nodal datum, marched by observability_quotient (the closed-form
+    # traces matched the march to 2e-12 on the constants)
+    (row,) = lambda_sweep(6.0, j_list=(2,)).rows
+    params = coeff.make_sequences(mode="concentrating", j_range=range(2, 3),
+                                  n0=30)
+    dens = qm._family_members(params, "lambda", (2,))[0][2]
+    grid = ws._wave_grid(dens, row["T"], row["resolution"])
+    mu, vectors, root_om, _ = ws._scheme_eigenpairs(grid.om, grid.dx,
+                                                    grid.dt)
+    k = int(np.argmin(np.abs(np.sqrt(mu) - row["trapped_frequency"])))
+    datum, zero = np.zeros(len(grid.x)), np.zeros(len(grid.x))
+    datum[1:-1] = vectors[:, k] / root_om
+    data = (datum, zero) if row["trapped_datum"] == "position" else (
+        zero, datum)
+    res = ob.observability_quotient(dens, *data, row["T"],
+                                    resolution=row["resolution"])
+    assert not res.unbounded
+    assert res.value == pytest.approx(row["Q"][0], rel=1e-9)
+
+
+class TestWindowGuard:
+    def test_edge_maximizer_is_flagged(self, monkeypatch):
+        # a window that stops below the trapped mode, which sits
+        # 0.33-0.85% above the dispersed h, peaks at its highest mode
+        monkeypatch.setattr(ob, "_WINDOW_HI", 1.0)
+        (row,) = lambda_sweep(6.0, j_list=(2,)).rows
+        assert row["flags"] == ("trapped mode may lie outside the window",)
+        assert row["trapped_frequency"] <= row["window"]["hi"]
+
+    def test_empty_window_truncates(self, monkeypatch):
+        # far above the grid's highest frequency: no eigenmode, so the
+        # table stops at j = 2 with the reason instead of raising
+        monkeypatch.setattr(ob, "_WINDOW_LO", 50.0)
+        monkeypatch.setattr(ob, "_WINDOW_HI", 51.0)
+        table = lambda_sweep(6.0)
+        assert table.rows == () and table.truncated_at == 2
+        assert table.truncation_reason.startswith("no eigenmode")
 
 
 @pytest.mark.parametrize("family", ["lambda", "psi"])
@@ -1524,3 +1451,51 @@ def test_no_orphans_in_the_package():
     assert unused == []
     assert orphans == []
     assert unread == []
+
+
+def test_docstring_references_resolve():
+    # every :func:, :class: and :mod: target in the package names a module
+    # (:mod:), a name of its own module, or a name of the package module
+    # its first part names; :meth: resolves through its class, the
+    # enclosing one when the target is bare: a reference to a deleted
+    # helper fails here
+    pkg = Path(ob.__file__).resolve().parent
+    role = re.compile(r":(func|class|mod|meth):`([\w.]+)`")
+
+    def submodule(name):
+        try:
+            return importlib.import_module(f"waveobs.{name}")
+        except ModuleNotFoundError:
+            return None
+
+    def resolves(scope, parts):
+        if not hasattr(scope, parts[0]):
+            scope, parts = submodule(parts[0]), parts[1:]
+        for part in parts:
+            if not hasattr(scope, part):
+                return False
+            scope = getattr(scope, part)
+        return scope is not None
+
+    unresolved = []
+    for path in sorted(pkg.glob("*.py")):
+        mod = importlib.import_module(
+            "waveobs" if path.stem == "__init__" else f"waveobs.{path.stem}")
+        text = path.read_text()
+        classes = [node for node in ast.parse(text).body
+                   if isinstance(node, ast.ClassDef)]
+        for match in role.finditer(text):
+            kind, target = match.groups()
+            line = text.count("\n", 0, match.start()) + 1
+            parts = target.split(".")
+            if kind == "mod":
+                ok = submodule(target) is not None
+            elif kind == "meth" and len(parts) == 1:
+                owner = [c.name for c in classes
+                         if c.lineno <= line <= c.end_lineno]
+                ok = bool(owner) and resolves(getattr(mod, owner[0]), parts)
+            else:
+                ok = resolves(mod, parts)
+            if not ok:
+                unresolved.append(f"{path.name}:{line}: :{kind}:`{target}`")
+    assert unresolved == []

@@ -85,7 +85,6 @@ from .wavesim import (
     _scheme_eigenpairs,
     _taylor_start,
     _tapered_gram,
-    _tapered_sobolev_norm,
     _tapered_spectrum,
     _wave_grid,
 )
@@ -668,7 +667,9 @@ class DivergenceTable:
     earlier row is floored, so such a pair never counts as growth).
     ``truncated_at`` marks the first j the sweep could not reach
     (unbuildable density, scale guard, unresolvable wave grid or empty
-    eigenmode window) with the reason recorded.
+    eigenmode window) with the reason recorded.  Every row runs at the
+    table's one horizon ``T``, that of the largest member built, so a row
+    compares across tables only where their ``T`` agree.
     """
 
     family: str
@@ -789,7 +790,9 @@ def run_counterexample_sweep(
     guard or the wave grid cannot reach, or whose window holds no
     eigenmode; that j truncates the table with the reason recorded.
     Every row runs at one horizon, the largest :func:`_default_horizon`
-    (2 T_omega + 0.5) over the members built (nan when none was).
+    (2 T_omega + 0.5) over the members built (nan when none was), so a
+    row depends on the ``j_list`` it was swept with: the lambda n0 = 30
+    j=2 row at ppw 6 reads Q_0 0.48673 beside j=3 and 0.48689 alone.
     ``j_list`` must be strictly increasing.
 
     ``growth_factors`` follow :func:`_growth_factor`: a row whose
@@ -998,8 +1001,7 @@ def hum_control(omega: Coefficient, y0, y1, T: float, m: int = 0, *,
     # the energy metric (dx L) (+) (dx omega), diagonal in modal
     # coordinates, collapses the O(N^2) Euclidean eigenvalue spread of
     # the level pairing down to the ratio of the observability constants
-    inv_metric = 1.0 / (dx * np.concatenate([modes.mu,
-                                             np.ones_like(modes.mu)]))
+    inv_metric = 1.0 / _mode_energies(dx, modes.mu)
 
     # the identity's right side at the Taylor start levels (the state
     # the verification evolves), in modal coordinates
@@ -1059,8 +1061,8 @@ def hum_control(omega: Coefficient, y0, y1, T: float, m: int = 0, *,
             f"not controlled: terminal relative energy {rel:.3e} above "
             f"tolerance {_HUM_TOLERANCE:.1e}")
     control_l2 = float(math.sqrt(np.trapezoid(control ** 2, dx=dt)))
-    control_norm = (control_l2 if m == 0
-                    else _tapered_sobolev_norm(control, -m, dt))
+    control_norm = (control_l2 if m == 0 else
+                    math.sqrt(float(_tapered_gram(control, -m, dt))))
     return ControlResult(
         control=control, times=times, target_y0=y0n, target_y1=y1n,
         T=T, m=m, resolution=resolution, iterations=iterations,

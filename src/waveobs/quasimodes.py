@@ -661,6 +661,7 @@ def solve_quasimode(
     named in ``flags``.  ``stats["nfev"]`` counts evaluations of the
     coefficient by the engine plus those of the generic reverse check.
 
+    A density whose ``length`` is not 1 is rejected before any solve.
     Raises :class:`ScaleOutOfReach` when the mode lives beyond double
     precision: h not finite or above 1e12 (the phase h(x-m) would be
     rounding-dominated), or eps*n above 600 (the headline energies and
@@ -670,6 +671,8 @@ def solve_quasimode(
         raise ValueError("n_samples must be at least 2")
     if not (0.0 < rtol <= 1e-6):
         raise ValueError("rtol must lie in ]0, 1e-6]")
+    if omega.length != 1.0:
+        raise ValueError(f"the density's length {omega.length!r} is not 1")
     xs = np.linspace(0.0, 1.0, n_samples)
 
     if omega.trapping is not None:

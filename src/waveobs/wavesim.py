@@ -9,10 +9,11 @@ which is how the higher energies E_k are tracked.
 
 One private kernel, ``_leapfrog``, marches a node array or a (nodes x K)
 block of data columns, each bitwise the single-column run.  It marches
-C-ordered buffers with its coefficients stored per entry of a level, so a
-block's step runs at numpy's contiguous speed.  It always returns the
-boundary traces and computes energies and snapshots only on request; it
-records no interior slice.
+three C-ordered level buffers with its coefficients stored per entry of a
+level, so a block's step runs at numpy's contiguous speed.  It keeps one
+record of every level's edge rows, for the boundary traces; energies
+(from copies of the last levels) and snapshots only on request; no
+interior slice.
 :func:`evolve` is the one forward solve, free or driven by Dirichlet rows
 (``forcing=``): a single-column run that tracks E_0..E_{k_max} at every
 level; ``observability`` marches its data as blocks without energies.
@@ -247,10 +248,6 @@ def _sup_norm(rows, dt: float, k: int) -> float:
     return out
 
 
-# levels per batch of boundary-trace evaluation in the kernel
-_EDGE_CHUNK = 256
-
-
 @dataclass(frozen=True)
 class _March:
     """One kernel run; series have shape (steps+1,) + columns.  Beside
@@ -272,15 +269,18 @@ def _leapfrog(om, dx, dt, steps, u_start, u_next, *, boundary=None,
     """March a node array or a (nodes x K) block of first two levels.
 
     Every column gets bitwise the single-column arithmetic,
-    (2 - 2 lam) u - u_prev + lam (u>> + u<<), in place on rotating
-    buffers: C-ordered copies of the two levels, whatever the inputs'
-    layout, with lam and 2 - 2 lam stored once per entry of a level (one
-    value along each row), so a block's update runs over contiguous
-    memory.  ``boundary``: optional (left, right) Dirichlet rows of
-    shape (steps+1,) + columns for every level; without it the ends are
-    zero from the third level.  Only on request: energies of orders
+    (2 - 2 lam) u - u_prev + lam (u>> + u<<), in place on three level
+    buffers (previous, current, next): C-ordered copies of the two
+    levels, whatever the inputs' layout, with lam and 2 - 2 lam stored
+    once per entry of a level (one value along each row), so a block's
+    update runs over contiguous memory.  The eight edge rows of every
+    level go into one record, whose trace stencils run after the march.
+    ``boundary``: optional (left, right) Dirichlet rows of shape
+    (steps+1,) + columns for every level; without it the ends are zero
+    from the third level.  Only on request: energies of orders
     <= ``k_max`` (one column only; order k at every level from the
-    (k+1)-th on) and snapshots.
+    (k+1)-th on, read from copies of the last k_max + 2 levels) and
+    snapshots.
     """
     first = np.array(u_start, dtype=float, order="C")
     second = np.array(u_next, dtype=float, order="C")
@@ -303,40 +303,22 @@ def _leapfrog(om, dx, dt, steps, u_start, u_next, *, boundary=None,
         first[0], first[-1] = left[0], right[0]
         second[0], second[-1] = left[1], right[1]
 
-    # k_max + 2 levels feed the k-th difference energies; >= 3 buffers so
-    # the write target never aliases the two levels it is computed from
-    nbuf = max(3, len(orders) + 1)
-    bufs = [first, second] + [np.zeros_like(first) for _ in range(nbuf - 2)]
+    bufs = (first, second, np.zeros_like(first))
     # interior rows, their right and their left neighbours
     ins, aheads, behinds = ([b[1 + k:n + k] for b in bufs] for k in (0, 1, -1))
-    order = [0, 1]          # buffer indices, oldest level first
-    free = list(range(2, nbuf))
     scratch = np.empty((n - 1,) + cols)
-
-    # the rows the traces read are gathered level by level and their
-    # stencils applied to a whole chunk of levels at once
+    # the rows the traces read, level by level
     rows = np.array([0, 1, 2, 3, n - 3, n - 2, n - 1, n])
-    gathered = np.empty((_EDGE_CHUNK, len(rows)) + cols)
-    series = np.empty((4, steps + 1) + cols)
-
-    def flush(level):
-        a = level - level % _EDGE_CHUNK
-        g = np.moveaxis(gathered[:level + 1 - a], 1, 0)
-        out = series[:, a:level + 1]
-        out[0] = _trace_left(g[:4], dx)
-        out[1] = _trace_right(g[4:8], dx)
-        out[2] = (g[1] - g[0]) / dx
-        out[3] = (g[7] - g[6]) / dx
-
-    first.take(rows, 0, gathered[0], "clip")
-    second.take(rows, 0, gathered[1], "clip")
-    if steps == 1:
-        flush(1)
+    edges = np.empty((steps + 1, len(rows)) + cols)
+    first.take(rows, 0, edges[0], "clip")
+    second.take(rows, 0, edges[1], "clip")
 
     energies = {k: [] for k in orders}
+    held = []          # copies of the last k_max + 2 levels
 
-    def push_energies():
-        held = [bufs[i] for i in order]
+    def push_energies(level):
+        held.append(level.copy())
+        del held[:-(k_max + 2)]
         for k in orders:
             if len(held) >= k + 2:
                 d_old = _diff_k(held[-(k + 2):-1], k, dt)
@@ -344,16 +326,17 @@ def _leapfrog(om, dx, dt, steps, u_start, u_next, *, boundary=None,
                 energies[k].append(_staggered_energy(om, d_new, d_old, dt, dx))
 
     if orders:
-        push_energies()
+        push_energies(first)
+        push_energies(second)
     snaps = None
     if snapshot_stride is not None:
         snaps = ([0.0], [first.copy()], [None])
 
     prev, cur = 0, 1
     for m in range(1, steps):
-        tgt = free.pop() if free else order.pop(0)
-        target = bufs[tgt]
-        tg = ins[tgt]
+        nxt = 3 - prev - cur
+        target = bufs[nxt]
+        tg = ins[nxt]
         np.multiply(ins[cur], coef, out=tg)
         tg -= ins[prev]
         np.add(aheads[cur], behinds[cur], out=scratch)
@@ -361,28 +344,25 @@ def _leapfrog(om, dx, dt, steps, u_start, u_next, *, boundary=None,
         tg += scratch
         target[0] = left[m + 1]
         target[-1] = right[m + 1]
-        order.append(tgt)
-        i = (m + 1) % _EDGE_CHUNK
-        target.take(rows, 0, gathered[i], "clip")
-        if i == _EDGE_CHUNK - 1 or m + 1 == steps:
-            flush(m + 1)
+        target.take(rows, 0, edges[m + 1], "clip")
         if orders:
-            push_energies()
+            push_energies(target)
         if snaps is not None and m % snapshot_stride == 0:
             snaps[0].append(m * dt)
             snaps[1].append(bufs[cur].copy())
             snaps[2].append((target - bufs[prev]) / (2 * dt))
-        prev, cur = cur, tgt
+        prev, cur = cur, nxt
 
     if snaps is not None and steps >= 2:
-        held = [bufs[i] for i in order]
+        last, before, oldest = bufs[cur], bufs[prev], bufs[3 - prev - cur]
         snaps[0].append(steps * dt)
-        snaps[1].append(held[-1].copy())
-        snaps[2].append((3 * held[-1] - 4 * held[-2] + held[-3]) / (2 * dt))
+        snaps[1].append(last.copy())
+        snaps[2].append((3 * last - 4 * before + oldest) / (2 * dt))
 
+    g = np.moveaxis(edges, 1, 0)
     return _March(
-        trace_left=series[0], trace_right=series[1],
-        sbp_left=series[2], sbp_right=series[3],
+        trace_left=_trace_left(g[:4], dx), trace_right=_trace_right(g[4:], dx),
+        sbp_left=(g[1] - g[0]) / dx, sbp_right=(g[7] - g[6]) / dx,
         levels=(bufs[prev].copy(), bufs[cur].copy()),
         energies={k: np.asarray(v) for k, v in energies.items()},
         snapshots=snaps)
@@ -596,7 +576,7 @@ def trace_sobolev_norm(trace: np.ndarray, beta: float, dt: float) -> float:
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    return _tapered_sobolev_norm(trace, _check_beta(beta), dt)
+    return math.sqrt(float(_tapered_gram(trace, _check_beta(beta), dt)))
 
 
 def _check_beta(beta) -> float:
@@ -634,10 +614,3 @@ def _tapered_gram(traces: np.ndarray, exponent: float, dt: float):
     mass[1:-1] *= 2.0
     return ((spec.real * mass) @ spec.real.T
             + (spec.imag * mass) @ spec.imag.T)
-
-
-def _tapered_sobolev_norm(trace: np.ndarray, exponent: float,
-                          dt: float) -> float:
-    """The one-column :func:`_tapered_gram`, as a norm: nonnegative in
-    :func:`trace_sobolev_norm`, negative for HUM's control norm."""
-    return math.sqrt(float(_tapered_gram(trace, exponent, dt)))

@@ -53,6 +53,7 @@ from waveobs.coeff import (
     make_baseline,
     make_counterexample_density,
     make_sequences,
+    reduce_to_normal_form,
 )
 from waveobs.quasimodes import (
     ScaleOutOfReach,
@@ -940,6 +941,17 @@ class TestValidation:
         om = make_baseline("constant", value=1.0)
         with pytest.raises(ValueError, match="launch"):
             solve_quasimode(om, h=1.0, m=1.5)
+
+    @pytest.mark.parametrize("a, length", [
+        (make_baseline("constant", value=4.0), 0.25),
+        (make_baseline("lipschitz"), 0.811)])
+    def test_density_off_unit_interval_rejected(self, a, length):
+        # a normal form lives on [0, L]: the constant one was solved on
+        # [0, 1] past L, the generic one with omega clipped at L
+        om, L, _ = reduce_to_normal_form(make_baseline("constant"), a)
+        assert L == pytest.approx(length, abs=1e-3)
+        with pytest.raises(ValueError, match="length"):
+            solve_quasimode(om, h=10.0, m=0.5)
 
 
 # --------------------------------------------------------------------------

@@ -37,11 +37,14 @@ family of concentrating modes.  This module measures both sides:
 Wave solves run on the leapfrog kernel of :mod:`wavesim` without energy
 tracking, each on one grid built once: the Gramian's basis is one block
 march.  The closed-form constants and the divergence rows march nothing:
-one ``eigh_tridiagonal`` of the scheme's lowest modes serves every
-cutoff, one of a frequency window serves a row, and both read the modes'
-closed-form traces (:func:`_mode_traces`).  Nor do HUM's conjugate
-residuals: they run on the scheme's closed-form modal solution (one
-Chebyshev table), and only its verification marches, once, from the
+one subset eigensolve (:func:`wavesim._subset_eigenpairs`: coarse
+bisection, inverse iteration and one Rayleigh-Ritz step) of the scheme's
+lowest modes serves every cutoff, with the modes' closed-form traces
+(:func:`_mode_traces`), and one of a frequency window serves a row, with
+the traces' closed-form energies (:func:`_mode_trace_energies`).  Nor do
+HUM's conjugate residuals: they run on the scheme's closed-form modal
+solution (one Chebyshev table over the whole spectrum, still one
+``eigh_tridiagonal``), and only its verification marches, once, from the
 data's Taylor start levels with the control as the x = 0 boundary row.
 
 Every entry point takes the derivative order m as a nonnegative integer
@@ -338,7 +341,18 @@ def observability_quotient(omega: Coefficient, u0, u1, T: float, m: int = 0,
 def _mode_traces(grid, mu: np.ndarray, V: np.ndarray,
                  theta: np.ndarray) -> np.ndarray:
     """Left traces, (steps+1) x 2c, of the position data (V_k, 0) and
-    then the velocity data (0, V_k) of the modes V_k, in closed form.
+    then the velocity data (0, V_k) of the modes V_k, in closed form:
+    a_k cos(n theta_k) and b_k sin(n theta_k), (a, b) from
+    :func:`_trace_amplitudes`."""
+    a, b = _trace_amplitudes(grid, mu, V, theta)
+    phase = np.multiply.outer(np.arange(grid.steps + 1), theta)
+    return np.hstack([a * np.cos(phase), b * np.sin(phase)])
+
+
+def _trace_amplitudes(grid, mu: np.ndarray, V: np.ndarray,
+                      theta: np.ndarray) -> tuple:
+    """(a, b): the trace amplitudes of the modes V_k as position and as
+    velocity data.
 
     The Taylor start (:func:`wavesim._taylor_start`) gives mode k the
     levels V_k cos(n theta_k) as position data and
@@ -346,9 +360,35 @@ def _mode_traces(grid, mu: np.ndarray, V: np.ndarray,
     data; each trace is that times V_k's trace g_k = V_{0k} / dx.
     """
     g = V[0] / grid.dx
-    phase = np.multiply.outer(np.arange(grid.steps + 1), theta)
-    velocity = grid.dt * (1.0 - grid.dt ** 2 * mu / 6.0) / np.sin(theta)
-    return np.hstack([g * np.cos(phase), (g * velocity) * np.sin(phase)])
+    return g, g * (grid.dt * (1.0 - grid.dt ** 2 * mu / 6.0) / np.sin(theta))
+
+
+def _mode_trace_energies(grid, mu: np.ndarray, V: np.ndarray,
+                         theta: np.ndarray, m: int) -> np.ndarray:
+    """The diagonal of :func:`_trace_gram` of :func:`_mode_traces` at
+    order m: the 2c trace energies D_m of the modes as position, then as
+    velocity data, in closed form, with no (steps+1)-long array.
+
+    Each trace is a cos(n theta + phi) (phi = 0 for position data, -pi/2
+    for velocity data).  Its m-th difference is
+    a (2 sin(theta/2))^m cos(n theta + psi), psi = phi + m (theta + pi)/2,
+    and over n = 0..L, L = steps - m, the sum of cos^2(n theta + psi) is
+    (L+1)/2 + sin((L+1) theta) cos(L theta + 2 psi) / (2 sin theta); the
+    trapezoid rule takes off half of its two end terms.
+    """
+    L = grid.steps - m
+    if L < 1:
+        raise ValueError("trace too short for this derivative order")
+    amp = np.concatenate(_trace_amplitudes(grid, mu, V, theta))
+    th = np.tile(theta, 2)
+    phi = np.repeat([0.0, -0.5 * np.pi], len(theta))
+    psi = phi + 0.5 * m * (th + np.pi)
+    squares = (0.5 * (L + 1)
+               + np.sin((L + 1) * th) * np.cos(L * th + 2.0 * psi)
+               / (2.0 * np.sin(th))
+               - 0.5 * (np.cos(psi) ** 2 + np.cos(L * th + psi) ** 2))
+    step = 2.0 * np.sin(0.5 * th) / grid.dt
+    return grid.dt * (amp * step ** m) ** 2 * squares
 
 
 def _mode_energies(dx: float, mu: np.ndarray) -> np.ndarray:
@@ -501,8 +541,9 @@ def estimate_observability_constant(
     the H^beta one) over the span of the scheme's c lowest eigenmodes as
     position and as velocity data, on the grid of ``resolution`` cells:
     1/lambda_min of a 2c x 2c matrix (:func:`_mode_records`), inf and
-    flagged below round-off.  One ``eigh_tridiagonal`` serves every
-    cutoff, and the modes' traces are closed-form: nothing is marched.
+    flagged below round-off.  One subset eigensolve of the lowest modes
+    (:func:`wavesim._subset_eigenpairs`) serves every cutoff, and the
+    modes' traces are closed-form: nothing is marched.
     ``cross_check`` holds the closed-form and the marched
     (:func:`gramian_observability_constant`) constant of one coarse
     cutoff and resolution, and in ``"ensemble_over_gramian"`` the first
@@ -713,8 +754,9 @@ def _window_quotients(grid, h: float, m_list: tuple) -> dict:
     c = h sin(pi h dx) / (pi h dx) the leapfrog-dispersed h at the
     families' flat density 4 pi^2.  Each mode is a position and a velocity
     datum: Q_m = max N / D_m, N from :func:`_mode_energies` and D_m the
-    diagonal of :func:`_trace_gram` of :func:`_mode_traces`; a D_m at or
-    below its data's noise floor reads inf (as in
+    diagonal of :func:`_trace_gram` of :func:`_mode_traces`, in closed
+    form (:func:`_mode_trace_energies`, so no trace array is built); a
+    D_m at or below its data's noise floor reads inf (as in
     :func:`observability_quotient`).  ``den`` is the D_m behind Q_m,
     ``trapped_frequency`` sqrt(mu) of the Q_0 maximizer and
     ``trapped_datum`` its kind, flagged at the window's lowest or highest
@@ -729,19 +771,14 @@ def _window_quotients(grid, h: float, m_list: tuple) -> dict:
         raise ScaleOutOfReach(
             f"no eigenmode of the scheme with sqrt(mu) in ]{lo:.6g}, "
             f"{hi:.6g}] around h = {h:.6g}")
-    V = vectors / root_om[:, None]
+    # in place: with np.abs(V) below, two n x k arrays at most
+    V = vectors
+    V /= root_om[:, None]
     N = _mode_energies(grid.dx, mu)
     data_scale = np.tile(np.max(np.abs(V), axis=0), 2)
-    orders = sorted({0, *m_list})
-    # one mode's two traces at a time: the window's whole block of traces
-    # and its differences would be the sweep's largest arrays
-    energy = np.empty((len(orders), 2, count))
-    for i in range(count):
-        traces = _mode_traces(grid, mu[[i]], V[:, [i]], theta[[i]])
-        energy[:, :, i] = [np.diag(_trace_gram(traces, grid.dt, m))
-                           for m in orders]
     Q, den = {}, {}
-    for m, D in zip(orders, energy.reshape(len(orders), -1)):
+    for m in sorted({0, *m_list}):
+        D = _mode_trace_energies(grid, mu, V, theta, m)
         floor = _trace_noise_floor(data_scale, grid.dx, grid.dt,
                                    grid.dt * grid.steps, m)
         q = np.divide(N, D, out=np.full_like(N, math.inf), where=D > floor)

@@ -20,9 +20,12 @@ level; ``observability`` marches its data as blocks without energies.
 ``_leapfrog_modes`` solves the homogeneous scheme in closed form instead:
 one table of every mode's Chebyshev evolution, on which HUM's conjugate
 residuals run (they minimize the residual HUM's stopping rule reads).
-Its eigenproblem, ``_scheme_eigenpairs``, also gives ``observability``'s
+Its eigenproblem, ``_scheme_eigenpairs``, solves the whole spectrum by
+one ``eigh_tridiagonal`` for HUM; it also gives ``observability``'s
 constants the scheme's lowest modes and its divergence rows the modes in
-a frequency window.
+a frequency window, by ``_subset_eigenpairs``: LAPACK's bisection
+``dstebz`` to a coarse tolerance, inverse iteration ``dstein`` and one
+Rayleigh-Ritz step.
 Every forward run and every wave solve of ``observability`` builds its
 grid once with ``_wave_grid``; its cell-count rule is
 ``_check_resolution``, callable before any march.
@@ -61,6 +64,11 @@ __all__ = [
 
 # the CFL number of every time step: dt <= _CFL dx sqrt(omega_*)
 _CFL = 0.9
+# _subset_eigenpairs: dstebz's absolute tolerance, in Gershgorin bounds of
+# ||T||.  At res 16384 (the j=3 window at ppw 24) the first components of
+# the window vectors stay within 3.8e-12 relative of eigh_tridiagonal's;
+# at 1e-7 one of them moved 4.5e-7
+_ISOLATE = 1e-9
 
 
 # --------------------------------------------------------------------------
@@ -420,23 +428,79 @@ def _scheme_eigenpairs(om, dx, dt, count=None, *, window=None):
     it holds no eigenvalue).  theta = 2 arcsin(dt sqrt(mu) / 2) is
     arccos(1 - dt^2 mu / 2) without its cancellation near 0; the scheme
     is stable only while every 1 - dt^2 mu / 2 > -1.
-    """
-    from scipy.linalg import eigh_tridiagonal
 
+    The whole spectrum (HUM's) is one ``eigh_tridiagonal``; a ``count``
+    or ``window`` subset is :func:`_subset_eigenpairs`.
+    """
     root_om = np.sqrt(om[1:-1])
-    select = {}
-    if window is not None:
-        select = {"select": "v", "select_range": tuple(np.square(window))}
-    elif count is not None:
-        select = {"select": "i", "select_range": (0, count - 1)}
-    mu, vectors = eigh_tridiagonal(
-        2.0 / (dx ** 2 * om[1:-1]),
-        -1.0 / (dx ** 2 * root_om[:-1] * root_om[1:]), **select)
+    diagonal = 2.0 / (dx ** 2 * om[1:-1])
+    off = -1.0 / (dx ** 2 * root_om[:-1] * root_om[1:])
+    if window is None and count is None:
+        from scipy.linalg import eigh_tridiagonal
+
+        mu, vectors = eigh_tridiagonal(diagonal, off)
+    else:
+        mu, vectors = _subset_eigenpairs(diagonal, off, count, window)
     half = 0.5 * dt * np.sqrt(np.maximum(mu, 0.0))
     if np.any(half >= 1.0):
         raise ValueError("time step beyond the scheme's stability limit "
                          "(a modal cosine 1 - dt^2 mu / 2 is <= -1)")
     return mu, vectors, root_om, 2.0 * np.arcsin(half)
+
+
+def _subset_eigenpairs(d, e, count, window):
+    """(mu, vectors) of the symmetric tridiagonal T with diagonal ``d``
+    and off-diagonal ``e``: its ``count`` lowest eigenpairs, or those
+    with mu in ]lo^2, hi^2] for ``window`` = (lo, hi), finite with
+    0 <= lo < hi (checked before any LAPACK call).
+
+    ``dstebz`` bisects the eigenvalues only to _ISOLATE times the
+    Gershgorin bound of ||T||, and its Sturm counts decide which are in
+    the window; ``dstein`` computes their vectors Z by inverse
+    iteration; one Rayleigh-Ritz step, the eigenpairs (mu, U) of
+    Z^T T Z and V = Z U, restores full-precision eigenvalues and
+    resolves near-degenerate (tunnelling-split) pairs inside span Z.
+    At most two n x k arrays are held at a time.
+    A nonzero LAPACK ``info`` raises ``LinAlgError`` naming the driver.
+    """
+    from scipy.linalg.lapack import dstebz, dstein
+
+    if window is not None:
+        lo, hi = window
+        if not 0.0 <= lo < hi < math.inf:
+            raise ValueError(f"window {window!r} must have finite bounds "
+                             f"0 <= lo < hi")
+        select = (1, lo * lo, hi * hi, 0, 0)
+    else:
+        if not 1 <= count <= len(d):
+            raise ValueError(f"count {count!r} must lie in 1..{len(d)}")
+        select = (2, 0.0, 0.0, 1, int(count))
+    size = np.abs(e)
+    gershgorin = float(np.max(np.abs(d) + np.r_[size, 0.0] + np.r_[0.0, size]))
+    found, w, block, split, info = dstebz(d, e, *select,
+                                          _ISOLATE * gershgorin, "B")
+    if info:
+        raise np.linalg.LinAlgError(f"LAPACK dstebz failed (info = {info})")
+    if not found:
+        return np.empty(0), np.empty((len(d), 0))
+    Z, info = dstein(d, e, w[:found], block, split)
+    if info:
+        raise np.linalg.LinAlgError(f"LAPACK dstein failed (info = {info})")
+    # Z^T T Z = Z^T R + s I with R = (T - s) Z, s the subset's mean
+    # eigenvalue: R's entries are of the subset's spread, not of ||T||, so
+    # Z^T R keeps its accuracy under einsum's plain summation.  R is built
+    # a column at a time (no temporary beside Z and R).  einsum, not BLAS,
+    # forms Z^T R and Z U: matmul's level-3 calls raised a trapping
+    # sweep's peak RSS by about 1 MB (2-vCPU Xeon VM) for 4 ms less
+    shift = float(np.mean(w[:found]))
+    R = (d - shift)[:, None] * Z
+    for j in range(found):
+        R[1:, j] += e * Z[:-1, j]
+        R[:-1, j] += e * Z[1:, j]
+    H = np.einsum("ik,ij->kj", Z, R)
+    del R
+    mu, U = np.linalg.eigh(0.5 * (H + H.T))
+    return mu + shift, np.einsum("ik,kj->ij", Z, U)
 
 
 def _leapfrog_modes(om, dx, dt, steps) -> _Modes:

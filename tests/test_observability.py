@@ -1067,6 +1067,15 @@ def test_lambda_divergence_sweep():
     q0 = [r["Q"][0] for r in table.rows]
     assert q0[1] > 2.0 * q0[0]
     assert table.diverging(0, factor=2.0, runs=2)
+    # the rows as eigh_tridiagonal's full-precision window read them (the
+    # coarse-bisection route agrees within 1.8e-14 relative)
+    for row, (q, frequency, modes) in zip(table.rows, [
+            (0.48672592714188667, 118.25417696443363, 6),
+            (12.025690321825234, 576.5738465915265, 31)]):
+        assert row["Q"][0] == pytest.approx(q, rel=1e-10)
+        assert row["trapped_frequency"] == pytest.approx(frequency,
+                                                         rel=1e-10)
+        assert row["window"]["modes"] == modes
 
 
 @pytest.mark.parametrize("family, bound", [("lambda", 1e-10),
@@ -1136,12 +1145,17 @@ def test_psi_sweep_marches_once_per_row(marches):
 
 
 def test_lambda_sweep_marches_once_per_row(marches, monkeypatch):
-    # the benchmark's call: one eigensolve per row, no march, no FFT
+    # the benchmark's call: one eigensolve per row, no march, no FFT and
+    # no trace array (the trace energies are closed-form)
     def transformed(*args, **kwargs):
         raise AssertionError("the sweep transformed a trace")
 
+    def traced(*args):
+        raise AssertionError("the sweep built a (steps+1)-long trace")
+
     for name in ("fft", "ifft", "rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, transformed)
+    monkeypatch.setattr(ob, "_mode_traces", traced)
     table = lambda_sweep(6.0, m_list=(0, 1, 2))
     assert [r["j"] for r in table.rows] == [2, 3]
     assert marches == ["window", "window"]
@@ -1184,6 +1198,40 @@ def test_trapped_row_matches_marched_quotient():
                                     resolution=row["resolution"])
     assert not res.unbounded
     assert res.value == pytest.approx(row["Q"][0], rel=1e-9)
+
+
+def benchmark_window_modes():
+    """(grid, mu, V, theta) of each benchmark row's window modes (the
+    lambda n0 = 30 rows at ppw 6)."""
+    table = lambda_sweep(6.0)
+    params = coeff.make_sequences(mode="concentrating", j_range=range(2, 4),
+                                  n0=30)
+    members = qm._family_members(params, "lambda", (2, 3))[0]
+    for row in table.rows:
+        grid = ws._wave_grid(members[row["j"]], row["T"], row["resolution"])
+        window = row["window"]
+        mu, vectors, root_om, theta = ws._scheme_eigenpairs(
+            grid.om, grid.dx, grid.dt, window=(window["lo"], window["hi"]))
+        yield grid, mu, vectors / root_om[:, None], theta
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_closed_form_trace_energies(m):
+    # the closed-form D_m against the trapezoid sums of the differenced
+    # closed-form traces, position and velocity data: on the benchmark
+    # rows' window modes (1.2e-14 relative at most measured) and the 8
+    # lowest Lipschitz modes at res 1024, where theta reaches 2.6e-3
+    # (1.6e-14)
+    om = coeff.make_baseline("lipschitz")
+    lipschitz = ws._wave_grid(om, 2.0 * coeff.travel_time(om) + 0.5, 1024)
+    cases = [*benchmark_window_modes(), (lipschitz, *lowest_modes(
+        lipschitz, 8))]
+    for grid, mu, V, theta in cases:
+        got = ob._mode_trace_energies(grid, mu, V, theta, m)
+        ref = np.diag(ob._trace_gram(ob._mode_traces(grid, mu, V, theta),
+                                     grid.dt, m))
+        assert got.shape == ref.shape == (2 * len(mu),)
+        assert np.all(np.abs(got / ref - 1.0) <= 1e-11)
 
 
 class TestWindowGuard:

@@ -1,14 +1,15 @@
 """Wave solver tests: closed-form oracles, conservation, both sweep
 directions, operator powers, and trace norms."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from waveobs.coeff import make_baseline
-from waveobs import wavesim as ws
+from waveobs.coeff import make_baseline, make_sequences
+from waveobs import quasimodes, wavesim as ws
 
 import oracles
 
@@ -291,6 +292,164 @@ class TestModes:
         om, dx, _, _ = self.grid("lipschitz", 64)
         with pytest.raises(ValueError, match="stability"):
             ws._leapfrog_modes(om, dx, 2.0 * dx * math.sqrt(om.max()), 10)
+
+    @pytest.mark.parametrize("select", [{"count": 4},
+                                        {"window": (0.0, 10.0)}])
+    def test_stability_limit_on_subsets(self, select):
+        om, dx, _, _ = self.grid("lipschitz", 64)
+        with pytest.raises(ValueError, match="stability"):
+            ws._scheme_eigenpairs(om, dx, 4.0, **select)
+
+
+_EPS = np.finfo(float).eps
+
+
+def lambda_member(j, n0):
+    """The concentrating lambda family's j-th member (one marked
+    interval) and its h_j."""
+    params = make_sequences(mode="concentrating", j_range=range(j, j + 1),
+                            n0=n0)
+    density = quasimodes._family_members(params, "lambda", (j,))[0][j]
+    return density, params.entry(j).h
+
+
+@functools.lru_cache(maxsize=None)
+def dense_spectrum(kind):
+    """(om, dx, T, w, Q) at res 1024: the nodes, the assembled
+    M^{-1/2} K M^{-1/2} and its every eigenpair by numpy.linalg.eigh
+    (LAPACK's dense dsyevd, which shares no driver with the tridiagonal
+    routes).  ``mirror`` is the n0 = 80 j=2 member (marked interval
+    [0.25, 0.5]) with its left half mirrored onto the right half: one
+    trap in each half."""
+    res = 1024
+    x = np.linspace(0.0, 1.0, res + 1)
+    if kind == "lipschitz":
+        om = make_baseline("lipschitz")(x)
+    elif kind == "lambda":
+        om = lambda_member(2, 30)[0](x)
+    else:
+        om = lambda_member(2, 80)[0](x)
+        om[res // 2 + 1:] = om[:res // 2][::-1]
+    root_om = np.sqrt(om[1:-1])
+    dx = x[1]
+    off = -1.0 / (dx ** 2 * root_om[:-1] * root_om[1:])
+    T = np.diag(2.0 / (dx ** 2 * om[1:-1])) + np.diag(off, 1) + np.diag(
+        off, -1)
+    w, Q = np.linalg.eigh(T)
+    return om, dx, T, w, Q
+
+
+def lambda_window():
+    """The benchmark's j=2 window ]0.99 c, 1.015 c] at res 1024."""
+    h = lambda_member(2, 30)[1]
+    c = h * float(np.sinc(h / 1024))
+    return 0.99 * c, 1.015 * c
+
+
+class TestSubsetEigenpairs:
+    """The count and window routes of ``_scheme_eigenpairs`` (coarse
+    dstebz, dstein, one Rayleigh-Ritz step) against dense eigh."""
+
+    @pytest.mark.parametrize("kind, count, window", [
+        ("lipschitz", 8, None),
+        ("lipschitz", None, (20.0, 60.0)),
+        # hi far above the top of the spectrum: its ten highest modes
+        ("lipschitz", None, "top"),
+        ("lambda", 40, None),
+        ("lambda", None, "benchmark"),
+        ("mirror", None, (268.0, 272.0)),
+    ])
+    def test_matches_dense_eigh(self, kind, count, window):
+        # measured on these cases: eigenvalues within 0.6 eps ||T||,
+        # columns within 0.24 eps ||T|| / gap, residuals within
+        # 0.9 eps ||T||, V^T V - I within 15.5 eps, first components within
+        # 1.3e-10 relative (the mirror pair; 4.7e-12 elsewhere)
+        om, dx, T, w, Q = dense_spectrum(kind)
+        if window == "top":
+            window = (0.5 * (math.sqrt(w[-11]) + math.sqrt(w[-10])),
+                      10.0 * math.sqrt(w[-1]))
+        elif window == "benchmark":
+            window = lambda_window()
+        dt = 0.9 * dx * math.sqrt(om.min())
+        mu, V, root_om, theta = ws._scheme_eigenpairs(om, dx, dt, count,
+                                                      window=window)
+        if window is None:
+            pick = np.arange(count)
+        else:
+            lo, hi = window
+            pick = np.flatnonzero((w > lo * lo) & (w <= hi * hi))
+        assert len(mu) == len(pick) > 0
+        ref = Q[:, pick]
+        norm = w[-1]
+        gap = np.array([np.min(np.abs(np.delete(w, i) - w[i])) for i in pick])
+        assert np.all(np.abs(mu - w[pick]) <= 4 * _EPS * norm)
+        V = V * np.sign(np.sum(V * ref, axis=0))
+        assert np.all(np.max(np.abs(V - ref), axis=0)
+                      <= 4 * _EPS * norm / gap)
+        assert np.all(np.linalg.norm(T @ V - V * mu, axis=0)
+                      <= 4 * _EPS * norm)
+        assert np.max(np.abs(V.T @ V - np.eye(len(mu)))) <= 50 * _EPS
+        if kind != "lipschitz" or count:
+            # the first components the quotients read (the top modes'
+            # reach 1e-21 and are checked as entries of their columns)
+            assert np.all(np.abs(V[0] - ref[0]) <= 1e-9 * np.abs(ref[0]))
+        assert np.array_equal(root_om, np.sqrt(om[1:-1]))
+        assert np.array_equal(theta, 2.0 * np.arcsin(0.5 * dt * np.sqrt(mu)))
+
+    def test_mirror_pair_is_resolved(self):
+        # the folded member's window holds one even/odd pair at sqrt(mu)
+        # 270.05, split by 1.71e-2 in mu (1.6e-7 ||T||, 150 times
+        # dstebz's isolation tolerance): each vector is even or odd, not
+        # a mixture of the two
+        om, dx, _, w, _ = dense_spectrum("mirror")
+        mu, V, _, _ = ws._scheme_eigenpairs(om, dx, 1e-3,
+                                            window=(268.0, 272.0))
+        k = int(np.argmin(np.diff(mu)))
+        assert np.diff(mu)[k] == pytest.approx(1.71e-2, rel=0.01)
+        pair = V[:, k:k + 2]
+        even = np.max(np.abs(pair - pair[::-1]), axis=0)
+        odd = np.max(np.abs(pair + pair[::-1]), axis=0)
+        assert sorted(np.minimum(even, odd)) == pytest.approx([0, 0],
+                                                              abs=1e-8)
+        assert (even < odd).sum() == 1
+
+    @pytest.mark.parametrize("select", [
+        {"window": (-20.0, 20.0)}, {"window": (-10.0, 20.0)},
+        {"window": (20.0, 20.0)}, {"window": (30.0, 20.0)},
+        {"window": (math.nan, 20.0)}, {"window": (0.0, math.inf)},
+        {"count": 0}, {"count": 64}])
+    def test_bad_selection_rejected_before_lapack(self, select, monkeypatch,
+                                                  capfd):
+        # window (-20, 20) used to reach dstebz as (400, 400): LAPACK
+        # printed "parameter number 5 had an illegal value" and scipy
+        # raised an opaque ValueError; (-10, 20) silently lost ]0, 10];
+        # the res-64 grid has 63 modes
+        from scipy.linalg import lapack
+
+        def called(*args):
+            raise AssertionError("LAPACK was called")
+
+        monkeypatch.setattr(lapack, "dstebz", called)
+        om, dx, _, _ = TestModes.grid("lipschitz", 64)
+        (name,) = select
+        with pytest.raises(ValueError, match=name):
+            ws._scheme_eigenpairs(om, dx, 1e-3, **select)
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("driver", ["dstebz", "dstein"])
+    def test_lapack_failure_names_the_driver(self, driver, monkeypatch):
+        from scipy.linalg import lapack
+
+        real = getattr(lapack, driver)
+
+        def failing(*args):
+            *out, _ = real(*args)
+            return (*out, 1)
+
+        monkeypatch.setattr(lapack, driver, failing)
+        om, dx, _, _ = TestModes.grid("lipschitz", 64)
+        with pytest.raises(np.linalg.LinAlgError, match=driver):
+            ws._scheme_eigenpairs(om, dx, 1e-3, 4)
 
 
 class TestSidewise:

@@ -33,11 +33,10 @@ heavier: a fresh process pays only for what it calls.  scipy.linalg
 (whose import also loads numpy.f2py and numpy.testing) and mpmath are
 imported by the functions that use them, on their first call:
 
-- ``wavesim._scheme_eigenpairs``: ``eigh_tridiagonal`` for the whole
-  spectrum, reached through ``hum_control``, and the LAPACK wrappers
-  ``dstebz`` and ``dstein`` for the lowest modes and a frequency window
-  (``_subset_eigenpairs``), reached through both observability constants
-  and ``run_counterexample_sweep``;
+- ``wavesim._scheme_eigenpairs``: one ``eigh_tridiagonal`` call for the
+  whole spectrum, the lowest modes or a frequency window, reached through
+  ``hum_control``, both observability constants and
+  ``run_counterexample_sweep``;
 - ``observability._hminus1_norm_sq`` (``solveh_banded``), reached through
   ``hum_control``;
 - ``coeff.make_sequences`` and its helpers ``_psi_functions``,

@@ -64,6 +64,8 @@ _ETA_GRID = 8192          # per-period grid for the antiderivative of eta'
 _SEQUENCE_DPS = 50        # mpmath digits of make_sequences
 _DENSE_CHECK = 100_000    # per-period grid for sup-norm measurements
 _TRAVEL_TIME_PANELS = 128  # travel_time's Gauss panels off a trapping density
+# _composite_gauss: the 8-node Gauss-Legendre rule on [-1, 1] of each panel
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 # make_sequences: M of the admissibility tests, the concentrating mode's
 # eps_j = _EPS0 * _EPS_RATIO^(j - j_min) and the scaled mode's n_j
 _ADMISSIBILITY_M = 2600.0
@@ -328,13 +330,12 @@ def _measure_pair(eps: float, knots: Sequence[float]) -> PeriodicPair:
 def _composite_gauss(fn: Callable, length: float = 1.0,
                      panels: int = 64) -> float:
     """int_0^length fn via composite Gauss-Legendre (8 nodes per panel)."""
-    nodes, weights = np.polynomial.legendre.leggauss(8)
     edges = np.linspace(0.0, length, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * length / panels
-    pts = mid + half * nodes[None, :]
+    pts = mid + half * _GAUSS_NODES[None, :]
     vals = fn(pts.ravel()).reshape(pts.shape)
-    return float((vals @ weights).sum() * half)
+    return float((vals @ _GAUSS_WEIGHTS).sum() * half)
 
 
 def build_oscillator_pair(

@@ -107,6 +107,10 @@ def difference_seminorms(
     the spacing (alias risk below that).  ``weight`` adds one extra
     entry named ``custom`` measured against the given weight function.
     """
+    if order not in ("first", "second"):
+        raise ValueError(f"unknown order {order!r}")
+    if norm not in ("pointwise", "integral"):
+        raise ValueError(f"unknown norm {norm!r}")
     s = np.asarray(samples, dtype=float)
     if s.ndim != 1 or len(s) < 9:
         raise ValueError("need a 1-D sample with at least 9 points")
@@ -123,30 +127,18 @@ def difference_seminorms(
     steps = np.round(steps).astype(int)
 
     numer = np.empty(len(steps))
-    if order == "first":
-        for i, k in enumerate(steps):
+    for i, k in enumerate(steps):
+        if order == "first":
             d = np.abs(s[k:] - s[:-k])
-            if norm == "pointwise":
-                numer[i] = d.max()
-            elif norm == "integral":
-                numer[i] = float(np.trapezoid(d, dx=dx))
-            else:
-                raise ValueError(f"unknown norm {norm!r}")
-        names = ("Lip", "LL")
-    elif order == "second":
-        for i, k in enumerate(steps):
+        else:
             # x restricted to [h, 1-h]: both shifts stay on the grid, and
             # affine inputs yield an identically zero numerator
             d = np.abs(s[2 * k:] + s[:-2 * k] - 2 * s[k:-k])
-            if norm == "pointwise":
-                numer[i] = d.max()
-            elif norm == "integral":
-                numer[i] = float(np.trapezoid(d, dx=dx))
-            else:
-                raise ValueError(f"unknown norm {norm!r}")
-        names = ("Z", "LZ")
-    else:
-        raise ValueError(f"unknown order {order!r}")
+        if norm == "pointwise":
+            numer[i] = d.max()
+        else:
+            numer[i] = float(np.trapezoid(d, dx=dx))
+    names = ("Lip", "LL") if order == "first" else ("Z", "LZ")
 
     suffix = "_int" if norm == "integral" else ""
     weights = {names[0]: h_arr, names[1]: h_arr * _log_weight(h_arr)}

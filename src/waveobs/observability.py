@@ -37,7 +37,7 @@ family of concentrating modes.  This module measures both sides:
 Wave solves run on the leapfrog kernel of :mod:`wavesim` without energy
 tracking, each on one grid built once: the Gramian's basis is one block
 march.  The closed-form constants and the divergence rows march nothing:
-one subset eigensolve (:func:`wavesim._subset_eigenpairs`: coarse
+one subset eigensolve (:func:`wavesim._scheme_eigenpairs`: coarse
 bisection, inverse iteration and one Rayleigh-Ritz step) of the scheme's
 lowest modes serves every cutoff, with the modes' closed-form traces
 (:func:`_mode_traces`), and one of a frequency window serves a row, with
@@ -542,7 +542,7 @@ def estimate_observability_constant(
     position and as velocity data, on the grid of ``resolution`` cells:
     1/lambda_min of a 2c x 2c matrix (:func:`_mode_records`), inf and
     flagged below round-off.  One subset eigensolve of the lowest modes
-    (:func:`wavesim._subset_eigenpairs`) serves every cutoff, and the
+    (:func:`wavesim._scheme_eigenpairs`) serves every cutoff, and the
     modes' traces are closed-form: nothing is marched.
     ``cross_check`` holds the closed-form and the marched
     (:func:`gramian_observability_constant`) constant of one coarse
@@ -862,11 +862,11 @@ def run_counterexample_sweep(
         res_wave = 1 << max(3, int(math.ceil(math.log2(
             points_per_wavelength * h))))
         if family == "psi":
-            # every interval of the shared density feeds the ODE solve
-            # (an under-resolved far interval corrupts phi and the edge
-            # values beyond it) and the quadrature numerator, so the grid
-            # must resolve the finest one even when this row concentrates
-            # on a coarser interval
+            # every interval of the shared density is sampled by the eigen
+            # window's wave grid and by the quadrature numerator (the
+            # quasimode's res_wave + 1 samples; the ODE solve itself does
+            # not depend on res_wave), so the grid must resolve the finest
+            # one even when this row concentrates on a coarser interval
             while (res_wave < _MAX_WAVE_RESOLUTION
                    and _resolution_flags(density, res_wave)):
                 res_wave *= 2

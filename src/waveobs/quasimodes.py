@@ -693,6 +693,8 @@ def solve_quasimode(
         raise ValueError("h must be positive and finite")
     if r is not None and not (math.isfinite(r) and r > 0):
         raise ValueError("r must be positive and finite")
+    if r is not None and not (0.0 <= m - r / 2.0 and m + r / 2.0 <= 1.0):
+        raise ValueError("the interval m +- r/2 leaves [0, 1]")
     if h > _MAX_REPRESENTABLE_H:
         raise ScaleOutOfReach(
             f"h = {h:.3g} exceeds the phase-resolution ceiling "
@@ -896,9 +898,6 @@ def _solve_constant(omega, value, h, m, r, xs, rtol):
     phi = np.cos(nu * (xs - m))
     phip = -nu * np.sin(nu * (xs - m))
     if r is not None:
-        lo, hi = m - r / 2.0, m + r / 2.0
-        if not (0.0 <= lo and hi <= 1.0):
-            raise ValueError("the interval m +- r/2 leaves [0, 1]")
         mass = r / 2.0 + math.sin(nu * r) / (2.0 * nu)
         e_ext = (math.cos(nu * r / 2.0) ** 2
                  + nu ** 2 * math.sin(nu * r / 2.0) ** 2)
@@ -1099,11 +1098,10 @@ def _solve_generic(omega, h, m, r, xs, rtol, checks):
     mass = e_ext = e_ext_log = None
     if r is not None:
         lo, hi = m - r / 2.0, m + r / 2.0
-        if not (0.0 <= lo and hi <= 1.0):
-            raise ValueError("the interval m +- r/2 leaves [0, 1]")
-        # 256 points per oscillation period keeps the trapezoid error of
-        # the mass integral near 1e-6 relative (it is quadratic in the
-        # per-period sample count); the cap bounds one-shot memory
+        # 256 samples per 1/h (about 1600 per oscillation period at
+        # omega ~ 1) keep the trapezoid error of the mass integral near
+        # 1e-6 relative (it is quadratic in the per-period sample count);
+        # the cap bounds one-shot memory
         pts = min(int(256 * h * r) + 9, 2_000_001)
         mass = 0.0
 

@@ -20,12 +20,11 @@ level; ``observability`` marches its data as blocks without energies.
 ``_leapfrog_modes`` solves the homogeneous scheme in closed form instead:
 one table of every mode's Chebyshev evolution, on which HUM's conjugate
 residuals run (they minimize the residual HUM's stopping rule reads).
-Its eigenproblem, ``_scheme_eigenpairs``, solves the whole spectrum by
-one ``eigh_tridiagonal`` for HUM; it also gives ``observability``'s
-constants the scheme's lowest modes and its divergence rows the modes in
-a frequency window, by ``_subset_eigenpairs``: LAPACK's bisection
-``dstebz`` to a coarse tolerance, inverse iteration ``dstein`` and one
-Rayleigh-Ritz step.
+Its eigenproblem, ``_scheme_eigenpairs``, is one ``eigh_tridiagonal``
+call for every selection: the whole spectrum for HUM, the scheme's
+lowest modes for ``observability``'s constants and the modes in a
+frequency window for its divergence rows (those two subsets by coarse
+bisection and inverse iteration, then one Rayleigh-Ritz step).
 Every forward run and every wave solve of ``observability`` builds its
 grid once with ``_wave_grid``; its cell-count rule is
 ``_check_resolution``, callable before any march.
@@ -64,10 +63,10 @@ __all__ = [
 
 # the CFL number of every time step: dt <= _CFL dx sqrt(omega_*)
 _CFL = 0.9
-# _subset_eigenpairs: dstebz's absolute tolerance, in Gershgorin bounds of
-# ||T||.  At res 16384 (the j=3 window at ppw 24) the first components of
-# the window vectors stay within 3.8e-12 relative of eigh_tridiagonal's;
-# at 1e-7 one of them moved 4.5e-7
+# _scheme_eigenpairs: a subset's bisection tolerance, in Gershgorin bounds
+# of ||T||.  At res 16384 (the j=3 window at ppw 24) the first components
+# of the window vectors stay within 3.8e-12 relative of the whole
+# spectrum's; at 1e-7 one of them moved 4.5e-7
 _ISOLATE = 1e-9
 
 
@@ -423,84 +422,64 @@ class _Modes:
 
 def _scheme_eigenpairs(om, dx, dt, count=None, *, window=None):
     """(mu, Q, sqrt(omega), theta): every eigenpair of the scheme's
-    tridiagonal M^{-1/2} K M^{-1/2} (:class:`_Modes`), the ``count``
+    tridiagonal T = M^{-1/2} K M^{-1/2} (:class:`_Modes`), the ``count``
     lowest, or those with sqrt(mu) in the ``window`` ]lo, hi] (none, when
-    it holds no eigenvalue).  theta = 2 arcsin(dt sqrt(mu) / 2) is
-    arccos(1 - dt^2 mu / 2) without its cancellation near 0; the scheme
-    is stable only while every 1 - dt^2 mu / 2 > -1.
+    it holds no eigenvalue; finite 0 <= lo < hi, checked before any
+    solve).  theta = 2 arcsin(dt sqrt(mu) / 2) is arccos(1 - dt^2 mu / 2)
+    without its cancellation near 0; the scheme is stable only while
+    every 1 - dt^2 mu / 2 > -1.
 
-    The whole spectrum (HUM's) is one ``eigh_tridiagonal``; a ``count``
-    or ``window`` subset is :func:`_subset_eigenpairs`.
+    One ``eigh_tridiagonal`` call serves every selection (``select="i"``
+    for ``count``, ``"v"`` on ]lo^2, hi^2] for ``window``).  A subset's
+    eigenvalues are bisected only to _ISOLATE times the Gershgorin bound
+    of ||T||, and inverse iteration gives their vectors Z; one
+    Rayleigh-Ritz step, the eigenpairs (mu, U) of Z^T T Z and V = Z U,
+    restores full-precision eigenvalues and resolves near-degenerate
+    (tunnelling-split) pairs inside span Z.  At most two n x k arrays
+    are held at a time.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     root_om = np.sqrt(om[1:-1])
-    diagonal = 2.0 / (dx ** 2 * om[1:-1])
-    off = -1.0 / (dx ** 2 * root_om[:-1] * root_om[1:])
-    if window is None and count is None:
-        from scipy.linalg import eigh_tridiagonal
-
-        mu, vectors = eigh_tridiagonal(diagonal, off)
-    else:
-        mu, vectors = _subset_eigenpairs(diagonal, off, count, window)
-    half = 0.5 * dt * np.sqrt(np.maximum(mu, 0.0))
-    if np.any(half >= 1.0):
-        raise ValueError("time step beyond the scheme's stability limit "
-                         "(a modal cosine 1 - dt^2 mu / 2 is <= -1)")
-    return mu, vectors, root_om, 2.0 * np.arcsin(half)
-
-
-def _subset_eigenpairs(d, e, count, window):
-    """(mu, vectors) of the symmetric tridiagonal T with diagonal ``d``
-    and off-diagonal ``e``: its ``count`` lowest eigenpairs, or those
-    with mu in ]lo^2, hi^2] for ``window`` = (lo, hi), finite with
-    0 <= lo < hi (checked before any LAPACK call).
-
-    ``dstebz`` bisects the eigenvalues only to _ISOLATE times the
-    Gershgorin bound of ||T||, and its Sturm counts decide which are in
-    the window; ``dstein`` computes their vectors Z by inverse
-    iteration; one Rayleigh-Ritz step, the eigenpairs (mu, U) of
-    Z^T T Z and V = Z U, restores full-precision eigenvalues and
-    resolves near-degenerate (tunnelling-split) pairs inside span Z.
-    At most two n x k arrays are held at a time.
-    A nonzero LAPACK ``info`` raises ``LinAlgError`` naming the driver.
-    """
-    from scipy.linalg.lapack import dstebz, dstein
-
+    d = 2.0 / (dx ** 2 * om[1:-1])
+    e = -1.0 / (dx ** 2 * root_om[:-1] * root_om[1:])
+    select, bounds = "a", None
     if window is not None:
         lo, hi = window
         if not 0.0 <= lo < hi < math.inf:
             raise ValueError(f"window {window!r} must have finite bounds "
                              f"0 <= lo < hi")
-        select = (1, lo * lo, hi * hi, 0, 0)
-    else:
+        select, bounds = "v", (lo * lo, hi * hi)
+    elif count is not None:
         if not 1 <= count <= len(d):
             raise ValueError(f"count {count!r} must lie in 1..{len(d)}")
-        select = (2, 0.0, 0.0, 1, int(count))
+        select, bounds = "i", (0, count - 1)
     size = np.abs(e)
     gershgorin = float(np.max(np.abs(d) + np.r_[size, 0.0] + np.r_[0.0, size]))
-    found, w, block, split, info = dstebz(d, e, *select,
-                                          _ISOLATE * gershgorin, "B")
-    if info:
-        raise np.linalg.LinAlgError(f"LAPACK dstebz failed (info = {info})")
-    if not found:
-        return np.empty(0), np.empty((len(d), 0))
-    Z, info = dstein(d, e, w[:found], block, split)
-    if info:
-        raise np.linalg.LinAlgError(f"LAPACK dstein failed (info = {info})")
-    # Z^T T Z = Z^T R + s I with R = (T - s) Z, s the subset's mean
-    # eigenvalue: R's entries are of the subset's spread, not of ||T||, so
-    # Z^T R keeps its accuracy under einsum's plain summation.  R is built
-    # a column at a time (no temporary beside Z and R).  einsum, not BLAS,
-    # forms Z^T R and Z U: matmul's level-3 calls raised a trapping
-    # sweep's peak RSS by about 1 MB (2-vCPU Xeon VM) for 4 ms less
-    shift = float(np.mean(w[:found]))
-    R = (d - shift)[:, None] * Z
-    for j in range(found):
-        R[1:, j] += e * Z[:-1, j]
-        R[:-1, j] += e * Z[1:, j]
-    H = np.einsum("ik,ij->kj", Z, R)
-    del R
-    mu, U = np.linalg.eigh(0.5 * (H + H.T))
-    return mu + shift, np.einsum("ik,kj->ij", Z, U)
+    mu, Z = eigh_tridiagonal(d, e, select=select, select_range=bounds,
+                             tol=_ISOLATE * gershgorin)
+    if select != "a" and len(mu):
+        # Z^T T Z = Z^T R + s I with R = (T - s) Z, s the subset's mean
+        # eigenvalue: R's entries are of the subset's spread, not of
+        # ||T||, so Z^T R keeps its accuracy under einsum's plain
+        # summation.  R is built a column at a time (no temporary beside Z
+        # and R).  einsum, not BLAS, forms Z^T R and Z U: matmul's level-3
+        # calls raised a trapping sweep's peak RSS by about 1 MB (2-vCPU
+        # Xeon VM) for 4 ms less
+        shift = float(np.mean(mu))
+        R = (d - shift)[:, None] * Z
+        for j in range(len(mu)):
+            R[1:, j] += e * Z[:-1, j]
+            R[:-1, j] += e * Z[1:, j]
+        H = np.einsum("ik,ij->kj", Z, R)
+        del R
+        mu, U = np.linalg.eigh(0.5 * (H + H.T))
+        mu, Z = mu + shift, np.einsum("ik,kj->ij", Z, U)
+    half = 0.5 * dt * np.sqrt(np.maximum(mu, 0.0))
+    if np.any(half >= 1.0):
+        raise ValueError("time step beyond the scheme's stability limit "
+                         "(a modal cosine 1 - dt^2 mu / 2 is <= -1)")
+    return mu, Z, root_om, 2.0 * np.arcsin(half)
 
 
 def _leapfrog_modes(om, dx, dt, steps) -> _Modes:

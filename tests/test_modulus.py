@@ -74,6 +74,14 @@ class TestDifferenceSeminorms:
             modulus.difference_seminorms(
                 grid14, "first", "pointwise", h_grid=[1.0 / 3.0])
 
+    def test_rejects_unknown_order(self, grid14):
+        with pytest.raises(ValueError, match="unknown order 'third'"):
+            modulus.difference_seminorms(grid14, "third", "pointwise")
+
+    def test_rejects_unknown_norm(self, grid14):
+        with pytest.raises(ValueError, match="unknown norm 'sup'"):
+            modulus.difference_seminorms(grid14, "second", "sup")
+
     def test_integral_below_pointwise(self, weier, grid14):
         s = weier(grid14)
         for order, key in (("first", "LL"), ("second", "Z"),

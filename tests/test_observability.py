@@ -274,6 +274,27 @@ class TestQuotient:
             assert (left.side, right.side) == ("left", "right")
             assert right.value == pytest.approx(left.value, rel=1e-11)
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_unreached_edge_is_unbounded(self, side):
+        # a bump in ]1/3, 2/3[ at res 256 reaches neither edge by
+        # T = 0.2 (about 57 leapfrog steps, 85 nodes to go): the trace is
+        # exactly zero, below the round-off floor (2.585e-25), so the
+        # quotient reads inf with its flag; by T = 3 it is finite
+        om = coeff.make_baseline("lipschitz")
+        bump = lambda x: np.clip(1.0 - (6.0 * (x - 0.5)) ** 2, 0.0, None) ** 2
+        q = ob.observability_quotient(om, bump, None, 0.2, resolution=256,
+                                      side=side)
+        assert q.value == math.inf and q.unbounded
+        assert q.denominator == 0.0 and q.numerator > 0.0
+        (flag,) = q.flags
+        assert re.fullmatch(r"quotient unbounded at this resolution: trace "
+                            r"energy 0\.000e\+00 at or below the round-off "
+                            r"floor 2\.585e-25", flag)
+        control = ob.observability_quotient(om, bump, None, 3.0,
+                                            resolution=256, side=side)
+        assert not control.unbounded and control.flags == ()
+        assert control.value == pytest.approx(0.27247, rel=1e-4)
+
     def test_cumulative_orders(self):
         # the cumulative denominator sums the energies of orders 0..m, one
         # part per order, each the single-order denominator; so Q cannot
@@ -1067,8 +1088,12 @@ def test_lambda_divergence_sweep():
     q0 = [r["Q"][0] for r in table.rows]
     assert q0[1] > 2.0 * q0[0]
     assert table.diverging(0, factor=2.0, runs=2)
-    # the rows as eigh_tridiagonal's full-precision window read them (the
-    # coarse-bisection route agrees within 1.8e-14 relative)
+    # the members leave log-Lipschitz at a growing rate (181.99 -> 986.31)
+    ll = [r["seminorm_LL"] for r in table.rows]
+    assert ll[1] >= 3.0 * ll[0]
+    # the rows as a full-precision eigh_tridiagonal window reads them (the
+    # coarse bisection and Rayleigh-Ritz step agree within 1.8e-14
+    # relative)
     for row, (q, frequency, modes) in zip(table.rows, [
             (0.48672592714188667, 118.25417696443363, 6),
             (12.025690321825234, 576.5738465915265, 31)]):

@@ -926,11 +926,25 @@ class TestValidation:
             solve_quasimode(make_baseline(kind), h=10.0, m=0.5, r=r)
 
     @pytest.mark.parametrize("kind", ["constant", "log-lipschitz"])
-    def test_interval_leaving_domain_rejected(self, kind):
-        # m -+ r/2 = -0.1, 0.7: the interval energies would read the
-        # mode outside [0, 1]
-        with pytest.raises(ValueError, match="leaves"):
-            solve_quasimode(make_baseline(kind), h=10.0, m=0.3, r=0.8)
+    def test_interval_leaving_domain_rejected(self, kind, monkeypatch):
+        # r = 0.8 fits at m = 0.5 ([0.1, 0.9]); at m = 0.3 and 0.7 the
+        # interval [-0.1, 0.7] or [0.3, 1.1] would make the interval
+        # energies read the mode outside [0, 1].  Either is rejected
+        # before the density is sampled or either path starts
+        om = make_baseline(kind)
+        inside = solve_quasimode(om, h=10.0, m=0.5, r=0.8)
+        assert 0.0 < inside.interior_mass < math.inf
+
+        def called(*args, **kwargs):
+            raise AssertionError("solve started")
+
+        monkeypatch.setattr(type(om), "sample", called)
+        monkeypatch.setattr(qm, "_solve_constant", called)
+        monkeypatch.setattr(qm, "_solve_generic", called)
+        for m in (0.3, 0.7):
+            with pytest.raises(ValueError,
+                               match=r"m \+- r/2 leaves \[0, 1\]"):
+                solve_quasimode(om, h=10.0, m=m, r=0.8)
 
     def test_bad_n_samples_rejected(self):
         om = make_baseline("constant", value=1.0)

@@ -347,8 +347,9 @@ def lambda_window():
 
 
 class TestSubsetEigenpairs:
-    """The count and window routes of ``_scheme_eigenpairs`` (coarse
-    dstebz, dstein, one Rayleigh-Ritz step) against dense eigh."""
+    """The count and window selections of ``_scheme_eigenpairs`` (one
+    ``eigh_tridiagonal`` call: coarse bisection and inverse iteration,
+    then one Rayleigh-Ritz step) against dense eigh."""
 
     @pytest.mark.parametrize("kind, count, window", [
         ("lipschitz", 8, None),
@@ -398,9 +399,9 @@ class TestSubsetEigenpairs:
 
     def test_mirror_pair_is_resolved(self):
         # the folded member's window holds one even/odd pair at sqrt(mu)
-        # 270.05, split by 1.71e-2 in mu (1.6e-7 ||T||, 150 times
-        # dstebz's isolation tolerance): each vector is even or odd, not
-        # a mixture of the two
+        # 270.05, split by 1.71e-2 in mu (1.6e-7 ||T||, 150 times the
+        # bisection's isolation tolerance): each vector is even or odd,
+        # not a mixture of the two
         om, dx, _, w, _ = dense_spectrum("mirror")
         mu, V, _, _ = ws._scheme_eigenpairs(om, dx, 1e-3,
                                             window=(268.0, 272.0))
@@ -420,36 +421,22 @@ class TestSubsetEigenpairs:
         {"count": 0}, {"count": 64}])
     def test_bad_selection_rejected_before_lapack(self, select, monkeypatch,
                                                   capfd):
-        # window (-20, 20) used to reach dstebz as (400, 400): LAPACK
-        # printed "parameter number 5 had an illegal value" and scipy
-        # raised an opaque ValueError; (-10, 20) silently lost ]0, 10];
-        # the res-64 grid has 63 modes
-        from scipy.linalg import lapack
+        # window (-20, 20) used to reach the bisection as (400, 400):
+        # LAPACK printed "parameter number 5 had an illegal value" and
+        # scipy raised an opaque ValueError; (-10, 20) silently lost
+        # ]0, 10]; the res-64 grid has 63 modes.  _scheme_eigenpairs
+        # imports eigh_tridiagonal when called, so the spy replaces it
+        import scipy.linalg
 
-        def called(*args):
-            raise AssertionError("LAPACK was called")
+        def called(*args, **kwargs):
+            raise AssertionError("eigh_tridiagonal was called")
 
-        monkeypatch.setattr(lapack, "dstebz", called)
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", called)
         om, dx, _, _ = TestModes.grid("lipschitz", 64)
         (name,) = select
         with pytest.raises(ValueError, match=name):
             ws._scheme_eigenpairs(om, dx, 1e-3, **select)
         assert capfd.readouterr().err == ""
-
-    @pytest.mark.parametrize("driver", ["dstebz", "dstein"])
-    def test_lapack_failure_names_the_driver(self, driver, monkeypatch):
-        from scipy.linalg import lapack
-
-        real = getattr(lapack, driver)
-
-        def failing(*args):
-            *out, _ = real(*args)
-            return (*out, 1)
-
-        monkeypatch.setattr(lapack, driver, failing)
-        om, dx, _, _ = TestModes.grid("lipschitz", 64)
-        with pytest.raises(np.linalg.LinAlgError, match=driver):
-            ws._scheme_eigenpairs(om, dx, 1e-3, 4)
 
 
 class TestSidewise:

@@ -28,10 +28,11 @@ certifies solved quasimodes live with the tests, in
 
 Imports
 -------
-Importing the package, or any of its modules, loads numpy and nothing
-heavier: a fresh process pays only for what it calls.  scipy.linalg
-(whose import also loads numpy.f2py and numpy.testing) and mpmath are
-imported by the functions that use them, on their first call:
+Importing the package, or any of its modules, loads nothing beyond what
+``import numpy`` loads, not even numpy.polynomial (``coeff`` writes its
+Gauss-Legendre rule out): a fresh process pays only for what it calls.
+scipy.linalg (whose import also loads numpy.f2py and numpy.testing) and
+mpmath are imported by the functions that use them, on their first call:
 
 - ``wavesim._scheme_eigenpairs``: one ``eigh_tridiagonal`` call for the
   whole spectrum, the lowest modes or a frequency window, reached through

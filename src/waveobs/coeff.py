@@ -64,8 +64,17 @@ _ETA_GRID = 8192          # per-period grid for the antiderivative of eta'
 _SEQUENCE_DPS = 50        # mpmath digits of make_sequences
 _DENSE_CHECK = 100_000    # per-period grid for sup-norm measurements
 _TRAVEL_TIME_PANELS = 128  # travel_time's Gauss panels off a trapping density
-# _composite_gauss: the 8-node Gauss-Legendre rule on [-1, 1] of each panel
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# _composite_gauss: the 8-node Gauss-Legendre rule on [-1, 1] of each panel,
+# written out (numpy's leggauss(8) to the last bit) so that importing the
+# module does not load numpy.polynomial
+_GAUSS_NODES = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+    -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+    0.7966664774136267, 0.9602898564975362])
+_GAUSS_WEIGHTS = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+    0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+    0.22238103445337443, 0.10122853629037706])
 # make_sequences: M of the admissibility tests, the concentrating mode's
 # eps_j = _EPS0 * _EPS_RATIO^(j - j_min) and the scaled mode's n_j
 _ADMISSIBILITY_M = 2600.0
@@ -126,11 +135,6 @@ def _chi_and_slope(u: np.ndarray, knots: Sequence[float]) -> tuple:
     return up * dn, up_p / (b - a) * dn + up * (-down_p / (d - c))
 
 
-def _mirror_knots(knots: Sequence[float]) -> tuple:
-    a, b, c, d = knots
-    return (1.0 - d, 1.0 - c, 1.0 - b, 1.0 - a)
-
-
 # --------------------------------------------------------------------------
 # oscillator pair
 # --------------------------------------------------------------------------
@@ -155,7 +159,7 @@ class PeriodicPair:
     eps : float
         Decay parameter, 0 < eps < eps_bar.
     knots : tuple
-        Cutoff knots actually used (possibly mirrored by the sign search).
+        The cutoff knots (a, b, c, d) of theta.
     theta_scale : float
         Normalization 1/mean(chi * cos^2) making the mean decay rate 1.
     M_alpha, M_alpha_prime, M : float
@@ -287,46 +291,6 @@ def _knot_tables(knots: tuple) -> tuple:
     return scale, values, slopes, dense
 
 
-def _measure_pair(eps: float, knots: Sequence[float]) -> PeriodicPair:
-    """Build and measure the pair of one eps on one knot set.
-
-    The eta tables and the eps-free factors of alpha on the dense grid
-    come from :func:`_knot_tables`, cached per knot set, so only the
-    eps-dependent work runs here: alpha on the dense grid, its sups,
-    the decay fit and the period average of w.
-    """
-    knots = tuple(knots)
-    scale, values, slopes, dense = _knot_tables(knots)
-    pair = PeriodicPair(
-        eps=eps, knots=knots, theta_scale=scale,
-        M_alpha=0.0, M_alpha_prime=0.0, M=0.0, decay_c=0.0, gamma=0.0,
-        flat_radius=0.0, alpha_min=0.0, alpha_max=0.0,
-        _eta_values=values, _eta_slopes=slopes,
-    )
-    al = _alpha(eps, dense)
-    m_alpha = float(np.max(np.abs(al - FOUR_PI_SQ)) / eps)
-    # sup|alpha'| from central differences on the dense grid
-    dal = (al[2:] - al[:-2]) * (_DENSE_CHECK / 2.0)
-    m_alpha_p = float(np.max(np.abs(dal)) / eps)
-    # decay constant from w at integers (log-linear fit through the origin)
-    n = np.arange(1, 21, dtype=float)
-    logs = pair.w_log_abs(n)
-    decay_c = float(-np.dot(logs, n) / (eps * np.dot(n, n)))
-    # period average of w by composite Gauss-Legendre (64 panels of 8
-    # nodes; no further refinement)
-    w_int = _composite_gauss(pair.w)
-    gamma = w_int / eps
-    a, _, _, d = knots
-    flat = min(a, 1.0 - d)
-    return PeriodicPair(
-        eps=eps, knots=knots, theta_scale=scale,
-        M_alpha=m_alpha, M_alpha_prime=m_alpha_p,
-        M=max(m_alpha, m_alpha_p), decay_c=decay_c, gamma=gamma,
-        flat_radius=flat, alpha_min=float(al.min()), alpha_max=float(al.max()),
-        _eta_values=values, _eta_slopes=slopes,
-    )
-
-
 def _composite_gauss(fn: Callable, length: float = 1.0,
                      panels: int = 64) -> float:
     """int_0^length fn via composite Gauss-Legendre (8 nodes per panel)."""
@@ -352,10 +316,10 @@ def build_oscillator_pair(
     eps_bar : float
         Safety ceiling keeping alpha_eps well inside ]2 pi^2, 8 pi^2[.
     knots : tuple
-        Cutoff knots (a, b, c, d), 0 < a < b <= c < d < 1.  If the period
-        average of w_eps comes out non-positive for these knots, the
-        mirrored profile (which flips the sign of the leading term of the
-        average) is tried too and the better one kept.
+        Cutoff knots (a, b, c, d), 0 < a < b <= c < d < 1, used as
+        given.  Their orientation sets the sign of the period average of
+        w_eps: ``DEFAULT_KNOTS`` keep it positive, their mirror image
+        (1-d, 1-c, 1-b, 1-a) makes it negative.
 
     The work that depends on the knots alone is done once per knot set
     and cached (``_knot_tables``, the four most recently used): theta's
@@ -368,8 +332,8 @@ def build_oscillator_pair(
     Raises
     ------
     ValueError
-        If eps is out of range, the knots are malformed, or no candidate
-        profile yields a positive period average.
+        If eps is out of range, the knots are malformed, w_eps has a
+        non-positive period average or alpha_eps leaves ]2 pi^2, 8 pi^2[.
     """
     if not (0.0 < eps < eps_bar):
         raise ValueError(f"eps={eps} outside ]0, {eps_bar}[")
@@ -377,15 +341,33 @@ def build_oscillator_pair(
     if not (0.0 < a < b <= c < d < 1.0):
         raise ValueError(f"malformed cutoff knots {knots}")
 
-    pair = _measure_pair(eps, knots)
-    if pair.gamma <= 0.0:
-        mirrored = _measure_pair(eps, _mirror_knots(knots))
-        if mirrored.gamma > pair.gamma:
-            pair = mirrored
+    knots = tuple(knots)
+    scale, values, slopes, dense = _knot_tables(knots)
+    al = _alpha(eps, dense)
+    m_alpha = float(np.max(np.abs(al - FOUR_PI_SQ)) / eps)
+    # sup|alpha'| from central differences on the dense grid
+    dal = (al[2:] - al[:-2]) * (_DENSE_CHECK / 2.0)
+    m_alpha_p = float(np.max(np.abs(dal)) / eps)
+    pair = PeriodicPair(
+        eps=eps, knots=knots, theta_scale=scale,
+        M_alpha=m_alpha, M_alpha_prime=m_alpha_p,
+        M=max(m_alpha, m_alpha_p), decay_c=math.nan, gamma=math.nan,
+        flat_radius=min(a, 1.0 - d),
+        alpha_min=float(al.min()), alpha_max=float(al.max()),
+        _eta_values=values, _eta_slopes=slopes,
+    )
+    # decay constant from w at integers (log-linear fit through the
+    # origin); period average of w by composite Gauss-Legendre (64 panels
+    # of 8 nodes; no further refinement)
+    n = np.arange(1, 21, dtype=float)
+    logs = pair.w_log_abs(n)
+    pair = replace(pair,
+                   decay_c=float(-np.dot(logs, n) / (eps * np.dot(n, n))),
+                   gamma=_composite_gauss(pair.w) / eps)
     if pair.gamma <= 0.0:
         raise ValueError(
             f"period average of w_eps is non-positive (gamma={pair.gamma:.3e}) "
-            "for the requested cutoff and its mirror")
+            f"for the cutoff knots {knots}")
     if pair.alpha_min <= 2.0 * math.pi ** 2 or pair.alpha_max >= 8.0 * math.pi ** 2:
         raise ValueError(
             f"alpha_eps leaves the hyperbolicity window: "
@@ -526,13 +508,19 @@ def make_baseline(kind: str, **params) -> Coefficient:
 
     All evaluators are exact closed forms; hyperbolicity bounds are
     analytic except where noted in the descriptor.  Unknown parameter
-    names raise rather than being silently ignored.
+    names raise rather than being silently ignored, and so does a NaN or
+    infinite parameter of a closed-form kind, whose declared bounds
+    would be false.
     """
     if kind in _BASELINE_PARAMS:
         extra = set(params) - _BASELINE_PARAMS[kind]
         if extra:
             raise ValueError(
                 f"unknown parameter(s) for {kind!r}: {sorted(extra)}")
+        for name, value in params.items():
+            if kind != "custom" and not math.isfinite(float(value)):
+                raise ValueError(
+                    f"{kind!r} parameter {name}={value!r} is not finite")
 
     if kind == "constant":
         c = float(params.get("value", 1.0))

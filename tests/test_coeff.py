@@ -113,14 +113,30 @@ class TestOscillatorPair:
 
     def test_mirror_search_on_symmetric_knots(self):
         # symmetric ramps make the gamma functional vanish at leading
-        # order; the builder must flip orientation or shift to recover a
-        # strictly positive gamma, or raise a clear error
+        # order; the builder must return a strictly positive gamma
+        # (0.00113 at eps = 0.048) or raise a clear error
         try:
             p = coeff.build_oscillator_pair(
                 0.048, knots=(0.10, 0.25, 0.75, 0.90))
             assert p.gamma > 0
         except ValueError as err:
             assert "gamma" in str(err)
+
+    def test_mirrored_knots_raise(self):
+        # the knots are used as given: the mirror image of DEFAULT_KNOTS
+        # reads gamma = -0.0169 at eps = 0.048 and is refused, not
+        # swapped back for a pair on other knots
+        mirrored = tuple(1.0 - k for k in coeff.DEFAULT_KNOTS[::-1])
+        with pytest.raises(ValueError,
+                           match=r"non-positive \(gamma=-1\.686e-02\)"):
+            coeff.build_oscillator_pair(0.048, knots=mirrored)
+
+    def test_gauss_rule_is_leggauss(self):
+        # the written-out 8-node rule against numpy's; LAPACK may move
+        # leggauss by an ulp, so equal bits are not asked for
+        nodes, weights = np.polynomial.legendre.leggauss(8)
+        assert np.max(np.abs(coeff._GAUSS_NODES - nodes)) <= 1e-15
+        assert np.max(np.abs(coeff._GAUSS_WEIGHTS - weights)) <= 1e-15
 
     @pytest.mark.parametrize("knots", [coeff.DEFAULT_KNOTS,
                                        (0.2, 0.3, 0.5, 0.9)])
@@ -135,7 +151,7 @@ class TestOscillatorPair:
         assert np.array_equal(coeff._chi(u, knots), ref)
 
     @pytest.mark.parametrize("knots", [
-        coeff.DEFAULT_KNOTS, coeff._mirror_knots(coeff.DEFAULT_KNOTS),
+        coeff.DEFAULT_KNOTS, tuple(1.0 - k for k in coeff.DEFAULT_KNOTS[::-1]),
         (0.2, 0.3, 0.5, 0.9), (0.1, 0.2, 0.2, 0.3)])
     def test_ramp_matches_full_array_formula(self, knots):
         # independent oracle: exp(-1/t) on every point, np.mod for the
@@ -265,6 +281,22 @@ class TestBaselines:
     def test_unknown_parameter_raises(self):
         with pytest.raises(ValueError, match="unknown parameter"):
             coeff.make_baseline("hoelder", exponent=0.35)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("kind, name", [
+        ("constant", "value"), ("lipschitz", "base"), ("lipschitz", "slope"),
+        ("bv-step", "left"), ("bv-step", "right"), ("hoelder", "beta"),
+        ("hoelder", "base"), ("hoelder", "amplitude"),
+        ("log-lipschitz", "base"), ("log-lipschitz", "amplitude"),
+        ("weierstrass-zygmund", "base"),
+        ("weierstrass-zygmund", "amplitude"),
+        ("weierstrass-zygmund", "n_terms")])
+    def test_non_finite_parameter_rejected(self, kind, name, value):
+        # lipschitz with slope NaN declared [1, 1] for a density that is
+        # NaN everywhere, and hoelder with amplitude inf an infinite bound
+        with pytest.raises(ValueError,
+                           match=rf"parameter {name}={value!r} is not finite"):
+            coeff.make_baseline(kind, **{name: value})
 
     def test_weierstrass_positivity_guard(self):
         with pytest.raises(ValueError):
@@ -625,3 +657,50 @@ class TestProperties:
         back = coeff.Coefficient.from_descriptor(json.loads(c.to_json()))
         xs = rng.uniform(0.0, 1.0, size=64)
         assert np.array_equal(back(xs), c(xs))
+
+
+# --------------------------------------------------------------------------
+# rejections
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: coeff.build_oscillator_pair(0.0),
+                 r"eps=0\.0 outside \]0, 0\.05\[", id="eps=0"),
+    pytest.param(lambda: coeff.build_oscillator_pair(0.05),
+                 r"eps=0\.05 outside", id="eps=eps_bar"),
+    pytest.param(lambda: coeff.build_oscillator_pair(
+        0.01, knots=(0.5, 0.4, 0.6, 0.8)),
+                 r"malformed cutoff knots \(0\.5, 0\.4", id="knots"),
+    pytest.param(lambda: coeff.make_baseline("constant", value=0.0),
+                 "constant density must be positive", id="constant"),
+    pytest.param(lambda: coeff.make_baseline("lipschitz", slope=-2.0),
+                 "kink density loses positivity", id="lipschitz"),
+    pytest.param(lambda: coeff.make_baseline("bv-step", left=-1.0),
+                 "step density loses positivity", id="bv-step"),
+    pytest.param(lambda: coeff.make_baseline("hoelder", beta=1.0),
+                 r"hoelder exponent 1\.0 outside \]0,1\[", id="hoelder-beta"),
+    pytest.param(lambda: coeff.make_baseline("hoelder", amplitude=-2.0),
+                 "cusp density loses positivity", id="hoelder-amplitude"),
+    pytest.param(lambda: coeff.make_baseline("sine"),
+                 "unknown baseline kind: 'sine'", id="kind"),
+    pytest.param(lambda: coeff.make_sequences(j_range=()),
+                 "empty j_range", id="j_range=()"),
+    pytest.param(lambda: coeff.make_sequences(j_range=range(0, 3)),
+                 "interval indices start at j = 1", id="j_range-from-0"),
+    pytest.param(lambda: coeff.make_sequences("paper-strict"),
+                 "paper-strict mode requires N", id="paper-strict-N"),
+    pytest.param(lambda: coeff.make_sequences("lambda"),
+                 "lambda mode requires N", id="lambda-N"),
+    pytest.param(lambda: coeff.make_sequences("dyadic"),
+                 "unknown sequence mode 'dyadic'", id="mode"),
+    pytest.param(lambda: coeff.make_sequences("scaled", psi="cube"),
+                 "unknown psi descriptor 'cube'", id="psi"),
+    pytest.param(lambda: coeff.make_sequences("lambda", N=1, lam="sqrt"),
+                 "unknown lambda descriptor 'sqrt'", id="lam"),
+    pytest.param(lambda: coeff.make_counterexample_density(
+        coeff.make_sequences(j_range=range(2, 3)), family="phi"),
+                 "unknown family 'phi'", id="family"),
+])
+def test_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -342,3 +342,24 @@ class TestProperties:
                 for a, q in zip(amps, freqs)) + 1.0
         sp = modulus.dyadic_blocks(f, j_max=9)
         assert sp.reconstruction_error(f) < 1e-9
+
+
+# --------------------------------------------------------------------------
+# rejections
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: modulus.default_h_grid(9),
+                 "sample too short for a dyadic h grid", id="h_grid"),
+    pytest.param(lambda: modulus.difference_seminorms(np.zeros(8)),
+                 "need a 1-D sample with at least 9 points", id="seminorm-8"),
+    pytest.param(lambda: modulus.difference_seminorms(np.zeros((9, 9))),
+                 "need a 1-D sample with at least 9 points", id="seminorm-2d"),
+    pytest.param(lambda: modulus.dyadic_blocks(np.zeros((8, 8))),
+                 "need a 1-D sample", id="blocks-2d"),
+    pytest.param(lambda: modulus.dyadic_blocks(np.zeros(8), extension="odd"),
+                 "unknown extension 'odd'", id="blocks-extension"),
+])
+def test_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -1007,6 +1007,24 @@ class TestInputRule:
         assert marches == []
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda om, u: ob.observability_quotient(
+        om, u, np.zeros_like(u), T=1e-3, m=2, resolution=8),
+                 id="observability_quotient"),
+    pytest.param(lambda om, u: ob.estimate_observability_constant(
+        om, 1e-3, (1,), resolution=8, m=2),
+                 id="estimate_observability_constant"),
+])
+def test_trace_too_short_rejected(call):
+    # T = 1e-3 on 8 cells is one time step: its two trace levels have no
+    # second difference
+    om = coeff.make_baseline("lipschitz")
+    u = np.sin(math.pi * np.linspace(0.0, 1.0, 9))
+    with pytest.raises(ValueError,
+                       match="trace too short for this derivative order"):
+        call(om, u)
+
+
 class TestResolutionFlags:
     """Constants taken on a grid that misses the trapping-resolution rule
     (resolution + 1) r_j >= 8 n_j carry a flag."""
@@ -1439,6 +1457,23 @@ def test_import_leaves_out_scipy_and_mpmath():
     ])
     out = _fresh_python(code)
     assert out.split("\n")[:2] == ["[]", "True True 5"]
+
+
+def test_import_leaves_out_numpy_polynomial():
+    # the Gauss rule is written out; importing every module adds no
+    # numpy.polynomial module to what importing numpy loads
+    code = "\n".join([
+        "import sys",
+        "import numpy",
+        "def poly():",
+        "    return {m for m in sys.modules",
+        "            if m.startswith('numpy.polynomial')}",
+        "before = poly()",
+        "from waveobs import coeff, modulus, observability, quasimodes, "
+        "wavesim",
+        "print(sorted(poly() - before))",
+    ])
+    assert _fresh_python(code).strip() == "[]"
 
 
 def test_star_import():

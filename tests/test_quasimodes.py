@@ -951,6 +951,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="n_samples"):
             solve_quasimode(om, h=1.0, m=0.5, n_samples=1)
 
+    @pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_frequency_rejected(self, h):
+        with pytest.raises(ValueError, match="h must be positive and finite"):
+            solve_quasimode(make_baseline("log-lipschitz"), h=h, m=0.5)
+
     def test_bad_launch_point_rejected(self):
         om = make_baseline("constant", value=1.0)
         with pytest.raises(ValueError, match="launch"):

@@ -97,7 +97,9 @@ def _ramp(t: np.ndarray) -> tuple:
     its slope: 0 for t <= 0, 1 for t >= 1 (slope 0), NaN for NaN.
 
     The exponentials run on the ramp ]0, 1[ only, where (e^{-1/t})' =
-    e^{-1/t} / t^2 reuses them; off it the formula's exact 0 or 1 is set.
+    e^{-1/t} / t^2 reuses them in place in four buffers, operations and
+    operands as in (p / s^2 * q + p * (q / r^2)) / (p + q)^2; off the
+    ramp the formula's exact 0 or 1 is set.
     """
     t = np.asarray(t, dtype=float)
     val = np.array(t >= 1.0, dtype=float)
@@ -105,10 +107,22 @@ def _ramp(t: np.ndarray) -> tuple:
     on = ~((t <= _RAMP_START) | (t >= 1.0))   # NaN runs the formulas
     s = t[on]
     r = 1.0 - s
-    p = np.exp(-1.0 / s)
-    q = np.exp(-1.0 / r)
-    val[on] = p / (p + q)
-    slope[on] = (p / s**2 * q + p * (q / r**2)) / (p + q) ** 2
+    p = np.divide(-1.0, s)
+    np.exp(p, out=p)
+    q = np.divide(-1.0, r)
+    np.exp(q, out=q)
+    s *= s
+    np.divide(p, s, out=s)
+    s *= q                       # p / s^2 * q
+    r *= r
+    np.divide(q, r, out=r)
+    np.multiply(p, r, out=r)     # p * (q / r^2)
+    s += r
+    np.add(p, q, out=q)
+    val[on] = np.divide(p, q, out=p)
+    q *= q
+    s /= q
+    slope[on] = s
     return val, slope
 
 
@@ -125,14 +139,27 @@ def _chi(u: np.ndarray, knots: Sequence[float]) -> np.ndarray:
 def _chi_and_slope(u: np.ndarray, knots: Sequence[float]) -> tuple:
     """(chi, chi') from one :func:`_ramp` per side of the plateau, u mod 1:
     chi = ramp((u-a)/(b-a)) * (1 - ramp((u-c)/(d-c))).  Exponentials run
-    on ]a, b[ and ]c, d[ only, 28% of a period on ``DEFAULT_KNOTS``."""
+    on ]a, b[ and ]c, d[ only, 28% of a period on ``DEFAULT_KNOTS``.  In
+    place, the ramps' outputs become chi and chi' = up' / (b-a) * (1-down)
+    + up * (-down' / (d-c)), in that order; a 0-d ``u`` gives 0-d arrays."""
     a, b, c, d = knots
     u = np.asarray(u, dtype=float)
     u = u - np.floor(u)          # bitwise np.mod(u, 1.0), and cheaper
-    up, up_p = _ramp((u - a) / (b - a))
-    down, down_p = _ramp((u - c) / (d - c))
-    dn = 1.0 - down
-    return up * dn, up_p / (b - a) * dn + up * (-down_p / (d - c))
+    t = u - a
+    t /= b - a
+    up, up_p = _ramp(t)
+    u -= c
+    u /= d - c
+    dn, down_p = _ramp(u)
+    np.subtract(1.0, dn, out=dn)
+    up_p /= b - a
+    up_p *= dn
+    np.negative(down_p, out=down_p)
+    down_p /= d - c
+    np.multiply(up, down_p, out=down_p)
+    up_p += down_p
+    up *= dn
+    return up, up_p
 
 
 # --------------------------------------------------------------------------
@@ -244,17 +271,35 @@ class PeriodicPair:
 
 def _profile(x: np.ndarray, knots: tuple, scale: float) -> tuple:
     """The eps-free factors of alpha_eps at x >= 0:
-    (theta, theta', cos^2(2 pi x), sin(4 pi x))."""
-    chi, chi_p = _chi_and_slope(x, knots)
-    return (scale * chi, scale * chi_p, np.cos(TWO_PI * x) ** 2,
-            np.sin(2.0 * TWO_PI * x))
+    (theta, theta', cos^2(2 pi x), sin(4 pi x)), each built in place."""
+    th, thp = _chi_and_slope(x, knots)
+    th *= scale
+    thp *= scale
+    c2 = np.multiply(x, TWO_PI, out=np.empty_like(th))
+    np.cos(c2, out=c2)
+    c2 *= c2
+    s4 = np.multiply(x, 2.0 * TWO_PI, out=np.empty_like(th))
+    np.sin(s4, out=s4)
+    return th, thp, c2, s4
 
 
 def _alpha(eps: float, profile: tuple) -> np.ndarray:
-    """alpha_eps from its eps-free factors (see :class:`PeriodicPair`)."""
+    """alpha_eps from its eps-free factors (see :class:`PeriodicPair`), left
+    to right in two buffers of its own; the factors (maybe the cached
+    read-only ones) are only read, and a 0-d profile gives a scalar."""
     th, thp, c2, s4 = profile
-    return (FOUR_PI_SQ - 4.0 * math.pi * eps * th * s4
-            + eps * thp * c2 - (eps * th) ** 2 * c2 * c2)
+    out = np.multiply(th, 4.0 * math.pi * eps, out=np.empty_like(th))
+    out *= s4
+    np.subtract(FOUR_PI_SQ, out, out=out)
+    tmp = np.multiply(thp, eps, out=np.empty_like(th))
+    tmp *= c2
+    out += tmp
+    np.multiply(th, eps, out=tmp)
+    tmp *= tmp
+    tmp *= c2
+    tmp *= c2
+    out -= tmp
+    return out if out.ndim else out[()]
 
 
 @lru_cache(maxsize=4)
@@ -265,8 +310,11 @@ def _knot_tables(knots: tuple) -> tuple:
     mean(theta cos^2) = 1; values[i] = eta(i/g) - i/g via an FFT
     antiderivative (spectrally accurate for the smooth integrand) and
     slopes the exact P' at those nodes; dense is :func:`_profile` on the
-    ``_DENSE_CHECK`` cell centers of the unit period.  The arrays are
-    read-only, since every pair on these knots shares them.
+    N = ``_DENSE_CHECK`` cell centers (i + 1/2)/N, floor(aN) - 2 <= i <=
+    ceil(dN) + 1 within the period: those in the cutoff's support ]a, d[
+    and at least two more on each side.  Off ]a, d[ alpha_eps is 4 pi^2
+    exactly, so its sups, min and max here are the whole grid's, bit for
+    bit.  The arrays are read-only: every pair on these knots shares them.
     """
     g = _ETA_GRID
     u = np.arange(g) / g
@@ -284,8 +332,10 @@ def _knot_tables(knots: tuple) -> tuple:
     p = p - p[0]                 # P(0) = 0
     values = np.concatenate([p, p[:1]])          # include u = 1 (P(1)=0)
     slopes = np.concatenate([f, f[:1]])          # exact P' at the nodes
-    dense = _profile((np.arange(_DENSE_CHECK) + 0.5) / _DENSE_CHECK,
-                     knots, scale)
+    n = _DENSE_CHECK
+    i = np.arange(max(math.floor(knots[0] * n) - 2, 0),
+                  min(math.ceil(knots[3] * n) + 2, n))
+    dense = _profile((i + 0.5) / n, knots, scale)
     for arr in (values, slopes, *dense):
         arr.flags.writeable = False
     return scale, values, slopes, dense
@@ -325,9 +375,10 @@ def build_oscillator_pair(
     and cached (``_knot_tables``, the four most recently used): theta's
     scale, the eta interpolation tables, and theta, theta',
     cos^2(2 pi u) and sin(4 pi u) on the dense grid of the sup-norm
-    measurements.  Pairs on one knot set share these read-only arrays;
-    each build computes alpha_eps from them and measures it.  theta and
-    theta' take exponentials on the cutoff's ramps only (:func:`_ramp`).
+    measurements, on the cutoff's support only.  Pairs on one knot set
+    share these read-only arrays; each build computes alpha_eps from them
+    and measures it.  theta and theta' take exponentials on the cutoff's
+    ramps only (:func:`_ramp`), and every kernel works in place.
 
     Raises
     ------
@@ -344,26 +395,31 @@ def build_oscillator_pair(
     knots = tuple(knots)
     scale, values, slopes, dense = _knot_tables(knots)
     al = _alpha(eps, dense)
-    m_alpha = float(np.max(np.abs(al - FOUR_PI_SQ)) / eps)
-    # sup|alpha'| from central differences on the dense grid
-    dal = (al[2:] - al[:-2]) * (_DENSE_CHECK / 2.0)
-    m_alpha_p = float(np.max(np.abs(dal)) / eps)
+    alpha_min, alpha_max = float(al.min()), float(al.max())
+    # sup|alpha'| from central differences on the dense grid, in place
+    dal = al[2:] - al[:-2]
+    dal *= _DENSE_CHECK / 2.0
+    m_alpha_p = float(np.max(np.abs(dal, out=dal)) / eps)
+    al -= FOUR_PI_SQ
+    m_alpha = float(np.max(np.abs(al, out=al)) / eps)
     pair = PeriodicPair(
         eps=eps, knots=knots, theta_scale=scale,
         M_alpha=m_alpha, M_alpha_prime=m_alpha_p,
         M=max(m_alpha, m_alpha_p), decay_c=math.nan, gamma=math.nan,
         flat_radius=min(a, 1.0 - d),
-        alpha_min=float(al.min()), alpha_max=float(al.max()),
+        alpha_min=alpha_min, alpha_max=alpha_max,
         _eta_values=values, _eta_slopes=slopes,
     )
     # decay constant from w at integers (log-linear fit through the
-    # origin); period average of w by composite Gauss-Legendre (64 panels
-    # of 8 nodes; no further refinement)
+    # origin); gamma = (1/eps) int_0^1 w_eps by composite Gauss-Legendre
+    # (64 panels of 8 nodes) as (1/eps) int_0^1 cos(2 pi x) expm1(-eps eta),
+    # exact as int_0^1 cos(2 pi x) = 0, and free of cancellation for any eps
     n = np.arange(1, 21, dtype=float)
     logs = pair.w_log_abs(n)
-    pair = replace(pair,
-                   decay_c=float(-np.dot(logs, n) / (eps * np.dot(n, n))),
-                   gamma=_composite_gauss(pair.w) / eps)
+    pair = replace(
+        pair, decay_c=float(-np.dot(logs, n) / (eps * np.dot(n, n))),
+        gamma=_composite_gauss(lambda x: np.cos(TWO_PI * x)
+                               * np.expm1(pair.envelope_log(x))) / eps)
     if pair.gamma <= 0.0:
         raise ValueError(
             f"period average of w_eps is non-positive (gamma={pair.gamma:.3e}) "
@@ -381,7 +437,10 @@ def build_oscillator_pair(
 
 @dataclass(frozen=True, eq=False)
 class Coefficient:
-    """A density omega on [0, 1] with certified hyperbolicity bounds.
+    """A density omega on [0, 1] with hyperbolicity bounds: analytic for a
+    closed-form baseline, declared by a custom one, and for a trapping
+    density measured, not certified (the min/max of 4 pi^2 and its pairs'
+    alpha_eps on the 100,000-cell ``_DENSE_CHECK`` grid of a period).
 
     ``kind`` names the construction; ``params`` holds the JSON-safe
     descriptor from which the evaluator can be rebuilt bit-identically.

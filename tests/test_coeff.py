@@ -7,8 +7,10 @@ arguments, and stability of the measured constants across eps.
 
 import json
 import math
+import sys
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +19,69 @@ from hypothesis import given, settings, strategies as st
 from waveobs import coeff
 
 FOUR_PI_SQ = 4.0 * math.pi ** 2
+TWO_PI = 2.0 * math.pi
+MIRROR_KNOTS = tuple(1.0 - k for k in coeff.DEFAULT_KNOTS[::-1])
+
+
+# --------------------------------------------------------------------------
+# full-array oracles of the in-place kernels: one fresh array per
+# operation, the cutoff's exponentials on every point, np.mod for the
+# period and the whole dense grid for the measurements
+# --------------------------------------------------------------------------
+
+def full_ramp(t):
+    def sigma(t):
+        val = np.zeros_like(t)
+        slope = np.zeros_like(t)
+        pos = t > 0.0
+        val[pos] = np.exp(-1.0 / t[pos])
+        slope[pos] = val[pos] / t[pos] ** 2
+        return val, slope
+
+    p, pp = sigma(t)
+    q, qp = sigma(1.0 - t)
+    return p / (p + q), (pp * q + p * qp) / (p + q) ** 2
+
+
+def full_chi_and_slope(u, knots):
+    a, b, c, d = knots
+    u = np.mod(u, 1.0)
+    up, up_p = full_ramp((u - a) / (b - a))
+    down, down_p = full_ramp((u - c) / (d - c))
+    dn = 1.0 - down
+    return up * dn, up_p / (b - a) * dn + up * (-down_p / (d - c))
+
+
+def full_scale(knots):
+    u = np.arange(coeff._ETA_GRID) / coeff._ETA_GRID
+    return 1.0 / float((full_chi_and_slope(u, knots)[0]
+                        * np.cos(TWO_PI * u) ** 2).mean())
+
+
+def full_alpha(eps, x, knots, scale):
+    x = np.abs(np.asarray(x, dtype=float))
+    chi, chi_p = full_chi_and_slope(x, knots)
+    th, thp = scale * chi, scale * chi_p
+    c2, s4 = np.cos(TWO_PI * x) ** 2, np.sin(2.0 * TWO_PI * x)
+    return (FOUR_PI_SQ - 4.0 * math.pi * eps * th * s4
+            + eps * thp * c2 - (eps * th) ** 2 * c2 * c2)
+
+
+def full_grid_measurements(eps, knots):
+    """(M_alpha, M_alpha_prime, alpha_min, alpha_max) on all N cells."""
+    n = coeff._DENSE_CHECK
+    al = full_alpha(eps, (np.arange(n) + 0.5) / n, knots, full_scale(knots))
+    dal = (al[2:] - al[:-2]) * (n / 2.0)
+    return (float(np.max(np.abs(al - FOUR_PI_SQ)) / eps),
+            float(np.max(np.abs(dal)) / eps), float(al.min()),
+            float(al.max()))
+
+
+def same_bits(x, y):
+    """Equal values and sign bits (a NaN's too), and the same type."""
+    return (type(x) is type(y) and np.shape(x) == np.shape(y)
+            and np.array_equal(x, y, equal_nan=True)
+            and np.array_equal(np.signbit(x), np.signbit(y)))
 
 
 # --------------------------------------------------------------------------
@@ -126,10 +191,9 @@ class TestOscillatorPair:
         # the knots are used as given: the mirror image of DEFAULT_KNOTS
         # reads gamma = -0.0169 at eps = 0.048 and is refused, not
         # swapped back for a pair on other knots
-        mirrored = tuple(1.0 - k for k in coeff.DEFAULT_KNOTS[::-1])
         with pytest.raises(ValueError,
                            match=r"non-positive \(gamma=-1\.686e-02\)"):
-            coeff.build_oscillator_pair(0.048, knots=mirrored)
+            coeff.build_oscillator_pair(0.048, knots=MIRROR_KNOTS)
 
     def test_gauss_rule_is_leggauss(self):
         # the written-out 8-node rule against numpy's; LAPACK may move
@@ -151,46 +215,21 @@ class TestOscillatorPair:
         assert np.array_equal(coeff._chi(u, knots), ref)
 
     @pytest.mark.parametrize("knots", [
-        coeff.DEFAULT_KNOTS, tuple(1.0 - k for k in coeff.DEFAULT_KNOTS[::-1]),
-        (0.2, 0.3, 0.5, 0.9), (0.1, 0.2, 0.2, 0.3)])
+        coeff.DEFAULT_KNOTS, MIRROR_KNOTS, (0.2, 0.3, 0.5, 0.9),
+        (0.1, 0.2, 0.2, 0.3)])
     def test_ramp_matches_full_array_formula(self, knots):
-        # independent oracle: exp(-1/t) on every point, np.mod for the
-        # period, and the plateau's combination; the ramp-only evaluation
-        # must reproduce it bitwise, sign bits included
-        def sigma(t):
-            val = np.zeros_like(t)
-            slope = np.zeros_like(t)
-            pos = t > 0.0
-            val[pos] = np.exp(-1.0 / t[pos])
-            slope[pos] = val[pos] / t[pos] ** 2
-            return val, slope
-
-        def ramp(t):
-            p, pp = sigma(t)
-            q, qp = sigma(1.0 - t)
-            return p / (p + q), (pp * q + p * qp) / (p + q) ** 2
-
-        def chi_and_slope(u):
-            u = np.mod(u, 1.0)
-            up, up_p = ramp((u - a) / (b - a))
-            down, down_p = ramp((u - c) / (d - c))
-            dn = 1.0 - down
-            return up * dn, up_p / (b - a) * dn + up * (-down_p / (d - c))
-
-        def same(x, y):
-            return (np.array_equal(x, y)
-                    and np.array_equal(np.signbit(x), np.signbit(y)))
-
-        a, b, c, d = knots
+        # independent oracle (full_chi_and_slope): the ramp-only, in-place
+        # evaluation must reproduce it bitwise, sign bits included
         k = np.array(knots)
         u = np.random.default_rng(11).uniform(-4.0, 5.0, 1_000_000)
         inputs = [u, np.concatenate([k, k + 1.0]),
                   u[:3000].reshape(50, 60), np.array([])]
         for x in inputs:
-            got, ref = coeff._chi_and_slope(x, knots), chi_and_slope(x)
+            got = coeff._chi_and_slope(x, knots)
+            ref = full_chi_and_slope(x, knots)
             assert got[0].shape == x.shape
-            assert same(got[0], ref[0]) and same(got[1], ref[1])
-            assert same(coeff._smoothstep(x), ramp(x)[0])
+            assert same_bits(got[0], ref[0]) and same_bits(got[1], ref[1])
+            assert same_bits(coeff._smoothstep(x), full_ramp(x)[0])
 
     def test_ramp_nan_and_tiny_arguments(self):
         # NaN in gives NaN out; at 1e-300 t**2 underflows to 0 and at
@@ -224,15 +263,16 @@ class TestOscillatorPair:
         assert p.alpha_max == float(al.max())
 
     def test_knot_tables_built_once_per_knot_set(self, monkeypatch):
+        # the dense evaluation is the _profile call that _knot_tables makes
         dense_calls = []
-        chi_and_slope = coeff._chi_and_slope
+        profile = coeff._profile
 
-        def counted(u, knots):
-            if np.size(u) == coeff._DENSE_CHECK:
+        def counted(x, knots, scale):
+            if sys._getframe(1).f_code.co_name == "_knot_tables":
                 dense_calls.append(tuple(knots))
-            return chi_and_slope(u, knots)
+            return profile(x, knots, scale)
 
-        monkeypatch.setattr(coeff, "_chi_and_slope", counted)
+        monkeypatch.setattr(coeff, "_profile", counted)
         coeff._knot_tables.cache_clear()
         knots = (0.2, 0.3, 0.5, 0.9)
         pairs = [coeff.build_oscillator_pair(eps, knots=knots)
@@ -240,6 +280,89 @@ class TestOscillatorPair:
         assert dense_calls == [knots]
         assert pairs[0]._eta_values is pairs[2]._eta_values
         assert not pairs[0]._eta_values.flags.writeable
+
+    @pytest.mark.parametrize("knots", [
+        coeff.DEFAULT_KNOTS, MIRROR_KNOTS, (0.2, 0.3, 0.5, 0.9),
+        (1e-6, 0.1, 0.5, 1.0 - 1e-6)])
+    def test_alpha_kernels_match_full_array_formula(self, knots):
+        # against the full-array oracles: alpha bitwise at 10^6 points,
+        # the knots and the integers, and the four measurements on the
+        # support-only dense run bitwise those of the whole grid.  The
+        # mirror's pairs are refused for their gamma, so they are measured
+        # as the builder measures, through _knot_tables and _alpha; the
+        # last knot set's run reaches the first and last dense cells
+        scale, _, _, dense = coeff._knot_tables(knots)
+        assert scale == full_scale(knots)
+        k = np.array(knots)
+        x = np.concatenate([
+            np.random.default_rng(13).uniform(-4.0, 5.0, 1_000_000),
+            k, k + 1.0, -k, np.arange(-4.0, 6.0)])
+        for eps in (0.048, 0.01):
+            if knots == MIRROR_KNOTS:
+                with pytest.raises(ValueError, match="gamma"):
+                    coeff.build_oscillator_pair(eps, knots=knots)
+                al = coeff._alpha(eps, dense)
+                dal = (al[2:] - al[:-2]) * (coeff._DENSE_CHECK / 2.0)
+                got = (float(np.max(np.abs(al - FOUR_PI_SQ)) / eps),
+                       float(np.max(np.abs(dal)) / eps),
+                       float(al.min()), float(al.max()))
+                # pair.alpha reads only eps, knots and theta_scale
+                pair = replace(coeff.build_oscillator_pair(eps),
+                               knots=knots, theta_scale=scale)
+            else:
+                pair = coeff.build_oscillator_pair(eps, knots=knots)
+                got = (pair.M_alpha, pair.M_alpha_prime, pair.alpha_min,
+                       pair.alpha_max)
+                assert pair.M == max(got[:2])
+            assert got == full_grid_measurements(eps, knots)
+            assert same_bits(pair.alpha(x), full_alpha(eps, x, knots, scale))
+
+    def test_alpha_nan_zero_d_and_empty_inputs(self, pair):
+        # a NaN gives NaN without a warning; a 0-d input gives a numpy
+        # scalar and an empty input an empty array of its shape, as the
+        # full-array formula does
+        inputs = [0.3, np.float64(0.7), np.array(0.5), np.array([]),
+                  np.zeros((0, 3)), np.full((2, 3), 0.1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nan = pair.alpha(np.array([np.nan, 0.3]))
+            nan_0d = pair.alpha(np.nan)
+            got = [(pair.alpha(x), pair.theta(x)) for x in inputs]
+        assert np.isnan(nan[0]) and nan[1] == pair.alpha(0.3)
+        assert np.isnan(nan_0d) and type(nan_0d) is np.float64
+        for x, (alpha, theta) in zip(inputs, got):
+            chi = full_chi_and_slope(np.asarray(x, dtype=float), pair.knots)
+            assert same_bits(alpha, full_alpha(pair.eps, x, pair.knots,
+                                               pair.theta_scale))
+            assert same_bits(theta, pair.theta_scale * chi[0])
+
+    def test_kernels_never_write_the_cached_tables(self):
+        # the in-place kernels write their own buffers only, never the
+        # read-only tables that every pair on these knots shares
+        coeff._knot_tables.cache_clear()
+        knots = (0.2, 0.3, 0.5, 0.9)
+        tables = coeff._knot_tables(knots)
+        arrays = (tables[1], tables[2], *tables[3])
+        first = [arr.copy() for arr in arrays]
+        x = np.random.default_rng(17).uniform(-2.0, 3.0, 10_000)
+        for eps in (0.048, 0.0432, 0.01):
+            coeff.build_oscillator_pair(eps, knots=knots).alpha(x)
+        assert coeff._knot_tables(knots) is tables
+        for arr, value in zip(arrays, first):
+            assert same_bits(arr, value) and not arr.flags.writeable
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-12, 1e-15, 6.6e-25])
+    def test_gamma_holds_for_tiny_eps(self, eps):
+        # (1/eps) int_0^1 cos(2 pi x) expm1(-eps eta) has no cancellation;
+        # the integral of w_eps itself read gamma < 0 from eps = 1e-15
+        # down.  gamma(eps) - gamma(0) is first order in eps (0.75 eps
+        # relative), hence the eps in the bound
+        gamma = coeff.build_oscillator_pair(eps).gamma
+        assert abs(gamma / 0.01838771581 - 1.0) <= 1e-9 + eps
+
+    def test_gamma_is_the_period_average_of_w(self, pair):
+        quotient = coeff._composite_gauss(pair.w) / pair.eps
+        assert abs(pair.gamma / quotient - 1.0) <= 1e-12
 
     def test_envelope_log_matches_w_log_abs(self, pair):
         x = np.array([0.5, 1.5, 7.25, 30.75])

@@ -86,6 +86,7 @@ from .wavesim import (
     _leapfrog,
     _leapfrog_modes,
     _scheme_eigenpairs,
+    _sinusoids,
     _taylor_start,
     _tapered_gram,
     _tapered_spectrum,
@@ -343,10 +344,13 @@ def _mode_traces(grid, mu: np.ndarray, V: np.ndarray,
     """Left traces, (steps+1) x 2c, of the position data (V_k, 0) and
     then the velocity data (0, V_k) of the modes V_k, in closed form:
     a_k cos(n theta_k) and b_k sin(n theta_k), (a, b) from
-    :func:`_trace_amplitudes`."""
-    a, b = _trace_amplitudes(grid, mu, V, theta)
-    phase = np.multiply.outer(np.arange(grid.steps + 1), theta)
-    return np.hstack([a * np.cos(phase), b * np.sin(phase)])
+    :func:`_trace_amplitudes`: one :func:`wavesim._sinusoids` table on
+    theta twice over, at phase pi/2 for the position data and 0 for the
+    velocity data, scaled in place."""
+    traces = _sinusoids(np.tile(theta, 2), grid.steps,
+                        np.repeat([0.5 * np.pi, 0.0], len(theta)))
+    traces *= np.concatenate(_trace_amplitudes(grid, mu, V, theta))
+    return traces
 
 
 def _trace_amplitudes(grid, mu: np.ndarray, V: np.ndarray,
@@ -708,9 +712,9 @@ class DivergenceTable:
     earlier row is floored, so such a pair never counts as growth).
     ``truncated_at`` marks the first j the sweep could not reach
     (unbuildable density, scale guard, unresolvable wave grid or empty
-    eigenmode window) with the reason recorded.  Every row runs at the
-    table's one horizon ``T``, that of the largest member built, so a row
-    compares across tables only where their ``T`` agree.
+    eigenmode window) with the reason recorded.  Each row runs at its own
+    member's horizon, its ``"T"``; the table's ``T`` is the largest of
+    the members built (nan when none was).
     """
 
     family: str
@@ -814,7 +818,11 @@ def run_counterexample_sweep(
 
     The sequences are ``make_sequences(**sequence_kwargs)``, by default
     ``concentrating`` on min(j_list)..max(j_list); the table's ``mode`` is
-    theirs.  Modes are solved at :func:`solve_quasimode`'s rtol (1e-12).
+    theirs.  That default ``j_range`` follows ``j_list``, and so does the
+    eps schedule (the lambda n0 = 30 j=3 row reads Q_0 0.62 swept alone
+    and 12.03 beside j=2): pass ``j_range`` for rows that do not depend
+    on the other rows requested.  Modes are solved at
+    :func:`solve_quasimode`'s rtol (1e-12).
 
     ``family`` 'lambda' activates one marked interval per j (closed-form
     numerators, machine-exact edge states); 'psi' uses the full density
@@ -826,11 +834,9 @@ def run_counterexample_sweep(
     until the first j whose density cannot be built, which the scale
     guard or the wave grid cannot reach, or whose window holds no
     eigenmode; that j truncates the table with the reason recorded.
-    Every row runs at one horizon, the largest :func:`_default_horizon`
-    (2 T_omega + 0.5) over the members built (nan when none was), so a
-    row depends on the ``j_list`` it was swept with: the lambda n0 = 30
-    j=2 row at ppw 6 reads Q_0 0.48673 beside j=3 and 0.48689 alone.
-    ``j_list`` must be strictly increasing.
+    Each row runs at its own member's :func:`_default_horizon`
+    (2 T_omega + 0.5), so with the sequences fixed a row does not depend
+    on the other rows requested.  ``j_list`` must be strictly increasing.
 
     ``growth_factors`` follow :func:`_growth_factor`: a row whose
     maximizing datum sits under the trace noise floor has Q = inf, and the
@@ -854,8 +860,8 @@ def run_counterexample_sweep(
     params = make_sequences(**kw)
 
     members, bad_j, bad_reason = _family_members(params, family, j_list)
-    T = max((_default_horizon(travel_time(om)) for om in members.values()),
-            default=math.nan)
+    horizons = {j: _default_horizon(travel_time(om))
+                for j, om in members.items()}
 
     def solve_row(j: int, density: Coefficient) -> dict:
         h = params.entry(j).h
@@ -890,7 +896,7 @@ def run_counterexample_sweep(
             numer = _quadrature_numerator(qm, density)
         return {
             "j": j, "h": h, "eps": qm.eps, "n": n,
-            "resolution": res_wave, "T": T,
+            "resolution": res_wave, "T": horizons[j],
             "numerator_h1": numer["h1"], "numerator_l2": numer["l2"],
             "numerator_times_h": (numer["h1"] + numer["l2"]) * h,
             "numerator_route": numer["route"],
@@ -901,7 +907,8 @@ def run_counterexample_sweep(
             "edge_values": (float(qm.phi[0]), float(qm.phi[-1])),
             "edge_derivatives": (float(qm.phi_prime[0]),
                                  float(qm.phi_prime[-1])),
-            **_window_quotients(_wave_grid(density, T, res_wave), h, m_list),
+            **_window_quotients(_wave_grid(density, horizons[j], res_wave),
+                                h, m_list),
         }
 
     rows, truncated_at, reason = _family_rows(solve_row, members, bad_j,
@@ -912,7 +919,8 @@ def run_counterexample_sweep(
         qs = [r["Q"][m] for r in rows]
         growth[m] = tuple(_growth_factor(a, b) for a, b in zip(qs, qs[1:]))
     return DivergenceTable(
-        family=family, mode=params.mode, T=float(T), m_list=m_list,
+        family=family, mode=params.mode,
+        T=float(max(horizons.values(), default=math.nan)), m_list=m_list,
         rows=tuple(rows), growth_factors=growth,
         truncated_at=truncated_at, truncation_reason=reason,
         params=params.to_descriptor())
@@ -1006,7 +1014,9 @@ def hum_control(omega: Coefficient, y0, y1, T: float, m: int = 0, *,
     conjugate gradients let it wander above the stopping level), on the
     scheme's closed-form modal solution: there the trace map S is one
     Chebyshev table of (steps+1) x (resolution-1) floats (1.7 MB at
-    resolution 256, T = 3, Lipschitz baseline), the energy preconditioner is
+    resolution 256, T = 3, Lipschitz baseline), sin(n theta_k) /
+    sin(theta_k) built by angle addition (:func:`wavesim._sinusoids`,
+    from about 2 sqrt(steps) sines per mode), the energy preconditioner is
     diagonal, and no wave is marched per iteration (the tests check the form
     against the two marches it replaces).  The control is verified by one
     march of the leapfrog recurrence on the same grid, from the Taylor start

@@ -20,6 +20,11 @@ level; ``observability`` marches its data as blocks without energies.
 ``_leapfrog_modes`` solves the homogeneous scheme in closed form instead:
 one table of every mode's Chebyshev evolution, on which HUM's conjugate
 residuals run (they minimize the residual HUM's stopping rule reads).
+``_sinusoids`` is the package's one n-theta table kernel, sin(n theta +
+phase) by angle addition on blocks of about sqrt(steps) rows; it builds
+that table and ``observability``'s closed-form mode traces, within
+0.5 eps (1 + n theta) of the exact sine measured (np.sin of the rounded
+n theta + phase reaches 0.9 eps (1 + n theta)).
 Its eigenproblem, ``_scheme_eigenpairs``, is one ``eigh_tridiagonal``
 call for every selection: the whole spectrum for HUM, the scheme's
 lowest modes for ``observability``'s constants and the modes in a
@@ -384,7 +389,8 @@ class _Modes:
     M^{-1/2} K M^{-1/2} = Q diag(mu) Q^T decouples it: z = Q^T M^{1/2} u
     evolves as z^n = U_{n-1}(c) z^1 - U_{n-2}(c) z^0, c = 1 - dt^2 mu/2,
     with U the Chebyshev polynomials of the second kind.  ``table[n, k]``
-    = U_{n-1}(c_k) = sin(n theta_k)/sin(theta_k), n = 0..steps; U_{n-2}
+    = U_{n-1}(c_k) = sin(n theta_k)/sin(theta_k), n = 0..steps, the
+    :func:`_sinusoids` table divided in place by sin(theta_k); U_{n-2}
     is the row above, with U_{-2} = -1.  Arrays may carry K columns.
     """
 
@@ -482,13 +488,35 @@ def _scheme_eigenpairs(om, dx, dt, count=None, *, window=None):
     return mu, Z, root_om, 2.0 * np.arcsin(half)
 
 
+def _sinusoids(theta, steps, phase=0.0):
+    """sin(n theta_k + phase_k), n = 0..steps, as a (steps+1) x k array
+    (``phase`` broadcasts against the 1-D ``theta``).
+
+    Row n = qB + r (B = isqrt(steps+1), Q blocks) is built by angle
+    addition, sin(qB theta) cos(r theta + phase) + cos(qB theta)
+    sin(r theta + phase): 2(B+Q)k sines and cosines instead of
+    (steps+1)k, three in-place flops per entry, and an error within about
+    0.5 eps (1 + n theta) of the exact sine.
+    """
+    theta = np.asarray(theta, dtype=float)
+    block = math.isqrt(steps + 1)
+    count = -(-(steps + 1) // block)
+    inner = np.multiply.outer(np.arange(block), theta) + phase
+    outer = np.multiply.outer(np.arange(0, count * block, block), theta)
+    c_in, s_in = np.cos(inner), np.sin(inner)
+    table = np.empty((count, block, len(theta)))
+    spare = np.empty_like(c_in)
+    for part, c, s in zip(table, np.cos(outer), np.sin(outer)):
+        np.multiply(c_in, s, out=part)
+        part += np.multiply(s_in, c, out=spare)
+    return table.reshape(count * block, len(theta))[:steps + 1]
+
+
 def _leapfrog_modes(om, dx, dt, steps) -> _Modes:
     """Every eigenpair of the scheme and its one (steps+1) x (nodes-2)
-    table."""
+    table, :func:`_sinusoids` over sin(theta)."""
     mu, vectors, root_om, theta = _scheme_eigenpairs(om, dx, dt)
-    table = np.empty((steps + 1, len(mu)))
-    np.multiply.outer(np.arange(steps + 1), theta, out=table)
-    np.sin(table, out=table)
+    table = _sinusoids(theta, steps)
     table /= np.sin(theta)
     return _Modes(mu=mu, vectors=vectors, root_om=root_om,
                   q=vectors[0] / root_om[0], table=table)

@@ -542,6 +542,21 @@ def test_hum_residuals_never_increase(seed):
     assert_stopping_margin(res)
 
 
+def test_hum_benchmark_target():
+    # the benchmark's control call: the Lipschitz baseline, the fixed
+    # 8-mode mixture (standard normal coefficients, seed 0), T = 3 at
+    # res 256
+    om = coeff.make_baseline("lipschitz")
+    x = np.linspace(0.0, 1.0, 257)
+    modes = np.sin(math.pi * np.outer(x, np.arange(1, 9)))
+    rng = np.random.default_rng(0)
+    y0, y1 = (modes @ rng.standard_normal(8) for _ in range(2))
+    res = ob.hum_control(om, y0, y1, T=3.0, resolution=256)
+    assert res.iterations == 18 and res.converged and res.controlled
+    assert res.terminal_relative == pytest.approx(1.88997508841e-07,
+                                                  rel=1e-9)
+
+
 @pytest.fixture
 def marches(monkeypatch):
     """Kind of every leapfrog kernel run, wherever it is called from,
@@ -1113,12 +1128,24 @@ def test_lambda_divergence_sweep():
     # coarse bisection and Rayleigh-Ritz step agree within 1.8e-14
     # relative)
     for row, (q, frequency, modes) in zip(table.rows, [
-            (0.48672592714188667, 118.25417696443363, 6),
+            (0.4868873089258137, 118.25417696443363, 6),
             (12.025690321825234, 576.5738465915265, 31)]):
         assert row["Q"][0] == pytest.approx(q, rel=1e-10)
         assert row["trapped_frequency"] == pytest.approx(frequency,
                                                          rel=1e-10)
         assert row["window"]["modes"] == modes
+
+
+def test_row_does_not_depend_on_other_rows():
+    # each row runs at its own member's horizon, so with the sequences
+    # fixed by j_range the j=2 row swept alone is the one swept beside
+    # j=3, bit for bit (their horizons are 13.06176 and 13.06432)
+    kw = {"n0": 30, "j_range": range(2, 4)}
+    both, alone = (ob.run_counterexample_sweep(
+        family="lambda", j_list=j_list, points_per_wavelength=6.0,
+        sequence_kwargs=kw) for j_list in ((2, 3), (2,)))
+    assert both.rows[0] == alone.rows[0]
+    assert both.rows[0]["T"] < both.rows[1]["T"] == both.T
 
 
 @pytest.mark.parametrize("family, bound", [("lambda", 1e-10),
@@ -1275,6 +1302,20 @@ def test_closed_form_trace_energies(m):
                                      grid.dt, m))
         assert got.shape == ref.shape == (2 * len(mu),)
         assert np.all(np.abs(got / ref - 1.0) <= 1e-11)
+
+
+@pytest.mark.parametrize("kind", ["lipschitz", "bv-step"])
+def test_mode_traces_closed_form(kind):
+    # the closed-form traces a_k cos(n theta_k), then b_k sin(n theta_k),
+    # against the formula written out with numpy's own cos and sin
+    grid = ws._wave_grid(coeff.make_baseline(kind), 3.0, 256)
+    mu, V, theta = lowest_modes(grid, 32)
+    a, b = ob._trace_amplitudes(grid, mu, V, theta)
+    phase = np.multiply.outer(np.arange(grid.steps + 1), theta)
+    ref = np.hstack([a * np.cos(phase), b * np.sin(phase)])
+    got = ob._mode_traces(grid, mu, V, theta)
+    assert got.shape == ref.shape == (grid.steps + 1, 64)
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.max(np.abs(ref), axis=0))
 
 
 class TestWindowGuard:
@@ -1598,6 +1639,45 @@ def test_no_unread_private_names():
               and not any(read == name and where != (file, index)
                           for read, where in reads)]
     assert unread == []
+
+
+def test_one_sinusoid_table():
+    # np.sin or np.cos of an np.multiply.outer(np.arange(...), ...) phase
+    # (inline, or through a name it was assigned or written to with out=)
+    # is an n-theta table built beside wavesim._sinusoids, the one kernel
+    # that builds them
+    pkg = Path(ob.__file__).resolve().parent
+
+    def is_phase(node):
+        return (isinstance(node, ast.Call)
+                and ast.unparse(node.func) == "np.multiply.outer"
+                and bool(node.args) and isinstance(node.args[0], ast.Call)
+                and ast.unparse(node.args[0].func) == "np.arange")
+
+    found = []
+    for path in sorted(pkg.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if (not isinstance(fn, ast.FunctionDef)
+                    or fn.name == "_sinusoids"):
+                continue
+            phases = set()
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Assign) and any(
+                        map(is_phase, ast.walk(node.value))):
+                    phases |= {t.id for t in node.targets
+                               if isinstance(t, ast.Name)}
+                elif is_phase(node):
+                    phases |= {k.value.id for k in node.keywords
+                               if k.arg == "out"
+                               and isinstance(k.value, ast.Name)}
+            found += [
+                f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                if isinstance(node, ast.Call) and node.args
+                and ast.unparse(node.func) in ("np.sin", "np.cos")
+                and any(is_phase(n) or (isinstance(n, ast.Name)
+                                        and n.id in phases)
+                        for n in ast.walk(node.args[0]))]
+    assert found == []
 
 
 def test_docstring_references_resolve():

@@ -304,6 +304,50 @@ class TestModes:
 _EPS = np.finfo(float).eps
 
 
+class TestSinusoids:
+    """The one n-theta table kernel against 40-digit sines."""
+
+    @pytest.mark.parametrize("steps", [0, 1, 3, 854, 20000])
+    @pytest.mark.parametrize("phase", ["zero", "half-pi", "per-column"])
+    def test_matches_mpmath(self, steps, phase):
+        # steps + 1 = 1, 2 and 4 fill the last block of isqrt(steps + 1)
+        # rows; 855 and 20001 leave it short
+        import mpmath
+
+        rng = np.random.default_rng(steps)
+        theta = np.r_[1e-3, 3.1, rng.uniform(1e-3, 3.1, 4)]
+        phi = {"zero": 0.0, "half-pi": 0.5 * np.pi,
+               "per-column": np.repeat([0.0, 0.5 * np.pi], 3)}[phase]
+        table = ws._sinusoids(theta, steps, phi)
+        assert table.shape == (steps + 1, 6) and table.dtype == np.float64
+        rows = {0, min(1, steps), steps,
+                *rng.integers(0, steps + 1, 8).tolist()}
+        with mpmath.workdps(40):
+            for n in sorted(rows):
+                for k, (t, p) in enumerate(zip(
+                        theta, np.broadcast_to(phi, theta.shape))):
+                    exact = mpmath.sin(n * mpmath.mpf(t) + mpmath.mpf(p))
+                    error = abs(float(mpmath.mpf(table[n, k]) - exact))
+                    assert error <= 2.0 * _EPS * (1.0 + n * t)
+
+    @pytest.mark.parametrize("steps", [0, 854])
+    def test_no_columns(self, steps):
+        table = ws._sinusoids(np.empty(0), steps)
+        assert table.shape == (steps + 1, 0) and table.dtype == np.float64
+
+    @pytest.mark.parametrize("kind", ["lipschitz", "log-lipschitz"])
+    def test_leapfrog_table(self, kind):
+        # the modal table is sin(n theta_k) / sin(theta_k), n = 0..steps
+        om, dx, dt, steps = TestModes.grid(kind, 256)
+        modes = ws._leapfrog_modes(om, dx, dt, steps)
+        theta = 2.0 * np.arcsin(0.5 * dt * np.sqrt(modes.mu))
+        ref = np.sin(np.multiply.outer(np.arange(steps + 1), theta))
+        ref /= np.sin(theta)
+        assert modes.table.shape == ref.shape
+        assert np.all(np.abs(modes.table - ref)
+                      <= 1e-12 * np.max(np.abs(ref), axis=0))
+
+
 def lambda_member(j, n0):
     """The concentrating lambda family's j-th member (one marked
     interval) and its h_j."""
